@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 for decisive answers, 2 for UNKNOWN, 1 for input errors.
+Exit codes: 0 for decisive answers, 2 for UNKNOWN (including a construction
+that hit the state ceiling), 1 for input errors.
 The TRANSDIST_STATE_CEILING environment variable overrides the default size
 ceilings; --state-ceiling overrides both.
 """
@@ -12,9 +13,10 @@ import json
 import os
 import sys
 
-from .errors import TransdistError
+from .automata import DEFAULT_STATE_CEILING
+from .errors import ResourceLimitError, TransdistError
 from .fileio import EMPTY_MARK, load_machine
-from .kapprox import DEFAULT_STATE_CEILING, close_verdict, distance, kclose
+from .kapprox import close_verdict, distance, kclose
 from .pairauto import PairAutomaton
 from .relations import diameter, index, make_distance_relation
 from .transducers import Transducer, domain_words, evaluate
@@ -321,6 +323,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ResourceLimitError as exc:
+        _emit(args, {"command": args.command, "result": "UNKNOWN",
+                     "reason": str(exc)}, f"UNKNOWN ({exc})")
+        return EXIT_UNKNOWN
     except TransdistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

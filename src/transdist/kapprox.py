@@ -1,5 +1,5 @@
 """Generic k-closeness via (min,+) distance automata, and exact distances by
-doubling plus binary search.
+an upward search over k.
 
 For the substitution/indel metrics the automaton tracks a budget and a
 one-sided unmatched leftover word; per transition it nondeterministically
@@ -15,7 +15,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Nfa, determinize, equiv_unambiguous
+from .automata import (DEFAULT_STATE_CEILING, Nfa, determinize,
+                       equiv_unambiguous)
 from .conjugacy import (close_conjugacy_transducers,
                         close_levenshtein_transducers)
 from .errors import (InputError, IntegrityError, PreconditionError,
@@ -28,8 +29,6 @@ from .transducers import (JointMachine, joint_product, length_close,
 from .verdicts import Close, NotClose, Unknown
 from .words import (INF, ExtendedNat, LEVENSHTEIN_FAMILY, Metric,
                     word_distance)
-
-DEFAULT_STATE_CEILING = 2_000_000
 
 
 @dataclass
@@ -49,16 +48,24 @@ class DistanceAutomaton:
                    sorted(self.accept_cost), transitions)
 
 
-def _align_cost(metric: Metric, a: str, b: str) -> ExtendedNat:
-    return word_distance(metric, a, b)
-
-
 _CROSSING_METRICS = (Metric.TRANSPOSITION, Metric.DAMERAU_LEVENSHTEIN)
 
 
 def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                         leftover_cap: int, ceiling: int) -> DistanceAutomaton:
     crossing = metric in _CROSSING_METRICS
+    # chunks repeat across nodes: one kernel run per distinct (prefix, prefix)
+    # pair, stored as an int (None for an infinite cost)
+    costs: dict[tuple[str, str], int | None] = {}
+
+    def align_cost(a: str, b: str) -> int | None:
+        try:
+            return costs[a, b]
+        except KeyError:
+            d = word_distance(metric, a, b)
+            c = costs[a, b] = d.value() if d.is_finite else None
+            return c
+
     ids: dict[tuple, int] = {}
     nodes: list[tuple] = []
     todo: deque[tuple] = deque()
@@ -82,25 +89,24 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
         sid = ids[cfg]
         q, b, lu, lv = cfg
         if q in p.nfa.finals:
-            flush = _align_cost(metric, lu, lv)
-            if flush.is_finite and flush.value() <= b:
+            flush = align_cost(lu, lv)
+            if flush is not None and flush <= b:
                 prev = accept_cost.get(sid)
-                if prev is None or flush.value() < prev:
-                    accept_cost[sid] = flush.value()
+                if prev is None or flush < prev:
+                    accept_cost[sid] = flush
         for (x, y), d, t in adj[q]:
             left = lu + x
             right = lv + y
             letter = p.input_letters[t]
             best: dict[tuple, int] = {}
             for i, j in _consumption_points(left, right, crossing):
-                c = _align_cost(metric, left[:i], right[:j])
-                if not c.is_finite or c.value() > b:
+                cost = align_cost(left[:i], right[:j])
+                if cost is None or cost > b:
                     continue
                 rest_l, rest_r = left[i:], right[j:]
                 if len(rest_l) > leftover_cap or len(rest_r) > leftover_cap:
                     continue
-                key = (d, b - c.value(), rest_l, rest_r)
-                cost = c.value()
+                key = (d, b - cost, rest_l, rest_r)
                 if key not in best or cost < best[key]:
                     best[key] = cost
             for key, cost in sorted(best.items()):
@@ -404,8 +410,12 @@ def distance(metric: Metric, t1, t2,
     """Exact distance between two transducers under the given metric.
 
     The metric-specific closeness decider runs first (k-closeness alone
-    cannot certify unboundedness); when close, exponential search followed by
-    binary search over k-closeness pins the exact value.
+    cannot certify unboundedness); when close, k-closeness is probed for
+    k = 0, 1, 2, ... and the first k that holds is the distance.  A probe
+    costs several times the one below it, so the search costs about as much
+    as the probe at the answer and never builds a larger k-approximation.
+    Passing the verdict's bound (or 2**20 when it has none) means the
+    k-approximation contradicts the closeness verdict.
     """
     if not same_domain(t1, t2):
         return INF
@@ -419,23 +429,13 @@ def distance(metric: Metric, t1, t2,
         return verdict
     if isinstance(verdict, NotClose):
         return INF
-    if kclose(metric, t1, t2, 0, ceiling):
-        return ExtendedNat(0)
-    k = 1
-    guard = verdict.bound
+    bound = verdict.bound
+    limit = bound.value() if bound is not None and bound.is_finite else 2 ** 20
+    k = 0
     while not kclose(metric, t1, t2, k, ceiling):
-        k *= 2
-        over_bound = (guard is not None and guard.is_finite
-                      and k > 4 * guard.value() + 64)
-        if over_bound or k > 2 ** 20:
+        k += 1
+        if k > limit:
             raise IntegrityError(
                 "k-search escaped the closeness decider's bound; the "
                 "k-approximation is inconsistent with the closeness verdict")
-    lo, hi = k // 2 + 1, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if kclose(metric, t1, t2, mid, ceiling):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ExtendedNat(lo)
+    return ExtendedNat(k)

@@ -93,10 +93,16 @@ class ExtendedNat:
         return self._key() <= o._key()
 
     def __gt__(self, other):
-        return not self.__le__(other)
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self._key() > o._key()
 
     def __ge__(self, other):
-        return not self.__lt__(other)
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self._key() >= o._key()
 
     def __hash__(self):
         return hash(self._key())

@@ -231,6 +231,18 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_state_ceiling_is_unknown(t4_file, t5_file, capsys):
+    assert main(["--state-ceiling", "3", "distance", "-m", "levenshtein",
+                 t4_file, t5_file]) == 2
+    out = capsys.readouterr().out.strip()
+    assert out == "UNKNOWN (distance automaton exceeded 3 states)"
+    assert main(["--json", "--state-ceiling", "3", "distance", "-m",
+                 "levenshtein", t4_file, t5_file]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"command": "distance", "result": "UNKNOWN",
+                       "reason": "distance automaton exceeded 3 states"}
+
+
 def test_cli_byte_stable(t4_file, t5_file, capsys):
     outs = set()
     for _ in range(3):

@@ -1,8 +1,10 @@
 import pytest
 
 from conftest import joint_to_transducers, machine_corpus, make_transducer
-from transdist.errors import PreconditionError
-from transdist.kapprox import build_kapprox, distance, kclose, min_weight_on
+from transdist import kapprox
+from transdist.errors import IntegrityError, PreconditionError
+from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
+                               min_weight_on)
 from transdist.transducers import domain_words, joint_product
 from transdist.words import INF, Alphabet, Metric, word_distance
 
@@ -143,3 +145,62 @@ def test_distance_shifted_pair_matches_subst_route():
     generic = distance(Metric.HAMMING, t_a, t_b)
     assert generic == distance_subst(Metric.HAMMING, t_a, t_b) == 2
     assert distance(Metric.TRANSPOSITION, t_a, t_b) == INF
+
+
+# ---------------------------------------------------------------------------
+# the k-search of distance
+# ---------------------------------------------------------------------------
+
+def _identity():
+    return make_transducer(1, [0], [0], [(0, "a", "a", 0), (0, "b", "b", 0)])
+
+
+def _flip(m, flips):
+    """Copies its input but swaps a<->b at the positions in flips (< m)."""
+    swap = {"a": "b", "b": "a"}
+    triples = [(i, a, swap[a] if i in flips else a, min(i + 1, m))
+               for i in range(m + 1) for a in "ab"]
+    return make_transducer(m + 1, [0], list(range(m + 1)), triples)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """The k of every kclose probe that distance makes."""
+    seen = []
+    real = kapprox.kclose
+
+    def recording(metric, t1, t2, k, ceiling=kapprox.DEFAULT_STATE_CEILING):
+        seen.append(k)
+        return real(metric, t1, t2, k, ceiling)
+
+    monkeypatch.setattr(kapprox, "kclose", recording)
+    return seen
+
+
+@pytest.mark.parametrize("metric, want", [(Metric.LEVENSHTEIN, 3),
+                                          (Metric.LCS, 6)])
+def test_distance_probes_each_k_up_to_the_answer(metric, want, probes):
+    assert distance(metric, _identity(), _flip(4, (0, 1, 3))) == want
+    assert probes == list(range(want + 1))
+
+
+def test_distance_past_the_verdict_bound_is_an_integrity_error(monkeypatch):
+    t1, t2 = _identity(), _flip(4, (0, 1, 3))
+    bound = close_verdict(Metric.LEVENSHTEIN, t1, t2).bound
+    assert bound.is_finite
+    seen = []
+
+    def never(metric, t1, t2, k, ceiling=kapprox.DEFAULT_STATE_CEILING):
+        seen.append(k)
+        return False
+
+    monkeypatch.setattr(kapprox, "kclose", never)
+    with pytest.raises(IntegrityError):
+        distance(Metric.LEVENSHTEIN, t1, t2)
+    assert seen == list(range(bound.value() + 1))
+
+
+def test_distance_without_verdict_bound_searches_upward():
+    t1, t2 = _identity(), _flip(16, tuple(range(16)))
+    assert close_verdict(Metric.HAMMING, t1, t2).bound is None
+    assert distance(Metric.HAMMING, t1, t2) == 16

@@ -45,6 +45,16 @@ def test_extended_nat_order_and_render():
     assert str(ExtendedNat(13)) == "13"
 
 
+def test_extended_nat_order_against_foreign_operand_raises():
+    for value in (ExtendedNat(3), INF):
+        for compare in (lambda a: a > "x", lambda a: a >= "x",
+                        lambda a: a < "x", lambda a: a <= "x"):
+            with pytest.raises(TypeError):
+                compare(value)
+    assert ExtendedNat(3) > 2 and ExtendedNat(3) >= 3 and INF > 10 ** 9
+    assert 2 < ExtendedNat(3) and not ExtendedNat(3) > INF
+
+
 def test_extended_nat_rejects_negative():
     with pytest.raises(InputError):
         ExtendedNat(-1)
