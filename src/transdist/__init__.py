@@ -27,7 +27,7 @@ from .conjugacy import (Atom, Cat, Empty, PairExpr, Star, Sum, Sumfree,
                         common_witness, pair_witnesses, state_elimination,
                         sumfree_decompose, to_pair_automaton, verify_witness)
 from .substitution import (close_hamming, close_transposition, distance_subst,
-                           interior, kclose_subst, lborder, rborder)
+                           interior, lborder, rborder)
 from .kapprox import (DistanceAutomaton, build_kapprox, close_verdict,
                       distance, kclose, min_weight_on, min_weight_table)
 from .relations import (DistanceRelation, compose, diameter,

@@ -2,8 +2,10 @@
 
 Exit codes: 0 for decisive answers, 2 for UNKNOWN (including a construction
 that hit the state ceiling), 1 for input errors.
-The TRANSDIST_STATE_CEILING environment variable overrides the default size
-ceilings; --state-ceiling overrides both.
+The TRANSDIST_STATE_CEILING environment variable overrides the default state
+ceiling; --state-ceiling overrides both.  The ceiling bounds only the
+k-approximation built by `kclose` and `distance`; `close`, `diameter` and
+`index` run under their own fixed limits.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .fileio import EMPTY_MARK, load_machine
 from .kapprox import close_verdict, distance, kclose
 from .pairauto import PairAutomaton
 from .relations import diameter, index, make_distance_relation
-from .transducers import Transducer, domain_words, evaluate
+from .transducers import Transducer, domain_words, evaluate, same_domain
 from .verdicts import (Close, DomainCertificate, GrowthCertificate,
                        InfiniteWordCertificate, LoopCertificate,
                        PairCertificate, Unknown)
@@ -215,7 +217,6 @@ def cmd_oracle(args) -> int:
     metric = parse_metric(args.metric)
     t1 = _load_transducer(args.file1)
     t2 = _load_transducer(args.file2)
-    from .transducers import same_domain
     rows = []
     shared = same_domain(t1, t2)
     for n in range(args.max_len + 1):
@@ -257,7 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
     default_ceiling = int(os.environ.get("TRANSDIST_STATE_CEILING",
                                          DEFAULT_STATE_CEILING))
     parser.add_argument("--state-ceiling", type=int, default=default_ceiling,
-                        help="abort constructions beyond this many states")
+                        help="abort the k-approximation of kclose and "
+                             "distance beyond this many states (close, "
+                             "diameter and index keep fixed limits)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)

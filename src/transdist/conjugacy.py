@@ -19,9 +19,10 @@ from .errors import IntegrityError, InputError, ResourceLimitError
 from .pairauto import (PairAutomaton, enumerate_pairs, find_pair_path,
                        identity_witness, input_word_of_path,
                        wrap_pair_automaton)
-from .verdicts import (Close, DomainCertificate, GrowthCertificate,
-                       InfiniteWordCertificate, NotClose, PairCertificate,
-                       Unknown)
+from .transducers import (domain_mismatch_certificate, same_domain,
+                          transducer_pair_automaton)
+from .verdicts import (Close, GrowthCertificate, InfiniteWordCertificate,
+                       NotClose, PairCertificate, Unknown)
 from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
 
 DEFAULT_SUMMAND_LIMIT = 4096
@@ -35,7 +36,6 @@ class PairExpr:
     """Rational expression over pairs of words (pointwise concatenation)."""
 
     def language_upto(self, max_len: int, left_alphabet=None, right_alphabet=None):
-        from .pairauto import enumerate_pairs
         p = to_pair_automaton(self, left_alphabet, right_alphabet)
         return enumerate_pairs(p, max_len)
 
@@ -579,14 +579,6 @@ def close_levenshtein(target: PairAutomaton | PairExpr,
 # transducer-level deciders with input-word certificates
 # ---------------------------------------------------------------------------
 
-def domain_mismatch_certificate(t1, t2) -> DomainCertificate:
-    from .automata import language_difference_witness
-    wit = language_difference_witness(t1.nfa, t2.nfa, check=False)
-    if wit is None:
-        raise IntegrityError("domains reported different but no witness found")
-    return DomainCertificate("".join(wit))
-
-
 def _pumped_pair(shape: Sumfree, star_index: int, pair: tuple[str, str],
                  pumps: int) -> tuple[str, str]:
     """The summand's pair with one chosen star pumped and the others empty."""
@@ -631,7 +623,6 @@ def _growth_certificate(p: PairAutomaton, metric: Metric, shape: Sumfree,
 def close_conjugacy_transducers(t1, t2,
                                 summand_limit: int = DEFAULT_SUMMAND_LIMIT):
     """Conjugacy closeness of two transducers, with an input-level certificate."""
-    from .transducers import same_domain, transducer_pair_automaton
     if not same_domain(t1, t2):
         return NotClose(domain_mismatch_certificate(t1, t2))
     p = transducer_pair_automaton(t1, t2)
@@ -648,7 +639,6 @@ def close_conjugacy_transducers(t1, t2,
 def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN,
                                   summand_limit: int = DEFAULT_SUMMAND_LIMIT):
     """Levenshtein-family closeness of two transducers with certificates."""
-    from .transducers import same_domain, transducer_pair_automaton
     if not same_domain(t1, t2):
         return NotClose(domain_mismatch_certificate(t1, t2))
     p = transducer_pair_automaton(t1, t2)

@@ -7,6 +7,12 @@ aligns a prefix of the two output streams, paying the chunk's exact edit
 cost.  For the conjugacy distance a two-phase automaton first stores output
 prefixes, then commits to a shift direction and matches the shifted streams;
 the run cost is the number of shifts claimed.
+
+`close_verdict` is the one place that dispatches on the metric.  `distance`
+reads its answer from that verdict first (NotClose is ∞; for the length and
+discrete metrics the Close bound is exact) and searches k with `kclose` only
+for the six edit metrics.  Each decision checks the domains once and builds
+the pair automaton of the joint product once.
 """
 
 from __future__ import annotations
@@ -21,12 +27,16 @@ from .conjugacy import (close_conjugacy_transducers,
                         close_levenshtein_transducers)
 from .errors import (InputError, IntegrityError, PreconditionError,
                      ResourceLimitError)
-from .pairauto import PairAutomaton, identity_witness, max_abs_delay
-from .substitution import close_hamming, close_transposition
-from .transducers import (JointMachine, joint_product, length_close,
+from .pairauto import (PairAutomaton, find_pair_path, identity_witness,
+                       input_word_of_path, max_abs_delay, pair_length_diameter,
+                       shortest_prefix_path, shortest_suffix_path,
+                       unbalanced_cycle)
+from .substitution import (_verified_loop_certificate, close_hamming,
+                           close_transposition)
+from .transducers import (JointMachine, domain_mismatch_certificate,
                           pair_automaton, same_domain,
                           transducer_pair_automaton)
-from .verdicts import Close, NotClose, Unknown
+from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
 from .words import (INF, ExtendedNat, LEVENSHTEIN_FAMILY, Metric,
                     word_distance)
 
@@ -329,21 +339,13 @@ def min_weight_on(da: DistanceAutomaton, word: str) -> ExtendedNat:
 # k-closeness and the distance search
 # ---------------------------------------------------------------------------
 
-def _length_loop_certificate(t1, t2):
+def _length_loop_certificate(t1, t2, p: PairAutomaton):
     """A pumpable input loop witnessing the unbounded output-length gap."""
-    from .conjugacy import domain_mismatch_certificate
-    from .pairauto import (shortest_prefix_path, shortest_suffix_path,
-                           unbalanced_cycle)
-    from .substitution import _verified_loop_certificate
-    if not same_domain(t1, t2):
-        return domain_mismatch_certificate(t1, t2)
-    p = transducer_pair_automaton(t1, t2)
     hit = unbalanced_cycle(p)
     if hit is None:
         raise IntegrityError("no unbalanced cycle despite an infinite "
                              "length distance")
     root, cycle = hit
-    from .pairauto import input_word_of_path
     prefix = input_word_of_path(p, shortest_prefix_path(p, root))
     loop = input_word_of_path(p, cycle)
     suffix = input_word_of_path(p, shortest_suffix_path(p, root))
@@ -353,7 +355,6 @@ def _length_loop_certificate(t1, t2):
 
 def close_verdict(metric: Metric, t1, t2):
     """Closeness verdict with a certificate, for any of the eight metrics."""
-    from .verdicts import InfiniteWordCertificate
     if metric is Metric.HAMMING:
         return close_hamming(t1, t2)
     if metric is Metric.TRANSPOSITION:
@@ -362,24 +363,21 @@ def close_verdict(metric: Metric, t1, t2):
         return close_conjugacy_transducers(t1, t2)
     if metric in LEVENSHTEIN_FAMILY:
         return close_levenshtein_transducers(t1, t2, metric)
+    if metric not in (Metric.LENGTH, Metric.DISCRETE):
+        raise InputError(f"unknown metric {metric}")
+    if not same_domain(t1, t2):
+        return NotClose(domain_mismatch_certificate(t1, t2))
+    p = transducer_pair_automaton(t1, t2)
     if metric is Metric.LENGTH:
-        d = length_close(t1, t2)
+        d = pair_length_diameter(p)
         if d.is_finite:
             return Close(bound=d)
-        return NotClose(_length_loop_certificate(t1, t2))
-    if metric is Metric.DISCRETE:
-        from .conjugacy import domain_mismatch_certificate
-        from .pairauto import find_pair_path, input_word_of_path
-        if not same_domain(t1, t2):
-            return NotClose(domain_mismatch_certificate(t1, t2))
-        p = transducer_pair_automaton(t1, t2)
-        witness = identity_witness(p)
-        if witness is None:
-            return Close(bound=ExtendedNat(0))
-        path = find_pair_path(p, witness)
-        word = input_word_of_path(p, path)
-        return NotClose(InfiniteWordCertificate(word, witness))
-    raise InputError(f"unknown metric {metric}")
+        return NotClose(_length_loop_certificate(t1, t2, p))
+    witness = identity_witness(p)
+    if witness is None:
+        return Close(bound=ExtendedNat(0))
+    word = input_word_of_path(p, find_pair_path(p, witness))
+    return NotClose(InfiniteWordCertificate(word, witness))
 
 
 def kclose(metric: Metric, t1, t2, k: int,
@@ -394,13 +392,15 @@ def kclose(metric: Metric, t1, t2, k: int,
         raise InputError("k must be nonnegative")
     if not same_domain(t1, t2):
         return False
+    p = transducer_pair_automaton(t1, t2)
     if metric is Metric.DISCRETE:
-        return identity_witness(transducer_pair_automaton(t1, t2)) is None
+        return identity_witness(p) is None
+    length = pair_length_diameter(p)
     if metric is Metric.LENGTH:
-        return length_close(t1, t2) <= k
-    if not length_close(t1, t2).is_finite:
+        return length <= k
+    if not length.is_finite:
         return False
-    da = build_kapprox(metric, joint_product(t1, t2), k, ceiling)
+    da = build_kapprox(metric, p, k, ceiling)
     det = determinize(da.skeleton(), ceiling=ceiling)
     return equiv_unambiguous(t1.nfa, det, check=False)
 
@@ -409,27 +409,24 @@ def distance(metric: Metric, t1, t2,
              ceiling: int = DEFAULT_STATE_CEILING) -> ExtendedNat | Unknown:
     """Exact distance between two transducers under the given metric.
 
-    The metric-specific closeness decider runs first (k-closeness alone
-    cannot certify unboundedness); when close, k-closeness is probed for
+    The closeness verdict comes first (k-closeness alone cannot certify
+    unboundedness): NotClose gives ∞, Unknown is returned as is, and for the
+    length and discrete metrics the Close bound is already the exact
+    distance.  For the six edit metrics k-closeness is then probed for
     k = 0, 1, 2, ... and the first k that holds is the distance.  A probe
     costs several times the one below it, so the search costs about as much
     as the probe at the answer and never builds a larger k-approximation.
     Passing the verdict's bound (or 2**20 when it has none) means the
     k-approximation contradicts the closeness verdict.
     """
-    if not same_domain(t1, t2):
-        return INF
-    if metric is Metric.DISCRETE:
-        p = transducer_pair_automaton(t1, t2)
-        return ExtendedNat(0) if identity_witness(p) is None else INF
-    if metric is Metric.LENGTH:
-        return length_close(t1, t2)
     verdict = close_verdict(metric, t1, t2)
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, NotClose):
         return INF
     bound = verdict.bound
+    if metric in (Metric.LENGTH, Metric.DISCRETE):
+        return bound
     limit = bound.value() if bound is not None and bound.is_finite else 2 ** 20
     k = 0
     while not kclose(metric, t1, t2, k, ceiling):

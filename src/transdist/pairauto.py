@@ -370,10 +370,11 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     """
     if p.nfa.n_states == 0:
         return None
-    if not is_length_preserving(p):
+    rng = delay_range(p)
+    if rng is None or any(rng[0][f] or rng[1][f] for f in p.nfa.finals):
         return _unbalanced_pair_witness(p)
-    bound = max_abs_delay(p)
-    sync = synchronize(p, bound)
+    lo, hi = rng
+    sync = synchronize(p, max(map(abs, lo + hi)))
     nfa, _, kept_idx = trim(sync.nfa)
     bad = None
     for t, (s, lbl, d) in enumerate(nfa.transitions):
@@ -523,10 +524,6 @@ def find_pair_path(p: PairAutomaton, pair: tuple[str, str]) -> list[int] | None:
         cur, t = parent[cur]
         path.append(t)
     return path[::-1]
-
-
-def has_input_provenance(p: PairAutomaton) -> bool:
-    return any(c is not None for c in p.input_letters)
 
 
 def input_word_of_path(p: PairAutomaton, path: Iterable[int]) -> str:

@@ -26,7 +26,8 @@ from .pairauto import (PairAutomaton, compute_delays, find_pair_path,
                        identity_witness, input_word_of_path, is_length_preserving,
                        shortest_prefix_path, shortest_suffix_path,
                        _unbalanced_pair_witness)
-from .transducers import evaluate, same_domain, transducer_pair_automaton
+from .transducers import (domain_mismatch_certificate, evaluate, same_domain,
+                          transducer_pair_automaton)
 from .verdicts import (Close, InfiniteWordCertificate, LoopCertificate, NotClose)
 from .words import (INF, Alphabet, ExtendedNat, Metric, alphabetic_vector,
                     word_distance)
@@ -383,7 +384,6 @@ def _letter_loop_at(pipe: _Pipeline, cid: int, q: int) -> list[int]:
 def close_hamming(t1, t2):
     """Hamming closeness: equal lengths, consistent delays, trivial interiors."""
     if not same_domain(t1, t2):
-        from .conjugacy import domain_mismatch_certificate
         return NotClose(domain_mismatch_certificate(t1, t2))
     p = transducer_pair_automaton(t1, t2)
     if p.nfa.n_states == 0:
@@ -403,7 +403,6 @@ def close_hamming(t1, t2):
 def close_transposition(t1, t2):
     """Transposition closeness per the three-part loop characterization."""
     if not same_domain(t1, t2):
-        from .conjugacy import domain_mismatch_certificate
         return NotClose(domain_mismatch_certificate(t1, t2))
     p = transducer_pair_automaton(t1, t2)
     if p.nfa.n_states == 0:
@@ -600,8 +599,3 @@ def distance_subst(metric: Metric, t1, t2, *,
     pipe = _build_pipeline(p)
     gadget = _acyclic_gadget(pipe, gadget_ceiling)
     return _max_path_distance(gadget, metric, p.left_alphabet, pathset_ceiling)
-
-
-def kclose_subst(metric: Metric, t1, t2, k: int, **kw) -> bool:
-    """Direct k-closeness for the substitution family."""
-    return distance_subst(metric, t1, t2, **kw) <= k

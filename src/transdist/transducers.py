@@ -11,9 +11,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .automata import Nfa, equiv_unambiguous, is_unambiguous, trim
+from .automata import (Nfa, equiv_unambiguous, is_unambiguous,
+                       language_difference_witness, trim)
 from .errors import InputError, IntegrityError, PreconditionError
 from .pairauto import PairAutomaton, pair_length_diameter
+from .verdicts import DomainCertificate
 from .words import INF, Alphabet, ExtendedNat
 
 _SYMBOL_PALETTE = ("abcdefghijklmnopqrstuvwxyz"
@@ -141,6 +143,15 @@ def same_domain(t1: Transducer, t2: Transducer) -> bool:
     return equiv_unambiguous(t1.nfa, t2.nfa, check=False)
 
 
+def domain_mismatch_certificate(t1: Transducer,
+                                t2: Transducer) -> DomainCertificate:
+    """An input word in exactly one of dom(T1), dom(T2)."""
+    wit = language_difference_witness(t1.nfa, t2.nfa, check=False)
+    if wit is None:
+        raise IntegrityError("domains reported different but no witness found")
+    return DomainCertificate("".join(wit))
+
+
 class JointMachine:
     """A deterministic automaton with two output functions sharing one domain.
 
@@ -165,13 +176,6 @@ class JointMachine:
                 == len(nfa.transitions)):
             raise InputError("per-transition data must align with transitions")
 
-    def transducer(self, side: int) -> Transducer:
-        out = self.out1 if side == 1 else self.out2
-        fout = self.fout1 if side == 1 else self.fout2
-        return Transducer(self.nfa, out, fout,
-                          _joint_letter_alphabet(self.nfa),
-                          self.output_alphabet, check=False)
-
     def outputs_on_input(self, word: str) -> tuple[str, str] | None:
         """(T1(w), T2(w)) for an original input word, or None off-domain."""
         adj = self.nfa.adj()
@@ -192,14 +196,6 @@ class JointMachine:
             if s in self.nfa.finals:
                 return u + self.fout1[s], v + self.fout2[s]
         return None
-
-
-def _joint_letter_alphabet(nfa: Nfa) -> Alphabet:
-    # joint letters are opaque; give them compact printable names
-    labels = nfa.labels()
-    if all(isinstance(a, str) and len(a) == 1 for a in labels):
-        return Alphabet(sorted(labels))
-    return Alphabet(_SYMBOL_PALETTE[:max(1, len(labels))])
 
 
 def joint_product(t1: Transducer, t2: Transducer) -> JointMachine:

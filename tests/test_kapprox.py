@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 from conftest import joint_to_transducers, machine_corpus, make_transducer
-from transdist import kapprox
+from transdist import kapprox, transducers
 from transdist.errors import IntegrityError, PreconditionError
 from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
                                min_weight_on)
@@ -124,7 +126,7 @@ def test_distance_to_self_zero(t1, t4):
 def test_distance_different_domains():
     ta = make_transducer(1, [0], [0], [(0, "a", "a", 0)])
     tb = make_transducer(2, [0], [1], [(0, "a", "a", 0), (0, "b", "", 1)])
-    for m in (Metric.LEVENSHTEIN, Metric.DISCRETE, Metric.LENGTH):
+    for m in Metric:
         assert distance(m, ta, tb) == INF
 
 
@@ -204,3 +206,60 @@ def test_distance_without_verdict_bound_searches_upward():
     t1, t2 = _identity(), _flip(16, tuple(range(16)))
     assert close_verdict(Metric.HAMMING, t1, t2).bound is None
     assert distance(Metric.HAMMING, t1, t2) == 16
+
+
+# ---------------------------------------------------------------------------
+# one joint product per decision
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def joint_products(monkeypatch):
+    """One entry per joint-product build, from whichever module calls it."""
+    built = []
+    real = transducers.joint_product
+
+    def counting(t1, t2):
+        built.append((t1, t2))
+        return real(t1, t2)
+
+    for name, module in list(sys.modules.items()):
+        if name == "transdist" or name.startswith("transdist."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return built
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("pair", ["t1 t2", "t1 t3", "t4 t5"])
+def test_close_verdict_builds_one_joint_product(metric, pair, request,
+                                                joint_products):
+    t1, t2 = (request.getfixturevalue(name) for name in pair.split())
+    close_verdict(metric, t1, t2)
+    assert len(joint_products) == 1
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_kclose_builds_one_joint_product(metric, t4, t5, joint_products):
+    for k in (0, 1, 2):
+        before = len(joint_products)
+        kclose(metric, t4, t5, k)
+        assert len(joint_products) == before + 1
+
+
+@pytest.mark.parametrize("metric", [Metric.LEVENSHTEIN, Metric.LCS])
+def test_distance_builds_one_joint_product_per_probe_and_verdict(
+        metric, probes, joint_products):
+    distance(metric, _identity(), _flip(4, (0, 1, 3)))
+    assert len(joint_products) == 1 + len(probes)
+
+
+@pytest.mark.parametrize("metric, want", [
+    (Metric.LENGTH, (0, 1, INF)), (Metric.DISCRETE, (0, INF, INF))])
+def test_distance_reads_length_and_discrete_off_the_verdict(
+        metric, want, t1, t2, t3, probes, joint_products):
+    for other, d in zip((t1, t2, t3), want):
+        before = len(joint_products)
+        assert distance(metric, t1, other) == d
+        assert len(joint_products) == before + 1
+    assert probes == []

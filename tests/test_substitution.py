@@ -4,8 +4,8 @@ import pytest
 from conftest import joint_to_transducers, machine_corpus, make_transducer
 from transdist.errors import InputError
 from transdist.substitution import (
-    close_hamming, close_transposition, distance_subst, interior, kclose_subst,
-    lborder, rborder,
+    close_hamming, close_transposition, distance_subst, interior, lborder,
+    rborder,
 )
 from transdist.transducers import domain_words, evaluate
 from transdist.verdicts import (Close, InfiniteWordCertificate, LoopCertificate,
@@ -158,13 +158,6 @@ def test_distance_subst_self_is_zero(t4):
 
 def test_distance_subst_infinite(t4, t5):
     assert distance_subst(Metric.HAMMING, t4, t5) == INF
-
-
-def test_kclose_subst():
-    t_a, t_b = shifted_pair()
-    assert not kclose_subst(Metric.HAMMING, t_a, t_b, 1)
-    assert kclose_subst(Metric.HAMMING, t_a, t_b, 2)
-    assert kclose_subst(Metric.HAMMING, t_a, t_b, 3)
 
 
 def test_distance_subst_rejects_other_metrics(t4):
