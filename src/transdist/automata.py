@@ -189,13 +189,6 @@ def scc_decomposition(nfa: Nfa) -> tuple[list[int], list[list[int]]]:
     return comp, comps
 
 
-def _grouped_successors(nfa: Nfa) -> dict[tuple[int, Hashable], list[int]]:
-    groups: dict[tuple[int, Hashable], list[int]] = {}
-    for s, a, d in nfa.transitions:
-        groups.setdefault((s, a), []).append(d)
-    return groups
-
-
 def is_unambiguous(nfa: Nfa) -> bool:
     """True iff no word has two distinct accepting runs.
 
@@ -245,9 +238,10 @@ def is_unambiguous(nfa: Nfa) -> bool:
 
 def _dfa_difference_witness(a: Nfa, b: Nfa) -> tuple[Hashable, ...] | None:
     """Shortest word accepted by exactly one of two deterministic automata."""
-    ga = _grouped_successors(a)
-    gb = _grouped_successors(b)
+    da = _successor_maps(a)
+    db = _successor_maps(b)
     labels = sorted(set(a.labels()) | set(b.labels()), key=repr)
+    no_moves: dict[Hashable, int] = {}
     ia = next(iter(a.initials)) if a.initials else None
     ib = next(iter(b.initials)) if b.initials else None
     start = (ia, ib)
@@ -255,13 +249,13 @@ def _dfa_difference_witness(a: Nfa, b: Nfa) -> tuple[Hashable, ...] | None:
     todo = deque([(start, ())])
     while todo:
         (p, q), word = todo.popleft()
-        pa = p is not None and p in a.finals
-        qb = q is not None and q in b.finals
-        if pa != qb:
+        if (p is not None and p in a.finals) != (q is not None and q in b.finals):
             return word
+        pm = no_moves if p is None else da[p]
+        qm = no_moves if q is None else db[q]
         for x in labels:
-            pd = ga.get((p, x), [None])[0] if p is not None else None
-            qd = gb.get((q, x), [None])[0] if q is not None else None
+            pd = pm.get(x)
+            qd = qm.get(x)
             if pd is None and qd is None:
                 continue
             key = (pd, qd)
@@ -269,6 +263,14 @@ def _dfa_difference_witness(a: Nfa, b: Nfa) -> tuple[Hashable, ...] | None:
                 seen.add(key)
                 todo.append((key, word + (x,)))
     return None
+
+
+def _successor_maps(dfa: Nfa) -> list[dict[Hashable, int]]:
+    """Per state, letter -> the first successor (the only one in a DFA)."""
+    maps: list[dict[Hashable, int]] = [{} for _ in range(dfa.n_states)]
+    for s, x, d in dfa.transitions:
+        maps[s].setdefault(x, d)
+    return maps
 
 
 def language_difference_witness(a: Nfa, b: Nfa, *, check: bool = True
@@ -366,35 +368,67 @@ def epsilon_closure(nfa: Nfa, states: Iterable[int]) -> frozenset[int]:
 
 def determinize(nfa: Nfa, alphabet: Sequence[Hashable] | None = None,
                 ceiling: int = DEFAULT_STATE_CEILING) -> Nfa:
-    """Subset construction with epsilon closure; raises past the ceiling."""
+    """Subset construction with epsilon closure; raises past the ceiling.
+
+    Successors are grouped per state and letter once, each state's epsilon
+    closure is taken at most once, and an automaton without epsilon moves
+    takes none.
+    """
     if alphabet is None:
         alphabet = nfa.labels()
-    adj = nfa.adj()
-    start = epsilon_closure(nfa, nfa.initials)
+    grouped: list[dict[Hashable, list[int]]] = [{} for _ in range(nfa.n_states)]
+    silent = False
+    for s, x, d in nfa.transitions:
+        if x is EPSILON:
+            silent = True
+        else:
+            grouped[s].setdefault(x, []).append(d)
+    succ = [tuple(g.items()) for g in grouped]
+    closures: list[frozenset[int] | None] = [None] * nfa.n_states
+
+    def close(states: Iterable[int]) -> frozenset[int]:
+        if not silent:
+            return frozenset(states)
+        out: set[int] = set()
+        for s in states:
+            c = closures[s]
+            if c is None:
+                c = closures[s] = epsilon_closure(nfa, (s,))
+            out |= c
+        return frozenset(out)
+
+    start = close(nfa.initials)
     ids = {start: 0}
     order = [start]
     transitions = []
     todo = deque([start])
     while todo:
         cur = todo.popleft()
-        moves: dict[Hashable, set[int]] = {}
+        here = ids[cur]
+        moves: dict[Hashable, list[int]] = {}
         for s in cur:
-            for x, d, _ in adj[s]:
-                if x is not EPSILON:
-                    moves.setdefault(x, set()).add(d)
+            for x, ds in succ[s]:
+                m = moves.get(x)
+                if m is None:
+                    moves[x] = list(ds)
+                else:
+                    m.extend(ds)
         for x in alphabet:
-            if x not in moves:
+            ds = moves.get(x)
+            if ds is None:
                 continue
-            nxt = epsilon_closure(nfa, moves[x])
-            if nxt not in ids:
+            nxt = close(ds)
+            dst = ids.get(nxt)
+            if dst is None:
                 if len(ids) >= ceiling:
                     raise ResourceLimitError(
                         f"determinization exceeded ceiling of {ceiling} states")
-                ids[nxt] = len(ids)
+                dst = ids[nxt] = len(ids)
                 order.append(nxt)
                 todo.append(nxt)
-            transitions.append((ids[cur], x, ids[nxt]))
-    finals = [i for i, subset in enumerate(order) if subset & nfa.finals]
+            transitions.append((here, x, dst))
+    finals = [i for i, subset in enumerate(order)
+              if not subset.isdisjoint(nfa.finals)]
     return Nfa(len(ids), [0], finals, transitions)
 
 

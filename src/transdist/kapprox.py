@@ -4,9 +4,12 @@ an upward search over k.
 For the substitution/indel metrics the automaton tracks a budget and a
 one-sided unmatched leftover word; per transition it nondeterministically
 aligns a prefix of the two output streams, paying the chunk's exact edit
-cost.  For the conjugacy distance a two-phase automaton first stores output
-prefixes, then commits to a shift direction and matches the shifted streams;
-the run cost is the number of shifts claimed.
+cost.  Those costs come from one prefix-distance table per distinct
+(left, right) chunk (`words.prefix_table`), kept for the length of one
+build; nothing is cached across calls.  For the conjugacy distance a
+two-phase automaton first stores output prefixes, then commits to a shift
+direction and matches the shifted streams; the run cost is the number of
+shifts claimed.
 
 `close_verdict` is the one place that dispatches on the metric.  `distance`
 reads its answer from that verdict first (NotClose is ∞; for the length and
@@ -38,7 +41,7 @@ from .transducers import (JointMachine, domain_mismatch_certificate,
                           transducer_pair_automaton)
 from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
 from .words import (INF, ExtendedNat, LEVENSHTEIN_FAMILY, Metric,
-                    word_distance)
+                    prefix_table, word_distance)
 
 
 @dataclass
@@ -64,17 +67,16 @@ _CROSSING_METRICS = (Metric.TRANSPOSITION, Metric.DAMERAU_LEVENSHTEIN)
 def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                         leftover_cap: int, ceiling: int) -> DistanceAutomaton:
     crossing = metric in _CROSSING_METRICS
-    # chunks repeat across nodes: one kernel run per distinct (prefix, prefix)
-    # pair, stored as an int (None for an infinite cost)
-    costs: dict[tuple[str, str], int | None] = {}
+    # chunks repeat across nodes: one prefix-distance table per distinct
+    # (left, right) chunk holds the cost of every cut point of that chunk
+    tables: dict[tuple[str, str], list[list[int | None]]] = {}
 
-    def align_cost(a: str, b: str) -> int | None:
+    def table(a: str, b: str) -> list[list[int | None]]:
         try:
-            return costs[a, b]
+            return tables[a, b]
         except KeyError:
-            d = word_distance(metric, a, b)
-            c = costs[a, b] = d.value() if d.is_finite else None
-            return c
+            t = tables[a, b] = prefix_table(metric, a, b)
+            return t
 
     ids: dict[tuple, int] = {}
     nodes: list[tuple] = []
@@ -84,7 +86,8 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
         if cfg not in ids:
             if len(ids) >= ceiling:
                 raise ResourceLimitError(
-                    f"distance automaton exceeded {ceiling} states")
+                    f"k-approximation ({metric}, k={k}) exceeded "
+                    f"{ceiling} states")
             ids[cfg] = len(nodes)
             nodes.append(cfg)
             todo.append(cfg)
@@ -99,7 +102,7 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
         sid = ids[cfg]
         q, b, lu, lv = cfg
         if q in p.nfa.finals:
-            flush = align_cost(lu, lv)
+            flush = table(lu, lv)[-1][-1]
             if flush is not None and flush <= b:
                 prev = accept_cost.get(sid)
                 if prev is None or flush < prev:
@@ -107,16 +110,15 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
         for (x, y), d, t in adj[q]:
             left = lu + x
             right = lv + y
+            n, m = len(left), len(right)
+            costs = table(left, right)
             letter = p.input_letters[t]
             best: dict[tuple, int] = {}
-            for i, j in _consumption_points(left, right, crossing):
-                cost = align_cost(left[:i], right[:j])
+            for i, j in _consumption_points(n, m, b, leftover_cap, crossing):
+                cost = costs[i][j]
                 if cost is None or cost > b:
                     continue
-                rest_l, rest_r = left[i:], right[j:]
-                if len(rest_l) > leftover_cap or len(rest_r) > leftover_cap:
-                    continue
-                key = (d, b - cost, rest_l, rest_r)
+                key = (d, b - cost, left[i:], right[j:])
                 if key not in best or cost < best[key]:
                     best[key] = cost
             for key, cost in sorted(best.items()):
@@ -124,22 +126,26 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     return DistanceAutomaton(metric, k, nodes, edges, initials, accept_cost)
 
 
-def _consumption_points(left: str, right: str, crossing: bool):
-    """Cut points of a chunk alignment.
+def _consumption_points(n: int, m: int, budget: int, cap: int,
+                        crossing: bool) -> list[tuple[int, int]]:
+    """Cut points (i, j) of a chunk alignment of lengths n and m.
 
     Alignments without crossing edits decompose at one-sided frontiers, so
     the residual stays one-sided; adjacent transpositions cross cut points,
     which forces residuals on both sides until a balanced point is reached.
+    Only points that leave at most `cap` letters on either side are listed,
+    and only those with |i - j| <= budget: every metric of the family
+    charges at least the length difference of the aligned prefixes.
     """
+    low_i, low_j = max(0, n - cap), max(0, m - cap)
     if crossing:
-        for i in range(len(left) + 1):
-            for j in range(len(right) + 1):
-                yield i, j
-    else:
-        for j in range(len(right) + 1):
-            yield len(left), j
-        for i in range(len(left)):
-            yield i, len(right)
+        return [(i, j) for i in range(low_i, n + 1)
+                for j in range(max(low_j, i - budget),
+                               min(m, i + budget) + 1)]
+    return ([(n, j) for j in range(max(low_j, n - budget),
+                                   min(m, n + budget) + 1)]
+            + [(i, m) for i in range(max(low_i, m - budget),
+                                     min(n, m + budget + 1))])
 
 
 def _build_conjugacy(p: PairAutomaton, k: int, delay_cap: int,
@@ -152,7 +158,8 @@ def _build_conjugacy(p: PairAutomaton, k: int, delay_cap: int,
         if cfg not in ids:
             if len(ids) >= ceiling:
                 raise ResourceLimitError(
-                    f"distance automaton exceeded {ceiling} states")
+                    f"k-approximation ({Metric.CONJUGACY}, k={k}) exceeded "
+                    f"{ceiling} states")
             ids[cfg] = len(nodes)
             nodes.append(cfg)
             todo.append(cfg)
@@ -386,7 +393,10 @@ def kclose(metric: Metric, t1, t2, k: int,
 
     For the edit metrics: same domain, finite length distance, and the
     k-approximation's accepting skeleton (projected to input letters and
-    determinized) must cover the whole domain.
+    determinized) must cover the whole domain.  The k-approximation prices
+    its chunk alignments from one prefix-distance table per distinct output
+    chunk; a `ResourceLimitError` past the ceiling names the layer, the
+    metric and k.
     """
     if k < 0:
         raise InputError("k must be nonnegative")

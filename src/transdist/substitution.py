@@ -385,41 +385,51 @@ def close_hamming(t1, t2):
     """Hamming closeness: equal lengths, consistent delays, trivial interiors."""
     if not same_domain(t1, t2):
         return NotClose(domain_mismatch_certificate(t1, t2))
-    p = transducer_pair_automaton(t1, t2)
-    if p.nfa.n_states == 0:
-        return Close(bound=None)
-    if not is_length_preserving(p):
-        return NotClose(_unbalanced_word_certificate(p))
-    pipe = _build_pipeline(p)
-    hit = _interior_violation(pipe)
-    if hit is not None:
-        _, q, gadget, bad = hit
-        cert = _loop_certificate_from_gadget(pipe, q, gadget, bad,
-                                             Metric.HAMMING, t1, t2)
-        return NotClose(cert)
-    return Close(bound=None)
+    return _hamming_verdict(t1, t2, transducer_pair_automaton(t1, t2))[0]
 
 
 def close_transposition(t1, t2):
     """Transposition closeness per the three-part loop characterization."""
     if not same_domain(t1, t2):
         return NotClose(domain_mismatch_certificate(t1, t2))
-    p = transducer_pair_automaton(t1, t2)
+    return _transposition_verdict(t1, t2, transducer_pair_automaton(t1, t2))[0]
+
+
+def _hamming_verdict(t1, t2, p: PairAutomaton):
+    """Hamming verdict on the pair automaton of two machines with one domain,
+    with the pipeline it built (None when it built none)."""
     if p.nfa.n_states == 0:
-        return Close(bound=None)
+        return Close(bound=None), None
     if not is_length_preserving(p):
-        return NotClose(_unbalanced_word_certificate(p))
+        return NotClose(_unbalanced_word_certificate(p)), None
+    pipe = _build_pipeline(p)
+    hit = _interior_violation(pipe)
+    if hit is not None:
+        _, q, gadget, bad = hit
+        cert = _loop_certificate_from_gadget(pipe, q, gadget, bad,
+                                             Metric.HAMMING, t1, t2)
+        return NotClose(cert), pipe
+    return Close(bound=None), pipe
+
+
+def _transposition_verdict(t1, t2, p: PairAutomaton):
+    """Transposition verdict on the pair automaton of two machines with one
+    domain, with the pipeline it built (None when it built none)."""
+    if p.nfa.n_states == 0:
+        return Close(bound=None), None
+    if not is_length_preserving(p):
+        return NotClose(_unbalanced_word_certificate(p)), None
     pipe = _build_pipeline(p)
     vecs, bad_word = _vector_analysis(pipe)
     if vecs is None:
         o1, o2 = evaluate(t1, bad_word), evaluate(t2, bad_word)
-        return NotClose(InfiniteWordCertificate(bad_word, (o1, o2)))
+        return NotClose(InfiniteWordCertificate(bad_word, (o1, o2))), pipe
     hit = _interior_violation(pipe)
     if hit is not None:
         _, q, gadget, bad = hit
         cert = _loop_certificate_from_gadget(pipe, q, gadget, bad,
                                              Metric.TRANSPOSITION, t1, t2)
-        return NotClose(cert)
+        return NotClose(cert), pipe
     border = _border_violation(pipe, vecs)
     if border is not None:
         q, loop_path = border
@@ -428,8 +438,8 @@ def close_transposition(t1, t2):
         suffix = input_word_of_path(p, shortest_suffix_path(p, q))
         cert = _verified_loop_certificate(t1, t2, Metric.TRANSPOSITION,
                                           prefix, loop_word, suffix)
-        return NotClose(cert)
-    return Close(bound=None)
+        return NotClose(cert), pipe
+    return Close(bound=None), pipe
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +593,25 @@ def _max_path_distance(nfa: Nfa, metric: Metric, alphabet: Alphabet,
 def distance_subst(metric: Metric, t1, t2, *,
                    gadget_ceiling: int = DEFAULT_GADGET_CEILING,
                    pathset_ceiling: int = DEFAULT_PATHSET_CEILING) -> ExtendedNat:
-    """Exact Hamming/transposition distance through the acyclic gadget."""
+    """Exact Hamming/transposition distance through the acyclic gadget.
+
+    Checks the domains once and builds the pair automaton and its pipeline
+    once, for the verdict and the gadget alike.
+    """
     if metric is Metric.HAMMING:
-        verdict = close_hamming(t1, t2)
+        decide = _hamming_verdict
     elif metric is Metric.TRANSPOSITION:
-        verdict = close_transposition(t1, t2)
+        decide = _transposition_verdict
     else:
         raise InputError(f"distance_subst handles hamming/transposition, "
                          f"not {metric}")
+    if not same_domain(t1, t2):
+        return INF
+    verdict, pipe = decide(t1, t2, transducer_pair_automaton(t1, t2))
     if isinstance(verdict, NotClose):
         return INF
-    p = transducer_pair_automaton(t1, t2)
-    if p.nfa.n_states == 0:
+    if pipe is None:
         return ExtendedNat(0)
-    pipe = _build_pipeline(p)
     gadget = _acyclic_gadget(pipe, gadget_ceiling)
-    return _max_path_distance(gadget, metric, p.left_alphabet, pathset_ceiling)
+    return _max_path_distance(gadget, metric, pipe.p.left_alphabet,
+                              pathset_ceiling)

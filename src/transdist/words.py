@@ -5,6 +5,12 @@ values live in N ∪ {∞}, represented by :class:`ExtendedNat` with a dedicated
 infinity sentinel and saturating addition.  Every metric comes with an
 independent brute-force oracle (`oracle_distance`) that searches the
 configuration graph of the metric's edit operations.
+
+The Levenshtein, LCS and Damerau-Levenshtein distances have one dynamic
+program each, which fills the whole prefix-distance table of a word pair
+(`prefix_table`: d(u[:i], v[:j]) for every i and j, as plain ints);
+`word_distance` reads its corner.  The k-approximation reads the cost of
+every cut point of an output chunk from one such table.
 """
 
 from __future__ import annotations
@@ -266,64 +272,81 @@ def _conjugacy(u: str, v: str) -> ExtendedNat:
     return INF if best is None else ExtendedNat(best)
 
 
-def _levenshtein(u: str, v: str) -> ExtendedNat:
-    if len(u) < len(v):
-        u, v = v, u
+def _levenshtein_table(u: str, v: str) -> list[list[int]]:
+    """Wagner-Fischer: substitutions, insertions and deletions."""
     prev = list(range(len(v) + 1))
+    table = [prev]
     for i, a in enumerate(u, start=1):
         cur = [i]
-        for j, b in enumerate(v, start=1):
-            cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (a != b)))
+        for j, b in enumerate(v):
+            cost = prev[j] + (a != b)
+            if prev[j + 1] + 1 < cost:
+                cost = prev[j + 1] + 1
+            if cur[j] + 1 < cost:
+                cost = cur[j] + 1
+            cur.append(cost)
+        table.append(cur)
         prev = cur
-    return ExtendedNat(prev[-1])
+    return table
 
 
-def _lcs_distance(u: str, v: str) -> ExtendedNat:
-    """Insertion/deletion distance: |u| + |v| - 2·|lcs(u, v)|."""
-    if len(u) < len(v):
-        u, v = v, u
-    prev = [0] * (len(v) + 1)
-    for a in u:
-        cur = [0]
-        for j, b in enumerate(v, start=1):
-            cur.append(prev[j - 1] + 1 if a == b else max(prev[j], cur[-1]))
+def _lcs_table(u: str, v: str) -> list[list[int]]:
+    """Insertion/deletion distance |u| + |v| - 2·|lcs(u, v)|, cell by cell."""
+    prev = list(range(len(v) + 1))
+    table = [prev]
+    for i, a in enumerate(u, start=1):
+        cur = [i]
+        for j, b in enumerate(v):
+            if a == b:
+                cur.append(prev[j])
+            else:
+                cur.append(1 + (prev[j + 1] if prev[j + 1] < cur[j] else cur[j]))
+        table.append(cur)
         prev = cur
-    return ExtendedNat(len(u) + len(v) - 2 * prev[-1])
+    return table
 
 
-def _damerau_levenshtein(u: str, v: str) -> ExtendedNat:
+def _damerau_table(u: str, v: str) -> list[list[int]]:
     """Unrestricted Damerau-Levenshtein distance (Lowrance-Wagner).
 
     Counts insertions, deletions, substitutions and adjacent transpositions,
     with edits allowed to touch previously edited regions; exact for unit
-    costs.
+    costs.  The sentinel row and column sit past the end, where index -1
+    reaches them, so d[i][j] is the distance of u[:i] and v[:j]; they are
+    dropped before the table is returned.
     """
     n, m = len(u), len(v)
     maxdist = n + m
-    d = [[maxdist] * (m + 2) for _ in range(n + 2)]
-    for i in range(n + 1):
-        d[i + 1][1] = i
-    for j in range(m + 1):
-        d[1][j + 1] = j
+    d = [[i] + [maxdist] * (m + 1) for i in range(n + 1)]
+    d[0] = list(range(m + 1)) + [maxdist]
+    d.append([maxdist] * (m + 2))
     last_row: dict[str, int] = {}
     for i in range(1, n + 1):
+        a = u[i - 1]
+        above, row_i = d[i - 1], d[i]
         last_col = 0
         for j in range(1, m + 1):
-            row = last_row.get(v[j - 1], 0)
+            b = v[j - 1]
+            k = last_row.get(b, 0)
             col = last_col
-            if u[i - 1] == v[j - 1]:
-                cost = 0
+            if a == b:
+                cost = above[j - 1]
                 last_col = j
             else:
-                cost = 1
-            d[i + 1][j + 1] = min(
-                d[i][j] + cost,                                  # subst / match
-                d[i + 1][j] + 1,                                 # insert
-                d[i][j + 1] + 1,                                 # delete
-                d[row][col] + (i - row - 1) + 1 + (j - col - 1)  # transpose
-            )
-        last_row[u[i - 1]] = i
-    return ExtendedNat(d[n + 1][m + 1])
+                cost = above[j - 1] + 1
+            if above[j] + 1 < cost:
+                cost = above[j] + 1
+            if row_i[j - 1] + 1 < cost:
+                cost = row_i[j - 1] + 1
+            swap = d[k - 1][col - 1] + (i - k - 1) + 1 + (j - col - 1)
+            if swap < cost:
+                cost = swap
+            row_i[j] = cost
+        last_row[a] = i
+    d.pop()
+    for row in d:
+        row.pop()
+    return d
 
 
 def _length(u: str, v: str) -> ExtendedNat:
@@ -334,16 +357,46 @@ def _discrete(u: str, v: str) -> ExtendedNat:
     return ZERO if u == v else INF
 
 
+_TABLES = {
+    Metric.LEVENSHTEIN: _levenshtein_table,
+    Metric.LCS: _lcs_table,
+    Metric.DAMERAU_LEVENSHTEIN: _damerau_table,
+}
+
+
+def _table_corner(table_of):
+    def kernel(u: str, v: str) -> ExtendedNat:
+        return ExtendedNat(table_of(u, v)[-1][-1])
+    return kernel
+
+
 _KERNELS = {
     Metric.HAMMING: _hamming,
     Metric.TRANSPOSITION: _transposition,
     Metric.CONJUGACY: _conjugacy,
-    Metric.LEVENSHTEIN: _levenshtein,
-    Metric.LCS: _lcs_distance,
-    Metric.DAMERAU_LEVENSHTEIN: _damerau_levenshtein,
     Metric.LENGTH: _length,
     Metric.DISCRETE: _discrete,
+    **{metric: _table_corner(table_of) for metric, table_of in _TABLES.items()},
 }
+
+
+def prefix_table(metric: Metric, u: str, v: str) -> list[list[int | None]]:
+    """Every prefix distance d(u[:i], v[:j]) as a plain int, None for ∞.
+
+    One dynamic-programming table for the Levenshtein family; the other
+    metrics fill each cell from their kernel.  Rows run over i, columns
+    over j.
+    """
+    table_of = _TABLES.get(metric)
+    if table_of is not None:
+        return table_of(u, v)
+    kernel = _KERNELS[metric]
+    return [[_finite_or_none(kernel(u[:i], v[:j])) for j in range(len(v) + 1)]
+            for i in range(len(u) + 1)]
+
+
+def _finite_or_none(d: ExtendedNat) -> int | None:
+    return d.value() if d.is_finite else None
 
 
 def word_distance(metric: Metric, u: str, v: str,

@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transdist.automata import (
-    Nfa, accepts, complement_dfa, determinize, enumerate_words, equiv_unambiguous,
-    intersection_is_empty, is_unambiguous, language_difference_witness,
-    scc_decomposition, trim,
+    Nfa, accepts, complement_dfa, determinize, enumerate_words, epsilon_closure,
+    equiv_unambiguous, intersection_is_empty, is_unambiguous,
+    language_difference_witness, scc_decomposition, trim,
 )
 from transdist.errors import PreconditionError, ResourceLimitError
 
@@ -235,6 +237,46 @@ def test_determinize_ceiling():
     with pytest.raises(ResourceLimitError):
         determinize(nfa, ceiling=8)
     assert determinize(nfa).n_states == 2 ** k
+
+
+def reference_determinize(nfa, alphabet):
+    """Textbook subset construction: breadth-first, letters in order."""
+    start = epsilon_closure(nfa, nfa.initials)
+    ids, order, transitions = {start: 0}, [start], []
+    for cur in order:
+        for x in alphabet:
+            moved = {d for s in cur for y, d, _ in nfa.adj()[s] if y == x}
+            if not moved:
+                continue
+            nxt = epsilon_closure(nfa, moved)
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            transitions.append((ids[cur], x, ids[nxt]))
+    finals = [i for i, subset in enumerate(order) if subset & nfa.finals]
+    return len(order), finals, transitions
+
+
+@st.composite
+def small_nfas(draw):
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    transitions = draw(st.lists(st.tuples(state, st.sampled_from([None, "a", "b"]),
+                                          state), max_size=12))
+    initials = draw(st.sets(state, max_size=2))
+    finals = draw(st.sets(state))
+    return Nfa(n, initials, finals, transitions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa=small_nfas())
+def test_determinize_random_epsilon_nfas(nfa):
+    dfa = determinize(nfa)
+    assert dfa.is_deterministic()
+    for w in words("ab", 5):
+        assert accepts(dfa, w) == accepts(nfa, w), w
+    want = reference_determinize(nfa, nfa.labels())
+    assert (dfa.n_states, sorted(dfa.finals), list(dfa.transitions)) == want
 
 
 def test_intersection_emptiness():

@@ -4,10 +4,14 @@ import pytest
 
 from conftest import joint_to_transducers, machine_corpus, make_transducer
 from transdist import kapprox, transducers
-from transdist.errors import IntegrityError, PreconditionError
+from transdist.automata import determinize
+from transdist.errors import (IntegrityError, PreconditionError,
+                              ResourceLimitError)
 from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
                                min_weight_on)
-from transdist.transducers import domain_words, joint_product
+from transdist.substitution import distance_subst
+from transdist.transducers import (domain_words, joint_product,
+                                   transducer_pair_automaton)
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 EDIT_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
@@ -60,6 +64,35 @@ def test_kapprox_conjugacy_rotation():
     j = joint_product(tx, ty)
     da = build_kapprox(Metric.CONJUGACY, j, 1)
     assert min_weight_on(da, "a") == 1
+
+
+# (nodes, edges, determinized skeleton states) for k = 0..3 on the identity
+# against the flip {0, 1, 3} of the first four letters
+KAPPROX_SIZES = {
+    Metric.LEVENSHTEIN: [(1, 0, 1), (18, 22, 13), (57, 140, 64),
+                         (120, 422, 258)],
+    Metric.LCS: [(1, 0, 1), (17, 20, 13), (45, 106, 44), (89, 298, 127)],
+    Metric.DAMERAU_LEVENSHTEIN: [(7, 6, 7), (172, 486, 87), (835, 7138, 471),
+                                 (2756, 47962, 2095)],
+}
+
+
+@pytest.mark.parametrize("metric", list(KAPPROX_SIZES))
+def test_kapprox_sizes_on_the_flip_pair(metric):
+    p = transducer_pair_automaton(_identity(), _flip(4, (0, 1, 3)))
+    for k, want in enumerate(KAPPROX_SIZES[metric]):
+        da = build_kapprox(metric, p, k)
+        det = determinize(da.skeleton())
+        assert (len(da.nodes), len(da.edges), det.n_states) == want, k
+
+
+@pytest.mark.parametrize("metric", [Metric.DAMERAU_LEVENSHTEIN,
+                                    Metric.CONJUGACY])
+def test_kapprox_ceiling_names_layer_metric_and_k(metric, t4, t5):
+    with pytest.raises(ResourceLimitError,
+                       match=rf"^k-approximation \({metric}, k=2\) "
+                             r"exceeded 3 states$"):
+        kclose(metric, t4, t5, 2, ceiling=3)
 
 
 def test_kapprox_requires_bounded_length_distance(t1, t3):
@@ -140,7 +173,6 @@ def test_distance_discrete(t4):
 
 
 def test_distance_shifted_pair_matches_subst_route():
-    from transdist.substitution import distance_subst
     t_a = make_transducer(2, [0], [1], [(0, "a", "ba", 1), (1, "a", "a", 1)])
     t_b = make_transducer(2, [0], [1], [(0, "a", "a", 1), (1, "a", "a", 1)],
                           fout={1: "b"})
@@ -263,3 +295,20 @@ def test_distance_reads_length_and_discrete_off_the_verdict(
         assert distance(metric, t1, other) == d
         assert len(joint_products) == before + 1
     assert probes == []
+
+
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
+def test_distance_subst_builds_one_joint_product(metric, t1, t2,
+                                                 joint_products):
+    swapped_a = make_transducer(2, [0], [1], [(0, "a", "ab", 1),
+                                              (1, "a", "ab", 1)])
+    swapped_b = make_transducer(2, [0], [1], [(0, "a", "ba", 1),
+                                              (1, "a", "ab", 1)])
+    hamming = metric is Metric.HAMMING
+    pairs = [(t1, t1, 0), (t1, t2, INF),
+             (swapped_a, swapped_b, 2 if hamming else 1),
+             (_identity(), _flip(4, (0, 1, 3)), 3 if hamming else INF)]
+    for u, v, want in pairs:
+        before = len(joint_products)
+        assert distance_subst(metric, u, v) == want
+        assert len(joint_products) == before + 1

@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transdist.errors import InputError
 from transdist.words import (
     INF, Alphabet, ExtendedNat, Metric, OverBudget, alphabetic_vector,
     metric_order_check, oracle_distance, oracle_distances_from, parse_metric,
-    word_distance,
+    prefix_table, word_distance,
 )
 
 AB01 = Alphabet("01")
@@ -126,6 +128,39 @@ def test_damerau_is_unrestricted():
     # CA -> AC -> ABC: one swap plus one insertion; the restricted
     # optimal-string-alignment variant would answer 3.
     assert word_distance(Metric.DAMERAU_LEVENSHTEIN, "ca", "abc") == 2
+
+
+# ---------------------------------------------------------------------------
+# prefix-distance tables
+# ---------------------------------------------------------------------------
+
+TABLE_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.LEVENSHTEIN,
+                 Metric.LCS, Metric.DAMERAU_LEVENSHTEIN]
+SHORT_WORDS = st.text(alphabet="abc", max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=SHORT_WORDS, v=SHORT_WORDS)
+def test_prefix_table_holds_every_prefix_distance(u, v):
+    for metric in TABLE_METRICS:
+        table = prefix_table(metric, u, v)
+        assert len(table) == len(u) + 1
+        for i, row in enumerate(table):
+            assert len(row) == len(v) + 1
+            for j, cell in enumerate(row):
+                d = word_distance(metric, u[:i], v[:j])
+                assert cell == (d.value() if d.is_finite else None), \
+                    (metric, u[:i], v[:j])
+
+
+def test_prefix_table_examples():
+    assert prefix_table(Metric.LEVENSHTEIN, "ab", "b") == [[0, 1], [1, 1],
+                                                           [2, 1]]
+    assert prefix_table(Metric.LCS, "ab", "ba") == [[0, 1, 2], [1, 2, 1],
+                                                    [2, 1, 2]]
+    assert prefix_table(Metric.DAMERAU_LEVENSHTEIN, "ab", "ba")[2][2] == 1
+    assert prefix_table(Metric.HAMMING, "ab", "b") == [[0, None], [None, 1],
+                                                       [None, None]]
 
 
 # ---------------------------------------------------------------------------
