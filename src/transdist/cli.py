@@ -1,11 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 for decisive answers, 2 for UNKNOWN (including a construction
-that hit the state ceiling), 1 for input errors.
+that hit the state ceiling), 1 for input errors, usage errors among them.
 The TRANSDIST_STATE_CEILING environment variable overrides the default state
-ceiling; --state-ceiling overrides both.  The ceiling bounds only the
-k-approximation built by `kclose` and `distance`; `close`, `diameter` and
-`index` run under their own fixed limits.
+ceiling; --state-ceiling overrides both.  Either must be an integer of at
+least 1.  The ceiling bounds only the k-approximation built by `kclose` and
+`distance`; `close`, `diameter` and `index` run under their own fixed limits.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 
 from .automata import DEFAULT_STATE_CEILING
-from .errors import ResourceLimitError, TransdistError
+from .errors import InputError, ResourceLimitError, TransdistError
 from .fileio import EMPTY_MARK, load_machine
 from .kapprox import close_verdict, distance, kclose
 from .pairauto import PairAutomaton
@@ -250,14 +250,37 @@ def cmd_oracle(args) -> int:
 METRIC_CHOICES = [m.value for m in Metric]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 1), since argparse's own
+    exit code 2 means UNKNOWN here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
+def _state_ceiling(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "the state ceiling (--state-ceiling or TRANSDIST_STATE_CEILING) "
+            f"must be an integer of at least 1, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="transdist",
         description="Distances between transducers, diameters and indices of "
                     "rational relations.")
-    default_ceiling = int(os.environ.get("TRANSDIST_STATE_CEILING",
-                                         DEFAULT_STATE_CEILING))
-    parser.add_argument("--state-ceiling", type=int, default=default_ceiling,
+    # a string default goes through _state_ceiling as well
+    default_ceiling = os.environ.get("TRANSDIST_STATE_CEILING",
+                                     str(DEFAULT_STATE_CEILING))
+    parser.add_argument("--state-ceiling", type=_state_ceiling,
+                        default=default_ceiling,
                         help="abort the k-approximation of kclose and "
                              "distance beyond this many states (close, "
                              "diameter and index keep fixed limits)")
@@ -322,9 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except ResourceLimitError as exc:
         _emit(args, {"command": args.command, "result": "UNKNOWN",

@@ -6,7 +6,10 @@ one-sided unmatched leftover word; per transition it nondeterministically
 aligns a prefix of the two output streams, paying the chunk's exact edit
 cost.  Those costs come from one prefix-distance table per distinct
 (left, right) chunk (`words.prefix_table`), kept for the length of one
-build; nothing is cached across calls.  For the conjugacy distance a
+build; nothing is cached across calls.  For the crossing metrics (Damerau
+and transposition) a cut point is dropped when a listed neighbouring cut
+explains its cost exactly, which keeps the skeleton and every minimal
+weight (see `_consumption_points`).  For the conjugacy distance a
 two-phase automaton first stores output prefixes, then commits to a shift
 direction and matches the shifted streams; the run cost is the number of
 shifts claimed.
@@ -78,6 +81,13 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
             t = tables[a, b] = prefix_table(metric, a, b)
             return t
 
+    if crossing:
+        # the distance of every step between neighbouring cut points: pair
+        # labels carry at most one letter per side
+        lefts = {x for _, (x, _), _ in p.nfa.transitions} | {""}
+        rights = {y for _, (_, y), _ in p.nfa.transitions} | {""}
+        steps = {(a, c): table(a, c)[-1][-1] for a in lefts for c in rights}
+
     ids: dict[tuple, int] = {}
     nodes: list[tuple] = []
     todo: deque[tuple] = deque()
@@ -114,10 +124,15 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
             costs = table(left, right)
             letter = p.input_letters[t]
             best: dict[tuple, int] = {}
+            listed: dict[tuple[int, int], int] = {}
             for i, j in _consumption_points(n, m, b, leftover_cap, crossing):
                 cost = costs[i][j]
                 if cost is None or cost > b:
                     continue
+                if crossing:
+                    listed[i, j] = cost
+                    if _dominated(listed, left, right, i, j, cost, steps):
+                        continue
                 key = (d, b - cost, left[i:], right[j:])
                 if key not in best or cost < best[key]:
                     best[key] = cost
@@ -136,6 +151,16 @@ def _consumption_points(n: int, m: int, budget: int, cap: int,
     Only points that leave at most `cap` letters on either side are listed,
     and only those with |i - j| <= budget: every metric of the family
     charges at least the length difference of the aligned prefixes.
+
+    The crossing list is the whole band, and the caller drops each point
+    that a listed predecessor explains exactly (`_dominated`): that
+    predecessor's target keeps the one-letter step in its residual and the
+    step's cost in its budget, so shifting the first cut of any run of the
+    dropped target over the step costs at most the step (subadditivity) and
+    keeps the band, the cap and the residual.  Chains of dropped points end
+    at a kept one, so the skeleton and every minimal weight stay the same.
+    Non-crossing points already sit on one-sided frontiers, where dropping
+    removes edges but no nodes and splits determinized subsets.
     """
     low_i, low_j = max(0, n - cap), max(0, m - cap)
     if crossing:
@@ -146,6 +171,30 @@ def _consumption_points(n: int, m: int, budget: int, cap: int,
                                    min(m, n + budget) + 1)]
             + [(i, m) for i in range(max(low_i, m - budget),
                                      min(n, m + budget + 1))])
+
+
+def _dominated(listed: dict[tuple[int, int], int], left: str, right: str,
+               i: int, j: int, cost: int,
+               steps: dict[tuple[str, str], int | None]) -> bool:
+    """Does a listed predecessor of the cut (i, j) explain its cost exactly?
+
+    A predecessor (i', j') is (i-1, j), (i, j-1) or (i-1, j-1); it explains
+    the cut when cost(i, j) = cost(i', j') + d(left[i':i], right[j':j]).
+    Points are listed in (i, j) order, so the predecessors come first.
+    """
+    if i:
+        a = left[i - 1]
+        prev = listed.get((i - 1, j))
+        if prev is not None and cost - prev == steps[a, ""]:
+            return True
+        if j:
+            prev = listed.get((i - 1, j - 1))
+            if prev is not None and cost - prev == steps[a, right[j - 1]]:
+                return True
+    if j:
+        prev = listed.get((i, j - 1))
+        return prev is not None and cost - prev == steps["", right[j - 1]]
+    return False
 
 
 def _build_conjugacy(p: PairAutomaton, k: int, delay_cap: int,
@@ -395,8 +444,10 @@ def kclose(metric: Metric, t1, t2, k: int,
     k-approximation's accepting skeleton (projected to input letters and
     determinized) must cover the whole domain.  The k-approximation prices
     its chunk alignments from one prefix-distance table per distinct output
-    chunk; a `ResourceLimitError` past the ceiling names the layer, the
-    metric and k.
+    chunk, and for Damerau and transposition it leaves out every cut point
+    whose cost a listed neighbouring cut explains exactly, which keeps the
+    skeleton's language; a `ResourceLimitError` past the ceiling names the
+    layer, the metric and k.
     """
     if k < 0:
         raise InputError("k must be nonnegative")

@@ -252,3 +252,37 @@ def test_cli_byte_stable(t4_file, t5_file, capsys):
               "--certificate", "/dev/null"])
         outs.add(capsys.readouterr().out)
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["worddist", "-m", "nosuch", "ab", "ba"],
+    ["kclose", "-m", "levenshtein", "-k", "x", "t4.fst", "t5.fst"],
+    ["nosuch"],
+    [],
+])
+def test_cli_usage_error_is_an_input_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: transdist")
+    assert "\nerror: " in err
+
+
+@pytest.mark.parametrize("ceiling", ["0", "-5", "abc", "1.5", ""])
+def test_cli_state_ceiling_must_be_a_positive_integer(ceiling, monkeypatch,
+                                                      capsys):
+    worddist = ["worddist", "-m", "hamming", "ab", "ba"]
+    assert main(["--state-ceiling", ceiling] + worddist) == 1
+    assert "error: argument --state-ceiling: the state ceiling" \
+        in capsys.readouterr().err
+    monkeypatch.setenv("TRANSDIST_STATE_CEILING", ceiling)
+    assert main(worddist) == 1
+    assert "TRANSDIST_STATE_CEILING" in capsys.readouterr().err
+    assert main(["--state-ceiling", "5"] + worddist) == 0  # the flag wins
+    assert capsys.readouterr().out.strip() == "2"
+
+
+def test_cli_state_ceiling_from_the_environment(t4_file, t5_file,
+                                                monkeypatch, capsys):
+    monkeypatch.setenv("TRANSDIST_STATE_CEILING", "3")
+    assert main(["distance", "-m", "levenshtein", t4_file, t5_file]) == 2
+    assert "exceeded 3 states" in capsys.readouterr().out

@@ -1,16 +1,21 @@
+import random
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import joint_to_transducers, machine_corpus, make_transducer
+from conftest import (joint_to_transducers, machine_corpus, make_transducer,
+                      random_joint_machine)
 from transdist import kapprox, transducers
 from transdist.automata import determinize
 from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
 from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
                                min_weight_on)
+from transdist.pairauto import bounded_delay
 from transdist.substitution import distance_subst
-from transdist.transducers import (domain_words, joint_product,
+from transdist.transducers import (domain_words, joint_product, pair_automaton,
                                    transducer_pair_automaton)
 from transdist.words import INF, Alphabet, Metric, word_distance
 
@@ -67,13 +72,16 @@ def test_kapprox_conjugacy_rotation():
 
 
 # (nodes, edges, determinized skeleton states) for k = 0..3 on the identity
-# against the flip {0, 1, 3} of the first four letters
+# against the flip {0, 1, 3} of the first four letters; the crossing metrics
+# list no cut point whose cost a listed predecessor explains
 KAPPROX_SIZES = {
     Metric.LEVENSHTEIN: [(1, 0, 1), (18, 22, 13), (57, 140, 64),
                          (120, 422, 258)],
     Metric.LCS: [(1, 0, 1), (17, 20, 13), (45, 106, 44), (89, 298, 127)],
-    Metric.DAMERAU_LEVENSHTEIN: [(7, 6, 7), (172, 486, 87), (835, 7138, 471),
-                                 (2756, 47962, 2095)],
+    Metric.DAMERAU_LEVENSHTEIN: [(7, 6, 7), (94, 138, 87), (378, 1054, 471),
+                                 (1170, 3926, 2915)],
+    Metric.TRANSPOSITION: [(7, 6, 7), (38, 58, 35), (78, 122, 71),
+                           (158, 250, 143)],
 }
 
 
@@ -115,6 +123,26 @@ def test_kapprox_matches_kernels_small_corpus(metric):
                 want = word_distance(metric, *j.outputs_on_input(w))
                 got = min_weight_on(da, w)
                 assert got == (want if want <= k else INF), (metric, k, w)
+
+
+# the seeded machines catch cut-point pruning that drops too much: a cut
+# explained by a predecessor outside the band or the cap, or by a costlier one
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       metric=st.sampled_from([Metric.DAMERAU_LEVENSHTEIN,
+                               Metric.TRANSPOSITION]))
+@example(rng=random.Random(37), metric=Metric.DAMERAU_LEVENSHTEIN)
+@example(rng=random.Random(60), metric=Metric.DAMERAU_LEVENSHTEIN)
+@example(rng=random.Random(1227), metric=Metric.TRANSPOSITION)
+def test_crossing_kapprox_matches_kernels_on_random_machines(rng, metric):
+    j = random_joint_machine(rng, max_states=4, max_out_len=3)
+    assume(j is not None and bounded_delay(pair_automaton(j)))
+    t1, _ = joint_to_transducers(j)
+    for k in (0, 1, 2):
+        da = build_kapprox(metric, j, k)
+        for w in domain_words(t1, 5):
+            want = word_distance(metric, *j.outputs_on_input(w))
+            assert min_weight_on(da, w) == (want if want <= k else INF), (k, w)
 
 
 # ---------------------------------------------------------------------------
