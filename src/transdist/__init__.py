@@ -20,9 +20,9 @@ from .transducers import (JointMachine, Transducer, domain_words, evaluate,
                           joint_product, length_close, nivat_split,
                           pair_automaton, same_domain,
                           transducer_pair_automaton)
-from .conjugacy import (Atom, Cat, Empty, PairExpr, Star, Sum, Sumfree,
-                        Witness, WitnessFamily, canonical_sumfree,
-                        close_conjugacy, close_conjugacy_transducers,
+from .conjugacy import (Atom, Cat, Empty, PairExpr, Star, Sum, Witness,
+                        WitnessFamily, close_conjugacy,
+                        close_conjugacy_transducers,
                         close_levenshtein, close_levenshtein_transducers,
                         common_witness, pair_witnesses, state_elimination,
                         sumfree_decompose, to_pair_automaton, verify_witness)

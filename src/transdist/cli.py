@@ -22,9 +22,8 @@ from .kapprox import close_verdict, distance, kclose
 from .pairauto import PairAutomaton
 from .relations import diameter, index, make_distance_relation
 from .transducers import Transducer, domain_words, evaluate, same_domain
-from .verdicts import (Close, DomainCertificate, GrowthCertificate,
-                       InfiniteWordCertificate, LoopCertificate,
-                       PairCertificate, Unknown)
+from .verdicts import (Close, DomainCertificate, InfiniteWordCertificate,
+                       LoopCertificate, PairCertificate, Unknown)
 from .words import INF, Alphabet, Metric, parse_metric, word_distance
 
 EXIT_OK = 0
@@ -83,12 +82,6 @@ def _certificate_lines(metric: Metric, cert) -> list[str]:
                 f"suffix: {cert.suffix or EMPTY_MARK}",
                 f"pumps: {' '.join(map(str, cert.pumps))}",
                 "# distances on prefix loop^i suffix increase strictly"]
-    if isinstance(cert, GrowthCertificate):
-        return (["kind: words",
-                 f"metric: {metric}",
-                 f"pumps: {' '.join(map(str, cert.pumps))}"]
-                + [f"word: {w or EMPTY_MARK}" for w in cert.words]
-                + ["# output distances on these inputs increase strictly"])
     if isinstance(cert, PairCertificate):
         return ["kind: pair",
                 f"metric: {metric}",

@@ -1,29 +1,39 @@
 """Rational expressions of pairs, common witnesses, and the closeness
 deciders for the conjugacy and Levenshtein-family distances.
 
-The pipeline: state elimination turns a pair automaton into a rational
-expression; every expression is a sum of sumfree expressions
-(a0,b0)E1*(a1,b1)···Ek*(ak,bk); closeness reduces to the existence of common
-witnesses (words z with uz = zv for all generated (u,v), or zu = vz for all).
+Both deciders reduce closeness to common witnesses: words z with uz = zv
+for every pair (u, v) of a language (inner), or zu = vz for all (outer).
 Witness candidates come from the split families of a concrete non-identical
-pair and every candidate is verified exactly against the full automaton, so
-a wrong verdict is impossible; an exhausted candidate budget surfaces as
-Unknown, never as Close or NotClose.
+pair, are generated lazily in length order, and are verified exactly
+against an automaton, so a wrong verdict is impossible; an exhausted
+candidate budget surfaces as Unknown, never as Close or NotClose.
+
+* Conjugacy: state elimination turns the pair automaton into a rational
+  expression, a sum of sumfree expressions (a0,b0)E1*(a1,b1)···Ek*(ak,bk),
+  and every summand needs a common witness.
+* Levenshtein family: no expression is built.  Per entry state e of each
+  strongly connected component of the pair automaton, the loop language
+  L_e needs a common witness; the distance bound is proven at
+  `close_levenshtein_transducers`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
+from .automata import scc_decomposition
 from .errors import IntegrityError, InputError, ResourceLimitError
 from .pairauto import (PairAutomaton, enumerate_pairs, find_pair_path,
-                       identity_witness, input_word_of_path,
+                       identity_witness, input_word_of_path, max_abs_delay,
                        wrap_pair_automaton)
-from .transducers import (domain_mismatch_certificate, same_domain,
-                          transducer_pair_automaton)
-from .verdicts import (Close, GrowthCertificate, InfiniteWordCertificate,
-                       NotClose, PairCertificate, Unknown)
-from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
+from .transducers import (domain_mismatch_certificate, loop_certificate,
+                          nivat_split, same_domain, transducer_pair_automaton,
+                          unbalanced_loop_certificate)
+from .verdicts import (Close, InfiniteWordCertificate, NotClose,
+                       PairCertificate, Unknown)
+from .words import Alphabet, ExtendedNat, LEVENSHTEIN_FAMILY, Metric
 
 DEFAULT_SUMMAND_LIMIT = 4096
 
@@ -321,45 +331,6 @@ def sumfree_decompose(e: PairExpr,
     return go(e)
 
 
-@dataclass(frozen=True)
-class Sumfree:
-    """Canonical shape (consts[0]) stars[0]* (consts[1]) ... stars[k-1]* (consts[k])."""
-    consts: tuple[tuple[str, str], ...]
-    stars: tuple[PairExpr, ...]
-
-    @property
-    def expr(self) -> PairExpr:
-        parts = [Atom(*self.consts[0])]
-        for body, const in zip(self.stars, self.consts[1:]):
-            parts.append(star(body))
-            parts.append(Atom(*const))
-        return cat(*parts)
-
-
-def canonical_sumfree(e: PairExpr) -> Sumfree:
-    """Flatten a sumfree expression into alternating constants and stars."""
-    consts: list[tuple[str, str]] = [("", "")]
-    stars: list[PairExpr] = []
-
-    def walk(node):
-        if isinstance(node, Atom):
-            u, v = consts[-1]
-            consts[-1] = (u + node.x, v + node.y)
-        elif isinstance(node, Cat):
-            for part in node.parts:
-                walk(part)
-        elif isinstance(node, Star):
-            stars.append(node.child)
-            consts.append(("", ""))
-        elif isinstance(node, Empty):
-            raise InputError("empty expression has no sumfree shape")
-        else:
-            raise InputError(f"expression contains a sum: {node}")
-
-    walk(e)
-    return Sumfree(tuple(consts), tuple(stars))
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------
@@ -453,16 +424,32 @@ def _nonconjugate_pair_scan(p: PairAutomaton, max_len: int) -> tuple[str, str] |
     return None
 
 
-def common_witness(e: PairExpr, cutoff: int | None = None
-                   ) -> Witness | NoWitness | WitnessUnknown:
-    """Search a common inner or outer witness of L(e).
+def _family_members(fam: WitnessFamily, cutoff: int):
+    for j in range(cutoff + 1):
+        yield fam.member(j), fam.side
 
-    A verified witness or a non-conjugate pair is definitive; running out of
-    candidates below the repetition cutoff yields WitnessUnknown.  Star
-    bodies need no recursion: z witnesses G* iff z witnesses G, because
-    witnesshood is closed under pointwise concatenation and G ⊆ G*.
+
+def witness_candidates(families: Iterable[WitnessFamily],
+                       cutoff: int) -> Iterator[tuple[str, str]]:
+    """Candidates (z, side) for the members x·(yx)^j, j <= cutoff, of the
+    families, in (length, word, side) order and without repeats.
+
+    Lazy: a family's members grow with j, so merging the families holds one
+    pending candidate per family, and a long candidate is built only after
+    every shorter one has been tried.
     """
-    p = to_pair_automaton(e)
+    last = None
+    for candidate in heapq.merge(*(_family_members(fam, cutoff)
+                                   for fam in families),
+                                 key=lambda c: (len(c[0]), c[0], c[1])):
+        if candidate != last:
+            last = candidate
+            yield candidate
+
+
+def _witness_search(p: PairAutomaton, cutoff: int
+                    ) -> Witness | NoWitness | WitnessUnknown:
+    """Common inner or outer witness of L(p), candidates up to the cutoff."""
     mism = identity_witness(p)
     if mism is None:
         return Witness("", "inner")
@@ -475,13 +462,7 @@ def common_witness(e: PairExpr, cutoff: int | None = None
     bad = _nonconjugate_pair_scan(p, min(max(len(u) + 2, 4), 6))
     if bad is not None:
         return NoWitness(bad)
-    if cutoff is None:
-        cutoff = witness_cutoff(e)
-    candidates: dict[tuple[str, str], None] = {}
-    for fam in families.inner + families.outer:
-        for j in range(cutoff + 1):
-            candidates[(fam.member(j), fam.side)] = None
-    for z, side in sorted(candidates, key=lambda t: (len(t[0]), t[0], t[1])):
+    for z, side in witness_candidates(families.inner + families.outer, cutoff):
         if verify_witness(p, z, side):
             return Witness(z, side)
     shortest = min(families.inner + families.outer,
@@ -489,8 +470,22 @@ def common_witness(e: PairExpr, cutoff: int | None = None
     return WitnessUnknown(cutoff, (u, v), shortest)
 
 
+def common_witness(e: PairExpr, cutoff: int | None = None
+                   ) -> Witness | NoWitness | WitnessUnknown:
+    """Search a common inner or outer witness of L(e).
+
+    A verified witness or a non-conjugate pair is definitive; running out of
+    candidates below the repetition cutoff yields WitnessUnknown.  Star
+    bodies need no recursion: z witnesses G* iff z witnesses G, because
+    witnesshood is closed under pointwise concatenation and G ⊆ G*.
+    """
+    if cutoff is None:
+        cutoff = witness_cutoff(e)
+    return _witness_search(to_pair_automaton(e), cutoff)
+
+
 # ---------------------------------------------------------------------------
-# closeness deciders (expression level)
+# closeness w.r.t. conjugacy: the sumfree route
 # ---------------------------------------------------------------------------
 
 def _as_expr(target: PairAutomaton | PairExpr) -> PairExpr:
@@ -530,96 +525,6 @@ def close_conjugacy(target: PairAutomaton | PairExpr,
     return verdict
 
 
-def _close_levenshtein_detail(target, metric, summand_limit):
-    if metric not in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
-        raise InputError(f"not a Levenshtein-family metric: {metric}")
-    e = _as_expr(target)
-    unknown = None
-    bound = ExtendedNat(0)
-    for summand in sumfree_decompose(e, summand_limit):
-        shape = canonical_sumfree(summand)
-        total = ExtendedNat(0)
-        for const in shape.consts:
-            total = total + word_distance(Metric.LEVENSHTEIN, const[0], const[1])
-        for i, body in enumerate(shape.stars):
-            res = common_witness(body)
-            if isinstance(res, NoWitness):
-                pumped = _pumped_pair(shape, i, res.pair, 1)
-                return NotClose(PairCertificate(pumped)), (res.pair, shape, i)
-            if isinstance(res, WitnessUnknown):
-                unknown = unknown or Unknown(
-                    "no verified witness below the candidate cutoff",
-                    cutoff=res.cutoff, detail=res)
-                total = None
-                break
-            total = total + 2 * len(res.z)
-        if total is not None:
-            bound = max(bound, total)
-    if unknown is not None:
-        return unknown, None
-    if metric is Metric.LCS:
-        bound = bound * 2
-    return Close(bound=bound), None
-
-
-def close_levenshtein(target: PairAutomaton | PairExpr,
-                      metric: Metric = Metric.LEVENSHTEIN,
-                      summand_limit: int = DEFAULT_SUMMAND_LIMIT):
-    """Levenshtein-family closeness: every starred body must be conjugate.
-
-    The bound Σ d_l(α_j, β_j) + 2·Σ|z_i| is scaled by 2 for the LCS
-    distance; the Damerau-Levenshtein distance is bounded by the Levenshtein
-    value itself.  The verdict is shared by all three metrics.
-    """
-    verdict, _ = _close_levenshtein_detail(target, metric, summand_limit)
-    return verdict
-
-
-# ---------------------------------------------------------------------------
-# transducer-level deciders with input-word certificates
-# ---------------------------------------------------------------------------
-
-def _pumped_pair(shape: Sumfree, star_index: int, pair: tuple[str, str],
-                 pumps: int) -> tuple[str, str]:
-    """The summand's pair with one chosen star pumped and the others empty."""
-    u = shape.consts[0][0]
-    v = shape.consts[0][1]
-    for i, const in enumerate(shape.consts[1:]):
-        if i == star_index:
-            u += pair[0] * pumps
-            v += pair[1] * pumps
-        u += const[0]
-        v += const[1]
-    return u, v
-
-
-def _growth_certificate(p: PairAutomaton, metric: Metric, shape: Sumfree,
-                        star_index: int, pair: tuple[str, str],
-                        needed: int = 3, scan_limit: int = 200):
-    """Inputs realizing strictly increasing distances along pumped pairs."""
-    words_list: list[str] = []
-    pumps: list[int] = []
-    values: list[ExtendedNat] = []
-    m = 1
-    while len(words_list) < needed and m <= scan_limit:
-        full = _pumped_pair(shape, star_index, pair, m)
-        d = word_distance(metric, full[0], full[1])
-        if d == INF or not values or d > values[-1]:
-            path = find_pair_path(p, full)
-            if path is None:
-                raise IntegrityError(
-                    "pumped certificate pair is not generated by the automaton")
-            words_list.append(input_word_of_path(p, path))
-            pumps.append(m)
-            values.append(d)
-            if d == INF:
-                break
-        m += 1
-    if len(values) < needed and (not values or values[-1] != INF):
-        raise IntegrityError("certificate growth not observed within scan limit")
-    return GrowthCertificate(tuple(words_list), tuple(pumps))
-
-
 def close_conjugacy_transducers(t1, t2,
                                 summand_limit: int = DEFAULT_SUMMAND_LIMIT):
     """Conjugacy closeness of two transducers, with an input-level certificate."""
@@ -636,15 +541,104 @@ def close_conjugacy_transducers(t1, t2,
     return verdict
 
 
-def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN,
-                                  summand_limit: int = DEFAULT_SUMMAND_LIMIT):
-    """Levenshtein-family closeness of two transducers with certificates."""
+# ---------------------------------------------------------------------------
+# closeness w.r.t. the Levenshtein family: per-entry loop languages
+# ---------------------------------------------------------------------------
+
+def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN):
+    """Levenshtein-family closeness of two transducers, with certificates.
+
+    Works on the one trim pair automaton p of the two machines.  Unbounded
+    prefix gaps give NotClose, pumping an unbalanced cycle.  Otherwise, for
+    every entry e of every nontrivial strongly connected component C (an
+    initial state of C, or the target of an edge from another component),
+    the loop language L_e (C's internal edges, e the only initial and final
+    state) is searched for a common witness z_e, with candidates up to
+    1 + the number of transitions of L_e.  A non-conjugate pair of L_e gives
+    NotClose: its input loop pumped at e, replayed on both machines.  Close
+    needs every z_e; anything else is Unknown.
+
+    Bound.  An accepting path crosses the DAG of components, entering each
+    C at an entry e and leaving it at a state x (the source of the next
+    bridging edge, or a final state).  Close its segment (s1, s2) inside C
+    with a return path (r1, r2) from x to e inside C: that is a loop at e,
+    so s1·r1·z = z·s2·r2 for z = z_e (the outer case is symmetric).  Hence
+    s1 and s2 are factors of one word, at offsets 0 and |z|, and deleting
+    the letters of one outside their overlap and inserting those of the
+    other gives d_L(s1, s2) <= 2|z_e| + ||s1| - |s2||.  The length gap is a
+    difference of two prefix gaps, at most 2·max_abs_delay(p).  A bridging
+    edge (x, y) costs at most 1 when x != y, since labels carry one letter
+    per side at most.  The Levenshtein distance is subadditive under
+    concatenation, so the longest DAG path B, with each nontrivial component
+    weighing 2·max_e |z_e| + 2·max_abs_delay(p) and each bridging edge its
+    cost, bounds the distance on every input.  d_LCS <= 2·d_L doubles B for
+    LCS; d_DL <= d_L keeps it for Damerau.
+    """
+    if metric not in LEVENSHTEIN_FAMILY:
+        raise InputError(f"not a Levenshtein-family metric: {metric}")
     if not same_domain(t1, t2):
         return NotClose(domain_mismatch_certificate(t1, t2))
     p = transducer_pair_automaton(t1, t2)
-    verdict, detail = _close_levenshtein_detail(p, metric, summand_limit)
-    if isinstance(verdict, NotClose):
-        pair, shape, star_index = detail
-        cert = _growth_certificate(p, metric, shape, star_index, pair)
-        return NotClose(cert)
-    return verdict
+    delay = max_abs_delay(p)
+    if delay is None:
+        return NotClose(unbalanced_loop_certificate(t1, t2, p, metric))
+    comp, comps = scc_decomposition(p.nfa)
+    local = [0] * p.nfa.n_states
+    for members in comps:
+        for i, s in enumerate(members):
+            local[s] = i
+    internal: list[list[tuple]] = [[] for _ in comps]
+    entries: list[set[int]] = [set() for _ in comps]
+    into: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for s in p.nfa.initials:
+        entries[comp[s]].add(s)
+    for t, (s, (x, y), d) in enumerate(p.nfa.transitions):
+        if comp[s] == comp[d]:
+            internal[comp[s]].append(
+                (local[s], (x, y), local[d], p.input_letters[t]))
+        else:
+            entries[comp[d]].add(d)
+            into[comp[d]].append((comp[s], int(x != y)))
+    unknown = None
+    best: list[int] = []  # longest weighted DAG path ending in a component
+    for c, members in enumerate(comps):
+        weight = 0
+        if internal[c]:
+            longest = 0
+            for e in sorted(entries[c]):
+                loops = PairAutomaton.from_edges(
+                    len(members), [local[e]], [local[e]], internal[c],
+                    p.left_alphabet, p.right_alphabet, do_trim=False)
+                res = _witness_search(loops, 1 + len(loops.nfa.transitions))
+                if isinstance(res, NoWitness):
+                    loop = input_word_of_path(loops,
+                                              find_pair_path(loops, res.pair))
+                    return NotClose(loop_certificate(t1, t2, metric, p, e,
+                                                     loop))
+                if isinstance(res, WitnessUnknown):
+                    unknown = unknown or Unknown(
+                        "no verified witness below the candidate cutoff",
+                        cutoff=res.cutoff, detail=res)
+                else:
+                    longest = max(longest, len(res.z))
+            weight = 2 * longest + 2 * delay
+        best.append(weight + max((best[a] + cost for a, cost in into[c]),
+                                 default=0))
+    if unknown is not None:
+        return unknown
+    bound = max(best, default=0)
+    if metric is Metric.LCS:
+        bound *= 2
+    return Close(bound=ExtendedNat(bound))
+
+
+def close_levenshtein(target: PairAutomaton | PairExpr,
+                      metric: Metric = Metric.LEVENSHTEIN):
+    """Levenshtein-family closeness of a relation given as a pair automaton
+    or an expression (through `to_pair_automaton`).
+
+    Decided by `close_levenshtein_transducers` on the relation's Nivat
+    split, so a NotClose certificate pumps a loop of transition letters.
+    """
+    p = target if isinstance(target, PairAutomaton) else to_pair_automaton(target)
+    return close_levenshtein_transducers(*nivat_split(p), metric)

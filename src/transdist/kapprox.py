@@ -34,14 +34,12 @@ from .conjugacy import (close_conjugacy_transducers,
 from .errors import (InputError, IntegrityError, PreconditionError,
                      ResourceLimitError)
 from .pairauto import (PairAutomaton, find_pair_path, identity_witness,
-                       input_word_of_path, max_abs_delay, pair_length_diameter,
-                       shortest_prefix_path, shortest_suffix_path,
-                       unbalanced_cycle)
-from .substitution import (_verified_loop_certificate, close_hamming,
-                           close_transposition)
+                       input_word_of_path, max_abs_delay, pair_length_diameter)
+from .substitution import close_hamming, close_transposition
 from .transducers import (JointMachine, domain_mismatch_certificate,
                           pair_automaton, same_domain,
-                          transducer_pair_automaton)
+                          transducer_pair_automaton,
+                          unbalanced_loop_certificate)
 from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
 from .words import (INF, ExtendedNat, LEVENSHTEIN_FAMILY, Metric,
                     prefix_table, word_distance)
@@ -395,20 +393,6 @@ def min_weight_on(da: DistanceAutomaton, word: str) -> ExtendedNat:
 # k-closeness and the distance search
 # ---------------------------------------------------------------------------
 
-def _length_loop_certificate(t1, t2, p: PairAutomaton):
-    """A pumpable input loop witnessing the unbounded output-length gap."""
-    hit = unbalanced_cycle(p)
-    if hit is None:
-        raise IntegrityError("no unbalanced cycle despite an infinite "
-                             "length distance")
-    root, cycle = hit
-    prefix = input_word_of_path(p, shortest_prefix_path(p, root))
-    loop = input_word_of_path(p, cycle)
-    suffix = input_word_of_path(p, shortest_suffix_path(p, root))
-    return _verified_loop_certificate(t1, t2, Metric.LENGTH,
-                                      prefix, loop, suffix)
-
-
 def close_verdict(metric: Metric, t1, t2):
     """Closeness verdict with a certificate, for any of the eight metrics."""
     if metric is Metric.HAMMING:
@@ -428,7 +412,8 @@ def close_verdict(metric: Metric, t1, t2):
         d = pair_length_diameter(p)
         if d.is_finite:
             return Close(bound=d)
-        return NotClose(_length_loop_certificate(t1, t2, p))
+        return NotClose(unbalanced_loop_certificate(t1, t2, p,
+                                                    Metric.LENGTH))
     witness = identity_witness(p)
     if witness is None:
         return Close(bound=ExtendedNat(0))

@@ -24,11 +24,11 @@ from .automata import Nfa, scc_decomposition, trim
 from .errors import IntegrityError, InputError, ResourceLimitError
 from .pairauto import (PairAutomaton, compute_delays, find_pair_path,
                        identity_witness, input_word_of_path, is_length_preserving,
-                       shortest_prefix_path, shortest_suffix_path,
-                       _unbalanced_pair_witness)
-from .transducers import (domain_mismatch_certificate, evaluate, same_domain,
+                       shortest_suffix_path, _unbalanced_pair_witness)
+from .transducers import (domain_mismatch_certificate, evaluate,
+                          loop_certificate, same_domain,
                           transducer_pair_automaton)
-from .verdicts import (Close, InfiniteWordCertificate, LoopCertificate, NotClose)
+from .verdicts import Close, InfiniteWordCertificate, NotClose
 from .words import (INF, Alphabet, ExtendedNat, Metric, alphabetic_vector,
                     word_distance)
 
@@ -179,33 +179,8 @@ def _loop_certificate_from_gadget(pipe, q, gadget, bad_pair, metric, t1, t2):
     path = find_pair_path(gadget, bad_pair)
     if path is None:
         raise IntegrityError("gadget witness pair not regenerated")
-    loop_word = input_word_of_path(gadget, path)
-    prefix = input_word_of_path(pipe.p, shortest_prefix_path(pipe.p, q))
-    suffix = input_word_of_path(pipe.p, shortest_suffix_path(pipe.p, q))
-    return _verified_loop_certificate(t1, t2, metric, prefix, loop_word, suffix)
-
-
-def _verified_loop_certificate(t1, t2, metric, prefix, loop, suffix,
-                               needed=3, scan_limit=200) -> LoopCertificate:
-    """Pick pump counts with strictly increasing (or infinite) distances."""
-    pumps: list[int] = []
-    values: list[ExtendedNat] = []
-    m = 1
-    while len(pumps) < needed and m <= scan_limit:
-        w = prefix + loop * m + suffix
-        o1, o2 = evaluate(t1, w), evaluate(t2, w)
-        if o1 is None or o2 is None:
-            raise IntegrityError("pumped certificate input fell off the domain")
-        d = word_distance(metric, o1, o2)
-        if d == INF or not values or d > values[-1]:
-            pumps.append(m)
-            values.append(d)
-            if d == INF:
-                break
-        m += 1
-    if len(pumps) < needed and (not values or values[-1] != INF):
-        raise IntegrityError("certificate loop failed to grow the distance")
-    return LoopCertificate(prefix, loop, suffix, tuple(pumps))
+    return loop_certificate(t1, t2, metric, pipe.p, q,
+                            input_word_of_path(gadget, path))
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +408,8 @@ def _transposition_verdict(t1, t2, p: PairAutomaton):
     border = _border_violation(pipe, vecs)
     if border is not None:
         q, loop_path = border
-        loop_word = input_word_of_path(p, loop_path)
-        prefix = input_word_of_path(p, shortest_prefix_path(p, q))
-        suffix = input_word_of_path(p, shortest_suffix_path(p, q))
-        cert = _verified_loop_certificate(t1, t2, Metric.TRANSPOSITION,
-                                          prefix, loop_word, suffix)
+        cert = loop_certificate(t1, t2, Metric.TRANSPOSITION, p, q,
+                                input_word_of_path(p, loop_path))
         return NotClose(cert), pipe
     return Close(bound=None), pipe
 

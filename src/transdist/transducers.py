@@ -14,9 +14,11 @@ from typing import Iterable
 from .automata import (Nfa, equiv_unambiguous, is_unambiguous,
                        language_difference_witness, trim)
 from .errors import InputError, IntegrityError, PreconditionError
-from .pairauto import PairAutomaton, pair_length_diameter
-from .verdicts import DomainCertificate
-from .words import INF, Alphabet, ExtendedNat
+from .pairauto import (PairAutomaton, input_word_of_path, pair_length_diameter,
+                       shortest_prefix_path, shortest_suffix_path,
+                       unbalanced_cycle)
+from .verdicts import DomainCertificate, LoopCertificate
+from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
 
 _SYMBOL_PALETTE = ("abcdefghijklmnopqrstuvwxyz"
                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -150,6 +152,56 @@ def domain_mismatch_certificate(t1: Transducer,
     if wit is None:
         raise IntegrityError("domains reported different but no witness found")
     return DomainCertificate("".join(wit))
+
+
+def loop_certificate(t1: Transducer, t2: Transducer, metric: Metric,
+                     p: PairAutomaton, state: int, loop: str,
+                     needed: int = 3, scan_limit: int = 200) -> LoopCertificate:
+    """The input loop at a state of p, the pair automaton of (t1, t2),
+    pumped between the inputs of shortest paths to and from the state.
+
+    Picks pump counts with strictly increasing (or infinite) distances,
+    each computed by evaluating both machines on prefix·loop^i·suffix, so
+    the certificate replays by construction; a loop that does not grow the
+    distance within `scan_limit` pumps is an IntegrityError.
+    """
+    prefix = input_word_of_path(p, shortest_prefix_path(p, state))
+    suffix = input_word_of_path(p, shortest_suffix_path(p, state))
+    pumps: list[int] = []
+    values: list[ExtendedNat] = []
+    m = 1
+    while len(pumps) < needed and m <= scan_limit:
+        w = prefix + loop * m + suffix
+        o1, o2 = evaluate(t1, w), evaluate(t2, w)
+        if o1 is None or o2 is None:
+            raise IntegrityError("pumped certificate input fell off the domain")
+        d = word_distance(metric, o1, o2)
+        if d == INF or not values or d > values[-1]:
+            pumps.append(m)
+            values.append(d)
+            if d == INF:
+                break
+        m += 1
+    if len(pumps) < needed and (not values or values[-1] != INF):
+        raise IntegrityError("certificate loop failed to grow the distance")
+    return LoopCertificate(prefix, loop, suffix, tuple(pumps))
+
+
+def unbalanced_loop_certificate(t1: Transducer, t2: Transducer,
+                                p: PairAutomaton,
+                                metric: Metric) -> LoopCertificate:
+    """A pumpable input loop whose output-length gap is nonzero.
+
+    Needs unbounded prefix gaps in p, the pair automaton of (t1, t2).  Every
+    metric with d(u, v) >= ||u| - |v|| grows along the pumped loop.
+    """
+    hit = unbalanced_cycle(p)
+    if hit is None:
+        raise IntegrityError("no unbalanced cycle despite an infinite "
+                             "length distance")
+    root, cycle = hit
+    return loop_certificate(t1, t2, metric, p, root,
+                            input_word_of_path(p, cycle))
 
 
 class JointMachine:
@@ -297,7 +349,8 @@ def nivat_split(p: PairAutomaton) -> tuple[Transducer, Transducer]:
     """Two transducers over a fresh alphabet whose output pairs realize L(p).
 
     Every metric's distance between the two transducers equals the diameter
-    of the relation.
+    of the relation.  Both write over the union of p's two output alphabets,
+    as the joint product of two machines needs one output alphabet.
     """
     n_tr = len(p.nfa.transitions)
     if n_tr > len(_SYMBOL_PALETTE):
@@ -313,8 +366,11 @@ def nivat_split(p: PairAutomaton) -> tuple[Transducer, Transducer]:
         out2.append(y)
     nfa = Nfa(p.nfa.n_states, p.nfa.initials, p.nfa.finals, transitions)
     fo = {f: "" for f in nfa.finals}
-    t1 = Transducer(nfa, out1, fo, alphabet, p.left_alphabet, check=False)
-    t2 = Transducer(nfa, out2, fo, alphabet, p.right_alphabet, check=False)
+    left = p.left_alphabet
+    outputs = left if p.right_alphabet == left else Alphabet(
+        left.letters + tuple(c for c in p.right_alphabet if c not in left))
+    t1 = Transducer(nfa, out1, fo, alphabet, outputs, check=False)
+    t2 = Transducer(nfa, out2, fo, alphabet, outputs, check=False)
     return t1, t2
 
 

@@ -34,7 +34,11 @@ class LoopCertificate:
 
 @dataclass(frozen=True)
 class GrowthCertificate:
-    """Explicit input words with strictly increasing output distance."""
+    """Explicit input words with strictly increasing output distance.
+
+    No decider returns it any more (pumped loops are LoopCertificates); it
+    stays for callers that still check for it.
+    """
     words: tuple[str, ...]
     pumps: tuple[int, ...]
 

@@ -627,8 +627,11 @@ def oracle_distance_table(metric: Metric, sources: list[str], budget: int,
                 for u in sources}
     length_varies = metric in (Metric.LEVENSHTEIN, Metric.LCS,
                                Metric.DAMERAU_LEVENSHTEIN)
+    # a path of at most `budget` unit-length steps between two words of at
+    # most m letters climbs to length L and comes back down, so it has at
+    # least 2L - 2m steps: it never passes m + budget // 2 letters
     graph_len = max([max_target_len] + [len(u) for u in sources]) \
-        + (budget if length_varies else 0)
+        + (budget // 2 if length_varies else 0)
     graph = _binary_edit_graph(metric, alphabet.letters, graph_len)
     targets = _all_words(alphabet, max_target_len)
     target_ids = np.array([_word_to_id(w, alphabet.index) for w in targets])
@@ -641,7 +644,10 @@ def oracle_distance_table(metric: Metric, sources: list[str], budget: int,
                         limit=budget)
         for row, u in enumerate(chunk):
             d = dist[row]
-            exhausted = bool(np.all(np.isinf(d) | (d < budget)))
+            # the edit graph of the Levenshtein family is connected, so the
+            # capped graph must not report its component as exhausted
+            exhausted = not length_varies and bool(
+                np.all(np.isinf(d) | (d < budget)))
             table: dict[str, ExtendedNat | OverBudget] = {}
             vals = d[target_ids]
             for w, val in zip(targets, vals):

@@ -130,6 +130,52 @@ def joint_outputs_table(j: JointMachine, max_len: int) -> dict[str, tuple[str, s
     return out
 
 
+def dense_dfa_spec(rng: random.Random, n: int, max_out: int = 2):
+    """(n, finals, triples, final outputs) of a complete DFA on ab with
+    outputs in {0,1}^{<=max_out}; state 0 is initial."""
+    def word():
+        return "".join(rng.choice("01") for _ in range(rng.randrange(max_out + 1)))
+
+    triples = [(s, a, word(), rng.randrange(n)) for s in range(n) for a in "ab"]
+    finals = [s for s in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
+    return n, finals, triples, {f: word() for f in finals}
+
+
+def rotate_first_letter(spec):
+    """The spec of T2 with T2(w) = T1(w) with its first letter moved last.
+
+    States pair a state of T1 with a one-letter buffer, empty until the
+    first output letter, which it keeps back until the final output.
+    """
+    _, finals, triples, final_out = spec
+    ids: dict[tuple[int, str], int] = {(0, ""): 0}
+    todo = [(0, "")]
+    out = []
+    while todo:
+        q, buf = todo.pop()
+        for s, a, o, d in triples:
+            if s != q:
+                continue
+            nbuf, emit = (o[0], o[1:]) if not buf and o else (buf, o)
+            if (d, nbuf) not in ids:
+                ids[(d, nbuf)] = len(ids)
+                todo.append((d, nbuf))
+            out.append((ids[(q, buf)], a, emit, ids[(d, nbuf)]))
+    rot_finals, rot_out = [], {}
+    for (q, buf), sid in ids.items():
+        if q in finals:
+            w = final_out.get(q, "")
+            rot_finals.append(sid)
+            rot_out[sid] = w + buf if buf else w[1:] + w[:1]
+    return len(ids), sorted(rot_finals), out, rot_out
+
+
+def spec_transducer(spec) -> Transducer:
+    n, finals, triples, final_out = spec
+    return make_transducer(n, [0], finals, triples, final_out,
+                           alph_in=AB, alph_out=B01)
+
+
 def machine_corpus(seed: int, count: int, *, bounded_length_gap=False,
                    max_states=5, max_out_len=2):
     """Deterministic corpus of joint machines."""

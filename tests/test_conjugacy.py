@@ -1,17 +1,23 @@
 import random
 
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from conftest import (dense_dfa_spec, joint_outputs_table,
+                      joint_to_transducers, random_joint_machine,
+                      rotate_first_letter, spec_transducer)
 from transdist.conjugacy import (
     Atom, Empty, Star, Witness, NoWitness, WitnessUnknown,
-    canonical_sumfree, cat, close_conjugacy, close_conjugacy_transducers,
+    cat, close_conjugacy, close_conjugacy_transducers,
     close_levenshtein, close_levenshtein_transducers, common_witness,
     pair_witnesses, star, state_elimination, sum_, sumfree_decompose,
-    verify_witness,
+    verify_witness, witness_candidates,
 )
 from transdist.pairauto import PairAutomaton, enumerate_pairs
 from transdist.transducers import evaluate, transducer_pair_automaton
-from transdist.verdicts import (Close, GrowthCertificate,
-                                InfiniteWordCertificate, NotClose)
+from transdist.verdicts import (Close, InfiniteWordCertificate,
+                                LoopCertificate, NotClose, Unknown)
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 AB = Alphabet("ab")
@@ -119,15 +125,6 @@ def test_sumfree_language_preserved_random():
         assert union == lang(e, 3)
 
 
-def test_canonical_sumfree_shape():
-    e = cat(Atom("a", "b"), star(Atom("c", "c")), Atom("", "d"))
-    alpha = Alphabet("abcd")
-    shape = canonical_sumfree(e)
-    assert shape.consts == (("a", "b"), ("", "d"))
-    assert shape.stars == (Atom("c", "c"),)
-    assert lang(shape.expr, 3, alpha) == lang(e, 3, alpha)
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------
@@ -174,6 +171,27 @@ def test_common_witness_examples():
     # the split-family witness from abb = (ab)(b), bab = (b)(ab) also verifies
     assert verify_witness(star(Atom("abb", "bab")), "ab", "inner")
     assert common_witness(star(Atom("a", "a"))) == Witness("", "inner")
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=st.text("ab", min_size=1, max_size=6), shift=st.integers(0, 5),
+       cutoff=st.integers(0, 4))
+def test_witness_candidates_match_the_eager_list(u, shift, cutoff):
+    v = u[shift % len(u):] + u[:shift % len(u)]
+    families = pair_witnesses(u, v)
+    fams = families.inner + families.outer
+    eager = {(f.member(j), f.side) for f in fams for j in range(cutoff + 1)}
+    got = list(witness_candidates(fams, cutoff))
+    assert len(got) == len(set(got))
+    assert set(got) == eager
+    assert got == sorted(eager, key=lambda c: (len(c[0]), c[0], c[1]))
+
+
+def test_witness_candidates_are_lazy():
+    # an eager list of this many members would not fit in memory
+    families = pair_witnesses("aab", "aba")
+    first = next(witness_candidates(families.inner + families.outer, 10 ** 9))
+    assert first == ("a", "inner")
 
 
 def test_star_reduction_property():
@@ -242,21 +260,41 @@ def test_close_levenshtein_t1_t2_notclose(t1, t2):
     verdict = close_levenshtein_transducers(t1, t2)
     assert isinstance(verdict, NotClose)
     cert = verdict.certificate
-    assert isinstance(cert, GrowthCertificate)
+    assert isinstance(cert, LoopCertificate)
     values = []
-    for w in cert.words:
+    for w in map(cert.word, cert.pumps):
         d = word_distance(Metric.LEVENSHTEIN, evaluate(t1, w), evaluate(t2, w))
         values.append(d)
     assert values == sorted(set(values), key=lambda d: (d.is_infinite, d))
     assert len(values) >= 2 or values[-1] == INF
 
 
+def test_close_levenshtein_unbounded_gap_pumps_an_unbalanced_loop(t1, t3):
+    # t3 erases b's, so the output-length gap to t1 grows without bound
+    for metric in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
+        verdict = close_levenshtein_transducers(t1, t3, metric)
+        assert isinstance(verdict, NotClose)
+        assert isinstance(verdict.certificate, LoopCertificate)
+        assert _replays(metric, verdict.certificate, t1, t3)
+
+
+def test_close_levenshtein_relation_with_two_output_alphabets():
+    # every letter pair differs, so d = |w| grows along the loop
+    p = PairAutomaton.from_edges(1, [0], [0], [(0, ("a", "0"), 0),
+                                               (0, ("b", "1"), 0)], AB, B01)
+    verdict = close_levenshtein(p)
+    assert isinstance(verdict, NotClose)
+    assert isinstance(verdict.certificate, LoopCertificate)
+
+
 def test_close_levenshtein_constants_only():
-    # atoms merge into the single constant pair (aba, ba)
+    # the one pair (aba, ba) runs through the loop-free letter edges (a,b),
+    # (b,a) and (a,): each differs, so each weighs 1 in the bound
     e = cat(Atom("ab", "ba"), Atom("a", ""))
     verdict = close_levenshtein(e)
     assert isinstance(verdict, Close)
-    assert verdict.bound == word_distance(Metric.LEVENSHTEIN, "aba", "ba") == 1
+    assert verdict.bound == 3
+    assert verdict.bound >= word_distance(Metric.LEVENSHTEIN, "aba", "ba") == 1
 
 
 def test_close_levenshtein_lcs_and_damerau_verdicts(t4, t5, t1, t2):
@@ -281,3 +319,50 @@ def test_unknown_is_never_silently_converted():
     assert isinstance(res, (Witness, WitnessUnknown))
     if isinstance(res, WitnessUnknown):
         assert res.cutoff == 0
+
+
+def _replays(metric, cert, t1, t2):
+    values = [word_distance(metric, evaluate(t1, cert.word(i)),
+                            evaluate(t2, cert.word(i))) for i in cert.pumps]
+    return values[-1] == INF or (
+        len(values) >= 2 and all(b > a for a, b in zip(values, values[1:])))
+
+
+# the seeded machines need the witness term of a component's weight (43),
+# its delay term (88) and the doubling for LCS (17); random draws rarely do
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+@example(rng=random.Random(43))
+@example(rng=random.Random(88))
+@example(rng=random.Random(17))
+def test_levenshtein_verdicts_hold_on_random_machines(rng):
+    j = random_joint_machine(rng, max_states=4, max_out_len=2)
+    assume(j is not None)
+    t1, t2 = joint_to_transducers(j)
+    outputs = list(joint_outputs_table(j, 6).values())
+    for metric in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
+        verdict = close_levenshtein_transducers(t1, t2, metric)
+        if isinstance(verdict, Close):
+            worst = max((word_distance(metric, o1, o2) for o1, o2 in outputs),
+                        default=0)
+            assert worst <= verdict.bound, metric
+        elif isinstance(verdict, NotClose):
+            assert isinstance(verdict.certificate, LoopCertificate)
+            assert _replays(metric, verdict.certificate, t1, t2), metric
+        else:
+            assert isinstance(verdict, Unknown)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_rotate_first_letter_pairs_are_close(n):
+    for seed in range(3):
+        spec = dense_dfa_spec(random.Random(seed), n)
+        t1 = spec_transducer(spec)
+        t2 = spec_transducer(rotate_first_letter(spec))
+        for w in ("", "ab", "abba", "baaab"):
+            o1, o2 = evaluate(t1, w), evaluate(t2, w)
+            assert o2 == (o1[1:] + o1[:1] if o1 is not None else None)
+        for metric in (Metric.LEVENSHTEIN, Metric.LCS,
+                       Metric.DAMERAU_LEVENSHTEIN):
+            verdict = close_levenshtein_transducers(t1, t2, metric)
+            assert isinstance(verdict, Close), (seed, metric, verdict)

@@ -50,6 +50,12 @@ def test_diameter_anbn_levenshtein_infinite():
     assert diameter(r, Metric.LENGTH) == 0
 
 
+def test_diameter_over_two_output_alphabets():
+    r = PairAutomaton.from_edges(1, [0], [0], [(0, ("a", "0"), 0)], AB, B01)
+    assert diameter(r, Metric.LEVENSHTEIN) == INF
+    assert diameter(r, Metric.LENGTH) == 0
+
+
 def test_diameter_single_pair():
     r = PairAutomaton.from_edges(2, [0], [1], [(0, ("ab", "ba"), 1)], AB, AB)
     assert diameter(r, Metric.HAMMING) == 2
