@@ -275,8 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--state-ceiling", type=_state_ceiling,
                         default=default_ceiling,
                         help="abort the k-approximation of kclose and "
-                             "distance beyond this many states (close, "
-                             "diameter and index keep fixed limits)")
+                             "distance beyond this many live nodes or "
+                             "determinized states (close, diameter and "
+                             "index keep fixed limits)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)

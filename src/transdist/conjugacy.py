@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 from .automata import scc_decomposition
 from .errors import IntegrityError, InputError, ResourceLimitError
 from .pairauto import (PairAutomaton, enumerate_pairs, find_pair_path,
-                       identity_witness, input_word_of_path, max_abs_delay,
+                       delay_range, identity_witness, input_word_of_path,
                        wrap_pair_automaton)
 from .transducers import (domain_mismatch_certificate, loop_certificate,
                           nivat_split, same_domain, transducer_pair_automaton,
@@ -565,13 +565,15 @@ def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN):
     so s1·r1·z = z·s2·r2 for z = z_e (the outer case is symmetric).  Hence
     s1 and s2 are factors of one word, at offsets 0 and |z|, and deleting
     the letters of one outside their overlap and inserting those of the
-    other gives d_L(s1, s2) <= 2|z_e| + ||s1| - |s2||.  The length gap is a
-    difference of two prefix gaps, at most 2·max_abs_delay(p).  A bridging
-    edge (x, y) costs at most 1 when x != y, since labels carry one letter
-    per side at most.  The Levenshtein distance is subadditive under
+    other gives d_L(s1, s2) <= 2|z_e| + ||s1| - |s2||.  Inside C the prefix
+    gap (the `lo` of `delay_range(p)`) is a constant plus a potential pot,
+    so ||s1| - |s2|| = |pot(x) - pot(e)| <= spread_C <= 2·max_abs_delay(p),
+    where spread_C is the max minus the min of `lo` over C's states.  A
+    bridging edge (x, y) costs at most 1 when x != y, since labels carry one
+    letter per side at most.  The Levenshtein distance is subadditive under
     concatenation, so the longest DAG path B, with each nontrivial component
-    weighing 2·max_e |z_e| + 2·max_abs_delay(p) and each bridging edge its
-    cost, bounds the distance on every input.  d_LCS <= 2·d_L doubles B for
+    weighing 2·max_e |z_e| + spread_C and each bridging edge its cost,
+    bounds the distance on every input.  d_LCS <= 2·d_L doubles B for
     LCS; d_DL <= d_L keeps it for Damerau.
     """
     if metric not in LEVENSHTEIN_FAMILY:
@@ -579,9 +581,10 @@ def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN):
     if not same_domain(t1, t2):
         return NotClose(domain_mismatch_certificate(t1, t2))
     p = transducer_pair_automaton(t1, t2)
-    delay = max_abs_delay(p)
-    if delay is None:
+    gaps = delay_range(p)
+    if gaps is None:
         return NotClose(unbalanced_loop_certificate(t1, t2, p, metric))
+    lo = gaps[0]
     comp, comps = scc_decomposition(p.nfa)
     local = [0] * p.nfa.n_states
     for members in comps:
@@ -621,7 +624,9 @@ def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN):
                         cutoff=res.cutoff, detail=res)
                 else:
                     longest = max(longest, len(res.z))
-            weight = 2 * longest + 2 * delay
+            spread = (max(lo[s] for s in members)
+                      - min(lo[s] for s in members))
+            weight = 2 * longest + spread
         best.append(weight + max((best[a] + cost for a, cost in into[c]),
                                  default=0))
     if unknown is not None:

@@ -6,13 +6,15 @@ one-sided unmatched leftover word; per transition it nondeterministically
 aligns a prefix of the two output streams, paying the chunk's exact edit
 cost.  Those costs come from one prefix-distance table per distinct
 (left, right) chunk (`words.prefix_table`), kept for the length of one
-build; nothing is cached across calls.  For the crossing metrics (Damerau
-and transposition) a cut point is dropped when a listed neighbouring cut
-explains its cost exactly, which keeps the skeleton and every minimal
-weight (see `_consumption_points`).  For the conjugacy distance a
-two-phase automaton first stores output prefixes, then commits to a shift
-direction and matches the shifted streams; the run cost is the number of
-shifts claimed.
+build; nothing is cached across calls.  Only live nodes are built: a node
+whose length gap no suffix of its state can bring within its budget has no
+accepting run and gets no id (see `_build_subst_family`).  For the
+crossing metrics (Damerau and transposition) a cut point is dropped when a
+listed neighbouring cut explains its cost exactly, which keeps the skeleton
+and every minimal weight (see `_consumption_points`).  For the conjugacy
+distance a two-phase automaton first stores output prefixes, then commits
+to a shift direction and matches the shifted streams; the run cost is the
+number of shifts claimed.
 
 `close_verdict` is the one place that dispatches on the metric.  `distance`
 reads its answer from that verdict first (NotClose is ∞; for the length and
@@ -34,7 +36,8 @@ from .conjugacy import (close_conjugacy_transducers,
 from .errors import (InputError, IntegrityError, PreconditionError,
                      ResourceLimitError)
 from .pairauto import (PairAutomaton, find_pair_path, identity_witness,
-                       input_word_of_path, max_abs_delay, pair_length_diameter)
+                       input_word_of_path, max_abs_delay, pair_length_diameter,
+                       suffix_gap_range)
 from .substitution import close_hamming, close_transposition
 from .transducers import (JointMachine, domain_mismatch_certificate,
                           pair_automaton, same_domain,
@@ -67,7 +70,29 @@ _CROSSING_METRICS = (Metric.TRANSPOSITION, Metric.DAMERAU_LEVENSHTEIN)
 
 def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                         leftover_cap: int, ceiling: int) -> DistanceAutomaton:
+    """The k-approximation of a substitution/indel metric, live nodes only.
+
+    A node (q, b, lu, lv) is a pair-automaton state q, the budget b left and
+    the residuals lu, lv not aligned yet.  With Δ = |lu| - |lv| and
+    [slo(q), shi(q)] the suffix-gap range of q (`suffix_gap_range`), the node
+    is dead when Δ + shi(q) < -b or Δ + slo(q) > b.  A dead node gets no id
+    and no edge, so the ceiling counts live nodes only.
+
+    Why no accepting run is lost: a run from the node reads some suffix
+    output (x, y) of q, aligns lu·x with lv·y in chunks and then flushes.
+    Under all five metrics a chunk costs at least its length difference
+    (Hamming and transposition price only equal-length cuts), so the rest of
+    the run costs at least |Δ + |x| - |y||, which is at least
+    min{|Δ + δ| : slo(q) <= δ <= shi(q)} and so above b at a dead node.
+    Pruning therefore keeps the skeleton's language and every minimal weight.
+    It agrees with `_dominated`: moving a run of a dominated cut's live
+    target to the predecessor's target is no dearer, so that target is live
+    as well and never pruned.
+    """
     crossing = metric in _CROSSING_METRICS
+    # a finite max_abs_delay (checked by build_kapprox) bounds every cycle's
+    # gap, so the suffix gaps are bounded too
+    slo, shi = suffix_gap_range(p)
     # chunks repeat across nodes: one prefix-distance table per distinct
     # (left, right) chunk holds the cost of every cut point of that chunk
     tables: dict[tuple[str, str], list[list[int | None]]] = {}
@@ -91,17 +116,25 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     todo: deque[tuple] = deque()
 
     def get(cfg):
-        if cfg not in ids:
+        """The id of a live configuration, or None for a dead one."""
+        sid = ids.get(cfg)
+        if sid is None:
+            q, b, lu, lv = cfg
+            gap = len(lu) - len(lv)
+            if gap + shi[q] < -b or gap + slo[q] > b:
+                return None
             if len(ids) >= ceiling:
                 raise ResourceLimitError(
                     f"k-approximation ({metric}, k={k}) exceeded "
                     f"{ceiling} states")
-            ids[cfg] = len(nodes)
+            sid = ids[cfg] = len(nodes)
             nodes.append(cfg)
             todo.append(cfg)
-        return ids[cfg]
+        return sid
 
-    initials = [get((q, k, "", "")) for q in sorted(p.nfa.initials)]
+    initials = [sid for sid in (get((q, k, "", ""))
+                                for q in sorted(p.nfa.initials))
+                if sid is not None]
     edges: list[tuple[int, str | None, int, int]] = []
     accept_cost: dict[int, int] = {}
     adj = p.nfa.adj()
@@ -135,7 +168,9 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                 if key not in best or cost < best[key]:
                     best[key] = cost
             for key, cost in sorted(best.items()):
-                edges.append((sid, letter, cost, get(key)))
+                tgt = get(key)
+                if tgt is not None:
+                    edges.append((sid, letter, cost, tgt))
     return DistanceAutomaton(metric, k, nodes, edges, initials, accept_cost)
 
 
@@ -289,7 +324,8 @@ def build_kapprox(metric: Metric, j: JointMachine | PairAutomaton, k: int,
 
     For every input w in the domain, the minimal accepting-run weight equals
     d(T1(w), T2(w)) when that value is at most k, and no accepting run exists
-    otherwise.  Requires a finite length distance.
+    otherwise.  Requires a finite length distance.  For the substitution and
+    indel metrics only live nodes are built, and `ceiling` counts those.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
@@ -427,12 +463,16 @@ def kclose(metric: Metric, t1, t2, k: int,
 
     For the edit metrics: same domain, finite length distance, and the
     k-approximation's accepting skeleton (projected to input letters and
-    determinized) must cover the whole domain.  The k-approximation prices
-    its chunk alignments from one prefix-distance table per distinct output
-    chunk, and for Damerau and transposition it leaves out every cut point
-    whose cost a listed neighbouring cut explains exactly, which keeps the
-    skeleton's language; a `ResourceLimitError` past the ceiling names the
-    layer, the metric and k.
+    determinized) must cover the whole domain.  The k-approximation builds
+    only live nodes, those whose length gap some suffix can still bring
+    within their budget, and the ceiling counts live nodes.  When no initial
+    node is live the skeleton is empty, and rightly so: every output pair
+    then differs in length by more than k.  It prices its chunk alignments
+    from one prefix-distance table per distinct output chunk, and for
+    Damerau and transposition it leaves out every cut point whose cost a
+    listed neighbouring cut explains exactly, which keeps the skeleton's
+    language; a `ResourceLimitError` past the ceiling names the layer, the
+    metric and k.
     """
     if k < 0:
         raise InputError("k must be nonnegative")

@@ -213,6 +213,20 @@ def delay_range(p: PairAutomaton) -> tuple[list[int], list[int]] | None:
     return lo_out, hi_out
 
 
+def suffix_gap_range(p: PairAutomaton) -> tuple[list[int], list[int]] | None:
+    """Per-state (min, max) of |x| - |y| over the outputs (x, y) of the paths
+    from the state to a final state, or None when unbounded.
+
+    A gap is a sum over edges and does not depend on the direction, so this
+    is `delay_range` of the reversed automaton, initials and finals swapped.
+    """
+    nfa = p.nfa
+    reverse = Nfa(nfa.n_states, nfa.finals, nfa.initials,
+                  [(d, lbl, s) for s, lbl, d in nfa.transitions])
+    return delay_range(PairAutomaton(reverse, p.left_alphabet,
+                                     p.right_alphabet, p.input_letters))
+
+
 def bounded_delay(p: PairAutomaton) -> bool:
     """True iff prefix gaps along accepting paths are uniformly bounded."""
     return delay_range(p) is not None

@@ -235,13 +235,13 @@ def test_cli_state_ceiling_is_unknown(t4_file, t5_file, capsys):
     assert main(["--state-ceiling", "3", "distance", "-m", "levenshtein",
                  t4_file, t5_file]) == 2
     out = capsys.readouterr().out.strip()
-    assert out == ("UNKNOWN (k-approximation (levenshtein, k=1) exceeded 3 "
+    assert out == ("UNKNOWN (k-approximation (levenshtein, k=2) exceeded 3 "
                    "states)")
     assert main(["--json", "--state-ceiling", "3", "distance", "-m",
                  "levenshtein", t4_file, t5_file]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"command": "distance", "result": "UNKNOWN",
-                       "reason": "k-approximation (levenshtein, k=1) exceeded "
+                       "reason": "k-approximation (levenshtein, k=2) exceeded "
                                  "3 states"}
 
 

@@ -5,8 +5,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (dense_dfa_spec, joint_outputs_table,
-                      joint_to_transducers, random_joint_machine,
-                      rotate_first_letter, spec_transducer)
+                      joint_to_transducers, make_transducer,
+                      random_joint_machine, rotate_first_letter,
+                      spec_transducer)
 from transdist.conjugacy import (
     Atom, Empty, Star, Witness, NoWitness, WitnessUnknown,
     cat, close_conjugacy, close_conjugacy_transducers,
@@ -14,8 +15,9 @@ from transdist.conjugacy import (
     pair_witnesses, star, state_elimination, sum_, sumfree_decompose,
     verify_witness, witness_candidates,
 )
-from transdist.pairauto import PairAutomaton, enumerate_pairs
-from transdist.transducers import evaluate, transducer_pair_automaton
+from transdist.pairauto import PairAutomaton, enumerate_pairs, max_abs_delay
+from transdist.transducers import (domain_words, evaluate,
+                                   transducer_pair_automaton)
 from transdist.verdicts import (Close, InfiniteWordCertificate,
                                 LoopCertificate, NotClose, Unknown)
 from transdist.words import INF, Alphabet, Metric, word_distance
@@ -310,6 +312,24 @@ def test_close_levenshtein_bound_covers_enumeration(t4, t5):
         assert d <= verdict.bound
 
 
+def test_close_levenshtein_charges_a_component_its_gap_spread():
+    # a -> aa against a -> ε, then the identity, then the final output aa:
+    # max_abs_delay is 2, but the one loop component has gap spread 0, so
+    # it weighs 0 in place of 2·2; the four bridging letters weigh 1 each
+    loop = [(1, "a", "a", 1), (1, "b", "b", 1)]
+    ta = make_transducer(2, [0], [1], [(0, "a", "aa", 1)] + loop)
+    tb = make_transducer(2, [0], [1], [(0, "a", "", 1)] + loop,
+                         fout={1: "aa"})
+    assert max_abs_delay(transducer_pair_automaton(ta, tb)) == 2
+    for metric, old in ((Metric.LEVENSHTEIN, 8), (Metric.LCS, 16),
+                        (Metric.DAMERAU_LEVENSHTEIN, 8)):
+        verdict = close_levenshtein_transducers(ta, tb, metric)
+        assert isinstance(verdict, Close)
+        worst = max(word_distance(metric, evaluate(ta, w), evaluate(tb, w))
+                    for w in domain_words(ta, 6))
+        assert worst <= verdict.bound < old, metric
+
+
 def test_unknown_is_never_silently_converted():
     # An artificial cutoff of 0 starves the candidate search on a machine
     # whose witness needs repetition: the result must surface as Unknown-like,
@@ -329,7 +349,8 @@ def _replays(metric, cert, t1, t2):
 
 
 # the seeded machines need the witness term of a component's weight (43),
-# its delay term (88) and the doubling for LCS (17); random draws rarely do
+# its gap-spread term (88) and the doubling for LCS (17); random draws
+# rarely do
 @settings(max_examples=60, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 @example(rng=random.Random(43))

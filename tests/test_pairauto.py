@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import random_joint_machine
 from transdist.pairauto import (
     PairAutomaton, bounded_delay, compute_delays, delay_range, enumerate_pairs,
     find_pair_path, identity_witness, input_word_of_path, is_identity_relation,
     is_length_preserving, max_abs_delay, output_pair_of_path, pair_length_diameter,
-    shortest_prefix_path, shortest_suffix_path, synchronize, wrap_pair_automaton,
+    shortest_prefix_path, shortest_suffix_path, suffix_gap_range, synchronize,
+    wrap_pair_automaton,
 )
+from transdist.transducers import pair_automaton
 from transdist.words import INF, Alphabet
 
 AB = Alphabet("ab")
@@ -128,6 +133,42 @@ def test_delay_range_matches_path_search_random():
             assert path_gap_extremes(p, 4 * p.nfa.n_states + 8) == dia.value()
         else:
             assert seen > 8 or path_gap_extremes(p, 40) > seen
+
+
+def suffix_gaps(p, state):
+    """Every |x| - |y| over the outputs (x, y) of paths from state to a final.
+
+    Walks (state, gap) configurations, finitely many when the gaps are
+    bounded, so the walk enumerates every accepted suffix's gap.
+    """
+    adj = p.nfa.adj()
+    seen = {(state, 0)}
+    todo = [(state, 0)]
+    while todo:
+        s, g = todo.pop()
+        for lbl, d, _ in adj[s]:
+            key = (d, g + len(lbl[0]) - len(lbl[1]))
+            if key not in seen:
+                seen.add(key)
+                todo.append(key)
+    return {g for s, g in seen if s in p.nfa.finals}
+
+
+@settings(max_examples=80, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_suffix_gap_range_matches_enumerated_suffixes(rng):
+    j = random_joint_machine(rng, max_states=4, max_out_len=3)
+    assume(j is not None)
+    p = pair_automaton(j)
+    assume(bounded_delay(p))
+    lo, hi = suffix_gap_range(p)
+    for q in range(p.nfa.n_states):
+        gaps = suffix_gaps(p, q)
+        assert (lo[q], hi[q]) == (min(gaps), max(gaps)), q
+
+
+def test_suffix_gap_range_is_none_on_an_unbalanced_loop():
+    assert suffix_gap_range(pa([(0, ("a", ""), 0)], 1)) is None
 
 
 def test_length_preserving_examples():
