@@ -3,7 +3,9 @@
 The label None is reserved for silent (epsilon) moves; they appear in padded
 synchronizations and gadget constructions.  State ids are dense integers.
 Equivalence of unambiguous automata uses exact rational path counting, never
-floating point.
+floating point.  Every language inclusion (k-closeness, containment of
+relations, and the difference of two deterministic automata) goes through one
+engine, `included`, which walks an automaton against a determinized one.
 """
 
 from __future__ import annotations
@@ -236,57 +238,23 @@ def is_unambiguous(nfa: Nfa) -> bool:
 # equivalence of unambiguous automata (exact path counting over Q)
 # ---------------------------------------------------------------------------
 
-def _dfa_difference_witness(a: Nfa, b: Nfa) -> tuple[Hashable, ...] | None:
-    """Shortest word accepted by exactly one of two deterministic automata."""
-    da = _successor_maps(a)
-    db = _successor_maps(b)
-    labels = sorted(set(a.labels()) | set(b.labels()), key=repr)
-    no_moves: dict[Hashable, int] = {}
-    ia = next(iter(a.initials)) if a.initials else None
-    ib = next(iter(b.initials)) if b.initials else None
-    start = (ia, ib)
-    seen = {start}
-    todo = deque([(start, ())])
-    while todo:
-        (p, q), word = todo.popleft()
-        if (p is not None and p in a.finals) != (q is not None and q in b.finals):
-            return word
-        pm = no_moves if p is None else da[p]
-        qm = no_moves if q is None else db[q]
-        for x in labels:
-            pd = pm.get(x)
-            qd = qm.get(x)
-            if pd is None and qd is None:
-                continue
-            key = (pd, qd)
-            if key not in seen:
-                seen.add(key)
-                todo.append((key, word + (x,)))
-    return None
-
-
-def _successor_maps(dfa: Nfa) -> list[dict[Hashable, int]]:
-    """Per state, letter -> the first successor (the only one in a DFA)."""
-    maps: list[dict[Hashable, int]] = [{} for _ in range(dfa.n_states)]
-    for s, x, d in dfa.transitions:
-        maps[s].setdefault(x, d)
-    return maps
-
-
 def language_difference_witness(a: Nfa, b: Nfa, *, check: bool = True
                                 ) -> tuple[Hashable, ...] | None:
     """Shortest word on which L(a) and L(b) disagree, or None if equivalent.
 
-    Both automata must be unambiguous; the test compares accepting-run counts
-    (0 or 1 per word) through a rational-arithmetic vector system whose basis
-    never exceeds |Q_a| + |Q_b|.
+    Both automata must be unambiguous.  Two deterministic automata take two
+    inclusion walks (`included` both ways) and the shorter word wins.
+    Otherwise the test compares accepting-run counts (0 or 1 per word)
+    through a rational-arithmetic vector system whose basis never exceeds
+    |Q_a| + |Q_b|.
     """
     if check:
         for m, name in ((a, "left"), (b, "right")):
             if not (m.is_deterministic() or is_unambiguous(m)):
                 raise PreconditionError(f"{name} automaton is ambiguous")
     if a.is_deterministic() and b.is_deterministic():
-        return _dfa_difference_witness(a, b)
+        found = [w for w in (included(a, b), included(b, a)) if w is not None]
+        return min(found, key=len, default=None)
 
     na = a.n_states
     dim = na + b.n_states
@@ -350,7 +318,7 @@ def equiv_unambiguous(a: Nfa, b: Nfa, *, check: bool = True) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subset construction, boolean operations
+# subset construction and language inclusion
 # ---------------------------------------------------------------------------
 
 def epsilon_closure(nfa: Nfa, states: Iterable[int]) -> frozenset[int]:
@@ -366,16 +334,14 @@ def epsilon_closure(nfa: Nfa, states: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def determinize(nfa: Nfa, alphabet: Sequence[Hashable] | None = None,
-                ceiling: int = DEFAULT_STATE_CEILING) -> Nfa:
+def determinize(nfa: Nfa, ceiling: int = DEFAULT_STATE_CEILING) -> Nfa:
     """Subset construction with epsilon closure; raises past the ceiling.
 
     Successors are grouped per state and letter once, each state's epsilon
     closure is taken at most once, and an automaton without epsilon moves
     takes none.
     """
-    if alphabet is None:
-        alphabet = nfa.labels()
+    alphabet = nfa.labels()
     grouped: list[dict[Hashable, list[int]]] = [{} for _ in range(nfa.n_states)]
     silent = False
     for s, x, d in nfa.transitions:
@@ -432,57 +398,49 @@ def determinize(nfa: Nfa, alphabet: Sequence[Hashable] | None = None,
     return Nfa(len(ids), [0], finals, transitions)
 
 
-def complete(dfa: Nfa, alphabet: Sequence[Hashable]) -> Nfa:
-    """Add a sink so the transition function is total on the alphabet."""
-    have = {(s, x) for s, x, _ in dfa.transitions}
-    sink = dfa.n_states
-    transitions = list(dfa.transitions)
-    need_sink = not dfa.initials
-    for s in range(dfa.n_states):
-        for x in alphabet:
-            if (s, x) not in have:
-                transitions.append((s, x, sink))
-                need_sink = True
-    if need_sink:
-        for x in alphabet:
-            transitions.append((sink, x, sink))
-        return Nfa(dfa.n_states + 1, dfa.initials or [sink], dfa.finals, transitions)
-    return Nfa(dfa.n_states, dfa.initials, dfa.finals, transitions)
+def _successor_maps(dfa: Nfa) -> list[dict[Hashable, int]]:
+    """Per state, letter -> the first successor (the only one in a DFA)."""
+    maps: list[dict[Hashable, int]] = [{} for _ in range(dfa.n_states)]
+    for s, x, d in dfa.transitions:
+        maps[s].setdefault(x, d)
+    return maps
 
 
-def complement_dfa(dfa: Nfa, alphabet: Sequence[Hashable]) -> Nfa:
-    total = complete(dfa, alphabet)
-    return Nfa(total.n_states, total.initials,
-               set(range(total.n_states)) - total.finals, total.transitions)
+def included(a: Nfa, dfa: Nfa) -> tuple[Hashable, ...] | None:
+    """A word of L(a) that the deterministic automaton rejects, or None
+    when L(a) ⊆ L(dfa).
 
-
-def intersection_is_empty(a: Nfa, b: Nfa) -> bool:
-    """Emptiness of L(a) ∩ L(b); epsilon moves allowed on either side."""
-    ga = a.adj()
-    gb = b.adj()
-    start = {(p, q) for p in epsilon_closure(a, a.initials)
-             for q in epsilon_closure(b, b.initials)}
-    seen = set(start)
-    todo = deque(start)
+    One breadth-first walk over pairs (state of a, state of dfa or None).
+    An epsilon move of a leaves the dfa state as it is; a letter the dfa
+    cannot read leads to None, which rejects every continuation, so the dfa
+    needs neither completion nor a sink.  Parent pointers rebuild the word
+    only when one is found.  When a has no epsilon moves the word is a
+    shortest one.
+    """
+    step = _successor_maps(dfa)
+    q0 = next(iter(dfa.initials), None)
+    parent: dict[tuple[int, int | None], tuple | None] = {
+        (p, q0): None for p in a.initials}
+    todo = deque(parent)
+    adj = a.adj()
     while todo:
-        p, q = todo.popleft()
-        if p in a.finals and q in b.finals:
-            return False
-        for x, pd, _ in ga[p]:
-            if x is EPSILON:
-                if (pd, q) not in seen:
-                    seen.add((pd, q))
-                    todo.append((pd, q))
-                continue
-            for y, qd, _ in gb[q]:
-                if y == x and (pd, qd) not in seen:
-                    seen.add((pd, qd))
-                    todo.append((pd, qd))
-        for y, qd, _ in gb[q]:
-            if y is EPSILON and (p, qd) not in seen:
-                seen.add((p, qd))
-                todo.append((p, qd))
-    return True
+        key = p, q = todo.popleft()
+        if p in a.finals and q not in dfa.finals:
+            word = []
+            while (link := parent[key]) is not None:
+                key, x = link
+                if x is not EPSILON:
+                    word.append(x)
+            return tuple(reversed(word))
+        for x, d, _ in adj[p]:
+            if x is EPSILON or q is None:
+                nxt = (d, q)
+            else:
+                nxt = (d, step[q].get(x))
+            if nxt not in parent:
+                parent[nxt] = (key, x)
+                todo.append(nxt)
+    return None
 
 
 def accepts(nfa: Nfa, word: Sequence[Hashable]) -> bool:

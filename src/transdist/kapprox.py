@@ -29,8 +29,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import (DEFAULT_STATE_CEILING, Nfa, determinize,
-                       equiv_unambiguous)
+from .automata import DEFAULT_STATE_CEILING, Nfa, determinize, included
 from .conjugacy import (close_conjugacy_transducers,
                         close_levenshtein_transducers)
 from .errors import (InputError, IntegrityError, PreconditionError,
@@ -463,16 +462,20 @@ def kclose(metric: Metric, t1, t2, k: int,
 
     For the edit metrics: same domain, finite length distance, and the
     k-approximation's accepting skeleton (projected to input letters and
-    determinized) must cover the whole domain.  The k-approximation builds
-    only live nodes, those whose length gap some suffix can still bring
-    within their budget, and the ceiling counts live nodes.  When no initial
-    node is live the skeleton is empty, and rightly so: every output pair
-    then differs in length by more than k.  It prices its chunk alignments
-    from one prefix-distance table per distinct output chunk, and for
-    Damerau and transposition it leaves out every cut point whose cost a
-    listed neighbouring cut explains exactly, which keeps the skeleton's
-    language; a `ResourceLimitError` past the ceiling names the layer, the
-    metric and k.
+    determinized) must cover the whole domain.  That coverage is the one
+    inclusion dom(T1) ⊆ L(skeleton), decided by `automata.included`: the
+    skeleton accepts exactly the inputs w with d(T1(w), T2(w)) ≤ k, so
+    L(skeleton) ⊆ dom(T1) holds by construction and k-closeness *is* the
+    other direction.  The k-approximation builds only live nodes, those
+    whose length gap some suffix can still bring within their budget, and
+    the ceiling counts live nodes.  When no initial node is live the
+    skeleton is empty, and rightly so: every output pair then differs in
+    length by more than k.  It prices its chunk alignments from one
+    prefix-distance table per distinct output chunk, and for Damerau and
+    transposition it leaves out every cut point whose cost a listed
+    neighbouring cut explains exactly, which keeps the skeleton's language;
+    a `ResourceLimitError` past the ceiling names the layer, the metric
+    and k.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
@@ -488,7 +491,7 @@ def kclose(metric: Metric, t1, t2, k: int,
         return False
     da = build_kapprox(metric, p, k, ceiling)
     det = determinize(da.skeleton(), ceiling=ceiling)
-    return equiv_unambiguous(t1.nfa, det, check=False)
+    return included(t1.nfa, det) is None
 
 
 def distance(metric: Metric, t1, t2,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .automata import (Nfa, complement_dfa, determinize, intersection_is_empty)
+from .automata import Nfa, determinize, included
 from .errors import InputError, UnsupportedCaseError
 from .kapprox import distance
 from .pairauto import PairAutomaton, max_abs_delay, synchronize
@@ -232,17 +232,16 @@ def _padded_nfa(r: PairAutomaton, ceiling: int) -> Nfa:
 
 def relation_included(small: PairAutomaton, big: PairAutomaton,
                       ceiling: int = 200_000) -> bool:
-    """small ⊆ big for bounded-delay relations, by padded-encoding inclusion."""
-    letters = sorted(set(small.left_alphabet.letters)
-                     | set(big.left_alphabet.letters)
-                     | set(small.right_alphabet.letters)
-                     | set(big.right_alphabet.letters))
-    pad_alpha = [(a, b) for a in letters + [PAD] for b in letters + [PAD]
-                 if not (a == PAD and b == PAD)]
-    small_nfa = _padded_nfa(small, ceiling)
-    big_dfa = determinize(_padded_nfa(big, ceiling), pad_alpha, ceiling)
-    big_co = complement_dfa(big_dfa, pad_alpha)
-    return intersection_is_empty(small_nfa, big_co)
+    """small ⊆ big for bounded-delay relations, by padded-encoding inclusion.
+
+    Both relations are synchronized into letter-to-letter encodings padded
+    with ⊥; small ⊆ big iff every padded word of small is a padded word of
+    big, which `automata.included` decides against the determinized padded
+    big.  A letter pair that big never uses is a missing move there, so it
+    rejects.
+    """
+    return included(_padded_nfa(small, ceiling),
+                    determinize(_padded_nfa(big, ceiling), ceiling)) is None
 
 
 def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transdist.automata import (
-    Nfa, accepts, complement_dfa, determinize, enumerate_words, epsilon_closure,
-    equiv_unambiguous, intersection_is_empty, is_unambiguous,
-    language_difference_witness, scc_decomposition, trim,
+    Nfa, accepts, determinize, enumerate_words, epsilon_closure,
+    equiv_unambiguous, included, is_unambiguous, language_difference_witness,
+    scc_decomposition, trim,
 )
 from transdist.errors import PreconditionError, ResourceLimitError
 
@@ -203,6 +203,8 @@ def test_equiv_unambiguous_vs_brute_force_random():
             assert (wit in la) != (wit in lb)
             if la == lb:  # only possible when the shortest witness is longer
                 assert len(wit) > 10
+        if la != lb:  # the witness is a shortest word of the difference
+            assert wit is not None and len(wit) == min(map(len, la ^ lb))
         done += 1
 
 
@@ -216,16 +218,15 @@ def test_witness_on_nondeterministic_unambiguous_machines():
 
 
 # ---------------------------------------------------------------------------
-# subset construction and boolean operations
+# subset construction and language inclusion
 # ---------------------------------------------------------------------------
 
-def test_determinize_and_complement():
+def test_included_in_a_determinization():
     ends_a = Nfa(2, [0], [1], [(0, "a", 0), (0, "b", 0), (0, "a", 1)])
     dfa = determinize(ends_a)
-    assert dfa.is_deterministic()
-    comp = complement_dfa(dfa, ["a", "b"])
-    for w in words("ab", 6):
-        assert accepts(ends_a, w) != accepts(comp, w)
+    assert included(ends_a, dfa) is None
+    sigma_star = Nfa(1, [0], [0], [(0, "a", 0), (0, "b", 0)])
+    assert included(sigma_star, dfa) == ()
 
 
 def test_determinize_ceiling():
@@ -279,13 +280,14 @@ def test_determinize_random_epsilon_nfas(nfa):
     assert (dfa.n_states, sorted(dfa.finals), list(dfa.transitions)) == want
 
 
-def test_intersection_emptiness():
-    only_a = Nfa(1, [0], [0], [(0, "a", 0)])
-    only_b = Nfa(1, [0], [0], [(0, "b", 0)])
-    assert not intersection_is_empty(only_a, only_b)  # both accept epsilon
-    aplus = Nfa(2, [0], [1], [(0, "a", 1), (1, "a", 1)])
-    bplus = Nfa(2, [0], [1], [(0, "b", 1), (1, "b", 1)])
-    assert intersection_is_empty(aplus, bplus)
+@settings(max_examples=200, deadline=None)
+@given(a=small_nfas(), b=small_nfas())
+def test_included_random_epsilon_nfas(a, b):
+    w = included(a, determinize(b))
+    if w is not None:
+        assert accepts(a, w) and not accepts(b, w)
+    else:
+        assert all(accepts(b, v) for v in words("ab", 5) if accepts(a, v))
 
 
 def test_enumerate_words_with_epsilon_edges():

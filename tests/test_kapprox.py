@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from conftest import (joint_to_transducers, machine_corpus, make_transducer,
                       random_joint_machine)
 from transdist import kapprox, transducers
-from transdist.automata import determinize
+from transdist.automata import determinize, included
 from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
 from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
                                min_weight_on)
 from transdist.pairauto import bounded_delay
 from transdist.substitution import distance_subst
-from transdist.transducers import (domain_words, joint_product, pair_automaton,
-                                   transducer_pair_automaton)
+from transdist.transducers import (domain_words, evaluate, joint_product,
+                                   pair_automaton, transducer_pair_automaton)
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 EDIT_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
@@ -260,6 +260,21 @@ def probes(monkeypatch):
 def test_distance_probes_each_k_up_to_the_answer(metric, want, probes):
     assert distance(metric, _identity(), _flip(4, (0, 1, 3))) == want
     assert probes == list(range(want + 1))
+
+
+@pytest.mark.parametrize("metric, d", [(Metric.LEVENSHTEIN, 3),
+                                       (Metric.LCS, 6),
+                                       (Metric.DAMERAU_LEVENSHTEIN, 3)])
+def test_failing_probe_word_realises_the_distance(metric, d):
+    t1, t2 = _identity(), _flip(4, (0, 1, 3))
+    p = transducer_pair_automaton(t1, t2)
+    below = determinize(build_kapprox(metric, p, d - 1).skeleton())
+    w = included(t1.nfa, below)
+    assert w is not None
+    word = "".join(w)
+    assert word_distance(metric, evaluate(t1, word), evaluate(t2, word)) == d
+    at_d = determinize(build_kapprox(metric, p, d).skeleton())
+    assert included(t1.nfa, at_d) is None
 
 
 def test_distance_past_the_verdict_bound_is_an_integrity_error(monkeypatch):

@@ -3,9 +3,10 @@ import warnings
 import pytest
 
 from transdist.errors import InputError, UnsupportedCaseError
-from transdist.pairauto import PairAutomaton, enumerate_pairs
+from transdist.pairauto import (PairAutomaton, enumerate_pairs, max_abs_delay,
+                                synchronize)
 from transdist.relations import (
-    compose, diameter, identity_relation, index,
+    PAD, compose, diameter, identity_relation, index,
     make_distance_relation, power, power_upto, relation_included, )
 from transdist.words import INF, Alphabet, Metric, word_distance
 
@@ -182,6 +183,19 @@ def test_relation_included_basic():
     big = identity_relation(AB)
     assert relation_included(small, big)
     assert not relation_included(big, small)
+
+
+def test_relation_included_letter_pair_big_never_uses():
+    # small's padded encoding reads (a, ⊥); big's automaton has no move for it
+    small = rel([(0, ("b", "b"), 1), (0, ("a", ""), 1)], 2, finals=(1,))
+    big = rel([(0, ("b", "b"), 1)], 2, finals=(1,))
+    def padded_labels(r):
+        return synchronize(r, max_abs_delay(r), pad=PAD).nfa.labels()
+
+    assert ("a", PAD) in padded_labels(small)
+    assert ("a", PAD) not in padded_labels(big)
+    assert not relation_included(small, big)
+    assert relation_included(big, small)
 
 
 def test_index_delete_first_k(subtests=None):
