@@ -5,16 +5,19 @@ For the substitution/indel metrics the automaton tracks a budget and a
 one-sided unmatched leftover word; per transition it nondeterministically
 aligns a prefix of the two output streams, paying the chunk's exact edit
 cost.  Those costs come from one prefix-distance table per distinct
-(left, right) chunk (`words.prefix_table`), kept for the length of one
-build; nothing is cached across calls.  Only live nodes are built: a node
-whose length gap no suffix of its state can bring within its budget has no
-accepting run and gets no id (see `_build_subst_family`).  For the
+(left, right) chunk, kept for the length of one build; nothing is cached
+across calls.  A node's residuals (lu, lv) have a table
+(`words.prefix_table`), and each edge grows it by the edge's letters into
+the table of its chunk (`words.extend_table`).  Only live nodes are built:
+a node whose length gap no suffix of its state can bring within its budget
+has no accepting run and gets no id (see `_build_subst_family`).  For the
 crossing metrics (Damerau and transposition) a cut point is dropped when a
-listed neighbouring cut explains its cost exactly, which keeps the skeleton
-and every minimal weight (see `_consumption_points`).  For the conjugacy
-distance a two-phase automaton first stores output prefixes, then commits
-to a shift direction and matches the shifted streams; the run cost is the
-number of shifts claimed.
+neighbouring cut explains its cost exactly, read off the chunk's table,
+which keeps the skeleton and every minimal weight (see `_crossing_cuts`).
+For the conjugacy distance a two-phase automaton first stores output
+prefixes, then commits to a shift direction and matches the shifted
+streams; the run cost is the number of shifts claimed.  At k = 0 no
+automaton is needed: every edit metric is 0 exactly on equal words.
 
 `close_verdict` is the one place that dispatches on the metric.  `distance`
 reads its answer from that verdict first (NotClose is ∞; for the length and
@@ -44,7 +47,7 @@ from .transducers import (JointMachine, domain_mismatch_certificate,
                           unbalanced_loop_certificate)
 from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
 from .words import (INF, ExtendedNat, LEVENSHTEIN_FAMILY, Metric,
-                    prefix_table, word_distance)
+                    extend_table, prefix_table, word_distance)
 
 
 @dataclass
@@ -84,16 +87,17 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     the run costs at least |Δ + |x| - |y||, which is at least
     min{|Δ + δ| : slo(q) <= δ <= shi(q)} and so above b at a dead node.
     Pruning therefore keeps the skeleton's language and every minimal weight.
-    It agrees with `_dominated`: moving a run of a dominated cut's live
-    target to the predecessor's target is no dearer, so that target is live
-    as well and never pruned.
+    It agrees with `_crossing_cuts`: moving a run of a dropped cut's live
+    target to the explaining predecessor's target is no dearer, so that
+    target is live as well and never pruned.
     """
     crossing = metric in _CROSSING_METRICS
     # a finite max_abs_delay (checked by build_kapprox) bounds every cycle's
     # gap, so the suffix gaps are bounded too
     slo, shi = suffix_gap_range(p)
     # chunks repeat across nodes: one prefix-distance table per distinct
-    # (left, right) chunk holds the cost of every cut point of that chunk
+    # (left, right) chunk holds the cost of every cut point of that chunk,
+    # and an edge's table grows from its node's by the edge's letters
     tables: dict[tuple[str, str], list[list[int | None]]] = {}
 
     def table(a: str, b: str) -> list[list[int | None]]:
@@ -104,11 +108,12 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
             return t
 
     if crossing:
-        # the distance of every step between neighbouring cut points: pair
-        # labels carry at most one letter per side
-        lefts = {x for _, (x, _), _ in p.nfa.transitions} | {""}
-        rights = {y for _, (_, y), _ in p.nfa.transitions} | {""}
-        steps = {(a, c): table(a, c)[-1][-1] for a in lefts for c in rights}
+        # what one step between neighbouring cut points costs: a letter
+        # against nothing, or against another letter (an equal letter is
+        # free).  A step the metric cannot take (None) costs k + 1, more
+        # than any cut it could explain
+        indel, subst = (k + 1 if c is None else c
+                        for c in prefix_table(metric, "a", "b")[1])
 
     ids: dict[tuple, int] = {}
     nodes: list[tuple] = []
@@ -150,19 +155,22 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
         for (x, y), d, t in adj[q]:
             left = lu + x
             right = lv + y
-            n, m = len(left), len(right)
-            costs = table(left, right)
+            costs = tables.get((left, right))
+            if costs is None:
+                costs = tables[left, right] = extend_table(
+                    metric, table(lu, lv), lu, lv, x, y)
             letter = p.input_letters[t]
             best: dict[tuple, int] = {}
-            listed: dict[tuple[int, int], int] = {}
-            for i, j in _consumption_points(n, m, b, leftover_cap, crossing):
+            if crossing:
+                cuts = _crossing_cuts(costs, left, right, b, leftover_cap,
+                                      indel, subst)
+            else:
+                cuts = _consumption_points(len(left), len(right), b,
+                                           leftover_cap)
+            for i, j in cuts:
                 cost = costs[i][j]
                 if cost is None or cost > b:
                     continue
-                if crossing:
-                    listed[i, j] = cost
-                    if _dominated(listed, left, right, i, j, cost, steps):
-                        continue
                 key = (d, b - cost, left[i:], right[j:])
                 if key not in best or cost < best[key]:
                     best[key] = cost
@@ -173,60 +181,68 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     return DistanceAutomaton(metric, k, nodes, edges, initials, accept_cost)
 
 
-def _consumption_points(n: int, m: int, budget: int, cap: int,
-                        crossing: bool) -> list[tuple[int, int]]:
-    """Cut points (i, j) of a chunk alignment of lengths n and m.
+def _consumption_points(n: int, m: int, budget: int,
+                        cap: int) -> list[tuple[int, int]]:
+    """Cut points (i, j) of a chunk alignment of lengths n and m, for the
+    metrics without crossing edits.
 
-    Alignments without crossing edits decompose at one-sided frontiers, so
-    the residual stays one-sided; adjacent transpositions cross cut points,
-    which forces residuals on both sides until a balanced point is reached.
-    Only points that leave at most `cap` letters on either side are listed,
-    and only those with |i - j| <= budget: every metric of the family
-    charges at least the length difference of the aligned prefixes.
-
-    The crossing list is the whole band, and the caller drops each point
-    that a listed predecessor explains exactly (`_dominated`): that
-    predecessor's target keeps the one-letter step in its residual and the
-    step's cost in its budget, so shifting the first cut of any run of the
-    dropped target over the step costs at most the step (subadditivity) and
-    keeps the band, the cap and the residual.  Chains of dropped points end
-    at a kept one, so the skeleton and every minimal weight stay the same.
-    Non-crossing points already sit on one-sided frontiers, where dropping
-    removes edges but no nodes and splits determinized subsets.
+    Such alignments decompose at one-sided frontiers, so the residual stays
+    one-sided.  Only points that leave at most `cap` letters on either side
+    are listed, and only those with |i - j| <= budget: every metric of the
+    family charges at least the length difference of the aligned prefixes.
     """
     low_i, low_j = max(0, n - cap), max(0, m - cap)
-    if crossing:
-        return [(i, j) for i in range(low_i, n + 1)
-                for j in range(max(low_j, i - budget),
-                               min(m, i + budget) + 1)]
     return ([(n, j) for j in range(max(low_j, n - budget),
                                    min(m, n + budget) + 1)]
             + [(i, m) for i in range(max(low_i, m - budget),
                                      min(n, m + budget + 1))])
 
 
-def _dominated(listed: dict[tuple[int, int], int], left: str, right: str,
-               i: int, j: int, cost: int,
-               steps: dict[tuple[str, str], int | None]) -> bool:
-    """Does a listed predecessor of the cut (i, j) explain its cost exactly?
+def _crossing_cuts(costs: list[list[int | None]], left: str, right: str,
+                   budget: int, cap: int, indel: int,
+                   subst: int) -> list[tuple[int, int]]:
+    """Cut points (i, j) of a chunk alignment under Damerau or transposition,
+    read off the chunk's prefix table `costs`.
 
-    A predecessor (i', j') is (i-1, j), (i, j-1) or (i-1, j-1); it explains
-    the cut when cost(i, j) = cost(i', j') + d(left[i':i], right[j':j]).
-    Points are listed in (i, j) order, so the predecessors come first.
+    Adjacent transpositions cross cut points, which forces residuals on both
+    sides until a balanced point is reached, so every point of the window
+    (at most `cap` letters left on either side) and of the band
+    |i - j| <= budget may cut.  A point within budget is left out when a
+    predecessor (i-1, j), (i, j-1) or (i-1, j-1) in the window explains its
+    cost exactly: cost(i, j) = cost(i', j') + the step between them
+    (`indel`, `subst` for two different letters, 0 for equal ones).  Steps
+    cost at least 0 and a cost is at least its length gap, so such a
+    predecessor is within budget and in the band as well, and the window is
+    the only test it needs.
+
+    Dropping keeps the skeleton and every minimal weight: the predecessor's
+    target keeps the one-letter step in its residual and the step's cost in
+    its budget, so shifting the first cut of any run of the dropped target
+    over the step costs at most the step (subadditivity) and keeps the band,
+    the cap and the residual.  Chains of dropped points end at a kept one.
+    On one-sided frontiers (the other metrics) dropping removes edges but no
+    nodes and splits determinized subsets, so they list every point.
     """
-    if i:
-        a = left[i - 1]
-        prev = listed.get((i - 1, j))
-        if prev is not None and cost - prev == steps[a, ""]:
-            return True
-        if j:
-            prev = listed.get((i - 1, j - 1))
-            if prev is not None and cost - prev == steps[a, right[j - 1]]:
-                return True
-    if j:
-        prev = listed.get((i, j - 1))
-        return prev is not None and cost - prev == steps["", right[j - 1]]
-    return False
+    n, m = len(left), len(right)
+    low_i, low_j = max(0, n - cap), max(0, m - cap)
+    cuts = []
+    above = None
+    for i in range(low_i, n + 1):
+        row = costs[i]
+        a = left[i - 1] if i else ""
+        for j in range(max(low_j, i - budget), min(m, i + budget) + 1):
+            cost = row[j]
+            if cost is None or cost > budget:
+                continue
+            if above is not None and above[j] == cost - indel:
+                continue
+            if j > low_j and (row[j - 1] == cost - indel or (
+                    above is not None and above[j - 1] == cost - (
+                        0 if a == right[j - 1] else subst))):
+                continue
+            cuts.append((i, j))
+        above = row
+    return cuts
 
 
 def _build_conjugacy(p: PairAutomaton, k: int, delay_cap: int,
@@ -460,36 +476,40 @@ def kclose(metric: Metric, t1, t2, k: int,
            ceiling: int = DEFAULT_STATE_CEILING) -> bool:
     """Is d(T1, T2) <= k?  Decided per metric without computing the distance.
 
-    For the edit metrics: same domain, finite length distance, and the
-    k-approximation's accepting skeleton (projected to input letters and
-    determinized) must cover the whole domain.  That coverage is the one
-    inclusion dom(T1) ⊆ L(skeleton), decided by `automata.included`: the
-    skeleton accepts exactly the inputs w with d(T1(w), T2(w)) ≤ k, so
+    With the domains equal, the length metric compares the length diameter
+    with k.  The discrete metric, and each edit metric at k = 0 (it is 0
+    exactly on equal words), asks whether the outputs agree on every input.
+
+    Otherwise the length distance must be finite (else `build_kapprox`
+    raises `PreconditionError`, read as False), and the k-approximation's
+    accepting skeleton (projected to input letters and determinized) must
+    cover the whole domain.  That coverage is the one inclusion
+    dom(T1) ⊆ L(skeleton), decided by `automata.included`: the skeleton
+    accepts exactly the inputs w with d(T1(w), T2(w)) ≤ k, so
     L(skeleton) ⊆ dom(T1) holds by construction and k-closeness *is* the
     other direction.  The k-approximation builds only live nodes, those
     whose length gap some suffix can still bring within their budget, and
     the ceiling counts live nodes.  When no initial node is live the
     skeleton is empty, and rightly so: every output pair then differs in
-    length by more than k.  It prices its chunk alignments from one
-    prefix-distance table per distinct output chunk, and for Damerau and
-    transposition it leaves out every cut point whose cost a listed
-    neighbouring cut explains exactly, which keeps the skeleton's language;
-    a `ResourceLimitError` past the ceiling names the layer, the metric
-    and k.
+    length by more than k.  It prices each edge's chunk alignments from a
+    prefix-distance table grown from its node's, and for Damerau and
+    transposition it leaves out every cut point whose cost a neighbouring
+    cut explains exactly, which keeps the skeleton's language; a
+    `ResourceLimitError` past the ceiling names the layer, the metric and k.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
     if not same_domain(t1, t2):
         return False
     p = transducer_pair_automaton(t1, t2)
-    if metric is Metric.DISCRETE:
-        return identity_witness(p) is None
-    length = pair_length_diameter(p)
     if metric is Metric.LENGTH:
-        return length <= k
-    if not length.is_finite:
+        return pair_length_diameter(p) <= k
+    if metric is Metric.DISCRETE or k == 0:
+        return identity_witness(p) is None
+    try:
+        da = build_kapprox(metric, p, k, ceiling)
+    except PreconditionError:
         return False
-    da = build_kapprox(metric, p, k, ceiling)
     det = determinize(da.skeleton(), ceiling=ceiling)
     return included(t1.nfa, det) is None
 

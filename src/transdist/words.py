@@ -6,11 +6,13 @@ infinity sentinel and saturating addition.  Every metric comes with an
 independent brute-force oracle (`oracle_distance`) that searches the
 configuration graph of the metric's edit operations.
 
-The Levenshtein, LCS and Damerau-Levenshtein distances have one dynamic
-program each, which fills the whole prefix-distance table of a word pair
-(`prefix_table`: d(u[:i], v[:j]) for every i and j, as plain ints);
-`word_distance` reads its corner.  The k-approximation reads the cost of
-every cut point of an output chunk from one such table.
+The Levenshtein, LCS and Damerau-Levenshtein distances have one recurrence
+each, which appends rows to a prefix-distance table of a word pair
+(d(u[:i], v[:j]) for every i and j, as plain ints).  `prefix_table` fills a
+whole table with it and `word_distance` reads the corner; `extend_table`
+grows the table of (u, v) into that of (u + x, v + y) for letters x and y.
+The k-approximation reads the cost of every cut point of an output chunk
+from one such table, grown from the table of its node's residuals.
 """
 
 from __future__ import annotations
@@ -272,11 +274,14 @@ def _conjugacy(u: str, v: str) -> ExtendedNat:
     return INF if best is None else ExtendedNat(best)
 
 
-def _levenshtein_table(u: str, v: str) -> list[list[int]]:
-    """Wagner-Fischer: substitutions, insertions and deletions."""
-    prev = list(range(len(v) + 1))
-    table = [prev]
-    for i, a in enumerate(u, start=1):
+def _levenshtein_rows(t: list, u: str, v: str, i0: int) -> None:
+    """Append the rows of u[i0:] to t, the table of (u[:i0], v).
+
+    Wagner-Fischer: substitutions, insertions and deletions.
+    """
+    prev = t[-1]
+    for i in range(i0 + 1, len(u) + 1):
+        a = u[i - 1]
         cur = [i]
         for j, b in enumerate(v):
             cost = prev[j] + (a != b)
@@ -285,68 +290,66 @@ def _levenshtein_table(u: str, v: str) -> list[list[int]]:
             if cur[j] + 1 < cost:
                 cost = cur[j] + 1
             cur.append(cost)
-        table.append(cur)
+        t.append(cur)
         prev = cur
-    return table
 
 
-def _lcs_table(u: str, v: str) -> list[list[int]]:
-    """Insertion/deletion distance |u| + |v| - 2·|lcs(u, v)|, cell by cell."""
-    prev = list(range(len(v) + 1))
-    table = [prev]
-    for i, a in enumerate(u, start=1):
+def _lcs_rows(t: list, u: str, v: str, i0: int) -> None:
+    """Append the rows of u[i0:] to t, the table of (u[:i0], v).
+
+    Insertion/deletion distance |u| + |v| - 2·|lcs(u, v)|, cell by cell.
+    """
+    prev = t[-1]
+    for i in range(i0 + 1, len(u) + 1):
+        a = u[i - 1]
         cur = [i]
         for j, b in enumerate(v):
             if a == b:
                 cur.append(prev[j])
             else:
                 cur.append(1 + (prev[j + 1] if prev[j + 1] < cur[j] else cur[j]))
-        table.append(cur)
+        t.append(cur)
         prev = cur
-    return table
 
 
-def _damerau_table(u: str, v: str) -> list[list[int]]:
-    """Unrestricted Damerau-Levenshtein distance (Lowrance-Wagner).
+def _damerau_rows(t: list, u: str, v: str, i0: int) -> None:
+    """Append the rows of u[i0:] to t, the table of (u[:i0], v).
 
-    Counts insertions, deletions, substitutions and adjacent transpositions,
-    with edits allowed to touch previously edited regions; exact for unit
-    costs.  The sentinel row and column sit past the end, where index -1
-    reaches them, so d[i][j] is the distance of u[:i] and v[:j]; they are
-    dropped before the table is returned.
+    Unrestricted Damerau-Levenshtein distance (Lowrance-Wagner): counts
+    insertions, deletions, substitutions and adjacent transpositions, with
+    edits allowed to touch previously edited regions; exact for unit costs.
+    Cell (i, j) may pair v[j-1] with its last occurrence in u[:i-1] (row k)
+    and u[i-1] with its last occurrence in v[:j-1] (column col) by one swap,
+    deleting and inserting the letters between; it reads cell
+    (k-1, col-1), so rows are appended to t in place.  With no such
+    occurrence (k or col is 0) there is no swap.
     """
-    n, m = len(u), len(v)
-    maxdist = n + m
-    d = [[i] + [maxdist] * (m + 1) for i in range(n + 1)]
-    d[0] = list(range(m + 1)) + [maxdist]
-    d.append([maxdist] * (m + 2))
-    last_row: dict[str, int] = {}
-    for i in range(1, n + 1):
+    last_row = {b: u.rfind(b, 0, i0) + 1 for b in set(v)}
+    prev = t[-1]
+    for i in range(i0 + 1, len(u) + 1):
         a = u[i - 1]
-        above, row_i = d[i - 1], d[i]
+        cur = [i]
         last_col = 0
-        for j in range(1, m + 1):
-            b = v[j - 1]
-            k = last_row.get(b, 0)
+        for j, b in enumerate(v, start=1):
+            k = last_row[b]
             col = last_col
             if a == b:
-                cost = above[j - 1]
+                cost = prev[j - 1]
                 last_col = j
             else:
-                cost = above[j - 1] + 1
-            if above[j] + 1 < cost:
-                cost = above[j] + 1
-            if row_i[j - 1] + 1 < cost:
-                cost = row_i[j - 1] + 1
-            swap = d[k - 1][col - 1] + (i - k - 1) + 1 + (j - col - 1)
-            if swap < cost:
-                cost = swap
-            row_i[j] = cost
+                cost = prev[j - 1] + 1
+            if prev[j] + 1 < cost:
+                cost = prev[j] + 1
+            if cur[j - 1] + 1 < cost:
+                cost = cur[j - 1] + 1
+            if k and col:
+                swap = t[k - 1][col - 1] + (i - k - 1) + 1 + (j - col - 1)
+                if swap < cost:
+                    cost = swap
+            cur.append(cost)
+        t.append(cur)
+        prev = cur
         last_row[a] = i
-    d.pop()
-    for row in d:
-        row.pop()
-    return d
 
 
 def _length(u: str, v: str) -> ExtendedNat:
@@ -357,16 +360,16 @@ def _discrete(u: str, v: str) -> ExtendedNat:
     return ZERO if u == v else INF
 
 
-_TABLES = {
-    Metric.LEVENSHTEIN: _levenshtein_table,
-    Metric.LCS: _lcs_table,
-    Metric.DAMERAU_LEVENSHTEIN: _damerau_table,
+_ROWS = {
+    Metric.LEVENSHTEIN: _levenshtein_rows,
+    Metric.LCS: _lcs_rows,
+    Metric.DAMERAU_LEVENSHTEIN: _damerau_rows,
 }
 
 
-def _table_corner(table_of):
+def _table_corner(metric):
     def kernel(u: str, v: str) -> ExtendedNat:
-        return ExtendedNat(table_of(u, v)[-1][-1])
+        return ExtendedNat(prefix_table(metric, u, v)[-1][-1])
     return kernel
 
 
@@ -376,23 +379,49 @@ _KERNELS = {
     Metric.CONJUGACY: _conjugacy,
     Metric.LENGTH: _length,
     Metric.DISCRETE: _discrete,
-    **{metric: _table_corner(table_of) for metric, table_of in _TABLES.items()},
+    **{metric: _table_corner(metric) for metric in _ROWS},
 }
 
 
 def prefix_table(metric: Metric, u: str, v: str) -> list[list[int | None]]:
     """Every prefix distance d(u[:i], v[:j]) as a plain int, None for ∞.
 
-    One dynamic-programming table for the Levenshtein family; the other
-    metrics fill each cell from their kernel.  Rows run over i, columns
-    over j.
+    Rows run over i, columns over j.  The Levenshtein family appends the
+    rows of u, one recurrence step per row, to the row of the empty prefix;
+    Hamming and transposition fill each cell from their kernel.
     """
-    table_of = _TABLES.get(metric)
-    if table_of is not None:
-        return table_of(u, v)
+    rows = _ROWS.get(metric)
+    if rows is not None:
+        table = [list(range(len(v) + 1))]
+        rows(table, u, v, 0)
+        return table
     kernel = _KERNELS[metric]
     return [[_finite_or_none(kernel(u[:i], v[:j])) for j in range(len(v) + 1)]
             for i in range(len(u) + 1)]
+
+
+def extend_table(metric: Metric, table: list[list[int | None]], u: str,
+                 v: str, x: str, y: str) -> list[list[int | None]]:
+    """The prefix table of (u + x, v + y), grown from `table`, that of (u, v).
+
+    x and y have at most one letter each, and `table` is left as it is.
+    The Levenshtein family appends one row for x by the same recurrence as
+    `prefix_table`, and a column for y as a row of the transpose, the table
+    of (v, u): all three metrics are symmetric.  Hamming and transposition
+    fill the new table from their kernel.
+    """
+    rows = _ROWS.get(metric)
+    if rows is None:
+        return prefix_table(metric, u + x, v + y)
+    if y:
+        transpose = list(zip(*table))
+        rows(transpose, v + y, u, len(v))
+        table = [row + [cell] for row, cell in zip(table, transpose[-1])]
+    else:
+        table = table[:]
+    if x:
+        rows(table, u + x, v + y, len(u))
+    return table
 
 
 def _finite_or_none(d: ExtendedNat) -> int | None:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (joint_to_transducers, machine_corpus, make_transducer,
                       random_joint_machine)
-from transdist import kapprox, transducers
+from transdist import kapprox, pairauto, transducers
 from transdist.automata import determinize, included
 from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
@@ -73,8 +73,8 @@ def test_kapprox_conjugacy_rotation():
 
 # (nodes, edges, determinized skeleton states) for k = 0..3 on the identity
 # against the flip {0, 1, 3} of the first four letters; only live nodes are
-# built, and the crossing metrics list no cut point whose cost a listed
-# predecessor explains.  Testing a node's liveness against its source's
+# built, and the crossing metrics keep no cut point whose cost a predecessor
+# in the window explains.  Testing a node's liveness against its source's
 # budget only keeps more nodes (budgets fall along an edge), which these
 # sizes and the flip-7 pin show and no min-weight test can
 KAPPROX_SIZES = {
@@ -138,7 +138,9 @@ def test_kapprox_matches_kernels_small_corpus(metric):
 
 
 # the seeded machines catch cut-point pruning that drops too much: a cut
-# explained by a predecessor outside the band or the cap, or by a costlier one.
+# explained by a predecessor outside the window or by a costlier one.  Read
+# from the row above the window, a predecessor fails 60; from the column left
+# of it, 37 and 60; from both, all three.
 # They and corpus seed 404 above also catch live-node pruning that drops too
 # much.  Under the Levenshtein family, a dead-node test off by one fails
 # every corpus machine, and prefix gaps in place of suffix gaps fail corpus
@@ -174,6 +176,52 @@ def test_kclose_self_zero(t1, t4):
     for m in EDIT_METRICS + [Metric.LENGTH, Metric.DISCRETE]:
         assert kclose(m, t1, t1, 0)
         assert kclose(m, t4, t4, 0)
+
+
+@pytest.fixture
+def no_kapprox(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_kapprox ran")
+
+    monkeypatch.setattr(kapprox, "build_kapprox", refuse)
+
+
+@pytest.mark.parametrize("metric", EDIT_METRICS)
+def test_kclose_zero_is_output_equality(metric, t1, t2, t3, t4, t5,
+                                        no_kapprox):
+    # every edit metric is 0 exactly on equal words: k = 0 asks whether the
+    # outputs agree on every input, and builds no k-approximation
+    pairs = [(a, b) for group in ((t1, t2, t3), (t4, t5))
+             for a in group for b in group]
+    pairs += [(_identity(), _flip(4, ())), (_identity(), _flip(4, (3,)))]
+    for a, b in pairs:
+        words = domain_words(a, 6)
+        want = words == domain_words(b, 6) and all(
+            evaluate(a, w) == evaluate(b, w) for w in words)
+        assert kclose(metric, a, b, 0) == want
+
+
+@pytest.mark.parametrize("metric", [Metric.LEVENSHTEIN,
+                                    Metric.DAMERAU_LEVENSHTEIN])
+def test_kclose_runs_delay_range_once_per_direction(metric, t1, t3, t4, t5,
+                                                    monkeypatch):
+    # one run on the pair automaton (the build's delay bound) and one on its
+    # reverse (the suffix gaps); unbounded delay is read off the build
+    runs = []
+    real = pairauto.delay_range
+
+    def counting(p):
+        runs.append(p)
+        return real(p)
+
+    monkeypatch.setattr(pairauto, "delay_range", counting)
+    for k in (1, 2):
+        runs.clear()
+        assert kclose(metric, t4, t5, k) == (k == 2)
+        assert len(runs) == 2
+    runs.clear()
+    assert not kclose(metric, t1, t3, 2)
+    assert len(runs) == 1
 
 
 def test_kclose_hamming_t1_t2_false_for_small_k(t1, t2):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from transdist.errors import InputError
 from transdist.words import (
     INF, Alphabet, ExtendedNat, Metric, OverBudget, alphabetic_vector,
-    metric_order_check, oracle_distance, oracle_distances_from, parse_metric,
-    prefix_table, word_distance,
+    extend_table, metric_order_check, oracle_distance, oracle_distances_from,
+    parse_metric, prefix_table, word_distance,
 )
 
 AB01 = Alphabet("01")
@@ -151,6 +151,17 @@ def test_prefix_table_holds_every_prefix_distance(u, v):
                 d = word_distance(metric, u[:i], v[:j])
                 assert cell == (d.value() if d.is_finite else None), \
                     (metric, u[:i], v[:j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=SHORT_WORDS, v=SHORT_WORDS,
+       x=st.sampled_from(["", "a", "c"]), y=st.sampled_from(["", "b", "c"]))
+def test_extend_table_grows_the_prefix_table(u, v, x, y):
+    for metric in TABLE_METRICS:
+        table = prefix_table(metric, u, v)
+        grown = extend_table(metric, table, u, v, x, y)
+        assert grown == prefix_table(metric, u + x, v + y), metric
+        assert table == prefix_table(metric, u, v), metric
 
 
 def test_prefix_table_examples():
