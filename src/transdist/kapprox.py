@@ -22,8 +22,11 @@ automaton is needed: every edit metric is 0 exactly on equal words.
 `close_verdict` is the one place that dispatches on the metric.  `distance`
 reads its answer from that verdict first (NotClose is ∞; for the length and
 discrete metrics the Close bound is exact) and searches k with `kclose` only
-for the six edit metrics.  Each decision checks the domains once and builds
-the pair automaton of the joint product once.
+for the six edit metrics.  Each decision checks the domains once.  A
+verdict builds the pair automaton of the joint product once, and so does a
+`kclose` call; the k-search of `distance` builds one more after the verdict
+and shares it with every probe, so a distance costs two builds however many
+k it probes.
 """
 
 from __future__ import annotations
@@ -473,8 +476,15 @@ def close_verdict(metric: Metric, t1, t2):
 
 
 def kclose(metric: Metric, t1, t2, k: int,
-           ceiling: int = DEFAULT_STATE_CEILING) -> bool:
+           ceiling: int = DEFAULT_STATE_CEILING, *,
+           pair: PairAutomaton | None = None) -> bool:
     """Is d(T1, T2) <= k?  Decided per metric without computing the distance.
+
+    The domains are checked first (different domains are never close) and
+    the pair automaton of the joint product is built.  A caller that has
+    already checked the domains passes that automaton as `pair`
+    (`transducer_pair_automaton(t1, t2)`), and then neither step runs: the
+    k-search of `distance` builds it once for all its probes.
 
     With the domains equal, the length metric compares the length diameter
     with k.  The discrete metric, and each edit metric at k = 0 (it is 0
@@ -499,9 +509,11 @@ def kclose(metric: Metric, t1, t2, k: int,
     """
     if k < 0:
         raise InputError("k must be nonnegative")
-    if not same_domain(t1, t2):
-        return False
-    p = transducer_pair_automaton(t1, t2)
+    p = pair
+    if p is None:
+        if not same_domain(t1, t2):
+            return False
+        p = transducer_pair_automaton(t1, t2)
     if metric is Metric.LENGTH:
         return pair_length_diameter(p) <= k
     if metric is Metric.DISCRETE or k == 0:
@@ -522,11 +534,15 @@ def distance(metric: Metric, t1, t2,
     unboundedness): NotClose gives ∞, Unknown is returned as is, and for the
     length and discrete metrics the Close bound is already the exact
     distance.  For the six edit metrics k-closeness is then probed for
-    k = 0, 1, 2, ... and the first k that holds is the distance.  A probe
-    costs several times the one below it, so the search costs about as much
-    as the probe at the answer and never builds a larger k-approximation.
-    Passing the verdict's bound (or 2**20 when it has none) means the
-    k-approximation contradicts the closeness verdict.
+    k = 0, 1, 2, ... and the first k that holds is the distance.  The
+    verdict has shown the domains equal, so the search builds the pair
+    automaton once and every probe reads it (`kclose`'s `pair`): a call
+    builds two joint products, the verdict's and the search's, whatever
+    the number of probes.  A probe costs several times the one below it, so
+    the search costs about as much as the probe at the answer and never
+    builds a larger k-approximation.  Passing the verdict's bound (or 2**20
+    when it has none) means the k-approximation contradicts the closeness
+    verdict.
     """
     verdict = close_verdict(metric, t1, t2)
     if isinstance(verdict, Unknown):
@@ -537,8 +553,9 @@ def distance(metric: Metric, t1, t2,
     if metric in (Metric.LENGTH, Metric.DISCRETE):
         return bound
     limit = bound.value() if bound is not None and bound.is_finite else 2 ** 20
+    p = transducer_pair_automaton(t1, t2)
     k = 0
-    while not kclose(metric, t1, t2, k, ceiling):
+    while not kclose(metric, t1, t2, k, ceiling, pair=p):
         k += 1
         if k > limit:
             raise IntegrityError(

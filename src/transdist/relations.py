@@ -1,17 +1,21 @@
 """Diameters of rational relations and indices in composition closures.
 
 The diameter of a relation is computed by splitting it into two transducers
-over a fresh alphabet (one input symbol per edge) and taking their distance.
-The index of R in the closure of a distance relation S is found by testing
-the containments R ⊆ S^{≤∘k} for growing k; containment of bounded-delay
+over a fresh alphabet (one input symbol per edge) and taking their distance;
+both halves share one automaton, so their domains need no check.  The index
+of R in the closure of a distance relation S is found by testing the
+containments R ⊆ S^{≤∘k} for growing k; containment of bounded-delay
 relations reduces to regular-language inclusion of padded letter-to-letter
-encodings.
+encodings.  The search pads R once and grows S^{≤∘k} by one composition
+per step (`power_levels`), so each step builds only what belongs to its k.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .automata import Nfa, determinize, included
 from .errors import InputError, UnsupportedCaseError
@@ -24,6 +28,7 @@ from .words import INF, Alphabet, ExtendedNat, Metric
 PAD = "⊥"  # ⊥: reserved out-of-alphabet padding marker
 
 DEFAULT_INDEX_CEILING = 512
+DEFAULT_CONTAINMENT_CEILING = 200_000
 
 
 def diameter(r: PairAutomaton, metric: Metric) -> ExtendedNat | Unknown:
@@ -208,13 +213,24 @@ def power(s: PairAutomaton, n: int) -> PairAutomaton:
     return acc
 
 
+def power_levels(s: PairAutomaton) -> Iterator[PairAutomaton]:
+    """S^{≤∘0}, S^{≤∘1}, ...: the identity, then
+    S^{≤∘(n+1)} = identity ∪ (S^{≤∘n} followed by S).
+
+    Each level costs one composition with S, made only when it is asked for.
+    """
+    ident = identity_relation(s.left_alphabet)
+    level = ident
+    while True:
+        yield level
+        level = union(ident, compose(level, s))
+
+
 def power_upto(s: PairAutomaton, n: int) -> PairAutomaton:
     """S^{≤∘n} = identity ∪ S ∪ S∘S ∪ ... (identity kept at every stage)."""
-    ident = identity_relation(s.left_alphabet)
-    acc = ident
-    for _ in range(n):
-        acc = union(ident, compose(acc, s))
-    return acc
+    if n < 0:
+        raise InputError("power_upto needs n >= 0")
+    return next(islice(power_levels(s), n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +246,15 @@ def _padded_nfa(r: PairAutomaton, ceiling: int) -> Nfa:
     return sync.nfa
 
 
+def _included_padded(padded_small: Nfa, big: PairAutomaton,
+                     ceiling: int) -> bool:
+    """Is the padded encoding `padded_small` inside that of big?"""
+    return included(padded_small,
+                    determinize(_padded_nfa(big, ceiling), ceiling)) is None
+
+
 def relation_included(small: PairAutomaton, big: PairAutomaton,
-                      ceiling: int = 200_000) -> bool:
+                      ceiling: int = DEFAULT_CONTAINMENT_CEILING) -> bool:
     """small ⊆ big for bounded-delay relations, by padded-encoding inclusion.
 
     Both relations are synchronized into letter-to-letter encodings padded
@@ -240,8 +263,7 @@ def relation_included(small: PairAutomaton, big: PairAutomaton,
     big.  A letter pair that big never uses is a missing move there, so it
     rejects.
     """
-    return included(_padded_nfa(small, ceiling),
-                    determinize(_padded_nfa(big, ceiling), ceiling)) is None
+    return _included_padded(_padded_nfa(small, ceiling), big, ceiling)
 
 
 def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
@@ -251,9 +273,13 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
     """Least k with R ⊆ S^{≤∘k}, for S metrizable w.r.t. the declared metric.
 
     Boundedness is decided through the diameter of R; the exact index is then
-    found by the containment search.  General metrizability of user-supplied
-    relations is undecidable, so such relations require an explicit
-    metrizability assertion.
+    found by the containment search, which tests R ⊆ S^{≤∘k} for
+    k = 0, 1, 2, ... (at most `ceiling` + 1 steps).  R is padded once for
+    the whole search, and each level S^{≤∘k} comes from the one before by one
+    composition (`power_levels`), so finding index d composes d times; each
+    level is padded and determinized once.  General metrizability of
+    user-supplied relations is undecidable, so such relations require an
+    explicit metrizability assertion.
     """
     if isinstance(s, DistanceRelation):
         if declared_metric is not None and declared_metric is not s.metric:
@@ -282,11 +308,10 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
         return INF
     if r.nfa.n_states == 0:
         return ExtendedNat(0)
-    k = 0
-    while k <= ceiling:
-        if relation_included(r, power_upto(s_auto, k)):
+    padded_r = _padded_nfa(r, DEFAULT_CONTAINMENT_CEILING)
+    for k, level in zip(range(ceiling + 1), power_levels(s_auto)):
+        if _included_padded(padded_r, level, DEFAULT_CONTAINMENT_CEILING):
             return ExtendedNat(k)
-        k += 1
     raise UnsupportedCaseError(
         f"index search exceeded the ceiling {ceiling} despite finite diameter "
         f"{dia}; is the relation really metrizable w.r.t. {declared_metric}?")

@@ -141,8 +141,12 @@ def domain_words(t: Transducer, max_len: int) -> list[str]:
 
 
 def same_domain(t1: Transducer, t2: Transducer) -> bool:
-    """True iff dom(T1) = dom(T2); polynomial through unambiguity."""
-    return equiv_unambiguous(t1.nfa, t2.nfa, check=False)
+    """True iff dom(T1) = dom(T2); polynomial through unambiguity.
+
+    Machines that share one automaton (both halves of a Nivat split) have
+    the same domain, and no check runs.
+    """
+    return t1.nfa is t2.nfa or equiv_unambiguous(t1.nfa, t2.nfa, check=False)
 
 
 def domain_mismatch_certificate(t1: Transducer,

@@ -16,7 +16,8 @@ from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
 from transdist.pairauto import bounded_delay
 from transdist.substitution import distance_subst
 from transdist.transducers import (domain_words, evaluate, joint_product,
-                                   pair_automaton, transducer_pair_automaton)
+                                   pair_automaton, same_domain,
+                                   transducer_pair_automaton)
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 EDIT_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
@@ -295,9 +296,10 @@ def probes(monkeypatch):
     seen = []
     real = kapprox.kclose
 
-    def recording(metric, t1, t2, k, ceiling=kapprox.DEFAULT_STATE_CEILING):
+    def recording(metric, t1, t2, k, ceiling=kapprox.DEFAULT_STATE_CEILING,
+                  **kwargs):
         seen.append(k)
-        return real(metric, t1, t2, k, ceiling)
+        return real(metric, t1, t2, k, ceiling, **kwargs)
 
     monkeypatch.setattr(kapprox, "kclose", recording)
     return seen
@@ -331,7 +333,8 @@ def test_distance_past_the_verdict_bound_is_an_integrity_error(monkeypatch):
     assert bound.is_finite
     seen = []
 
-    def never(metric, t1, t2, k, ceiling=kapprox.DEFAULT_STATE_CEILING):
+    def never(metric, t1, t2, k, ceiling=kapprox.DEFAULT_STATE_CEILING,
+              **kwargs):
         seen.append(k)
         return False
 
@@ -396,11 +399,14 @@ def test_kclose_builds_one_joint_product(metric, t4, t5, joint_products):
         assert len(joint_products) == before + 1
 
 
-@pytest.mark.parametrize("metric", [Metric.LEVENSHTEIN, Metric.LCS])
+@pytest.mark.parametrize("metric", [Metric.LEVENSHTEIN, Metric.LCS,
+                                    Metric.DAMERAU_LEVENSHTEIN])
 def test_distance_builds_one_joint_product_per_probe_and_verdict(
         metric, probes, joint_products):
+    # one for the verdict and one shared by every probe of the k-search
     distance(metric, _identity(), _flip(4, (0, 1, 3)))
-    assert len(joint_products) == 1 + len(probes)
+    assert len(probes) > 2
+    assert len(joint_products) == 2
 
 
 @pytest.mark.parametrize("metric, want", [
@@ -412,6 +418,31 @@ def test_distance_reads_length_and_discrete_off_the_verdict(
         assert distance(metric, t1, other) == d
         assert len(joint_products) == before + 1
     assert probes == []
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_kclose_with_a_shared_pair_automaton_agrees(metric, t1, t2, t3, t4,
+                                                    t5, joint_products):
+    # a given pair automaton skips the domain check and the build, and
+    # changes no answer.  The crossing metrics keep residuals on both sides,
+    # so on t1/t2 (not close) their builds at k >= 2 pass the ceiling below
+    # (65,528 live Damerau nodes at k = 3); there both routes must stop with
+    # the same error
+    def outcome(a, b, k, **pair):
+        try:
+            return kclose(metric, a, b, k, 5_000, **pair)
+        except ResourceLimitError as e:
+            return str(e)
+
+    pairs = [(a, b) for group in ((t1, t2, t3), (t4, t5))
+             for a in group for b in group if same_domain(a, b)]
+    assert len(pairs) == 13
+    for a, b in pairs:
+        p = transducer_pair_automaton(a, b)
+        for k in range(4):
+            before = len(joint_products)
+            assert outcome(a, b, k, pair=p) == outcome(a, b, k)
+            assert len(joint_products) == before + 1
 
 
 @pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])

@@ -1,13 +1,18 @@
+import sys
 import warnings
+from functools import reduce
+from itertools import islice
 
 import pytest
 
+from transdist import automata, relations
 from transdist.errors import InputError, UnsupportedCaseError
 from transdist.pairauto import (PairAutomaton, enumerate_pairs, max_abs_delay,
                                 synchronize)
 from transdist.relations import (
     PAD, compose, diameter, identity_relation, index,
-    make_distance_relation, power, power_upto, relation_included, )
+    make_distance_relation, power, power_levels, power_upto,
+    relation_included, union)
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 AB = Alphabet("ab")
@@ -62,6 +67,36 @@ def test_diameter_single_pair():
     assert diameter(r, Metric.HAMMING) == 2
     assert diameter(r, Metric.TRANSPOSITION) == 1
     assert diameter(r, Metric.LEVENSHTEIN) == 2
+
+
+def test_diameter_checks_no_domain(monkeypatch):
+    # both halves of the Nivat split share one automaton, so the domain
+    # check never reaches the unambiguous equivalence test
+    calls = []
+    real = automata.equiv_unambiguous
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "transdist" or name.startswith("transdist."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    single = PairAutomaton.from_edges(2, [0], [1], [(0, ("ab", "ba"), 1)],
+                                      AB, AB)
+    loop = rel([(0, ("01", "10"), 0)], 1, alphabet=B01)
+    cases = [(single, Metric.HAMMING, 2), (single, Metric.TRANSPOSITION, 1),
+             (single, Metric.LEVENSHTEIN, 2), (single, Metric.LCS, 2),
+             (single, Metric.DAMERAU_LEVENSHTEIN, 1),
+             (single, Metric.CONJUGACY, 1), (single, Metric.LENGTH, 0),
+             (single, Metric.DISCRETE, INF), (loop, Metric.CONJUGACY, 1),
+             (loop, Metric.HAMMING, INF),
+             (delete_first_a(2), Metric.LEVENSHTEIN, 2)]
+    for r, metric, want in cases:
+        assert diameter(r, metric) == want, metric
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +192,28 @@ def test_power_of_delete_first_a():
     assert ("aa", "") not in enumerate_pairs(p3, 3)
 
 
+SPHERE_METRICS = [m for m in Metric if m is not Metric.DISCRETE]
+
+
+@pytest.mark.parametrize("metric", SPHERE_METRICS)
+def test_power_upto_reads_the_generated_levels(metric):
+    # S^{≤n} from the generator equals power_upto and the union of the
+    # plain powers S^0 ∪ ... ∪ S^n, as relations
+    s = make_distance_relation(metric, AB).automaton
+    for n, level in enumerate(islice(power_levels(s), 4)):
+        upto = power_upto(s, n)
+        assert relation_included(upto, level)
+        assert relation_included(level, upto)
+        powers = reduce(union, (power(s, i) for i in range(n + 1)))
+        assert relation_included(powers, level)
+        assert relation_included(level, powers)
+
+
+def test_power_upto_negative():
+    with pytest.raises(InputError):
+        power_upto(identity_relation(AB), -1)
+
+
 def test_sphere_powers_within_distance_ball():
     for metric in (Metric.HAMMING, Metric.LEVENSHTEIN):
         sphere = make_distance_relation(metric, AB).automaton
@@ -204,6 +261,23 @@ def test_index_delete_first_k(subtests=None):
         r = delete_first_a(k)
         got = index(r, s, Metric.LEVENSHTEIN, metrizable_asserted=True)
         assert got == k, k
+
+
+def test_index_composes_once_per_level(monkeypatch):
+    # S^{≤k} grows by one composition per step, so index k composes k times
+    sphere = make_distance_relation(Metric.LEVENSHTEIN, AB)
+    composed = []
+    real = relations.compose
+
+    def counting(s1, s2):
+        composed.append(s1)
+        return real(s1, s2)
+
+    monkeypatch.setattr(relations, "compose", counting)
+    for k in (1, 2, 3, 4):
+        composed.clear()
+        assert index(delete_first_a(k), sphere) == k
+        assert len(composed) == k
 
 
 def test_index_delete_all_as_infinite():
