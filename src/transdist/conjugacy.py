@@ -4,13 +4,14 @@ deciders for the conjugacy and Levenshtein-family distances.
 Both deciders reduce closeness to common witnesses: words z with uz = zv
 for every pair (u, v) of a language (inner), or zu = vz for all (outer).
 Witness candidates come from the split families of a concrete non-identical
-pair, are generated lazily in length order, and are verified exactly
-against an automaton, so a wrong verdict is impossible; an exhausted
-candidate budget surfaces as Unknown, never as Close or NotClose.
+pair, are generated lazily in length order up to one cutoff rule (1 + the
+transitions of the searched automaton), and are verified exactly against
+that automaton, so a wrong verdict is impossible; an exhausted candidate
+budget surfaces as Unknown, never as Close or NotClose.
 
 * Conjugacy: state elimination turns the pair automaton into a rational
-  expression, a sum of sumfree expressions (a0,b0)E1*(a1,b1)···Ek*(ak,bk),
-  and every summand needs a common witness.
+  expression, distributed into summands (a0,b0)E1*(a1,b1)···Ek*(ak,bk) with
+  the stars kept whole, and every summand needs a common witness.
 * Levenshtein family: no expression is built.  Per entry state e of each
   strongly connected component of the pair automaton, the loop language
   L_e needs a common witness; the distance bound is proven at
@@ -150,23 +151,6 @@ def expr_size(e: PairExpr) -> int:
     return 1 + expr_size(e.child)
 
 
-def _expr_stats(e: PairExpr) -> tuple[int, int]:
-    """(total constant letters, number of star nodes)."""
-    if isinstance(e, Empty):
-        return 0, 0
-    if isinstance(e, Atom):
-        return len(e.x) + len(e.y), 0
-    if isinstance(e, (Cat, Sum)):
-        letters = stars = 0
-        for p in e.parts:
-            a, b = _expr_stats(p)
-            letters += a
-            stars += b
-        return letters, stars
-    a, b = _expr_stats(e.child)
-    return a, b + 1
-
-
 # ---------------------------------------------------------------------------
 # expression <-> automaton
 # ---------------------------------------------------------------------------
@@ -284,19 +268,15 @@ def state_elimination(p: PairAutomaton) -> PairExpr:
 
 def sumfree_decompose(e: PairExpr,
                       limit: int = DEFAULT_SUMMAND_LIMIT) -> list[PairExpr]:
-    """Equivalent sum of sumfree expressions.
+    """Equivalent sum of expressions with no sum outside their stars.
 
-    Concatenation distributes over sums; (X+Y)* rewrites to (X*Y)*X*.  The
-    rewriting can blow up exponentially, hence the summand limit.
+    Concatenation distributes over the sums outside stars; a star is kept
+    whole.  Each summand is (a0,b0)E1*(a1,b1)···Ek*(ak,bk) with the star
+    bodies Ei as they come, which is all a witness search needs: it reads
+    the summand's language, and z witnesses G* iff z witnesses G.  The
+    distribution can blow up exponentially in the sums outside stars, hence
+    the summand limit.
     """
-
-    def star_of(parts: list[PairExpr]) -> PairExpr:
-        if not parts:
-            return EPS_ATOM
-        if len(parts) == 1:
-            return star(parts[0])
-        head_star = star_of(parts[:-1])
-        return cat(star(cat(head_star, parts[-1])), head_star)
 
     def go(node: PairExpr) -> list[PairExpr]:
         if isinstance(node, Empty):
@@ -325,7 +305,7 @@ def sumfree_decompose(e: PairExpr,
                         f"sumfree decomposition exceeded {limit} summands")
             return acc
         if isinstance(node, Star):
-            return [star_of(go(node.child))]
+            return [node]
         raise InputError(f"not a pair expression node: {node!r}")
 
     return go(e)
@@ -411,11 +391,6 @@ class WitnessUnknown:
     shortest_family: WitnessFamily | None
 
 
-def witness_cutoff(e: PairExpr) -> int:
-    letters, stars = _expr_stats(e)
-    return 1 + letters + stars
-
-
 def _nonconjugate_pair_scan(p: PairAutomaton, max_len: int) -> tuple[str, str] | None:
     """Bounded search for a generated non-conjugate pair."""
     for u, v in sorted(enumerate_pairs(p, max_len)):
@@ -475,13 +450,16 @@ def common_witness(e: PairExpr, cutoff: int | None = None
     """Search a common inner or outer witness of L(e).
 
     A verified witness or a non-conjugate pair is definitive; running out of
-    candidates below the repetition cutoff yields WitnessUnknown.  Star
-    bodies need no recursion: z witnesses G* iff z witnesses G, because
-    witnesshood is closed under pointwise concatenation and G ⊆ G*.
+    candidates below the repetition cutoff yields WitnessUnknown.  The
+    cutoff defaults to 1 + the number of transitions of the searched
+    automaton `to_pair_automaton(e)`, the rule of the Levenshtein route.
+    Star bodies need no recursion: z witnesses G* iff z witnesses G,
+    because witnesshood is closed under pointwise concatenation and G ⊆ G*.
     """
+    p = to_pair_automaton(e)
     if cutoff is None:
-        cutoff = witness_cutoff(e)
-    return _witness_search(to_pair_automaton(e), cutoff)
+        cutoff = 1 + len(p.nfa.transitions)
+    return _witness_search(p, cutoff)
 
 
 # ---------------------------------------------------------------------------

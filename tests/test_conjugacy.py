@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,8 +9,9 @@ from conftest import (dense_dfa_spec, joint_outputs_table,
                       joint_to_transducers, make_transducer,
                       random_joint_machine, rotate_first_letter,
                       spec_transducer)
+from transdist import conjugacy
 from transdist.conjugacy import (
-    Atom, Empty, Star, Witness, NoWitness, WitnessUnknown,
+    Atom, Cat, Empty, Star, Sum, Witness, NoWitness, WitnessUnknown,
     cat, close_conjugacy, close_conjugacy_transducers,
     close_levenshtein, close_levenshtein_transducers, common_witness,
     pair_witnesses, star, state_elimination, sum_, sumfree_decompose,
@@ -90,14 +92,15 @@ def test_sumfree_two_atoms():
     assert sumfree_decompose(e) == [Atom("a", "b"), Atom("b", "a")]
 
 
-def test_sumfree_star_of_sum():
+def test_sumfree_keeps_stars_whole():
     e = star(sum_(Atom("a", "a"), Atom("b", "b")))
     parts = sumfree_decompose(e)
-    assert len(parts) == 1
-    expected = cat(star(cat(star(Atom("a", "a")), Atom("b", "b"))),
-                   star(Atom("a", "a")))
-    assert parts[0] == expected
+    assert len(parts) == 1 and parts[0] is e
     assert lang(parts[0], 3) == lang(e, 3)
+    # a sum outside the star is still distributed, around the same star
+    outer = sumfree_decompose(cat(sum_(Atom("a", "b"), Atom("b", "a")), e))
+    assert outer == [cat(Atom("a", "b"), e), cat(Atom("b", "a"), e)]
+    assert all(s.parts[1] is e for s in outer)
 
 
 def test_sumfree_already_sumfree():
@@ -105,9 +108,18 @@ def test_sumfree_already_sumfree():
     assert sumfree_decompose(e) == [e]
 
 
-def test_sumfree_language_preserved_random():
-    rng = random.Random(12)
+def _sum_outside_stars(e):
+    if isinstance(e, Sum):
+        return True
+    if isinstance(e, Cat):
+        return any(_sum_outside_stars(p) for p in e.parts)
+    return False
 
+
+@settings(max_examples=30, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+@example(rng=random.Random(12))
+def test_sumfree_language_preserved_random(rng):
     def rnd_expr(depth):
         roll = rng.random()
         if depth <= 0 or roll < 0.4:
@@ -121,6 +133,7 @@ def test_sumfree_language_preserved_random():
     for _ in range(20):
         e = rnd_expr(3)
         parts = sumfree_decompose(e)
+        assert not any(_sum_outside_stars(s) for s in parts), e
         union = set()
         for s in parts:
             union |= lang(s, 3)
@@ -387,3 +400,43 @@ def test_rotate_first_letter_pairs_are_close(n):
                        Metric.DAMERAU_LEVENSHTEIN):
             verdict = close_levenshtein_transducers(t1, t2, metric)
             assert isinstance(verdict, Close), (seed, metric, verdict)
+        if n > 7:
+            continue  # conjugacy on (8, 2) takes seconds
+        verdict = close_conjugacy_transducers(t1, t2)
+        worst = max(word_distance(Metric.CONJUGACY, evaluate(t1, w),
+                                  evaluate(t2, w))
+                    for w in domain_words(t1, 6))
+        assert isinstance(verdict, Close), (seed, verdict)
+        assert verdict.bound == 1 or verdict.bound == 0 == worst, (seed, verdict)
+        assert worst <= verdict.bound, seed
+
+
+def test_rotate_pair_with_nested_stars_is_close_under_conjugacy():
+    # the perfbench (7, 7) rotate pair nests stars deeply; rewriting (X+Y)*
+    # as (X*Y)*X* copies X* and would grow exponentially in the nesting
+    spec = dense_dfa_spec(random.Random(7), 7)
+    t1 = spec_transducer(spec)
+    t2 = spec_transducer(rotate_first_letter(spec))
+    start = time.perf_counter()
+    verdict = close_conjugacy_transducers(t1, t2)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(verdict, Close) and verdict.bound == 1
+
+
+def test_both_witness_searches_cut_off_at_one_plus_transitions(monkeypatch):
+    seen = []
+    search = conjugacy._witness_search
+
+    def recording(p, cutoff):
+        seen.append((len(p.nfa.transitions), cutoff))
+        return search(p, cutoff)
+
+    monkeypatch.setattr(conjugacy, "_witness_search", recording)
+    spec = dense_dfa_spec(random.Random(0), 4)
+    t1 = spec_transducer(spec)
+    t2 = spec_transducer(rotate_first_letter(spec))
+    for decide in (close_conjugacy_transducers, close_levenshtein_transducers):
+        seen.clear()
+        assert isinstance(decide(t1, t2), Close)
+        assert seen, decide
+        assert all(cutoff == 1 + transitions for transitions, cutoff in seen)
