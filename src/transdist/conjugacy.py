@@ -29,8 +29,8 @@ from .errors import IntegrityError, InputError, ResourceLimitError
 from .pairauto import (PairAutomaton, enumerate_pairs, find_pair_path,
                        delay_range, identity_witness, input_word_of_path,
                        wrap_pair_automaton)
-from .transducers import (domain_mismatch_certificate, loop_certificate,
-                          nivat_split, same_domain, transducer_pair_automaton,
+from .transducers import (DomainMismatchError, loop_certificate,
+                          nivat_split, transducer_pair_automaton,
                           unbalanced_loop_certificate)
 from .verdicts import (Close, InfiniteWordCertificate, NotClose,
                        PairCertificate, Unknown)
@@ -506,9 +506,10 @@ def close_conjugacy(target: PairAutomaton | PairExpr,
 def close_conjugacy_transducers(t1, t2,
                                 summand_limit: int = DEFAULT_SUMMAND_LIMIT):
     """Conjugacy closeness of two transducers, with an input-level certificate."""
-    if not same_domain(t1, t2):
-        return NotClose(domain_mismatch_certificate(t1, t2))
-    p = transducer_pair_automaton(t1, t2)
+    try:
+        p = transducer_pair_automaton(t1, t2)
+    except DomainMismatchError as e:
+        return NotClose(e.certificate)
     verdict, bad_pair = _close_conjugacy_detail(p, summand_limit)
     if isinstance(verdict, NotClose):
         path = find_pair_path(p, bad_pair)
@@ -556,9 +557,10 @@ def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN):
     """
     if metric not in LEVENSHTEIN_FAMILY:
         raise InputError(f"not a Levenshtein-family metric: {metric}")
-    if not same_domain(t1, t2):
-        return NotClose(domain_mismatch_certificate(t1, t2))
-    p = transducer_pair_automaton(t1, t2)
+    try:
+        p = transducer_pair_automaton(t1, t2)
+    except DomainMismatchError as e:
+        return NotClose(e.certificate)
     gaps = delay_range(p)
     if gaps is None:
         return NotClose(unbalanced_loop_certificate(t1, t2, p, metric))

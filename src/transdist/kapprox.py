@@ -22,11 +22,11 @@ automaton is needed: every edit metric is 0 exactly on equal words.
 `close_verdict` is the one place that dispatches on the metric.  `distance`
 reads its answer from that verdict first (NotClose is ∞; for the length and
 discrete metrics the Close bound is exact) and searches k with `kclose` only
-for the six edit metrics.  Each decision checks the domains once.  A
-verdict builds the pair automaton of the joint product once, and so does a
-`kclose` call; the k-search of `distance` builds one more after the verdict
-and shares it with every probe, so a distance costs two builds however many
-k it probes.
+for the six edit metrics.  A verdict builds the pair automaton of the
+joint product (which compares the domains) once, and so does a `kclose`
+call; the k-search of `distance` builds one more after the verdict and
+shares it with every probe, so a distance costs two builds however many k
+it probes.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from .pairauto import (PairAutomaton, find_pair_path, identity_witness,
                        input_word_of_path, max_abs_delay, pair_length_diameter,
                        suffix_gap_range)
 from .substitution import close_hamming, close_transposition
-from .transducers import (JointMachine, domain_mismatch_certificate,
-                          pair_automaton, same_domain,
-                          transducer_pair_automaton,
+from .transducers import (DomainMismatchError, JointMachine,
+                          pair_automaton, transducer_pair_automaton,
                           unbalanced_loop_certificate)
 from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
 from .words import (INF, ExtendedNat, LEVENSHTEIN_FAMILY, Metric,
@@ -459,9 +458,10 @@ def close_verdict(metric: Metric, t1, t2):
         return close_levenshtein_transducers(t1, t2, metric)
     if metric not in (Metric.LENGTH, Metric.DISCRETE):
         raise InputError(f"unknown metric {metric}")
-    if not same_domain(t1, t2):
-        return NotClose(domain_mismatch_certificate(t1, t2))
-    p = transducer_pair_automaton(t1, t2)
+    try:
+        p = transducer_pair_automaton(t1, t2)
+    except DomainMismatchError as e:
+        return NotClose(e.certificate)
     if metric is Metric.LENGTH:
         d = pair_length_diameter(p)
         if d.is_finite:
@@ -480,10 +480,8 @@ def kclose(metric: Metric, t1, t2, k: int,
            pair: PairAutomaton | None = None) -> bool:
     """Is d(T1, T2) <= k?  Decided per metric without computing the distance.
 
-    The domains are checked first (different domains are never close) and
-    the pair automaton of the joint product is built.  A caller that has
-    already checked the domains passes that automaton as `pair`
-    (`transducer_pair_automaton(t1, t2)`), and then neither step runs: the
+    The pair automaton of the joint product is built first (different
+    domains are never close), unless a caller passes it as `pair`: the
     k-search of `distance` builds it once for all its probes.
 
     With the domains equal, the length metric compares the length diameter
@@ -509,11 +507,10 @@ def kclose(metric: Metric, t1, t2, k: int,
     """
     if k < 0:
         raise InputError("k must be nonnegative")
-    p = pair
-    if p is None:
-        if not same_domain(t1, t2):
-            return False
-        p = transducer_pair_automaton(t1, t2)
+    try:
+        p = pair or transducer_pair_automaton(t1, t2)
+    except DomainMismatchError:
+        return False
     if metric is Metric.LENGTH:
         return pair_length_diameter(p) <= k
     if metric is Metric.DISCRETE or k == 0:
@@ -536,13 +533,11 @@ def distance(metric: Metric, t1, t2,
     distance.  For the six edit metrics k-closeness is then probed for
     k = 0, 1, 2, ... and the first k that holds is the distance.  The
     verdict has shown the domains equal, so the search builds the pair
-    automaton once and every probe reads it (`kclose`'s `pair`): a call
-    builds two joint products, the verdict's and the search's, whatever
-    the number of probes.  A probe costs several times the one below it, so
-    the search costs about as much as the probe at the answer and never
-    builds a larger k-approximation.  Passing the verdict's bound (or 2**20
-    when it has none) means the k-approximation contradicts the closeness
-    verdict.
+    automaton once and every probe reads it (`kclose`'s `pair`).  A probe
+    costs several times the one below it, so the search costs about as much
+    as the probe at the answer and never builds a larger k-approximation.
+    Passing the verdict's bound (or 2**20 when it has none) means the
+    k-approximation contradicts the closeness verdict.
     """
     verdict = close_verdict(metric, t1, t2)
     if isinstance(verdict, Unknown):

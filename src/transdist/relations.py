@@ -3,11 +3,11 @@
 The diameter of a relation is computed by splitting it into two transducers
 over a fresh alphabet (one input symbol per edge) and taking their distance;
 both halves share one automaton, so their domains need no check.  The index
-of R in the closure of a distance relation S is found by testing the
-containments R ⊆ S^{≤∘k} for growing k; containment of bounded-delay
-relations reduces to regular-language inclusion of padded letter-to-letter
-encodings.  The search pads R once and grows S^{≤∘k} by one composition
-per step (`power_levels`), so each step builds only what belongs to its k.
+of R in the closure of a distance relation S is bounded iff the halves are
+close (the closeness verdict decides it, not the exact diameter); it is the
+least k with R ⊆ S^{≤∘k}, and containment of bounded-delay relations is
+inclusion of padded letter-to-letter encodings.  The search pads R once and
+grows S^{≤∘k} by one composition per step (`power_levels`).
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from typing import Iterator
 
 from .automata import Nfa, determinize, included
 from .errors import InputError, UnsupportedCaseError
-from .kapprox import distance
+from .kapprox import close_verdict, distance
 from .pairauto import PairAutomaton, max_abs_delay, synchronize
 from .transducers import nivat_split
-from .verdicts import Unknown
+from .verdicts import NotClose, Unknown
 from .words import INF, Alphabet, ExtendedNat, Metric
 
 PAD = "⊥"  # ⊥: reserved out-of-alphabet padding marker
@@ -33,10 +33,7 @@ DEFAULT_CONTAINMENT_CEILING = 200_000
 
 def diameter(r: PairAutomaton, metric: Metric) -> ExtendedNat | Unknown:
     """sup of d(u, v) over related pairs, via the Nivat split."""
-    if r.nfa.n_states == 0:
-        return ExtendedNat(0)
-    t1, t2 = nivat_split(r)
-    return distance(metric, t1, t2)
+    return distance(metric, *nivat_split(r))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +269,13 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
           ceiling: int = DEFAULT_INDEX_CEILING) -> ExtendedNat | Unknown:
     """Least k with R ⊆ S^{≤∘k}, for S metrizable w.r.t. the declared metric.
 
-    Boundedness is decided through the diameter of R; the exact index is then
-    found by the containment search, which tests R ⊆ S^{≤∘k} for
-    k = 0, 1, 2, ... (at most `ceiling` + 1 steps).  R is padded once for
-    the whole search, and each level S^{≤∘k} comes from the one before by one
-    composition (`power_levels`), so finding index d composes d times; each
-    level is padded and determinized once.  General metrizability of
+    Boundedness comes from the closeness verdict of R's Nivat halves, not
+    from the exact diameter: NotClose gives ∞, Unknown is returned as is, and
+    on Close the containment search tests R ⊆ S^{≤∘k} for k = 0, 1, 2, ...
+    (at most `ceiling` + 1 steps).  R is padded once for the whole search,
+    and each level S^{≤∘k} comes from the one before by one composition
+    (`power_levels`), so finding index d composes d times; each level is
+    padded and determinized once.  General metrizability of
     user-supplied relations is undecidable, so such relations require an
     explicit metrizability assertion.
     """
@@ -301,17 +299,18 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
         warnings.warn("index over a length-metrizable relation is experimental: "
                       "the diameter boundedness transfer assumes d_len ≲ d",
                       stacklevel=2)
-    dia = diameter(r, declared_metric)
-    if isinstance(dia, Unknown):
-        return dia
-    if dia == INF:
-        return INF
     if r.nfa.n_states == 0:
         return ExtendedNat(0)
+    verdict = close_verdict(declared_metric, *nivat_split(r))
+    if isinstance(verdict, Unknown):
+        return verdict
+    if isinstance(verdict, NotClose):
+        return INF
     padded_r = _padded_nfa(r, DEFAULT_CONTAINMENT_CEILING)
     for k, level in zip(range(ceiling + 1), power_levels(s_auto)):
         if _included_padded(padded_r, level, DEFAULT_CONTAINMENT_CEILING):
             return ExtendedNat(k)
+    bound = "finite" if verdict.bound is None else f"at most {verdict.bound}"
     raise UnsupportedCaseError(
-        f"index search exceeded the ceiling {ceiling} despite finite diameter "
-        f"{dia}; is the relation really metrizable w.r.t. {declared_metric}?")
+        f"index search exceeded the ceiling {ceiling} despite diameter "
+        f"{bound}; is the relation really metrizable w.r.t. {declared_metric}?")

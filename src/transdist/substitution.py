@@ -25,9 +25,8 @@ from .errors import IntegrityError, InputError, ResourceLimitError
 from .pairauto import (PairAutomaton, compute_delays, find_pair_path,
                        identity_witness, input_word_of_path, is_length_preserving,
                        shortest_suffix_path, _unbalanced_pair_witness)
-from .transducers import (domain_mismatch_certificate, evaluate,
-                          loop_certificate, same_domain,
-                          transducer_pair_automaton)
+from .transducers import (DomainMismatchError, evaluate,
+                          loop_certificate, transducer_pair_automaton)
 from .verdicts import Close, InfiniteWordCertificate, NotClose
 from .words import (INF, Alphabet, ExtendedNat, Metric, alphabetic_vector,
                     word_distance)
@@ -356,18 +355,23 @@ def _letter_loop_at(pipe: _Pipeline, cid: int, q: int) -> list[int]:
 # public deciders
 # ---------------------------------------------------------------------------
 
+def _decide(decide, t1, t2):
+    """decide(t1, t2, p) on the machines' pair automaton p, or NotClose."""
+    try:
+        p = transducer_pair_automaton(t1, t2)
+    except DomainMismatchError as e:
+        return NotClose(e.certificate), None
+    return decide(t1, t2, p)
+
+
 def close_hamming(t1, t2):
     """Hamming closeness: equal lengths, consistent delays, trivial interiors."""
-    if not same_domain(t1, t2):
-        return NotClose(domain_mismatch_certificate(t1, t2))
-    return _hamming_verdict(t1, t2, transducer_pair_automaton(t1, t2))[0]
+    return _decide(_hamming_verdict, t1, t2)[0]
 
 
 def close_transposition(t1, t2):
     """Transposition closeness per the three-part loop characterization."""
-    if not same_domain(t1, t2):
-        return NotClose(domain_mismatch_certificate(t1, t2))
-    return _transposition_verdict(t1, t2, transducer_pair_automaton(t1, t2))[0]
+    return _decide(_transposition_verdict, t1, t2)[0]
 
 
 def _hamming_verdict(t1, t2, p: PairAutomaton):
@@ -567,8 +571,8 @@ def distance_subst(metric: Metric, t1, t2, *,
                    pathset_ceiling: int = DEFAULT_PATHSET_CEILING) -> ExtendedNat:
     """Exact Hamming/transposition distance through the acyclic gadget.
 
-    Checks the domains once and builds the pair automaton and its pipeline
-    once, for the verdict and the gadget alike.
+    Builds the pair automaton (checking the domains) and its pipeline once,
+    for the verdict and the gadget alike.
     """
     if metric is Metric.HAMMING:
         decide = _hamming_verdict
@@ -577,9 +581,7 @@ def distance_subst(metric: Metric, t1, t2, *,
     else:
         raise InputError(f"distance_subst handles hamming/transposition, "
                          f"not {metric}")
-    if not same_domain(t1, t2):
-        return INF
-    verdict, pipe = decide(t1, t2, transducer_pair_automaton(t1, t2))
+    verdict, pipe = _decide(decide, t1, t2)
     if isinstance(verdict, NotClose):
         return INF
     if pipe is None:

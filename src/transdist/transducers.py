@@ -149,13 +149,12 @@ def same_domain(t1: Transducer, t2: Transducer) -> bool:
     return t1.nfa is t2.nfa or equiv_unambiguous(t1.nfa, t2.nfa, check=False)
 
 
-def domain_mismatch_certificate(t1: Transducer,
-                                t2: Transducer) -> DomainCertificate:
-    """An input word in exactly one of dom(T1), dom(T2)."""
-    wit = language_difference_witness(t1.nfa, t2.nfa, check=False)
-    if wit is None:
-        raise IntegrityError("domains reported different but no witness found")
-    return DomainCertificate("".join(wit))
+class DomainMismatchError(InputError):
+    """Different domains; `certificate` is an input in exactly one of them."""
+
+    def __init__(self, certificate: DomainCertificate):
+        super().__init__(f"domains differ on {certificate.word!r}")
+        self.certificate = certificate
 
 
 def loop_certificate(t1: Transducer, t2: Transducer, metric: Metric,
@@ -259,15 +258,16 @@ def joint_product(t1: Transducer, t2: Transducer) -> JointMachine:
 
     States are pairs of states, letters are pairs of same-letter transitions;
     the two output functions are lifted, and every metric distance is
-    preserved.
+    preserved.  Different domains raise `DomainMismatchError`.
     """
     if t1.input_alphabet != t2.input_alphabet:
         raise InputError("input alphabets differ")
     if t1.output_alphabet != t2.output_alphabet:
         raise InputError("output alphabets differ")
-    if not same_domain(t1, t2):
-        raise InputError("domains differ; the joint product requires "
-                         "dom(T1) = dom(T2)")
+    if t1.nfa is not t2.nfa:
+        wit = language_difference_witness(t1.nfa, t2.nfa, check=False)
+        if wit is not None:
+            raise DomainMismatchError(DomainCertificate("".join(wit)))
     adj1 = t1.nfa.adj()
     adj2 = t2.nfa.adj()
     ids: dict[tuple[int, int], int] = {}
@@ -384,6 +384,8 @@ def length_close(t1: Transducer, t2: Transducer) -> ExtendedNat:
     When bounded the value is exact: the largest absolute output-length gap
     over accepting paths of the joint machine.
     """
-    if not same_domain(t1, t2):
+    try:
+        p = transducer_pair_automaton(t1, t2)
+    except DomainMismatchError:
         return INF
-    return pair_length_diameter(transducer_pair_automaton(t1, t2))
+    return pair_length_diameter(p)

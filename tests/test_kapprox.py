@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (joint_to_transducers, machine_corpus, make_transducer,
                       random_joint_machine)
-from transdist import kapprox, pairauto, transducers
+from transdist import automata, kapprox, pairauto, transducers
 from transdist.automata import determinize, included
 from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
@@ -15,9 +15,11 @@ from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
                                min_weight_on)
 from transdist.pairauto import bounded_delay
 from transdist.substitution import distance_subst
-from transdist.transducers import (domain_words, evaluate, joint_product,
+from transdist.transducers import (DomainMismatchError, domain_words,
+                                   evaluate, joint_product, length_close,
                                    pair_automaton, same_domain,
                                    transducer_pair_automaton)
+from transdist.verdicts import DomainCertificate, NotClose
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 EDIT_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
@@ -443,6 +445,76 @@ def test_kclose_with_a_shared_pair_automaton_agrees(metric, t1, t2, t3, t4,
             before = len(joint_products)
             assert outcome(a, b, k, pair=p) == outcome(a, b, k)
             assert len(joint_products) == before + 1
+
+
+# ---------------------------------------------------------------------------
+# one domain comparison per joint product
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def domain_runs(monkeypatch):
+    """The words returned by each language comparison, from any module."""
+    found = []
+    real = automata.language_difference_witness
+
+    def counting(*args, **kwargs):
+        found.append(real(*args, **kwargs))
+        return found[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name == "transdist" or name.startswith("transdist."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return found
+
+
+def _other_domains():
+    # a* against a*b: the shortest word in exactly one domain is the empty one
+    return (make_transducer(1, [0], [0], [(0, "a", "a", 0)]),
+            make_transducer(2, [0], [1], [(0, "a", "a", 0), (0, "b", "", 1)]))
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_close_verdict_compares_the_domains_once(metric, t4, t5,
+                                                 domain_runs):
+    close_verdict(metric, t4, t5)
+    assert domain_runs == [None]
+    domain_runs.clear()
+    verdict = close_verdict(metric, *_other_domains())
+    # the certificate is the word of the one comparison that ran
+    assert len(domain_runs) == 1 and domain_runs[0] is not None
+    assert verdict == NotClose(DomainCertificate("".join(domain_runs[0])))
+
+
+def test_every_route_compares_the_domains_once_per_joint_product(
+        t4, t5, domain_runs):
+    ta, tb = _other_domains()
+    for metric in (Metric.HAMMING, Metric.LEVENSHTEIN):
+        for a, b in ((t4, t5), (ta, tb)):
+            domain_runs.clear()
+            kclose(metric, a, b, 2)
+            assert len(domain_runs) == 1
+        assert kclose(metric, ta, tb, 2) is False
+        domain_runs.clear()
+        assert distance(metric, ta, tb) == INF
+        assert len(domain_runs) == 1
+    for f in (length_close, lambda a, b: distance_subst(Metric.HAMMING, a, b)):
+        domain_runs.clear()
+        assert f(ta, tb) == INF
+        assert len(domain_runs) == 1
+    # a distance compares once for its verdict and once for its k-search
+    domain_runs.clear()
+    assert distance(Metric.LEVENSHTEIN, t4, t5) == 2
+    assert domain_runs == [None, None]
+
+
+def test_joint_product_raises_the_mismatch_with_its_certificate():
+    ta, tb = _other_domains()
+    with pytest.raises(DomainMismatchError,
+                       match="domains differ on ''") as caught:
+        transducer_pair_automaton(ta, tb)
+    assert caught.value.certificate == DomainCertificate("")
 
 
 @pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])

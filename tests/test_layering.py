@@ -41,3 +41,42 @@ def test_no_function_local_imports():
 def test_the_lazy_numeric_imports_are_still_found():
     found = [module for _, module in _local_imports(PACKAGE / "words.py")]
     assert found and all(_allowed("words.py", module) for module in found)
+
+
+def _unused_imports(source: str):
+    """(line, name) of each module-level import that the module never reads.
+
+    A name is read where it appears as an `ast.Name`; the base of an
+    attribute chain (`np` in `np.array`) is one, so attribute use counts.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_unused_module_level_imports():
+    # __init__ imports to export
+    offenders = [f"{path.name}:{line} imports {name} and never reads it"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "__init__.py"
+                 for line, name in _unused_imports(path.read_text())]
+    assert offenders == []
+
+
+def test_the_unused_import_guard_sees_reads_and_misses():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "from .errors import InputError, ParseError\n"
+              "def f():\n"
+              "    raise InputError(np.array(0))\n")
+    assert _unused_imports(source) == [(2, "os"), (4, "ParseError")]

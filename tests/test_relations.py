@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from transdist import automata, relations
+from transdist import automata, kapprox, relations
 from transdist.errors import InputError, UnsupportedCaseError
 from transdist.pairauto import (PairAutomaton, enumerate_pairs, max_abs_delay,
                                 synchronize)
@@ -13,10 +13,28 @@ from transdist.relations import (
     PAD, compose, diameter, identity_relation, index,
     make_distance_relation, power, power_levels, power_upto,
     relation_included, union)
+from transdist.verdicts import Unknown
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 AB = Alphabet("ab")
 B01 = Alphabet("01")
+
+
+def count_calls(monkeypatch, real):
+    """Route every package reference to `real` through a counter; returns
+    the list of recorded argument tuples."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "transdist" or name.startswith("transdist."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 def rel(edges, n, initials=(0,), finals=(0,), alphabet=AB):
@@ -42,6 +60,13 @@ def test_diameter_identity_zero():
     for m in (Metric.HAMMING, Metric.LEVENSHTEIN, Metric.CONJUGACY,
               Metric.LENGTH, Metric.DISCRETE):
         assert diameter(ident, m) == 0
+
+
+def test_empty_relation_has_diameter_and_index_zero():
+    empty = PairAutomaton.from_edges(0, [], [], [], AB, AB)
+    for m in Metric:
+        assert diameter(empty, m) == 0, m
+    assert index(empty, make_distance_relation(Metric.LEVENSHTEIN, AB)) == 0
 
 
 def test_diameter_rotating_pairs():
@@ -70,20 +95,10 @@ def test_diameter_single_pair():
 
 
 def test_diameter_checks_no_domain(monkeypatch):
-    # both halves of the Nivat split share one automaton, so the domain
-    # check never reaches the unambiguous equivalence test
-    calls = []
-    real = automata.equiv_unambiguous
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "transdist" or name.startswith("transdist."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+    # both halves of the Nivat split share one automaton, so the joint
+    # product never runs the language comparison (nor its boolean form)
+    calls = count_calls(monkeypatch, automata.language_difference_witness)
+    calls += count_calls(monkeypatch, automata.equiv_unambiguous)
     single = PairAutomaton.from_edges(2, [0], [1], [(0, ("ab", "ba"), 1)],
                                       AB, AB)
     loop = rel([(0, ("01", "10"), 0)], 1, alphabet=B01)
@@ -264,27 +279,43 @@ def test_index_delete_first_k(subtests=None):
 
 
 def test_index_composes_once_per_level(monkeypatch):
-    # S^{≤k} grows by one composition per step, so index k composes k times
+    # S^{≤k} grows by one composition per step, so index k composes k times;
+    # boundedness comes from the closeness verdict, so no k-closeness probe
+    # and no k-approximation runs
     sphere = make_distance_relation(Metric.LEVENSHTEIN, AB)
-    composed = []
-    real = relations.compose
-
-    def counting(s1, s2):
-        composed.append(s1)
-        return real(s1, s2)
-
-    monkeypatch.setattr(relations, "compose", counting)
+    composed = count_calls(monkeypatch, relations.compose)
+    probes = count_calls(monkeypatch, kapprox.kclose)
+    builds = count_calls(monkeypatch, kapprox.build_kapprox)
     for k in (1, 2, 3, 4):
         composed.clear()
         assert index(delete_first_a(k), sphere) == k
         assert len(composed) == k
+    assert probes == [] and builds == []
 
 
-def test_index_delete_all_as_infinite():
+def test_index_returns_the_verdicts_unknown(monkeypatch):
+    unknown = Unknown("no verified witness below the candidate cutoff")
+    monkeypatch.setattr(relations, "close_verdict", lambda *args: unknown)
+    s = delete_first_a()
+    got = index(delete_first_a(2), s, Metric.LEVENSHTEIN,
+                metrizable_asserted=True)
+    assert got is unknown
+
+
+def test_index_ceiling_error_names_the_verdicts_bound():
+    with pytest.raises(UnsupportedCaseError,
+                       match=r"ceiling 1 despite diameter at most 3;"):
+        index(delete_first_a(3), delete_first_a(1), Metric.LEVENSHTEIN,
+              metrizable_asserted=True, ceiling=1)
+
+
+def test_index_delete_all_as_infinite(monkeypatch):
     edges = [(0, ("a", ""), 0), (0, ("b", "b"), 0)]
     r_all = PairAutomaton.from_edges(1, [0], [0], edges, AB, AB)
     s = delete_first_a()
+    containments = count_calls(monkeypatch, relations._included_padded)
     assert index(r_all, s, Metric.LEVENSHTEIN, metrizable_asserted=True) == INF
+    assert containments == []
 
 
 def test_index_of_sphere_in_itself_is_one():
