@@ -6,8 +6,8 @@ swaps must carry the b across the whole word, so the transposition distance
 grows without bound.  The decider exhibits a pumpable loop as certificate.
 """
 
-from transdist import Alphabet, Metric, Nfa, Transducer, close_hamming, \
-    close_transposition, distance_subst, evaluate, word_distance
+from transdist import Alphabet, Metric, Nfa, Transducer, close_verdict, \
+    distance_subst, evaluate, word_distance
 
 A = Alphabet("a")
 AB = Alphabet("ab")
@@ -27,11 +27,11 @@ for n in (1, 2, 4):
           f"   T_b(a^{n}) = {evaluate(t_b, 'a' * n)!r}")
 
 print("\n== Hamming: close, exact distance via the acyclic border gadget ==")
-print("  verdict:", close_hamming(t_a, t_b))
+print("  verdict:", close_verdict(Metric.HAMMING, t_a, t_b))
 print("  distance_subst(hamming) =", distance_subst(Metric.HAMMING, t_a, t_b))
 
 print("\n== transposition: not close, with a pumpable certificate ==")
-verdict = close_transposition(t_a, t_b)
+verdict = close_verdict(Metric.TRANSPOSITION, t_a, t_b)
 cert = verdict.certificate
 print("  verdict:", type(verdict).__name__)
 print(f"  loop certificate: prefix={cert.prefix!r} loop={cert.loop!r} "

@@ -12,8 +12,8 @@ from .words import (Alphabet, ExtendedNat, INF, Metric, OverBudget,
 from .automata import (Nfa, determinize, enumerate_words, equiv_unambiguous,
                        is_unambiguous, language_difference_witness,
                        scc_decomposition, trim)
-from .pairauto import (PairAutomaton, bounded_delay, compute_delays,
-                       delay_range, enumerate_pairs, is_identity_relation,
+from .pairauto import (PairAutomaton, bounded_delay, delay_range,
+                       enumerate_pairs, is_identity_relation,
                        is_length_preserving, identity_witness,
                        pair_length_diameter, synchronize)
 from .transducers import (JointMachine, Transducer, domain_words, evaluate,
@@ -21,13 +21,10 @@ from .transducers import (JointMachine, Transducer, domain_words, evaluate,
                           pair_automaton, same_domain,
                           transducer_pair_automaton)
 from .conjugacy import (Atom, Cat, Empty, PairExpr, Star, Sum, Witness,
-                        WitnessFamily, close_conjugacy,
-                        close_conjugacy_transducers,
-                        close_levenshtein, close_levenshtein_transducers,
-                        common_witness, pair_witnesses, state_elimination,
-                        sumfree_decompose, to_pair_automaton, verify_witness)
-from .substitution import (close_hamming, close_transposition, distance_subst,
-                           interior, lborder, rborder)
+                        WitnessFamily, close_conjugacy, common_witness,
+                        pair_witnesses, state_elimination, sumfree_decompose,
+                        to_pair_automaton, verify_witness)
+from .substitution import distance_subst, interior, lborder, rborder
 from .kapprox import (DistanceAutomaton, build_kapprox, close_verdict,
                       distance, kclose, min_weight_on, min_weight_table)
 from .relations import (DistanceRelation, compose, diameter,

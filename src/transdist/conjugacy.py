@@ -16,6 +16,9 @@ budget surfaces as Unknown, never as Close or NotClose.
   strongly connected component of the pair automaton, the loop language
   L_e needs a common witness; the distance bound is proven at
   `close_levenshtein_transducers`.
+
+The two transducer-level deciders take the pair automaton that
+`kapprox.close_verdict` (or `distance`) built, and build none themselves.
 """
 
 from __future__ import annotations
@@ -29,12 +32,10 @@ from .errors import IntegrityError, InputError, ResourceLimitError
 from .pairauto import (PairAutomaton, enumerate_pairs, find_pair_path,
                        delay_range, identity_witness, input_word_of_path,
                        wrap_pair_automaton)
-from .transducers import (DomainMismatchError, loop_certificate,
-                          nivat_split, transducer_pair_automaton,
-                          unbalanced_loop_certificate)
+from .transducers import loop_certificate, unbalanced_loop_certificate
 from .verdicts import (Close, InfiniteWordCertificate, NotClose,
                        PairCertificate, Unknown)
-from .words import Alphabet, ExtendedNat, LEVENSHTEIN_FAMILY, Metric
+from .words import Alphabet, ExtendedNat, Metric
 
 DEFAULT_SUMMAND_LIMIT = 4096
 
@@ -266,8 +267,7 @@ def state_elimination(p: PairAutomaton) -> PairExpr:
 # sumfree decomposition
 # ---------------------------------------------------------------------------
 
-def sumfree_decompose(e: PairExpr,
-                      limit: int = DEFAULT_SUMMAND_LIMIT) -> list[PairExpr]:
+def sumfree_decompose(e: PairExpr) -> list[PairExpr]:
     """Equivalent sum of expressions with no sum outside their stars.
 
     Concatenation distributes over the sums outside stars; a star is kept
@@ -275,8 +275,9 @@ def sumfree_decompose(e: PairExpr,
     bodies Ei as they come, which is all a witness search needs: it reads
     the summand's language, and z witnesses G* iff z witnesses G.  The
     distribution can blow up exponentially in the sums outside stars, hence
-    the summand limit.
+    the limit of `DEFAULT_SUMMAND_LIMIT` summands.
     """
+    limit = DEFAULT_SUMMAND_LIMIT
 
     def go(node: PairExpr) -> list[PairExpr]:
         if isinstance(node, Empty):
@@ -466,52 +467,38 @@ def common_witness(e: PairExpr, cutoff: int | None = None
 # closeness w.r.t. conjugacy: the sumfree route
 # ---------------------------------------------------------------------------
 
-def _as_expr(target: PairAutomaton | PairExpr) -> PairExpr:
-    if isinstance(target, PairAutomaton):
-        return state_elimination(target)
-    return target
-
-
-def _close_conjugacy_detail(target, summand_limit):
-    e = _as_expr(target)
-    unknown = None
-    bound = ExtendedNat(0)
-    for summand in sumfree_decompose(e, summand_limit):
-        res = common_witness(summand)
-        if isinstance(res, NoWitness):
-            return NotClose(PairCertificate(res.pair)), res.pair
-        if isinstance(res, WitnessUnknown):
-            unknown = unknown or Unknown(
-                "no verified witness below the candidate cutoff",
-                cutoff=res.cutoff, detail=res)
-            continue
-        bound = max(bound, ExtendedNat(len(res.z)))
-    if unknown is not None:
-        return unknown, None
-    return Close(bound=bound), None
-
-
-def close_conjugacy(target: PairAutomaton | PairExpr,
-                    summand_limit: int = DEFAULT_SUMMAND_LIMIT):
-    """Close w.r.t. the conjugacy distance iff every generated pair is conjugate.
+def close_conjugacy(target: PairAutomaton | PairExpr):
+    """Close w.r.t. the conjugacy distance iff every generated pair is
+    conjugate.
 
     Per sumfree summand, a common witness z bounds the distance by |z|; the
     overall bound is the maximum over summands.  NotClose carries a concrete
     non-conjugate pair.
     """
-    verdict, _ = _close_conjugacy_detail(target, summand_limit)
-    return verdict
+    e = (state_elimination(target) if isinstance(target, PairAutomaton)
+         else target)
+    unknown = None
+    bound = ExtendedNat(0)
+    for summand in sumfree_decompose(e):
+        res = common_witness(summand)
+        if isinstance(res, NoWitness):
+            return NotClose(PairCertificate(res.pair))
+        if isinstance(res, WitnessUnknown):
+            if unknown is None:
+                unknown = Unknown(
+                    "no verified witness below the candidate cutoff",
+                    cutoff=res.cutoff, detail=res)
+            continue
+        bound = max(bound, ExtendedNat(len(res.z)))
+    return Close(bound=bound) if unknown is None else unknown
 
 
-def close_conjugacy_transducers(t1, t2,
-                                summand_limit: int = DEFAULT_SUMMAND_LIMIT):
-    """Conjugacy closeness of two transducers, with an input-level certificate."""
-    try:
-        p = transducer_pair_automaton(t1, t2)
-    except DomainMismatchError as e:
-        return NotClose(e.certificate)
-    verdict, bad_pair = _close_conjugacy_detail(p, summand_limit)
+def close_conjugacy_transducers(t1, t2, p: PairAutomaton):
+    """Conjugacy closeness on p, the pair automaton of two machines with one
+    domain, with an input-level certificate."""
+    verdict = close_conjugacy(p)
     if isinstance(verdict, NotClose):
+        bad_pair = verdict.certificate.pair
         path = find_pair_path(p, bad_pair)
         if path is None:
             raise IntegrityError("non-conjugate pair not generated by automaton")
@@ -524,18 +511,19 @@ def close_conjugacy_transducers(t1, t2,
 # closeness w.r.t. the Levenshtein family: per-entry loop languages
 # ---------------------------------------------------------------------------
 
-def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN):
-    """Levenshtein-family closeness of two transducers, with certificates.
+def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
+    """Levenshtein-family closeness on p, the trim pair automaton of two
+    machines with one domain, with certificates.
 
-    Works on the one trim pair automaton p of the two machines.  Unbounded
-    prefix gaps give NotClose, pumping an unbalanced cycle.  Otherwise, for
-    every entry e of every nontrivial strongly connected component C (an
-    initial state of C, or the target of an edge from another component),
-    the loop language L_e (C's internal edges, e the only initial and final
-    state) is searched for a common witness z_e, with candidates up to
-    1 + the number of transitions of L_e.  A non-conjugate pair of L_e gives
-    NotClose: its input loop pumped at e, replayed on both machines.  Close
-    needs every z_e; anything else is Unknown.
+    Unbounded prefix gaps give NotClose, pumping an unbalanced cycle.
+    Otherwise, for every entry e of every nontrivial strongly connected
+    component C (an initial state of C, or the target of an edge from
+    another component), the loop language L_e (C's internal edges, e the
+    only initial and final state) is searched for a common witness z_e,
+    with candidates up to 1 + the number of transitions of L_e.  A
+    non-conjugate pair of L_e gives NotClose: its input loop pumped at e,
+    replayed on both machines.  Close needs every z_e; anything else is
+    Unknown.
 
     Bound.  An accepting path crosses the DAG of components, entering each
     C at an entry e and leaving it at a state x (the source of the next
@@ -555,12 +543,6 @@ def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN):
     bounds the distance on every input.  d_LCS <= 2·d_L doubles B for
     LCS; d_DL <= d_L keeps it for Damerau.
     """
-    if metric not in LEVENSHTEIN_FAMILY:
-        raise InputError(f"not a Levenshtein-family metric: {metric}")
-    try:
-        p = transducer_pair_automaton(t1, t2)
-    except DomainMismatchError as e:
-        return NotClose(e.certificate)
     gaps = delay_range(p)
     if gaps is None:
         return NotClose(unbalanced_loop_certificate(t1, t2, p, metric))
@@ -599,9 +581,10 @@ def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN):
                     return NotClose(loop_certificate(t1, t2, metric, p, e,
                                                      loop))
                 if isinstance(res, WitnessUnknown):
-                    unknown = unknown or Unknown(
-                        "no verified witness below the candidate cutoff",
-                        cutoff=res.cutoff, detail=res)
+                    if unknown is None:
+                        unknown = Unknown(
+                            "no verified witness below the candidate cutoff",
+                            cutoff=res.cutoff, detail=res)
                 else:
                     longest = max(longest, len(res.z))
             spread = (max(lo[s] for s in members)
@@ -615,15 +598,3 @@ def close_levenshtein_transducers(t1, t2, metric: Metric = Metric.LEVENSHTEIN):
     if metric is Metric.LCS:
         bound *= 2
     return Close(bound=ExtendedNat(bound))
-
-
-def close_levenshtein(target: PairAutomaton | PairExpr,
-                      metric: Metric = Metric.LEVENSHTEIN):
-    """Levenshtein-family closeness of a relation given as a pair automaton
-    or an expression (through `to_pair_automaton`).
-
-    Decided by `close_levenshtein_transducers` on the relation's Nivat
-    split, so a NotClose certificate pumps a loop of transition letters.
-    """
-    p = target if isinstance(target, PairAutomaton) else to_pair_automaton(target)
-    return close_levenshtein_transducers(*nivat_split(p), metric)

@@ -19,14 +19,17 @@ prefixes, then commits to a shift direction and matches the shifted
 streams; the run cost is the number of shifts claimed.  At k = 0 no
 automaton is needed: every edit metric is 0 exactly on equal words.
 
-`close_verdict` is the one place that dispatches on the metric.  `distance`
-reads its answer from that verdict first (NotClose is ∞; for the length and
-discrete metrics the Close bound is exact) and searches k with `kclose` only
-for the six edit metrics.  A verdict builds the pair automaton of the
-joint product (which compares the domains) once, and so does a `kclose`
-call; the k-search of `distance` builds one more after the verdict and
-shares it with every probe, so a distance costs two builds however many k
-it probes.
+`close_verdict` is the one public closeness entry for two transducers.  It
+builds the pair automaton of the joint product (which compares the
+domains) once and hands it to the one dispatch on the metric, which calls
+the metric's decider on it.  `distance` builds the pair automaton once,
+reads its answer from the same dispatch first (NotClose is ∞; for the
+length and discrete metrics the Close bound is exact) and searches k with
+`kclose` only for the six edit metrics, every probe on that one pair
+automaton: a distance costs one build however many k it probes.  The pair
+automaton keeps its gap analyses (`delay_range`, `suffix_gap_range`), so
+the verdict and every probe read one result.  A lone `kclose` call builds
+its own pair automaton.
 """
 
 from __future__ import annotations
@@ -447,27 +450,38 @@ def min_weight_on(da: DistanceAutomaton, word: str) -> ExtendedNat:
 # ---------------------------------------------------------------------------
 
 def close_verdict(metric: Metric, t1, t2):
-    """Closeness verdict with a certificate, for any of the eight metrics."""
-    if metric is Metric.HAMMING:
-        return close_hamming(t1, t2)
-    if metric is Metric.TRANSPOSITION:
-        return close_transposition(t1, t2)
-    if metric is Metric.CONJUGACY:
-        return close_conjugacy_transducers(t1, t2)
-    if metric in LEVENSHTEIN_FAMILY:
-        return close_levenshtein_transducers(t1, t2, metric)
-    if metric not in (Metric.LENGTH, Metric.DISCRETE):
-        raise InputError(f"unknown metric {metric}")
+    """Closeness verdict with a certificate, for any of the eight metrics.
+
+    Builds the pair automaton of the joint product once (different domains
+    are NotClose, certified by an input in exactly one of them) and hands
+    it to the metric's decider.
+    """
     try:
         p = transducer_pair_automaton(t1, t2)
     except DomainMismatchError as e:
         return NotClose(e.certificate)
+    return _verdict_on(metric, t1, t2, p)
+
+
+def _verdict_on(metric: Metric, t1, t2, p: PairAutomaton):
+    """The closeness verdict on p, the pair automaton of t1 and t2: the one
+    place that dispatches on the metric."""
+    if metric is Metric.HAMMING:
+        return close_hamming(t1, t2, p)
+    if metric is Metric.TRANSPOSITION:
+        return close_transposition(t1, t2, p)
+    if metric is Metric.CONJUGACY:
+        return close_conjugacy_transducers(t1, t2, p)
+    if metric in LEVENSHTEIN_FAMILY:
+        return close_levenshtein_transducers(t1, t2, p, metric)
     if metric is Metric.LENGTH:
         d = pair_length_diameter(p)
         if d.is_finite:
             return Close(bound=d)
         return NotClose(unbalanced_loop_certificate(t1, t2, p,
                                                     Metric.LENGTH))
+    if metric is not Metric.DISCRETE:
+        raise InputError(f"unknown metric {metric}")
     witness = identity_witness(p)
     if witness is None:
         return Close(bound=ExtendedNat(0))
@@ -527,19 +541,23 @@ def distance(metric: Metric, t1, t2,
              ceiling: int = DEFAULT_STATE_CEILING) -> ExtendedNat | Unknown:
     """Exact distance between two transducers under the given metric.
 
-    The closeness verdict comes first (k-closeness alone cannot certify
-    unboundedness): NotClose gives ∞, Unknown is returned as is, and for the
-    length and discrete metrics the Close bound is already the exact
-    distance.  For the six edit metrics k-closeness is then probed for
-    k = 0, 1, 2, ... and the first k that holds is the distance.  The
-    verdict has shown the domains equal, so the search builds the pair
-    automaton once and every probe reads it (`kclose`'s `pair`).  A probe
-    costs several times the one below it, so the search costs about as much
-    as the probe at the answer and never builds a larger k-approximation.
-    Passing the verdict's bound (or 2**20 when it has none) means the
-    k-approximation contradicts the closeness verdict.
+    The pair automaton of the joint product is built once (different
+    domains give ∞) and serves the verdict and every probe.  The closeness
+    verdict comes first (k-closeness alone cannot certify unboundedness):
+    NotClose gives ∞, Unknown is returned as is, and for the length and
+    discrete metrics the Close bound is already the exact distance.  For the
+    six edit metrics k-closeness is then probed for k = 0, 1, 2, ... on the
+    same pair automaton (`kclose`'s `pair`), and the first k that holds is
+    the distance.  A probe costs several times the one below it, so the
+    search costs about as much as the probe at the answer and never builds
+    a larger k-approximation.  Passing the verdict's bound (or 2**20 when it
+    has none) means the k-approximation contradicts the closeness verdict.
     """
-    verdict = close_verdict(metric, t1, t2)
+    try:
+        p = transducer_pair_automaton(t1, t2)
+    except DomainMismatchError:
+        return INF
+    verdict = _verdict_on(metric, t1, t2, p)
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, NotClose):
@@ -548,7 +566,6 @@ def distance(metric: Metric, t1, t2,
     if metric in (Metric.LENGTH, Metric.DISCRETE):
         return bound
     limit = bound.value() if bound is not None and bound.is_finite else 2 ** 20
-    p = transducer_pair_automaton(t1, t2)
     k = 0
     while not kclose(metric, t1, t2, k, ceiling, pair=p):
         k += 1

@@ -15,11 +15,21 @@ from .automata import EPSILON, Nfa, scc_decomposition, trim
 from .errors import InputError, IntegrityError, ResourceLimitError
 from .words import INF, Alphabet, ExtendedNat
 
+_UNSET = object()  # a gap range not computed yet (None means unbounded)
+
+#: per-state (min, max) gaps: one tuple of minima, one of maxima
+GapRange = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 class PairAutomaton:
-    """Trimmed automaton over (B ∪ {ε}) × (B ∪ {ε}) edge labels."""
+    """Trimmed automaton over (B ∪ {ε}) × (B ∪ {ε}) edge labels.
 
-    __slots__ = ("nfa", "left_alphabet", "right_alphabet", "input_letters")
+    Its prefix and suffix gap ranges are computed on first use and kept
+    (`delay_range`, `suffix_gap_range`), the way `Nfa.adj()` is.
+    """
+
+    __slots__ = ("nfa", "left_alphabet", "right_alphabet", "input_letters",
+                 "_prefix_gaps", "_suffix_gaps")
 
     def __init__(self, nfa: Nfa, left_alphabet: Alphabet, right_alphabet: Alphabet,
                  input_letters: tuple[str | None, ...]):
@@ -32,6 +42,7 @@ class PairAutomaton:
         self.left_alphabet = left_alphabet
         self.right_alphabet = right_alphabet
         self.input_letters = tuple(input_letters)
+        self._prefix_gaps = self._suffix_gaps = _UNSET
 
     @property
     def n_states(self):
@@ -113,52 +124,45 @@ def enumerate_pairs(p: PairAutomaton, max_len: int) -> set[tuple[str, str]]:
 # delays
 # ---------------------------------------------------------------------------
 
-def compute_delays(p: PairAutomaton) -> list[int] | None:
-    """Per-state delay |out1|-|out2|, when it is path-independent.
-
-    Propagates from the initial states (delay 0) and returns None on the
-    first conflicting assignment or when a value exceeds the pigeonhole
-    guard (|Q|+1)·maxgap.
-    """
-    n = p.nfa.n_states
-    if n == 0:
-        return []
-    maxgap = max((abs(edge_gap(lbl)) for _, lbl, _ in p.nfa.transitions), default=0)
-    guard = (n + 1) * max(maxgap, 1)
-    delay: list[int | None] = [None] * n
-    todo = deque()
-    for s in p.nfa.initials:
-        delay[s] = 0
-        todo.append(s)
-    adj = p.nfa.adj()
-    while todo:
-        s = todo.popleft()
-        for lbl, d, _ in adj[s]:
-            nd = delay[s] + edge_gap(lbl)
-            if abs(nd) > guard:
-                return None
-            if delay[d] is None:
-                delay[d] = nd
-                todo.append(d)
-            elif delay[d] != nd:
-                return None
-    if any(v is None for v in delay):
-        raise IntegrityError("compute_delays expects a trimmed automaton")
-    return delay  # type: ignore[return-value]
-
-
-def delay_range(p: PairAutomaton) -> tuple[list[int], list[int]] | None:
+def delay_range(p: PairAutomaton) -> GapRange | None:
     """Per-state (min, max) achievable prefix gap, or None when unbounded.
 
     The gap set is unbounded exactly when some cycle has nonzero net gap.
     Within a strongly connected component all cycles have zero gap iff a
     consistent potential exists, and then the gap from an entry point to any
-    member is the potential difference.
+    member is the potential difference.  On a trimmed automaton whose
+    accepted pairs all have equal lengths, every state's gap is one value
+    (lo == hi): the delay of the state.  Computed once per automaton.
     """
-    nfa = p.nfa
+    if p._prefix_gaps is _UNSET:
+        p._prefix_gaps = _gap_range(p.nfa, reverse=False)
+    return p._prefix_gaps
+
+
+def suffix_gap_range(p: PairAutomaton) -> GapRange | None:
+    """Per-state (min, max) of |x| - |y| over the outputs (x, y) of the paths
+    from the state to a final state, or None when unbounded.
+
+    A gap is a sum over edges and does not depend on the direction, so this
+    is the prefix gap range of the reversed automaton, initials and finals
+    swapped.  Computed once per automaton.
+    """
+    if p._suffix_gaps is _UNSET:
+        p._suffix_gaps = _gap_range(p.nfa, reverse=True)
+    return p._suffix_gaps
+
+
+def _gap_range(nfa: Nfa, reverse: bool) -> GapRange | None:
+    """`delay_range` of a pair-labelled automaton, or of its reversal.
+
+    The ranges are tuples: the automaton keeps them for every later caller.
+    """
+    if reverse:
+        nfa = Nfa(nfa.n_states, nfa.finals, nfa.initials,
+                  [(d, lbl, s) for s, lbl, d in nfa.transitions])
     n = nfa.n_states
     if n == 0:
-        return [], []
+        return (), ()
     comp, comps = scc_decomposition(nfa)
     adj = nfa.adj()
 
@@ -208,23 +212,8 @@ def delay_range(p: PairAutomaton) -> tuple[list[int], list[int]] | None:
                     g = edge_gap(lbl)
                     offer(d, lo[s] + g)
                     offer(d, hi[s] + g)
-    lo_out = [v if v is not None else 0 for v in lo]
-    hi_out = [v if v is not None else 0 for v in hi]
-    return lo_out, hi_out
-
-
-def suffix_gap_range(p: PairAutomaton) -> tuple[list[int], list[int]] | None:
-    """Per-state (min, max) of |x| - |y| over the outputs (x, y) of the paths
-    from the state to a final state, or None when unbounded.
-
-    A gap is a sum over edges and does not depend on the direction, so this
-    is `delay_range` of the reversed automaton, initials and finals swapped.
-    """
-    nfa = p.nfa
-    reverse = Nfa(nfa.n_states, nfa.finals, nfa.initials,
-                  [(d, lbl, s) for s, lbl, d in nfa.transitions])
-    return delay_range(PairAutomaton(reverse, p.left_alphabet,
-                                     p.right_alphabet, p.input_letters))
+    return (tuple(0 if v is None else v for v in lo),
+            tuple(0 if v is None else v for v in hi))
 
 
 def bounded_delay(p: PairAutomaton) -> bool:
@@ -266,30 +255,17 @@ def is_length_preserving(p: PairAutomaton) -> bool:
 # synchronization to letter-to-letter form
 # ---------------------------------------------------------------------------
 
-class SyncAutomaton:
-    """Letter-to-letter view of a bounded-delay pair automaton.
-
-    Edge labels are (a, b) letter pairs (possibly the padding symbol) or
-    EPSILON for moves that emit nothing.  `configs` maps each state back to
-    (pair-automaton state, left buffer, right buffer); padding tail states
-    map to (None, buffer, buffer-side).
-    """
-
-    def __init__(self, nfa: Nfa, configs: list[tuple]):
-        self.nfa = nfa
-        self.configs = configs
-
-
 def synchronize(p: PairAutomaton, delay_bound: int, pad: str | None = None,
-                ceiling: int = 10 ** 6) -> SyncAutomaton:
+                ceiling: int = 10 ** 6) -> Nfa:
     """Resynchronize to letter-to-letter form, buffering at most delay_bound.
 
     With pad=None the result accepts exactly the zipped letter pairs of the
     length-preserving relation; with a pad symbol, shorter sides are padded
-    at the end (the canonical encoding of a bounded-delay pair).
+    at the end (the canonical encoding of a bounded-delay pair).  Edge labels
+    of the returned automaton are (a, b) letter pairs (possibly with the pad
+    symbol) or EPSILON for moves that emit nothing.
     """
     ids: dict[tuple, int] = {}
-    configs: list[tuple] = []
     transitions: list[tuple[int, object, int]] = []
     todo: deque[tuple] = deque()
 
@@ -298,8 +274,7 @@ def synchronize(p: PairAutomaton, delay_bound: int, pad: str | None = None,
             if len(ids) >= ceiling:
                 raise ResourceLimitError(
                     f"synchronization exceeded ceiling of {ceiling} states")
-            ids[cfg] = len(configs)
-            configs.append(cfg)
+            ids[cfg] = len(ids)
             todo.append(cfg)
         return ids[cfg]
 
@@ -336,8 +311,7 @@ def synchronize(p: PairAutomaton, delay_bound: int, pad: str | None = None,
             if max(len(lq), len(rq)) > delay_bound:
                 continue  # beyond the promised delay bound: not on a valid path
             transitions.append((sid, label, get((d, lq, rq))))
-    nfa = Nfa(len(configs), initials, finals, transitions)
-    return SyncAutomaton(nfa, configs)
+    return Nfa(len(ids), initials, finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +362,7 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     if rng is None or any(rng[0][f] or rng[1][f] for f in p.nfa.finals):
         return _unbalanced_pair_witness(p)
     lo, hi = rng
-    sync = synchronize(p, max(map(abs, lo + hi)))
-    nfa, _, kept_idx = trim(sync.nfa)
+    nfa, _, _ = trim(synchronize(p, max(map(abs, lo + hi))))
     bad = None
     for t, (s, lbl, d) in enumerate(nfa.transitions):
         if lbl is not EPSILON and lbl[0] != lbl[1]:
@@ -478,25 +451,7 @@ def unbalanced_cycle(p: PairAutomaton) -> tuple[int, list[int]] | None:
                 path.append(tr)
             return path[::-1]
 
-        def intra_path(src, dst):
-            if src == dst:
-                return []
-            parent = {src: None}
-            todo = deque([src])
-            while todo:
-                cur = todo.popleft()
-                for _, nxt, tr in adj[cur]:
-                    if nxt in inside and nxt not in parent:
-                        parent[nxt] = (cur, tr)
-                        todo.append(nxt)
-            path = []
-            cur = dst
-            while parent[cur] is not None:
-                cur, tr = parent[cur]
-                path.append(tr)
-            return path[::-1]
-
-        back = intra_path(d, root)
+        back = component_path(p, inside, d, root)
         for cycle in (tree_path(s) + [t] + back, tree_path(d) + back):
             net = sum(edge_gap(nfa.transitions[tr][1]) for tr in cycle)
             if net != 0 and cycle:
@@ -552,6 +507,31 @@ def output_pair_of_path(p: PairAutomaton, path: Iterable[int]) -> tuple[str, str
         u += x
         v += y
     return u, v
+
+
+def component_path(p: PairAutomaton, inside: set[int], source: int,
+                   target: int) -> list[int]:
+    """Transition indices of a shortest path source -> target whose states
+    all lie in `inside`, a strongly connected component of p."""
+    if source == target:
+        return []
+    adj = p.nfa.adj()
+    parent = {source: None}
+    todo = deque([source])
+    while todo and target not in parent:
+        s = todo.popleft()
+        for _, d, t in adj[s]:
+            if d in inside and d not in parent:
+                parent[d] = (s, t)
+                todo.append(d)
+    if target not in parent:
+        raise IntegrityError("component not strongly connected")
+    path = []
+    cur = target
+    while parent[cur] is not None:
+        cur, t = parent[cur]
+        path.append(t)
+    return path[::-1]
 
 
 def shortest_prefix_path(p: PairAutomaton, target: int) -> list[int]:

@@ -239,8 +239,7 @@ def _padded_nfa(r: PairAutomaton, ceiling: int) -> Nfa:
     if bound is None:
         raise UnsupportedCaseError(
             "containment requires bounded delay on both relations")
-    sync = synchronize(r, bound, pad=PAD, ceiling=ceiling)
-    return sync.nfa
+    return synchronize(r, bound, pad=PAD, ceiling=ceiling)
 
 
 def _included_padded(padded_small: Nfa, big: PairAutomaton,

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 from .automata import Nfa, scc_decomposition, trim
 from .errors import IntegrityError, InputError, ResourceLimitError
-from .pairauto import (PairAutomaton, compute_delays, find_pair_path,
-                       identity_witness, input_word_of_path, is_length_preserving,
-                       shortest_suffix_path, _unbalanced_pair_witness)
+from .pairauto import (PairAutomaton, component_path, delay_range,
+                       find_pair_path, identity_witness, input_word_of_path,
+                       is_length_preserving, shortest_suffix_path,
+                       _unbalanced_pair_witness)
 from .transducers import (DomainMismatchError, evaluate,
                           loop_certificate, transducer_pair_automaton)
 from .verdicts import Close, InfiniteWordCertificate, NotClose
@@ -90,9 +91,12 @@ class _Pipeline:
 
 
 def _build_pipeline(p: PairAutomaton) -> _Pipeline:
-    delays = compute_delays(p)
-    if delays is None:
+    """Needs a trimmed, length-preserving p: each state's delay is then the
+    one gap of `delay_range` (lo == hi)."""
+    gaps = delay_range(p)
+    if gaps is None or gaps[0] != gaps[1]:
         raise IntegrityError("length-preserving automaton with conflicting delays")
+    delays = gaps[0]
     comp, comps = scc_decomposition(p.nfa)
     intra: list[list[int]] = [[] for _ in comps]
     for t, (s, _, d) in enumerate(p.nfa.transitions):
@@ -256,6 +260,7 @@ def _border_walks(pipe: _Pipeline, cid: int, q: int, side: int, length: int,
     """
     p = pipe.p
     intra = set(pipe.intra[cid])
+    inside = set(pipe.comps[cid])
     adj = p.nfa.adj()
     start = (q, "")
     paths: dict[tuple, list[int]] = {start: []}
@@ -265,7 +270,7 @@ def _border_walks(pipe: _Pipeline, cid: int, q: int, side: int, length: int,
         s, w = todo.popleft()
         if len(w) == length:
             if w not in out:
-                out[w] = paths[(s, w)] + _close_loop(pipe, cid, s, q)
+                out[w] = paths[(s, w)] + component_path(p, inside, s, q)
             continue
         for (x, y), d, t in adj[s]:
             if t not in intra:
@@ -279,34 +284,6 @@ def _border_walks(pipe: _Pipeline, cid: int, q: int, side: int, length: int,
                 paths[key] = paths[(s, w)] + [t]
                 todo.append(key)
     return out
-
-
-def _close_loop(pipe: _Pipeline, cid: int, source: int, target: int) -> list[int]:
-    """Shortest intra-component path source -> target."""
-    if source == target:
-        return []
-    p = pipe.p
-    intra = set(pipe.intra[cid])
-    adj = p.nfa.adj()
-    parent = {source: None}
-    todo = deque([source])
-    while todo:
-        s = todo.popleft()
-        for _, d, t in adj[s]:
-            if t in intra and d not in parent:
-                parent[d] = (s, t)
-                todo.append(d)
-                if d == target:
-                    todo.clear()
-                    break
-    if target not in parent:
-        raise IntegrityError("component not strongly connected")
-    path = []
-    cur = target
-    while parent[cur] is not None:
-        cur, t = parent[cur]
-        path.append(t)
-    return path[::-1]
 
 
 def _component_emits_letters(pipe: _Pipeline, cid: int) -> bool:
@@ -343,11 +320,12 @@ def _border_violation(pipe: _Pipeline, vecs):
 
 def _letter_loop_at(pipe: _Pipeline, cid: int, q: int) -> list[int]:
     """A loop at q through some letter-emitting intra-component edge."""
+    inside = set(pipe.comps[cid])
     for t in pipe.intra[cid]:
         s, lbl, d = pipe.p.nfa.transitions[t]
         if lbl != ("", ""):
-            return (_close_loop(pipe, cid, q, s) + [t]
-                    + _close_loop(pipe, cid, d, q))
+            return (component_path(pipe.p, inside, q, s) + [t]
+                    + component_path(pipe.p, inside, d, q))
     raise IntegrityError("no letter-emitting edge in component")
 
 
@@ -355,23 +333,16 @@ def _letter_loop_at(pipe: _Pipeline, cid: int, q: int) -> list[int]:
 # public deciders
 # ---------------------------------------------------------------------------
 
-def _decide(decide, t1, t2):
-    """decide(t1, t2, p) on the machines' pair automaton p, or NotClose."""
-    try:
-        p = transducer_pair_automaton(t1, t2)
-    except DomainMismatchError as e:
-        return NotClose(e.certificate), None
-    return decide(t1, t2, p)
+def close_hamming(t1, t2, p: PairAutomaton):
+    """Hamming closeness on p, the pair automaton of two machines with one
+    domain: equal lengths, consistent delays, trivial interiors."""
+    return _hamming_verdict(t1, t2, p)[0]
 
 
-def close_hamming(t1, t2):
-    """Hamming closeness: equal lengths, consistent delays, trivial interiors."""
-    return _decide(_hamming_verdict, t1, t2)[0]
-
-
-def close_transposition(t1, t2):
-    """Transposition closeness per the three-part loop characterization."""
-    return _decide(_transposition_verdict, t1, t2)[0]
+def close_transposition(t1, t2, p: PairAutomaton):
+    """Transposition closeness on p, the pair automaton of two machines with
+    one domain, per the three-part loop characterization."""
+    return _transposition_verdict(t1, t2, p)[0]
 
 
 def _hamming_verdict(t1, t2, p: PairAutomaton):
@@ -566,13 +537,13 @@ def _max_path_distance(nfa: Nfa, metric: Metric, alphabet: Alphabet,
     return best if found else ExtendedNat(0)
 
 
-def distance_subst(metric: Metric, t1, t2, *,
-                   gadget_ceiling: int = DEFAULT_GADGET_CEILING,
-                   pathset_ceiling: int = DEFAULT_PATHSET_CEILING) -> ExtendedNat:
+def distance_subst(metric: Metric, t1, t2) -> ExtendedNat:
     """Exact Hamming/transposition distance through the acyclic gadget.
 
     Builds the pair automaton (checking the domains) and its pipeline once,
-    for the verdict and the gadget alike.
+    for the verdict and the gadget alike.  The gadget holds at most
+    `DEFAULT_GADGET_CEILING` states and the path enumeration at most
+    `DEFAULT_PATHSET_CEILING` suffix pairs.
     """
     if metric is Metric.HAMMING:
         decide = _hamming_verdict
@@ -581,11 +552,15 @@ def distance_subst(metric: Metric, t1, t2, *,
     else:
         raise InputError(f"distance_subst handles hamming/transposition, "
                          f"not {metric}")
-    verdict, pipe = _decide(decide, t1, t2)
+    try:
+        p = transducer_pair_automaton(t1, t2)
+    except DomainMismatchError:
+        return INF
+    verdict, pipe = decide(t1, t2, p)
     if isinstance(verdict, NotClose):
         return INF
     if pipe is None:
         return ExtendedNat(0)
-    gadget = _acyclic_gadget(pipe, gadget_ceiling)
-    return _max_path_distance(gadget, metric, pipe.p.left_alphabet,
-                              pathset_ceiling)
+    gadget = _acyclic_gadget(pipe, DEFAULT_GADGET_CEILING)
+    return _max_path_distance(gadget, metric, p.left_alphabet,
+                              DEFAULT_PATHSET_CEILING)

@@ -158,16 +158,17 @@ class DomainMismatchError(InputError):
 
 
 def loop_certificate(t1: Transducer, t2: Transducer, metric: Metric,
-                     p: PairAutomaton, state: int, loop: str,
-                     needed: int = 3, scan_limit: int = 200) -> LoopCertificate:
+                     p: PairAutomaton, state: int,
+                     loop: str) -> LoopCertificate:
     """The input loop at a state of p, the pair automaton of (t1, t2),
     pumped between the inputs of shortest paths to and from the state.
 
-    Picks pump counts with strictly increasing (or infinite) distances,
-    each computed by evaluating both machines on prefix·loop^i·suffix, so
-    the certificate replays by construction; a loop that does not grow the
-    distance within `scan_limit` pumps is an IntegrityError.
+    Picks three pump counts with strictly increasing distances (or fewer,
+    ending at an infinite one), each computed by evaluating both machines on
+    prefix·loop^i·suffix, so the certificate replays by construction; a loop
+    that does not grow the distance within 200 pumps is an IntegrityError.
     """
+    needed, scan_limit = 3, 200
     prefix = input_word_of_path(p, shortest_prefix_path(p, state))
     suffix = input_word_of_path(p, shortest_suffix_path(p, state))
     pumps: list[int] = []

@@ -623,7 +623,8 @@ def oracle_distances_from(metric: Metric, u: str, budget: int, alphabet: Alphabe
         return {w: oracle_distance(metric, u, w, budget, alphabet) for w in words}
 
     if len(alphabet) == 2:
-        return _oracle_map_binary(metric, u, budget, alphabet, max_target_len)
+        return oracle_distance_table(metric, [u], budget, alphabet,
+                                     max_target_len)[u]
     return _oracle_map_bfs(metric, u, budget, alphabet, max_target_len)
 
 
@@ -634,11 +635,6 @@ def _all_words(alphabet: Alphabet, max_len: int) -> list[str]:
         frontier = [w + c for w in frontier for c in alphabet.letters]
         words.extend(frontier)
     return words
-
-
-def _oracle_map_binary(metric, u, budget, alphabet, max_target_len):
-    return oracle_distance_table(metric, [u], budget, alphabet,
-                                 max_target_len)[u]
 
 
 def oracle_distance_table(metric: Metric, sources: list[str], budget: int,

@@ -12,13 +12,13 @@ from conftest import (dense_dfa_spec, joint_outputs_table,
 from transdist import conjugacy
 from transdist.conjugacy import (
     Atom, Cat, Empty, Star, Sum, Witness, NoWitness, WitnessUnknown,
-    cat, close_conjugacy, close_conjugacy_transducers,
-    close_levenshtein, close_levenshtein_transducers, common_witness,
-    pair_witnesses, star, state_elimination, sum_, sumfree_decompose,
+    cat, close_conjugacy, common_witness, pair_witnesses, star,
+    state_elimination, sum_, sumfree_decompose, to_pair_automaton,
     verify_witness, witness_candidates,
 )
+from transdist.kapprox import close_verdict
 from transdist.pairauto import PairAutomaton, enumerate_pairs, max_abs_delay
-from transdist.transducers import (domain_words, evaluate,
+from transdist.transducers import (domain_words, evaluate, nivat_split,
                                    transducer_pair_automaton)
 from transdist.verdicts import (Close, InfiniteWordCertificate,
                                 LoopCertificate, NotClose, Unknown)
@@ -243,7 +243,7 @@ def test_close_conjugacy_identity():
 
 
 def test_close_conjugacy_t1_t3(t1, t3):
-    verdict = close_conjugacy_transducers(t1, t3)
+    verdict = close_verdict(Metric.CONJUGACY, t1, t3)
     assert isinstance(verdict, NotClose)
     cert = verdict.certificate
     assert isinstance(cert, InfiniteWordCertificate)
@@ -253,7 +253,7 @@ def test_close_conjugacy_t1_t3(t1, t3):
 
 def test_close_conjugacy_t4_t5(t4, t5):
     # outputs are complements: (0,1) is not conjugate
-    verdict = close_conjugacy_transducers(t4, t5)
+    verdict = close_verdict(Metric.CONJUGACY, t4, t5)
     assert isinstance(verdict, NotClose)
 
 
@@ -262,7 +262,7 @@ def test_close_conjugacy_t4_t5(t4, t5):
 # ---------------------------------------------------------------------------
 
 def test_close_levenshtein_t4_t5(t4, t5):
-    verdict = close_levenshtein_transducers(t4, t5)
+    verdict = close_verdict(Metric.LEVENSHTEIN, t4, t5)
     assert isinstance(verdict, Close)
     assert verdict.bound >= 2
     # enumerated distances stay within the bound
@@ -272,7 +272,7 @@ def test_close_levenshtein_t4_t5(t4, t5):
 
 
 def test_close_levenshtein_t1_t2_notclose(t1, t2):
-    verdict = close_levenshtein_transducers(t1, t2)
+    verdict = close_verdict(Metric.LEVENSHTEIN, t1, t2)
     assert isinstance(verdict, NotClose)
     cert = verdict.certificate
     assert isinstance(cert, LoopCertificate)
@@ -287,7 +287,7 @@ def test_close_levenshtein_t1_t2_notclose(t1, t2):
 def test_close_levenshtein_unbounded_gap_pumps_an_unbalanced_loop(t1, t3):
     # t3 erases b's, so the output-length gap to t1 grows without bound
     for metric in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
-        verdict = close_levenshtein_transducers(t1, t3, metric)
+        verdict = close_verdict(metric, t1, t3)
         assert isinstance(verdict, NotClose)
         assert isinstance(verdict.certificate, LoopCertificate)
         assert _replays(metric, verdict.certificate, t1, t3)
@@ -297,7 +297,7 @@ def test_close_levenshtein_relation_with_two_output_alphabets():
     # every letter pair differs, so d = |w| grows along the loop
     p = PairAutomaton.from_edges(1, [0], [0], [(0, ("a", "0"), 0),
                                                (0, ("b", "1"), 0)], AB, B01)
-    verdict = close_levenshtein(p)
+    verdict = close_verdict(Metric.LEVENSHTEIN, *nivat_split(p))
     assert isinstance(verdict, NotClose)
     assert isinstance(verdict.certificate, LoopCertificate)
 
@@ -306,7 +306,8 @@ def test_close_levenshtein_constants_only():
     # the one pair (aba, ba) runs through the loop-free letter edges (a,b),
     # (b,a) and (a,): each differs, so each weighs 1 in the bound
     e = cat(Atom("ab", "ba"), Atom("a", ""))
-    verdict = close_levenshtein(e)
+    verdict = close_verdict(Metric.LEVENSHTEIN,
+                            *nivat_split(to_pair_automaton(e)))
     assert isinstance(verdict, Close)
     assert verdict.bound == 3
     assert verdict.bound >= word_distance(Metric.LEVENSHTEIN, "aba", "ba") == 1
@@ -314,12 +315,12 @@ def test_close_levenshtein_constants_only():
 
 def test_close_levenshtein_lcs_and_damerau_verdicts(t4, t5, t1, t2):
     for metric in (Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
-        assert isinstance(close_levenshtein_transducers(t4, t5, metric), Close)
-        assert isinstance(close_levenshtein_transducers(t1, t2, metric), NotClose)
+        assert isinstance(close_verdict(metric, t4, t5), Close)
+        assert isinstance(close_verdict(metric, t1, t2), NotClose)
 
 
 def test_close_levenshtein_bound_covers_enumeration(t4, t5):
-    verdict = close_levenshtein_transducers(t4, t5, Metric.LCS)
+    verdict = close_verdict(Metric.LCS, t4, t5)
     for w in ["0", "01", "0011", "010010"]:
         d = word_distance(Metric.LCS, evaluate(t4, w), evaluate(t5, w))
         assert d <= verdict.bound
@@ -336,7 +337,7 @@ def test_close_levenshtein_charges_a_component_its_gap_spread():
     assert max_abs_delay(transducer_pair_automaton(ta, tb)) == 2
     for metric, old in ((Metric.LEVENSHTEIN, 8), (Metric.LCS, 16),
                         (Metric.DAMERAU_LEVENSHTEIN, 8)):
-        verdict = close_levenshtein_transducers(ta, tb, metric)
+        verdict = close_verdict(metric, ta, tb)
         assert isinstance(verdict, Close)
         worst = max(word_distance(metric, evaluate(ta, w), evaluate(tb, w))
                     for w in domain_words(ta, 6))
@@ -375,7 +376,7 @@ def test_levenshtein_verdicts_hold_on_random_machines(rng):
     t1, t2 = joint_to_transducers(j)
     outputs = list(joint_outputs_table(j, 6).values())
     for metric in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
-        verdict = close_levenshtein_transducers(t1, t2, metric)
+        verdict = close_verdict(metric, t1, t2)
         if isinstance(verdict, Close):
             worst = max((word_distance(metric, o1, o2) for o1, o2 in outputs),
                         default=0)
@@ -398,11 +399,11 @@ def test_rotate_first_letter_pairs_are_close(n):
             assert o2 == (o1[1:] + o1[:1] if o1 is not None else None)
         for metric in (Metric.LEVENSHTEIN, Metric.LCS,
                        Metric.DAMERAU_LEVENSHTEIN):
-            verdict = close_levenshtein_transducers(t1, t2, metric)
+            verdict = close_verdict(metric, t1, t2)
             assert isinstance(verdict, Close), (seed, metric, verdict)
         if n > 7:
             continue  # conjugacy on (8, 2) takes seconds
-        verdict = close_conjugacy_transducers(t1, t2)
+        verdict = close_verdict(Metric.CONJUGACY, t1, t2)
         worst = max(word_distance(Metric.CONJUGACY, evaluate(t1, w),
                                   evaluate(t2, w))
                     for w in domain_words(t1, 6))
@@ -418,7 +419,7 @@ def test_rotate_pair_with_nested_stars_is_close_under_conjugacy():
     t1 = spec_transducer(spec)
     t2 = spec_transducer(rotate_first_letter(spec))
     start = time.perf_counter()
-    verdict = close_conjugacy_transducers(t1, t2)
+    verdict = close_verdict(Metric.CONJUGACY, t1, t2)
     assert time.perf_counter() - start < 1.0
     assert isinstance(verdict, Close) and verdict.bound == 1
 
@@ -435,8 +436,31 @@ def test_both_witness_searches_cut_off_at_one_plus_transitions(monkeypatch):
     spec = dense_dfa_spec(random.Random(0), 4)
     t1 = spec_transducer(spec)
     t2 = spec_transducer(rotate_first_letter(spec))
-    for decide in (close_conjugacy_transducers, close_levenshtein_transducers):
+    for metric in (Metric.CONJUGACY, Metric.LEVENSHTEIN):
         seen.clear()
-        assert isinstance(decide(t1, t2), Close)
-        assert seen, decide
+        assert isinstance(close_verdict(metric, t1, t2), Close)
+        assert seen, metric
         assert all(cutoff == 1 + transitions for transitions, cutoff in seen)
+
+
+def test_every_exhausted_witness_search_keeps_the_verdict_unknown(
+        monkeypatch):
+    # an Unknown refuses to be read as a bool, so a second exhausted search
+    # must not test the first one's Unknown for truth
+    searches = []
+
+    def exhausted(p, cutoff):
+        searches.append(p)
+        return WitnessUnknown(cutoff, ("ab", "ba"), None)
+
+    monkeypatch.setattr(conjugacy, "_witness_search", exhausted)
+    e = sum_(star(Atom("ab", "ba")), star(Atom("abb", "bab")))
+    assert isinstance(close_conjugacy(e), Unknown)
+    assert len(searches) == 2
+    spec = dense_dfa_spec(random.Random(0), 4)
+    t1 = spec_transducer(spec)
+    t2 = spec_transducer(rotate_first_letter(spec))
+    for metric in (Metric.CONJUGACY, Metric.LEVENSHTEIN):
+        searches.clear()
+        assert isinstance(close_verdict(metric, t1, t2), Unknown)
+        assert len(searches) >= 2, metric

@@ -14,8 +14,7 @@ from transdist.pairauto import (PairAutomaton, enumerate_pairs,
                                 is_identity_relation)
 from transdist.relations import (make_distance_relation, power_upto,
                                  relation_included)
-from transdist.substitution import _border_walks, _build_pipeline, \
-    close_hamming
+from transdist.substitution import _border_walks, _build_pipeline
 from transdist.transducers import joint_product, transducer_pair_automaton
 from transdist.verdicts import Close
 from transdist.words import (Alphabet, ExtendedNat, Metric,

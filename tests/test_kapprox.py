@@ -208,23 +208,24 @@ def test_kclose_zero_is_output_equality(metric, t1, t2, t3, t4, t5,
                                     Metric.DAMERAU_LEVENSHTEIN])
 def test_kclose_runs_delay_range_once_per_direction(metric, t1, t3, t4, t5,
                                                     monkeypatch):
-    # one run on the pair automaton (the build's delay bound) and one on its
-    # reverse (the suffix gaps); unbounded delay is read off the build
+    # one gap analysis of the pair automaton (the build's delay bound) and
+    # one of its reverse (the suffix gaps); unbounded delay is read off the
+    # build
     runs = []
-    real = pairauto.delay_range
+    real = pairauto._gap_range
 
-    def counting(p):
-        runs.append(p)
-        return real(p)
+    def counting(nfa, reverse):
+        runs.append(reverse)
+        return real(nfa, reverse)
 
-    monkeypatch.setattr(pairauto, "delay_range", counting)
+    monkeypatch.setattr(pairauto, "_gap_range", counting)
     for k in (1, 2):
         runs.clear()
         assert kclose(metric, t4, t5, k) == (k == 2)
-        assert len(runs) == 2
+        assert runs == [False, True]
     runs.clear()
     assert not kclose(metric, t1, t3, 2)
-    assert len(runs) == 1
+    assert runs == [False]
 
 
 def test_kclose_hamming_t1_t2_false_for_small_k(t1, t2):
@@ -405,10 +406,35 @@ def test_kclose_builds_one_joint_product(metric, t4, t5, joint_products):
                                     Metric.DAMERAU_LEVENSHTEIN])
 def test_distance_builds_one_joint_product_per_probe_and_verdict(
         metric, probes, joint_products):
-    # one for the verdict and one shared by every probe of the k-search
+    # one, shared by the verdict and every probe of the k-search
     distance(metric, _identity(), _flip(4, (0, 1, 3)))
     assert len(probes) > 2
-    assert len(joint_products) == 2
+    assert len(joint_products) == 1
+
+
+def test_distance_analyses_the_gaps_of_its_pair_automaton_once(
+        monkeypatch, probes):
+    built, analysed = [], []
+    build = kapprox.transducer_pair_automaton
+    gap_range = pairauto._gap_range
+
+    def building(t1, t2):
+        built.append(build(t1, t2))
+        return built[-1]
+
+    def analysing(nfa, reverse):
+        analysed.append((nfa, reverse))
+        return gap_range(nfa, reverse)
+
+    monkeypatch.setattr(kapprox, "transducer_pair_automaton", building)
+    monkeypatch.setattr(pairauto, "_gap_range", analysing)
+    assert distance(Metric.LEVENSHTEIN, _identity(), _flip(4, (0, 1, 3))) == 3
+    assert probes == [0, 1, 2, 3]
+    [p] = built
+    # one prefix analysis (the verdict, identity_witness and every probe's
+    # max_abs_delay) and one suffix analysis (every probe's live-node test)
+    assert sorted(reverse for nfa, reverse in analysed
+                  if nfa is p.nfa) == [False, True]
 
 
 @pytest.mark.parametrize("metric, want", [
@@ -503,10 +529,10 @@ def test_every_route_compares_the_domains_once_per_joint_product(
         domain_runs.clear()
         assert f(ta, tb) == INF
         assert len(domain_runs) == 1
-    # a distance compares once for its verdict and once for its k-search
+    # a distance compares once, for its verdict and its k-search alike
     domain_runs.clear()
     assert distance(Metric.LEVENSHTEIN, t4, t5) == 2
-    assert domain_runs == [None, None]
+    assert domain_runs == [None]
 
 
 def test_joint_product_raises_the_mismatch_with_its_certificate():

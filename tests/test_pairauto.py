@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import random_joint_machine
 from transdist.pairauto import (
-    PairAutomaton, bounded_delay, compute_delays, delay_range, enumerate_pairs,
+    PairAutomaton, bounded_delay, delay_range, enumerate_pairs,
     find_pair_path, identity_witness, input_word_of_path, is_identity_relation,
     is_length_preserving, max_abs_delay, output_pair_of_path, pair_length_diameter,
     shortest_prefix_path, shortest_suffix_path, suffix_gap_range, synchronize,
@@ -59,14 +59,16 @@ def test_provenance_tracks_first_piece():
 # delays
 # ---------------------------------------------------------------------------
 
+# a state's delay is its one prefix gap (lo == hi of delay_range)
+
 def test_compute_delays_identity_zero():
     p = pa([(0, ("a", "a"), 0)], 1)
-    assert compute_delays(p) == [0]
+    assert delay_range(p) == ((0,), (0,))
 
 
 def test_compute_delays_inconsistent_on_unbalanced_loop():
     p = loop_relation("a", "")
-    assert compute_delays(p) is None
+    assert delay_range(p) is None
     assert not bounded_delay(p)
     assert pair_length_diameter(p) == INF
 
@@ -74,8 +76,8 @@ def test_compute_delays_inconsistent_on_unbalanced_loop():
 def test_compute_delays_alternating():
     # (a, ε)(ε, a) loop through two states: delays 0 and 1
     p = pa([(0, ("a", ""), 1), (1, ("", "a"), 0)], 2)
-    d = compute_delays(p)
-    assert sorted(d) == [0, 1]
+    lo, hi = delay_range(p)
+    assert lo == hi and sorted(lo) == [0, 1]
 
 
 def test_delay_range_handles_parallel_paths():
@@ -85,10 +87,10 @@ def test_delay_range_handles_parallel_paths():
              (1, ("", "a"), 2), (1, ("a", ""), 2),
              (2, ("b", "b"), 3)]
     p = PairAutomaton.from_edges(4, [0], [3], edges, AB, AB)
-    assert compute_delays(p) is None          # conflicting per-state delay
     rng = delay_range(p)
-    assert rng is not None                    # but no cycle: still bounded
+    assert rng is not None                    # no cycle: bounded
     lo, hi = rng
+    assert lo[1] != hi[1]                     # conflicting per-state delay
     assert pair_length_diameter(p) == 2       # (aa·b, b) realizes gap 2... check
     pairs = enumerate_pairs(p, 4)
     assert max(abs(len(u) - len(v)) for u, v in pairs) == 2
@@ -228,7 +230,7 @@ def test_identity_witness_is_accepted_pair():
 def test_synchronize_letter_to_letter_labels():
     p = pa([(0, ("a", ""), 1), (1, ("", "b"), 0)], 2)
     sync = synchronize(p, max_abs_delay(p))
-    labels = {lbl for _, lbl, _ in sync.nfa.transitions if lbl is not None}
+    labels = {lbl for _, lbl, _ in sync.transitions if lbl is not None}
     assert labels == {("a", "b")}
 
 
@@ -236,9 +238,9 @@ def test_synchronize_padded_accepts_canonical_encoding():
     p = PairAutomaton.from_edges(2, [0], [1], [(0, ("ab", "b"), 1)], AB, AB)
     sync = synchronize(p, 2, pad="#")
     from transdist.automata import accepts
-    assert accepts(sync.nfa, [("a", "b"), ("b", "#")])
-    assert not accepts(sync.nfa, [("a", "b")])
-    assert not accepts(sync.nfa, [("a", "#"), ("b", "b")])
+    assert accepts(sync, [("a", "b"), ("b", "#")])
+    assert not accepts(sync, [("a", "b")])
+    assert not accepts(sync, [("a", "#"), ("b", "b")])
 
 
 # ---------------------------------------------------------------------------

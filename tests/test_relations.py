@@ -262,7 +262,7 @@ def test_relation_included_letter_pair_big_never_uses():
     small = rel([(0, ("b", "b"), 1), (0, ("a", ""), 1)], 2, finals=(1,))
     big = rel([(0, ("b", "b"), 1)], 2, finals=(1,))
     def padded_labels(r):
-        return synchronize(r, max_abs_delay(r), pad=PAD).nfa.labels()
+        return synchronize(r, max_abs_delay(r), pad=PAD).labels()
 
     assert ("a", PAD) in padded_labels(small)
     assert ("a", PAD) not in padded_labels(big)

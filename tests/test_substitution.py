@@ -3,10 +3,8 @@ import pytest
 
 from conftest import joint_to_transducers, machine_corpus, make_transducer
 from transdist.errors import InputError
-from transdist.substitution import (
-    close_hamming, close_transposition, distance_subst, interior, lborder,
-    rborder,
-)
+from transdist.kapprox import close_verdict
+from transdist.substitution import distance_subst, interior, lborder, rborder
 from transdist.transducers import domain_words, evaluate
 from transdist.verdicts import (Close, InfiniteWordCertificate, LoopCertificate,
                                 NotClose)
@@ -50,7 +48,7 @@ def test_interior_requires_long_enough_pair():
 # ---------------------------------------------------------------------------
 
 def test_t4_t5_hamming_not_close(t4, t5):
-    verdict = close_hamming(t4, t5)
+    verdict = close_verdict(Metric.HAMMING, t4, t5)
     assert isinstance(verdict, NotClose)
     cert = verdict.certificate
     assert isinstance(cert, LoopCertificate)
@@ -62,7 +60,7 @@ def test_t4_t5_hamming_not_close(t4, t5):
 
 
 def test_t1_t2_hamming_not_close(t1, t2):
-    verdict = close_hamming(t1, t2)
+    verdict = close_verdict(Metric.HAMMING, t1, t2)
     assert isinstance(verdict, NotClose)
     # outputs differ in length on odd-length inputs: a one-word certificate
     assert isinstance(verdict.certificate, InfiniteWordCertificate)
@@ -72,20 +70,20 @@ def test_t1_t2_hamming_not_close(t1, t2):
 
 def test_self_closeness(t1, t4):
     for t in (t1, t4):
-        assert isinstance(close_hamming(t, t), Close)
-        assert isinstance(close_transposition(t, t), Close)
+        assert isinstance(close_verdict(Metric.HAMMING, t, t), Close)
+        assert isinstance(close_verdict(Metric.TRANSPOSITION, t, t), Close)
 
 
 def test_t1_t2_transposition_not_close(t1, t2):
-    verdict = close_transposition(t1, t2)
+    verdict = close_verdict(Metric.TRANSPOSITION, t1, t2)
     assert isinstance(verdict, NotClose)
 
 
 def test_different_domains_not_close():
     t_astar = make_transducer(1, [0], [0], [(0, "a", "a", 0)])
     t_astarb = make_transducer(2, [0], [1], [(0, "a", "a", 0), (0, "b", "", 1)])
-    assert isinstance(close_hamming(t_astar, t_astarb), NotClose)
-    assert isinstance(close_transposition(t_astar, t_astarb), NotClose)
+    for metric in (Metric.HAMMING, Metric.TRANSPOSITION):
+        assert isinstance(close_verdict(metric, t_astar, t_astarb), NotClose)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +100,8 @@ def shifted_pair():
 
 def test_shifted_pair_hamming_close_transposition_not():
     t_a, t_b = shifted_pair()
-    assert isinstance(close_hamming(t_a, t_b), Close)
-    verdict = close_transposition(t_a, t_b)
+    assert isinstance(close_verdict(Metric.HAMMING, t_a, t_b), Close)
+    verdict = close_verdict(Metric.TRANSPOSITION, t_a, t_b)
     assert isinstance(verdict, NotClose)
     cert = verdict.certificate
     assert isinstance(cert, LoopCertificate)
@@ -123,7 +121,7 @@ def test_swapped_first_block_transposition_close():
     # identical loops, first block swapped: one adjacent swap fixes any output
     t_a = make_transducer(2, [0], [1], [(0, "a", "ab", 1), (1, "a", "ab", 1)])
     t_b = make_transducer(2, [0], [1], [(0, "a", "ba", 1), (1, "a", "ab", 1)])
-    verdict = close_transposition(t_a, t_b)
+    verdict = close_verdict(Metric.TRANSPOSITION, t_a, t_b)
     assert isinstance(verdict, Close)
     for n in range(1, 6):
         d = word_distance(Metric.TRANSPOSITION,
@@ -137,8 +135,8 @@ def test_growing_swaps_not_close_for_both():
     # non-identical zero-delay interior, so d_t grows like n-1 and d_h like 2n
     t_a = make_transducer(2, [0], [1], [(0, "a", "ab", 1), (1, "a", "ab", 1)])
     t_b = make_transducer(2, [0], [1], [(0, "a", "ab", 1), (1, "a", "ba", 1)])
-    assert isinstance(close_transposition(t_a, t_b), NotClose)
-    assert isinstance(close_hamming(t_a, t_b), NotClose)
+    assert isinstance(close_verdict(Metric.TRANSPOSITION, t_a, t_b), NotClose)
+    assert isinstance(close_verdict(Metric.HAMMING, t_a, t_b), NotClose)
     assert distance_subst(Metric.HAMMING, t_a, t_b) == INF
 
 
@@ -169,14 +167,11 @@ def test_distance_subst_rejects_other_metrics(t4):
 # random corpus: closeness verdicts against enumeration
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("metric,decider", [
-    (Metric.HAMMING, close_hamming),
-    (Metric.TRANSPOSITION, close_transposition),
-])
-def test_closeness_vs_enumeration_on_corpus(metric, decider):
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
+def test_closeness_vs_enumeration_on_corpus(metric):
     for j in machine_corpus(202, 20):
         u1, u2 = joint_to_transducers(j)
-        verdict = decider(u1, u2)
+        verdict = close_verdict(metric, u1, u2)
         if isinstance(verdict, Close):
             d = distance_subst(metric, u1, u2)
             assert d.is_finite
@@ -199,7 +194,7 @@ def test_closeness_vs_enumeration_on_corpus(metric, decider):
 def test_distance_subst_matches_bruteforce_when_stable():
     for j in machine_corpus(203, 12):
         u1, u2 = joint_to_transducers(j)
-        if not isinstance(close_hamming(u1, u2), Close):
+        if not isinstance(close_verdict(Metric.HAMMING, u1, u2), Close):
             continue
         d = distance_subst(Metric.HAMMING, u1, u2)
         v8 = enum_max_distance(Metric.HAMMING, u1, u2, 8)

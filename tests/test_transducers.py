@@ -186,14 +186,14 @@ def test_nivat_round_trip_preserves_pair_language(t4, t5):
 # ---------------------------------------------------------------------------
 
 def test_t1_t2_pair_automaton_bounded_but_not_length_preserving(t1, t2):
-    from transdist.pairauto import (bounded_delay, compute_delays,
+    from transdist.pairauto import (bounded_delay, delay_range,
                                     is_length_preserving)
     p = transducer_pair_automaton(t1, t2)
     assert not is_length_preserving(p)   # odd-length inputs leave a gap of 1
     assert bounded_delay(p)
-    delays = compute_delays(p)
-    assert delays is not None
-    assert set(delays) == {0, 1}
+    lo, hi = delay_range(p)              # one delay per state
+    assert lo == hi
+    assert set(lo) == {0, 1}
 
 
 def test_length_close_paper_values(t1, t2, t3):
