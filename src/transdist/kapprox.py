@@ -14,6 +14,10 @@ has no accepting run and gets no id (see `_build_subst_family`).  For the
 crossing metrics (Damerau and transposition) a cut point is dropped when a
 neighbouring cut explains its cost exactly, read off the chunk's table,
 which keeps the skeleton and every minimal weight (see `_crossing_cuts`).
+Their residuals are canonical: a target's residuals lose their longest
+common prefix (d(c·A, c·B) = d(A, B)), and a target with no budget left
+whose residuals are both non-empty is dead, since they then differ at their
+first letters (see `_build_subst_family`).
 For the conjugacy distance a two-phase automaton first stores output
 prefixes, then commits to a shift direction and matches the shifted
 streams; the run cost is the number of shifts claimed.  At k = 0 no
@@ -95,6 +99,29 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     It agrees with `_crossing_cuts`: moving a run of a dropped cut's live
     target to the explaining predecessor's target is no dearer, so that
     target is live as well and never pruned.
+
+    Target residuals are canonical.  First, for the crossing metrics the
+    longest common prefix c of the two residuals is stripped (the others
+    keep one residual empty).  What a node must price for a suffix output
+    (x, y) is d(lu·x, lv·y) within b, and d(c·A, c·B) = d(A, B), so
+    (q, b, c·A, c·B) and (q, b, A, B) have the same completion costs, and
+    the shorter residuals fit the cap no worse.  "≤" is matching c to
+    itself; for "≥" induct on |c| with c = a·c'.  Under Damerau (and
+    Levenshtein and LCS) let f drop a word's first letter: an edit at a
+    later position is the same edit under f; a substitution of the first
+    letter leaves f unchanged; deleting or inserting it is one deletion or
+    insertion under f; swapping the first two letters, which only Damerau
+    allows, is one substitution under f, which Damerau allows too.  So an
+    edit sequence from a·A to a·B maps to one from A to B no longer.
+    Transposition counts the inversions of the matching of equal letters in
+    order, which pairs the two leading a's with no inversion and matches A
+    to B as on its own.
+    Second, a target with b = 0 whose stripped residuals are both non-empty
+    is dead: they differ at their first letters, so lu·x ≠ lv·y for every
+    suffix output, every completion costs at least 1 > b, and the node has
+    no accepting run, like one that fails the gap test.  Both rules shrink
+    the target's key only; the dominated-cut argument of `_crossing_cuts`
+    reads costs off the chunk's table, which the lemma leaves unchanged.
     """
     crossing = metric in _CROSSING_METRICS
     # a finite max_abs_delay (checked by build_kapprox) bounds every cycle's
@@ -131,6 +158,8 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
             q, b, lu, lv = cfg
             gap = len(lu) - len(lv)
             if gap + shi[q] < -b or gap + slo[q] > b:
+                return None
+            if b == 0 and lu and lv:
                 return None
             if len(ids) >= ceiling:
                 raise ResourceLimitError(
@@ -176,7 +205,10 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                 cost = costs[i][j]
                 if cost is None or cost > b:
                     continue
-                key = (d, b - cost, left[i:], right[j:])
+                ru, rv = left[i:], right[j:]
+                if crossing:
+                    ru, rv = _strip_common_prefix(ru, rv)
+                key = (d, b - cost, ru, rv)
                 if key not in best or cost < best[key]:
                     best[key] = cost
             for key, cost in sorted(best.items()):
@@ -184,6 +216,15 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                 if tgt is not None:
                     edges.append((sid, letter, cost, tgt))
     return DistanceAutomaton(metric, k, nodes, edges, initials, accept_cost)
+
+
+def _strip_common_prefix(u: str, v: str) -> tuple[str, str]:
+    """u and v without their longest common prefix."""
+    n = 0
+    top = min(len(u), len(v))
+    while n < top and u[n] == v[n]:
+        n += 1
+    return u[n:], v[n:]
 
 
 def _consumption_points(n: int, m: int, budget: int,
@@ -516,8 +557,11 @@ def kclose(metric: Metric, t1, t2, k: int,
     length by more than k.  It prices each edge's chunk alignments from a
     prefix-distance table grown from its node's, and for Damerau and
     transposition it leaves out every cut point whose cost a neighbouring
-    cut explains exactly, which keeps the skeleton's language; a
-    `ResourceLimitError` past the ceiling names the layer, the metric and k.
+    cut explains exactly, strips the common prefix of each target's
+    residuals and drops a target with no budget left and two non-empty
+    residuals, which keeps the skeleton's language.  A `ResourceLimitError`
+    past the ceiling, in the build or in the determinization, names the
+    layer, the metric and k.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
@@ -533,7 +577,12 @@ def kclose(metric: Metric, t1, t2, k: int,
         da = build_kapprox(metric, p, k, ceiling)
     except PreconditionError:
         return False
-    det = determinize(da.skeleton(), ceiling=ceiling)
+    try:
+        det = determinize(da.skeleton(), ceiling=ceiling)
+    except ResourceLimitError as e:
+        raise ResourceLimitError(
+            f"determinized k-approximation ({metric}, k={k}) exceeded "
+            f"{ceiling} states") from e
     return included(t1.nfa, det) is None
 
 

@@ -12,7 +12,7 @@ from transdist.automata import determinize, included
 from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
 from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
-                               min_weight_on)
+                               min_weight_on, min_weight_table)
 from transdist.pairauto import bounded_delay
 from transdist.substitution import distance_subst
 from transdist.transducers import (DomainMismatchError, domain_words,
@@ -76,17 +76,19 @@ def test_kapprox_conjugacy_rotation():
 
 # (nodes, edges, determinized skeleton states) for k = 0..3 on the identity
 # against the flip {0, 1, 3} of the first four letters; only live nodes are
-# built, and the crossing metrics keep no cut point whose cost a predecessor
-# in the window explains.  Testing a node's liveness against its source's
-# budget only keeps more nodes (budgets fall along an edge), which these
-# sizes and the flip-7 pin show and no min-weight test can
+# built, the crossing metrics keep no cut point whose cost a predecessor in
+# the window explains, strip the common prefix of a node's residuals and drop
+# a zero-budget node whose residuals are both non-empty.  Testing a node's
+# liveness against its source's budget only keeps more nodes (budgets fall
+# along an edge), which these sizes and the flip-7 pin show and no min-weight
+# test can
 KAPPROX_SIZES = {
     Metric.LEVENSHTEIN: [(1, 0, 1), (2, 2, 2), (21, 52, 16), (36, 118, 31)],
     Metric.LCS: [(1, 0, 1), (1, 0, 1), (21, 50, 14), (21, 50, 14)],
-    Metric.DAMERAU_LEVENSHTEIN: [(7, 6, 7), (46, 74, 47), (238, 602, 223),
-                                 (730, 2298, 799)],
-    Metric.TRANSPOSITION: [(7, 6, 7), (38, 58, 35), (78, 122, 71),
-                           (158, 250, 143)],
+    Metric.DAMERAU_LEVENSHTEIN: [(1, 0, 1), (17, 22, 15), (152, 270, 176),
+                                 (449, 1376, 737)],
+    Metric.TRANSPOSITION: [(1, 0, 1), (17, 22, 15), (63, 92, 59),
+                           (127, 188, 119)],
 }
 
 
@@ -106,6 +108,27 @@ def test_kapprox_ceiling_names_layer_metric_and_k(metric, t4, t5):
                        match=rf"^k-approximation \({metric}, k=2\) "
                              r"exceeded 3 states$"):
         kclose(metric, t4, t5, 2, ceiling=3)
+
+
+def test_kclose_determinization_ceiling_names_metric_and_k():
+    # at k = 3 the flip pair's Damerau k-approximation has 449 live nodes
+    # and its skeleton determinizes to 737 states (KAPPROX_SIZES)
+    t1, t2 = _identity(), _flip(4, (0, 1, 3))
+    for ceiling in (449, 730, 736):
+        with pytest.raises(ResourceLimitError,
+                           match=rf"^determinized k-approximation "
+                                 rf"\(damerau, k=3\) exceeded {ceiling} "
+                                 rf"states$") as caught:
+            kclose(Metric.DAMERAU_LEVENSHTEIN, t1, t2, 3, ceiling=ceiling)
+        cause = caught.value.__cause__
+        assert isinstance(cause, ResourceLimitError)
+        assert str(cause) == (f"determinization exceeded ceiling of "
+                              f"{ceiling} states")
+    with pytest.raises(ResourceLimitError,
+                       match=r"^k-approximation \(damerau, k=3\) exceeded "
+                             r"448 states$"):
+        kclose(Metric.DAMERAU_LEVENSHTEIN, t1, t2, 3, ceiling=448)
+    assert kclose(Metric.DAMERAU_LEVENSHTEIN, t1, t2, 3, ceiling=737)
 
 
 def test_kapprox_without_a_live_initial_node_is_empty():
@@ -164,6 +187,21 @@ def test_crossing_kapprox_matches_kernels_on_random_machines(rng, metric):
         for w in domain_words(t1, 5):
             want = word_distance(metric, *j.outputs_on_input(w))
             assert min_weight_on(da, w) == (want if want <= k else INF), (k, w)
+
+
+# t1 and t2 (odd- against even-position copies) are not close, so the
+# crossing builds have no bound but the residual cap, and their size rests on
+# canonical residuals: the strip of common prefixes and the zero-budget test
+@pytest.mark.parametrize("metric, nodes", [(Metric.DAMERAU_LEVENSHTEIN, 3595),
+                                           (Metric.TRANSPOSITION, 2053)])
+def test_crossing_kapprox_on_the_odd_even_pair(metric, nodes, t1, t2):
+    j = joint_product(t1, t2)
+    da = build_kapprox(metric, j, 2)
+    assert len(da.nodes) == nodes
+    weights = min_weight_table(da, "ab", 6)
+    for w in domain_words(t1, 6):
+        want = word_distance(metric, *j.outputs_on_input(w))
+        assert weights.get(w, INF) == (want if want <= 2 else INF), w
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +491,9 @@ def test_kclose_with_a_shared_pair_automaton_agrees(metric, t1, t2, t3, t4,
                                                     t5, joint_products):
     # a given pair automaton skips the domain check and the build, and
     # changes no answer.  The crossing metrics keep residuals on both sides,
-    # so on t1/t2 (not close) their builds at k >= 2 pass the ceiling below
-    # (65,528 live Damerau nodes at k = 3); there both routes must stop with
-    # the same error
+    # so on t1/t2 (not close) their builds at k = 3 pass the ceiling below
+    # (26,641 live Damerau nodes), as does Damerau's determinized skeleton at
+    # k = 2; there both routes must stop with the same error
     def outcome(a, b, k, **pair):
         try:
             return kclose(metric, a, b, k, 5_000, **pair)

@@ -130,6 +130,35 @@ def test_damerau_is_unrestricted():
     assert word_distance(Metric.DAMERAU_LEVENSHTEIN, "ca", "abc") == 2
 
 
+# d(c·A, c·B) = d(A, B): the crossing k-approximation strips the common
+# prefix of a node's residuals on this lemma
+PREFIX_METRICS = [Metric.DAMERAU_LEVENSHTEIN, Metric.TRANSPOSITION,
+                  Metric.LEVENSHTEIN, Metric.LCS]
+
+
+@pytest.mark.parametrize("metric", PREFIX_METRICS)
+def test_common_prefix_leaves_the_distance_unchanged(metric):
+    # every A, B of length <= 4 and c of length 1 or 2 over abc:
+    # 121 * 121 * 12 = 175,692 triples
+    words = words_upto(Alphabet("abc"), 4)
+    prefixes = [c for c in words if 1 <= len(c) <= 2]
+    for a in words:
+        for b in words:
+            d = word_distance(metric, a, b)
+            for c in prefixes:
+                assert word_distance(metric, c + a, c + b) == d, (c, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(metric=st.sampled_from(PREFIX_METRICS),
+       c=st.text(alphabet="abc", min_size=1, max_size=4),
+       a=st.text(alphabet="abc", max_size=7),
+       b=st.text(alphabet="abc", max_size=7))
+def test_common_prefix_leaves_the_distance_unchanged_property(metric, c, a,
+                                                              b):
+    assert word_distance(metric, c + a, c + b) == word_distance(metric, a, b)
+
+
 # ---------------------------------------------------------------------------
 # prefix-distance tables
 # ---------------------------------------------------------------------------
