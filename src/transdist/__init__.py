@@ -16,10 +16,8 @@ from .pairauto import (PairAutomaton, bounded_delay, delay_range,
                        enumerate_pairs, is_identity_relation,
                        is_length_preserving, identity_witness,
                        pair_length_diameter, synchronize)
-from .transducers import (JointMachine, Transducer, domain_words, evaluate,
-                          joint_product, length_close, nivat_split,
-                          pair_automaton, same_domain,
-                          transducer_pair_automaton)
+from .transducers import (Transducer, domain_words, evaluate, joint_product,
+                          length_close, nivat_split, same_domain)
 from .conjugacy import (Atom, Cat, Empty, PairExpr, Star, Sum, Witness,
                         WitnessFamily, close_conjugacy, common_witness,
                         pair_witnesses, state_elimination, sumfree_decompose,

@@ -144,14 +144,6 @@ def star(child: PairExpr) -> PairExpr:
     return Star(child)
 
 
-def expr_size(e: PairExpr) -> int:
-    if isinstance(e, (Empty, Atom)):
-        return 1
-    if isinstance(e, (Cat, Sum)):
-        return 1 + sum(expr_size(p) for p in e.parts)
-    return 1 + expr_size(e.child)
-
-
 # ---------------------------------------------------------------------------
 # expression <-> automaton
 # ---------------------------------------------------------------------------

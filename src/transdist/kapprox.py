@@ -23,10 +23,12 @@ prefixes, then commits to a shift direction and matches the shifted
 streams; the run cost is the number of shifts claimed.  At k = 0 no
 automaton is needed: every edit metric is 0 exactly on equal words.
 
-`close_verdict` is the one public closeness entry for two transducers.  It
-builds the pair automaton of the joint product (which compares the
-domains) once and hands it to the one dispatch on the metric, which calls
-the metric's decider on it.  `distance` builds the pair automaton once,
+Every construction here works on the pair automaton of two transducers,
+which `transducers.joint_product` builds in one pass (comparing the domains
+first); `build_kapprox` takes it as it is.  `close_verdict` is the one
+public closeness entry for two transducers.  It builds the pair automaton
+once and hands it to the one dispatch on the metric, which calls the
+metric's decider on it.  `distance` builds the pair automaton once,
 reads its answer from the same dispatch first (NotClose is ∞; for the
 length and discrete metrics the Close bound is exact) and searches k with
 `kclose` only for the six edit metrics, every probe on that one pair
@@ -51,8 +53,7 @@ from .pairauto import (PairAutomaton, find_pair_path, identity_witness,
                        input_word_of_path, max_abs_delay, pair_length_diameter,
                        suffix_gap_range)
 from .substitution import close_hamming, close_transposition
-from .transducers import (DomainMismatchError, JointMachine,
-                          pair_automaton, transducer_pair_automaton,
+from .transducers import (DomainMismatchError, joint_product,
                           unbalanced_loop_certificate)
 from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
 from .words import (INF, ExtendedNat, LEVENSHTEIN_FAMILY, Metric,
@@ -379,7 +380,7 @@ def _build_conjugacy(p: PairAutomaton, k: int, delay_cap: int,
                              accept_cost)
 
 
-def build_kapprox(metric: Metric, j: JointMachine | PairAutomaton, k: int,
+def build_kapprox(metric: Metric, p: PairAutomaton, k: int,
                   ceiling: int = DEFAULT_STATE_CEILING) -> DistanceAutomaton:
     """Distance automaton computing the k-approximation of the distance map.
 
@@ -393,7 +394,6 @@ def build_kapprox(metric: Metric, j: JointMachine | PairAutomaton, k: int,
     if metric not in (Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
                       Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
         raise InputError(f"no distance automaton for metric {metric}")
-    p = pair_automaton(j) if isinstance(j, JointMachine) else j
     if p.nfa.n_states == 0:
         return DistanceAutomaton(metric, k, [], [], [], {})
     delay = max_abs_delay(p)
@@ -493,12 +493,12 @@ def min_weight_on(da: DistanceAutomaton, word: str) -> ExtendedNat:
 def close_verdict(metric: Metric, t1, t2):
     """Closeness verdict with a certificate, for any of the eight metrics.
 
-    Builds the pair automaton of the joint product once (different domains
+    Builds the pair automaton once with `joint_product` (different domains
     are NotClose, certified by an input in exactly one of them) and hands
     it to the metric's decider.
     """
     try:
-        p = transducer_pair_automaton(t1, t2)
+        p = joint_product(t1, t2)
     except DomainMismatchError as e:
         return NotClose(e.certificate)
     return _verdict_on(metric, t1, t2, p)
@@ -535,7 +535,7 @@ def kclose(metric: Metric, t1, t2, k: int,
            pair: PairAutomaton | None = None) -> bool:
     """Is d(T1, T2) <= k?  Decided per metric without computing the distance.
 
-    The pair automaton of the joint product is built first (different
+    The pair automaton is built first with `joint_product` (different
     domains are never close), unless a caller passes it as `pair`: the
     k-search of `distance` builds it once for all its probes.
 
@@ -566,7 +566,7 @@ def kclose(metric: Metric, t1, t2, k: int,
     if k < 0:
         raise InputError("k must be nonnegative")
     try:
-        p = pair or transducer_pair_automaton(t1, t2)
+        p = pair or joint_product(t1, t2)
     except DomainMismatchError:
         return False
     if metric is Metric.LENGTH:
@@ -590,7 +590,7 @@ def distance(metric: Metric, t1, t2,
              ceiling: int = DEFAULT_STATE_CEILING) -> ExtendedNat | Unknown:
     """Exact distance between two transducers under the given metric.
 
-    The pair automaton of the joint product is built once (different
+    The pair automaton is built once with `joint_product` (different
     domains give ∞) and serves the verdict and every probe.  The closeness
     verdict comes first (k-closeness alone cannot certify unboundedness):
     NotClose gives ∞, Unknown is returned as is, and for the length and
@@ -603,7 +603,7 @@ def distance(metric: Metric, t1, t2,
     has none) means the k-approximation contradicts the closeness verdict.
     """
     try:
-        p = transducer_pair_automaton(t1, t2)
+        p = joint_product(t1, t2)
     except DomainMismatchError:
         return INF
     verdict = _verdict_on(metric, t1, t2, p)

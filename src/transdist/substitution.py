@@ -26,8 +26,8 @@ from .pairauto import (PairAutomaton, component_path, delay_range,
                        find_pair_path, identity_witness, input_word_of_path,
                        is_length_preserving, shortest_suffix_path,
                        _unbalanced_pair_witness)
-from .transducers import (DomainMismatchError, evaluate,
-                          loop_certificate, transducer_pair_automaton)
+from .transducers import (DomainMismatchError, evaluate, joint_product,
+                          loop_certificate)
 from .verdicts import Close, InfiniteWordCertificate, NotClose
 from .words import (INF, Alphabet, ExtendedNat, Metric, alphabetic_vector,
                     word_distance)
@@ -553,7 +553,7 @@ def distance_subst(metric: Metric, t1, t2) -> ExtendedNat:
         raise InputError(f"distance_subst handles hamming/transposition, "
                          f"not {metric}")
     try:
-        p = transducer_pair_automaton(t1, t2)
+        p = joint_product(t1, t2)
     except DomainMismatchError:
         return INF
     verdict, pipe = decide(t1, t2, p)

@@ -4,15 +4,19 @@ A transducer is an automaton with an output word per transition and per
 final state.  Functionality is enforced through unambiguity of the
 underlying automaton at construction time; ambiguous machines are rejected,
 since every procedure here assumes functional input.
+
+Two transducers are compared on one automaton: `joint_product` checks their
+domains and builds, in one pass, the trimmed pair automaton of their output
+pairs, whose edges keep the input letters they read.  Every decider starts
+from it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from .automata import (Nfa, equiv_unambiguous, is_unambiguous,
-                       language_difference_witness, trim)
+                       language_difference_witness)
 from .errors import InputError, IntegrityError, PreconditionError
 from .pairauto import (PairAutomaton, input_word_of_path, pair_length_diameter,
                        shortest_prefix_path, shortest_suffix_path,
@@ -208,58 +212,18 @@ def unbalanced_loop_certificate(t1: Transducer, t2: Transducer,
                             input_word_of_path(p, cycle))
 
 
-class JointMachine:
-    """A deterministic automaton with two output functions sharing one domain.
+def joint_product(t1: Transducer, t2: Transducer) -> PairAutomaton:
+    """The trimmed pair automaton of two unambiguous transducers with equal
+    domains: the one construction every comparison starts from.
 
-    The automaton is deterministic over opaque joint letters; each transition
-    remembers the original input letter so inputs can be reconstructed.
-    """
-
-    __slots__ = ("nfa", "out1", "out2", "fout1", "fout2", "input_letter",
-                 "input_alphabet", "output_alphabet")
-
-    def __init__(self, nfa: Nfa, out1, out2, fout1, fout2, input_letter,
-                 input_alphabet: Alphabet, output_alphabet: Alphabet):
-        self.nfa = nfa
-        self.out1 = tuple(out1)
-        self.out2 = tuple(out2)
-        self.fout1 = {f: fout1.get(f, "") for f in nfa.finals}
-        self.fout2 = {f: fout2.get(f, "") for f in nfa.finals}
-        self.input_letter = tuple(input_letter)
-        self.input_alphabet = input_alphabet
-        self.output_alphabet = output_alphabet
-        if not (len(self.out1) == len(self.out2) == len(self.input_letter)
-                == len(nfa.transitions)):
-            raise InputError("per-transition data must align with transitions")
-
-    def outputs_on_input(self, word: str) -> tuple[str, str] | None:
-        """(T1(w), T2(w)) for an original input word, or None off-domain."""
-        adj = self.nfa.adj()
-        frontier: dict[int, tuple[str, str]] = {
-            s: ("", "") for s in self.nfa.initials}
-        for c in word:
-            nxt: dict[int, tuple[str, str]] = {}
-            for s, (u, v) in frontier.items():
-                for _, d, tr in adj[s]:
-                    if self.input_letter[tr] == c:
-                        if d in nxt:
-                            raise IntegrityError("joint machine ambiguous on input")
-                        nxt[d] = (u + self.out1[tr], v + self.out2[tr])
-            if not nxt:
-                return None
-            frontier = nxt
-        for s, (u, v) in sorted(frontier.items()):
-            if s in self.nfa.finals:
-                return u + self.fout1[s], v + self.fout2[s]
-        return None
-
-
-def joint_product(t1: Transducer, t2: Transducer) -> JointMachine:
-    """Reduce two unambiguous transducers with equal domains to one DFA.
-
-    States are pairs of states, letters are pairs of same-letter transitions;
-    the two output functions are lifted, and every metric distance is
-    preserved.  Different domains raise `DomainMismatchError`.
+    Different domains raise `DomainMismatchError`.  States are the state
+    pairs reachable from the initial pairs, numbered breadth-first; each pair
+    of same-letter transitions gives one edge labelled with their two
+    outputs and the input letter.  A final pair with a non-empty final output
+    pair gets a fresh final state behind an edge labelled with it (fresh
+    states numbered in order of pair id), so later analyses read edge labels
+    only.  `PairAutomaton.from_edges` splits the labels into letters and
+    trims once; every metric distance is preserved.
     """
     if t1.input_alphabet != t2.input_alphabet:
         raise InputError("input alphabets differ")
@@ -271,83 +235,35 @@ def joint_product(t1: Transducer, t2: Transducer) -> JointMachine:
             raise DomainMismatchError(DomainCertificate("".join(wit)))
     adj1 = t1.nfa.adj()
     adj2 = t2.nfa.adj()
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def get(pq):
-        if pq not in ids:
-            ids[pq] = len(order)
-            order.append(pq)
-        return ids[pq]
-
-    todo = deque()
-    start_ids = []
-    for p in sorted(t1.nfa.initials):
-        for q in sorted(t2.nfa.initials):
-            start_ids.append(get((p, q)))
-            todo.append((p, q))
-    transitions = []
-    out1, out2, letters = [], [], []
-    seen = set(order)
-    while todo:
-        p, q = todo.popleft()
-        sid = ids[(p, q)]
+    order = [(p, q) for p in sorted(t1.nfa.initials)
+             for q in sorted(t2.nfa.initials)]
+    ids = {pq: i for i, pq in enumerate(order)}
+    initials = range(len(order))
+    edges = []
+    # order grows while it is walked: pair ids are breadth-first
+    for sid, (p, q) in enumerate(order):
         for a, d1, tr1 in adj1[p]:
             for b, d2, tr2 in adj2[q]:
                 if a != b:
                     continue
-                key = (d1, d2)
-                if key not in seen:
-                    seen.add(key)
-                    get(key)
-                    todo.append(key)
-                transitions.append((sid, (tr1, tr2), ids[key]))
-                out1.append(t1.out[tr1])
-                out2.append(t2.out[tr2])
-                letters.append(a)
-    finals = [i for i, (p, q) in enumerate(order)
-              if p in t1.nfa.finals and q in t2.nfa.finals]
-    nfa = Nfa(len(order), start_ids, finals, transitions)
-    # keep only useful states
-    trimmed, old_states, kept = trim(nfa)
-    old_index = {old: new for new, old in enumerate(old_states)}
-    fout1 = {old_index[i]: t1.final_out[order[i][0]]
-             for i in nfa.finals if i in old_index}
-    fout2 = {old_index[i]: t2.final_out[order[i][1]]
-             for i in nfa.finals if i in old_index}
-    return JointMachine(trimmed,
-                        [out1[t] for t in kept], [out2[t] for t in kept],
-                        fout1, fout2,
-                        [letters[t] for t in kept],
-                        t1.input_alphabet, t1.output_alphabet)
-
-
-def pair_automaton(j: JointMachine) -> PairAutomaton:
-    """Drop input letters, keep (λ1, λ2) labels, fold final outputs, trim.
-
-    Final outputs are folded into fresh pre-final edges so that all later
-    analyses deal with edge labels only.
-    """
-    n = j.nfa.n_states
-    edges = []
-    for t, (s, _, d) in enumerate(j.nfa.transitions):
-        edges.append((s, (j.out1[t], j.out2[t]), d, j.input_letter[t]))
+                did = ids.get((d1, d2))
+                if did is None:
+                    did = ids[(d1, d2)] = len(order)
+                    order.append((d1, d2))
+                edges.append((sid, (t1.out[tr1], t2.out[tr2]), did, a))
     finals = []
-    extra = n
-    for f in sorted(j.nfa.finals):
-        fo = (j.fout1[f], j.fout2[f])
-        if fo == ("", ""):
-            finals.append(f)
-        else:
-            edges.append((f, fo, extra, None))
-            finals.append(extra)
-            extra += 1
-    return PairAutomaton.from_edges(extra, j.nfa.initials, finals, edges,
-                                    j.output_alphabet, j.output_alphabet)
-
-
-def transducer_pair_automaton(t1: Transducer, t2: Transducer) -> PairAutomaton:
-    return pair_automaton(joint_product(t1, t2))
+    extra = len(order)
+    for sid, (p, q) in enumerate(order):
+        if p in t1.nfa.finals and q in t2.nfa.finals:
+            fo = (t1.final_out[p], t2.final_out[q])
+            if fo == ("", ""):
+                finals.append(sid)
+            else:
+                edges.append((sid, fo, extra))
+                finals.append(extra)
+                extra += 1
+    return PairAutomaton.from_edges(extra, initials, finals, edges,
+                                    t1.output_alphabet, t1.output_alphabet)
 
 
 def nivat_split(p: PairAutomaton) -> tuple[Transducer, Transducer]:
@@ -383,10 +299,10 @@ def length_close(t1: Transducer, t2: Transducer) -> ExtendedNat:
     """d_len(T1, T2): ∞ on distinct domains or unbounded prefix gaps.
 
     When bounded the value is exact: the largest absolute output-length gap
-    over accepting paths of the joint machine.
+    over accepting paths of the pair automaton.
     """
     try:
-        p = transducer_pair_automaton(t1, t2)
+        p = joint_product(t1, t2)
     except DomainMismatchError:
         return INF
     return pair_length_diameter(p)

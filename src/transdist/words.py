@@ -387,8 +387,9 @@ def prefix_table(metric: Metric, u: str, v: str) -> list[list[int | None]]:
     """Every prefix distance d(u[:i], v[:j]) as a plain int, None for ∞.
 
     Rows run over i, columns over j.  The Levenshtein family appends the
-    rows of u, one recurrence step per row, to the row of the empty prefix;
-    Hamming and transposition fill each cell from their kernel.
+    rows of u, one recurrence step per row, to the row of the empty prefix.
+    Hamming and transposition are ∞ between words of different lengths, so
+    they fill only the diagonal i = j from their kernel.
     """
     rows = _ROWS.get(metric)
     if rows is not None:
@@ -396,8 +397,10 @@ def prefix_table(metric: Metric, u: str, v: str) -> list[list[int | None]]:
         rows(table, u, v, 0)
         return table
     kernel = _KERNELS[metric]
-    return [[_finite_or_none(kernel(u[:i], v[:j])) for j in range(len(v) + 1)]
-            for i in range(len(u) + 1)]
+    table = [[None] * (len(v) + 1) for _ in range(len(u) + 1)]
+    for i in range(min(len(u), len(v)) + 1):
+        table[i][i] = _finite_or_none(kernel(u[:i], v[:i]))
+    return table
 
 
 def extend_table(metric: Metric, table: list[list[int | None]], u: str,
@@ -408,11 +411,18 @@ def extend_table(metric: Metric, table: list[list[int | None]], u: str,
     The Levenshtein family appends one row for x by the same recurrence as
     `prefix_table`, and a column for y as a row of the transpose, the table
     of (v, u): all three metrics are symmetric.  Hamming and transposition
-    fill the new table from their kernel.
+    copy the table and fill at most one new diagonal cell from their kernel.
     """
     rows = _ROWS.get(metric)
     if rows is None:
-        return prefix_table(metric, u + x, v + y)
+        i = min(len(u + x), len(v + y))
+        table = [row + [None] for row in table] if y else table[:]
+        if x:
+            table.append([None] * (len(v + y) + 1))
+        if i > min(len(u), len(v)):
+            table[i][i] = _finite_or_none(
+                _KERNELS[metric]((u + x)[:i], (v + y)[:i]))
+        return table
     if y:
         transpose = list(zip(*table))
         rows(transpose, v + y, u, len(v))

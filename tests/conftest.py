@@ -5,7 +5,7 @@ import random
 import pytest
 
 from transdist.automata import Nfa, trim
-from transdist.transducers import JointMachine, Transducer
+from transdist.transducers import Transducer, joint_product
 from transdist.words import Alphabet
 
 AB = Alphabet("ab")
@@ -71,8 +71,10 @@ def t5():
 # ---------------------------------------------------------------------------
 
 def random_joint_machine(rng: random.Random, max_states=5, letters="ab",
-                         out_letters="01", max_out_len=2) -> JointMachine | None:
-    """A random trimmed DFA skeleton with two random output labellings."""
+                         out_letters="01", max_out_len=2
+                         ) -> tuple[Transducer, Transducer] | None:
+    """Two sequential transducers on one random trimmed DFA skeleton, with
+    independent random outputs."""
     n = rng.randrange(1, max_states + 1)
     triples = []
     for s in range(n):
@@ -83,7 +85,7 @@ def random_joint_machine(rng: random.Random, max_states=5, letters="ab",
     if not finals:
         finals = [rng.randrange(n)]
     nfa = Nfa(n, [0], finals, triples)
-    trimmed, _, kept = trim(nfa)
+    trimmed = trim(nfa)[0]
     if trimmed.n_states == 0:
         return None
 
@@ -95,38 +97,32 @@ def random_joint_machine(rng: random.Random, max_states=5, letters="ab",
     out2 = [rnd_word() for _ in trimmed.transitions]
     fout1 = {f: rnd_word() for f in trimmed.finals}
     fout2 = {f: rnd_word() for f in trimmed.finals}
-    letters_per_t = [trimmed.transitions[t][1] for t in range(len(trimmed.transitions))]
-    return JointMachine(trimmed, out1, out2, fout1, fout2, letters_per_t,
-                        Alphabet(letters), Alphabet(out_letters))
+    alph_in, alph_out = Alphabet(letters), Alphabet(out_letters)
+    return (Transducer(trimmed, out1, fout1, alph_in, alph_out, check=False),
+            Transducer(trimmed, out2, fout2, alph_in, alph_out, check=False))
 
 
-def joint_to_transducers(j: JointMachine) -> tuple[Transducer, Transducer]:
-    """Split a joint machine into two sequential transducers on its skeleton."""
-    t1 = Transducer(j.nfa, j.out1, j.fout1, j.input_alphabet,
-                    j.output_alphabet, check=False)
-    t2 = Transducer(j.nfa, j.out2, j.fout2, j.input_alphabet,
-                    j.output_alphabet, check=False)
-    return t1, t2
-
-
-def joint_outputs_table(j: JointMachine, max_len: int) -> dict[str, tuple[str, str]]:
-    """(out1, out2) for every accepted input up to max_len (DFA skeletons)."""
-    adj = j.nfa.adj()
-    start = sorted(j.nfa.initials)
-    assert len(start) <= 1
+def joint_outputs_table(pair: tuple[Transducer, Transducer],
+                        max_len: int) -> dict[str, tuple[str, str]]:
+    """(T1(w), T2(w)) for every input w up to max_len in both domains,
+    walking two sequential transducers in lockstep."""
+    t1, t2 = pair
+    assert t1.is_sequential and t2.is_sequential
+    adj1, adj2 = t1.nfa.adj(), t2.nfa.adj()
     out: dict[str, tuple[str, str]] = {}
-    if not start:
-        return out
-    stack = [("", start[0], "", "")]
+    stack = [("", s1, s2, "", "") for s1 in t1.nfa.initials
+             for s2 in t2.nfa.initials]
     while stack:
-        w, s, o1, o2 = stack.pop()
-        if s in j.nfa.finals:
-            out[w] = (o1 + j.fout1[s], o2 + j.fout2[s])
+        w, s1, s2, o1, o2 = stack.pop()
+        if s1 in t1.nfa.finals and s2 in t2.nfa.finals:
+            out[w] = (o1 + t1.final_out[s1], o2 + t2.final_out[s2])
         if len(w) == max_len:
             continue
-        for _, d, t in adj[s]:
-            stack.append((w + j.input_letter[t], d,
-                          o1 + j.out1[t], o2 + j.out2[t]))
+        for a, d1, x in adj1[s1]:
+            for b, d2, y in adj2[s2]:
+                if a == b:
+                    stack.append((w + a, d1, d2,
+                                  o1 + t1.out[x], o2 + t2.out[y]))
     return out
 
 
@@ -178,18 +174,17 @@ def spec_transducer(spec) -> Transducer:
 
 def machine_corpus(seed: int, count: int, *, bounded_length_gap=False,
                    max_states=5, max_out_len=2):
-    """Deterministic corpus of joint machines."""
+    """Deterministic corpus of transducer pairs on shared DFA skeletons."""
     from transdist.pairauto import bounded_delay
-    from transdist.transducers import pair_automaton
 
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        j = random_joint_machine(rng, max_states=max_states,
-                                 max_out_len=max_out_len)
-        if j is None:
+        pair = random_joint_machine(rng, max_states=max_states,
+                                    max_out_len=max_out_len)
+        if pair is None:
             continue
-        if bounded_length_gap and not bounded_delay(pair_automaton(j)):
+        if bounded_length_gap and not bounded_delay(joint_product(*pair)):
             continue
-        out.append(j)
+        out.append(pair)
     return out

@@ -4,7 +4,7 @@ Criteria:
   1  worked examples on the two machine pairs from the figures
   2  metric-order inequality suite on all binary pairs up to length 6
   3  word_distance vs the BFS oracle on all binary pairs up to length 8
-  4  k-approximation min weights vs the kernels on 20 random joint machines
+  4  k-approximation min weights vs the kernels on 20 random machine pairs
   5  closeness deciders vs enumeration, with certificate pumping
   6  composition-closure index examples
   7  diameter = index over generated unit spheres
@@ -15,14 +15,13 @@ import itertools
 import time
 
 
-from conftest import (joint_outputs_table, joint_to_transducers,
-                      machine_corpus, make_transducer)
+from conftest import joint_outputs_table, machine_corpus, make_transducer
 from transdist.kapprox import (build_kapprox, close_verdict, distance, min_weight_table)
 from transdist.pairauto import PairAutomaton
 from transdist.relations import (diameter, identity_relation, index,
                                  make_distance_relation)
 from transdist.substitution import (distance_subst)
-from transdist.transducers import evaluate, length_close
+from transdist.transducers import evaluate, joint_product, length_close
 from transdist.verdicts import (DomainCertificate, GrowthCertificate,
                                 InfiniteWordCertificate, LoopCertificate,
                                 NotClose, PairCertificate, Unknown)
@@ -161,14 +160,15 @@ def test_criterion_4_kapprox_soundness():
     corpus = machine_corpus(808, 20, bounded_length_gap=True, max_states=5)
     mismatches = []
     checked = 0
-    for j in corpus:
-        outputs = joint_outputs_table(j, 8)
+    for pair in corpus:
+        outputs = joint_outputs_table(pair, 8)
+        p = joint_product(*pair)
         for metric in EDIT_METRICS:
             truth = {w: word_distance(metric, o1, o2)
                      for w, (o1, o2) in outputs.items()}
             for k in (0, 1, 2, 3):
-                da = build_kapprox(metric, j, k)
-                table = min_weight_table(da, j.input_alphabet.letters, 8)
+                da = build_kapprox(metric, p, k)
+                table = min_weight_table(da, pair[0].input_alphabet.letters, 8)
                 for w, want in truth.items():
                     got = table.get(w, INF)
                     expect = want if want <= k else INF
@@ -213,8 +213,7 @@ def _verify_certificate(metric, cert, u1, u2):
 
 
 def test_criterion_5_deciders_vs_enumeration(t1, t2, t3, t4, t5):
-    corpus = machine_corpus(909, 50, max_states=4, max_out_len=2)
-    pairs = [joint_to_transducers(j) for j in corpus]
+    pairs = machine_corpus(909, 50, max_states=4, max_out_len=2)
     paper_pairs = [(t1, t2), (t1, t3), (t2, t3), (t4, t5), (t1, t1), (t4, t4)]
     unknowns = 0
     total = 0
@@ -236,9 +235,7 @@ def test_criterion_5_deciders_vs_enumeration(t1, t2, t3, t4, t5):
                 continue
             # Close: enumeration up to input length 12 must stay within bounds
             if cached is None:
-                from transdist.transducers import joint_product
-                j = joint_product(u1, u2)
-                cached = joint_outputs_table(j, 12)
+                cached = joint_outputs_table((u1, u2), 12)
             bound = verdict.bound
             if bound is None:
                 bound = distance_subst(metric, u1, u2)
@@ -326,8 +323,7 @@ def test_criterion_7_diameter_equals_index():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_subst_vs_generic(t1, t2, t4, t5):
-    corpus = machine_corpus(909, 50, max_states=4, max_out_len=2)
-    pairs = [joint_to_transducers(j) for j in corpus]
+    pairs = machine_corpus(909, 50, max_states=4, max_out_len=2)
     pairs += [(t1, t2), (t4, t5), (t1, t1), (t4, t4)]
     t_a = make_transducer(2, [0], [1], [(0, "a", "ba", 1), (1, "a", "a", 1)])
     t_b = make_transducer(2, [0], [1], [(0, "a", "a", 1), (1, "a", "a", 1)],

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_dfa_spec, joint_outputs_table,
-                      joint_to_transducers, make_transducer,
+from conftest import (dense_dfa_spec, joint_outputs_table, make_transducer,
                       random_joint_machine, rotate_first_letter,
                       spec_transducer)
 from transdist import conjugacy
@@ -18,8 +17,8 @@ from transdist.conjugacy import (
 )
 from transdist.kapprox import close_verdict
 from transdist.pairauto import PairAutomaton, enumerate_pairs, max_abs_delay
-from transdist.transducers import (domain_words, evaluate, nivat_split,
-                                   transducer_pair_automaton)
+from transdist.transducers import (domain_words, evaluate, joint_product,
+                                   nivat_split)
 from transdist.verdicts import (Close, InfiniteWordCertificate,
                                 LoopCertificate, NotClose, Unknown)
 from transdist.words import INF, Alphabet, Metric, word_distance
@@ -64,7 +63,7 @@ def test_state_elimination_empty():
 
 
 def test_state_elimination_preserves_language(t1, t2):
-    p = transducer_pair_automaton(t1, t2)
+    p = joint_product(t1, t2)
     e = state_elimination(p)
     assert lang(e, 4) == enumerate_pairs(p, 4)
 
@@ -334,7 +333,7 @@ def test_close_levenshtein_charges_a_component_its_gap_spread():
     ta = make_transducer(2, [0], [1], [(0, "a", "aa", 1)] + loop)
     tb = make_transducer(2, [0], [1], [(0, "a", "", 1)] + loop,
                          fout={1: "aa"})
-    assert max_abs_delay(transducer_pair_automaton(ta, tb)) == 2
+    assert max_abs_delay(joint_product(ta, tb)) == 2
     for metric, old in ((Metric.LEVENSHTEIN, 8), (Metric.LCS, 16),
                         (Metric.DAMERAU_LEVENSHTEIN, 8)):
         verdict = close_verdict(metric, ta, tb)
@@ -371,10 +370,10 @@ def _replays(metric, cert, t1, t2):
 @example(rng=random.Random(88))
 @example(rng=random.Random(17))
 def test_levenshtein_verdicts_hold_on_random_machines(rng):
-    j = random_joint_machine(rng, max_states=4, max_out_len=2)
-    assume(j is not None)
-    t1, t2 = joint_to_transducers(j)
-    outputs = list(joint_outputs_table(j, 6).values())
+    pair = random_joint_machine(rng, max_states=4, max_out_len=2)
+    assume(pair is not None)
+    t1, t2 = pair
+    outputs = list(joint_outputs_table(pair, 6).values())
     for metric in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
         verdict = close_verdict(metric, t1, t2)
         if isinstance(verdict, Close):

@@ -3,7 +3,7 @@
 import random
 
 
-from conftest import joint_outputs_table, joint_to_transducers, machine_corpus
+from conftest import joint_outputs_table, machine_corpus
 from transdist.automata import (Nfa, enumerate_words, is_unambiguous,
                                 language_difference_witness, determinize)
 from transdist.conjugacy import (Atom, cat, star, sum_,
@@ -15,7 +15,7 @@ from transdist.pairauto import (PairAutomaton, enumerate_pairs,
 from transdist.relations import (make_distance_relation, power_upto,
                                  relation_included)
 from transdist.substitution import _border_walks, _build_pipeline
-from transdist.transducers import joint_product, transducer_pair_automaton
+from transdist.transducers import joint_product
 from transdist.verdicts import Close
 from transdist.words import (Alphabet, ExtendedNat, Metric,
                              alphabetic_vector, word_distance)
@@ -166,7 +166,7 @@ def test_border_variants_coincide_for_trivial_interiors():
     t_a = make_transducer(2, [0], [1], [(0, "a", "ba", 1), (1, "a", "a", 1)])
     t_b = make_transducer(2, [0], [1], [(0, "a", "a", 1), (1, "a", "a", 1)],
                           fout={1: "b"})
-    p = transducer_pair_automaton(t_a, t_b)
+    p = joint_product(t_a, t_b)
     pipe = _build_pipeline(p)
     for cid, members in enumerate(pipe.comps):
         if not pipe.intra[cid]:
@@ -204,13 +204,13 @@ def test_distance_value_achieved_by_witness_input(t4, t5):
 
 
 def test_distance_bounded_by_enumeration_on_corpus():
-    for j in machine_corpus(111, 10, bounded_length_gap=True, max_states=4):
-        u1, u2 = joint_to_transducers(j)
+    for u1, u2 in machine_corpus(111, 10, bounded_length_gap=True,
+                                 max_states=4):
         for metric in (Metric.LEVENSHTEIN, Metric.HAMMING):
             value = distance(metric, u1, u2)
             if isinstance(value, Close) or not hasattr(value, "is_finite"):
                 continue
-            outs = joint_outputs_table(j, 12)
+            outs = joint_outputs_table((u1, u2), 12)
             worst = ExtendedNat(0)
             for o1, o2 in outs.values():
                 worst = max(worst, word_distance(metric, o1, o2))

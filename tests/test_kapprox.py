@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (joint_to_transducers, machine_corpus, make_transducer,
-                      random_joint_machine)
+from conftest import machine_corpus, make_transducer, random_joint_machine
 from transdist import automata, kapprox, pairauto, transducers
 from transdist.automata import determinize, included
 from transdist.errors import (IntegrityError, PreconditionError,
@@ -17,8 +16,7 @@ from transdist.pairauto import bounded_delay
 from transdist.substitution import distance_subst
 from transdist.transducers import (DomainMismatchError, domain_words,
                                    evaluate, joint_product, length_close,
-                                   pair_automaton, same_domain,
-                                   transducer_pair_automaton)
+                                   same_domain)
 from transdist.verdicts import DomainCertificate, NotClose
 from transdist.words import INF, Alphabet, Metric, word_distance
 
@@ -31,18 +29,17 @@ EDIT_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
 # ---------------------------------------------------------------------------
 
 def test_kapprox_t4_t5_levenshtein(t4, t5):
-    j = joint_product(t4, t5)
-    da = build_kapprox(Metric.LEVENSHTEIN, j, 2)
+    da = build_kapprox(Metric.LEVENSHTEIN, joint_product(t4, t5), 2)
     assert min_weight_on(da, "00110") == 2
     for w in domain_words(t4, 6):
         got = min_weight_on(da, w)
-        want = word_distance(Metric.LEVENSHTEIN, *j.outputs_on_input(w))
+        want = word_distance(Metric.LEVENSHTEIN, evaluate(t4, w),
+                             evaluate(t5, w))
         assert got == (want if want <= 2 else INF), w
 
 
 def test_kapprox_zero_budget_accepts_equal_outputs(t1):
-    j = joint_product(t1, t1)
-    da = build_kapprox(Metric.LEVENSHTEIN, j, 0)
+    da = build_kapprox(Metric.LEVENSHTEIN, joint_product(t1, t1), 0)
     for w in ("", "a", "ab", "abab"):
         assert min_weight_on(da, w) == 0
 
@@ -52,14 +49,14 @@ def test_kapprox_hamming_needs_two(t1):
                          alph_in=Alphabet("a"), alph_out=Alphabet("01"))
     ty = make_transducer(2, [0], [1], [(0, "a", "0101", 1)],
                          alph_in=Alphabet("a"), alph_out=Alphabet("01"))
-    j = joint_product(tx, ty)
-    da1 = build_kapprox(Metric.HAMMING, j, 1)
+    p = joint_product(tx, ty)
+    da1 = build_kapprox(Metric.HAMMING, p, 1)
     assert min_weight_on(da1, "a") == INF
-    da2 = build_kapprox(Metric.HAMMING, j, 2)
+    da2 = build_kapprox(Metric.HAMMING, p, 2)
     assert min_weight_on(da2, "a") == 2
-    dat = build_kapprox(Metric.TRANSPOSITION, j, 1)
+    dat = build_kapprox(Metric.TRANSPOSITION, p, 1)
     assert min_weight_on(dat, "a") == 1
-    dac = build_kapprox(Metric.CONJUGACY, j, 3)
+    dac = build_kapprox(Metric.CONJUGACY, p, 3)
     assert min_weight_on(dac, "a") == INF  # 1001 and 0101 are not conjugate
 
 
@@ -69,8 +66,7 @@ def test_kapprox_conjugacy_rotation():
                          alph_in=Alphabet("a"), alph_out=Alphabet("01"))
     ty = make_transducer(2, [0], [1], [(0, "a", "1010", 1)],
                          alph_in=Alphabet("a"), alph_out=Alphabet("01"))
-    j = joint_product(tx, ty)
-    da = build_kapprox(Metric.CONJUGACY, j, 1)
+    da = build_kapprox(Metric.CONJUGACY, joint_product(tx, ty), 1)
     assert min_weight_on(da, "a") == 1
 
 
@@ -94,7 +90,7 @@ KAPPROX_SIZES = {
 
 @pytest.mark.parametrize("metric", list(KAPPROX_SIZES))
 def test_kapprox_sizes_on_the_flip_pair(metric):
-    p = transducer_pair_automaton(_identity(), _flip(4, (0, 1, 3)))
+    p = joint_product(_identity(), _flip(4, (0, 1, 3)))
     for k, want in enumerate(KAPPROX_SIZES[metric]):
         da = build_kapprox(metric, p, k)
         det = determinize(da.skeleton())
@@ -142,9 +138,9 @@ def test_kapprox_without_a_live_initial_node_is_empty():
 
 
 def test_kapprox_requires_bounded_length_distance(t1, t3):
-    j = joint_product(t1, t3)
+    p = joint_product(t1, t3)
     with pytest.raises(PreconditionError):
-        build_kapprox(Metric.LEVENSHTEIN, j, 2)
+        build_kapprox(Metric.LEVENSHTEIN, p, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +149,13 @@ def test_kapprox_requires_bounded_length_distance(t1, t3):
 
 @pytest.mark.parametrize("metric", EDIT_METRICS)
 def test_kapprox_matches_kernels_small_corpus(metric):
-    for j in machine_corpus(404, 5, bounded_length_gap=True, max_states=3):
-        t1, _ = joint_to_transducers(j)
+    for t1, t2 in machine_corpus(404, 5, bounded_length_gap=True,
+                                 max_states=3):
+        p = joint_product(t1, t2)
         for k in (0, 1, 2):
-            da = build_kapprox(metric, j, k)
+            da = build_kapprox(metric, p, k)
             for w in domain_words(t1, 5):
-                want = word_distance(metric, *j.outputs_on_input(w))
+                want = word_distance(metric, evaluate(t1, w), evaluate(t2, w))
                 got = min_weight_on(da, w)
                 assert got == (want if want <= k else INF), (metric, k, w)
 
@@ -179,13 +176,15 @@ def test_kapprox_matches_kernels_small_corpus(metric):
 @example(rng=random.Random(60), metric=Metric.DAMERAU_LEVENSHTEIN)
 @example(rng=random.Random(1227), metric=Metric.TRANSPOSITION)
 def test_crossing_kapprox_matches_kernels_on_random_machines(rng, metric):
-    j = random_joint_machine(rng, max_states=4, max_out_len=3)
-    assume(j is not None and bounded_delay(pair_automaton(j)))
-    t1, _ = joint_to_transducers(j)
+    pair = random_joint_machine(rng, max_states=4, max_out_len=3)
+    assume(pair is not None)
+    t1, t2 = pair
+    p = joint_product(t1, t2)
+    assume(bounded_delay(p))
     for k in (0, 1, 2):
-        da = build_kapprox(metric, j, k)
+        da = build_kapprox(metric, p, k)
         for w in domain_words(t1, 5):
-            want = word_distance(metric, *j.outputs_on_input(w))
+            want = word_distance(metric, evaluate(t1, w), evaluate(t2, w))
             assert min_weight_on(da, w) == (want if want <= k else INF), (k, w)
 
 
@@ -195,12 +194,11 @@ def test_crossing_kapprox_matches_kernels_on_random_machines(rng, metric):
 @pytest.mark.parametrize("metric, nodes", [(Metric.DAMERAU_LEVENSHTEIN, 3595),
                                            (Metric.TRANSPOSITION, 2053)])
 def test_crossing_kapprox_on_the_odd_even_pair(metric, nodes, t1, t2):
-    j = joint_product(t1, t2)
-    da = build_kapprox(metric, j, 2)
+    da = build_kapprox(metric, joint_product(t1, t2), 2)
     assert len(da.nodes) == nodes
     weights = min_weight_table(da, "ab", 6)
     for w in domain_words(t1, 6):
-        want = word_distance(metric, *j.outputs_on_input(w))
+        want = word_distance(metric, evaluate(t1, w), evaluate(t2, w))
         assert weights.get(w, INF) == (want if want <= 2 else INF), w
 
 
@@ -358,7 +356,7 @@ def test_distance_probes_each_k_up_to_the_answer(metric, want, probes):
                                        (Metric.DAMERAU_LEVENSHTEIN, 3)])
 def test_failing_probe_word_realises_the_distance(metric, d):
     t1, t2 = _identity(), _flip(4, (0, 1, 3))
-    p = transducer_pair_automaton(t1, t2)
+    p = joint_product(t1, t2)
     below = determinize(build_kapprox(metric, p, d - 1).skeleton())
     w = included(t1.nfa, below)
     assert w is not None
@@ -389,7 +387,7 @@ def test_distance_levenshtein_flip7_builds_live_nodes_only():
     # dead nodes made this take seconds: 109,488 determinized subsets at k = 7
     t1, t2 = _identity(), _flip(7, tuple(range(7)))
     assert distance(Metric.LEVENSHTEIN, t1, t2) == 7
-    p = transducer_pair_automaton(t1, t2)
+    p = joint_product(t1, t2)
     da = build_kapprox(Metric.LEVENSHTEIN, p, 7)
     det = determinize(da.skeleton())
     assert (len(da.nodes), len(da.edges), det.n_states) == (468, 3318, 1571)
@@ -453,7 +451,7 @@ def test_distance_builds_one_joint_product_per_probe_and_verdict(
 def test_distance_analyses_the_gaps_of_its_pair_automaton_once(
         monkeypatch, probes):
     built, analysed = [], []
-    build = kapprox.transducer_pair_automaton
+    build = kapprox.joint_product
     gap_range = pairauto._gap_range
 
     def building(t1, t2):
@@ -464,7 +462,7 @@ def test_distance_analyses_the_gaps_of_its_pair_automaton_once(
         analysed.append((nfa, reverse))
         return gap_range(nfa, reverse)
 
-    monkeypatch.setattr(kapprox, "transducer_pair_automaton", building)
+    monkeypatch.setattr(kapprox, "joint_product", building)
     monkeypatch.setattr(pairauto, "_gap_range", analysing)
     assert distance(Metric.LEVENSHTEIN, _identity(), _flip(4, (0, 1, 3))) == 3
     assert probes == [0, 1, 2, 3]
@@ -504,7 +502,7 @@ def test_kclose_with_a_shared_pair_automaton_agrees(metric, t1, t2, t3, t4,
              for a in group for b in group if same_domain(a, b)]
     assert len(pairs) == 13
     for a, b in pairs:
-        p = transducer_pair_automaton(a, b)
+        p = joint_product(a, b)
         for k in range(4):
             before = len(joint_products)
             assert outcome(a, b, k, pair=p) == outcome(a, b, k)
@@ -577,7 +575,7 @@ def test_joint_product_raises_the_mismatch_with_its_certificate():
     ta, tb = _other_domains()
     with pytest.raises(DomainMismatchError,
                        match="domains differ on ''") as caught:
-        transducer_pair_automaton(ta, tb)
+        joint_product(ta, tb)
     assert caught.value.certificate == DomainCertificate("")
 
 

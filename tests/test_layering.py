@@ -1,6 +1,9 @@
 """Module layering: the package needs no imports inside function bodies."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import transdist
@@ -41,6 +44,16 @@ def test_no_function_local_imports():
 def test_the_lazy_numeric_imports_are_still_found():
     found = [module for _, module in _local_imports(PACKAGE / "words.py")]
     assert found and all(_allowed("words.py", module) for module in found)
+
+
+def test_importing_the_package_loads_no_numeric_library():
+    # the reason words.py may import numpy and scipy inside functions
+    code = ("import sys, transdist; "
+            "print(sorted({'numpy', 'scipy'} & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert run.stdout.strip() == "[]"
 
 
 def _unused_imports(source: str):

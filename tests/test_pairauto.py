@@ -12,7 +12,7 @@ from transdist.pairauto import (
     shortest_prefix_path, shortest_suffix_path, suffix_gap_range, synchronize,
     wrap_pair_automaton,
 )
-from transdist.transducers import pair_automaton
+from transdist.transducers import joint_product
 from transdist.words import INF, Alphabet
 
 AB = Alphabet("ab")
@@ -159,9 +159,9 @@ def suffix_gaps(p, state):
 @settings(max_examples=80, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_suffix_gap_range_matches_enumerated_suffixes(rng):
-    j = random_joint_machine(rng, max_states=4, max_out_len=3)
-    assume(j is not None)
-    p = pair_automaton(j)
+    pair = random_joint_machine(rng, max_states=4, max_out_len=3)
+    assume(pair is not None)
+    p = joint_product(*pair)
     assume(bounded_delay(p))
     lo, hi = suffix_gap_range(p)
     for q in range(p.nfa.n_states):

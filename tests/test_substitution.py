@@ -1,7 +1,7 @@
 
 import pytest
 
-from conftest import joint_to_transducers, machine_corpus, make_transducer
+from conftest import machine_corpus, make_transducer
 from transdist.errors import InputError
 from transdist.kapprox import close_verdict
 from transdist.substitution import distance_subst, interior, lborder, rborder
@@ -169,8 +169,7 @@ def test_distance_subst_rejects_other_metrics(t4):
 
 @pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
 def test_closeness_vs_enumeration_on_corpus(metric):
-    for j in machine_corpus(202, 20):
-        u1, u2 = joint_to_transducers(j)
+    for u1, u2 in machine_corpus(202, 20):
         verdict = close_verdict(metric, u1, u2)
         if isinstance(verdict, Close):
             d = distance_subst(metric, u1, u2)
@@ -192,8 +191,7 @@ def test_closeness_vs_enumeration_on_corpus(metric):
 
 
 def test_distance_subst_matches_bruteforce_when_stable():
-    for j in machine_corpus(203, 12):
-        u1, u2 = joint_to_transducers(j)
+    for u1, u2 in machine_corpus(203, 12):
         if not isinstance(close_verdict(Metric.HAMMING, u1, u2), Close):
             continue
         d = distance_subst(Metric.HAMMING, u1, u2)

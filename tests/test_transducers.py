@@ -1,14 +1,16 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import joint_to_transducers, machine_corpus, make_transducer
+from conftest import (dense_dfa_spec, machine_corpus, make_transducer,
+                      rotate_first_letter, spec_transducer)
 from transdist.automata import Nfa
 from transdist.errors import InputError, PreconditionError
 from transdist.pairauto import enumerate_pairs, find_pair_path
 from transdist.transducers import (
     Transducer, domain_words, evaluate, joint_product, length_close,
-    nivat_split, pair_automaton, same_domain, transducer_pair_automaton,
+    nivat_split, same_domain,
 )
 from transdist.words import INF, Alphabet
 
@@ -100,8 +102,7 @@ def test_same_domain_false():
 # ---------------------------------------------------------------------------
 
 def test_joint_product_self_is_identity_relation(t1):
-    j = joint_product(t1, t1)
-    p = pair_automaton(j)
+    p = joint_product(t1, t1)
     assert all(u == v for u, v in enumerate_pairs(p, 5))
 
 
@@ -112,15 +113,48 @@ def test_joint_product_requires_same_domain(t4):
                                                [(0, "a", "a", 0), (0, "b", "", 1)]))
 
 
-def test_joint_product_outputs_match_direct_eval(t1, t2):
-    j = joint_product(t1, t2)
-    for w in words("ab", 6):
-        got = j.outputs_on_input(w)
-        assert got == (evaluate(t1, w), evaluate(t2, w))
+def _paths_spelling(p, w):
+    """Output pairs of the accepting paths of p whose input letters spell w
+    (split pieces and final-output edges carry no letter)."""
+    adj = p.nfa.adj()
+    # letterless edges form no cycle, so no path is longer than this
+    longest = (len(w) + 1) * p.nfa.n_states
+    found = []
+    todo = [(s, 0, "", "", 0) for s in p.nfa.initials]
+    while todo:
+        s, i, u, v, steps = todo.pop()
+        assert steps <= longest, "a cycle of letterless edges"
+        if i == len(w) and s in p.nfa.finals:
+            found.append((u, v))
+        for (x, y), d, t in adj[s]:
+            a = p.input_letters[t]
+            if a is None:
+                todo.append((d, i, u + x, v + y, steps + 1))
+            elif i < len(w) and a == w[i]:
+                todo.append((d, i + 1, u + x, v + y, steps + 1))
+    return found
+
+
+def test_joint_product_paths_spell_each_input_once():
+    """Every domain input w is spelled by exactly one accepting path of the
+    pair automaton, which emits (T1(w), T2(w)); no other input is spelled.
+    The corpus has pairs on one skeleton and rotate pairs on two."""
+    rng = random.Random(17)
+    pairs = machine_corpus(105, 25)
+    for _ in range(10):
+        spec = dense_dfa_spec(rng, rng.randrange(1, 5))
+        pairs.append((spec_transducer(spec),
+                      spec_transducer(rotate_first_letter(spec))))
+    for u1, u2 in pairs:
+        p = joint_product(u1, u2)
+        for w in words("ab", 5):
+            want = evaluate(u1, w), evaluate(u2, w)
+            assert _paths_spelling(p, w) == ([want] if want[0] is not None
+                                             else [])
 
 
 def test_pair_language_odd_even(t1, t2):
-    p = transducer_pair_automaton(t1, t2)
+    p = joint_product(t1, t2)
     pairs = enumerate_pairs(p, 3)
     for w in words("ab", 6):
         u = evaluate(t1, w)
@@ -132,19 +166,19 @@ def test_pair_language_odd_even(t1, t2):
 
 
 def test_pair_automaton_t4_t5_contains_complement_pair(t4, t5):
-    p = transducer_pair_automaton(t4, t5)
+    p = joint_product(t4, t5)
     path = find_pair_path(p, ("010", "101"))
     assert path is not None
 
 
 def test_joint_machine_all_eps_outputs():
     t = make_transducer(1, [0], [0], [(0, "a", "", 0)])
-    p = transducer_pair_automaton(t, t)
+    p = joint_product(t, t)
     assert enumerate_pairs(p, 3) == {("", "")}
 
 
 def test_eval_matches_pair_automaton_projection(t1, t2):
-    p = transducer_pair_automaton(t1, t2)
+    p = joint_product(t1, t2)
     for w in words("ab", 8):
         u, v = evaluate(t1, w), evaluate(t2, w)
         if max(len(u), len(v)) <= 8:
@@ -175,9 +209,9 @@ def test_nivat_split_empty_relation():
 
 
 def test_nivat_round_trip_preserves_pair_language(t4, t5):
-    p = transducer_pair_automaton(t4, t5)
+    p = joint_product(t4, t5)
     s1, s2 = nivat_split(p)
-    q = transducer_pair_automaton(s1, s2)
+    q = joint_product(s1, s2)
     assert enumerate_pairs(q, 4) == enumerate_pairs(p, 4)
 
 
@@ -188,7 +222,7 @@ def test_nivat_round_trip_preserves_pair_language(t4, t5):
 def test_t1_t2_pair_automaton_bounded_but_not_length_preserving(t1, t2):
     from transdist.pairauto import (bounded_delay, delay_range,
                                     is_length_preserving)
-    p = transducer_pair_automaton(t1, t2)
+    p = joint_product(t1, t2)
     assert not is_length_preserving(p)   # odd-length inputs leave a gap of 1
     assert bounded_delay(p)
     lo, hi = delay_range(p)              # one delay per state
@@ -209,12 +243,11 @@ def test_length_close_different_domains():
 
 
 def test_length_close_matches_enumeration_on_corpus():
-    for j in machine_corpus(101, 15):
-        u1, u2 = joint_to_transducers(j)
+    for u1, u2 in machine_corpus(101, 15):
         d = length_close(u1, u2)
         gaps = []
         for w in domain_words(u1, 7):
-            out = j.outputs_on_input(w)
+            out = evaluate(u1, w), evaluate(u2, w)
             gaps.append(abs(len(out[0]) - len(out[1])))
         if not gaps:
             continue
@@ -224,6 +257,6 @@ def test_length_close_matches_enumeration_on_corpus():
             # pump further: gaps must keep growing somewhere
             long_gaps = []
             for w in domain_words(u1, 10):
-                out = j.outputs_on_input(w)
+                out = evaluate(u1, w), evaluate(u2, w)
                 long_gaps.append(abs(len(out[0]) - len(out[1])))
             assert max(long_gaps) >= max(gaps)

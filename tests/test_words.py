@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transdist import words
 from transdist.errors import InputError
 from transdist.words import (
     INF, Alphabet, ExtendedNat, Metric, OverBudget, alphabetic_vector,
@@ -191,6 +192,27 @@ def test_extend_table_grows_the_prefix_table(u, v, x, y):
         grown = extend_table(metric, table, u, v, x, y)
         assert grown == prefix_table(metric, u + x, v + y), metric
         assert table == prefix_table(metric, u, v), metric
+
+
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
+def test_extend_table_makes_at_most_one_kernel_call(metric, monkeypatch):
+    # both metrics are ∞ off the diagonal, so one step adds at most the one
+    # new diagonal cell
+    calls = []
+    kernel = words._KERNELS[metric]
+
+    def counting(u, v):
+        calls.append((u, v))
+        return kernel(u, v)
+
+    monkeypatch.setitem(words._KERNELS, metric, counting)
+    for u, v in itertools.product(["", "ab", "abc", "ba"], repeat=2):
+        table = prefix_table(metric, u, v)
+        for x, y in itertools.product(["", "c"], repeat=2):
+            calls.clear()
+            grown = extend_table(metric, table, u, v, x, y)
+            assert len(calls) <= 1, (u, v, x, y)
+            assert grown == prefix_table(metric, u + x, v + y)
 
 
 def test_prefix_table_examples():
