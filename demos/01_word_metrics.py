@@ -6,8 +6,8 @@ substitutions (Hamming), adjacent swaps (transposition), cyclic shifts
 discrete metric.
 """
 
-from transdist import Alphabet, Metric, metric_order_check, oracle_distance, \
-    word_distance
+from transdist import Alphabet, Metric, word_distance
+from transdist.oracles import metric_order_check, oracle_distance
 
 AB = Alphabet("01")
 

@@ -6,7 +6,7 @@ the same but complements.  Their pairwise distances separate the metrics.
 """
 
 from transdist import Alphabet, Metric, Nfa, Transducer, distance, evaluate, \
-    kclose, length_close
+    kclose
 
 AB = Alphabet("ab")
 B01 = Alphabet("01")
@@ -31,10 +31,10 @@ for w in ("abab", "babab", "bb"):
 
 # Output lengths of T1 and T2 differ by at most one letter, but making the
 # outputs equal letter-by-letter needs unboundedly many edits.
-print("\n  d_len(T1, T2) =", length_close(t1, t2))
+print("\n  d_len(T1, T2) =", distance(Metric.LENGTH, t1, t2))
 print("  d_h(T1, T2)   =", distance(Metric.HAMMING, t1, t2))
 print("  d_l(T1, T2)   =", distance(Metric.LEVENSHTEIN, t1, t2))
-print("  d_len(T1, T3) =", length_close(t1, t3))
+print("  d_len(T1, T3) =", distance(Metric.LENGTH, t1, t3))
 
 
 def block(out0, out1):

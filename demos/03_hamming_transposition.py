@@ -7,7 +7,8 @@ grows without bound.  The decider exhibits a pumpable loop as certificate.
 """
 
 from transdist import Alphabet, Metric, Nfa, Transducer, close_verdict, \
-    distance_subst, evaluate, word_distance
+    evaluate, word_distance
+from transdist.substitution import distance_subst
 
 A = Alphabet("a")
 AB = Alphabet("ab")

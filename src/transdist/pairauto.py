@@ -216,11 +216,6 @@ def _gap_range(nfa: Nfa, reverse: bool) -> GapRange | None:
             tuple(0 if v is None else v for v in hi))
 
 
-def bounded_delay(p: PairAutomaton) -> bool:
-    """True iff prefix gaps along accepting paths are uniformly bounded."""
-    return delay_range(p) is not None
-
-
 def max_abs_delay(p: PairAutomaton) -> int | None:
     """Bound on |prefix gap| over all states, or None when unbounded."""
     rng = delay_range(p)
@@ -402,11 +397,6 @@ def _emitted_along_shortest_path(nfa: Nfa, sources, targets):
             u, v = lbl[0] + u, lbl[1] + v
         cur = prev
     return u, v
-
-
-def is_identity_relation(p: PairAutomaton) -> bool:
-    """True iff every accepted pair (u, v) has u = v."""
-    return identity_witness(p) is None
 
 
 def unbalanced_cycle(p: PairAutomaton) -> tuple[int, list[int]] | None:

@@ -53,7 +53,7 @@ def _vec_neg(a):
 
 
 # ---------------------------------------------------------------------------
-# interiors and borders of loop pairs
+# interiors of loop pairs
 # ---------------------------------------------------------------------------
 
 def interior(pair: tuple[str, str], delay: int) -> tuple[str, str]:
@@ -65,16 +65,6 @@ def interior(pair: tuple[str, str], delay: int) -> tuple[str, str]:
     if delay >= 0:
         return u[:n - delay], v[delay:]
     return u[-delay:], v[:n + delay]
-
-
-def lborder(pair: tuple[str, str], delay: int) -> str:
-    u, v = pair
-    return v[:delay] if delay >= 0 else u[:-delay]
-
-
-def rborder(pair: tuple[str, str], delay: int) -> str:
-    u, v = pair
-    return u[len(u) - delay:] if delay >= 0 else v[len(v) + delay:]
 
 
 # ---------------------------------------------------------------------------

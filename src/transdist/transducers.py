@@ -18,9 +18,8 @@ from typing import Iterable
 from .automata import (Nfa, equiv_unambiguous, is_unambiguous,
                        language_difference_witness)
 from .errors import InputError, IntegrityError, PreconditionError
-from .pairauto import (PairAutomaton, input_word_of_path, pair_length_diameter,
-                       shortest_prefix_path, shortest_suffix_path,
-                       unbalanced_cycle)
+from .pairauto import (PairAutomaton, input_word_of_path, shortest_prefix_path,
+                       shortest_suffix_path, unbalanced_cycle)
 from .verdicts import DomainCertificate, LoopCertificate
 from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
 
@@ -294,15 +293,3 @@ def nivat_split(p: PairAutomaton) -> tuple[Transducer, Transducer]:
     t2 = Transducer(nfa, out2, fo, alphabet, outputs, check=False)
     return t1, t2
 
-
-def length_close(t1: Transducer, t2: Transducer) -> ExtendedNat:
-    """d_len(T1, T2): ∞ on distinct domains or unbounded prefix gaps.
-
-    When bounded the value is exact: the largest absolute output-length gap
-    over accepting paths of the pair automaton.
-    """
-    try:
-        p = joint_product(t1, t2)
-    except DomainMismatchError:
-        return INF
-    return pair_length_diameter(p)

@@ -2,9 +2,7 @@
 
 Words are plain Python strings of single-character symbols.  All distance
 values live in N ∪ {∞}, represented by :class:`ExtendedNat` with a dedicated
-infinity sentinel and saturating addition.  Every metric comes with an
-independent brute-force oracle (`oracle_distance`) that searches the
-configuration graph of the metric's edit operations.
+infinity sentinel and saturating addition.
 
 The Levenshtein, LCS and Damerau-Levenshtein distances have one recurrence
 each, which appends rows to a prefix-distance table of a word pair
@@ -17,7 +15,6 @@ from one such table, grown from the table of its node's residuals.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from enum import Enum
 from typing import Iterable
@@ -449,320 +446,3 @@ def word_distance(metric: Metric, u: str, v: str,
         alphabet.validate(u, "left word")
         alphabet.validate(v, "right word")
     return _KERNELS[metric](u, v)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle: BFS over the configuration graph of the edit operations
-# ---------------------------------------------------------------------------
-
-class OverBudget:
-    """Oracle answer "distance exceeds the search budget"."""
-
-    __slots__ = ("budget",)
-
-    def __init__(self, budget: int):
-        self.budget = budget
-
-    def __eq__(self, other):
-        return isinstance(other, OverBudget) and other.budget == self.budget
-
-    def __repr__(self):
-        return f"OverBudget(>{self.budget})"
-
-
-def _successors(metric: Metric, w: str, letters: tuple[str, ...]) -> list[str]:
-    out = []
-    n = len(w)
-    if metric in (Metric.HAMMING, Metric.LEVENSHTEIN, Metric.DAMERAU_LEVENSHTEIN):
-        for i in range(n):
-            for c in letters:
-                if c != w[i]:
-                    out.append(w[:i] + c + w[i + 1:])
-    if metric in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
-        for i in range(n):
-            out.append(w[:i] + w[i + 1:])
-        for i in range(n + 1):
-            for c in letters:
-                out.append(w[:i] + c + w[i:])
-    if metric in (Metric.TRANSPOSITION, Metric.DAMERAU_LEVENSHTEIN):
-        for i in range(n - 1):
-            if w[i] != w[i + 1]:
-                out.append(w[:i] + w[i + 1] + w[i] + w[i + 2:])
-    if metric is Metric.CONJUGACY and n > 0:
-        out.append(w[1:] + w[0])   # left shift
-        out.append(w[-1] + w[:-1])  # right shift
-    return out
-
-
-def oracle_distance(metric: Metric, u: str, v: str, budget: int,
-                    alphabet: Alphabet | None = None) -> ExtendedNat | OverBudget:
-    """Breadth-first search over the metric's edit graph from u towards v.
-
-    Returns the exact distance when it is at most `budget`; returns
-    `OverBudget` when the search exhausts the budget first; returns ∞ when
-    the reachable component is fully explored without meeting v.
-    """
-    if budget < 0:
-        raise InputError("oracle budget must be nonnegative")
-    if alphabet is None:
-        alphabet = Alphabet(sorted(set(u) | set(v)))
-    else:
-        alphabet.validate(u, "left word")
-        alphabet.validate(v, "right word")
-    if metric is Metric.DISCRETE:
-        return ZERO if u == v else INF
-    if metric is Metric.LENGTH:
-        # configuration graph on word lengths, steps of ±1
-        frontier, target, visited = {len(u)}, len(v), {len(u)}
-        for depth in range(budget + 1):
-            if target in frontier:
-                return ExtendedNat(depth)
-            nxt = set()
-            for k in frontier:
-                for k2 in (k - 1, k + 1):
-                    if k2 >= 0 and k2 not in visited:
-                        visited.add(k2)
-                        nxt.add(k2)
-            frontier = nxt
-        return OverBudget(budget)
-
-    letters = alphabet.letters
-    length_varies = metric in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN)
-    visited = {u}
-    frontier = [u]
-    for depth in range(budget + 1):
-        for w in frontier:
-            if w == v:
-                return ExtendedNat(depth)
-        if depth == budget:
-            break
-        nxt = []
-        remaining = budget - depth - 1
-        for w in frontier:
-            for w2 in _successors(metric, w, letters):
-                if w2 in visited:
-                    continue
-                # each edit changes length by at most 1, so prune states that
-                # cannot reach v's length within the remaining budget
-                if length_varies and abs(len(w2) - len(v)) > remaining:
-                    continue
-                visited.add(w2)
-                nxt.append(w2)
-        if not nxt:
-            return INF  # component exhausted without reaching v
-        frontier = nxt
-    return OverBudget(budget)
-
-
-# Bulk oracle used by the exhaustive validation suites: one BFS per source
-# word, distances to every word of length <= max_target_len.  Binary
-# alphabets go through a scipy.sparse shortest-path over a precomputed edit
-# graph; other alphabets fall back to plain BFS.
-
-def _word_to_id(w: str, index: dict[str, int]) -> int:
-    code = 1
-    for c in w:
-        code = (code << 1) | index[c]
-    return code
-
-
-@functools.lru_cache(maxsize=16)
-def _binary_edit_graph(metric: Metric, letters: tuple[str, ...], max_len: int):
-    """Sparse adjacency over all binary words of length <= max_len."""
-    import numpy as np
-    from scipy import sparse
-
-    n_nodes = 1 << (max_len + 1)
-    srcs, dsts = [], []
-
-    def emit(a, b):
-        srcs.append(a)
-        dsts.append(b)
-
-    for n in range(max_len + 1):
-        base = 1 << n
-        ids = np.arange(base, base << 1, dtype=np.int64)
-        if metric in (Metric.HAMMING, Metric.LEVENSHTEIN, Metric.DAMERAU_LEVENSHTEIN):
-            for i in range(n):
-                emit(ids, ids ^ (1 << i))
-        if metric in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
-            for i in range(n):  # delete the letter i positions from the right
-                high = (ids >> (i + 1)) << i
-                low = ids & ((1 << i) - 1)
-                emit(ids, high | low)
-            if n < max_len:
-                for i in range(n + 1):  # insert at i positions from the right
-                    high = (ids >> i) << (i + 1)
-                    low = ids & ((1 << i) - 1)
-                    emit(ids, high | low)
-                    emit(ids, high | (1 << i) | low)
-        if metric in (Metric.TRANSPOSITION, Metric.DAMERAU_LEVENSHTEIN):
-            for i in range(n - 1):
-                bits = (ids >> i) ^ (ids >> (i + 1))
-                swap = ids ^ (((bits & 1) << i) | ((bits & 1) << (i + 1)))
-                emit(ids, swap)
-        if metric is Metric.CONJUGACY and n > 0:
-            top = (ids >> (n - 1)) & 1
-            left = ((ids & ((1 << (n - 1)) - 1)) << 1) | top | (1 << n)
-            emit(ids, left)
-            bottom = ids & 1
-            right = (1 << n) | ((ids & ((1 << n) - 1)) >> 1) | (bottom << (n - 1))
-            emit(ids, right)
-
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-    data = np.ones(len(src), dtype=np.int8)
-    return sparse.csr_matrix((data, (src, dst)), shape=(n_nodes, n_nodes))
-
-
-def oracle_distances_from(metric: Metric, u: str, budget: int, alphabet: Alphabet,
-                          max_target_len: int) -> dict[str, ExtendedNat | OverBudget]:
-    """Oracle distances from u to every word of length <= max_target_len.
-
-    Values are exact distances <= budget, OverBudget, or ∞ when the
-    component was exhausted.
-    """
-    if metric in (Metric.DISCRETE, Metric.LENGTH):
-        words = _all_words(alphabet, max_target_len)
-        return {w: oracle_distance(metric, u, w, budget, alphabet) for w in words}
-
-    if len(alphabet) == 2:
-        return oracle_distance_table(metric, [u], budget, alphabet,
-                                     max_target_len)[u]
-    return _oracle_map_bfs(metric, u, budget, alphabet, max_target_len)
-
-
-def _all_words(alphabet: Alphabet, max_len: int) -> list[str]:
-    words = [""]
-    frontier = [""]
-    for _ in range(max_len):
-        frontier = [w + c for w in frontier for c in alphabet.letters]
-        words.extend(frontier)
-    return words
-
-
-def oracle_distance_table(metric: Metric, sources: list[str], budget: int,
-                          alphabet: Alphabet, max_target_len: int,
-                          ) -> dict[str, dict[str, ExtendedNat | OverBudget]]:
-    """Batched oracle over a binary alphabet: {source: {target: value}}.
-
-    One shortest-path sweep per batch of sources over a shared edit graph.
-    """
-    import numpy as np
-    from scipy.sparse.csgraph import dijkstra
-
-    if len(alphabet) != 2:
-        return {u: _oracle_map_bfs(metric, u, budget, alphabet, max_target_len)
-                for u in sources}
-    length_varies = metric in (Metric.LEVENSHTEIN, Metric.LCS,
-                               Metric.DAMERAU_LEVENSHTEIN)
-    # a path of at most `budget` unit-length steps between two words of at
-    # most m letters climbs to length L and comes back down, so it has at
-    # least 2L - 2m steps: it never passes m + budget // 2 letters
-    graph_len = max([max_target_len] + [len(u) for u in sources]) \
-        + (budget // 2 if length_varies else 0)
-    graph = _binary_edit_graph(metric, alphabet.letters, graph_len)
-    targets = _all_words(alphabet, max_target_len)
-    target_ids = np.array([_word_to_id(w, alphabet.index) for w in targets])
-    out: dict[str, dict[str, ExtendedNat | OverBudget]] = {}
-    batch = 64
-    for lo in range(0, len(sources), batch):
-        chunk = sources[lo:lo + batch]
-        ids = [_word_to_id(u, alphabet.index) for u in chunk]
-        dist = dijkstra(graph, directed=True, indices=ids, unweighted=True,
-                        limit=budget)
-        for row, u in enumerate(chunk):
-            d = dist[row]
-            # the edit graph of the Levenshtein family is connected, so the
-            # capped graph must not report its component as exhausted
-            exhausted = not length_varies and bool(
-                np.all(np.isinf(d) | (d < budget)))
-            table: dict[str, ExtendedNat | OverBudget] = {}
-            vals = d[target_ids]
-            for w, val in zip(targets, vals):
-                if np.isinf(val):
-                    table[w] = INF if exhausted else OverBudget(budget)
-                else:
-                    table[w] = ExtendedNat(int(val))
-            out[u] = table
-    return out
-
-
-def _oracle_map_bfs(metric, u, budget, alphabet, max_target_len):
-    length_varies = metric in (Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN)
-    letters = alphabet.letters
-    dist = {u: 0}
-    frontier = [u]
-    exhausted = False
-    for depth in range(budget):
-        nxt = []
-        remaining = budget - depth - 1
-        for w in frontier:
-            for w2 in _successors(metric, w, letters):
-                if w2 in dist:
-                    continue
-                if length_varies and len(w2) - max_target_len > remaining:
-                    continue
-                dist[w2] = depth + 1
-                nxt.append(w2)
-        if not nxt:
-            exhausted = True
-            break
-        frontier = nxt
-    result: dict[str, ExtendedNat | OverBudget] = {}
-    for w in _all_words(alphabet, max_target_len):
-        if w in dist:
-            result[w] = ExtendedNat(dist[w])
-        else:
-            result[w] = INF if exhausted else OverBudget(budget)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Metric-order report
-# ---------------------------------------------------------------------------
-
-_ORDER_CHECKS = (
-    ("d_len <= d_h", Metric.LENGTH, 1, Metric.HAMMING, 1),
-    ("d_len <= d_t", Metric.LENGTH, 1, Metric.TRANSPOSITION, 1),
-    ("d_len <= d_c", Metric.LENGTH, 1, Metric.CONJUGACY, 1),
-    ("d_len <= d_l", Metric.LENGTH, 1, Metric.LEVENSHTEIN, 1),
-    ("d_len <= d_lcs", Metric.LENGTH, 1, Metric.LCS, 1),
-    ("d_len <= d_dl", Metric.LENGTH, 1, Metric.DAMERAU_LEVENSHTEIN, 1),
-    ("d_h <= d_inf", Metric.HAMMING, 1, Metric.DISCRETE, 1),
-    ("d_t <= d_inf", Metric.TRANSPOSITION, 1, Metric.DISCRETE, 1),
-    ("d_c <= d_inf", Metric.CONJUGACY, 1, Metric.DISCRETE, 1),
-    ("d_l <= d_inf", Metric.LEVENSHTEIN, 1, Metric.DISCRETE, 1),
-    ("d_lcs <= d_inf", Metric.LCS, 1, Metric.DISCRETE, 1),
-    ("d_dl <= d_inf", Metric.DAMERAU_LEVENSHTEIN, 1, Metric.DISCRETE, 1),
-    ("d_l <= d_lcs", Metric.LEVENSHTEIN, 1, Metric.LCS, 1),
-    ("d_lcs <= 2*d_l", Metric.LCS, 1, Metric.LEVENSHTEIN, 2),
-    ("d_dl <= d_l", Metric.DAMERAU_LEVENSHTEIN, 1, Metric.LEVENSHTEIN, 1),
-    ("d_l <= 2*d_dl", Metric.LEVENSHTEIN, 1, Metric.DAMERAU_LEVENSHTEIN, 2),
-    ("d_l <= d_h", Metric.LEVENSHTEIN, 1, Metric.HAMMING, 1),
-    ("d_h <= 2*d_t", Metric.HAMMING, 1, Metric.TRANSPOSITION, 2),
-    ("d_l <= 2*d_c", Metric.LEVENSHTEIN, 1, Metric.CONJUGACY, 2),
-)
-
-
-def metric_order_check(samples: Iterable[tuple[str, str]],
-                       alphabet: Alphabet | None = None):
-    """Check the metric-order inequalities on every sample pair.
-
-    Returns None when all inequalities hold, otherwise a tuple
-    (inequality name, (u, v), lhs, rhs) for the first violation.
-    """
-    for u, v in samples:
-        values = {m: word_distance(m, u, v, alphabet) for m in Metric}
-        for name, lhs_m, lhs_scale, rhs_m, rhs_scale in _ORDER_CHECKS:
-            lhs = values[lhs_m] * lhs_scale
-            rhs = values[rhs_m] * rhs_scale
-            if not lhs <= rhs:
-                return (name, (u, v), lhs, rhs)
-    return None

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from transdist.automata import Nfa, trim
+from transdist.pairauto import delay_range
 from transdist.transducers import Transducer, joint_product
 from transdist.words import Alphabet
 
@@ -175,8 +176,6 @@ def spec_transducer(spec) -> Transducer:
 def machine_corpus(seed: int, count: int, *, bounded_length_gap=False,
                    max_states=5, max_out_len=2):
     """Deterministic corpus of transducer pairs on shared DFA skeletons."""
-    from transdist.pairauto import bounded_delay
-
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -184,7 +183,7 @@ def machine_corpus(seed: int, count: int, *, bounded_length_gap=False,
                                     max_out_len=max_out_len)
         if pair is None:
             continue
-        if bounded_length_gap and not bounded_delay(joint_product(*pair)):
+        if bounded_length_gap and delay_range(joint_product(*pair)) is None:
             continue
         out.append(pair)
     return out

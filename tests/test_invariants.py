@@ -10,8 +10,7 @@ from transdist.conjugacy import (Atom, cat, star, sum_,
                                  sumfree_decompose, to_pair_automaton,
                                  verify_witness)
 from transdist.kapprox import build_kapprox, distance, kclose
-from transdist.pairauto import (PairAutomaton, enumerate_pairs,
-                                is_identity_relation)
+from transdist.pairauto import PairAutomaton, enumerate_pairs, identity_witness
 from transdist.relations import (make_distance_relation, power_upto,
                                  relation_included)
 from transdist.substitution import _border_walks, _build_pipeline
@@ -75,7 +74,7 @@ def test_identity_relation_vs_enumeration_random():
         p = PairAutomaton.from_edges(n, [0], [rng.randrange(n)], edges, AB, AB)
         if p.nfa.n_states == 0:
             continue
-        verdict = is_identity_relation(p)
+        verdict = identity_witness(p) is None
         pairs = enumerate_pairs(p, 8)
         if verdict:
             assert all(u == v for u, v in pairs)
@@ -160,8 +159,8 @@ def _backward_border_walks(pipe, cid, q, side, length):
 
 
 def test_border_variants_coincide_for_trivial_interiors():
-    # with identical interiors the lborder and rborder of every loop have the
-    # same alphabetic vector, so the initial-side and final-side tests agree
+    # with identical interiors the left and right borders of every loop have
+    # the same alphabetic vector, so the initial-side and final-side tests agree
     from conftest import make_transducer
     t_a = make_transducer(2, [0], [1], [(0, "a", "ba", 1), (1, "a", "a", 1)])
     t_b = make_transducer(2, [0], [1], [(0, "a", "a", 1), (1, "a", "a", 1)],

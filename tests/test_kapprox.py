@@ -12,11 +12,10 @@ from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
 from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
                                min_weight_on, min_weight_table)
-from transdist.pairauto import bounded_delay
+from transdist.pairauto import delay_range
 from transdist.substitution import distance_subst
 from transdist.transducers import (DomainMismatchError, domain_words,
-                                   evaluate, joint_product, length_close,
-                                   same_domain)
+                                   evaluate, joint_product, same_domain)
 from transdist.verdicts import DomainCertificate, NotClose
 from transdist.words import INF, Alphabet, Metric, word_distance
 
@@ -180,7 +179,7 @@ def test_crossing_kapprox_matches_kernels_on_random_machines(rng, metric):
     assume(pair is not None)
     t1, t2 = pair
     p = joint_product(t1, t2)
-    assume(bounded_delay(p))
+    assume(delay_range(p) is not None)
     for k in (0, 1, 2):
         da = build_kapprox(metric, p, k)
         for w in domain_words(t1, 5):
@@ -561,7 +560,8 @@ def test_every_route_compares_the_domains_once_per_joint_product(
         domain_runs.clear()
         assert distance(metric, ta, tb) == INF
         assert len(domain_runs) == 1
-    for f in (length_close, lambda a, b: distance_subst(Metric.HAMMING, a, b)):
+    for f in (lambda a, b: distance(Metric.LENGTH, a, b),
+              lambda a, b: distance_subst(Metric.HAMMING, a, b)):
         domain_runs.clear()
         assert f(ta, tb) == INF
         assert len(domain_runs) == 1

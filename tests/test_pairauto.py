@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import random_joint_machine
 from transdist.pairauto import (
-    PairAutomaton, bounded_delay, delay_range, enumerate_pairs,
-    find_pair_path, identity_witness, input_word_of_path, is_identity_relation,
-    is_length_preserving, max_abs_delay, output_pair_of_path, pair_length_diameter,
+    PairAutomaton, delay_range, enumerate_pairs, find_pair_path,
+    identity_witness, input_word_of_path, is_length_preserving, max_abs_delay, output_pair_of_path, pair_length_diameter,
     shortest_prefix_path, shortest_suffix_path, suffix_gap_range, synchronize,
     wrap_pair_automaton,
 )
@@ -69,7 +68,6 @@ def test_compute_delays_identity_zero():
 def test_compute_delays_inconsistent_on_unbalanced_loop():
     p = loop_relation("a", "")
     assert delay_range(p) is None
-    assert not bounded_delay(p)
     assert pair_length_diameter(p) == INF
 
 
@@ -162,7 +160,7 @@ def test_suffix_gap_range_matches_enumerated_suffixes(rng):
     pair = random_joint_machine(rng, max_states=4, max_out_len=3)
     assume(pair is not None)
     p = joint_product(*pair)
-    assume(bounded_delay(p))
+    assume(delay_range(p) is not None)
     lo, hi = suffix_gap_range(p)
     for q in range(p.nfa.n_states):
         gaps = suffix_gaps(p, q)
@@ -192,7 +190,7 @@ def test_max_abs_delay_counts_intermediate_states():
 
 def test_identity_on_identity_star():
     p = pa([(0, ("a", "a"), 0)], 1)
-    assert is_identity_relation(p)
+    assert identity_witness(p) is None
 
 
 def test_identity_false_on_single_swap():
@@ -203,7 +201,7 @@ def test_identity_false_on_single_swap():
 
 def test_identity_on_multiletter_blocks():
     p = pa([(0, ("ab", "ab"), 0), (0, ("aab", "aab"), 0)], 1)
-    assert is_identity_relation(p)
+    assert identity_witness(p) is None
     for u, v in enumerate_pairs(p, 6):
         assert u == v
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import machine_corpus, make_transducer
 from transdist.errors import InputError
 from transdist.kapprox import close_verdict
-from transdist.substitution import distance_subst, interior, lborder, rborder
+from transdist.substitution import distance_subst, interior
 from transdist.transducers import domain_words, evaluate
 from transdist.verdicts import (Close, InfiniteWordCertificate, LoopCertificate,
                                 NotClose)
@@ -20,20 +20,13 @@ def enum_max_distance(metric, t1, t2, max_len):
 
 
 # ---------------------------------------------------------------------------
-# interiors and borders
+# interiors
 # ---------------------------------------------------------------------------
 
 def test_interior_examples():
     assert interior(("abc", "def"), 1) == ("ab", "ef")
     assert interior(("abc", "def"), -1) == ("bc", "de")
     assert interior(("ab", "cd"), 0) == ("ab", "cd")
-
-
-def test_borders():
-    assert lborder(("abc", "def"), 1) == "d"
-    assert rborder(("abc", "def"), 1) == "c"
-    assert lborder(("abc", "def"), -1) == "a"
-    assert rborder(("abc", "def"), -1) == "f"
 
 
 def test_interior_requires_long_enough_pair():

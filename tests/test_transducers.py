@@ -7,12 +7,13 @@ from conftest import (dense_dfa_spec, machine_corpus, make_transducer,
                       rotate_first_letter, spec_transducer)
 from transdist.automata import Nfa
 from transdist.errors import InputError, PreconditionError
+from transdist.kapprox import distance
 from transdist.pairauto import enumerate_pairs, find_pair_path
 from transdist.transducers import (
-    Transducer, domain_words, evaluate, joint_product, length_close,
-    nivat_split, same_domain,
+    Transducer, domain_words, evaluate, joint_product, nivat_split,
+    same_domain,
 )
-from transdist.words import INF, Alphabet
+from transdist.words import INF, Alphabet, Metric
 
 AB = Alphabet("ab")
 
@@ -220,31 +221,29 @@ def test_nivat_round_trip_preserves_pair_language(t4, t5):
 # ---------------------------------------------------------------------------
 
 def test_t1_t2_pair_automaton_bounded_but_not_length_preserving(t1, t2):
-    from transdist.pairauto import (bounded_delay, delay_range,
-                                    is_length_preserving)
+    from transdist.pairauto import delay_range, is_length_preserving
     p = joint_product(t1, t2)
     assert not is_length_preserving(p)   # odd-length inputs leave a gap of 1
-    assert bounded_delay(p)
-    lo, hi = delay_range(p)              # one delay per state
+    lo, hi = delay_range(p)              # bounded, with one delay per state
     assert lo == hi
     assert set(lo) == {0, 1}
 
 
 def test_length_close_paper_values(t1, t2, t3):
-    assert length_close(t1, t2) == 1
-    assert length_close(t1, t1) == 0
-    assert length_close(t1, t3) == INF
+    assert distance(Metric.LENGTH, t1, t2) == 1
+    assert distance(Metric.LENGTH, t1, t1) == 0
+    assert distance(Metric.LENGTH, t1, t3) == INF
 
 
 def test_length_close_different_domains():
     t_astar = make_transducer(1, [0], [0], [(0, "a", "a", 0)])
     t_astarb = make_transducer(2, [0], [1], [(0, "a", "a", 0), (0, "b", "", 1)])
-    assert length_close(t_astar, t_astarb) == INF
+    assert distance(Metric.LENGTH, t_astar, t_astarb) == INF
 
 
 def test_length_close_matches_enumeration_on_corpus():
     for u1, u2 in machine_corpus(101, 15):
-        d = length_close(u1, u2)
+        d = distance(Metric.LENGTH, u1, u2)
         gaps = []
         for w in domain_words(u1, 7):
             out = evaluate(u1, w), evaluate(u2, w)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from transdist import words
 from transdist.errors import InputError
+from transdist.oracles import (OverBudget, metric_order_check,
+                               oracle_distance, oracle_distance_table,
+                               oracle_distances_from)
 from transdist.words import (
-    INF, Alphabet, ExtendedNat, Metric, OverBudget, alphabetic_vector,
-    extend_table, metric_order_check, oracle_distance, oracle_distances_from,
+    INF, Alphabet, ExtendedNat, Metric, alphabetic_vector, extend_table,
     parse_metric, prefix_table, word_distance,
 )
 
@@ -266,6 +268,25 @@ def test_oracle_map_binary_agrees_with_per_pair_bfs():
         fast = oracle_distances_from(metric, "0110", 4, AB01, 3)
         for v, got in sorted(fast.items()):
             assert got == oracle_distance(metric, "0110", v, 4, AB01), (metric, v)
+
+
+@pytest.mark.parametrize("metric", [Metric.LENGTH, Metric.DISCRETE])
+def test_oracle_table_agrees_with_per_pair_bfs_without_an_edit_graph(metric):
+    # neither metric edits letters, so the table cannot come from the
+    # binary edit graph, where "1" is unreachable from "0": their length
+    # distance is 0, not ∞
+    words = words_upto(AB01, 3)
+    table = oracle_distance_table(metric, words, 4, AB01, 3)
+    for u in words:
+        assert table[u] == {v: oracle_distance(metric, u, v, 4, AB01)
+                            for v in words}, u
+
+
+def test_bulk_oracle_needs_a_binary_alphabet():
+    with pytest.raises(InputError):
+        oracle_distance_table(Metric.LEVENSHTEIN, ["ab"], 2, Alphabet("abc"), 2)
+    with pytest.raises(InputError):
+        oracle_distances_from(Metric.LENGTH, "a", 2, Alphabet("a"), 2)
 
 
 # ---------------------------------------------------------------------------
