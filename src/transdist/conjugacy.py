@@ -9,9 +9,12 @@ transitions of the searched automaton), and are verified exactly against
 that automaton, so a wrong verdict is impossible; an exhausted candidate
 budget surfaces as Unknown, never as Close or NotClose.
 
-* Conjugacy: state elimination turns the pair automaton into a rational
-  expression, distributed into summands (a0,b0)E1*(a1,b1)···Ek*(ak,bk) with
-  the stars kept whole, and every summand needs a common witness.
+* Conjugacy: conjugate words have equal lengths, so the output lengths are
+  checked first, and a pair automaton that is not length-preserving is
+  NotClose, certified by an unbalanced pair.  Otherwise state elimination
+  turns it into a rational expression, distributed into summands
+  (a0,b0)E1*(a1,b1)···Ek*(ak,bk) with the stars kept whole, and every
+  summand needs a common witness.
 * Levenshtein family: no expression is built.  Per entry state e of each
   strongly connected component of the pair automaton, the loop language
   L_e needs a common witness; the distance bound is proven at
@@ -31,7 +34,7 @@ from .automata import scc_decomposition
 from .errors import IntegrityError, InputError, ResourceLimitError
 from .pairauto import (PairAutomaton, enumerate_pairs, find_pair_path,
                        delay_range, identity_witness, input_word_of_path,
-                       wrap_pair_automaton)
+                       is_length_preserving, wrap_pair_automaton)
 from .transducers import loop_certificate, unbalanced_loop_certificate
 from .verdicts import (Close, InfiniteWordCertificate, NotClose,
                        PairCertificate, Unknown)
@@ -465,10 +468,16 @@ def close_conjugacy(target: PairAutomaton | PairExpr):
 
     Per sumfree summand, a common witness z bounds the distance by |z|; the
     overall bound is the maximum over summands.  NotClose carries a concrete
-    non-conjugate pair.
+    non-conjugate pair.  Conjugate words have equal lengths, so a pair
+    automaton that is not length-preserving is NotClose at once, certified
+    by an unbalanced pair, before any expression is built.
     """
-    e = (state_elimination(target) if isinstance(target, PairAutomaton)
-         else target)
+    if isinstance(target, PairAutomaton):
+        if not is_length_preserving(target):
+            return NotClose(PairCertificate(identity_witness(target)))
+        e = state_elimination(target)
+    else:
+        e = target
     unknown = None
     bound = ExtendedNat(0)
     for summand in sumfree_decompose(e):

@@ -28,14 +28,14 @@ which `transducers.joint_product` builds in one pass (comparing the domains
 first); `build_kapprox` takes it as it is.  `close_verdict` is the one
 public closeness entry for two transducers.  It builds the pair automaton
 once and hands it to the one dispatch on the metric, which calls the
-metric's decider on it.  `distance` builds the pair automaton once,
-reads its answer from the same dispatch first (NotClose is ∞; for the
-length and discrete metrics the Close bound is exact) and searches k with
-`kclose` only for the six edit metrics, every probe on that one pair
-automaton: a distance costs one build however many k it probes.  The pair
-automaton keeps its gap analyses (`delay_range`, `suffix_gap_range`), so
-the verdict and every probe read one result.  A lone `kclose` call builds
-its own pair automaton.
+metric's decider on it.  `distance` builds the pair automaton once and
+reads the length and discrete distances off it directly.  For the six edit
+metrics it asks the same dispatch first (NotClose is ∞) and then searches
+k with `kclose`, every probe on that one pair automaton: a distance costs
+one build however many k it probes.  The pair automaton keeps its gap
+analyses (`delay_range`, `suffix_gap_range`), so the verdict and every
+probe read one result.  A lone `kclose` call builds its own pair
+automaton.
 """
 
 from __future__ import annotations
@@ -591,29 +591,33 @@ def distance(metric: Metric, t1, t2,
     """Exact distance between two transducers under the given metric.
 
     The pair automaton is built once with `joint_product` (different
-    domains give ∞) and serves the verdict and every probe.  The closeness
+    domains give ∞) and serves the verdict and every probe.  The length
+    distance is its length diameter, and the discrete one is 0 when it
+    generates no pair of different words and ∞ otherwise; neither needs a
+    verdict or a certificate.  For the six edit metrics the closeness
     verdict comes first (k-closeness alone cannot certify unboundedness):
-    NotClose gives ∞, Unknown is returned as is, and for the length and
-    discrete metrics the Close bound is already the exact distance.  For the
-    six edit metrics k-closeness is then probed for k = 0, 1, 2, ... on the
-    same pair automaton (`kclose`'s `pair`), and the first k that holds is
-    the distance.  A probe costs several times the one below it, so the
-    search costs about as much as the probe at the answer and never builds
-    a larger k-approximation.  Passing the verdict's bound (or 2**20 when it
-    has none) means the k-approximation contradicts the closeness verdict.
+    NotClose gives ∞ and Unknown is returned as is.  k-closeness is then
+    probed for k = 0, 1, 2, ... on the same pair automaton (`kclose`'s
+    `pair`), and the first k that holds is the distance.  A probe costs
+    several times the one below it, so the search costs about as much as
+    the probe at the answer and never builds a larger k-approximation.
+    Passing the verdict's bound (or 2**20 when it has none) means the
+    k-approximation contradicts the closeness verdict.
     """
     try:
         p = joint_product(t1, t2)
     except DomainMismatchError:
         return INF
+    if metric is Metric.LENGTH:
+        return pair_length_diameter(p)
+    if metric is Metric.DISCRETE:
+        return ExtendedNat(0) if identity_witness(p) is None else INF
     verdict = _verdict_on(metric, t1, t2, p)
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, NotClose):
         return INF
     bound = verdict.bound
-    if metric in (Metric.LENGTH, Metric.DISCRETE):
-        return bound
     limit = bound.value() if bound is not None and bound.is_finite else 2 ** 20
     k = 0
     while not kclose(metric, t1, t2, k, ceiling, pair=p):

@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .automata import EPSILON, Nfa, scc_decomposition, trim
+from .automata import (EPSILON, Nfa, accessible_states, coaccessible_states,
+                       scc_decomposition, trim)
 from .errors import InputError, IntegrityError, ResourceLimitError
 from .words import INF, Alphabet, ExtendedNat
 
@@ -63,15 +64,34 @@ class PairAutomaton:
 
         Multi-letter components are split left-aligned through fresh
         intermediate states; the input letter stays on the first piece.
+        With `do_trim`, the edge graph is trimmed before it is split: a
+        split chain is useful exactly when its edge is, so only the kept
+        edges are split.  Kept states are renumbered in order, followed by
+        the fresh states of the kept edges in edge order, which is the
+        numbering that splitting everything and then trimming gives.
         """
+        edges = [edge if len(edge) > 3 else (*edge, None) for edge in edges]
+        for _, (xw, yw), _, _ in edges:
+            left_alphabet.validate(xw, "left output")
+            right_alphabet.validate(yw, "right output")
+        if do_trim:
+            # the Nfa checks the state ids
+            graph = Nfa(n_states, initials, finals,
+                        [(src, None, dst) for src, _, dst, _ in edges])
+            keep = sorted(accessible_states(graph)
+                          & coaccessible_states(graph))
+            new_of_old = {old: new for new, old in enumerate(keep)}
+            edges = [(new_of_old[src], lbl, new_of_old[dst], letter)
+                     for src, lbl, dst, letter in edges
+                     if src in new_of_old and dst in new_of_old]
+            initials = [new_of_old[s] for s in graph.initials
+                        if s in new_of_old]
+            finals = [new_of_old[s] for s in graph.finals if s in new_of_old]
+            n_states = len(keep)
         transitions = []
         provenance = []
         next_state = n_states
-        for edge in edges:
-            src, (xw, yw), dst = edge[0], edge[1], edge[2]
-            letter = edge[3] if len(edge) > 3 else None
-            left_alphabet.validate(xw, "left output")
-            right_alphabet.validate(yw, "right output")
+        for src, (xw, yw), dst, letter in edges:
             steps = max(len(xw), len(yw), 1)
             cur = src
             for i in range(steps):
@@ -83,14 +103,8 @@ class PairAutomaton:
                 provenance.append(letter if i == 0 else None)
                 cur = nxt
         nfa = Nfa(next_state, initials, finals, transitions)
-        pa = PairAutomaton(nfa, left_alphabet, right_alphabet, tuple(provenance))
-        return trim_pair(pa) if do_trim else pa
-
-
-def trim_pair(p: PairAutomaton) -> PairAutomaton:
-    nfa, _, kept = trim(p.nfa)
-    return PairAutomaton(nfa, p.left_alphabet, p.right_alphabet,
-                         tuple(p.input_letters[t] for t in kept))
+        return PairAutomaton(nfa, left_alphabet, right_alphabet,
+                             tuple(provenance))
 
 
 def edge_gap(label: tuple[str, str]) -> int:

@@ -69,10 +69,26 @@ class Transducer:
 def _accepting_run(t: Transducer, word: str) -> list[int] | None:
     """Transition indices of the unique accepting run, or None.
 
-    Raises IntegrityError when two accepting runs exist (the construction
-    check should have ruled this out).
+    A sequential machine has at most one run on any word, followed in one
+    walk.  Otherwise the runs are followed layer by layer, and two accepting
+    runs raise IntegrityError (the construction check should have ruled
+    this out).
     """
     adj = t.nfa.adj()
+    if t._deterministic:
+        if not t.nfa.initials:
+            return None
+        [s] = t.nfa.initials
+        run = []
+        for c in word:
+            for a, d, tr in adj[s]:
+                if a == c:
+                    run.append(tr)
+                    s = d
+                    break
+            else:
+                return None
+        return run if s in t.nfa.finals else None
     layers: list[dict[int, tuple[int, int] | None]] = [
         {s: None for s in t.nfa.initials}]
     for c in word:
@@ -109,7 +125,12 @@ def _accepting_run(t: Transducer, word: str) -> list[int] | None:
 
 
 def evaluate(t: Transducer, word: str) -> str | None:
-    """T(word): transition outputs along the unique run plus the final output."""
+    """T(word): transition outputs along the unique run plus the final output,
+    or None outside the domain.
+
+    A sequential machine is run in one walk; an unambiguous one layer by
+    layer, counting its accepting runs (see `_accepting_run`).
+    """
     t.input_alphabet.validate(word, "input word")
     run = _accepting_run(t, word)
     if run is None:

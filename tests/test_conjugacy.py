@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_dfa_spec, joint_outputs_table, make_transducer,
-                      random_joint_machine, rotate_first_letter,
-                      spec_transducer)
+from conftest import (dense_dfa_spec, joint_outputs_table, machine_corpus,
+                      make_transducer, random_joint_machine,
+                      rotate_first_letter, spec_transducer)
 from transdist import conjugacy
 from transdist.conjugacy import (
     Atom, Cat, Empty, Star, Sum, Witness, NoWitness, WitnessUnknown,
@@ -16,7 +16,8 @@ from transdist.conjugacy import (
     verify_witness, witness_candidates,
 )
 from transdist.kapprox import close_verdict
-from transdist.pairauto import PairAutomaton, enumerate_pairs, max_abs_delay
+from transdist.pairauto import (PairAutomaton, enumerate_pairs,
+                                is_length_preserving, max_abs_delay)
 from transdist.transducers import (domain_words, evaluate, joint_product,
                                    nivat_split)
 from transdist.verdicts import (Close, InfiniteWordCertificate,
@@ -248,6 +249,48 @@ def test_close_conjugacy_t1_t3(t1, t3):
     assert isinstance(cert, InfiniteWordCertificate)
     out1, out3 = evaluate(t1, cert.word), evaluate(t3, cert.word)
     assert word_distance(Metric.CONJUGACY, out1, out3) == INF
+
+
+def test_unbalanced_pair_is_not_close_before_state_elimination(monkeypatch):
+    # conjugate words have equal lengths: a pair automaton that is not
+    # length-preserving is NotClose without an expression, and the input
+    # word of the certificate gives two outputs of unequal length
+    def refuse(*args, **kwargs):
+        raise AssertionError("state elimination ran")
+
+    unbalanced = []
+    for t1, t2 in machine_corpus(17, 60):
+        if not is_length_preserving(joint_product(t1, t2)):
+            unbalanced.append((t1, t2))
+    assert len(unbalanced) > 20
+    monkeypatch.setattr(conjugacy, "state_elimination", refuse)
+    for t1, t2 in unbalanced:
+        verdict = close_verdict(Metric.CONJUGACY, t1, t2)
+        assert isinstance(verdict, NotClose)
+        cert = verdict.certificate
+        assert isinstance(cert, InfiniteWordCertificate)
+        out1, out2 = evaluate(t1, cert.word), evaluate(t2, cert.word)
+        assert (out1, out2) == cert.outputs
+        assert len(out1) != len(out2)
+
+
+def test_length_check_keeps_the_verdicts_of_the_expression_route():
+    # the expression route runs state elimination on every pair automaton;
+    # both routes give the same verdict class and the same Close bound, on
+    # random pairs (mostly unbalanced) and on rotate pairs (all close)
+    pairs = machine_corpus(23, 120)
+    for seed in range(6):
+        for n in (2, 3):
+            spec = dense_dfa_spec(random.Random(seed), n)
+            pairs.append((spec_transducer(spec),
+                          spec_transducer(rotate_first_letter(spec))))
+    for t1, t2 in pairs:
+        p = joint_product(t1, t2)
+        fast = close_conjugacy(p)
+        slow = close_conjugacy(state_elimination(p))
+        assert type(fast) is type(slow)
+        if isinstance(fast, Close):
+            assert fast.bound == slow.bound
 
 
 def test_close_conjugacy_t4_t5(t4, t5):

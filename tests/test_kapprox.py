@@ -483,6 +483,31 @@ def test_distance_reads_length_and_discrete_off_the_verdict(
     assert probes == []
 
 
+@pytest.mark.parametrize("metric", [Metric.LENGTH, Metric.DISCRETE])
+def test_distance_builds_no_certificate_for_length_and_discrete(
+        metric, t1, t2, t3, t4, t5, monkeypatch):
+    # the answer is the verdict's (NotClose is ∞, Close its bound), read
+    # off the pair automaton with no certificate built and thrown away
+    pairs = [(a, b) for a in (t1, t2, t3) for b in (t1, t2, t3)]
+    pairs += [(t4, t5), (t5, t4), (t4, t4)] + machine_corpus(31, 40)
+    want = []
+    for a, b in pairs:
+        verdict = close_verdict(metric, a, b)
+        want.append(INF if isinstance(verdict, NotClose) else verdict.bound)
+    assert INF in want and any(d != INF for d in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate was built")
+
+    for module, name in ((kapprox, "unbalanced_loop_certificate"),
+                         (kapprox, "find_pair_path"),
+                         (kapprox, "input_word_of_path"),
+                         (transducers, "loop_certificate"),
+                         (transducers, "unbalanced_loop_certificate")):
+        monkeypatch.setattr(module, name, refuse)
+    assert [distance(metric, a, b) for a, b in pairs] == want
+
+
 @pytest.mark.parametrize("metric", list(Metric))
 def test_kclose_with_a_shared_pair_automaton_agrees(metric, t1, t2, t3, t4,
                                                     t5, joint_products):

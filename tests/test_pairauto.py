@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_joint_machine
+from transdist.automata import Nfa, trim
 from transdist.pairauto import (
     PairAutomaton, delay_range, enumerate_pairs, find_pair_path,
     identity_witness, input_word_of_path, is_length_preserving, max_abs_delay, output_pair_of_path, pair_length_diameter,
@@ -52,6 +53,62 @@ def test_provenance_tracks_first_piece():
     assert path is not None
     assert input_word_of_path(p, path) == "x"
     assert output_pair_of_path(p, path) == ("ab", "")
+
+
+def split_then_trim(n_states, initials, finals, edges, do_trim=True):
+    """Reference for `from_edges`: split every edge into one-letter pieces
+    through fresh states, then trim the split automaton."""
+    transitions, provenance = [], []
+    next_state = n_states
+    for src, (xw, yw), dst, letter in edges:
+        steps = max(len(xw), len(yw), 1)
+        cur = src
+        for i in range(steps):
+            nxt = dst if i == steps - 1 else next_state
+            if nxt == next_state:
+                next_state += 1
+            transitions.append((cur, (xw[i:i + 1], yw[i:i + 1]), nxt))
+            provenance.append(letter if i == 0 else None)
+            cur = nxt
+    nfa = Nfa(next_state, initials, finals, transitions)
+    if not do_trim:
+        return nfa, tuple(provenance)
+    nfa, _, kept = trim(nfa)
+    return nfa, tuple(provenance[t] for t in kept)
+
+
+@st.composite
+def edge_graphs(draw):
+    """Random edge lists with multi-letter labels, optional input letters,
+    and states that are unreachable, dead, or both."""
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    label = st.text("ab", max_size=3)
+    edges = draw(st.lists(st.tuples(state, st.tuples(label, label), state,
+                                    st.sampled_from([None, "x", "y"])),
+                          max_size=10))
+    return (n, draw(st.sets(state, max_size=2)), draw(st.sets(state)), edges)
+
+
+# state 1 is unreachable and state 3 is dead, both behind multi-letter edges
+DEAD_ENDS = (4, {0}, {2}, [(0, ("ab", "a"), 2, "x"), (1, ("aaa", ""), 2, "y"),
+                          (2, ("b", "bb"), 0, "y"), (2, ("abab", "b"), 3, "x")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=edge_graphs(), do_trim=st.booleans())
+@example(graph=DEAD_ENDS, do_trim=True)
+@example(graph=DEAD_ENDS, do_trim=False)
+def test_from_edges_matches_split_then_trim(graph, do_trim):
+    n, initials, finals, edges = graph
+    p = PairAutomaton.from_edges(n, initials, finals, edges, AB, AB,
+                                 do_trim=do_trim)
+    nfa, provenance = split_then_trim(n, initials, finals, edges, do_trim)
+    assert p.n_states == nfa.n_states
+    assert p.nfa.initials == nfa.initials
+    assert p.nfa.finals == nfa.finals
+    assert p.nfa.transitions == nfa.transitions
+    assert p.input_letters == provenance
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (dense_dfa_spec, machine_corpus, make_transducer,
                       rotate_first_letter, spec_transducer)
@@ -16,6 +18,7 @@ from transdist.transducers import (
 from transdist.words import INF, Alphabet, Metric
 
 AB = Alphabet("ab")
+B01 = Alphabet("01")
 
 
 def words(alphabet, n):
@@ -68,6 +71,38 @@ def test_eval_unambiguous_nondeterministic():
     t = Transducer(nfa, ["a", "b", "a", "", "", ""], {}, AB, AB)
     assert evaluate(t, "aba") == "aba"
     assert evaluate(t, "ab") == ""
+
+
+@st.composite
+def sequential_specs(draw):
+    """(n, initials, finals, triples, final outputs) of a sequential machine
+    on ab: partial transitions, any finals, at most one initial state."""
+    n = draw(st.integers(1, 4))
+    outputs = st.text("01", max_size=2)
+    triples = [(s, a, draw(outputs), draw(st.integers(0, n - 1)))
+               for s in range(n) for a in "ab" if draw(st.booleans())]
+    finals = draw(st.sets(st.integers(0, n - 1)))
+    initials = draw(st.sampled_from([[], [0]]))
+    return n, initials, finals, triples, {f: draw(outputs) for f in finals}
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=sequential_specs())
+def test_sequential_walk_matches_the_layered_walk(spec):
+    # the twin adds one dead initial state with two parallel a-loops: it
+    # accepts nothing, so the function is the same, but the twin is not
+    # sequential and is evaluated layer by layer
+    n, initials, finals, triples, final_out = spec
+    t = make_transducer(n, initials, finals, triples, final_out,
+                        alph_out=B01)
+    twin = make_transducer(n + 1, initials + [n], finals,
+                           triples + [(n, "a", "", n), (n, "a", "1", n)],
+                           final_out, alph_out=B01)
+    assert t.is_sequential and not twin.is_sequential
+    for w in words("ab", 6):
+        assert evaluate(t, w) == evaluate(twin, w), w
+    if not initials:
+        assert all(evaluate(t, w) is None for w in words("ab", 3))
 
 
 def test_ambiguous_transducer_rejected():
