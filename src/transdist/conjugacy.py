@@ -30,11 +30,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .automata import scc_decomposition
 from .errors import IntegrityError, InputError, ResourceLimitError
-from .pairauto import (PairAutomaton, enumerate_pairs, find_pair_path,
-                       delay_range, identity_witness, input_word_of_path,
-                       is_length_preserving, wrap_pair_automaton)
+from .pairauto import (PairAutomaton, components, enumerate_pairs,
+                       find_pair_path, delay_range, identity_witness,
+                       input_word_of_path, is_length_preserving,
+                       wrap_pair_automaton)
 from .transducers import loop_certificate, unbalanced_loop_certificate
 from .verdicts import (Close, InfiniteWordCertificate, NotClose,
                        PairCertificate, Unknown)
@@ -548,7 +548,8 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
     if gaps is None:
         return NotClose(unbalanced_loop_certificate(t1, t2, p, metric))
     lo = gaps[0]
-    comp, comps = scc_decomposition(p.nfa)
+    analysis = components(p)
+    comp, comps = analysis.comp, analysis.comps
     local = [0] * p.nfa.n_states
     for members in comps:
         for i, s in enumerate(members):

@@ -32,9 +32,10 @@ metric's decider on it.  `distance` builds the pair automaton once and
 reads the length and discrete distances off it directly.  For the six edit
 metrics it asks the same dispatch first (NotClose is ∞) and then searches
 k with `kclose`, every probe on that one pair automaton: a distance costs
-one build however many k it probes.  The pair automaton keeps its gap
-analyses (`delay_range`, `suffix_gap_range`), so the verdict and every
-probe read one result.  A lone `kclose` call builds its own pair
+one build however many k it probes.  The pair automaton keeps its one
+component analysis and the gap ranges propagated over it
+(`pairauto.components`, `delay_range`, `suffix_gap_range`), so the verdict
+and every probe read one result.  A lone `kclose` call builds its own pair
 automaton.
 """
 

@@ -4,12 +4,19 @@ A PairAutomaton is a trimmed NFA whose edge labels are pairs (x, y) with each
 component the empty word or a single letter.  Edges optionally carry the
 input letter they originate from, so certificates can be mapped back to input
 words of the original transducers.
+
+Every question about delays is read off one component analysis per
+automaton (`components`): the strongly connected components with their gap
+potentials and the first edge that contradicts them.  The prefix and suffix
+gap ranges propagate over it in the two directions, and an unbalanced cycle
+is read off its conflicting edge.  Every path certificate comes from one
+breadth-first search with parent pointers (`shortest_path`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .automata import (EPSILON, Nfa, accessible_states, coaccessible_states,
                        scc_decomposition, trim)
@@ -25,12 +32,13 @@ GapRange = tuple[tuple[int, ...], tuple[int, ...]]
 class PairAutomaton:
     """Trimmed automaton over (B ∪ {ε}) × (B ∪ {ε}) edge labels.
 
-    Its prefix and suffix gap ranges are computed on first use and kept
-    (`delay_range`, `suffix_gap_range`), the way `Nfa.adj()` is.
+    Its component analysis and its prefix and suffix gap ranges are
+    computed on first use and kept (`components`, `delay_range`,
+    `suffix_gap_range`), the way `Nfa.adj()` is.
     """
 
     __slots__ = ("nfa", "left_alphabet", "right_alphabet", "input_letters",
-                 "_prefix_gaps", "_suffix_gaps")
+                 "_components", "_prefix_gaps", "_suffix_gaps")
 
     def __init__(self, nfa: Nfa, left_alphabet: Alphabet, right_alphabet: Alphabet,
                  input_letters: tuple[str | None, ...]):
@@ -43,6 +51,7 @@ class PairAutomaton:
         self.left_alphabet = left_alphabet
         self.right_alphabet = right_alphabet
         self.input_letters = tuple(input_letters)
+        self._components = None
         self._prefix_gaps = self._suffix_gaps = _UNSET
 
     @property
@@ -135,8 +144,66 @@ def enumerate_pairs(p: PairAutomaton, max_len: int) -> set[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# delays
+# components and delays
 # ---------------------------------------------------------------------------
+
+class Components(NamedTuple):
+    """The strongly connected components of a pair automaton with their gap
+    potentials (`components`).
+
+    comp[s] is the component of state s; comps lists each component's
+    states, components in topological order.  Inside a component a
+    breadth-first walk from its first state, the root, gives every state s
+    its potential pot[s], the gap of the walk's tree path from the root to
+    s, and its tree link tree[s], the last transition of that path (None at
+    a root).  conflict is the first edge (src, transition, dst) inside a
+    component whose gap differs from pot[dst] - pot[src], scanning the
+    components in order and each one's states and edges in order, or None.
+    """
+    comp: list[int]
+    comps: list[list[int]]
+    pot: list[int]
+    tree: list[int | None]
+    conflict: tuple[int, int, int] | None
+
+
+def components(p: PairAutomaton) -> Components:
+    """The component analysis of p, computed once per automaton.
+
+    Every cycle has net gap 0 exactly when conflict is None: a conflicting
+    edge closes two cycles through the root whose net gaps differ, and
+    without one every closed walk inside a component sums potential
+    differences to 0.
+    """
+    if p._components is None:
+        comp, comps = scc_decomposition(p.nfa)
+        adj = p.nfa.adj()
+        pot: list[int | None] = [None] * p.nfa.n_states
+        tree: list[int | None] = [None] * p.nfa.n_states
+        for c, members in enumerate(comps):
+            pot[members[0]] = 0
+            order = [members[0]]
+            for s in order:  # breadth-first: order grows behind s
+                for (x, y), d, t in adj[s]:
+                    if comp[d] == c and pot[d] is None:
+                        pot[d] = pot[s] + len(x) - len(y)
+                        tree[d] = t
+                        order.append(d)
+            if len(order) != len(members):
+                raise IntegrityError("SCC traversal incomplete")
+        p._components = Components(comp, comps, pot, tree,
+                                   _first_conflict(adj, comp, comps, pot))
+    return p._components
+
+
+def _first_conflict(adj, comp, comps, pot):
+    for members in comps:
+        for s in members:
+            for (x, y), d, t in adj[s]:
+                if comp[d] == comp[s] and pot[d] != pot[s] + len(x) - len(y):
+                    return s, t, d
+    return None
+
 
 def delay_range(p: PairAutomaton) -> GapRange | None:
     """Per-state (min, max) achievable prefix gap, or None when unbounded.
@@ -149,7 +216,7 @@ def delay_range(p: PairAutomaton) -> GapRange | None:
     (lo == hi): the delay of the state.  Computed once per automaton.
     """
     if p._prefix_gaps is _UNSET:
-        p._prefix_gaps = _gap_range(p.nfa, reverse=False)
+        p._prefix_gaps = _gap_range(p, reverse=False)
     return p._prefix_gaps
 
 
@@ -162,44 +229,28 @@ def suffix_gap_range(p: PairAutomaton) -> GapRange | None:
     swapped.  Computed once per automaton.
     """
     if p._suffix_gaps is _UNSET:
-        p._suffix_gaps = _gap_range(p.nfa, reverse=True)
+        p._suffix_gaps = _gap_range(p, reverse=True)
     return p._suffix_gaps
 
 
-def _gap_range(nfa: Nfa, reverse: bool) -> GapRange | None:
-    """`delay_range` of a pair-labelled automaton, or of its reversal.
+def _gap_range(p: PairAutomaton, reverse: bool) -> GapRange | None:
+    """Prefix gap ranges, propagated forward from the initial states over
+    the components in topological order, or suffix gap ranges, propagated
+    backward from the final states in reverse order.
 
-    The ranges are tuples: the automaton keeps them for every later caller.
+    Both read the one component analysis: backward, the potentials of the
+    reversed edges are the negated ones.  The ranges are tuples: the
+    automaton keeps them for every later caller.
     """
+    comp, comps, pot, _, conflict = components(p)
+    if conflict is not None:
+        return None  # nonzero-gap cycle
     if reverse:
-        nfa = Nfa(nfa.n_states, nfa.finals, nfa.initials,
-                  [(d, lbl, s) for s, lbl, d in nfa.transitions])
-    n = nfa.n_states
-    if n == 0:
-        return (), ()
-    comp, comps = scc_decomposition(nfa)
-    adj = nfa.adj()
-
-    pot = [0] * n
-    for members in comps:
-        inside = set(members)
-        root = members[0]
-        pot[root] = 0
-        seen = {root}
-        todo = deque([root])
-        while todo:
-            s = todo.popleft()
-            for lbl, d, _ in adj[s]:
-                if d in inside and d not in seen:
-                    seen.add(d)
-                    pot[d] = pot[s] + edge_gap(lbl)
-                    todo.append(d)
-        if seen != inside:
-            raise IntegrityError("SCC traversal incomplete")
-    for s, lbl, d in nfa.transitions:
-        if comp[s] == comp[d] and pot[d] != pot[s] + edge_gap(lbl):
-            return None  # nonzero-gap cycle
-
+        starts, order, links, sign = (p.nfa.finals, reversed(comps),
+                                       p.nfa.radj(), -1)
+    else:
+        starts, order, links, sign = p.nfa.initials, comps, p.nfa.adj(), 1
+    n = p.nfa.n_states
     lo: list[int | None] = [None] * n
     hi: list[int | None] = [None] * n
 
@@ -209,19 +260,19 @@ def _gap_range(nfa: Nfa, reverse: bool) -> GapRange | None:
         if hi[state] is None or g > hi[state]:
             hi[state] = g
 
-    for s in nfa.initials:
+    for s in starts:
         offer(s, 0)
-    for members in comps:
+    for members in order:
         entries = [s for s in members if lo[s] is not None]
         if not entries:
-            continue  # not reachable (untrimmed input)
-        base_lo = min(lo[e] - pot[e] for e in entries)
-        base_hi = max(hi[e] - pot[e] for e in entries)
+            continue  # not reached (untrimmed input)
+        base_lo = min(lo[e] - sign * pot[e] for e in entries)
+        base_hi = max(hi[e] - sign * pot[e] for e in entries)
         for s in members:
-            lo[s] = base_lo + pot[s]
-            hi[s] = base_hi + pot[s]
+            lo[s] = base_lo + sign * pot[s]
+            hi[s] = base_hi + sign * pot[s]
         for s in members:
-            for lbl, d, _ in adj[s]:
+            for lbl, d, _ in links[s]:
                 if comp[d] != comp[s]:
                     g = edge_gap(lbl)
                     offer(d, lo[s] + g)
@@ -327,35 +378,25 @@ def synchronize(p: PairAutomaton, delay_bound: int, pad: str | None = None,
 # identity
 # ---------------------------------------------------------------------------
 
-def _unbalanced_pair_witness(p: PairAutomaton) -> tuple[str, str]:
-    """Some accepted pair with |u| != |v| (requires that one exists)."""
-    n = p.nfa.n_states
-    bound = 4 * (n + 2)
+def _unbalanced_pair_witness(p: PairAutomaton) -> list[int]:
+    """Transition indices of a shortest accepting path whose outputs differ
+    in length (requires that one exists)."""
+    bound = 4 * (p.nfa.n_states + 2)
     adj = p.nfa.adj()
-    start = {(s, 0) for s in p.nfa.initials}
-    parent: dict[tuple, tuple] = {c: None for c in start}
-    todo = deque(start)
-    hit = None
-    while todo:
-        s, g = todo.popleft()
-        if s in p.nfa.finals and g != 0:
-            hit = (s, g)
-            break
-        for lbl, d, _ in adj[s]:
+    finals = p.nfa.finals
+
+    def step(cfg):
+        s, g = cfg
+        for lbl, d, t in adj[s]:
             g2 = g + edge_gap(lbl)
-            key = (d, g2)
-            if abs(g2) <= bound and key not in parent:
-                parent[key] = ((s, g), lbl)
-                todo.append(key)
-    if hit is None:
+            if abs(g2) <= bound:
+                yield t, (d, g2)
+
+    path = shortest_path([(s, 0) for s in p.nfa.initials], step,
+                         lambda cfg: cfg[0] in finals and cfg[1] != 0)
+    if path is None:
         raise IntegrityError("expected a length-unbalanced pair but found none")
-    u, v = "", ""
-    cur = hit
-    while parent[cur] is not None:
-        prev, (x, y) = parent[cur]
-        u, v = x + u, y + v
-        cur = prev
-    return u, v
+    return path
 
 
 def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
@@ -369,7 +410,7 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
         return None
     rng = delay_range(p)
     if rng is None or any(rng[0][f] or rng[1][f] for f in p.nfa.finals):
-        return _unbalanced_pair_witness(p)
+        return output_pair_of_path(p, _unbalanced_pair_witness(p))
     lo, hi = rng
     nfa, _, _ = trim(synchronize(p, max(map(abs, lo + hi))))
     bad = None
@@ -379,124 +420,99 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
             break
     if bad is None:
         return None
-    src, (a, b), dst = nfa.transitions[bad]
-    prefix = _emitted_along_shortest_path(nfa, nfa.initials, {src})
-    suffix = _emitted_along_shortest_path(nfa, {dst}, nfa.finals)
-    return prefix[0] + a + suffix[0], prefix[1] + b + suffix[1]
-
-
-def _emitted_along_shortest_path(nfa: Nfa, sources, targets):
-    """Concatenated (left, right) emissions along a shortest path."""
-    adj = nfa.adj()
-    parent = {s: None for s in sources}
-    todo = deque(sources)
-    goal = None
-    targets = set(targets)
-    while todo:
-        s = todo.popleft()
-        if s in targets:
-            goal = s
-            break
-        for lbl, d, _ in adj[s]:
-            if d not in parent:
-                parent[d] = (s, lbl)
-                todo.append(d)
-    if goal is None:
+    src, _, dst = nfa.transitions[bad]
+    step = _steps(nfa.adj())
+    prefix = shortest_path(nfa.initials, step, lambda s: s == src)
+    suffix = shortest_path([dst], step, nfa.finals.__contains__)
+    if prefix is None or suffix is None:
         raise IntegrityError("no path found in trimmed automaton")
-    u, v = "", ""
-    cur = goal
-    while parent[cur] is not None:
-        prev, lbl = parent[cur]
-        if lbl is not EPSILON:
-            u, v = lbl[0] + u, lbl[1] + v
-        cur = prev
-    return u, v
+    labels = [nfa.transitions[t][1] for t in prefix + [bad] + suffix]
+    labels = [lbl for lbl in labels if lbl is not EPSILON]
+    return "".join(x for x, _ in labels), "".join(y for _, y in labels)
 
 
 def unbalanced_cycle(p: PairAutomaton) -> tuple[int, list[int]] | None:
     """(root state, transition cycle at root) with nonzero net length gap.
 
-    Exists exactly when the prefix gaps are unbounded.  Found through the
-    component potentials: a potential-inconsistent edge closes two candidate
-    cycles whose net gaps differ, so one of them is nonzero.
+    Exists exactly when the prefix gaps are unbounded.  Read off the
+    component analysis: its conflicting edge s -> d closes two cycles at the
+    root of their component, the tree path to s, the edge and a shortest
+    way back from d, and the tree path to d and the same way back.  Their
+    net gaps differ, so one of them is nonzero.
     """
-    nfa = p.nfa
-    comp, comps = scc_decomposition(nfa)
-    adj = nfa.adj()
-    for members in comps:
-        inside = set(members)
-        root = members[0]
-        pot = {root: 0}
-        tree: dict[int, tuple[int, int] | None] = {root: None}
-        order = deque([root])
-        while order:
-            s = order.popleft()
-            for lbl, d, t in adj[s]:
-                if d in inside and d not in pot:
-                    pot[d] = pot[s] + edge_gap(lbl)
-                    tree[d] = (s, t)
-                    order.append(d)
-        bad = None
-        for s in members:
-            for lbl, d, t in adj[s]:
-                if d in inside and pot[d] != pot[s] + edge_gap(lbl):
-                    bad = (s, t, d)
-                    break
-            if bad:
-                break
-        if bad is None:
-            continue
-        s, t, d = bad
+    comp, comps, _, tree, conflict = components(p)
+    if conflict is None:
+        return None
+    s, t, d = conflict
+    members = comps[comp[s]]
+    root = members[0]
+    transitions = p.nfa.transitions
 
-        def tree_path(state):
-            path = []
-            while tree[state] is not None:
-                state, tr = tree[state]
-                path.append(tr)
-            return path[::-1]
+    def tree_path(state):
+        path = []
+        while tree[state] is not None:
+            path.append(tree[state])
+            state = transitions[tree[state]][0]
+        return path[::-1]
 
-        back = component_path(p, inside, d, root)
-        for cycle in (tree_path(s) + [t] + back, tree_path(d) + back):
-            net = sum(edge_gap(nfa.transitions[tr][1]) for tr in cycle)
-            if net != 0 and cycle:
-                return root, cycle
-        raise IntegrityError("potential conflict without an unbalanced cycle")
-    return None
+    back = component_path(p, set(members), d, root)
+    for cycle in (tree_path(s) + [t] + back, tree_path(d) + back):
+        net = sum(edge_gap(transitions[tr][1]) for tr in cycle)
+        if net != 0 and cycle:
+            return root, cycle
+    raise IntegrityError("potential conflict without an unbalanced cycle")
 
 
 # ---------------------------------------------------------------------------
 # paths and certificates
 # ---------------------------------------------------------------------------
 
+def shortest_path(sources: Iterable, successors, is_goal) -> list[int] | None:
+    """Transition indices of a shortest path from a source to a goal node,
+    or None when no goal is reachable.
+
+    One breadth-first search with parent pointers over hashable nodes:
+    `successors(node)` yields (transition index, next node) pairs, and the
+    first node taken off the queue that `is_goal` accepts ends the search.
+    Sources are queued in the order given.
+    """
+    parent = dict.fromkeys(sources)
+    todo = deque(parent)
+    while todo:
+        node = todo.popleft()
+        if is_goal(node):
+            path = []
+            while parent[node] is not None:
+                node, t = parent[node]
+                path.append(t)
+            return path[::-1]
+        for t, nxt in successors(node):
+            if nxt not in parent:
+                parent[nxt] = node, t
+                todo.append(nxt)
+    return None
+
+
+def _steps(links):
+    """`shortest_path` successors along adjacency lists (`Nfa.adj`/`radj`)."""
+    return lambda s: ((t, d) for _, d, t in links[s])
+
+
 def find_pair_path(p: PairAutomaton, pair: tuple[str, str]) -> list[int] | None:
     """Transition indices of a shortest accepting path generating `pair`."""
     u, v = pair
     adj = p.nfa.adj()
-    start = {(s, 0, 0) for s in p.nfa.initials}
-    parent: dict[tuple, tuple] = {c: None for c in start}
-    todo = deque(start)
-    goal = None
-    while todo:
-        cfg = todo.popleft()
+    finals = p.nfa.finals
+
+    def step(cfg):
         s, i, j = cfg
-        if s in p.nfa.finals and i == len(u) and j == len(v):
-            goal = cfg
-            break
         for (x, y), d, t in adj[s]:
-            if u[i:i + len(x)] != x or v[j:j + len(y)] != y:
-                continue
-            nxt = (d, i + len(x), j + len(y))
-            if nxt not in parent:
-                parent[nxt] = (cfg, t)
-                todo.append(nxt)
-    if goal is None:
-        return None
-    path = []
-    cur = goal
-    while parent[cur] is not None:
-        cur, t = parent[cur]
-        path.append(t)
-    return path[::-1]
+            if u[i:i + len(x)] == x and v[j:j + len(y)] == y:
+                yield t, (d, i + len(x), j + len(y))
+
+    return shortest_path([(s, 0, 0) for s in p.nfa.initials], step,
+                         lambda cfg: (cfg[0] in finals and cfg[1] == len(u)
+                                      and cfg[2] == len(v)))
 
 
 def input_word_of_path(p: PairAutomaton, path: Iterable[int]) -> str:
@@ -517,65 +533,33 @@ def component_path(p: PairAutomaton, inside: set[int], source: int,
                    target: int) -> list[int]:
     """Transition indices of a shortest path source -> target whose states
     all lie in `inside`, a strongly connected component of p."""
-    if source == target:
-        return []
     adj = p.nfa.adj()
-    parent = {source: None}
-    todo = deque([source])
-    while todo and target not in parent:
-        s = todo.popleft()
-        for _, d, t in adj[s]:
-            if d in inside and d not in parent:
-                parent[d] = (s, t)
-                todo.append(d)
-    if target not in parent:
+    path = shortest_path([source],
+                         lambda s: ((t, d) for _, d, t in adj[s] if d in inside),
+                         lambda s: s == target)
+    if path is None:
         raise IntegrityError("component not strongly connected")
-    path = []
-    cur = target
-    while parent[cur] is not None:
-        cur, t = parent[cur]
-        path.append(t)
-    return path[::-1]
+    return path
 
 
 def shortest_prefix_path(p: PairAutomaton, target: int) -> list[int]:
     """Transition indices of a shortest path from the initial states to target."""
-    adj = p.nfa.adj()
-    parent = {s: None for s in p.nfa.initials}
-    todo = deque(p.nfa.initials)
-    while todo:
-        s = todo.popleft()
-        if s == target:
-            path = []
-            while parent[s] is not None:
-                s, t = parent[s]
-                path.append(t)
-            return path[::-1]
-        for _, d, t in adj[s]:
-            if d not in parent:
-                parent[d] = (s, t)
-                todo.append(d)
-    raise IntegrityError(f"state {target} unreachable in trimmed automaton")
+    path = shortest_path(p.nfa.initials, _steps(p.nfa.adj()),
+                         lambda s: s == target)
+    if path is None:
+        raise IntegrityError(f"state {target} unreachable in trimmed automaton")
+    return path
 
 
 def shortest_suffix_path(p: PairAutomaton, source: int) -> list[int]:
     """Transition indices of a shortest path from source to a final state."""
-    radj = p.nfa.radj()
-    parent = {f: None for f in p.nfa.finals}
-    todo = deque(p.nfa.finals)
-    while todo:
-        s = todo.popleft()
-        if s == source:
-            path = []
-            while parent[s] is not None:
-                s, t = parent[s]
-                path.append(t)
-            return path
-        for _, pred, t in radj[s]:
-            if pred not in parent:
-                parent[pred] = (s, t)
-                todo.append(pred)
-    raise IntegrityError(f"state {source} not coaccessible in trimmed automaton")
+    # searched backward from the finals, so the path comes out reversed
+    path = shortest_path(p.nfa.finals, _steps(p.nfa.radj()),
+                         lambda s: s == source)
+    if path is None:
+        raise IntegrityError(
+            f"state {source} not coaccessible in trimmed automaton")
+    return path[::-1]
 
 
 def wrap_pair_automaton(p: PairAutomaton, pre: tuple[str, str],

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 from .automata import Nfa, scc_decomposition, trim
 from .errors import IntegrityError, InputError, ResourceLimitError
-from .pairauto import (PairAutomaton, component_path, delay_range,
-                       find_pair_path, identity_witness, input_word_of_path,
-                       is_length_preserving, shortest_suffix_path,
+from .pairauto import (PairAutomaton, component_path, components,
+                       delay_range, find_pair_path, identity_witness,
+                       input_word_of_path, is_length_preserving,
+                       output_pair_of_path, shortest_suffix_path,
                        _unbalanced_pair_witness)
 from .transducers import (DomainMismatchError, evaluate, joint_product,
                           loop_certificate)
@@ -87,7 +88,8 @@ def _build_pipeline(p: PairAutomaton) -> _Pipeline:
     if gaps is None or gaps[0] != gaps[1]:
         raise IntegrityError("length-preserving automaton with conflicting delays")
     delays = gaps[0]
-    comp, comps = scc_decomposition(p.nfa)
+    analysis = components(p)
+    comp, comps = analysis.comp, analysis.comps
     intra: list[list[int]] = [[] for _ in comps]
     for t, (s, _, d) in enumerate(p.nfa.transitions):
         if comp[s] == comp[d]:
@@ -96,11 +98,9 @@ def _build_pipeline(p: PairAutomaton) -> _Pipeline:
 
 
 def _unbalanced_word_certificate(p: PairAutomaton) -> InfiniteWordCertificate:
-    pair = _unbalanced_pair_witness(p)
-    path = find_pair_path(p, pair)
-    if path is None:
-        raise IntegrityError("unbalanced pair not regenerated")
-    return InfiniteWordCertificate(input_word_of_path(p, path), pair)
+    path = _unbalanced_pair_witness(p)
+    return InfiniteWordCertificate(input_word_of_path(p, path),
+                                   output_pair_of_path(p, path))
 
 
 # ---------------------------------------------------------------------------
@@ -326,57 +326,45 @@ def _letter_loop_at(pipe: _Pipeline, cid: int, q: int) -> list[int]:
 def close_hamming(t1, t2, p: PairAutomaton):
     """Hamming closeness on p, the pair automaton of two machines with one
     domain: equal lengths, consistent delays, trivial interiors."""
-    return _hamming_verdict(t1, t2, p)[0]
-
-
-def close_transposition(t1, t2, p: PairAutomaton):
-    """Transposition closeness on p, the pair automaton of two machines with
-    one domain, per the three-part loop characterization."""
-    return _transposition_verdict(t1, t2, p)[0]
-
-
-def _hamming_verdict(t1, t2, p: PairAutomaton):
-    """Hamming verdict on the pair automaton of two machines with one domain,
-    with the pipeline it built (None when it built none)."""
     if p.nfa.n_states == 0:
-        return Close(bound=None), None
+        return Close(bound=None)
     if not is_length_preserving(p):
-        return NotClose(_unbalanced_word_certificate(p)), None
+        return NotClose(_unbalanced_word_certificate(p))
     pipe = _build_pipeline(p)
     hit = _interior_violation(pipe)
     if hit is not None:
         _, q, gadget, bad = hit
         cert = _loop_certificate_from_gadget(pipe, q, gadget, bad,
                                              Metric.HAMMING, t1, t2)
-        return NotClose(cert), pipe
-    return Close(bound=None), pipe
+        return NotClose(cert)
+    return Close(bound=None)
 
 
-def _transposition_verdict(t1, t2, p: PairAutomaton):
-    """Transposition verdict on the pair automaton of two machines with one
-    domain, with the pipeline it built (None when it built none)."""
+def close_transposition(t1, t2, p: PairAutomaton):
+    """Transposition closeness on p, the pair automaton of two machines with
+    one domain, per the three-part loop characterization."""
     if p.nfa.n_states == 0:
-        return Close(bound=None), None
+        return Close(bound=None)
     if not is_length_preserving(p):
-        return NotClose(_unbalanced_word_certificate(p)), None
+        return NotClose(_unbalanced_word_certificate(p))
     pipe = _build_pipeline(p)
     vecs, bad_word = _vector_analysis(pipe)
     if vecs is None:
         o1, o2 = evaluate(t1, bad_word), evaluate(t2, bad_word)
-        return NotClose(InfiniteWordCertificate(bad_word, (o1, o2))), pipe
+        return NotClose(InfiniteWordCertificate(bad_word, (o1, o2)))
     hit = _interior_violation(pipe)
     if hit is not None:
         _, q, gadget, bad = hit
         cert = _loop_certificate_from_gadget(pipe, q, gadget, bad,
                                              Metric.TRANSPOSITION, t1, t2)
-        return NotClose(cert), pipe
+        return NotClose(cert)
     border = _border_violation(pipe, vecs)
     if border is not None:
         q, loop_path = border
         cert = loop_certificate(t1, t2, Metric.TRANSPOSITION, p, q,
                                 input_word_of_path(p, loop_path))
-        return NotClose(cert), pipe
-    return Close(bound=None), pipe
+        return NotClose(cert)
+    return Close(bound=None)
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +518,16 @@ def _max_path_distance(nfa: Nfa, metric: Metric, alphabet: Alphabet,
 def distance_subst(metric: Metric, t1, t2) -> ExtendedNat:
     """Exact Hamming/transposition distance through the acyclic gadget.
 
-    Builds the pair automaton (checking the domains) and its pipeline once,
-    for the verdict and the gadget alike.  The gadget holds at most
+    Builds the pair automaton (checking the domains) once, for the verdict
+    and the gadget alike; the gadget's pipeline reads the delays and
+    components the verdict left on it.  The gadget holds at most
     `DEFAULT_GADGET_CEILING` states and the path enumeration at most
     `DEFAULT_PATHSET_CEILING` suffix pairs.
     """
     if metric is Metric.HAMMING:
-        decide = _hamming_verdict
+        decide = close_hamming
     elif metric is Metric.TRANSPOSITION:
-        decide = _transposition_verdict
+        decide = close_transposition
     else:
         raise InputError(f"distance_subst handles hamming/transposition, "
                          f"not {metric}")
@@ -546,11 +535,8 @@ def distance_subst(metric: Metric, t1, t2) -> ExtendedNat:
         p = joint_product(t1, t2)
     except DomainMismatchError:
         return INF
-    verdict, pipe = decide(t1, t2, p)
-    if isinstance(verdict, NotClose):
+    if isinstance(decide(t1, t2, p), NotClose):
         return INF
-    if pipe is None:
-        return ExtendedNat(0)
-    gadget = _acyclic_gadget(pipe, DEFAULT_GADGET_CEILING)
+    gadget = _acyclic_gadget(_build_pipeline(p), DEFAULT_GADGET_CEILING)
     return _max_path_distance(gadget, metric, p.left_alphabet,
                               DEFAULT_PATHSET_CEILING)

@@ -6,8 +6,11 @@ import pytest
 
 from transdist.automata import Nfa, trim
 from transdist.pairauto import delay_range
-from transdist.transducers import Transducer, joint_product
-from transdist.words import Alphabet
+from transdist.transducers import Transducer, evaluate, joint_product
+from transdist.verdicts import (DomainCertificate, GrowthCertificate,
+                                InfiniteWordCertificate, LoopCertificate,
+                                PairCertificate)
+from transdist.words import INF, Alphabet, word_distance
 
 AB = Alphabet("ab")
 B01 = Alphabet("01")
@@ -65,6 +68,39 @@ def t4():
 def t5():
     """Each block of 0s becomes one 1, each block of 1s one 0."""
     return _block_compressor("1", "0")
+
+
+# ---------------------------------------------------------------------------
+# certificate replay
+# ---------------------------------------------------------------------------
+
+def certificate_replays(metric, cert, t1, t2) -> bool:
+    """Does a NotClose certificate hold on the two machines?
+
+    A pumped or explicit word sequence needs at least two strictly rising
+    distances, or a last one that is infinite: one finite value shows no
+    growth at all.
+    """
+    if isinstance(cert, DomainCertificate):
+        return (evaluate(t1, cert.word) is None) != (evaluate(t2, cert.word)
+                                                    is None)
+    if isinstance(cert, InfiniteWordCertificate):
+        o1, o2 = evaluate(t1, cert.word), evaluate(t2, cert.word)
+        return (o1 is not None and o2 is not None
+                and word_distance(metric, o1, o2) == INF)
+    if isinstance(cert, PairCertificate):
+        return word_distance(metric, *cert.pair) == INF
+    if isinstance(cert, LoopCertificate):
+        words = [cert.word(i) for i in cert.pumps]
+    elif isinstance(cert, GrowthCertificate):
+        words = list(cert.words)
+    else:
+        return False  # every NotClose must carry a certificate
+    values = [word_distance(metric, evaluate(t1, w), evaluate(t2, w))
+              for w in words]
+    if values and values[-1] == INF:
+        return True
+    return len(values) >= 2 and all(b > a for a, b in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------------------

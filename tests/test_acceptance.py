@@ -15,7 +15,8 @@ import itertools
 import time
 
 
-from conftest import joint_outputs_table, machine_corpus, make_transducer
+from conftest import (certificate_replays, joint_outputs_table,
+                      machine_corpus, make_transducer)
 from transdist.kapprox import (build_kapprox, close_verdict, distance, min_weight_table)
 from transdist.oracles import (OverBudget, metric_order_check, oracle_distance,
                                oracle_distance_table)
@@ -23,10 +24,8 @@ from transdist.pairauto import PairAutomaton
 from transdist.relations import (diameter, identity_relation, index,
                                  make_distance_relation)
 from transdist.substitution import (distance_subst)
-from transdist.transducers import evaluate, joint_product
-from transdist.verdicts import (DomainCertificate, GrowthCertificate,
-                                InfiniteWordCertificate, LoopCertificate,
-                                NotClose, PairCertificate, Unknown)
+from transdist.transducers import joint_product
+from transdist.verdicts import LoopCertificate, NotClose, Unknown
 from transdist.words import INF, Alphabet, ExtendedNat, Metric, word_distance
 
 AB01 = Alphabet("01")
@@ -186,30 +185,24 @@ def test_criterion_4_kapprox_soundness():
 # criterion 5: closeness deciders vs enumeration + certificates
 # ---------------------------------------------------------------------------
 
-def _verify_certificate(metric, cert, u1, u2):
-    if cert is None:
-        return False  # every NotClose must carry a certificate
-    if isinstance(cert, DomainCertificate):
-        o1 = evaluate(u1, cert.word)
-        o2 = evaluate(u2, cert.word)
-        return (o1 is None) != (o2 is None)
-    if isinstance(cert, InfiniteWordCertificate):
-        o1, o2 = evaluate(u1, cert.word), evaluate(u2, cert.word)
-        return word_distance(metric, o1, o2) == INF
-    if isinstance(cert, LoopCertificate):
-        values = [word_distance(metric, evaluate(u1, cert.word(i)),
-                                evaluate(u2, cert.word(i)))
-                  for i in cert.pumps]
-        return (all(b > a for a, b in zip(values, values[1:]))
-                or values[-1] == INF)
-    if isinstance(cert, GrowthCertificate):
-        values = [word_distance(metric, evaluate(u1, w), evaluate(u2, w))
-                  for w in cert.words]
-        return (all(b > a for a, b in zip(values, values[1:]))
-                or values[-1] == INF)
-    if isinstance(cert, PairCertificate):
-        return word_distance(metric, *cert.pair) == INF
-    return False
+def test_one_finite_pump_is_no_certificate():
+    # identity against append-b sits at distance 1 on every input: a single
+    # pumped value shows no growth, and neither do two equal ones
+    ident = make_transducer(1, [0], [0], [(0, "a", "a", 0), (0, "b", "b", 0)])
+    append_b = make_transducer(1, [0], [0], [(0, "a", "a", 0),
+                                             (0, "b", "b", 0)], {0: "b"})
+    for pumps in ((1,), (1, 2), ()):
+        cert = LoopCertificate("", "a", "", pumps)
+        assert not certificate_replays(Metric.LEVENSHTEIN, cert, ident,
+                                       append_b)
+    # two rising values, or one infinite value, do replay
+    erase_a = make_transducer(1, [0], [0], [(0, "a", "", 0), (0, "b", "b", 0)])
+    assert certificate_replays(Metric.LEVENSHTEIN,
+                               LoopCertificate("", "a", "", (1, 2)),
+                               ident, erase_a)
+    assert certificate_replays(Metric.HAMMING,
+                               LoopCertificate("", "a", "", (1,)),
+                               ident, append_b)
 
 
 def test_criterion_5_deciders_vs_enumeration(t1, t2, t3, t4, t5):
@@ -230,7 +223,7 @@ def test_criterion_5_deciders_vs_enumeration(t1, t2, t3, t4, t5):
                     problems.append((idx, metric, "paper example UNKNOWN"))
                 continue
             if isinstance(verdict, NotClose):
-                if not _verify_certificate(metric, verdict.certificate, u1, u2):
+                if not certificate_replays(metric, verdict.certificate, u1, u2):
                     problems.append((idx, metric, "certificate failed"))
                 continue
             # Close: enumeration up to input length 12 must stay within bounds

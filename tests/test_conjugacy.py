@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_dfa_spec, joint_outputs_table, machine_corpus,
-                      make_transducer, random_joint_machine,
-                      rotate_first_letter, spec_transducer)
+from conftest import (certificate_replays, dense_dfa_spec,
+                      joint_outputs_table, machine_corpus, make_transducer,
+                      random_joint_machine, rotate_first_letter,
+                      spec_transducer)
 from transdist import conjugacy
 from transdist.conjugacy import (
     Atom, Cat, Empty, Star, Sum, Witness, NoWitness, WitnessUnknown,
@@ -318,12 +319,7 @@ def test_close_levenshtein_t1_t2_notclose(t1, t2):
     assert isinstance(verdict, NotClose)
     cert = verdict.certificate
     assert isinstance(cert, LoopCertificate)
-    values = []
-    for w in map(cert.word, cert.pumps):
-        d = word_distance(Metric.LEVENSHTEIN, evaluate(t1, w), evaluate(t2, w))
-        values.append(d)
-    assert values == sorted(set(values), key=lambda d: (d.is_infinite, d))
-    assert len(values) >= 2 or values[-1] == INF
+    assert certificate_replays(Metric.LEVENSHTEIN, cert, t1, t2)
 
 
 def test_close_levenshtein_unbounded_gap_pumps_an_unbalanced_loop(t1, t3):
@@ -332,7 +328,7 @@ def test_close_levenshtein_unbounded_gap_pumps_an_unbalanced_loop(t1, t3):
         verdict = close_verdict(metric, t1, t3)
         assert isinstance(verdict, NotClose)
         assert isinstance(verdict.certificate, LoopCertificate)
-        assert _replays(metric, verdict.certificate, t1, t3)
+        assert certificate_replays(metric, verdict.certificate, t1, t3)
 
 
 def test_close_levenshtein_relation_with_two_output_alphabets():
@@ -397,13 +393,6 @@ def test_unknown_is_never_silently_converted():
         assert res.cutoff == 0
 
 
-def _replays(metric, cert, t1, t2):
-    values = [word_distance(metric, evaluate(t1, cert.word(i)),
-                            evaluate(t2, cert.word(i))) for i in cert.pumps]
-    return values[-1] == INF or (
-        len(values) >= 2 and all(b > a for a, b in zip(values, values[1:])))
-
-
 # the seeded machines need the witness term of a component's weight (43),
 # its gap-spread term (88) and the doubling for LCS (17); random draws
 # rarely do
@@ -425,7 +414,7 @@ def test_levenshtein_verdicts_hold_on_random_machines(rng):
             assert worst <= verdict.bound, metric
         elif isinstance(verdict, NotClose):
             assert isinstance(verdict.certificate, LoopCertificate)
-            assert _replays(metric, verdict.certificate, t1, t2), metric
+            assert certificate_replays(metric, verdict.certificate, t1, t2), metric
         else:
             assert isinstance(verdict, Unknown)
 

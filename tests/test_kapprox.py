@@ -16,7 +16,7 @@ from transdist.pairauto import delay_range
 from transdist.substitution import distance_subst
 from transdist.transducers import (DomainMismatchError, domain_words,
                                    evaluate, joint_product, same_domain)
-from transdist.verdicts import DomainCertificate, NotClose
+from transdist.verdicts import DomainCertificate, LoopCertificate, NotClose
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 EDIT_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
@@ -243,15 +243,15 @@ def test_kclose_zero_is_output_equality(metric, t1, t2, t3, t4, t5,
                                     Metric.DAMERAU_LEVENSHTEIN])
 def test_kclose_runs_delay_range_once_per_direction(metric, t1, t3, t4, t5,
                                                     monkeypatch):
-    # one gap analysis of the pair automaton (the build's delay bound) and
-    # one of its reverse (the suffix gaps); unbounded delay is read off the
-    # build
+    # one prefix propagation over the pair automaton (the build's delay
+    # bound) and one suffix propagation (the live-node test); unbounded
+    # delay is read off the build
     runs = []
     real = pairauto._gap_range
 
-    def counting(nfa, reverse):
+    def counting(p, reverse):
         runs.append(reverse)
-        return real(nfa, reverse)
+        return real(p, reverse)
 
     monkeypatch.setattr(pairauto, "_gap_range", counting)
     for k in (1, 2):
@@ -412,12 +412,45 @@ def joint_products(monkeypatch):
         built.append((t1, t2))
         return real(t1, t2)
 
+    _patch_everywhere(monkeypatch, real, counting)
+    return built
+
+
+def _patch_everywhere(monkeypatch, real, replacement):
+    """Replace a function under every name a transdist module holds it by."""
     for name, module in list(sys.modules.items()):
         if name == "transdist" or name.startswith("transdist."):
             for attr, value in list(vars(module).items()):
                 if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.fixture
+def built_pairs(monkeypatch):
+    """Every pair automaton that `kapprox` builds."""
+    built = []
+    build = kapprox.joint_product
+
+    def building(t1, t2):
+        built.append(build(t1, t2))
+        return built[-1]
+
+    monkeypatch.setattr(kapprox, "joint_product", building)
     return built
+
+
+@pytest.fixture
+def scc_runs(monkeypatch):
+    """The automaton of every `scc_decomposition` run."""
+    runs = []
+    real = automata.scc_decomposition
+
+    def recording(nfa):
+        runs.append(nfa)
+        return real(nfa)
+
+    _patch_everywhere(monkeypatch, real, recording)
+    return runs
 
 
 @pytest.mark.parametrize("metric", list(Metric))
@@ -448,28 +481,45 @@ def test_distance_builds_one_joint_product_per_probe_and_verdict(
 
 
 def test_distance_analyses_the_gaps_of_its_pair_automaton_once(
-        monkeypatch, probes):
-    built, analysed = [], []
-    build = kapprox.joint_product
+        monkeypatch, probes, built_pairs):
+    analysed = []
     gap_range = pairauto._gap_range
 
-    def building(t1, t2):
-        built.append(build(t1, t2))
-        return built[-1]
+    def analysing(p, reverse):
+        analysed.append((p, reverse))
+        return gap_range(p, reverse)
 
-    def analysing(nfa, reverse):
-        analysed.append((nfa, reverse))
-        return gap_range(nfa, reverse)
-
-    monkeypatch.setattr(kapprox, "joint_product", building)
     monkeypatch.setattr(pairauto, "_gap_range", analysing)
     assert distance(Metric.LEVENSHTEIN, _identity(), _flip(4, (0, 1, 3))) == 3
     assert probes == [0, 1, 2, 3]
-    [p] = built
-    # one prefix analysis (the verdict, identity_witness and every probe's
-    # max_abs_delay) and one suffix analysis (every probe's live-node test)
-    assert sorted(reverse for nfa, reverse in analysed
-                  if nfa is p.nfa) == [False, True]
+    [p] = built_pairs
+    # one prefix propagation (the verdict, identity_witness and every
+    # probe's max_abs_delay) and one suffix propagation (every probe's
+    # live-node test)
+    assert sorted(reverse for q, reverse in analysed
+                  if q is p) == [False, True]
+
+
+def test_distance_decomposes_its_pair_automaton_once(probes, built_pairs,
+                                                     scc_runs):
+    # the verdict's loop languages, the gap ranges of both directions and
+    # every probe read one component analysis
+    assert distance(Metric.LEVENSHTEIN, _identity(), _flip(4, (0, 1, 3))) == 3
+    assert probes == [0, 1, 2, 3]
+    [p] = built_pairs
+    assert sum(nfa is p.nfa for nfa in scc_runs) == 1
+
+
+def test_unbounded_verdict_decomposes_its_pair_automaton_once(
+        t1, t3, built_pairs, scc_runs):
+    # the unbounded gaps and the cycle that the certificate pumps come from
+    # one component analysis
+    verdict = close_verdict(Metric.LEVENSHTEIN, t1, t3)
+    assert isinstance(verdict, NotClose)
+    assert isinstance(verdict.certificate, LoopCertificate)
+    [p] = built_pairs
+    assert delay_range(p) is None
+    assert sum(nfa is p.nfa for nfa in scc_runs) == 1
 
 
 @pytest.mark.parametrize("metric, want", [

@@ -1,15 +1,18 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_joint_machine
-from transdist.automata import Nfa, trim
+from transdist.automata import Nfa, scc_decomposition, trim
 from transdist.pairauto import (
-    PairAutomaton, delay_range, enumerate_pairs, find_pair_path,
-    identity_witness, input_word_of_path, is_length_preserving, max_abs_delay, output_pair_of_path, pair_length_diameter,
-    shortest_prefix_path, shortest_suffix_path, suffix_gap_range, synchronize,
+    PairAutomaton, _unbalanced_pair_witness, component_path, delay_range,
+    edge_gap, enumerate_pairs, find_pair_path, identity_witness,
+    input_word_of_path, is_length_preserving, max_abs_delay,
+    output_pair_of_path, pair_length_diameter, shortest_prefix_path,
+    shortest_suffix_path, suffix_gap_range, synchronize, unbalanced_cycle,
     wrap_pair_automaton,
 )
 from transdist.transducers import joint_product
@@ -226,6 +229,220 @@ def test_suffix_gap_range_matches_enumerated_suffixes(rng):
 
 def test_suffix_gap_range_is_none_on_an_unbalanced_loop():
     assert suffix_gap_range(pa([(0, ("a", ""), 0)], 1)) is None
+
+
+def reference_gap_range(nfa, reverse):
+    """Gap ranges as one decomposition per direction computes them: the
+    suffix ranges are the prefix ranges of the reversed automaton."""
+    if reverse:
+        nfa = Nfa(nfa.n_states, nfa.finals, nfa.initials,
+                  [(d, lbl, s) for s, lbl, d in nfa.transitions])
+    n = nfa.n_states
+    if n == 0:
+        return (), ()
+    comp, comps = scc_decomposition(nfa)
+    adj = nfa.adj()
+    pot = [0] * n
+    for members in comps:
+        inside = set(members)
+        seen = {members[0]}
+        todo = deque([members[0]])
+        while todo:
+            s = todo.popleft()
+            for lbl, d, _ in adj[s]:
+                if d in inside and d not in seen:
+                    seen.add(d)
+                    pot[d] = pot[s] + edge_gap(lbl)
+                    todo.append(d)
+    for s, lbl, d in nfa.transitions:
+        if comp[s] == comp[d] and pot[d] != pot[s] + edge_gap(lbl):
+            return None
+    lo, hi = [None] * n, [None] * n
+
+    def offer(state, g):
+        if lo[state] is None or g < lo[state]:
+            lo[state] = g
+        if hi[state] is None or g > hi[state]:
+            hi[state] = g
+
+    for s in nfa.initials:
+        offer(s, 0)
+    for members in comps:
+        entries = [s for s in members if lo[s] is not None]
+        if not entries:
+            continue
+        base_lo = min(lo[e] - pot[e] for e in entries)
+        base_hi = max(hi[e] - pot[e] for e in entries)
+        for s in members:
+            lo[s], hi[s] = base_lo + pot[s], base_hi + pot[s]
+        for s in members:
+            for lbl, d, _ in adj[s]:
+                if comp[d] != comp[s]:
+                    offer(d, lo[s] + edge_gap(lbl))
+                    offer(d, hi[s] + edge_gap(lbl))
+    return (tuple(0 if v is None else v for v in lo),
+            tuple(0 if v is None else v for v in hi))
+
+
+def reference_unbalanced_cycle(p):
+    """The unbalanced cycle as a walk of its own finds it: per component in
+    order, a breadth-first potential tree from its first state, the first
+    conflicting edge, and a breadth-first way back inside the component."""
+    nfa = p.nfa
+    comp, comps = scc_decomposition(nfa)
+    adj = nfa.adj()
+    for members in comps:
+        inside = set(members)
+        root = members[0]
+        pot, tree = {root: 0}, {root: None}
+        order = deque([root])
+        while order:
+            s = order.popleft()
+            for lbl, d, t in adj[s]:
+                if d in inside and d not in pot:
+                    pot[d] = pot[s] + edge_gap(lbl)
+                    tree[d] = (s, t)
+                    order.append(d)
+        bad = next(((s, t, d) for s in members for lbl, d, t in adj[s]
+                    if d in inside and pot[d] != pot[s] + edge_gap(lbl)),
+                   None)
+        if bad is None:
+            continue
+        s, t, d = bad
+
+        def tree_path(state):
+            path = []
+            while tree[state] is not None:
+                state, tr = tree[state]
+                path.append(tr)
+            return path[::-1]
+
+        parent = {d: None}
+        todo = deque([d])
+        while root not in parent:
+            x = todo.popleft()
+            for _, y, tr in adj[x]:
+                if y in inside and y not in parent:
+                    parent[y] = (x, tr)
+                    todo.append(y)
+        back, cur = [], root
+        while parent[cur] is not None:
+            cur, tr = parent[cur]
+            back.append(tr)
+        back.reverse()
+        for cycle in (tree_path(s) + [t] + back, tree_path(d) + back):
+            if cycle and sum(edge_gap(nfa.transitions[tr][1])
+                             for tr in cycle) != 0:
+                return root, cycle
+        raise AssertionError("potential conflict without an unbalanced cycle")
+    return None
+
+
+def chains(p, path, start, end):
+    """Does the transition path run from start to end?"""
+    states = [start] + [p.nfa.transitions[t][2] for t in path]
+    return (states[-1] == end
+            and all(p.nfa.transitions[t][0] == s for t, s in zip(path, states)))
+
+
+# a conflicting edge inside the second component, found after the first
+# component's consistent cycle; state 3 is unreachable and state 4 dead
+TWO_LOOPS = (5, {0}, {2}, [(0, ("ab", "ba"), 0, "x"), (0, ("a", ""), 1, "y"),
+                           (1, ("ab", "b"), 2, "x"), (2, ("", "a"), 1, "y"),
+                           (1, ("b", "b"), 2, "y"), (3, ("aa", ""), 1, "x"),
+                           (2, ("a", "a"), 4, None)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=edge_graphs(), do_trim=st.booleans())
+@example(graph=TWO_LOOPS, do_trim=True)
+@example(graph=TWO_LOOPS, do_trim=False)
+@example(graph=DEAD_ENDS, do_trim=False)
+def test_component_analysis_matches_a_decomposition_per_question(graph,
+                                                                 do_trim):
+    n, initials, finals, edges = graph
+    p = PairAutomaton.from_edges(n, initials, finals, edges, AB, AB,
+                                 do_trim=do_trim)
+    assert delay_range(p) == reference_gap_range(p.nfa, False)
+    assert suffix_gap_range(p) == reference_gap_range(p.nfa, True)
+    cycle = unbalanced_cycle(p)
+    assert cycle == reference_unbalanced_cycle(p)
+    assert (cycle is None) == (delay_range(p) is not None)
+    if cycle is not None:
+        root, path = cycle
+        assert path and chains(p, path, root, root)
+        u, v = output_pair_of_path(p, path)
+        assert len(u) != len(v)
+
+
+def bfs_distance(sources, successors, is_goal):
+    """Fewest steps from a source to a goal node, or None."""
+    dist = dict.fromkeys(sources, 0)
+    todo = deque(dist)
+    while todo:
+        node = todo.popleft()
+        if is_goal(node):
+            return dist[node]
+        for nxt in successors(node):
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                todo.append(nxt)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=edge_graphs())
+@example(graph=TWO_LOOPS)
+@example(graph=DEAD_ENDS)
+def test_shortest_paths_chain_and_are_shortest(graph):
+    n, initials, finals, edges = graph
+    p = PairAutomaton.from_edges(n, initials, finals, edges, AB, AB)
+    adj, radj = p.nfa.adj(), p.nfa.radj()
+
+    def forward(s):
+        return [d for _, d, _ in adj[s]]
+
+    for q in range(p.n_states):
+        path = shortest_prefix_path(p, q)
+        assert any(chains(p, path, s, q) for s in p.nfa.initials)
+        assert len(path) == bfs_distance(p.nfa.initials, forward,
+                                         lambda s: s == q)
+        path = shortest_suffix_path(p, q)
+        assert any(chains(p, path, q, f) for f in p.nfa.finals)
+        assert len(path) == bfs_distance(p.nfa.finals,
+                                         lambda s: [d for _, d, _ in radj[s]],
+                                         lambda s: s == q)
+    for members in scc_decomposition(p.nfa)[1]:
+        inside = set(members)
+        for a in members:
+            for b in members:
+                path = component_path(p, inside, a, b)
+                assert chains(p, path, a, b)
+                assert all(p.nfa.transitions[t][2] in inside for t in path)
+                assert len(path) == bfs_distance(
+                    [a], lambda s: [d for d in forward(s) if d in inside],
+                    lambda s: s == b)
+    for u, v in sorted(enumerate_pairs(p, 4)):
+        path = find_pair_path(p, (u, v))
+        assert any(chains(p, path, s, f)
+                   for s in p.nfa.initials for f in p.nfa.finals)
+        assert output_pair_of_path(p, path) == (u, v)
+
+        def step(cfg):
+            s, i, j = cfg
+            return [(d, i + len(x), j + len(y)) for (x, y), d, _ in adj[s]
+                    if u[i:i + len(x)] == x and v[j:j + len(y)] == y]
+
+        assert len(path) == bfs_distance(
+            [(s, 0, 0) for s in p.nfa.initials], step,
+            lambda cfg: cfg in {(f, len(u), len(v)) for f in p.nfa.finals})
+    rng = delay_range(p)
+    if rng is None or any(rng[0][f] or rng[1][f] for f in p.nfa.finals):
+        path = _unbalanced_pair_witness(p)
+        assert any(chains(p, path, s, f)
+                   for s in p.nfa.initials for f in p.nfa.finals)
+        u, v = output_pair_of_path(p, path)
+        assert len(u) != len(v)
 
 
 def test_length_preserving_examples():
