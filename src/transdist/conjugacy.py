@@ -35,7 +35,8 @@ from .pairauto import (PairAutomaton, components, enumerate_pairs,
                        find_pair_path, delay_range, identity_witness,
                        input_word_of_path, is_length_preserving,
                        wrap_pair_automaton)
-from .transducers import loop_certificate, unbalanced_loop_certificate
+from .transducers import (loop_certificate, unbalanced_loop_certificate,
+                          unbalanced_word_certificate)
 from .verdicts import (Close, InfiniteWordCertificate, NotClose,
                        PairCertificate, Unknown)
 from .words import Alphabet, ExtendedNat, Metric
@@ -496,7 +497,11 @@ def close_conjugacy(target: PairAutomaton | PairExpr):
 
 def close_conjugacy_transducers(t1, t2, p: PairAutomaton):
     """Conjugacy closeness on p, the pair automaton of two machines with one
-    domain, with an input-level certificate."""
+    domain, with an input-level certificate.  When p is not
+    length-preserving, the input and its outputs come off one unbalanced
+    path."""
+    if not is_length_preserving(p):
+        return NotClose(unbalanced_word_certificate(p))
     verdict = close_conjugacy(p)
     if isinstance(verdict, NotClose):
         bad_pair = verdict.certificate.pair

@@ -32,11 +32,15 @@ metric's decider on it.  `distance` builds the pair automaton once and
 reads the length and discrete distances off it directly.  For the six edit
 metrics it asks the same dispatch first (NotClose is ∞) and then searches
 k with `kclose`, every probe on that one pair automaton: a distance costs
-one build however many k it probes.  The pair automaton keeps its one
-component analysis and the gap ranges propagated over it
-(`pairauto.components`, `delay_range`, `suffix_gap_range`), so the verdict
-and every probe read one result.  A lone `kclose` call builds its own pair
-automaton.
+one build however many k it probes.  The search starts at a letter-count
+lower bound LB (`_lower_bound`), not at 0: an edit changes the length and,
+under Hamming, Levenshtein, Damerau and LCS, a letter's count by at most 1,
+so every probe below LB would fail; `kclose` answers False there without
+building.  The pair automaton keeps its one component analysis and the gap ranges and
+weighted gap sups propagated over it (`pairauto.components`,
+`delay_range`, `suffix_gap_range`, `weighted_gap_sup`), so the verdict,
+the lower bound and every probe read one result.  A lone `kclose` call
+builds its own pair automaton.
 """
 
 from __future__ import annotations
@@ -51,11 +55,13 @@ from .conjugacy import (close_conjugacy_transducers,
 from .errors import (InputError, IntegrityError, PreconditionError,
                      ResourceLimitError)
 from .pairauto import (PairAutomaton, find_pair_path, identity_witness,
-                       input_word_of_path, max_abs_delay, pair_length_diameter,
-                       suffix_gap_range)
+                       input_word_of_path, is_length_preserving,
+                       max_abs_delay, pair_length_diameter, suffix_gap_range,
+                       weighted_gap_sup)
 from .substitution import close_hamming, close_transposition
 from .transducers import (DomainMismatchError, joint_product,
-                          unbalanced_loop_certificate)
+                          unbalanced_loop_certificate,
+                          unbalanced_word_certificate)
 from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
 from .words import (INF, ExtendedNat, LEVENSHTEIN_FAMILY, Metric,
                     extend_table, prefix_table, word_distance)
@@ -524,11 +530,52 @@ def _verdict_on(metric: Metric, t1, t2, p: PairAutomaton):
                                                     Metric.LENGTH))
     if metric is not Metric.DISCRETE:
         raise InputError(f"unknown metric {metric}")
+    if not is_length_preserving(p):
+        return NotClose(unbalanced_word_certificate(p))
     witness = identity_witness(p)
     if witness is None:
         return Close(bound=ExtendedNat(0))
     word = input_word_of_path(p, find_pair_path(p, witness))
     return NotClose(InfiniteWordCertificate(word, witness))
+
+
+#: the metrics each of whose edits changes the count of one letter by at
+#: most 1 (a substitution, an insertion or a deletion by 1, an adjacent
+#: transposition by 0)
+_COUNTING_METRICS = (Metric.HAMMING, Metric.LEVENSHTEIN, Metric.LCS,
+                     Metric.DAMERAU_LEVENSHTEIN)
+
+
+def _lower_bound(metric: Metric, p: PairAutomaton) -> int | None:
+    """A lower bound on sup d(u, v) over the pairs (u, v) of p for an edit
+    metric, or None when no k bounds it.
+
+    For an additive letter weight f, d(u, v) >= |f(u) - f(v)| whenever each
+    edit of the metric changes f by at most 1, so the distance is at least
+    the weighted gap sup of p (`weighted_gap_sup`), and an unbounded one
+    leaves no k.  The weights used are the length, under every edit metric
+    (an edit changes it by at most 1, and Hamming, transposition and
+    conjugacy are ∞ on unequal lengths); the count of each letter c, under
+    the counting metrics; and under LCS, whose edits are insertions and
+    deletions, each signed pair count_c - count_c'.  This is the q = 1 case
+    of the q-gram counting lemma over Parikh vectors.
+    """
+    length = pair_length_diameter(p)
+    if not length.is_finite:
+        return None
+    bound = length.value()
+    if metric in _COUNTING_METRICS:
+        letters = sorted(set(p.left_alphabet) | set(p.right_alphabet))
+        weights = [{c: 1} for c in letters]
+        if metric is Metric.LCS:
+            weights += [{c: 1, e: -1} for i, c in enumerate(letters)
+                        for e in letters[i + 1:]]
+        for weight in weights:
+            gap = weighted_gap_sup(p, weight)
+            if gap is None:
+                return None
+            bound = max(bound, gap)
+    return bound
 
 
 def kclose(metric: Metric, t1, t2, k: int,
@@ -541,15 +588,18 @@ def kclose(metric: Metric, t1, t2, k: int,
     k-search of `distance` builds it once for all its probes.
 
     With the domains equal, the length metric compares the length diameter
-    with k.  The discrete metric, and each edit metric at k = 0 (it is 0
-    exactly on equal words), asks whether the outputs agree on every input.
+    with k, and the discrete metric asks whether the outputs agree on every
+    input.  An edit metric answers False before any build when k is below
+    the letter-count lower bound LB (`_lower_bound`) or no LB exists: an
+    edit changes the length and, under the counting metrics, a letter's
+    count by at most 1, so d(u, v) is at least their gaps between u and v.
+    At k = 0 it asks, as the discrete metric does, whether the outputs agree
+    on every input (every edit metric is 0 exactly on equal words).
 
-    Otherwise the length distance must be finite (else `build_kapprox`
-    raises `PreconditionError`, read as False), and the k-approximation's
-    accepting skeleton (projected to input letters and determinized) must
-    cover the whole domain.  That coverage is the one inclusion
-    dom(T1) ⊆ L(skeleton), decided by `automata.included`: the skeleton
-    accepts exactly the inputs w with d(T1(w), T2(w)) ≤ k, so
+    Otherwise the k-approximation's accepting skeleton (projected to input
+    letters and determinized) must cover the whole domain.  That coverage is
+    the one inclusion dom(T1) ⊆ L(skeleton), decided by `automata.included`:
+    the skeleton accepts exactly the inputs w with d(T1(w), T2(w)) ≤ k, so
     L(skeleton) ⊆ dom(T1) holds by construction and k-closeness *is* the
     other direction.  The k-approximation builds only live nodes, those
     whose length gap some suffix can still bring within their budget, and
@@ -572,12 +622,14 @@ def kclose(metric: Metric, t1, t2, k: int,
         return False
     if metric is Metric.LENGTH:
         return pair_length_diameter(p) <= k
-    if metric is Metric.DISCRETE or k == 0:
+    if metric is Metric.DISCRETE:
         return identity_witness(p) is None
-    try:
-        da = build_kapprox(metric, p, k, ceiling)
-    except PreconditionError:
+    lower = _lower_bound(metric, p)
+    if lower is None or k < lower:
         return False
+    if k == 0:
+        return identity_witness(p) is None
+    da = build_kapprox(metric, p, k, ceiling)
     try:
         det = determinize(da.skeleton(), ceiling=ceiling)
     except ResourceLimitError as e:
@@ -598,12 +650,16 @@ def distance(metric: Metric, t1, t2,
     verdict or a certificate.  For the six edit metrics the closeness
     verdict comes first (k-closeness alone cannot certify unboundedness):
     NotClose gives ∞ and Unknown is returned as is.  k-closeness is then
-    probed for k = 0, 1, 2, ... on the same pair automaton (`kclose`'s
-    `pair`), and the first k that holds is the distance.  A probe costs
-    several times the one below it, so the search costs about as much as
-    the probe at the answer and never builds a larger k-approximation.
-    Passing the verdict's bound (or 2**20 when it has none) means the
-    k-approximation contradicts the closeness verdict.
+    probed for k = LB, LB + 1, ... on the same pair automaton (`kclose`'s
+    `pair`), and the first k that holds is the distance.  LB is the
+    letter-count lower bound (`_lower_bound`): an edit changes the length
+    and, under Hamming, Levenshtein, Damerau and LCS, a letter's count by at
+    most 1, so d(T1, T2) >= LB and every probe below it would fail.  A
+    probe costs several times the one below it, so the search costs about
+    as much as the probe at the answer and never builds a larger
+    k-approximation.  An LB above the verdict's bound (or 2**20 when it has
+    none), or a search that passes that bound, contradicts the closeness
+    verdict.
     """
     try:
         p = joint_product(t1, t2)
@@ -620,7 +676,11 @@ def distance(metric: Metric, t1, t2,
         return INF
     bound = verdict.bound
     limit = bound.value() if bound is not None and bound.is_finite else 2 ** 20
-    k = 0
+    k = _lower_bound(metric, p)
+    if k is None or k > limit:
+        raise IntegrityError(
+            "the letter-count lower bound exceeds the closeness decider's "
+            "bound; the two are inconsistent")
     while not kclose(metric, t1, t2, k, ceiling, pair=p):
         k += 1
         if k > limit:

@@ -9,8 +9,10 @@ Every question about delays is read off one component analysis per
 automaton (`components`): the strongly connected components with their gap
 potentials and the first edge that contradicts them.  The prefix and suffix
 gap ranges propagate over it in the two directions, and an unbalanced cycle
-is read off its conflicting edge.  Every path certificate comes from one
-breadth-first search with parent pointers (`shortest_path`).
+is read off its conflicting edge.  Gaps under other additive letter weights
+(`weighted_gap_sup`) reuse its components with potentials of their own.
+Every path certificate comes from one breadth-first search with parent
+pointers (`shortest_path`).
 """
 
 from __future__ import annotations
@@ -32,13 +34,15 @@ GapRange = tuple[tuple[int, ...], tuple[int, ...]]
 class PairAutomaton:
     """Trimmed automaton over (B ∪ {ε}) × (B ∪ {ε}) edge labels.
 
-    Its component analysis and its prefix and suffix gap ranges are
-    computed on first use and kept (`components`, `delay_range`,
-    `suffix_gap_range`), the way `Nfa.adj()` is.
+    Its component analysis, its prefix and suffix gap ranges and its
+    weighted gap sups are computed on first use and kept (`components`,
+    `delay_range`, `suffix_gap_range`, `weighted_gap_sup`), the way
+    `Nfa.adj()` is.
     """
 
     __slots__ = ("nfa", "left_alphabet", "right_alphabet", "input_letters",
-                 "_components", "_prefix_gaps", "_suffix_gaps")
+                 "_components", "_prefix_gaps", "_suffix_gaps",
+                 "_weighted_gaps")
 
     def __init__(self, nfa: Nfa, left_alphabet: Alphabet, right_alphabet: Alphabet,
                  input_letters: tuple[str | None, ...]):
@@ -53,6 +57,7 @@ class PairAutomaton:
         self.input_letters = tuple(input_letters)
         self._components = None
         self._prefix_gaps = self._suffix_gaps = _UNSET
+        self._weighted_gaps: dict[tuple, int | None] = {}
 
     @property
     def n_states(self):
@@ -245,6 +250,16 @@ def _gap_range(p: PairAutomaton, reverse: bool) -> GapRange | None:
     comp, comps, pot, _, conflict = components(p)
     if conflict is not None:
         return None  # nonzero-gap cycle
+    lo, hi = _propagate(p, comp, comps, pot, edge_gap, reverse)
+    return (tuple(0 if v is None else v for v in lo),
+            tuple(0 if v is None else v for v in hi))
+
+
+def _propagate(p: PairAutomaton, comp, comps, pot, gap, reverse: bool):
+    """Per-state (min, max) lists of the summed edge weight `gap(label)`
+    over the paths from an initial state (or, with `reverse`, to a final
+    state), given each component's consistent potentials `pot` for that
+    weight; None at a state no path reaches."""
     if reverse:
         starts, order, links, sign = (p.nfa.finals, reversed(comps),
                                        p.nfa.radj(), -1)
@@ -274,11 +289,64 @@ def _gap_range(p: PairAutomaton, reverse: bool) -> GapRange | None:
         for s in members:
             for lbl, d, _ in links[s]:
                 if comp[d] != comp[s]:
-                    g = edge_gap(lbl)
+                    g = gap(lbl)
                     offer(d, lo[s] + g)
                     offer(d, hi[s] + g)
-    return (tuple(0 if v is None else v for v in lo),
-            tuple(0 if v is None else v for v in hi))
+    return lo, hi
+
+
+def weighted_gap_sup(p: PairAutomaton, weight: dict[str, int]) -> int | None:
+    """sup |f(u) - f(v)| over the accepted pairs (u, v), for the additive
+    letter weight f(w) = sum of weight[c] over the letters c of w (letters
+    it omits weigh 0), or None when that sup is unbounded.
+
+    Reads the components of the one component analysis: per component one
+    breadth-first walk from its root gives every state its f-potential and
+    checks every edge inside the component against them.  An edge that
+    disagrees closes a cycle of nonzero net f-gap, which pumps the gap
+    without bound; otherwise one forward propagation over the components,
+    as for the prefix gaps, gives the least and greatest f-gap reaching
+    each final state.  Computed once per automaton and weight.
+    """
+    key = tuple(sorted(weight.items()))
+    if key in p._weighted_gaps:
+        return p._weighted_gaps[key]
+    comp, comps, _, _, _ = components(p)
+    adj = p.nfa.adj()
+
+    def gap(lbl):
+        x, y = lbl
+        return weight.get(x, 0) - weight.get(y, 0)
+
+    pot = _potentials(adj, comp, comps, gap)
+    if pot is None:
+        sup = None  # a cycle of nonzero net f-gap
+    else:
+        lo, hi = _propagate(p, comp, comps, pot, gap, reverse=False)
+        sup = max((max(abs(lo[f]), abs(hi[f])) for f in p.nfa.finals
+                   if lo[f] is not None), default=0)
+    p._weighted_gaps[key] = sup
+    return sup
+
+
+def _potentials(adj, comp, comps, gap) -> list[int] | None:
+    """Per-state potentials of the edge weight `gap(label)`, relative to the
+    root of each component, or None when an edge inside a component
+    contradicts them."""
+    pot: list[int | None] = [None] * len(comp)
+    for c, members in enumerate(comps):
+        pot[members[0]] = 0
+        order = [members[0]]
+        for s in order:  # breadth-first: order grows behind s
+            for lbl, d, _ in adj[s]:
+                if comp[d] == c:
+                    g = pot[s] + gap(lbl)
+                    if pot[d] is None:
+                        pot[d] = g
+                        order.append(d)
+                    elif pot[d] != g:
+                        return None
+    return pot
 
 
 def max_abs_delay(p: PairAutomaton) -> int | None:

@@ -7,7 +7,9 @@ of R in the closure of a distance relation S is bounded iff the halves are
 close (the closeness verdict decides it, not the exact diameter); it is the
 least k with R ⊆ S^{≤∘k}, and containment of bounded-delay relations is
 inclusion of padded letter-to-letter encodings.  The search pads R once and
-grows S^{≤∘k} by one composition per step (`power_levels`).
+grows S^{≤∘k} by one composition per step (`power_levels`), testing
+containment only from ⌈L(R) / g(S)⌉ on, the ratio of the two length
+diameters: a chain of k pairs of S changes a length by at most k·g(S).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Iterator
 from .automata import Nfa, determinize, included
 from .errors import InputError, UnsupportedCaseError
 from .kapprox import close_verdict, distance
-from .pairauto import PairAutomaton, max_abs_delay, synchronize
+from .pairauto import (PairAutomaton, max_abs_delay, pair_length_diameter,
+                       synchronize)
 from .transducers import nivat_split
 from .verdicts import NotClose, Unknown
 from .words import INF, Alphabet, ExtendedNat, Metric
@@ -262,6 +265,21 @@ def relation_included(small: PairAutomaton, big: PairAutomaton,
     return _included_padded(_padded_nfa(small, ceiling), big, ceiling)
 
 
+def _start_level(r: PairAutomaton, s: PairAutomaton) -> int:
+    """⌈L(R) / g(S)⌉ for the length diameters L(R) and g(S), or 0 when g(S)
+    is not finite and positive: no k below it has R ⊆ S^{≤∘k}.  Needs a
+    finite L(R), which a Close verdict on R's halves implies.
+
+    A pair of S^{≤∘k} is a chain of at most k pairs of S, and length gaps
+    add along a chain, so its gap is at most k·g(S); R has a pair of gap
+    L(R).  No metrizability is assumed.
+    """
+    gap = pair_length_diameter(s)
+    if not gap.is_finite or gap.value() == 0:
+        return 0
+    return -(-pair_length_diameter(r).value() // gap.value())
+
+
 def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
           declared_metric: Metric | None = None, *,
           metrizable_asserted: bool = False,
@@ -270,13 +288,17 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
 
     Boundedness comes from the closeness verdict of R's Nivat halves, not
     from the exact diameter: NotClose gives ∞, Unknown is returned as is, and
-    on Close the containment search tests R ⊆ S^{≤∘k} for k = 0, 1, 2, ...
-    (at most `ceiling` + 1 steps).  R is padded once for the whole search,
-    and each level S^{≤∘k} comes from the one before by one composition
-    (`power_levels`), so finding index d composes d times; each level is
-    padded and determinized once.  General metrizability of
-    user-supplied relations is undecidable, so such relations require an
-    explicit metrizability assertion.
+    on Close the containment search tests R ⊆ S^{≤∘k} for k = k0, k0 + 1,
+    ... up to `ceiling`.  k0 = ⌈L(R) / g(S)⌉ for the length diameters of R
+    and S (0 unless g(S) is finite and positive): length gaps add along a
+    composition chain, so every pair of S^{≤∘k} has a gap of at most k·g(S),
+    and R, with a pair of gap L(R), lies in no level below k0.  A k0 above
+    the ceiling raises at once.  R is padded once for the whole search, and
+    each level S^{≤∘k} comes from the one before by one composition
+    (`power_levels`), so finding index d composes d times; the levels from
+    k0 on are padded and determinized once each, those below it not at all.
+    General metrizability of user-supplied relations is undecidable, so
+    such relations require an explicit metrizability assertion.
     """
     if isinstance(s, DistanceRelation):
         if declared_metric is not None and declared_metric is not s.metric:
@@ -305,10 +327,13 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
         return verdict
     if isinstance(verdict, NotClose):
         return INF
-    padded_r = _padded_nfa(r, DEFAULT_CONTAINMENT_CEILING)
-    for k, level in zip(range(ceiling + 1), power_levels(s_auto)):
-        if _included_padded(padded_r, level, DEFAULT_CONTAINMENT_CEILING):
-            return ExtendedNat(k)
+    start = _start_level(r, s_auto)
+    if start <= ceiling:
+        padded_r = _padded_nfa(r, DEFAULT_CONTAINMENT_CEILING)
+        levels = islice(power_levels(s_auto), start, ceiling + 1)
+        for k, level in enumerate(levels, start):
+            if _included_padded(padded_r, level, DEFAULT_CONTAINMENT_CEILING):
+                return ExtendedNat(k)
     bound = "finite" if verdict.bound is None else f"at most {verdict.bound}"
     raise UnsupportedCaseError(
         f"index search exceeded the ceiling {ceiling} despite diameter "

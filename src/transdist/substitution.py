@@ -25,10 +25,9 @@ from .errors import IntegrityError, InputError, ResourceLimitError
 from .pairauto import (PairAutomaton, component_path, components,
                        delay_range, find_pair_path, identity_witness,
                        input_word_of_path, is_length_preserving,
-                       output_pair_of_path, shortest_suffix_path,
-                       _unbalanced_pair_witness)
+                       shortest_suffix_path)
 from .transducers import (DomainMismatchError, evaluate, joint_product,
-                          loop_certificate)
+                          loop_certificate, unbalanced_word_certificate)
 from .verdicts import Close, InfiniteWordCertificate, NotClose
 from .words import (INF, Alphabet, ExtendedNat, Metric, alphabetic_vector,
                     word_distance)
@@ -95,12 +94,6 @@ def _build_pipeline(p: PairAutomaton) -> _Pipeline:
         if comp[s] == comp[d]:
             intra[comp[s]].append(t)
     return _Pipeline(p, delays, comp, comps, intra)
-
-
-def _unbalanced_word_certificate(p: PairAutomaton) -> InfiniteWordCertificate:
-    path = _unbalanced_pair_witness(p)
-    return InfiniteWordCertificate(input_word_of_path(p, path),
-                                   output_pair_of_path(p, path))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +322,7 @@ def close_hamming(t1, t2, p: PairAutomaton):
     if p.nfa.n_states == 0:
         return Close(bound=None)
     if not is_length_preserving(p):
-        return NotClose(_unbalanced_word_certificate(p))
+        return NotClose(unbalanced_word_certificate(p))
     pipe = _build_pipeline(p)
     hit = _interior_violation(pipe)
     if hit is not None:
@@ -346,7 +339,7 @@ def close_transposition(t1, t2, p: PairAutomaton):
     if p.nfa.n_states == 0:
         return Close(bound=None)
     if not is_length_preserving(p):
-        return NotClose(_unbalanced_word_certificate(p))
+        return NotClose(unbalanced_word_certificate(p))
     pipe = _build_pipeline(p)
     vecs, bad_word = _vector_analysis(pipe)
     if vecs is None:

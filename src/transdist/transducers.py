@@ -18,9 +18,11 @@ from typing import Iterable
 from .automata import (Nfa, equiv_unambiguous, is_unambiguous,
                        language_difference_witness)
 from .errors import InputError, IntegrityError, PreconditionError
-from .pairauto import (PairAutomaton, input_word_of_path, shortest_prefix_path,
-                       shortest_suffix_path, unbalanced_cycle)
-from .verdicts import DomainCertificate, LoopCertificate
+from .pairauto import (PairAutomaton, input_word_of_path, output_pair_of_path,
+                       shortest_prefix_path, shortest_suffix_path,
+                       unbalanced_cycle, _unbalanced_pair_witness)
+from .verdicts import (DomainCertificate, InfiniteWordCertificate,
+                       LoopCertificate)
 from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
 
 _SYMBOL_PALETTE = ("abcdefghijklmnopqrstuvwxyz"
@@ -230,6 +232,18 @@ def unbalanced_loop_certificate(t1: Transducer, t2: Transducer,
     root, cycle = hit
     return loop_certificate(t1, t2, metric, p, root,
                             input_word_of_path(p, cycle))
+
+
+def unbalanced_word_certificate(p: PairAutomaton) -> InfiniteWordCertificate:
+    """An input whose two outputs differ in length, with those outputs.
+
+    Needs p, the pair automaton of two machines, not to be length-preserving.
+    Input and outputs are read off the one path of a shortest accepting
+    path search, so no second search maps the outputs back to an input.
+    """
+    path = _unbalanced_pair_witness(p)
+    return InfiniteWordCertificate(input_word_of_path(p, path),
+                                   output_pair_of_path(p, path))
 
 
 def joint_product(t1: Transducer, t2: Transducer) -> PairAutomaton:

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import machine_corpus, make_transducer, random_joint_machine
-from transdist import automata, kapprox, pairauto, transducers
+from conftest import (certificate_replays, machine_corpus, make_transducer,
+                      random_joint_machine)
+from transdist import automata, conjugacy, kapprox, pairauto, transducers
 from transdist.automata import determinize, included
 from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
-from transdist.kapprox import (build_kapprox, close_verdict, distance, kclose,
-                               min_weight_on, min_weight_table)
-from transdist.pairauto import delay_range
+from transdist.kapprox import (_lower_bound, build_kapprox, close_verdict,
+                               distance, kclose, min_weight_on,
+                               min_weight_table)
+from transdist.pairauto import delay_range, identity_witness
 from transdist.substitution import distance_subst
 from transdist.transducers import (DomainMismatchError, domain_words,
                                    evaluate, joint_product, same_domain)
-from transdist.verdicts import DomainCertificate, LoopCertificate, NotClose
-from transdist.words import INF, Alphabet, Metric, word_distance
+from transdist.verdicts import (Close, DomainCertificate, LoopCertificate,
+                                NotClose)
+from transdist.words import INF, Alphabet, ExtendedNat, Metric, word_distance
 
 EDIT_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
                 Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN]
@@ -239,6 +242,29 @@ def test_kclose_zero_is_output_equality(metric, t1, t2, t3, t4, t5,
         assert kclose(metric, a, b, 0) == want
 
 
+COUNTING_METRICS = [Metric.HAMMING, Metric.LEVENSHTEIN, Metric.LCS,
+                    Metric.DAMERAU_LEVENSHTEIN]
+
+
+@pytest.mark.parametrize("metric", COUNTING_METRICS)
+def test_kclose_below_the_lower_bound_builds_nothing(metric, t1, t2, t3,
+                                                    no_kapprox):
+    # t1/t2 (odd- against even-position copies) differ in length by at most
+    # 1, but on (ab)^n one outputs a^n and the other b^n: the count gap of a
+    # is unbounded, so no k holds and nothing is built (a Damerau build at
+    # k = 3 had 26,641 nodes)
+    for k in range(5):
+        assert not kclose(metric, t1, t2, k)
+    # t1/t3 (odd positions against erase-b): unbounded length gap
+    assert not kclose(metric, t1, t3, 3)
+    # the flip of the first four letters at 0, 1 and 3: on aaaa the outputs
+    # are aaaa and bbab, 3 a's apart (under LCS a - b is 6 apart)
+    t, flip = _identity(), _flip(4, (0, 1, 3))
+    below = 6 if metric is Metric.LCS else 3
+    for k in range(below):
+        assert not kclose(metric, t, flip, k)
+
+
 @pytest.mark.parametrize("metric", [Metric.LEVENSHTEIN,
                                     Metric.DAMERAU_LEVENSHTEIN])
 def test_kclose_runs_delay_range_once_per_direction(metric, t1, t3, t4, t5,
@@ -343,11 +369,83 @@ def probes(monkeypatch):
     return seen
 
 
+def _swap_pairs():
+    """Swaps the letters at positions 0 and 1 and at 2 and 3, copies the
+    rest: both outputs have the same letter counts on every input."""
+    return make_transducer(7, [0], list(range(7)), [
+        (0, "a", "", 1), (0, "b", "", 2),
+        (1, "a", "aa", 3), (1, "b", "ba", 3),
+        (2, "a", "ab", 3), (2, "b", "bb", 3),
+        (3, "a", "", 4), (3, "b", "", 5),
+        (4, "a", "aa", 6), (4, "b", "ba", 6),
+        (5, "a", "ab", 6), (5, "b", "bb", 6),
+        (6, "a", "a", 6), (6, "b", "b", 6),
+    ], {1: "a", 2: "b", 4: "a", 5: "b"})
+
+
 @pytest.mark.parametrize("metric, want", [(Metric.LEVENSHTEIN, 3),
-                                          (Metric.LCS, 6)])
+                                          (Metric.LCS, 4)])
 def test_distance_probes_each_k_up_to_the_answer(metric, want, probes):
-    assert distance(metric, _identity(), _flip(4, (0, 1, 3))) == want
+    # the swap pair's letter-count lower bound is 0, so the search starts at
+    # k = 0 and probes every k up to the answer
+    assert distance(metric, _identity(), _swap_pairs()) == want
     assert probes == list(range(want + 1))
+
+
+@pytest.mark.parametrize("metric, want", [(Metric.HAMMING, 3),
+                                          (Metric.LEVENSHTEIN, 3),
+                                          (Metric.LCS, 6),
+                                          (Metric.DAMERAU_LEVENSHTEIN, 3)])
+def test_distance_on_the_flip_pair_probes_only_the_answer(metric, want,
+                                                          probes):
+    # the lower bound of the flip pair is its distance: one probe
+    assert distance(metric, _identity(), _flip(4, (0, 1, 3))) == want
+    assert probes == [want]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flip_n_lower_bound_is_its_distance(n):
+    # on a^n one output is a^n and the other b^n: n letters apart in each
+    # count, 2n apart in a - b
+    p = joint_product(_identity(), _flip(n, tuple(range(n))))
+    for metric in COUNTING_METRICS:
+        want = 2 * n if metric is Metric.LCS else n
+        assert _lower_bound(metric, p) == want, metric
+    for metric in (Metric.TRANSPOSITION, Metric.CONJUGACY):
+        assert _lower_bound(metric, p) == 0, metric
+
+
+def _search_from_zero(metric, t1, t2):
+    """The least k whose k-approximation covers the domain, probing from 0
+    without kclose (and so without the lower bound)."""
+    p = joint_product(t1, t2)
+    if identity_witness(p) is None:
+        return 0
+    k = 1
+    while included(t1.nfa, determinize(
+            build_kapprox(metric, p, k).skeleton())) is not None:
+        k += 1
+    return k
+
+
+def test_lower_bound_is_at_most_the_distance_on_corpora():
+    # and the search from it finds what a search from 0 finds
+    corpora = (machine_corpus(808, 20, bounded_length_gap=True, max_states=5)
+               + machine_corpus(909, 50, max_states=4, max_out_len=2)
+               + machine_corpus(111, 10, bounded_length_gap=True,
+                                max_states=4)
+               + machine_corpus(404, 5, bounded_length_gap=True,
+                                max_states=3))
+    closes = 0
+    for a, b in corpora:
+        p = joint_product(a, b)
+        for metric in COUNTING_METRICS:
+            if not isinstance(close_verdict(metric, a, b), Close):
+                continue
+            closes += 1
+            d = _search_from_zero(metric, a, b)
+            assert _lower_bound(metric, p) <= d == distance(metric, a, b)
+    assert closes > 100
 
 
 @pytest.mark.parametrize("metric, d", [(Metric.LEVENSHTEIN, 3),
@@ -366,7 +464,7 @@ def test_failing_probe_word_realises_the_distance(metric, d):
 
 
 def test_distance_past_the_verdict_bound_is_an_integrity_error(monkeypatch):
-    t1, t2 = _identity(), _flip(4, (0, 1, 3))
+    t1, t2 = _identity(), _swap_pairs()
     bound = close_verdict(Metric.LEVENSHTEIN, t1, t2).bound
     assert bound.is_finite
     seen = []
@@ -380,6 +478,19 @@ def test_distance_past_the_verdict_bound_is_an_integrity_error(monkeypatch):
     with pytest.raises(IntegrityError):
         distance(Metric.LEVENSHTEIN, t1, t2)
     assert seen == list(range(bound.value() + 1))
+
+
+@pytest.mark.parametrize("metric", COUNTING_METRICS)
+def test_lower_bound_past_the_verdict_bound_is_an_integrity_error(
+        metric, monkeypatch, probes):
+    # the flip pair's lower bound is 3 (6 under LCS); a verdict claiming
+    # less contradicts it, and distance returns no value above its bound
+    t1, t2 = _identity(), _flip(4, (0, 1, 3))
+    monkeypatch.setattr(kapprox, "_verdict_on",
+                        lambda *args: Close(bound=ExtendedNat(2)))
+    with pytest.raises(IntegrityError):
+        distance(metric, t1, t2)
+    assert probes == []
 
 
 def test_distance_levenshtein_flip7_builds_live_nodes_only():
@@ -475,7 +586,7 @@ def test_kclose_builds_one_joint_product(metric, t4, t5, joint_products):
 def test_distance_builds_one_joint_product_per_probe_and_verdict(
         metric, probes, joint_products):
     # one, shared by the verdict and every probe of the k-search
-    distance(metric, _identity(), _flip(4, (0, 1, 3)))
+    distance(metric, _identity(), _swap_pairs())
     assert len(probes) > 2
     assert len(joint_products) == 1
 
@@ -490,7 +601,7 @@ def test_distance_analyses_the_gaps_of_its_pair_automaton_once(
         return gap_range(p, reverse)
 
     monkeypatch.setattr(pairauto, "_gap_range", analysing)
-    assert distance(Metric.LEVENSHTEIN, _identity(), _flip(4, (0, 1, 3))) == 3
+    assert distance(Metric.LEVENSHTEIN, _identity(), _swap_pairs()) == 3
     assert probes == [0, 1, 2, 3]
     [p] = built_pairs
     # one prefix propagation (the verdict, identity_witness and every
@@ -502,9 +613,9 @@ def test_distance_analyses_the_gaps_of_its_pair_automaton_once(
 
 def test_distance_decomposes_its_pair_automaton_once(probes, built_pairs,
                                                      scc_runs):
-    # the verdict's loop languages, the gap ranges of both directions and
-    # every probe read one component analysis
-    assert distance(Metric.LEVENSHTEIN, _identity(), _flip(4, (0, 1, 3))) == 3
+    # the verdict's loop languages, the gap ranges of both directions, the
+    # letter-count gaps and every probe read one component analysis
+    assert distance(Metric.LEVENSHTEIN, _identity(), _swap_pairs()) == 3
     assert probes == [0, 1, 2, 3]
     [p] = built_pairs
     assert sum(nfa is p.nfa for nfa in scc_runs) == 1
@@ -558,14 +669,36 @@ def test_distance_builds_no_certificate_for_length_and_discrete(
     assert [distance(metric, a, b) for a, b in pairs] == want
 
 
+@pytest.mark.parametrize("metric", [Metric.DISCRETE, Metric.CONJUGACY])
+def test_unbalanced_certificates_come_off_one_path(metric, t1, t2, t3,
+                                                   monkeypatch):
+    # outputs of different lengths: the input and both outputs are read off
+    # the path of one shortest-path search, with no second search for an
+    # input that generates the outputs
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_pair_path ran")
+
+    monkeypatch.setattr(kapprox, "find_pair_path", refuse)
+    monkeypatch.setattr(conjugacy, "find_pair_path", refuse)
+    for a, b in ((t1, t2), (t1, t3), (t2, t3)):
+        verdict = close_verdict(metric, a, b)
+        assert isinstance(verdict, NotClose)
+        u, v = verdict.certificate.outputs
+        assert len(u) != len(v)
+        assert (evaluate(a, verdict.certificate.word),
+                evaluate(b, verdict.certificate.word)) == (u, v)
+        assert certificate_replays(metric, verdict.certificate, a, b)
+
+
 @pytest.mark.parametrize("metric", list(Metric))
 def test_kclose_with_a_shared_pair_automaton_agrees(metric, t1, t2, t3, t4,
                                                     t5, joint_products):
     # a given pair automaton skips the domain check and the build, and
-    # changes no answer.  The crossing metrics keep residuals on both sides,
-    # so on t1/t2 (not close) their builds at k = 3 pass the ceiling below
-    # (26,641 live Damerau nodes), as does Damerau's determinized skeleton at
-    # k = 2; there both routes must stop with the same error
+    # changes no answer.  Transposition keeps residuals on both sides and
+    # has no letter-count bound, so on t1/t2 (not close) its build at k = 3
+    # passes the ceiling below (12,294 live nodes); there both routes must
+    # stop with the same error.  Damerau answers False there before any
+    # build: the count of a drifts without bound
     def outcome(a, b, k, **pair):
         try:
             return kclose(metric, a, b, k, 5_000, **pair)

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_joint_machine
+from transdist import automata, pairauto
 from transdist.automata import Nfa, scc_decomposition, trim
 from transdist.pairauto import (
     PairAutomaton, _unbalanced_pair_witness, component_path, delay_range,
@@ -13,7 +14,7 @@ from transdist.pairauto import (
     input_word_of_path, is_length_preserving, max_abs_delay,
     output_pair_of_path, pair_length_diameter, shortest_prefix_path,
     shortest_suffix_path, suffix_gap_range, synchronize, unbalanced_cycle,
-    wrap_pair_automaton,
+    weighted_gap_sup, wrap_pair_automaton,
 )
 from transdist.transducers import joint_product
 from transdist.words import INF, Alphabet
@@ -373,6 +374,89 @@ def test_component_analysis_matches_a_decomposition_per_question(graph,
         assert path and chains(p, path, root, root)
         u, v = output_pair_of_path(p, path)
         assert len(u) != len(v)
+
+
+WEIGHTS = [{"a": 1}, {"b": 1}, {"a": 1, "b": -1}, {"a": 1, "b": 1}]
+
+
+def final_weighted_gaps(p, weight, cap):
+    """(overflow, gaps): every f(x) - f(y) over the accepted (x, y) whose
+    prefixes all keep |f-gap| <= cap, and whether some prefix passed it.
+
+    With every cycle of net f-gap 0 each prefix gap is a sum of potential
+    differences and edges between components, at most 2 per state, so a
+    cap of 2·n_states is never passed; a cycle of nonzero net f-gap on a
+    trimmed automaton passes any cap.
+    """
+    def gap(lbl):
+        return sum(weight.get(c, 0) for c in lbl[0]) - sum(
+            weight.get(c, 0) for c in lbl[1])
+
+    adj = p.nfa.adj()
+    seen = {(s, 0) for s in p.nfa.initials}
+    todo = list(seen)
+    overflow = False
+    while todo:
+        s, g = todo.pop()
+        for lbl, d, _ in adj[s]:
+            key = (d, g + gap(lbl))
+            if abs(key[1]) > cap:
+                overflow = True
+            elif key not in seen:
+                seen.add(key)
+                todo.append(key)
+    return overflow, {g for s, g in seen if s in p.nfa.finals}
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=edge_graphs())
+@example(graph=TWO_LOOPS)
+@example(graph=DEAD_ENDS)
+def test_weighted_gap_sup_matches_walked_gaps(graph):
+    n, initials, finals, edges = graph
+    p = PairAutomaton.from_edges(n, initials, finals, edges, AB, AB)
+    for weight in WEIGHTS:
+        overflow, gaps = final_weighted_gaps(p, weight,
+                                             2 * p.nfa.n_states)
+        sup = weighted_gap_sup(p, weight)
+        if sup is None:
+            assert overflow, weight
+        else:
+            assert not overflow, weight
+            assert sup == max(map(abs, gaps), default=0), weight
+    # the length weight is the length diameter
+    length = weighted_gap_sup(p, {"a": 1, "b": 1})
+    assert pair_length_diameter(p) == (INF if length is None else length)
+
+
+def test_weighted_gap_sup_examples():
+    # (ab, ba)*: equal counts, so every weight's gap is 0
+    assert [weighted_gap_sup(loop_relation("ab", "ba"), w)
+            for w in WEIGHTS] == [0, 0, 0, 0]
+    # (a, b)*: the count of a and of b drift apart, the length does not
+    assert [weighted_gap_sup(loop_relation("a", "b"), w)
+            for w in WEIGHTS] == [None, None, None, 0]
+    # (aab, a) once: a is 1 apart, b 1, a - b 0, length 2
+    once = pa([(0, ("aab", "a"), 1)], 2, finals=[1])
+    assert [weighted_gap_sup(once, w) for w in WEIGHTS] == [1, 1, 0, 2]
+
+
+def test_weighted_gap_sup_reuses_the_component_analysis(monkeypatch):
+    runs = []
+    real = automata.scc_decomposition
+
+    def recording(nfa):
+        runs.append(nfa)
+        return real(nfa)
+
+    monkeypatch.setattr(pairauto, "scc_decomposition", recording)
+    p = pa([(0, ("ab", "b"), 1), (1, ("b", "a"), 1), (1, ("a", "b"), 1)],
+           2, finals=[1])
+    delay_range(p)
+    for weight in WEIGHTS * 2:
+        weighted_gap_sup(p, weight)
+    assert runs == [p.nfa]
+    assert len(p._weighted_gaps) == len(WEIGHTS)
 
 
 def bfs_distance(sources, successors, is_goal):

@@ -352,3 +352,35 @@ def test_diameter_equals_index_prop_3_20_small():
             dia = diameter(r, m)
             idx = index(r, make_distance_relation(m, AB))
             assert dia == idx, (m, dia, idx)
+
+
+def test_index_starts_at_the_length_diameter_ratio(monkeypatch):
+    # L(R) = k and g(S) = 1: the levels below k are composed but never
+    # padded, determinized or tested
+    s = delete_first_a()
+    containments = count_calls(monkeypatch, relations._included_padded)
+    composed = count_calls(monkeypatch, relations.compose)
+    for k in (1, 2, 3):
+        containments.clear()
+        composed.clear()
+        assert index(delete_first_a(k), s, Metric.LEVENSHTEIN,
+                     metrizable_asserted=True) == k
+        assert len(containments) == 1
+        assert len(composed) == k
+
+
+def test_index_start_past_the_ceiling_tests_no_containment(monkeypatch):
+    containments = count_calls(monkeypatch, relations._included_padded)
+    with pytest.raises(UnsupportedCaseError,
+                       match=r"ceiling 1 despite diameter at most 3;"):
+        index(delete_first_a(3), delete_first_a(1), Metric.LEVENSHTEIN,
+              metrizable_asserted=True, ceiling=1)
+    assert containments == []
+
+
+def test_index_start_with_no_length_gap_in_s():
+    # S length-preserving (g(S) = 0): the search starts at 0
+    sd = make_distance_relation(Metric.HAMMING, AB)
+    assert relations._start_level(sd.automaton, sd.automaton) == 0
+    assert index(identity_relation(AB), sd) == 0
+    assert index(sd.automaton, sd) == 1
