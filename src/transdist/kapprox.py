@@ -17,7 +17,10 @@ which keeps the skeleton and every minimal weight (see `_crossing_cuts`).
 Their residuals are canonical: a target's residuals lose their longest
 common prefix (d(c·A, c·B) = d(A, B)), and a target with no budget left
 whose residuals are both non-empty is dead, since they then differ at their
-first letters (see `_build_subst_family`).
+first letters (see `_build_subst_family`).  Under all five metrics an edge
+into a diagonal tail, a state from which every reachable edge has a label
+(x, x), takes only the full cut of its chunk (d(A·S, B·S) = d(A, B)), so
+the nodes there have empty residuals, at most k + 1 per state.
 For the conjugacy distance a two-phase automaton first stores output
 prefixes, then commits to a shift direction and matches the shifted
 streams; the run cost is the number of shifts claimed.  At k = 0 no
@@ -130,6 +133,25 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     no accepting run, like one that fails the gap test.  Both rules shrink
     the target's key only; the dominated-cut argument of `_crossing_cuts`
     reads costs off the chunk's table, which the lemma leaves unchanged.
+
+    Under all five metrics an edge whose target d is a diagonal tail
+    (`_diagonal_tails`: every edge reachable from d has a label (x, x))
+    takes only the full cut of its chunk (left, right), to (d, b - c, '', '')
+    with c = d(left, right); every other edge keeps its cut points.  Each
+    edge still costs an exact chunk alignment, so no run gets cheaper.  None
+    that matters is lost: a run entering d at cut (i, j) with residuals A, B
+    reads some output (S, S) from d, and the rest of it aligns A·S with B·S
+    in chunks.  By subadditivity it costs at least d(A·S, B·S), which is
+    d(A, B) by the common-suffix lemma, and cost(i, j) + d(A, B) >= c by
+    subadditivity again.  So the full cut is within budget whenever the run
+    is, and its target accepts (S, S) at cost 0 from there.  The lemma
+    d(A·S, B·S) = d(A, B) mirrors the common-prefix one: under Hamming it
+    is immediate, since the positions of S match; reversing both words
+    keeps the Levenshtein, LCS and Damerau distances (reversal maps each
+    edit to one edit) and turns S into a common prefix; and under
+    transposition the in-order matching of equal letters pairs the letters
+    of the two copies of S with each other after those of A and B, which
+    adds no inversion.
     """
     crossing = metric in _CROSSING_METRICS
     # a finite max_abs_delay (checked by build_kapprox) bounds every cycle's
@@ -184,6 +206,7 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     edges: list[tuple[int, str | None, int, int]] = []
     accept_cost: dict[int, int] = {}
     adj = p.nfa.adj()
+    tails = _diagonal_tails(p)
     while todo:
         cfg = todo.popleft()
         sid = ids[cfg]
@@ -203,7 +226,9 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                     metric, table(lu, lv), lu, lv, x, y)
             letter = p.input_letters[t]
             best: dict[tuple, int] = {}
-            if crossing:
+            if d in tails:
+                cuts = [(len(left), len(right))]
+            elif crossing:
                 cuts = _crossing_cuts(costs, left, right, b, leftover_cap,
                                       indel, subst)
             else:
@@ -224,6 +249,24 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                 if tgt is not None:
                     edges.append((sid, letter, cost, tgt))
     return DistanceAutomaton(metric, k, nodes, edges, initials, accept_cost)
+
+
+def _diagonal_tails(p: PairAutomaton) -> set[int]:
+    """The states of p from which every reachable edge has a label (x, x).
+
+    They are the states that reach no source of an edge with x ≠ y: a
+    backward walk from those sources marks the rest.  A final state has no
+    output of its own (`joint_product` puts final outputs on edges).
+    """
+    radj = p.nfa.radj()
+    todo = [s for s, (x, y), _ in p.nfa.transitions if x != y]
+    seen = set(todo)
+    while todo:
+        for _, s, _ in radj[todo.pop()]:
+            if s not in seen:
+                seen.add(s)
+                todo.append(s)
+    return set(range(p.nfa.n_states)) - seen
 
 
 def _strip_common_prefix(u: str, v: str) -> tuple[str, str]:
@@ -544,6 +587,13 @@ def _verdict_on(metric: Metric, t1, t2, p: PairAutomaton):
 #: transposition by 0)
 _COUNTING_METRICS = (Metric.HAMMING, Metric.LEVENSHTEIN, Metric.LCS,
                      Metric.DAMERAU_LEVENSHTEIN)
+#: the metrics whose edits change no letter's count
+_PERMUTING_METRICS = (Metric.TRANSPOSITION, Metric.CONJUGACY)
+
+
+def _letters(p: PairAutomaton) -> list[str]:
+    """The letters of p's two output alphabets, sorted."""
+    return sorted(set(p.left_alphabet) | set(p.right_alphabet))
 
 
 def _lower_bound(metric: Metric, p: PairAutomaton) -> int | None:
@@ -565,7 +615,7 @@ def _lower_bound(metric: Metric, p: PairAutomaton) -> int | None:
         return None
     bound = length.value()
     if metric in _COUNTING_METRICS:
-        letters = sorted(set(p.left_alphabet) | set(p.right_alphabet))
+        letters = _letters(p)
         weights = [{c: 1} for c in letters]
         if metric is Metric.LCS:
             weights += [{c: 1, e: -1} for i, c in enumerate(letters)
@@ -593,8 +643,11 @@ def kclose(metric: Metric, t1, t2, k: int,
     the letter-count lower bound LB (`_lower_bound`) or no LB exists: an
     edit changes the length and, under the counting metrics, a letter's
     count by at most 1, so d(u, v) is at least their gaps between u and v.
-    At k = 0 it asks, as the discrete metric does, whether the outputs agree
-    on every input (every edit metric is 0 exactly on equal words).
+    Transposition and conjugacy only permute letters, so they answer False
+    as well when some letter's count gap (`weighted_gap_sup`) is not 0: the
+    distance is then ∞ on some input.  At k = 0 it asks, as the discrete
+    metric does, whether the outputs agree on every input (every edit metric
+    is 0 exactly on equal words).
 
     Otherwise the k-approximation's accepting skeleton (projected to input
     letters and determinized) must cover the whole domain.  That coverage is
@@ -610,9 +663,11 @@ def kclose(metric: Metric, t1, t2, k: int,
     transposition it leaves out every cut point whose cost a neighbouring
     cut explains exactly, strips the common prefix of each target's
     residuals and drops a target with no budget left and two non-empty
-    residuals, which keeps the skeleton's language.  A `ResourceLimitError`
-    past the ceiling, in the build or in the determinization, names the
-    layer, the metric and k.
+    residuals.  An edge into a diagonal tail, a state from which both
+    outputs agree letter by letter, aligns its whole chunk, so every node
+    there has empty residuals.  Each rule keeps the skeleton's language.
+    A `ResourceLimitError` past the ceiling, in the build or in the
+    determinization, names the layer, the metric and k.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
@@ -626,6 +681,9 @@ def kclose(metric: Metric, t1, t2, k: int,
         return identity_witness(p) is None
     lower = _lower_bound(metric, p)
     if lower is None or k < lower:
+        return False
+    if metric in _PERMUTING_METRICS and any(
+            weighted_gap_sup(p, {c: 1}) != 0 for c in _letters(p)):
         return False
     if k == 0:
         return identity_witness(p) is None

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (certificate_replays, machine_corpus, make_transducer,
-                      random_joint_machine)
+from conftest import (certificate_replays, dense_dfa_spec, machine_corpus,
+                      make_transducer, random_joint_machine,
+                      rotate_first_letter, spec_transducer)
 from transdist import automata, conjugacy, kapprox, pairauto, transducers
-from transdist.automata import determinize, included
+from transdist.automata import Nfa, determinize, included
 from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
 from transdist.kapprox import (_lower_bound, build_kapprox, close_verdict,
                                distance, kclose, min_weight_on,
                                min_weight_table)
+from transdist.oracles import oracle_distance
 from transdist.pairauto import delay_range, identity_witness
 from transdist.substitution import distance_subst
-from transdist.transducers import (DomainMismatchError, domain_words,
-                                   evaluate, joint_product, same_domain)
+from transdist.transducers import (DomainMismatchError, Transducer,
+                                   domain_words, evaluate, joint_product,
+                                   same_domain)
 from transdist.verdicts import (Close, DomainCertificate, LoopCertificate,
                                 NotClose)
 from transdist.words import INF, Alphabet, ExtendedNat, Metric, word_distance
@@ -76,17 +79,18 @@ def test_kapprox_conjugacy_rotation():
 # against the flip {0, 1, 3} of the first four letters; only live nodes are
 # built, the crossing metrics keep no cut point whose cost a predecessor in
 # the window explains, strip the common prefix of a node's residuals and drop
-# a zero-budget node whose residuals are both non-empty.  Testing a node's
-# liveness against its source's budget only keeps more nodes (budgets fall
-# along an edge), which these sizes and the flip-7 pin show and no min-weight
-# test can
+# a zero-budget node whose residuals are both non-empty, and an edge into a
+# diagonal tail (the last state, where both outputs copy the input) takes
+# only the full cut.  Testing a node's liveness against its source's budget
+# only keeps more nodes (budgets fall along an edge), which these sizes and
+# the flip-7 pin show and no min-weight test can
 KAPPROX_SIZES = {
-    Metric.LEVENSHTEIN: [(1, 0, 1), (2, 2, 2), (21, 52, 16), (36, 118, 31)],
-    Metric.LCS: [(1, 0, 1), (1, 0, 1), (21, 50, 14), (21, 50, 14)],
-    Metric.DAMERAU_LEVENSHTEIN: [(1, 0, 1), (17, 22, 15), (152, 270, 176),
-                                 (449, 1376, 737)],
-    Metric.TRANSPOSITION: [(1, 0, 1), (17, 22, 15), (63, 92, 59),
-                           (127, 188, 119)],
+    Metric.LEVENSHTEIN: [(1, 0, 1), (2, 2, 2), (17, 36, 12), (28, 78, 17)],
+    Metric.LCS: [(1, 0, 1), (1, 0, 1), (17, 34, 10), (17, 34, 10)],
+    Metric.DAMERAU_LEVENSHTEIN: [(1, 0, 1), (17, 22, 15), (18, 34, 16),
+                                 (19, 44, 17)],
+    Metric.TRANSPOSITION: [(1, 0, 1), (17, 22, 15), (17, 22, 15),
+                           (17, 22, 15)],
 }
 
 
@@ -99,20 +103,33 @@ def test_kapprox_sizes_on_the_flip_pair(metric):
         assert (len(da.nodes), len(da.edges), det.n_states) == want, k
 
 
+def _rotate_pair():
+    """A rotate-first-letter pair on a two-state machine: close under
+    every edit metric but Hamming and transposition."""
+    spec = dense_dfa_spec(random.Random(1), 2)
+    return spec_transducer(spec), spec_transducer(rotate_first_letter(spec))
+
+
 @pytest.mark.parametrize("metric", [Metric.DAMERAU_LEVENSHTEIN,
                                     Metric.CONJUGACY])
 def test_kapprox_ceiling_names_layer_metric_and_k(metric, t4, t5):
+    # under conjugacy t4/t5 differ in letter counts and answer before any
+    # build, so the rotate pair (equal counts) reaches it
+    t1, t2 = (t4, t5) if metric is Metric.DAMERAU_LEVENSHTEIN else \
+        _rotate_pair()
     with pytest.raises(ResourceLimitError,
                        match=rf"^k-approximation \({metric}, k=2\) "
                              r"exceeded 3 states$"):
-        kclose(metric, t4, t5, 2, ceiling=3)
+        kclose(metric, t1, t2, 2, ceiling=3)
 
 
 def test_kclose_determinization_ceiling_names_metric_and_k():
-    # at k = 3 the flip pair's Damerau k-approximation has 449 live nodes
-    # and its skeleton determinizes to 737 states (KAPPROX_SIZES)
-    t1, t2 = _identity(), _flip(4, (0, 1, 3))
-    for ceiling in (449, 730, 736):
+    # at k = 3 the rotate pair's Damerau k-approximation has 656 live nodes
+    # and its skeleton determinizes to 888 states.  Its only diagonal tails
+    # are the two states behind final outputs, so the determinization stays
+    # larger than the build
+    t1, t2 = _rotate_pair()
+    for ceiling in (656, 800, 887):
         with pytest.raises(ResourceLimitError,
                            match=rf"^determinized k-approximation "
                                  rf"\(damerau, k=3\) exceeded {ceiling} "
@@ -124,9 +141,9 @@ def test_kclose_determinization_ceiling_names_metric_and_k():
                               f"{ceiling} states")
     with pytest.raises(ResourceLimitError,
                        match=r"^k-approximation \(damerau, k=3\) exceeded "
-                             r"448 states$"):
-        kclose(Metric.DAMERAU_LEVENSHTEIN, t1, t2, 3, ceiling=448)
-    assert kclose(Metric.DAMERAU_LEVENSHTEIN, t1, t2, 3, ceiling=737)
+                             r"655 states$"):
+        kclose(Metric.DAMERAU_LEVENSHTEIN, t1, t2, 3, ceiling=655)
+    assert kclose(Metric.DAMERAU_LEVENSHTEIN, t1, t2, 3, ceiling=888)
 
 
 def test_kapprox_without_a_live_initial_node_is_empty():
@@ -205,6 +222,105 @@ def test_crossing_kapprox_on_the_odd_even_pair(metric, nodes, t1, t2):
 
 
 # ---------------------------------------------------------------------------
+# diagonal tails: the full cut only where both outputs agree from there on
+# ---------------------------------------------------------------------------
+
+SUBST_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.LEVENSHTEIN,
+                 Metric.LCS, Metric.DAMERAU_LEVENSHTEIN]
+
+
+def _diagonal_tails_by_walk(p):
+    """The states from which a forward walk meets only labels (x, x)."""
+    adj = p.nfa.adj()
+    tails = set()
+    for q in range(p.nfa.n_states):
+        seen, todo = {q}, [q]
+        while todo:
+            edges = adj[todo.pop()]
+            if any(x != y for (x, y), _, _ in edges):
+                break
+            for _, d, _ in edges:
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        else:
+            tails.add(q)
+    return tails
+
+
+def _with_identity_tail(t1, t2):
+    """t1 and t2 on one skeleton, continued after a fresh input letter c by
+    one copying state: T(w·c·x) = T(w)·h(x) for an accepted w, with
+    h(a) = 0 and h(b) = 1 on both sides."""
+    nfa = t1.nfa
+    tail = nfa.n_states
+    finals = sorted(nfa.finals)
+    skeleton = Nfa(tail + 1, nfa.initials, [*finals, tail],
+                   [*nfa.transitions, *((f, "c", tail) for f in finals),
+                    (tail, "a", tail), (tail, "b", tail)])
+    alph_in = Alphabet("abc")
+    return tuple(Transducer(skeleton,
+                            [*t.out, *(t.final_out[f] for f in finals),
+                             "0", "1"],
+                            {}, alph_in, t.output_alphabet)
+                 for t in (t1, t2))
+
+
+def _identity_tail_pairs():
+    return [_with_identity_tail(a, b)
+            for a, b in machine_corpus(808, 8, bounded_length_gap=True,
+                                       max_states=3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_diagonal_tails_are_the_states_that_meet_only_equal_labels(rng):
+    pair = random_joint_machine(rng, max_states=4, max_out_len=2)
+    assume(pair is not None)
+    p = joint_product(*pair)
+    assert kapprox._diagonal_tails(p) == _diagonal_tails_by_walk(p)
+    tailed = joint_product(*_with_identity_tail(*pair))
+    tails = kapprox._diagonal_tails(tailed)
+    assert tails and tails == _diagonal_tails_by_walk(tailed)
+
+
+@pytest.mark.parametrize("metric", SUBST_METRICS)
+def test_kapprox_keeps_no_residual_at_a_diagonal_tail(metric):
+    # on the flip pairs and on corpus pairs continued by a copying state,
+    # every node at a diagonal tail has empty residuals, one per budget at
+    # most, and every minimal weight is the oracle's distance (within k)
+    cases = [(_identity(), _flip(4, (0, 1, 3)), "ab", 7),
+             (_identity(), _flip(3, (0, 2)), "ab", 7)]
+    cases += [(a, b, "abc", 5) for a, b in _identity_tail_pairs()]
+    for a, b, letters, max_len in cases:
+        p = joint_product(a, b)
+        tails = kapprox._diagonal_tails(p)
+        assert tails
+        words = domain_words(a, max_len)
+        for k in (1, 2, 3):
+            da = build_kapprox(metric, p, k)
+            at_tails = [node for node in da.nodes if node[0] in tails]
+            assert all(lu == lv == "" for _, _, lu, lv in at_tails)
+            assert len(at_tails) <= (k + 1) * len(tails)
+            weights = min_weight_table(da, letters, max_len)
+            for w in words:
+                want = oracle_distance(metric, evaluate(a, w),
+                                       evaluate(b, w), k)
+                if not isinstance(want, ExtendedNat):
+                    want = INF
+                assert weights.get(w, INF) == want, (metric, k, w)
+
+
+def test_damerau_flip_6_builds_through_its_diagonal_tail():
+    # cutting edges into the tail everywhere built 15,902 nodes, which
+    # determinized to 112,464 subsets
+    p = joint_product(_identity(), _flip(6, tuple(range(6))))
+    da = build_kapprox(Metric.DAMERAU_LEVENSHTEIN, p, 6)
+    det = determinize(da.skeleton())
+    assert (len(da.nodes), det.n_states) == (98, 69)
+
+
+# ---------------------------------------------------------------------------
 # kclose / distance
 # ---------------------------------------------------------------------------
 
@@ -263,6 +379,19 @@ def test_kclose_below_the_lower_bound_builds_nothing(metric, t1, t2, t3,
     below = 6 if metric is Metric.LCS else 3
     for k in range(below):
         assert not kclose(metric, t, flip, k)
+
+
+@pytest.mark.parametrize("metric", [Metric.TRANSPOSITION,
+                                    Metric.CONJUGACY])
+def test_kclose_on_unequal_letter_counts_builds_nothing(metric, t1, t2,
+                                                        no_kapprox):
+    # both metrics only permute letters, so they are ∞ on t1/t2, whose count
+    # of a drifts without bound, and on the flip pair, whose outputs on aaaa
+    # hold 4 and 1 a's (a transposition build at k = 3 on t1/t2 had 12,294
+    # nodes)
+    for a, b in ((t1, t2), (_identity(), _flip(4, (0, 1, 3)))):
+        for k in range(5):
+            assert not kclose(metric, a, b, k)
 
 
 @pytest.mark.parametrize("metric", [Metric.LEVENSHTEIN,
@@ -494,13 +623,15 @@ def test_lower_bound_past_the_verdict_bound_is_an_integrity_error(
 
 
 def test_distance_levenshtein_flip7_builds_live_nodes_only():
-    # dead nodes made this take seconds: 109,488 determinized subsets at k = 7
+    # dead nodes made this take seconds: 109,488 determinized subsets at k = 7.
+    # Edges into the diagonal tail (the last state, copying on both sides)
+    # take the full cut only; cutting them everywhere left 1,571 subsets
     t1, t2 = _identity(), _flip(7, tuple(range(7)))
     assert distance(Metric.LEVENSHTEIN, t1, t2) == 7
     p = joint_product(t1, t2)
     da = build_kapprox(Metric.LEVENSHTEIN, p, 7)
     det = determinize(da.skeleton())
-    assert (len(da.nodes), len(da.edges), det.n_states) == (468, 3318, 1571)
+    assert (len(da.nodes), len(da.edges), det.n_states) == (380, 2206, 119)
 
 
 def test_distance_without_verdict_bound_searches_upward():
@@ -694,11 +825,10 @@ def test_unbalanced_certificates_come_off_one_path(metric, t1, t2, t3,
 def test_kclose_with_a_shared_pair_automaton_agrees(metric, t1, t2, t3, t4,
                                                     t5, joint_products):
     # a given pair automaton skips the domain check and the build, and
-    # changes no answer.  Transposition keeps residuals on both sides and
-    # has no letter-count bound, so on t1/t2 (not close) its build at k = 3
-    # passes the ceiling below (12,294 live nodes); there both routes must
-    # stop with the same error.  Damerau answers False there before any
-    # build: the count of a drifts without bound
+    # changes no answer.  On t1/t2 (not close) every edit metric answers
+    # False before any build, since the count of a drifts without bound.
+    # A build past the ceiling below would have to stop both routes with the
+    # same error
     def outcome(a, b, k, **pair):
         try:
             return kclose(metric, a, b, k, 5_000, **pair)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transdist import words
@@ -160,6 +160,20 @@ def test_common_prefix_leaves_the_distance_unchanged(metric):
 def test_common_prefix_leaves_the_distance_unchanged_property(metric, c, a,
                                                               b):
     assert word_distance(metric, c + a, c + b) == word_distance(metric, a, b)
+
+
+# the mirror of the lemma above, which the k-approximation relies on where
+# both outputs agree from some state on: it holds for Hamming too
+@settings(max_examples=200, deadline=None)
+@given(metric=st.sampled_from([Metric.HAMMING, *PREFIX_METRICS]),
+       s=st.text(alphabet="abc", min_size=1, max_size=4),
+       a=st.text(alphabet="abc", max_size=7),
+       b=st.text(alphabet="abc", max_size=7))
+@example(metric=Metric.TRANSPOSITION, s="a", a="ab", b="ba")
+@example(metric=Metric.DAMERAU_LEVENSHTEIN, s="ab", a="abc", b="ca")
+def test_common_suffix_leaves_the_distance_unchanged_property(metric, s, a,
+                                                              b):
+    assert word_distance(metric, a + s, b + s) == word_distance(metric, a, b)
 
 
 # ---------------------------------------------------------------------------
