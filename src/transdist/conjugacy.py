@@ -551,7 +551,7 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
     """
     gaps = delay_range(p)
     if gaps is None:
-        return NotClose(unbalanced_loop_certificate(t1, t2, p, metric))
+        return NotClose(unbalanced_loop_certificate(p))
     lo = gaps[0]
     analysis = components(p)
     comp, comps = analysis.comp, analysis.comps

@@ -569,8 +569,7 @@ def _verdict_on(metric: Metric, t1, t2, p: PairAutomaton):
         d = pair_length_diameter(p)
         if d.is_finite:
             return Close(bound=d)
-        return NotClose(unbalanced_loop_certificate(t1, t2, p,
-                                                    Metric.LENGTH))
+        return NotClose(unbalanced_loop_certificate(p))
     if metric is not Metric.DISCRETE:
         raise InputError(f"unknown metric {metric}")
     if not is_length_preserving(p):

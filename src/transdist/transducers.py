@@ -186,13 +186,17 @@ class DomainMismatchError(InputError):
 def loop_certificate(t1: Transducer, t2: Transducer, metric: Metric,
                      p: PairAutomaton, state: int,
                      loop: str) -> LoopCertificate:
-    """The input loop at a state of p, the pair automaton of (t1, t2),
-    pumped between the inputs of shortest paths to and from the state.
+    """The balanced input loop at a state of p, the pair automaton of
+    (t1, t2), pumped between the inputs of shortest paths to and from the
+    state.
 
-    Picks three pump counts with strictly increasing distances (or fewer,
-    ending at an infinite one), each computed by evaluating both machines on
-    prefix·loop^i·suffix, so the certificate replays by construction; a loop
-    that does not grow the distance within 200 pumps is an IntegrityError.
+    Serves only loops whose output lengths stay balanced, where the length
+    gap says nothing about the distance (unbalanced loops take
+    `unbalanced_loop_certificate`).  Picks three pump counts with strictly
+    increasing distances (or fewer, ending at an infinite one), each
+    computed by evaluating both machines on prefix·loop^i·suffix, so the
+    certificate replays by construction; a loop that does not grow the
+    distance within 200 pumps is an IntegrityError.
     """
     needed, scan_limit = 3, 200
     prefix = input_word_of_path(p, shortest_prefix_path(p, state))
@@ -217,21 +221,45 @@ def loop_certificate(t1: Transducer, t2: Transducer, metric: Metric,
     return LoopCertificate(prefix, loop, suffix, tuple(pumps))
 
 
-def unbalanced_loop_certificate(t1: Transducer, t2: Transducer,
-                                p: PairAutomaton,
-                                metric: Metric) -> LoopCertificate:
-    """A pumpable input loop whose output-length gap is nonzero.
+def unbalanced_loop_certificate(p: PairAutomaton) -> LoopCertificate:
+    """A pumpable input loop whose output-length gap grows, with two pumps
+    read off the labels of p, the pair automaton of two machines.
 
-    Needs unbounded prefix gaps in p, the pair automaton of (t1, t2).  Every
-    metric with d(u, v) >= ||u| - |v|| grows along the pumped loop.
+    Needs unbounded prefix gaps in p.  The shortest prefix path to the root
+    of `unbalanced_cycle(p)` and the shortest suffix path from it write a1
+    and a2 letters on the two sides, and the cycle writes c1 and c2, with
+    net gap g = c1 - c2 != 0.  p is the joint run of two unambiguous
+    machines, so the one accepting path prefix·cycle^m·suffix spells
+    exactly the outputs (T1(w_m), T2(w_m)) of its input w_m.  Every metric
+    that reaches this certificate (length and the Levenshtein family) has
+
+        ||u| - |v|| <= d(u, v) <= |u| + |v|,
+
+    so d(w_1) <= L = a1 + a2 + c1 + c2 < |a1 - a2 + m·g| <= d(w_m) for the
+    least m >= 2 past the sum L; the larger of the two lengths would not
+    do for LCS.  The pumps (1, m) come from one ceiling division: nothing
+    is evaluated and no distance is computed.
     """
     hit = unbalanced_cycle(p)
     if hit is None:
         raise IntegrityError("no unbalanced cycle despite an infinite "
                              "length distance")
     root, cycle = hit
-    return loop_certificate(t1, t2, metric, p, root,
-                            input_word_of_path(p, cycle))
+    prefix = shortest_prefix_path(p, root)
+    suffix = shortest_suffix_path(p, root)
+    loop = input_word_of_path(p, cycle)
+    a1, a2 = map(len, output_pair_of_path(p, prefix + suffix))
+    c1, c2 = map(len, output_pair_of_path(p, cycle))
+    gap = c1 - c2
+    if gap == 0 or not loop:
+        raise IntegrityError("certificate cycle reads no input or keeps "
+                             "the output lengths balanced")
+    # least m with lead + m·|g| > L, where lead is a1 - a2 signed as g
+    lead = a1 - a2 if gap > 0 else a2 - a1
+    total = a1 + a2 + c1 + c2
+    m = max(2, -(-(total - lead + 1) // abs(gap)))
+    return LoopCertificate(input_word_of_path(p, prefix), loop,
+                           input_word_of_path(p, suffix), (1, m))
 
 
 def unbalanced_word_certificate(p: PairAutomaton) -> InfiniteWordCertificate:

@@ -2,7 +2,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (certificate_replays, dense_dfa_spec, machine_corpus,
@@ -187,7 +187,9 @@ def test_kapprox_matches_kernels_small_corpus(metric):
 # much.  Under the Levenshtein family, a dead-node test off by one fails
 # every corpus machine, and prefix gaps in place of suffix gaps fail corpus
 # machines 1, 2 and 4; here the first fails 37 and 1227, the second 60
-@settings(max_examples=100, deadline=None)
+# about six in seven random pairs have unbounded gaps and are filtered out
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 @given(rng=st.randoms(use_true_random=False),
        metric=st.sampled_from([Metric.DAMERAU_LEVENSHTEIN,
                                Metric.TRANSPOSITION]))

@@ -2,7 +2,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_joint_machine
@@ -215,7 +215,9 @@ def suffix_gaps(p, state):
     return {g for s, g in seen if s in p.nfa.finals}
 
 
-@settings(max_examples=80, deadline=None)
+# about six in seven random pairs have unbounded gaps and are filtered out
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 @given(rng=st.randoms(use_true_random=False))
 def test_suffix_gap_range_matches_enumerated_suffixes(rng):
     pair = random_joint_machine(rng, max_states=4, max_out_len=3)

@@ -2,20 +2,23 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_dfa_spec, machine_corpus, make_transducer,
+from conftest import (certificate_replays, dense_dfa_spec, machine_corpus,
+                      make_transducer, random_joint_machine,
                       rotate_first_letter, spec_transducer)
+from transdist import transducers
 from transdist.automata import Nfa
-from transdist.errors import InputError, PreconditionError
-from transdist.kapprox import distance
-from transdist.pairauto import enumerate_pairs, find_pair_path
+from transdist.errors import InputError, IntegrityError, PreconditionError
+from transdist.kapprox import close_verdict, distance
+from transdist.pairauto import delay_range, enumerate_pairs, find_pair_path
 from transdist.transducers import (
     Transducer, domain_words, evaluate, joint_product, nivat_split,
-    same_domain,
+    same_domain, unbalanced_loop_certificate,
 )
-from transdist.words import INF, Alphabet, Metric
+from transdist.verdicts import LoopCertificate, NotClose
+from transdist.words import INF, Alphabet, Metric, word_distance
 
 AB = Alphabet("ab")
 B01 = Alphabet("01")
@@ -294,3 +297,81 @@ def test_length_close_matches_enumeration_on_corpus():
                 out = evaluate(u1, w), evaluate(u2, w)
                 long_gaps.append(abs(len(out[0]) - len(out[1])))
             assert max(long_gaps) >= max(gaps)
+
+
+# ---------------------------------------------------------------------------
+# unbalanced loop certificates
+# ---------------------------------------------------------------------------
+
+#: the metrics whose NotClose on unbounded length gaps pumps an unbalanced loop
+GAP_METRICS = (Metric.LENGTH, Metric.LEVENSHTEIN, Metric.LCS,
+               Metric.DAMERAU_LEVENSHTEIN)
+
+
+def _pumped_outputs(cert, a, b, i):
+    w = cert.word(i)
+    return evaluate(a, w), evaluate(b, w)
+
+
+def test_unbalanced_pumps_clear_the_sum_of_the_lengths_for_lcs():
+    # b·a^n -> aaaa·b^n against b·a^n -> bbbb: d_LCS = 7 at pump 1.  A gap
+    # past the larger length (5) comes at pump 6, where d_LCS = 6 < 7; a gap
+    # past the sum (9) comes at pump 10, where d_LCS = 10.
+    a = make_transducer(2, [0], [1], [(0, "b", "aaaa", 1), (1, "a", "b", 1)])
+    b = make_transducer(2, [0], [1], [(0, "b", "bbbb", 1), (1, "a", "", 1)])
+    verdict = close_verdict(Metric.LCS, a, b)
+    assert isinstance(verdict, NotClose)
+    cert = verdict.certificate
+    assert cert.pumps == (1, 10)
+    assert [word_distance(Metric.LCS, *_pumped_outputs(cert, a, b, i))
+            for i in (1, 6, 10)] == [7, 6, 10]
+    assert certificate_replays(Metric.LCS, cert, a, b)
+
+
+@pytest.mark.parametrize("metric", GAP_METRICS)
+def test_unbalanced_loop_certificates_evaluate_nothing(metric, monkeypatch):
+    pairs = [pair for seed in (808, 909) for pair in machine_corpus(seed, 60)
+             if delay_range(joint_product(*pair)) is None]
+    assert len(pairs) >= 20
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pump was evaluated")
+
+    monkeypatch.setattr(transducers, "evaluate", refuse)
+    monkeypatch.setattr(transducers, "word_distance", refuse)
+    certs = [close_verdict(metric, *pair).certificate for pair in pairs]
+    monkeypatch.undo()
+    for (a, b), cert in zip(pairs, certs):
+        assert isinstance(cert, LoopCertificate)
+        assert len(cert.pumps) == 2
+        assert certificate_replays(metric, cert, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(GAP_METRICS))
+def test_unbalanced_pumps_are_the_least_past_the_sum(seed, metric):
+    pair = random_joint_machine(random.Random(seed), max_out_len=3)
+    assume(pair is not None)
+    p = joint_product(*pair)
+    assume(delay_range(p) is None)
+    cert = unbalanced_loop_certificate(p)
+    assert cert.pumps[0] == 1 and len(cert.pumps) == 2
+    total = sum(map(len, _pumped_outputs(cert, *pair, 1)))
+
+    def gap(i):
+        u, v = _pumped_outputs(cert, *pair, i)
+        return abs(len(u) - len(v))
+
+    m = cert.pumps[1]
+    assert gap(m) > total
+    assert m == 2 or gap(m - 1) <= total
+    assert certificate_replays(metric, cert, *pair)
+
+
+def test_balanced_cycle_is_an_integrity_error(monkeypatch):
+    copy = make_transducer(1, [0], [0], [(0, "a", "a", 0)])
+    p = joint_product(copy, copy)
+    monkeypatch.setattr(transducers, "unbalanced_cycle",
+                        lambda p: (0, [0]))
+    with pytest.raises(IntegrityError):
+        unbalanced_loop_certificate(p)
