@@ -6,6 +6,11 @@ Equivalence of unambiguous automata uses exact rational path counting, never
 floating point.  Every language inclusion (k-closeness, containment of
 relations, and the difference of two deterministic automata) goes through one
 engine, `included`, which walks an automaton against a determinized one.
+The library determinizes only what that walk reads: `determinize(b,
+within=a)` builds the subsets of b that a run of a reaches, with an edge
+only under the letters that a reads there (the on-the-fly subset
+construction of De Wulf, Doyen, Henzinger and Raskin, CAV 2006, without
+the antichain), and `included(a, ·)` answers on it as on the full one.
 """
 
 from __future__ import annotations
@@ -334,14 +339,29 @@ def epsilon_closure(nfa: Nfa, states: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def determinize(nfa: Nfa, ceiling: int = DEFAULT_STATE_CEILING) -> Nfa:
-    """Subset construction with epsilon closure; raises past the ceiling.
+def determinize(nfa: Nfa, ceiling: int = DEFAULT_STATE_CEILING, *,
+                within: Nfa | None = None) -> Nfa:
+    """Subset construction with epsilon closure, guided by the automaton
+    `within`; raises when the subsets pass the ceiling.
 
-    Successors are grouped per state and letter once, each state's epsilon
-    closure is taken at most once, and an automaton without epsilon moves
-    takes none.
+    The walk goes over pairs (state of `within`, subset of nfa), from its
+    initial states with the closure of nfa's.  An epsilon move of `within`
+    keeps the subset; a letter x read from state p moves the subset to its
+    x-successor, and only then does the subset get its x-edge.  So the DFA
+    has exactly the subsets and edges that `included(within, ·)` can reach,
+    and `included(within, determinize(nfa, within=within))` answers as it
+    would on the full construction, with the same word.  `within=None` is
+    the one-state automaton that reads every label of nfa: the full
+    construction, its subsets numbered breadth-first and its edges in
+    first-occurrence label order.
+
+    Successors are grouped per state and letter once, a subset's moves once,
+    and its successor under each letter once, however many states of
+    `within` meet it.  Each state's epsilon closure is taken at most once,
+    and an automaton without epsilon moves takes none.
     """
-    alphabet = nfa.labels()
+    if within is None:
+        within = Nfa(1, [0], [0], ((0, x, 0) for x in nfa.labels()))
     grouped: list[dict[Hashable, list[int]]] = [{} for _ in range(nfa.n_states)]
     silent = False
     for s, x, d in nfa.transitions:
@@ -366,33 +386,48 @@ def determinize(nfa: Nfa, ceiling: int = DEFAULT_STATE_CEILING) -> Nfa:
     start = close(nfa.initials)
     ids = {start: 0}
     order = [start]
+    # per subset, built on first need: letter -> its successor states, each
+    # replaced by the successor subset's id once that edge is built
+    moves: list[dict[Hashable, list[int] | int] | None] = [None]
     transitions = []
-    todo = deque([start])
+    seen = {(p, 0) for p in within.initials}
+    todo = deque(seen)
+    adj = within.adj()
     while todo:
-        cur = todo.popleft()
-        here = ids[cur]
-        moves: dict[Hashable, list[int]] = {}
-        for s in cur:
-            for x, ds in succ[s]:
-                m = moves.get(x)
+        p, here = todo.popleft()
+        m = moves[here]
+        for x, d, _ in adj[p]:
+            if x is EPSILON:
+                nxt = (d, here)
+            else:
                 if m is None:
-                    moves[x] = list(ds)
-                else:
-                    m.extend(ds)
-        for x in alphabet:
-            ds = moves.get(x)
-            if ds is None:
-                continue
-            nxt = close(ds)
-            dst = ids.get(nxt)
-            if dst is None:
-                if len(ids) >= ceiling:
-                    raise ResourceLimitError(
-                        f"determinization exceeded ceiling of {ceiling} states")
-                dst = ids[nxt] = len(ids)
-                order.append(nxt)
+                    m = moves[here] = {}
+                    for s in order[here]:
+                        for y, ds in succ[s]:
+                            if y in m:
+                                m[y].extend(ds)
+                            else:
+                                m[y] = list(ds)
+                dst = m.get(x)
+                if dst is None:
+                    continue
+                if isinstance(dst, list):
+                    target = close(dst)
+                    dst = ids.get(target)
+                    if dst is None:
+                        if len(ids) >= ceiling:
+                            raise ResourceLimitError(
+                                f"determinization exceeded ceiling of "
+                                f"{ceiling} states")
+                        dst = ids[target] = len(ids)
+                        order.append(target)
+                        moves.append(None)
+                    m[x] = dst
+                    transitions.append((here, x, dst))
+                nxt = (d, dst)
+            if nxt not in seen:
+                seen.add(nxt)
                 todo.append(nxt)
-            transitions.append((here, x, dst))
     finals = [i for i, subset in enumerate(order)
               if not subset.isdisjoint(nfa.finals)]
     return Nfa(len(ids), [0], finals, transitions)

@@ -276,8 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=default_ceiling,
                         help="abort the k-approximation of kclose and "
                              "distance beyond this many live nodes or "
-                             "determinized states (close, diameter and "
-                             "index keep fixed limits)")
+                             "determinized subsets that the domain's "
+                             "inclusion visits (close, diameter and index "
+                             "keep fixed limits)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -653,18 +653,21 @@ def kclose(metric: Metric, t1, t2, k: int,
     the one inclusion dom(T1) ⊆ L(skeleton), decided by `automata.included`:
     the skeleton accepts exactly the inputs w with d(T1(w), T2(w)) ≤ k, so
     L(skeleton) ⊆ dom(T1) holds by construction and k-closeness *is* the
-    other direction.  The k-approximation builds only live nodes, those
-    whose length gap some suffix can still bring within their budget, and
-    the ceiling counts live nodes.  When no initial node is live the
-    skeleton is empty, and rightly so: every output pair then differs in
-    length by more than k.  It prices each edge's chunk alignments from a
-    prefix-distance table grown from its node's, and for Damerau and
-    transposition it leaves out every cut point whose cost a neighbouring
-    cut explains exactly, strips the common prefix of each target's
-    residuals and drops a target with no budget left and two non-empty
-    residuals.  An edge into a diagonal tail, a state from which both
-    outputs agree letter by letter, aligns its whole chunk, so every node
-    there has empty residuals.  Each rule keeps the skeleton's language.
+    other direction.  The skeleton is determinized guided by T1's automaton
+    (`determinize(..., within=t1.nfa)`), so only the subsets that a run of
+    the domain reaches are built, and the ceiling counts those.  The
+    k-approximation builds only live nodes, those whose length gap some
+    suffix can still bring within their budget, and the ceiling counts live
+    nodes.  When no initial node is live the skeleton is empty, and rightly
+    so: every output pair then differs in length by more than k.  It prices
+    each edge's chunk alignments from a prefix-distance table grown from its
+    node's, and for Damerau and transposition it leaves out every cut point
+    whose cost a neighbouring cut explains exactly, strips the common prefix
+    of each target's residuals and drops a target with no budget left and
+    two non-empty residuals.  An edge into a diagonal tail, a state from
+    which both outputs agree letter by letter, aligns its whole chunk, so
+    every node there has empty residuals.  Each rule keeps the skeleton's
+    language.
     A `ResourceLimitError` past the ceiling, in the build or in the
     determinization, names the layer, the metric and k.
     """
@@ -688,7 +691,7 @@ def kclose(metric: Metric, t1, t2, k: int,
         return identity_witness(p) is None
     da = build_kapprox(metric, p, k, ceiling)
     try:
-        det = determinize(da.skeleton(), ceiling=ceiling)
+        det = determinize(da.skeleton(), ceiling, within=t1.nfa)
     except ResourceLimitError as e:
         raise ResourceLimitError(
             f"determinized k-approximation ({metric}, k={k}) exceeded "

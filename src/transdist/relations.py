@@ -10,6 +10,8 @@ inclusion of padded letter-to-letter encodings.  The search pads R once and
 grows S^{≤∘k} by one composition per step (`power_levels`), testing
 containment only from ⌈L(R) / g(S)⌉ on, the ratio of the two length
 diameters: a chain of k pairs of S changes a length by at most k·g(S).
+Each containment test determinizes padded S^{≤∘k} guided by padded R, so
+only the subsets that a run of padded R reaches are built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import islice
 from typing import Iterator
 
 from .automata import Nfa, determinize, included
-from .errors import InputError, UnsupportedCaseError
+from .errors import InputError, ResourceLimitError, UnsupportedCaseError
 from .kapprox import close_verdict, distance
 from .pairauto import (PairAutomaton, max_abs_delay, pair_length_diameter,
                        synchronize)
@@ -247,9 +249,14 @@ def _padded_nfa(r: PairAutomaton, ceiling: int) -> Nfa:
 
 def _included_padded(padded_small: Nfa, big: PairAutomaton,
                      ceiling: int) -> bool:
-    """Is the padded encoding `padded_small` inside that of big?"""
-    return included(padded_small,
-                    determinize(_padded_nfa(big, ceiling), ceiling)) is None
+    """Is the padded encoding `padded_small` inside that of big?
+
+    Padded big is determinized guided by `padded_small`: only the subsets
+    that a run of padded_small reaches are built, and `ceiling` bounds the
+    padding and those subsets.
+    """
+    det = determinize(_padded_nfa(big, ceiling), ceiling, within=padded_small)
+    return included(padded_small, det) is None
 
 
 def relation_included(small: PairAutomaton, big: PairAutomaton,
@@ -258,9 +265,9 @@ def relation_included(small: PairAutomaton, big: PairAutomaton,
 
     Both relations are synchronized into letter-to-letter encodings padded
     with ⊥; small ⊆ big iff every padded word of small is a padded word of
-    big, which `automata.included` decides against the determinized padded
-    big.  A letter pair that big never uses is a missing move there, so it
-    rejects.
+    big, which `automata.included` decides against padded big determinized
+    as far as padded small reads it (`_included_padded`).  A letter pair
+    that big never uses is a missing move there, so it rejects.
     """
     return _included_padded(_padded_nfa(small, ceiling), big, ceiling)
 
@@ -297,8 +304,13 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
     each level S^{≤∘k} comes from the one before by one composition
     (`power_levels`), so finding index d composes d times; the levels from
     k0 on are padded and determinized once each, those below it not at all.
-    General metrizability of user-supplied relations is undecidable, so
-    such relations require an explicit metrizability assertion.
+    A level is determinized only as far as padded R reads it
+    (`_included_padded`).  The padding and the determinization each stop at
+    `DEFAULT_CONTAINMENT_CEILING` states; past it, the `ResourceLimitError`
+    names index containment, the level k and that ceiling, chained to the
+    error of the layer that overflowed.  General metrizability of
+    user-supplied relations is undecidable, so such relations require an
+    explicit metrizability assertion.
     """
     if isinstance(s, DistanceRelation):
         if declared_metric is not None and declared_metric is not s.metric:
@@ -329,11 +341,18 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
         return INF
     start = _start_level(r, s_auto)
     if start <= ceiling:
-        padded_r = _padded_nfa(r, DEFAULT_CONTAINMENT_CEILING)
-        levels = islice(power_levels(s_auto), start, ceiling + 1)
-        for k, level in enumerate(levels, start):
-            if _included_padded(padded_r, level, DEFAULT_CONTAINMENT_CEILING):
-                return ExtendedNat(k)
+        states = DEFAULT_CONTAINMENT_CEILING
+        k = start
+        try:
+            padded_r = _padded_nfa(r, states)
+            levels = islice(power_levels(s_auto), start, ceiling + 1)
+            for k, level in enumerate(levels, start):
+                if _included_padded(padded_r, level, states):
+                    return ExtendedNat(k)
+        except ResourceLimitError as e:
+            raise ResourceLimitError(
+                f"index containment R ⊆ S^≤∘{k} (k={k}) exceeded "
+                f"{states} states: {e}") from e
     bound = "finite" if verdict.bound is None else f"at most {verdict.bound}"
     raise UnsupportedCaseError(
         f"index search exceeded the ceiling {ceiling} despite diameter "

@@ -240,6 +240,26 @@ def test_determinize_ceiling():
     assert determinize(nfa).n_states == 2 ** k
 
 
+def test_guided_determinization_builds_what_the_guide_reads():
+    # the automaton of test_determinize_ceiling guided by a^k a*: only the
+    # subsets {0}, {0, 1}, ..., {0, ..., k} are reached, so the ceiling of 8
+    # is not passed
+    k = 5
+    trans = [(0, "a", 0), (0, "b", 0), (0, "a", 1)]
+    trans += [(i, x, i + 1) for i in range(1, k) for x in "ab"]
+    nfa = Nfa(k + 1, [0], [k], trans)
+    guide = Nfa(k + 1, [0], [k],
+                [(i, "a", i + 1) for i in range(k)] + [(k, "a", k)])
+    dfa = determinize(nfa, ceiling=8, within=guide)
+    assert dfa.n_states == k + 1
+    assert all(x == "a" for _, x, _ in dfa.transitions)
+    assert included(guide, dfa) is None
+    shorter = Nfa(k, [0], [k - 1], [(i, "a", i + 1) for i in range(k - 1)]
+                  + [(k - 1, "a", k - 1)])
+    found = included(shorter, determinize(nfa, within=shorter))
+    assert found == ("a",) * (k - 1)
+
+
 def reference_determinize(nfa, alphabet):
     """Textbook subset construction: breadth-first, letters in order."""
     start = epsilon_closure(nfa, nfa.initials)
@@ -288,6 +308,36 @@ def test_included_random_epsilon_nfas(a, b):
         assert accepts(a, w) and not accepts(b, w)
     else:
         assert all(accepts(b, v) for v in words("ab", 5) if accepts(a, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=small_nfas(), b=small_nfas())
+def test_guided_determinization_answers_as_the_full_one(a, b):
+    full = determinize(b)
+    guided = determinize(b, within=a)
+    assert guided.is_deterministic()
+    # the walk over the guided DFA is the walk over the full one, renamed
+    assert included(a, guided) == included(a, full)
+    # every guided subset is a subset of the full construction: the words
+    # that reach a guided state all reach one full state, distinct guided
+    # states reach distinct full states, and finality and edges agree
+    image = {0: 0}
+    todo = [0]
+    full_step = [dict() for _ in range(full.n_states)]
+    for s, x, d in full.transitions:
+        full_step[s][x] = d
+    for s in todo:
+        for x, d, _ in guided.adj()[s]:
+            target = full_step[image[s]].get(x)
+            assert target is not None, (s, x)
+            if d not in image:
+                image[d] = target
+                todo.append(d)
+            assert image[d] == target
+    assert len(image) == guided.n_states
+    assert len(set(image.values())) == guided.n_states
+    assert all((s in guided.finals) == (f in full.finals)
+               for s, f in image.items())
 
 
 def test_enumerate_words_with_epsilon_edges():

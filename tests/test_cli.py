@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from transdist import relations
 from transdist.cli import main
 from transdist.errors import ParseError
 from transdist.fileio import (parse_machine, relation_to_text,
@@ -198,6 +199,34 @@ t b b t
 """)
     assert main(["index", str(rel), "--unit-sphere", "hamming"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_cmd_index_containment_overflow_is_unknown(tmp_path, capsys,
+                                                   monkeypatch):
+    # deleting the first three a's has index 3 in the Levenshtein sphere;
+    # the level-3 containment test outgrows 200 states
+    monkeypatch.setattr(relations, "DEFAULT_CONTAINMENT_CEILING", 200)
+    rel = tmp_path / "delete3.rel"
+    rel.write_text("""\
+type: relation
+alphabet_out: ab
+states: s0 s1 s2 s3
+initial: s0
+finals: s3
+transitions:
+s0 b b s0
+s0 a - s1
+s1 b b s1
+s1 a - s2
+s2 b b s2
+s2 a - s3
+s3 a a s3
+s3 b b s3
+""")
+    assert main(["index", str(rel), "--unit-sphere", "levenshtein"]) == 2
+    assert capsys.readouterr().out.strip() == (
+        "UNKNOWN (index containment R ⊆ S^≤∘3 (k=3) exceeded 200 states: "
+        "determinization exceeded ceiling of 200 states)")
 
 
 def test_cmd_index_needs_assertion(tmp_path, capsys):

@@ -129,3 +129,33 @@ def test_the_unused_import_guard_sees_reads_and_misses():
               "def f():\n"
               "    raise InputError(np.array(0))\n")
     assert _unused_imports(source) == [(2, "os"), (4, "ParseError")]
+
+
+def _unguided_determinizations(source: str):
+    """Lines of the calls to `determinize` that pass no `within=`."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None)
+        if name == "determinize" and not any(
+                keyword.arg == "within" for keyword in node.keywords):
+            yield node.lineno
+
+
+def test_every_library_determinization_is_guided():
+    # the library determinizes only what the included automaton reads:
+    # every call names that automaton, so the full construction has no route
+    offenders = [f"{path.name}:{line} calls determinize without within="
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line in _unguided_determinizations(path.read_text())]
+    assert offenders == []
+
+
+def test_the_guided_determinization_check_sees_both_forms():
+    source = ("det = determinize(b)\n"
+              "det = automata.determinize(b, 10)\n"
+              "det = determinize(b, within=a)\n"
+              "det = automata.determinize(b, 10, within=a)\n")
+    assert list(_unguided_determinizations(source)) == [1, 2]

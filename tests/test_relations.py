@@ -6,7 +6,8 @@ from itertools import islice
 import pytest
 
 from transdist import automata, kapprox, relations
-from transdist.errors import InputError, UnsupportedCaseError
+from transdist.errors import (InputError, ResourceLimitError,
+                              UnsupportedCaseError)
 from transdist.pairauto import (PairAutomaton, enumerate_pairs, max_abs_delay,
                                 synchronize)
 from transdist.relations import (
@@ -291,6 +292,44 @@ def test_index_composes_once_per_level(monkeypatch):
         assert index(delete_first_a(k), sphere) == k
         assert len(composed) == k
     assert probes == [] and builds == []
+
+
+@pytest.mark.parametrize("metric, subsets", [
+    (Metric.LEVENSHTEIN, 4969), (Metric.DAMERAU_LEVENSHTEIN, 5954)])
+def test_index_determinizes_only_what_padded_r_reads(monkeypatch, metric,
+                                                     subsets):
+    # the one containment test, at level 4, builds only the subsets of padded
+    # S^{≤∘4} that a run of padded R reaches; the full subset construction
+    # has 28,524 (Levenshtein) and 37,452 (Damerau)
+    sizes = []
+    real = automata.determinize
+
+    def spy(*args, **kwargs):
+        dfa = real(*args, **kwargs)
+        sizes.append(dfa.n_states)
+        return dfa
+
+    monkeypatch.setattr(relations, "determinize", spy)
+    assert index(delete_first_a(4), make_distance_relation(metric, AB)) == 4
+    assert sizes == [subsets]
+
+
+@pytest.mark.parametrize("states, layer", [
+    (200, "determinization"), (20, "synchronization")])
+def test_index_containment_overflow_names_index_and_level(monkeypatch, states,
+                                                          layer):
+    # the search starts at level ⌈L(R) / g(S)⌉ = ⌈3 / 1⌉ = 3, where padded R
+    # has 30 states, padded S^{≤∘3} 144 and its guided determinization 660
+    # subsets
+    monkeypatch.setattr(relations, "DEFAULT_CONTAINMENT_CEILING", states)
+    sphere = make_distance_relation(Metric.LEVENSHTEIN, AB)
+    inner = f"{layer} exceeded ceiling of {states} states"
+    with pytest.raises(ResourceLimitError) as caught:
+        index(delete_first_a(3), sphere)
+    assert str(caught.value) == (f"index containment R ⊆ S^≤∘3 (k=3) "
+                                 f"exceeded {states} states: {inner}")
+    assert isinstance(caught.value.__cause__, ResourceLimitError)
+    assert str(caught.value.__cause__) == inner
 
 
 def test_index_returns_the_verdicts_unknown(monkeypatch):
