@@ -27,7 +27,8 @@ streams; the run cost is the number of shifts claimed.  At k = 0 no
 automaton is needed: every edit metric is 0 exactly on equal words.
 
 Every construction here works on the pair automaton of two transducers,
-which `transducers.joint_product` builds in one pass (comparing the domains
+which `transducers.joint_product` builds in one walk (which decides the
+domains of two sequential machines, and compares those of other machines
 first); `build_kapprox` takes it as it is.  `close_verdict` is the one
 public closeness entry for two transducers.  It builds the pair automaton
 once and hands it to the one dispatch on the metric, which calls the

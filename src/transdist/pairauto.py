@@ -20,8 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple
 
-from .automata import (EPSILON, Nfa, accessible_states, coaccessible_states,
-                       scc_decomposition, trim)
+from .automata import EPSILON, Nfa, scc_decomposition, trim
 from .errors import InputError, IntegrityError, ResourceLimitError
 from .words import INF, Alphabet, ExtendedNat
 
@@ -76,8 +75,9 @@ class PairAutomaton:
                    do_trim: bool = True) -> "PairAutomaton":
         """Build from edges (src, (left word, right word), dst[, input letter]).
 
-        Multi-letter components are split left-aligned through fresh
-        intermediate states; the input letter stays on the first piece.
+        State ids outside 0..n_states - 1 raise InputError.  Multi-letter
+        components are split left-aligned through fresh intermediate
+        states; the input letter stays on the first piece.
         With `do_trim`, the edge graph is trimmed before it is split: a
         split chain is useful exactly when its edge is, so only the kept
         edges are split.  Kept states are renumbered in order, followed by
@@ -88,25 +88,29 @@ class PairAutomaton:
         for _, (xw, yw), _, _ in edges:
             left_alphabet.validate(xw, "left output")
             right_alphabet.validate(yw, "right output")
+        initials, finals = list(initials), list(finals)
+        for s in (*initials, *finals):
+            if not 0 <= s < n_states:
+                raise InputError(f"state {s} out of range 0..{n_states - 1}")
+        for src, _, dst, _ in edges:
+            if not (0 <= src < n_states and 0 <= dst < n_states):
+                raise InputError(f"edge ({src},...,{dst}) out of range")
         if do_trim:
-            # the Nfa checks the state ids
-            graph = Nfa(n_states, initials, finals,
-                        [(src, None, dst) for src, _, dst, _ in edges])
-            keep = sorted(accessible_states(graph)
-                          & coaccessible_states(graph))
-            new_of_old = {old: new for new, old in enumerate(keep)}
-            edges = [(new_of_old[src], lbl, new_of_old[dst], letter)
-                     for src, lbl, dst, letter in edges
-                     if src in new_of_old and dst in new_of_old]
-            initials = [new_of_old[s] for s in graph.initials
-                        if s in new_of_old]
-            finals = [new_of_old[s] for s in graph.finals if s in new_of_old]
-            n_states = len(keep)
+            live = [ahead and behind for ahead, behind in zip(
+                _reached(n_states, initials, edges),
+                _reached(n_states, finals, edges, backward=True))]
+            if not all(live):
+                n_states, initials, finals, edges = _keep_live(
+                    live, initials, finals, edges)
         transitions = []
         provenance = []
         next_state = n_states
         for src, (xw, yw), dst, letter in edges:
-            steps = max(len(xw), len(yw), 1)
+            steps = max(len(xw), len(yw))
+            if steps <= 1:
+                transitions.append((src, (xw, yw), dst))
+                provenance.append(letter)
+                continue
             cur = src
             for i in range(steps):
                 nxt = dst if i == steps - 1 else next_state
@@ -119,6 +123,46 @@ class PairAutomaton:
         nfa = Nfa(next_state, initials, finals, transitions)
         return PairAutomaton(nfa, left_alphabet, right_alphabet,
                              tuple(provenance))
+
+
+def _reached(n_states: int, starts: Iterable[int], edges: list[tuple],
+            backward: bool = False) -> list[bool]:
+    """Per state: is it reached from `starts` along edges (src, label, dst,
+    letter), or, `backward`, does it reach one of them?"""
+    succ: list[list[int]] = [[] for _ in range(n_states)]
+    for src, _, dst, _ in edges:
+        if backward:
+            succ[dst].append(src)
+        else:
+            succ[src].append(dst)
+    seen = [False] * n_states
+    todo = []
+    for s in starts:
+        if not seen[s]:
+            seen[s] = True
+            todo.append(s)
+    while todo:
+        for d in succ[todo.pop()]:
+            if not seen[d]:
+                seen[d] = True
+                todo.append(d)
+    return seen
+
+
+def _keep_live(live: list[bool], initials: Iterable[int], finals: Iterable[int],
+              edges: list[tuple]) -> tuple[int, list[int], list[int], list]:
+    """Drop the states that are not live, with their edges, and renumber the
+    rest in order: (state count, initials, finals, edges)."""
+    new_of_old = [0] * len(live)
+    n = 0
+    for s, ok in enumerate(live):
+        if ok:
+            new_of_old[s] = n
+            n += 1
+    return (n, [new_of_old[s] for s in initials if live[s]],
+            [new_of_old[s] for s in finals if live[s]],
+            [(new_of_old[src], lbl, new_of_old[dst], letter)
+             for src, lbl, dst, letter in edges if live[src] and live[dst]])
 
 
 def edge_gap(label: tuple[str, str]) -> int:

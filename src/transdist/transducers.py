@@ -5,10 +5,11 @@ final state.  Functionality is enforced through unambiguity of the
 underlying automaton at construction time; ambiguous machines are rejected,
 since every procedure here assumes functional input.
 
-Two transducers are compared on one automaton: `joint_product` checks their
-domains and builds, in one pass, the trimmed pair automaton of their output
-pairs, whose edges keep the input letters they read.  Every decider starts
-from it.
+Two transducers are compared on one automaton: `joint_product` builds, in
+one walk, the trimmed pair automaton of their output pairs, whose edges
+keep the input letters they read.  The walk decides the domains of two
+sequential machines; those of other machines are compared before it.
+Every decider starts from it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .automata import (Nfa, equiv_unambiguous, is_unambiguous,
 from .errors import InputError, IntegrityError, PreconditionError
 from .pairauto import (PairAutomaton, input_word_of_path, output_pair_of_path,
                        shortest_prefix_path, shortest_suffix_path,
-                       unbalanced_cycle, _unbalanced_pair_witness)
+                       unbalanced_cycle, _keep_live, _reached,
+                       _unbalanced_pair_witness)
 from .verdicts import (DomainCertificate, InfiniteWordCertificate,
                        LoopCertificate)
 from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
@@ -284,48 +286,85 @@ def joint_product(t1: Transducer, t2: Transducer) -> PairAutomaton:
     outputs and the input letter.  A final pair with a non-empty final output
     pair gets a fresh final state behind an edge labelled with it (fresh
     states numbered in order of pair id), so later analyses read edge labels
-    only.  `PairAutomaton.from_edges` splits the labels into letters and
-    trims once; every metric distance is preserved.
+    only.  Every numbered state is reachable, so one backward pass trims the
+    states that reach no final one; `PairAutomaton.from_edges` splits the
+    labels into letters.  Every metric distance is preserved.
+
+    Machines that share one automaton have the same domain.  For two
+    sequential machines with as many initial states the walk decides the
+    domains itself: if at every pair both sides read the same letters and
+    are final together, both runs exist together on every input and accept
+    together.  Only a pair that breaks this calls for the separate
+    comparison (`language_difference_witness`), which gives the shortest
+    input in exactly one domain, or none when the pair only leads to dead
+    states.  Other machines are compared before the walk.
     """
     if t1.input_alphabet != t2.input_alphabet:
         raise InputError("input alphabets differ")
     if t1.output_alphabet != t2.output_alphabet:
         raise InputError("output alphabets differ")
-    if t1.nfa is not t2.nfa:
-        wit = language_difference_witness(t1.nfa, t2.nfa, check=False)
-        if wit is not None:
-            raise DomainMismatchError(DomainCertificate("".join(wit)))
-    adj1 = t1.nfa.adj()
-    adj2 = t2.nfa.adj()
-    order = [(p, q) for p in sorted(t1.nfa.initials)
-             for q in sorted(t2.nfa.initials)]
+    nfa1, nfa2 = t1.nfa, t2.nfa
+    shared = nfa1 is nfa2
+    walk_checks = (not shared and t1._deterministic and t2._deterministic
+                   and len(nfa1.initials) == len(nfa2.initials))
+    if not shared and not walk_checks:
+        _compare_domains(nfa1, nfa2)
+    adj1, adj2 = nfa1.adj(), nfa2.adj()
+    finals1, finals2 = nfa1.finals, nfa2.finals
+    order = [(p, q) for p in sorted(nfa1.initials)
+             for q in sorted(nfa2.initials)]
     ids = {pq: i for i, pq in enumerate(order)}
     initials = range(len(order))
     edges = []
+    final_pairs = []
+    suspect = False
     # order grows while it is walked: pair ids are breadth-first
     for sid, (p, q) in enumerate(order):
-        for a, d1, tr1 in adj1[p]:
-            for b, d2, tr2 in adj2[q]:
+        out1, out2 = adj1[p], adj2[q]
+        matched = 0
+        for a, d1, tr1 in out1:
+            for b, d2, tr2 in out2:
                 if a != b:
                     continue
+                matched += 1
                 did = ids.get((d1, d2))
                 if did is None:
                     did = ids[(d1, d2)] = len(order)
                     order.append((d1, d2))
                 edges.append((sid, (t1.out[tr1], t2.out[tr2]), did, a))
+        final1, final2 = p in finals1, q in finals2
+        if final1 and final2:
+            final_pairs.append(sid)
+        if final1 != final2 or matched != len(out1) or matched != len(out2):
+            suspect = True
+    if suspect and walk_checks:
+        _compare_domains(nfa1, nfa2)
     finals = []
     extra = len(order)
-    for sid, (p, q) in enumerate(order):
-        if p in t1.nfa.finals and q in t2.nfa.finals:
-            fo = (t1.final_out[p], t2.final_out[q])
-            if fo == ("", ""):
-                finals.append(sid)
-            else:
-                edges.append((sid, fo, extra))
-                finals.append(extra)
-                extra += 1
+    for sid in final_pairs:
+        p, q = order[sid]
+        fo = (t1.final_out[p], t2.final_out[q])
+        if fo == ("", ""):
+            finals.append(sid)
+        else:
+            edges.append((sid, fo, extra, None))
+            finals.append(extra)
+            extra += 1
+    live = _reached(extra, finals, edges, backward=True)
+    if not all(live):
+        extra, initials, finals, edges = _keep_live(live, initials, finals,
+                                                    edges)
     return PairAutomaton.from_edges(extra, initials, finals, edges,
-                                    t1.output_alphabet, t1.output_alphabet)
+                                    t1.output_alphabet, t1.output_alphabet,
+                                    do_trim=False)
+
+
+def _compare_domains(a: Nfa, b: Nfa) -> None:
+    """Raise `DomainMismatchError` with the shortest input in exactly one of
+    L(a) and L(b), if there is one."""
+    wit = language_difference_witness(a, b, check=False)
+    if wit is not None:
+        raise DomainMismatchError(DomainCertificate("".join(wit)))
 
 
 def nivat_split(p: PairAutomaton) -> tuple[Transducer, Transducer]:

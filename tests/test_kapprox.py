@@ -876,10 +876,25 @@ def _other_domains():
             make_transducer(2, [0], [1], [(0, "a", "a", 0), (0, "b", "", 1)]))
 
 
+def _unambiguous_pair():
+    # both domains are (a|b)*: a copy against a machine that guesses the
+    # last letter from two initial states (unambiguous, not sequential) and
+    # doubles a last a
+    guess_last = make_transducer(4, [0, 3], [1, 2, 3], [
+        (0, "a", "a", 0), (0, "b", "b", 0), (0, "a", "aa", 1),
+        (0, "b", "b", 2)])
+    copy = make_transducer(1, [0], [0], [(0, "a", "a", 0), (0, "b", "b", 0)])
+    assert not guess_last.is_sequential
+    return guess_last, copy
+
+
 @pytest.mark.parametrize("metric", list(Metric))
 def test_close_verdict_compares_the_domains_once(metric, t4, t5,
                                                  domain_runs):
+    # two sequential machines: the product walk decides the domains alone
     close_verdict(metric, t4, t5)
+    assert domain_runs == []
+    close_verdict(metric, *_unambiguous_pair())
     assert domain_runs == [None]
     domain_runs.clear()
     verdict = close_verdict(metric, *_other_domains())
@@ -891,11 +906,12 @@ def test_close_verdict_compares_the_domains_once(metric, t4, t5,
 def test_every_route_compares_the_domains_once_per_joint_product(
         t4, t5, domain_runs):
     ta, tb = _other_domains()
+    tu, tv = _unambiguous_pair()
     for metric in (Metric.HAMMING, Metric.LEVENSHTEIN):
-        for a, b in ((t4, t5), (ta, tb)):
+        for a, b, want in ((t4, t5, 0), (tu, tv, 1), (ta, tb, 1)):
             domain_runs.clear()
             kclose(metric, a, b, 2)
-            assert len(domain_runs) == 1
+            assert len(domain_runs) == want
         assert kclose(metric, ta, tb, 2) is False
         domain_runs.clear()
         assert distance(metric, ta, tb) == INF
@@ -905,9 +921,12 @@ def test_every_route_compares_the_domains_once_per_joint_product(
         domain_runs.clear()
         assert f(ta, tb) == INF
         assert len(domain_runs) == 1
-    # a distance compares once, for its verdict and its k-search alike
+    # a distance compares at most once, for its verdict and its k-search
+    # alike
     domain_runs.clear()
     assert distance(Metric.LEVENSHTEIN, t4, t5) == 2
+    assert domain_runs == []
+    assert distance(Metric.LEVENSHTEIN, tu, tv) == 1
     assert domain_runs == [None]
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_joint_machine
 from transdist import automata, pairauto
 from transdist.automata import Nfa, scc_decomposition, trim
+from transdist.errors import InputError
 from transdist.pairauto import (
     PairAutomaton, _unbalanced_pair_witness, component_path, delay_range,
     edge_gap, enumerate_pairs, find_pair_path, identity_witness,
@@ -113,6 +114,25 @@ def test_from_edges_matches_split_then_trim(graph, do_trim):
     assert p.nfa.finals == nfa.finals
     assert p.nfa.transitions == nfa.transitions
     assert p.input_letters == provenance
+
+
+@pytest.mark.parametrize("do_trim", [True, False])
+@pytest.mark.parametrize("initials, finals, edges", [
+    ([2], [1], [(0, ("a", "a"), 1)]),
+    ([-1], [1], [(0, ("a", "a"), 1)]),
+    ([0], [2], [(0, ("a", "a"), 1)]),
+    ([0], [-1], [(0, ("a", "a"), 1)]),
+    ([0], [1], [(2, ("a", "a"), 1)]),
+    ([0], [1], [(-1, ("a", "a"), 1)]),
+    # a split chain's fresh state would take the id 2
+    ([0], [1], [(0, ("ab", "a"), 2)]),
+    ([0], [1], [(0, ("a", "a"), -1)]),
+])
+def test_from_edges_rejects_out_of_range_states(initials, finals, edges,
+                                                do_trim):
+    with pytest.raises(InputError, match="out of range"):
+        PairAutomaton.from_edges(2, initials, finals, edges, AB, AB,
+                                 do_trim=do_trim)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,16 @@ from conftest import (certificate_replays, dense_dfa_spec, machine_corpus,
                       make_transducer, random_joint_machine,
                       rotate_first_letter, spec_transducer)
 from transdist import transducers
-from transdist.automata import Nfa
+from transdist.automata import Nfa, language_difference_witness
 from transdist.errors import InputError, IntegrityError, PreconditionError
 from transdist.kapprox import close_verdict, distance
-from transdist.pairauto import delay_range, enumerate_pairs, find_pair_path
+from transdist.pairauto import (PairAutomaton, delay_range, enumerate_pairs,
+                                find_pair_path)
 from transdist.transducers import (
-    Transducer, domain_words, evaluate, joint_product, nivat_split,
-    same_domain, unbalanced_loop_certificate,
+    DomainMismatchError, Transducer, domain_words, evaluate, joint_product,
+    nivat_split, same_domain, unbalanced_loop_certificate,
 )
-from transdist.verdicts import LoopCertificate, NotClose
+from transdist.verdicts import DomainCertificate, LoopCertificate, NotClose
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 AB = Alphabet("ab")
@@ -77,7 +78,7 @@ def test_eval_unambiguous_nondeterministic():
 
 
 @st.composite
-def sequential_specs(draw):
+def sequential_specs(draw, initials=st.sampled_from([[], [0]])):
     """(n, initials, finals, triples, final outputs) of a sequential machine
     on ab: partial transitions, any finals, at most one initial state."""
     n = draw(st.integers(1, 4))
@@ -85,7 +86,7 @@ def sequential_specs(draw):
     triples = [(s, a, draw(outputs), draw(st.integers(0, n - 1)))
                for s in range(n) for a in "ab" if draw(st.booleans())]
     finals = draw(st.sets(st.integers(0, n - 1)))
-    initials = draw(st.sampled_from([[], [0]]))
+    initials = draw(initials)
     return n, initials, finals, triples, {f: draw(outputs) for f in finals}
 
 
@@ -222,6 +223,97 @@ def test_eval_matches_pair_automaton_projection(t1, t2):
         u, v = evaluate(t1, w), evaluate(t2, w)
         if max(len(u), len(v)) <= 8:
             assert find_pair_path(p, (u, v)) is not None
+
+
+def product_after_comparison(t1, t2):
+    """Reference for `joint_product`: compare the domains first, walk every
+    pair of same-letter transitions, then trim the whole edge graph."""
+    if t1.nfa is not t2.nfa:
+        wit = language_difference_witness(t1.nfa, t2.nfa, check=False)
+        if wit is not None:
+            raise DomainMismatchError(DomainCertificate("".join(wit)))
+    adj1, adj2 = t1.nfa.adj(), t2.nfa.adj()
+    order = [(p, q) for p in sorted(t1.nfa.initials)
+             for q in sorted(t2.nfa.initials)]
+    ids = {pq: i for i, pq in enumerate(order)}
+    initials = range(len(order))
+    edges = []
+    for sid, (p, q) in enumerate(order):
+        for a, d1, tr1 in adj1[p]:
+            for b, d2, tr2 in adj2[q]:
+                if a == b:
+                    if (d1, d2) not in ids:
+                        ids[(d1, d2)] = len(order)
+                        order.append((d1, d2))
+                    edges.append((sid, (t1.out[tr1], t2.out[tr2]),
+                                  ids[(d1, d2)], a))
+    finals = []
+    extra = len(order)
+    for sid, (p, q) in enumerate(order):
+        if p in t1.nfa.finals and q in t2.nfa.finals:
+            fo = (t1.final_out[p], t2.final_out[q])
+            if fo == ("", ""):
+                finals.append(sid)
+            else:
+                edges.append((sid, fo, extra))
+                finals.append(extra)
+                extra += 1
+    return PairAutomaton.from_edges(extra, initials, finals, edges,
+                                    t1.output_alphabet, t1.output_alphabet)
+
+
+def spec_machine(spec, reverse=False):
+    """The machine of a `sequential_specs` spec, or of its reversal, which
+    is unambiguous and, with several final states, not sequential."""
+    n, initials, finals, triples, final_out = spec
+    if reverse:
+        initials, finals = sorted(finals), list(initials)
+        triples = [(d, a, o, s) for s, a, o, d in triples]
+        final_out = {f: final_out.get(f, "1") for f in finals}
+    return make_transducer(n, initials, finals, triples, final_out,
+                           alph_out=B01)
+
+
+@st.composite
+def machine_pairs(draw):
+    """Two machines on independent partial, untrimmed skeletons, or on one
+    skeleton with fresh outputs and a dead state behind some missing
+    letters (the domains agree, yet the two sides read different letters);
+    either side may be reversed."""
+    # one machine in four has no initial state
+    specs = sequential_specs(st.sampled_from([[0], [0], [0], []]))
+    spec = draw(specs)
+    if draw(st.booleans()):
+        other = draw(specs)
+    else:
+        n, initials, finals, triples, _ = spec
+        outputs = st.text("01", max_size=2)
+        present = {(s, a) for s, a, _, _ in triples}
+        dead = [(s, a, draw(outputs), n) for s in range(n) for a in "ab"
+                if (s, a) not in present and draw(st.booleans())]
+        other = (n + 1, initials, finals,
+                 [(s, a, draw(outputs), d) for s, a, _, d in triples] + dead,
+                 {f: draw(outputs) for f in finals})
+    return (spec_machine(spec, draw(st.booleans())),
+            spec_machine(other, draw(st.booleans())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=machine_pairs())
+def test_joint_product_matches_the_product_after_a_comparison(pair):
+    try:
+        want = product_after_comparison(*pair)
+    except DomainMismatchError as mismatch:
+        with pytest.raises(DomainMismatchError) as caught:
+            joint_product(*pair)
+        assert caught.value.certificate == mismatch.certificate
+        return
+    got = joint_product(*pair)
+    assert got.n_states == want.n_states
+    assert got.nfa.transitions == want.nfa.transitions
+    assert got.nfa.initials == want.nfa.initials
+    assert got.nfa.finals == want.nfa.finals
+    assert got.input_letters == want.input_letters
 
 
 # ---------------------------------------------------------------------------
