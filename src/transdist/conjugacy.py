@@ -529,7 +529,9 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
     with candidates up to 1 + the number of transitions of L_e.  A
     non-conjugate pair of L_e gives NotClose: its input loop pumped at e,
     replayed on both machines.  Close needs every z_e; anything else is
-    Unknown.
+    Unknown.  A component whose internal edges are all diagonal, (x, x) or
+    ('', ''), is settled from its labels with no search: every loop pair
+    is (u, u), and u·ε = ε·u, so z_e = ε for each of its entries.
 
     Bound.  An accepting path crosses the DAG of components, entering each
     C at an entry e and leaving it at a state x (the source of the next
@@ -542,6 +544,8 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
     gap (the `lo` of `delay_range(p)`) is a constant plus a potential pot,
     so ||s1| - |s2|| = |pot(x) - pot(e)| <= spread_C <= 2·max_abs_delay(p),
     where spread_C is the max minus the min of `lo` over C's states.  A
+    diagonal component weighs 0: z_e = ε, and its edges all have gap 0, so
+    its states share one `lo` and spread_C = 0.  A
     bridging edge (x, y) costs at most 1 when x != y, since labels carry one
     letter per side at most.  The Levenshtein distance is subadditive under
     concatenation, so the longest DAG path B, with each nontrivial component
@@ -562,12 +566,14 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
     internal: list[list[tuple]] = [[] for _ in comps]
     entries: list[set[int]] = [set() for _ in comps]
     into: list[list[tuple[int, int]]] = [[] for _ in comps]
+    off_diagonal = [False] * len(comps)  # an internal edge with x != y
     for s in p.nfa.initials:
         entries[comp[s]].add(s)
     for t, (s, (x, y), d) in enumerate(p.nfa.transitions):
         if comp[s] == comp[d]:
             internal[comp[s]].append(
                 (local[s], (x, y), local[d], p.input_letters[t]))
+            off_diagonal[comp[s]] |= x != y
         else:
             entries[comp[d]].add(d)
             into[comp[d]].append((comp[s], int(x != y)))
@@ -575,7 +581,7 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
     best: list[int] = []  # longest weighted DAG path ending in a component
     for c, members in enumerate(comps):
         weight = 0
-        if internal[c]:
+        if off_diagonal[c]:
             longest = 0
             for e in sorted(entries[c]):
                 loops = PairAutomaton.from_edges(

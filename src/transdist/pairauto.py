@@ -516,9 +516,11 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
 
     Follows the decision recipe for identity relations: check length
     preservation first, then resynchronize to letter-to-letter form and
-    inspect the labels.
+    inspect the labels.  An automaton whose every label is diagonal, (x, x)
+    or ('', ''), is an identity without either step: each accepted pair
+    spells the same letters on both sides, so u = v.
     """
-    if p.nfa.n_states == 0:
+    if all(x == y for _, (x, y), _ in p.nfa.transitions):
         return None
     rng = delay_range(p)
     if rng is None or any(rng[0][f] or rng[1][f] for f in p.nfa.finals):

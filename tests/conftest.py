@@ -5,7 +5,7 @@ import random
 import pytest
 
 from transdist.automata import Nfa, trim
-from transdist.pairauto import delay_range
+from transdist.pairauto import PairAutomaton, delay_range
 from transdist.transducers import Transducer, evaluate, joint_product
 from transdist.verdicts import (DomainCertificate, GrowthCertificate,
                                 InfiniteWordCertificate, LoopCertificate,
@@ -161,6 +161,30 @@ def joint_outputs_table(pair: tuple[Transducer, Transducer],
                     stack.append((w + a, d1, d2,
                                   o1 + t1.out[x], o2 + t2.out[y]))
     return out
+
+
+def identity_ab():
+    """The identity on ab."""
+    return make_transducer(1, [0], [0], [(0, "a", "a", 0), (0, "b", "b", 0)])
+
+
+def flip_ab(m, flips):
+    """Copies its input but swaps a<->b at the positions in flips (< m)."""
+    swap = {"a": "b", "b": "a"}
+    triples = [(i, a, swap[a] if i in flips else a, min(i + 1, m))
+               for i in range(m + 1) for a in "ab"]
+    return make_transducer(m + 1, [0], list(range(m + 1)), triples)
+
+
+def delete_first_a(k=1):
+    """Relation deleting the first k a's (domain: words with >= k a's)."""
+    edges = []
+    for i in range(k):
+        edges.append((i, ("b", "b"), i))
+        edges.append((i, ("a", ""), i + 1))
+    edges.append((k, ("a", "a"), k))
+    edges.append((k, ("b", "b"), k))
+    return PairAutomaton.from_edges(k + 1, [0], [k], edges, AB, AB)
 
 
 def dense_dfa_spec(rng: random.Random, n: int, max_out: int = 2):

@@ -15,8 +15,8 @@ import itertools
 import time
 
 
-from conftest import (certificate_replays, joint_outputs_table,
-                      machine_corpus, make_transducer)
+from conftest import (certificate_replays, delete_first_a,
+                      joint_outputs_table, machine_corpus, make_transducer)
 from transdist.kapprox import (build_kapprox, close_verdict, distance, min_weight_table)
 from transdist.oracles import (OverBudget, metric_order_check, oracle_distance,
                                oracle_distance_table)
@@ -247,20 +247,10 @@ def test_criterion_5_deciders_vs_enumeration(t1, t2, t3, t4, t5):
 # criterion 6: index examples
 # ---------------------------------------------------------------------------
 
-def _delete_first_a(k=1):
-    edges = []
-    for i in range(k):
-        edges.append((i, ("b", "b"), i))
-        edges.append((i, ("a", ""), i + 1))
-    edges.append((k, ("a", "a"), k))
-    edges.append((k, ("b", "b"), k))
-    return PairAutomaton.from_edges(k + 1, [0], [k], edges, AB, AB)
-
-
 def test_criterion_6_index_examples():
     start = time.monotonic()
-    s = _delete_first_a()
-    got = [index(_delete_first_a(k), s, Metric.LEVENSHTEIN,
+    s = delete_first_a()
+    got = [index(delete_first_a(k), s, Metric.LEVENSHTEIN,
                  metrizable_asserted=True) for k in (1, 2, 3)]
     edges = [(0, ("a", ""), 0), (0, ("b", "b"), 0)]
     delete_all = PairAutomaton.from_edges(1, [0], [0], edges, AB, AB)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (certificate_replays, dense_dfa_spec,
-                      joint_outputs_table, machine_corpus, make_transducer,
-                      random_joint_machine, rotate_first_letter,
-                      spec_transducer)
+from conftest import (certificate_replays, delete_first_a, dense_dfa_spec,
+                      flip_ab, identity_ab, joint_outputs_table,
+                      machine_corpus, make_transducer, random_joint_machine,
+                      rotate_first_letter, spec_transducer)
 from transdist import conjugacy
+from transdist.automata import EPSILON, trim
 from transdist.conjugacy import (
     Atom, Cat, Empty, Star, Sum, Witness, NoWitness, WitnessUnknown,
     cat, close_conjugacy, common_witness, pair_witnesses, star,
@@ -17,8 +18,9 @@ from transdist.conjugacy import (
     verify_witness, witness_candidates,
 )
 from transdist.kapprox import close_verdict
-from transdist.pairauto import (PairAutomaton, enumerate_pairs,
-                                is_length_preserving, max_abs_delay)
+from transdist.pairauto import (PairAutomaton, delay_range, enumerate_pairs,
+                                is_length_preserving, max_abs_delay,
+                                synchronize)
 from transdist.transducers import (domain_words, evaluate, joint_product,
                                    nivat_split)
 from transdist.verdicts import (Close, InfiniteWordCertificate,
@@ -455,23 +457,47 @@ def test_rotate_pair_with_nested_stars_is_close_under_conjugacy():
     assert isinstance(verdict, Close) and verdict.bound == 1
 
 
-def test_both_witness_searches_cut_off_at_one_plus_transitions(monkeypatch):
+def _rotate_pair():
+    spec = dense_dfa_spec(random.Random(0), 4)
+    return spec_transducer(spec), spec_transducer(rotate_first_letter(spec))
+
+
+def _swap_loop_pair(components):
+    """a -> ab against a -> ba, b -> b on both sides, in a chain of
+    components joined by (b, b) edges; Close with bound 2 per component."""
+    def machine(image):
+        triples = [(i, "a", image, i) for i in range(components)]
+        triples += [(i, "b", "b", min(i + 1, components - 1))
+                    for i in range(components)]
+        return make_transducer(components, [0], range(components), triples)
+
+    return machine("ab"), machine("ba")
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(automaton, cutoff) of every witness search the verdicts make."""
     seen = []
     search = conjugacy._witness_search
 
     def recording(p, cutoff):
-        seen.append((len(p.nfa.transitions), cutoff))
+        seen.append((p, cutoff))
         return search(p, cutoff)
 
     monkeypatch.setattr(conjugacy, "_witness_search", recording)
-    spec = dense_dfa_spec(random.Random(0), 4)
-    t1 = spec_transducer(spec)
-    t2 = spec_transducer(rotate_first_letter(spec))
-    for metric in (Metric.CONJUGACY, Metric.LEVENSHTEIN):
-        seen.clear()
+    return seen
+
+
+def test_both_witness_searches_cut_off_at_one_plus_transitions(searches):
+    # a rotate pair's Levenshtein components are all diagonal and need no
+    # search, so that leg runs on a loop (ab, ba), (b, b): 3 transitions
+    for metric, t1, t2 in ((Metric.CONJUGACY, *_rotate_pair()),
+                           (Metric.LEVENSHTEIN, *_swap_loop_pair(1))):
+        searches.clear()
         assert isinstance(close_verdict(metric, t1, t2), Close)
-        assert seen, metric
-        assert all(cutoff == 1 + transitions for transitions, cutoff in seen)
+        assert searches, metric
+        assert all(cutoff == 1 + len(p.nfa.transitions)
+                   for p, cutoff in searches)
 
 
 def test_every_exhausted_witness_search_keeps_the_verdict_unknown(
@@ -488,10 +514,71 @@ def test_every_exhausted_witness_search_keeps_the_verdict_unknown(
     e = sum_(star(Atom("ab", "ba")), star(Atom("abb", "bab")))
     assert isinstance(close_conjugacy(e), Unknown)
     assert len(searches) == 2
-    spec = dense_dfa_spec(random.Random(0), 4)
-    t1 = spec_transducer(spec)
-    t2 = spec_transducer(rotate_first_letter(spec))
-    for metric in (Metric.CONJUGACY, Metric.LEVENSHTEIN):
+    # two components, each with a loop (ab, ba), (b, b), give the
+    # Levenshtein leg its two searches
+    for metric, t1, t2 in ((Metric.CONJUGACY, *_rotate_pair()),
+                           (Metric.LEVENSHTEIN, *_swap_loop_pair(2))):
         searches.clear()
         assert isinstance(close_verdict(metric, t1, t2), Unknown)
         assert len(searches) >= 2, metric
+
+
+@pytest.mark.parametrize("metric, scale", [
+    (Metric.LEVENSHTEIN, 1), (Metric.LCS, 2), (Metric.DAMERAU_LEVENSHTEIN, 1)])
+def test_diagonal_components_are_close_without_a_search(searches, metric,
+                                                        scale):
+    # the copying tail of a flip pair and every component of delete-first-k
+    # loop on (x, x) labels only; the bounds are those the searches gave
+    cases = [((identity_ab(), flip_ab(3, (0, 2))), 2),
+             ((identity_ab(), flip_ab(4, (0, 1, 3))), 3)]
+    cases += [(nivat_split(delete_first_a(k)), k) for k in (1, 2, 3)]
+    for (t1, t2), bound in cases:
+        verdict = close_verdict(metric, t1, t2)
+        assert isinstance(verdict, Close), verdict
+        assert verdict.bound == scale * bound, (bound, verdict)
+    assert searches == []
+
+
+@pytest.mark.parametrize("metric", [
+    Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN])
+def test_one_off_diagonal_loop_edge_makes_a_search(searches, metric):
+    # (b, a) among (a, a) in one component: its loop language holds the
+    # non-conjugate pair (b, a)
+    t1 = identity_ab()
+    t2 = make_transducer(1, [0], [0], [(0, "a", "a", 0), (0, "b", "a", 0)])
+    verdict = close_verdict(metric, t1, t2)
+    assert len(searches) == 1
+    assert isinstance(verdict, NotClose)
+    assert certificate_replays(metric, verdict.certificate, t1, t2)
+
+
+DIAGONAL = st.sampled_from([("a", "a"), ("b", "b"), ("ab", "ab"), ("", "")])
+
+
+@st.composite
+def diagonal_components(draw):
+    """(n, edges, entry) of one strongly connected component with diagonal
+    labels: a cycle through every state, plus random edges."""
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    edges = [(s, draw(DIAGONAL), (s + 1) % n) for s in range(n)]
+    edges += draw(st.lists(st.tuples(state, DIAGONAL, state), max_size=6))
+    return n, edges, draw(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(component=diagonal_components())
+def test_diagonal_loop_languages_have_the_empty_witness(component):
+    # the loop automaton is built as close_levenshtein_transducers builds
+    # it; the label rule must agree with the search and with the route
+    # identity_witness takes on other automata: synchronize, scan the labels
+    n, edges, entry = component
+    loops = PairAutomaton.from_edges(n, [entry], [entry], edges, AB, AB,
+                                     do_trim=False)
+    cutoff = 1 + len(loops.nfa.transitions)
+    assert conjugacy._witness_search(loops, cutoff) == Witness("", "inner")
+    lo, hi = delay_range(loops)
+    nfa, _, _ = trim(synchronize(loops, max(map(abs, lo + hi))))
+    assert all(lbl is EPSILON or lbl[0] == lbl[1]
+               for _, lbl, _ in nfa.transitions)
+    assert all(u == v for u, v in enumerate_pairs(loops, 4))

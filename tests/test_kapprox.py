@@ -5,9 +5,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (certificate_replays, dense_dfa_spec, machine_corpus,
-                      make_transducer, random_joint_machine,
-                      rotate_first_letter, spec_transducer)
+from conftest import (certificate_replays, dense_dfa_spec, flip_ab,
+                      identity_ab, machine_corpus, make_transducer,
+                      random_joint_machine, rotate_first_letter,
+                      spec_transducer)
 from transdist import automata, conjugacy, kapprox, pairauto, transducers
 from transdist.automata import Nfa, determinize, included
 from transdist.errors import (IntegrityError, PreconditionError,
@@ -96,7 +97,7 @@ KAPPROX_SIZES = {
 
 @pytest.mark.parametrize("metric", list(KAPPROX_SIZES))
 def test_kapprox_sizes_on_the_flip_pair(metric):
-    p = joint_product(_identity(), _flip(4, (0, 1, 3)))
+    p = joint_product(identity_ab(), flip_ab(4, (0, 1, 3)))
     for k, want in enumerate(KAPPROX_SIZES[metric]):
         da = build_kapprox(metric, p, k)
         det = determinize(da.skeleton())
@@ -291,8 +292,8 @@ def test_kapprox_keeps_no_residual_at_a_diagonal_tail(metric):
     # on the flip pairs and on corpus pairs continued by a copying state,
     # every node at a diagonal tail has empty residuals, one per budget at
     # most, and every minimal weight is the oracle's distance (within k)
-    cases = [(_identity(), _flip(4, (0, 1, 3)), "ab", 7),
-             (_identity(), _flip(3, (0, 2)), "ab", 7)]
+    cases = [(identity_ab(), flip_ab(4, (0, 1, 3)), "ab", 7),
+             (identity_ab(), flip_ab(3, (0, 2)), "ab", 7)]
     cases += [(a, b, "abc", 5) for a, b in _identity_tail_pairs()]
     for a, b, letters, max_len in cases:
         p = joint_product(a, b)
@@ -316,7 +317,7 @@ def test_kapprox_keeps_no_residual_at_a_diagonal_tail(metric):
 def test_damerau_flip_6_builds_through_its_diagonal_tail():
     # cutting edges into the tail everywhere built 15,902 nodes, which
     # determinized to 112,464 subsets
-    p = joint_product(_identity(), _flip(6, tuple(range(6))))
+    p = joint_product(identity_ab(), flip_ab(6, tuple(range(6))))
     da = build_kapprox(Metric.DAMERAU_LEVENSHTEIN, p, 6)
     det = determinize(da.skeleton())
     assert (len(da.nodes), det.n_states) == (98, 69)
@@ -352,7 +353,8 @@ def test_kclose_zero_is_output_equality(metric, t1, t2, t3, t4, t5,
     # outputs agree on every input, and builds no k-approximation
     pairs = [(a, b) for group in ((t1, t2, t3), (t4, t5))
              for a in group for b in group]
-    pairs += [(_identity(), _flip(4, ())), (_identity(), _flip(4, (3,)))]
+    pairs += [(identity_ab(), flip_ab(4, ())),
+              (identity_ab(), flip_ab(4, (3,)))]
     for a, b in pairs:
         words = domain_words(a, 6)
         want = words == domain_words(b, 6) and all(
@@ -377,7 +379,7 @@ def test_kclose_below_the_lower_bound_builds_nothing(metric, t1, t2, t3,
     assert not kclose(metric, t1, t3, 3)
     # the flip of the first four letters at 0, 1 and 3: on aaaa the outputs
     # are aaaa and bbab, 3 a's apart (under LCS a - b is 6 apart)
-    t, flip = _identity(), _flip(4, (0, 1, 3))
+    t, flip = identity_ab(), flip_ab(4, (0, 1, 3))
     below = 6 if metric is Metric.LCS else 3
     for k in range(below):
         assert not kclose(metric, t, flip, k)
@@ -391,7 +393,7 @@ def test_kclose_on_unequal_letter_counts_builds_nothing(metric, t1, t2,
     # of a drifts without bound, and on the flip pair, whose outputs on aaaa
     # hold 4 and 1 a's (a transposition build at k = 3 on t1/t2 had 12,294
     # nodes)
-    for a, b in ((t1, t2), (_identity(), _flip(4, (0, 1, 3)))):
+    for a, b in ((t1, t2), (identity_ab(), flip_ab(4, (0, 1, 3)))):
         for k in range(5):
             assert not kclose(metric, a, b, k)
 
@@ -473,18 +475,6 @@ def test_distance_shifted_pair_matches_subst_route():
 # the k-search of distance
 # ---------------------------------------------------------------------------
 
-def _identity():
-    return make_transducer(1, [0], [0], [(0, "a", "a", 0), (0, "b", "b", 0)])
-
-
-def _flip(m, flips):
-    """Copies its input but swaps a<->b at the positions in flips (< m)."""
-    swap = {"a": "b", "b": "a"}
-    triples = [(i, a, swap[a] if i in flips else a, min(i + 1, m))
-               for i in range(m + 1) for a in "ab"]
-    return make_transducer(m + 1, [0], list(range(m + 1)), triples)
-
-
 @pytest.fixture
 def probes(monkeypatch):
     """The k of every kclose probe that distance makes."""
@@ -519,7 +509,7 @@ def _swap_pairs():
 def test_distance_probes_each_k_up_to_the_answer(metric, want, probes):
     # the swap pair's letter-count lower bound is 0, so the search starts at
     # k = 0 and probes every k up to the answer
-    assert distance(metric, _identity(), _swap_pairs()) == want
+    assert distance(metric, identity_ab(), _swap_pairs()) == want
     assert probes == list(range(want + 1))
 
 
@@ -530,7 +520,7 @@ def test_distance_probes_each_k_up_to_the_answer(metric, want, probes):
 def test_distance_on_the_flip_pair_probes_only_the_answer(metric, want,
                                                           probes):
     # the lower bound of the flip pair is its distance: one probe
-    assert distance(metric, _identity(), _flip(4, (0, 1, 3))) == want
+    assert distance(metric, identity_ab(), flip_ab(4, (0, 1, 3))) == want
     assert probes == [want]
 
 
@@ -538,7 +528,7 @@ def test_distance_on_the_flip_pair_probes_only_the_answer(metric, want,
 def test_flip_n_lower_bound_is_its_distance(n):
     # on a^n one output is a^n and the other b^n: n letters apart in each
     # count, 2n apart in a - b
-    p = joint_product(_identity(), _flip(n, tuple(range(n))))
+    p = joint_product(identity_ab(), flip_ab(n, tuple(range(n))))
     for metric in COUNTING_METRICS:
         want = 2 * n if metric is Metric.LCS else n
         assert _lower_bound(metric, p) == want, metric
@@ -583,7 +573,7 @@ def test_lower_bound_is_at_most_the_distance_on_corpora():
                                        (Metric.LCS, 6),
                                        (Metric.DAMERAU_LEVENSHTEIN, 3)])
 def test_failing_probe_word_realises_the_distance(metric, d):
-    t1, t2 = _identity(), _flip(4, (0, 1, 3))
+    t1, t2 = identity_ab(), flip_ab(4, (0, 1, 3))
     p = joint_product(t1, t2)
     below = determinize(build_kapprox(metric, p, d - 1).skeleton())
     w = included(t1.nfa, below)
@@ -595,7 +585,7 @@ def test_failing_probe_word_realises_the_distance(metric, d):
 
 
 def test_distance_past_the_verdict_bound_is_an_integrity_error(monkeypatch):
-    t1, t2 = _identity(), _swap_pairs()
+    t1, t2 = identity_ab(), _swap_pairs()
     bound = close_verdict(Metric.LEVENSHTEIN, t1, t2).bound
     assert bound.is_finite
     seen = []
@@ -616,7 +606,7 @@ def test_lower_bound_past_the_verdict_bound_is_an_integrity_error(
         metric, monkeypatch, probes):
     # the flip pair's lower bound is 3 (6 under LCS); a verdict claiming
     # less contradicts it, and distance returns no value above its bound
-    t1, t2 = _identity(), _flip(4, (0, 1, 3))
+    t1, t2 = identity_ab(), flip_ab(4, (0, 1, 3))
     monkeypatch.setattr(kapprox, "_verdict_on",
                         lambda *args: Close(bound=ExtendedNat(2)))
     with pytest.raises(IntegrityError):
@@ -628,7 +618,7 @@ def test_distance_levenshtein_flip7_builds_live_nodes_only():
     # dead nodes made this take seconds: 109,488 determinized subsets at k = 7.
     # Edges into the diagonal tail (the last state, copying on both sides)
     # take the full cut only; cutting them everywhere left 1,571 subsets
-    t1, t2 = _identity(), _flip(7, tuple(range(7)))
+    t1, t2 = identity_ab(), flip_ab(7, tuple(range(7)))
     assert distance(Metric.LEVENSHTEIN, t1, t2) == 7
     p = joint_product(t1, t2)
     da = build_kapprox(Metric.LEVENSHTEIN, p, 7)
@@ -637,7 +627,7 @@ def test_distance_levenshtein_flip7_builds_live_nodes_only():
 
 
 def test_distance_without_verdict_bound_searches_upward():
-    t1, t2 = _identity(), _flip(16, tuple(range(16)))
+    t1, t2 = identity_ab(), flip_ab(16, tuple(range(16)))
     assert close_verdict(Metric.HAMMING, t1, t2).bound is None
     assert distance(Metric.HAMMING, t1, t2) == 16
 
@@ -719,7 +709,7 @@ def test_kclose_builds_one_joint_product(metric, t4, t5, joint_products):
 def test_distance_builds_one_joint_product_per_probe_and_verdict(
         metric, probes, joint_products):
     # one, shared by the verdict and every probe of the k-search
-    distance(metric, _identity(), _swap_pairs())
+    distance(metric, identity_ab(), _swap_pairs())
     assert len(probes) > 2
     assert len(joint_products) == 1
 
@@ -734,7 +724,7 @@ def test_distance_analyses_the_gaps_of_its_pair_automaton_once(
         return gap_range(p, reverse)
 
     monkeypatch.setattr(pairauto, "_gap_range", analysing)
-    assert distance(Metric.LEVENSHTEIN, _identity(), _swap_pairs()) == 3
+    assert distance(Metric.LEVENSHTEIN, identity_ab(), _swap_pairs()) == 3
     assert probes == [0, 1, 2, 3]
     [p] = built_pairs
     # one prefix propagation (the verdict, identity_witness and every
@@ -748,7 +738,7 @@ def test_distance_decomposes_its_pair_automaton_once(probes, built_pairs,
                                                      scc_runs):
     # the verdict's loop languages, the gap ranges of both directions, the
     # letter-count gaps and every probe read one component analysis
-    assert distance(Metric.LEVENSHTEIN, _identity(), _swap_pairs()) == 3
+    assert distance(Metric.LEVENSHTEIN, identity_ab(), _swap_pairs()) == 3
     assert probes == [0, 1, 2, 3]
     [p] = built_pairs
     assert sum(nfa is p.nfa for nfa in scc_runs) == 1
@@ -948,7 +938,7 @@ def test_distance_subst_builds_one_joint_product(metric, t1, t2,
     hamming = metric is Metric.HAMMING
     pairs = [(t1, t1, 0), (t1, t2, INF),
              (swapped_a, swapped_b, 2 if hamming else 1),
-             (_identity(), _flip(4, (0, 1, 3)), 3 if hamming else INF)]
+             (identity_ab(), flip_ab(4, (0, 1, 3)), 3 if hamming else INF)]
     for u, v, want in pairs:
         before = len(joint_products)
         assert distance_subst(metric, u, v) == want

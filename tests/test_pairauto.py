@@ -586,6 +586,21 @@ def test_identity_on_multiletter_blocks():
         assert u == v
 
 
+def test_identity_witness_reads_diagonal_labels_without_synchronizing(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a diagonal automaton was analysed")
+
+    monkeypatch.setattr(pairauto, "delay_range", refuse)
+    monkeypatch.setattr(pairauto, "synchronize", refuse)
+    diagonal = [(0, ("a", "a"), 1), (1, ("", ""), 0), (1, ("b", "b"), 1)]
+    assert identity_witness(pa(diagonal, 2, finals=[1])) is None
+    assert identity_witness(pa([], 1)) is None
+    # one off-diagonal label takes the full route again
+    with pytest.raises(AssertionError, match="analysed"):
+        identity_witness(pa(diagonal + [(1, ("b", "a"), 1)], 2, finals=[1]))
+
+
 def test_identity_witness_unbalanced():
     p = loop_relation("a", "")
     u, v = identity_witness(p)

@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from conftest import delete_first_a
 from transdist import automata, kapprox, relations
 from transdist.errors import (InputError, ResourceLimitError,
                               UnsupportedCaseError)
@@ -188,17 +189,6 @@ def test_power_of_hamming_sphere_relates_aa_bb():
     upto = power_upto(sphere, 2)
     assert {("aa", "aa"), ("aa", "bb"), ("aa", "ab"), ("", "")} <= \
         enumerate_pairs(upto, 2)
-
-
-def delete_first_a(k=1):
-    """Relation deleting the first k a's (domain: words with >= k a's)."""
-    edges = []
-    for i in range(k):
-        edges.append((i, ("b", "b"), i))
-        edges.append((i, ("a", ""), i + 1))
-    edges.append((k, ("a", "a"), k))
-    edges.append((k, ("b", "b"), k))
-    return PairAutomaton.from_edges(k + 1, [0], [k], edges, AB, AB)
 
 
 def test_power_of_delete_first_a():
