@@ -60,8 +60,8 @@ from .errors import (InputError, IntegrityError, PreconditionError,
                      ResourceLimitError)
 from .pairauto import (PairAutomaton, find_pair_path, identity_witness,
                        input_word_of_path, is_length_preserving,
-                       max_abs_delay, pair_length_diameter, suffix_gap_range,
-                       weighted_gap_sup)
+                       max_abs_delay, output_letters, pair_length_diameter,
+                       suffix_gap_range, unbalanced_letter, weighted_gap_sup)
 from .substitution import close_hamming, close_transposition
 from .transducers import (DomainMismatchError, joint_product,
                           unbalanced_loop_certificate,
@@ -591,11 +591,6 @@ _COUNTING_METRICS = (Metric.HAMMING, Metric.LEVENSHTEIN, Metric.LCS,
 _PERMUTING_METRICS = (Metric.TRANSPOSITION, Metric.CONJUGACY)
 
 
-def _letters(p: PairAutomaton) -> list[str]:
-    """The letters of p's two output alphabets, sorted."""
-    return sorted(set(p.left_alphabet) | set(p.right_alphabet))
-
-
 def _lower_bound(metric: Metric, p: PairAutomaton) -> int | None:
     """A lower bound on sup d(u, v) over the pairs (u, v) of p for an edit
     metric, or None when no k bounds it.
@@ -615,7 +610,7 @@ def _lower_bound(metric: Metric, p: PairAutomaton) -> int | None:
         return None
     bound = length.value()
     if metric in _COUNTING_METRICS:
-        letters = _letters(p)
+        letters = output_letters(p)
         weights = [{c: 1} for c in letters]
         if metric is Metric.LCS:
             weights += [{c: 1, e: -1} for i, c in enumerate(letters)
@@ -644,7 +639,7 @@ def kclose(metric: Metric, t1, t2, k: int,
     edit changes the length and, under the counting metrics, a letter's
     count by at most 1, so d(u, v) is at least their gaps between u and v.
     Transposition and conjugacy only permute letters, so they answer False
-    as well when some letter's count gap (`weighted_gap_sup`) is not 0: the
+    as well when some letter's count gap is not 0 (`unbalanced_letter`): the
     distance is then ∞ on some input.  At k = 0 it asks, as the discrete
     metric does, whether the outputs agree on every input (every edit metric
     is 0 exactly on equal words).
@@ -685,8 +680,7 @@ def kclose(metric: Metric, t1, t2, k: int,
     lower = _lower_bound(metric, p)
     if lower is None or k < lower:
         return False
-    if metric in _PERMUTING_METRICS and any(
-            weighted_gap_sup(p, {c: 1}) != 0 for c in _letters(p)):
+    if metric in _PERMUTING_METRICS and unbalanced_letter(p) is not None:
         return False
     if k == 0:
         return identity_witness(p) is None

@@ -18,7 +18,7 @@ pointers (`shortest_path`).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .automata import EPSILON, Nfa, scc_decomposition, trim
 from .errors import InputError, IntegrityError, ResourceLimitError
@@ -358,10 +358,7 @@ def weighted_gap_sup(p: PairAutomaton, weight: dict[str, int]) -> int | None:
     comp, comps, _, _, _ = components(p)
     adj = p.nfa.adj()
 
-    def gap(lbl):
-        x, y = lbl
-        return weight.get(x, 0) - weight.get(y, 0)
-
+    gap = _weight_gap(weight)
     pot = _potentials(adj, comp, comps, gap)
     if pot is None:
         sup = None  # a cycle of nonzero net f-gap
@@ -371,6 +368,24 @@ def weighted_gap_sup(p: PairAutomaton, weight: dict[str, int]) -> int | None:
                    if lo[f] is not None), default=0)
     p._weighted_gaps[key] = sup
     return sup
+
+
+def _weight_gap(weight: dict[str, int]):
+    """The label gap (x, y) -> f(x) - f(y) of the letter weight f."""
+    return lambda lbl: weight.get(lbl[0], 0) - weight.get(lbl[1], 0)
+
+
+def output_letters(p: PairAutomaton) -> list[str]:
+    """The letters of p's two output alphabets, sorted."""
+    return sorted(set(p.left_alphabet) | set(p.right_alphabet))
+
+
+def unbalanced_letter(p: PairAutomaton) -> str | None:
+    """The first output letter whose count differs between the two sides of
+    some accepted pair (a nonzero `weighted_gap_sup` of its count), or None
+    when every accepted pair is a permutation pair."""
+    return next((c for c in output_letters(p)
+                 if weighted_gap_sup(p, {c: 1}) != 0), None)
 
 
 def _potentials(adj, comp, comps, gap) -> list[int] | None:
@@ -428,7 +443,7 @@ def is_length_preserving(p: PairAutomaton) -> bool:
 # ---------------------------------------------------------------------------
 
 def synchronize(p: PairAutomaton, delay_bound: int, pad: str | None = None,
-                ceiling: int = 10 ** 6) -> Nfa:
+                ceiling: int = 10 ** 6) -> tuple[Nfa, list[int | None]]:
     """Resynchronize to letter-to-letter form, buffering at most delay_bound.
 
     With pad=None the result accepts exactly the zipped letter pairs of the
@@ -436,9 +451,13 @@ def synchronize(p: PairAutomaton, delay_bound: int, pad: str | None = None,
     at the end (the canonical encoding of a bounded-delay pair).  Edge labels
     of the returned automaton are (a, b) letter pairs (possibly with the pad
     symbol) or EPSILON for moves that emit nothing.
+
+    Returns the automaton with, per transition, the index of the transition
+    of p it reads (None for the moves that drain the buffer into the pad).
     """
     ids: dict[tuple, int] = {}
     transitions: list[tuple[int, object, int]] = []
+    reads: list[int | None] = []
     todo: deque[tuple] = deque()
 
     def get(cfg):
@@ -469,13 +488,15 @@ def synchronize(p: PairAutomaton, delay_bound: int, pad: str | None = None,
                 label = (pad, rbuf[0])
                 nxt = (None, "", rbuf[1:])
             transitions.append((sid, label, get(nxt)))
+            reads.append(None)
             continue
         if q in p.nfa.finals:
             if not lbuf and not rbuf:
                 finals.add(sid)
             elif pad is not None:
                 transitions.append((sid, EPSILON, get((None, lbuf, rbuf))))
-        for (x, y), d, _ in adj[q]:
+                reads.append(None)
+        for (x, y), d, t in adj[q]:
             lq, rq = lbuf + x, rbuf + y
             k = min(len(lq), len(rq))
             label = (lq[:k], rq[:k]) if k else EPSILON
@@ -483,16 +504,21 @@ def synchronize(p: PairAutomaton, delay_bound: int, pad: str | None = None,
             if max(len(lq), len(rq)) > delay_bound:
                 continue  # beyond the promised delay bound: not on a valid path
             transitions.append((sid, label, get((d, lq, rq))))
-    return Nfa(len(ids), initials, finals, transitions)
+            reads.append(t)
+    return Nfa(len(ids), initials, finals, transitions), reads
 
 
 # ---------------------------------------------------------------------------
 # identity
 # ---------------------------------------------------------------------------
 
-def _unbalanced_pair_witness(p: PairAutomaton) -> list[int]:
+def _unbalanced_pair_witness(p: PairAutomaton,
+                             weight: dict[str, int] | None = None
+                             ) -> list[int]:
     """Transition indices of a shortest accepting path whose outputs differ
-    in length (requires that one exists)."""
+    in length, or with a letter weight f, whose outputs differ in f
+    (`weighted_gap_sup`); requires that one exists."""
+    gap = edge_gap if weight is None else _weight_gap(weight)
     bound = 4 * (p.nfa.n_states + 2)
     adj = p.nfa.adj()
     finals = p.nfa.finals
@@ -500,15 +526,30 @@ def _unbalanced_pair_witness(p: PairAutomaton) -> list[int]:
     def step(cfg):
         s, g = cfg
         for lbl, d, t in adj[s]:
-            g2 = g + edge_gap(lbl)
+            g2 = g + gap(lbl)
             if abs(g2) <= bound:
                 yield t, (d, g2)
 
     path = shortest_path([(s, 0) for s in p.nfa.initials], step,
                          lambda cfg: cfg[0] in finals and cfg[1] != 0)
     if path is None:
-        raise IntegrityError("expected a length-unbalanced pair but found none")
+        raise IntegrityError("expected an unbalanced pair but found none")
     return path
+
+
+def _synchronized(p: PairAutomaton) -> tuple[Nfa, list[int]]:
+    """S = trim(synchronize(p, max_abs_delay(p))) for a length-preserving p,
+    with the transition of p that each transition of S reads."""
+    nfa, reads = synchronize(p, max_abs_delay(p))
+    nfa, _, kept = trim(nfa)
+    return nfa, [reads[t] for t in kept]
+
+
+def letter_mismatches(s: Nfa) -> Iterator[int]:
+    """The transitions of a synchronized automaton whose two letters differ,
+    in order."""
+    return (t for t, (_, lbl, _) in enumerate(s.transitions)
+            if lbl is not EPSILON and lbl[0] != lbl[1])
 
 
 def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
@@ -522,16 +563,10 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     """
     if all(x == y for _, (x, y), _ in p.nfa.transitions):
         return None
-    rng = delay_range(p)
-    if rng is None or any(rng[0][f] or rng[1][f] for f in p.nfa.finals):
+    if not is_length_preserving(p):
         return output_pair_of_path(p, _unbalanced_pair_witness(p))
-    lo, hi = rng
-    nfa, _, _ = trim(synchronize(p, max(map(abs, lo + hi))))
-    bad = None
-    for t, (s, lbl, d) in enumerate(nfa.transitions):
-        if lbl is not EPSILON and lbl[0] != lbl[1]:
-            bad = t
-            break
+    nfa, reads = _synchronized(p)
+    bad = next(letter_mismatches(nfa), None)
     if bad is None:
         return None
     src, _, dst = nfa.transitions[bad]
@@ -540,9 +575,35 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     suffix = shortest_path([dst], step, nfa.finals.__contains__)
     if prefix is None or suffix is None:
         raise IntegrityError("no path found in trimmed automaton")
-    labels = [nfa.transitions[t][1] for t in prefix + [bad] + suffix]
-    labels = [lbl for lbl in labels if lbl is not EPSILON]
-    return "".join(x for x, _ in labels), "".join(y for _, y in labels)
+    return output_pair_of_path(p, [reads[t] for t in prefix + [bad] + suffix])
+
+
+def synchronized_loop(p: PairAutomaton, bad: Callable[[Nfa], Iterable[int]]
+                      ) -> tuple[int, list[int]] | None:
+    """(state q of p, transitions of p forming a loop at q) whose run in S
+    crosses a transition that `bad` picks inside a strongly connected
+    component of S, or None when it picks none there.
+
+    S is the trimmed synchronization of a length-preserving p
+    (`_synchronized`), and `bad(S)` yields transition indices of S.  The
+    first one whose two ends share a component, followed by a shortest way
+    back inside that component, is a cycle of S; the transitions of p that
+    it reads form a closed walk of p, from the state the first one leaves.
+    """
+    nfa, reads = _synchronized(p)
+    comp, _ = scc_decomposition(nfa)
+    adj = nfa.adj()
+    for t in bad(nfa):
+        src, _, dst = nfa.transitions[t]
+        c = comp[src]
+        if comp[dst] != c:
+            continue
+        back = shortest_path(
+            [dst], lambda s: ((u, d) for _, d, u in adj[s] if comp[d] == c),
+            lambda s: s == src)
+        loop = [reads[u] for u in [t] + back]
+        return p.nfa.transitions[loop[0]][0], loop
+    return None
 
 
 def unbalanced_cycle(p: PairAutomaton) -> tuple[int, list[int]] | None:

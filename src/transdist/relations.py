@@ -228,13 +228,6 @@ def power_levels(s: PairAutomaton) -> Iterator[PairAutomaton]:
         level = union(ident, compose(level, s))
 
 
-def power_upto(s: PairAutomaton, n: int) -> PairAutomaton:
-    """S^{≤∘n} = identity ∪ S ∪ S∘S ∪ ... (identity kept at every stage)."""
-    if n < 0:
-        raise InputError("power_upto needs n >= 0")
-    return next(islice(power_levels(s), n, None))
-
-
 # ---------------------------------------------------------------------------
 # containment of bounded-delay relations
 # ---------------------------------------------------------------------------
@@ -244,7 +237,7 @@ def _padded_nfa(r: PairAutomaton, ceiling: int) -> Nfa:
     if bound is None:
         raise UnsupportedCaseError(
             "containment requires bounded delay on both relations")
-    return synchronize(r, bound, pad=PAD, ceiling=ceiling)
+    return synchronize(r, bound, pad=PAD, ceiling=ceiling)[0]
 
 
 def _included_padded(padded_small: Nfa, big: PairAutomaton,

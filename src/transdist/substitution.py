@@ -1,70 +1,34 @@
-"""Polynomial closeness deciders for the Hamming and transposition distances,
-plus their exact distances through an acyclic border gadget.
+"""Closeness deciders for the Hamming and transposition distances, plus
+their exact distances through an acyclic border gadget.
 
-The pipeline on the pair automaton of two transducers:
-
-* equal output lengths on every input (otherwise both distances are infinite);
-* consistent per-state delays;
-* per state q, the interiors of all loops at q must be identical pairs,
-  decided by an identity check on a forward/backward unfolding gadget;
-* for transposition additionally: every accepted pair must be a permutation
-  pair (unique per-state alphabetic difference vectors, zero at finals), and
-  loop borders must balance the context vector at every state.
-
-When close, the distance is the maximum over accepting paths of an acyclic
-automaton that keeps only borders and cross-component outputs.
+Unequal output lengths on some input make both distances infinite.  On a
+length-preserving pair automaton p both deciders read one automaton: S, the
+trimmed synchronization of p, which spells every accepted pair letter by
+letter (`pairauto.synchronized_loop`).  Each asks for a transition of S of
+its own kind inside a strongly connected component, and one found gives a
+cycle of S whose transitions of p form an input loop to pump.  S can have
+|Q|·|B|^D states for the delay bound D, so the deciders are exponential in
+the delay.  When close, the distance is the maximum over accepting paths of
+an acyclic automaton that keeps only borders and cross-component outputs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .automata import Nfa, scc_decomposition, trim
+from .automata import EPSILON, Nfa, scc_decomposition, trim
 from .errors import IntegrityError, InputError, ResourceLimitError
-from .pairauto import (PairAutomaton, component_path, components,
-                       delay_range, find_pair_path, identity_witness,
+from .pairauto import (PairAutomaton, components, delay_range,
                        input_word_of_path, is_length_preserving,
-                       shortest_suffix_path)
-from .transducers import (DomainMismatchError, evaluate, joint_product,
+                       letter_mismatches, synchronized_loop,
+                       unbalanced_letter)
+from .transducers import (DomainMismatchError, joint_product,
                           loop_certificate, unbalanced_word_certificate)
-from .verdicts import Close, InfiniteWordCertificate, NotClose
-from .words import (INF, Alphabet, ExtendedNat, Metric, alphabetic_vector,
-                    word_distance)
+from .verdicts import Close, NotClose
+from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
 
 DEFAULT_GADGET_CEILING = 20_000
 DEFAULT_PATHSET_CEILING = 200_000
-
-
-def _vec(word: str, alphabet: Alphabet) -> tuple[int, ...]:
-    return alphabetic_vector(word, alphabet)
-
-
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_neg(a):
-    return tuple(-x for x in a)
-
-
-# ---------------------------------------------------------------------------
-# interiors of loop pairs
-# ---------------------------------------------------------------------------
-
-def interior(pair: tuple[str, str], delay: int) -> tuple[str, str]:
-    """The delay-aligned overlapping core of a loop pair."""
-    u, v = pair
-    n = len(u)
-    if len(v) != n or n <= abs(delay):
-        raise InputError(f"interior needs |u| = |v| > |delay|, got {pair}, {delay}")
-    if delay >= 0:
-        return u[:n - delay], v[delay:]
-    return u[-delay:], v[:n + delay]
 
 
 # ---------------------------------------------------------------------------
@@ -97,267 +61,92 @@ def _build_pipeline(p: PairAutomaton) -> _Pipeline:
 
 
 # ---------------------------------------------------------------------------
-# interior triviality via the forward/backward gadget
-# ---------------------------------------------------------------------------
-
-def _interior_gadget(pipe: _Pipeline, cid: int, q: int) -> PairAutomaton:
-    """A_{S_q}: accepts the interiors of all loops at q (trimmed borders)."""
-    p = pipe.p
-    members = pipe.comps[cid]
-    dmax = max(abs(pipe.delays[s]) for s in members)
-    levels = range(-dmax, dmax + 1)
-    ids: dict[tuple, int] = {}
-    order: list[tuple] = []
-
-    def node(key):
-        if key not in ids:
-            ids[key] = len(order)
-            order.append(key)
-        return ids[key]
-
-    edges = []
-    for t in pipe.intra[cid]:
-        s, (x, y), d = p.nfa.transitions[t]
-        letter = p.input_letters[t]
-        for i in levels:
-            # forward gadget: trim the |delay| leading letters of one side
-            if i > 0:
-                j = i - 1 if y else i
-                edges.append((node(("f", s, i)), (x, ""), node(("f", d, j)), letter))
-            elif i < 0:
-                j = i + 1 if x else i
-                edges.append((node(("f", s, i)), ("", y), node(("f", d, j)), letter))
-            # backward gadget: trim the |delay| trailing letters of the other
-            if i > 0:
-                j = i - 1 if y else i
-                edges.append((node(("b", s, j)), (x, ""), node(("b", d, i)), letter))
-            elif i < 0:
-                j = i + 1 if x else i
-                edges.append((node(("b", s, j)), ("", y), node(("b", d, i)), letter))
-        # the core copies both outputs
-        edges.append((node(("c", s)), (x, y), node(("c", d)), letter))
-    for s in members:
-        edges.append((node(("f", s, 0)), ("", ""), node(("c", s)), None))
-        edges.append((node(("c", s)), ("", ""), node(("b", s, 0)), None))
-    start = node(("f", q, pipe.delays[q]))
-    end = node(("b", q, -pipe.delays[q]))
-    return PairAutomaton.from_edges(len(order), [start], [end], edges,
-                                    p.left_alphabet, p.right_alphabet)
-
-
-def _interior_violation(pipe: _Pipeline):
-    """(component, state, gadget, bad interior pair) of the first violation."""
-    for cid, members in enumerate(pipe.comps):
-        if not pipe.intra[cid]:
-            continue
-        for q in sorted(members):
-            gadget = _interior_gadget(pipe, cid, q)
-            if gadget.nfa.n_states == 0:
-                continue
-            bad = identity_witness(gadget)
-            if bad is not None:
-                return cid, q, gadget, bad
-    return None
-
-
-def _loop_certificate_from_gadget(pipe, q, gadget, bad_pair, metric, t1, t2):
-    """Map a differing-interior witness back to a pumpable input loop."""
-    path = find_pair_path(gadget, bad_pair)
-    if path is None:
-        raise IntegrityError("gadget witness pair not regenerated")
-    return loop_certificate(t1, t2, metric, pipe.p, q,
-                            input_word_of_path(gadget, path))
-
-
-# ---------------------------------------------------------------------------
-# alphabetic-vector consistency (transposition condition 1)
-# ---------------------------------------------------------------------------
-
-def _vector_analysis(pipe: _Pipeline):
-    """Per-state difference vectors; a conflict certifies a non-permutation pair.
-
-    Returns (vectors, None) on success or (None, input word) on failure.
-    """
-    p = pipe.p
-    alphabet = p.left_alphabet
-    zero = (0,) * len(alphabet)
-    vecs: list[tuple | None] = [None] * p.nfa.n_states
-    parent: dict[int, tuple[int, int] | None] = {}
-    todo = deque()
-    for s in sorted(p.nfa.initials):
-        vecs[s] = zero
-        parent[s] = None
-        todo.append(s)
-    adj = p.nfa.adj()
-    conflict = None
-    while todo and conflict is None:
-        s = todo.popleft()
-        for (x, y), d, t in adj[s]:
-            nd = _vec_add(vecs[s], _vec_sub(_vec(x, alphabet), _vec(y, alphabet)))
-            if vecs[d] is None:
-                vecs[d] = nd
-                parent[d] = (s, t)
-                todo.append(d)
-            elif vecs[d] != nd:
-                conflict = (s, t, d)
-                break
-    if conflict is None:
-        for f in sorted(p.nfa.finals):
-            if vecs[f] != zero:
-                word = input_word_of_path(p, _tree_path(parent, f)
-                                          + shortest_suffix_path(p, f))
-                return None, word
-        return vecs, None
-    s, t, d = conflict
-    # two contexts reach d with different vectors; at least one completes to a
-    # non-permutation pair
-    suffix = shortest_suffix_path(p, d)
-    path_a = _tree_path(parent, d) + suffix
-    path_b = _tree_path(parent, s) + [t] + suffix
-    for path in (path_a, path_b):
-        u = "".join(p.nfa.transitions[i][1][0] for i in path)
-        v = "".join(p.nfa.transitions[i][1][1] for i in path)
-        if _vec(u, alphabet) != _vec(v, alphabet):
-            return None, input_word_of_path(p, path)
-    raise IntegrityError("vector conflict without a non-permutation completion")
-
-
-def _tree_path(parent, state) -> list[int]:
-    path = []
-    cur = state
-    while parent[cur] is not None:
-        cur, t = parent[cur]
-        path.append(t)
-    return path[::-1]
-
-
-# ---------------------------------------------------------------------------
-# border balance (transposition condition 3)
-# ---------------------------------------------------------------------------
-
-def _border_walks(pipe: _Pipeline, cid: int, q: int, side: int, length: int,
-                  ceiling: int = 100_000):
-    """Words of `length` letters collected on `side` along SCC walks from q.
-
-    Returns {word: transition path} for one representative walk per word.
-    """
-    p = pipe.p
-    intra = set(pipe.intra[cid])
-    inside = set(pipe.comps[cid])
-    adj = p.nfa.adj()
-    start = (q, "")
-    paths: dict[tuple, list[int]] = {start: []}
-    out: dict[str, list[int]] = {}
-    todo = deque([start])
-    while todo:
-        s, w = todo.popleft()
-        if len(w) == length:
-            if w not in out:
-                out[w] = paths[(s, w)] + component_path(p, inside, s, q)
-            continue
-        for (x, y), d, t in adj[s]:
-            if t not in intra:
-                continue
-            w2 = w + (y if side == 2 else x)
-            w2 = w2[:length]
-            key = (d, w2)
-            if key not in paths:
-                if len(paths) > ceiling:
-                    raise ResourceLimitError("border enumeration exceeded ceiling")
-                paths[key] = paths[(s, w)] + [t]
-                todo.append(key)
-    return out
-
-
-def _component_emits_letters(pipe: _Pipeline, cid: int) -> bool:
-    return any(pipe.p.nfa.transitions[t][1] != ("", "")
-               for t in pipe.intra[cid])
-
-
-def _border_violation(pipe: _Pipeline, vecs):
-    """(state, loop transition path) for the first border imbalance."""
-    p = pipe.p
-    alphabet = p.left_alphabet
-    zero = (0,) * len(alphabet)
-    for cid, members in enumerate(pipe.comps):
-        if not pipe.intra[cid] or not _component_emits_letters(pipe, cid):
-            continue
-        for q in sorted(members):
-            d = pipe.delays[q]
-            if d == 0:
-                if vecs[q] != zero:
-                    # any letter-emitting loop at q transports the imbalance
-                    loop = _letter_loop_at(pipe, cid, q)
-                    return q, loop
-                continue
-            side = 2 if d > 0 else 1
-            walks = _border_walks(pipe, cid, q, side, abs(d))
-            for border in sorted(walks):
-                target = _vec(border, alphabet)
-                if d < 0:
-                    target = _vec_neg(target)
-                if vecs[q] != target:
-                    return q, walks[border]
-    return None
-
-
-def _letter_loop_at(pipe: _Pipeline, cid: int, q: int) -> list[int]:
-    """A loop at q through some letter-emitting intra-component edge."""
-    inside = set(pipe.comps[cid])
-    for t in pipe.intra[cid]:
-        s, lbl, d = pipe.p.nfa.transitions[t]
-        if lbl != ("", ""):
-            return (component_path(pipe.p, inside, q, s) + [t]
-                    + component_path(pipe.p, inside, d, q))
-    raise IntegrityError("no letter-emitting edge in component")
-
-
-# ---------------------------------------------------------------------------
 # public deciders
 # ---------------------------------------------------------------------------
 
+def _unbalanced_positions(s: Nfa):
+    """The letter-pair transitions of a synchronized automaton S after which
+    the letter counts spelled on the two sides differ, in order.
+
+    The count difference D is propagated breadth-first from the initial
+    states, packed into one int with one balanced base-r digit per letter:
+    a path of fewer than n = |S| transitions moves each digit by less than
+    n, so with r = 2n + 1 the int is 0 only when every count agrees.  D is a
+    function of the state when every accepted pair is a permutation pair.
+    """
+    letters = sorted({c for _, lbl, _ in s.transitions if lbl is not EPSILON
+                      for c in lbl})
+    radix = 2 * s.n_states + 1
+    digit = {c: radix ** i for i, c in enumerate(letters)}
+    diff: list[int | None] = [None] * s.n_states
+    order = list(s.initials)
+    for q in order:
+        diff[q] = 0
+    adj = s.adj()
+    for q in order:  # breadth-first: order grows behind q
+        for lbl, d, _ in adj[q]:
+            if diff[d] is None:
+                diff[d] = diff[q] + (0 if lbl is EPSILON
+                                     else digit[lbl[0]] - digit[lbl[1]])
+                order.append(d)
+    return (t for t, (_, lbl, d) in enumerate(s.transitions)
+            if lbl is not EPSILON and diff[d])
+
+
+def _close(t1, t2, p: PairAutomaton, metric: Metric, bad):
+    """Close(bound=None), or NotClose with the loop of p whose cycle of S
+    crosses a transition that `bad` picks inside a component."""
+    hit = synchronized_loop(p, bad)
+    if hit is None:
+        return Close(bound=None)
+    q, loop = hit
+    return NotClose(loop_certificate(t1, t2, metric, p, q,
+                                     input_word_of_path(p, loop)))
+
+
 def close_hamming(t1, t2, p: PairAutomaton):
     """Hamming closeness on p, the pair automaton of two machines with one
-    domain: equal lengths, consistent delays, trivial interiors."""
-    if p.nfa.n_states == 0:
-        return Close(bound=None)
+    domain: equal output lengths, and no transition of S inside a strongly
+    connected component reads two different letters.
+
+    An accepting path of S, the run of one input, spells its output pair
+    letter by letter, so their Hamming distance is the number of mismatched
+    transitions on it.  One outside every component is crossed at most once
+    per path; one inside lies on a cycle, and each turn adds a mismatch.
+    """
     if not is_length_preserving(p):
         return NotClose(unbalanced_word_certificate(p))
-    pipe = _build_pipeline(p)
-    hit = _interior_violation(pipe)
-    if hit is not None:
-        _, q, gadget, bad = hit
-        cert = _loop_certificate_from_gadget(pipe, q, gadget, bad,
-                                             Metric.HAMMING, t1, t2)
-        return NotClose(cert)
-    return Close(bound=None)
+    return _close(t1, t2, p, Metric.HAMMING, letter_mismatches)
 
 
 def close_transposition(t1, t2, p: PairAutomaton):
     """Transposition closeness on p, the pair automaton of two machines with
-    one domain, per the three-part loop characterization."""
-    if p.nfa.n_states == 0:
-        return Close(bound=None)
+    one domain: equal output lengths, equal letter counts on the two sides
+    of every accepted pair (else a shortest path with unequal counts
+    certifies ∞), and no letter-pair transition of S inside a strongly
+    connected component leads to a state where D, the difference of the
+    letter counts spelled so far, is not 0.
+
+    Proof.  An accepting path of S spells its output pair (u, v) letter by
+    letter; let D_i = #(u[:i]) - #(v[:i]), as letter-count vectors.  For a
+    permutation pair, matching the j-th c of u with the j-th c of v gives
+    the permutation π that the fewest adjacent swaps realise, and its
+    footrule Σ|π(i) - i| is Σ_i ‖D_i‖₁: per letter, the area between two
+    counting staircases sums the distances between their j-th steps.  By
+    Diaconis and Graham the swap count lies between half the footrule and
+    all of it.  When every pair is a permutation pair, D is a function of
+    the state of S, a state q of p with buffered letters: the counts p
+    emits up to q are minus those of any suffix from q.  A transition
+    outside every component is crossed at most once per path, so without a
+    bad one inside the footrule is bounded; a bad one inside lies on a
+    cycle, and each turn adds at least 1.
+    """
     if not is_length_preserving(p):
         return NotClose(unbalanced_word_certificate(p))
-    pipe = _build_pipeline(p)
-    vecs, bad_word = _vector_analysis(pipe)
-    if vecs is None:
-        o1, o2 = evaluate(t1, bad_word), evaluate(t2, bad_word)
-        return NotClose(InfiniteWordCertificate(bad_word, (o1, o2)))
-    hit = _interior_violation(pipe)
-    if hit is not None:
-        _, q, gadget, bad = hit
-        cert = _loop_certificate_from_gadget(pipe, q, gadget, bad,
-                                             Metric.TRANSPOSITION, t1, t2)
-        return NotClose(cert)
-    border = _border_violation(pipe, vecs)
-    if border is not None:
-        q, loop_path = border
-        cert = loop_certificate(t1, t2, Metric.TRANSPOSITION, p, q,
-                                input_word_of_path(p, loop_path))
-        return NotClose(cert)
-    return Close(bound=None)
+    letter = unbalanced_letter(p)
+    if letter is not None:
+        return NotClose(unbalanced_word_certificate(p, {letter: 1}))
+    return _close(t1, t2, p, Metric.TRANSPOSITION, _unbalanced_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +173,8 @@ def _acyclic_gadget(pipe: _Pipeline, ceiling: int) -> Nfa:
             order.append(key)
         return ids[key]
 
-    gadgeted = [bool(pipe.intra[cid]) and _component_emits_letters(pipe, cid)
-                for cid in range(len(pipe.comps))]
+    gadgeted = [any(p.nfa.transitions[t][1] != ("", "") for t in intra)
+                for intra in pipe.intra]
     edges: list[tuple] = []
     for cid, members in enumerate(pipe.comps):
         if not gadgeted[cid]:

@@ -264,14 +264,18 @@ def unbalanced_loop_certificate(p: PairAutomaton) -> LoopCertificate:
                            input_word_of_path(p, suffix), (1, m))
 
 
-def unbalanced_word_certificate(p: PairAutomaton) -> InfiniteWordCertificate:
-    """An input whose two outputs differ in length, with those outputs.
+def unbalanced_word_certificate(p: PairAutomaton,
+                                weight: dict[str, int] | None = None
+                                ) -> InfiniteWordCertificate:
+    """An input whose two outputs differ in length, or with a letter weight
+    f, in f (for {c: 1}, in their counts of c), with those outputs.
 
-    Needs p, the pair automaton of two machines, not to be length-preserving.
-    Input and outputs are read off the one path of a shortest accepting
-    path search, so no second search maps the outputs back to an input.
+    Needs p, the pair automaton of two machines, not to be length-preserving
+    (or to have a nonzero `weighted_gap_sup` for the weight).  Input and
+    outputs are read off the one path of a shortest accepting path search,
+    so no second search maps the outputs back to an input.
     """
-    path = _unbalanced_pair_witness(p)
+    path = _unbalanced_pair_witness(p, weight)
     return InfiniteWordCertificate(input_word_of_path(p, path),
                                    output_pair_of_path(p, path))
 

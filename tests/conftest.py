@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from transdist.automata import Nfa, trim
+from transdist.automata import Nfa, scc_decomposition, trim
 from transdist.pairauto import PairAutomaton, delay_range
 from transdist.transducers import Transducer, evaluate, joint_product
 from transdist.verdicts import (DomainCertificate, GrowthCertificate,
@@ -187,11 +187,13 @@ def delete_first_a(k=1):
     return PairAutomaton.from_edges(k + 1, [0], [k], edges, AB, AB)
 
 
-def dense_dfa_spec(rng: random.Random, n: int, max_out: int = 2):
+def dense_dfa_spec(rng: random.Random, n: int, max_out: int = 2,
+                   out_letters: str = "01"):
     """(n, finals, triples, final outputs) of a complete DFA on ab with
-    outputs in {0,1}^{<=max_out}; state 0 is initial."""
+    outputs in out_letters^{<=max_out}; state 0 is initial."""
     def word():
-        return "".join(rng.choice("01") for _ in range(rng.randrange(max_out + 1)))
+        return "".join(rng.choice(out_letters)
+                       for _ in range(rng.randrange(max_out + 1)))
 
     triples = [(s, a, word(), rng.randrange(n)) for s in range(n) for a in "ab"]
     finals = [s for s in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
@@ -225,6 +227,110 @@ def rotate_first_letter(spec):
             rot_finals.append(sid)
             rot_out[sid] = w + buf if buf else w[1:] + w[:1]
     return len(ids), sorted(rot_finals), out, rot_out
+
+
+def buffered_spec(spec, step, final):
+    """The spec of a T2 that follows T1 with a bounded buffer, starting
+    empty: on an edge of T1 with output o, step(buf, o, on_cycle) gives T2's
+    output and next buffer, on_cycle telling whether the edge lies on a
+    cycle of T1; at a final state, final(buf, o) gives T2's final output."""
+    n, finals, triples, final_out = spec
+    comp, _ = scc_decomposition(
+        Nfa(n, [0], finals, [(s, a, d) for s, a, _, d in triples]))
+    ids: dict[tuple, int] = {(0, ""): 0}
+    order = [(0, "")]
+    out = []
+    for q, buf in order:  # breadth-first: order grows behind q
+        for s, a, o, d in triples:
+            if s != q:
+                continue
+            emit, nbuf = step(buf, o, comp[s] == comp[d])
+            if (d, nbuf) not in ids:
+                ids[(d, nbuf)] = len(order)
+                order.append((d, nbuf))
+            out.append((ids[(q, buf)], a, emit, ids[(d, nbuf)]))
+    buf_out = {sid: final(buf, final_out.get(q, ""))
+               for (q, buf), sid in ids.items() if q in finals}
+    return len(order), sorted(buf_out), out, buf_out
+
+
+def _swap_first_two(w):
+    return w[1::-1] + w[2:]
+
+
+def _hold_first_two(buf, o, _):
+    """`buffered_spec` step: hold the output back until it has two letters,
+    then write it with those two swapped (the buffer is None after)."""
+    if buf is None:
+        return o, None
+    w = buf + o
+    return (_swap_first_two(w), None) if len(w) >= 2 else ("", w)
+
+
+def _hold_off_cycle(buf, o, on_cycle):
+    """`buffered_spec` step: copy the cycle edges and hold back the output
+    of every other edge until the end."""
+    return (o, buf) if on_cycle else ("", buf + o)
+
+
+def _fresh_start(rng: random.Random, spec, letters: str):
+    """spec behind a fresh initial state whose two edges write 1 or 2
+    letters and enter the old states, renumbered from 1."""
+    n, finals, triples, final_out = spec
+    start = [(0, a, "".join(rng.choice(letters)
+                            for _ in range(rng.randrange(1, 3))),
+              rng.randrange(n) + 1) for a in "ab"]
+    return (n + 1, [f + 1 for f in finals],
+            start + [(s + 1, a, o, d + 1) for s, a, o, d in triples],
+            {f + 1: o for f, o in final_out.items()})
+
+
+def multi_letter_pairs(seed: int, count: int, max_states: int = 3):
+    """(kind, T1, T2) for `count` pairs of sequential machines on ab whose
+    outputs use 3 or 4 letters, T2 a bounded-delay variant of T1, the kinds
+    taking turns:
+
+    * "swap": T1 a dense random DFA (`dense_dfa_spec`), and T2(w) is T1(w)
+      with its first two letters swapped: close under Hamming and
+      transposition;
+    * "rotate": the same T1, and T2(w) is T1(w) with its first letter
+      moved last (`rotate_first_letter`);
+    * "transient": T1 a dense random DFA behind a fresh initial state
+      (`_fresh_start`), whose loops write one letter in every other pair;
+      T2 copies T1's cycle edges and holds back the output of the others
+      and the final output, writing it at the end reversed (a permutation)
+      or with a and c exchanged.
+    """
+    rng = random.Random(seed)
+    exchange = str.maketrans("ac", "ca")
+    pairs = []
+    for i in range(count):
+        letters = "abcd"[:rng.choice((3, 4))]
+        kind = ("swap", "rotate", "transient")[i % 3]
+        states = rng.randrange(1, max_states + 1)
+        if kind == "swap":
+            spec = dense_dfa_spec(rng, states, out_letters=letters)
+            spec2 = buffered_spec(spec, _hold_first_two,
+                                  lambda buf, o: o if buf is None
+                                  else _swap_first_two(buf + o))
+        elif kind == "rotate":
+            spec = dense_dfa_spec(rng, states, out_letters=letters)
+            spec2 = rotate_first_letter(spec)
+        else:
+            loop_letters = letters[:1 + i % 2 * len(letters)]
+            spec = _fresh_start(rng, dense_dfa_spec(
+                rng, states, out_letters=loop_letters), letters)
+            rewrite = rng.choice((lambda w: w[::-1],
+                                  lambda w: w.translate(exchange)))
+            spec2 = buffered_spec(spec, _hold_off_cycle,
+                                  lambda buf, o, rewrite=rewrite:
+                                  rewrite(buf + o))
+        alph = Alphabet(letters)
+        t1, t2 = (make_transducer(n, [0], finals, triples, final_out,
+                                  alph_out=alph)
+                  for n, finals, triples, final_out in (spec, spec2))
+        pairs.append((kind, t1, t2))
+    return pairs
 
 
 def spec_transducer(spec) -> Transducer:

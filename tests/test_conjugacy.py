@@ -578,7 +578,7 @@ def test_diagonal_loop_languages_have_the_empty_witness(component):
     cutoff = 1 + len(loops.nfa.transitions)
     assert conjugacy._witness_search(loops, cutoff) == Witness("", "inner")
     lo, hi = delay_range(loops)
-    nfa, _, _ = trim(synchronize(loops, max(map(abs, lo + hi))))
+    nfa, _, _ = trim(synchronize(loops, max(map(abs, lo + hi)))[0])
     assert all(lbl is EPSILON or lbl[0] == lbl[1]
                for _, lbl, _ in nfa.transitions)
     assert all(u == v for u, v in enumerate_pairs(loops, 4))

@@ -1,6 +1,7 @@
 """Cross-module property tests for the documented invariants."""
 
 import random
+from itertools import islice
 
 
 from conftest import joint_outputs_table, machine_corpus
@@ -11,13 +12,11 @@ from transdist.conjugacy import (Atom, cat, star, sum_,
                                  verify_witness)
 from transdist.kapprox import build_kapprox, distance, kclose
 from transdist.pairauto import PairAutomaton, enumerate_pairs, identity_witness
-from transdist.relations import (make_distance_relation, power_upto,
+from transdist.relations import (make_distance_relation, power_levels,
                                  relation_included)
-from transdist.substitution import _border_walks, _build_pipeline
 from transdist.transducers import joint_product
 from transdist.verdicts import Close
-from transdist.words import (Alphabet, ExtendedNat, Metric,
-                             alphabetic_vector, word_distance)
+from transdist.words import Alphabet, ExtendedNat, Metric, word_distance
 
 AB = Alphabet("ab")
 
@@ -130,60 +129,6 @@ def test_sumfree_parts_cover_language_of_star_of_sum():
 
 
 # ---------------------------------------------------------------------------
-# substitution: the four border-test variants collapse to one vector test
-# ---------------------------------------------------------------------------
-
-def _backward_border_walks(pipe, cid, q, side, length):
-    """Trailing border letters collected along reversed component walks."""
-    p = pipe.p
-    intra = set(pipe.intra[cid])
-    radj = p.nfa.radj()
-    seen = {(q, "")}
-    todo = [(q, "")]
-    out = set()
-    while todo:
-        s, w = todo.pop()
-        if len(w) == length:
-            out.add(w)
-            continue
-        for (x, y), pred, t in radj[s]:
-            if t not in intra:
-                continue
-            w2 = ((y if side == 2 else x) + w)[-length:] \
-                if (y if side == 2 else x) else w
-            key = (pred, w2)
-            if key not in seen:
-                seen.add(key)
-                todo.append(key)
-    return out
-
-
-def test_border_variants_coincide_for_trivial_interiors():
-    # with identical interiors the left and right borders of every loop have
-    # the same alphabetic vector, so the initial-side and final-side tests agree
-    from conftest import make_transducer
-    t_a = make_transducer(2, [0], [1], [(0, "a", "ba", 1), (1, "a", "a", 1)])
-    t_b = make_transducer(2, [0], [1], [(0, "a", "a", 1), (1, "a", "a", 1)],
-                          fout={1: "b"})
-    p = joint_product(t_a, t_b)
-    pipe = _build_pipeline(p)
-    for cid, members in enumerate(pipe.comps):
-        if not pipe.intra[cid]:
-            continue
-        for q in members:
-            d = pipe.delays[q]
-            if d == 0:
-                continue
-            side = 2 if d > 0 else 1
-            forward = set(_border_walks(pipe, cid, q, side, abs(d)))
-            rside = 1 if d > 0 else 2
-            backward = _backward_border_walks(pipe, cid, q, rside, abs(d))
-            fvecs = {alphabetic_vector(w, p.left_alphabet) for w in forward}
-            bvecs = {alphabetic_vector(w, p.left_alphabet) for w in backward}
-            assert fvecs == bvecs, (q, forward, backward)
-
-
-# ---------------------------------------------------------------------------
 # distance: the minimal k is witnessed by an input word
 # ---------------------------------------------------------------------------
 
@@ -231,8 +176,7 @@ def test_index_boundary_containments():
     from transdist.relations import index
     got = index(r, sphere)
     assert got == 2
-    big_ok = power_upto(sphere.automaton, 2)
-    big_fail = power_upto(sphere.automaton, 1)
+    _, big_fail, big_ok = islice(power_levels(sphere.automaton), 3)
     assert relation_included(r, big_ok)
     assert not relation_included(r, big_fail)
     pairs_r = enumerate_pairs(r, 6)

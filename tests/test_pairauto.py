@@ -12,9 +12,10 @@ from transdist.errors import InputError
 from transdist.pairauto import (
     PairAutomaton, _unbalanced_pair_witness, component_path, delay_range,
     edge_gap, enumerate_pairs, find_pair_path, identity_witness,
-    input_word_of_path, is_length_preserving, max_abs_delay,
-    output_pair_of_path, pair_length_diameter, shortest_prefix_path,
-    shortest_suffix_path, suffix_gap_range, synchronize, unbalanced_cycle,
+    input_word_of_path, is_length_preserving, letter_mismatches,
+    max_abs_delay, output_pair_of_path, pair_length_diameter,
+    shortest_prefix_path, shortest_suffix_path, suffix_gap_range,
+    synchronize, synchronized_loop, unbalanced_cycle, unbalanced_letter,
     weighted_gap_sup, wrap_pair_automaton,
 )
 from transdist.transducers import joint_product
@@ -616,20 +617,47 @@ def test_identity_witness_is_accepted_pair():
     assert find_pair_path(p, (u, v)) is not None
 
 
+def test_unbalanced_letter_and_its_shortest_pair():
+    assert unbalanced_letter(loop_relation("ab", "ba")) is None
+    assert unbalanced_letter(pa([], 1)) is None
+    # both letters' counts differ on (ab, bb), and a comes first
+    p = pa([(0, ("ab", "bb"), 0), (0, ("b", "b"), 0)], 1)
+    assert unbalanced_letter(p) == "a"
+    path = _unbalanced_pair_witness(p, {"a": 1})
+    assert output_pair_of_path(p, path) == ("ab", "bb")
+    assert chains(p, path, 0, 0)
+
+
+def test_synchronized_loop_closes_a_walk_through_a_picked_transition():
+    # (ab, ba)*: both letters of every turn mismatch, on the loop
+    p = loop_relation("ab", "ba")
+    q, loop = synchronized_loop(p, letter_mismatches)
+    assert loop and chains(p, loop, q, q)
+    # b·a^n against a^n·b: the two mismatches, read one letter late, are
+    # crossed once each, off the loop of a-pairs
+    shifted = pa([(0, ("b", ""), 1), (1, ("a", "a"), 1), (1, ("", "b"), 2)],
+                 3, finals=[2])
+    assert next(letter_mismatches(synchronize(shifted, 1)[0]), None) \
+        is not None
+    assert synchronized_loop(shifted, letter_mismatches) is None
+    # a picker that picks nothing finds no loop
+    assert synchronized_loop(p, lambda s: iter(())) is None
+
+
 # ---------------------------------------------------------------------------
 # synchronize
 # ---------------------------------------------------------------------------
 
 def test_synchronize_letter_to_letter_labels():
     p = pa([(0, ("a", ""), 1), (1, ("", "b"), 0)], 2)
-    sync = synchronize(p, max_abs_delay(p))
+    sync, _ = synchronize(p, max_abs_delay(p))
     labels = {lbl for _, lbl, _ in sync.transitions if lbl is not None}
     assert labels == {("a", "b")}
 
 
 def test_synchronize_padded_accepts_canonical_encoding():
     p = PairAutomaton.from_edges(2, [0], [1], [(0, ("ab", "b"), 1)], AB, AB)
-    sync = synchronize(p, 2, pad="#")
+    sync, _ = synchronize(p, 2, pad="#")
     from transdist.automata import accepts
     assert accepts(sync, [("a", "b"), ("b", "#")])
     assert not accepts(sync, [("a", "b")])

@@ -13,7 +13,7 @@ from transdist.pairauto import (PairAutomaton, enumerate_pairs, max_abs_delay,
                                 synchronize)
 from transdist.relations import (
     PAD, compose, diameter, identity_relation, index,
-    make_distance_relation, power, power_levels, power_upto,
+    make_distance_relation, power, power_levels,
     relation_included, union)
 from transdist.verdicts import Unknown
 from transdist.words import INF, Alphabet, Metric, word_distance
@@ -186,7 +186,7 @@ def test_power_of_hamming_sphere_relates_aa_bb():
     assert ("aa", "bb") in pairs
     # an edit and its undo put distance-0 pairs into the square as well
     assert all(word_distance(Metric.HAMMING, u, v, AB) <= 2 for u, v in pairs)
-    upto = power_upto(sphere, 2)
+    upto = next(islice(power_levels(sphere), 2, None))
     assert {("aa", "aa"), ("aa", "bb"), ("aa", "ab"), ("", "")} <= \
         enumerate_pairs(upto, 2)
 
@@ -203,21 +203,18 @@ SPHERE_METRICS = [m for m in Metric if m is not Metric.DISCRETE]
 
 @pytest.mark.parametrize("metric", SPHERE_METRICS)
 def test_power_upto_reads_the_generated_levels(metric):
-    # S^{≤n} from the generator equals power_upto and the union of the
-    # plain powers S^0 ∪ ... ∪ S^n, as relations
+    # S^{≤n}, the power up to n, read from the generator equals the union of
+    # the plain powers S^0 ∪ ... ∪ S^n, as relations
     s = make_distance_relation(metric, AB).automaton
     for n, level in enumerate(islice(power_levels(s), 4)):
-        upto = power_upto(s, n)
-        assert relation_included(upto, level)
-        assert relation_included(level, upto)
         powers = reduce(union, (power(s, i) for i in range(n + 1)))
         assert relation_included(powers, level)
         assert relation_included(level, powers)
 
 
-def test_power_upto_negative():
+def test_power_negative():
     with pytest.raises(InputError):
-        power_upto(identity_relation(AB), -1)
+        power(identity_relation(AB), -1)
 
 
 def test_sphere_powers_within_distance_ball():
@@ -228,7 +225,7 @@ def test_sphere_powers_within_distance_ball():
             for u, v in enumerate_pairs(pi, 3):
                 assert word_distance(metric, u, v, AB) <= i
         # and at enumeration scale the ball is covered
-        p2 = power_upto(sphere, 2)
+        p2 = next(islice(power_levels(sphere), 2, None))
         pairs = enumerate_pairs(p2, 3)
         words = words_upto(AB, 3)
         for u in words:
@@ -253,7 +250,7 @@ def test_relation_included_letter_pair_big_never_uses():
     small = rel([(0, ("b", "b"), 1), (0, ("a", ""), 1)], 2, finals=(1,))
     big = rel([(0, ("b", "b"), 1)], 2, finals=(1,))
     def padded_labels(r):
-        return synchronize(r, max_abs_delay(r), pad=PAD).labels()
+        return synchronize(r, max_abs_delay(r), pad=PAD)[0].labels()
 
     assert ("a", PAD) in padded_labels(small)
     assert ("a", PAD) not in padded_labels(big)

@@ -1,10 +1,11 @@
 
 import pytest
 
-from conftest import certificate_replays, machine_corpus, make_transducer
+from conftest import (certificate_replays, machine_corpus, make_transducer,
+                      multi_letter_pairs)
 from transdist.errors import InputError
 from transdist.kapprox import close_verdict
-from transdist.substitution import distance_subst, interior
+from transdist.substitution import distance_subst
 from transdist.transducers import domain_words, evaluate
 from transdist.verdicts import (Close, InfiniteWordCertificate, LoopCertificate,
                                 NotClose)
@@ -17,23 +18,6 @@ def enum_max_distance(metric, t1, t2, max_len):
         d = word_distance(metric, evaluate(t1, w), evaluate(t2, w))
         best = d if best is None else max(best, d)
     return best
-
-
-# ---------------------------------------------------------------------------
-# interiors
-# ---------------------------------------------------------------------------
-
-def test_interior_examples():
-    assert interior(("abc", "def"), 1) == ("ab", "ef")
-    assert interior(("abc", "def"), -1) == ("bc", "de")
-    assert interior(("ab", "cd"), 0) == ("ab", "cd")
-
-
-def test_interior_requires_long_enough_pair():
-    with pytest.raises(InputError):
-        interior(("a", "b"), 1)
-    with pytest.raises(InputError):
-        interior(("ab", "c"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +138,13 @@ def test_distance_subst_rejects_other_metrics(t4):
 
 @pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
 def test_closeness_vs_enumeration_on_corpus(metric):
-    for u1, u2 in machine_corpus(202, 20):
+    # the binary corpus, and delayed pairs whose outputs use 3 or 4 letters
+    pairs = [("binary", u1, u2) for u1, u2 in machine_corpus(202, 20)]
+    pairs += multi_letter_pairs(204, 30)
+    for kind, u1, u2 in pairs:
         verdict = close_verdict(metric, u1, u2)
+        # swapping the first two letters costs 2 substitutions or 1 swap
+        assert kind != "swap" or isinstance(verdict, Close)
         if isinstance(verdict, Close):
             d = distance_subst(metric, u1, u2)
             assert d.is_finite
