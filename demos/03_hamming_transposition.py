@@ -1,11 +1,13 @@
-"""Hamming and transposition closeness on the synchronized pair automaton.
+"""Hamming and transposition closeness on the synchronized loops of the
+pair automaton.
 
 A border-shifted pair: T_a maps a^n to b a^n while T_b maps a^n to a^n b.
 Substitutions fix the two ends (Hamming distance 2 forever), but adjacent
 swaps must carry the b across the whole word, so the transposition distance
 grows without bound.  The decider exhibits a pumpable loop as certificate.
-Both deciders synchronize the pair automaton, which takes up to |Q|·|B|^D
-states for the delay bound D: exponential in the delay, not polynomial.
+Both deciders synchronize the pair automaton's loops, which takes up to
+|Q|·|B|^D states for D the largest delay of a state on a loop: exponential
+in the loops' delays, not polynomial, but not in the delays between loops.
 """
 
 from transdist import Alphabet, Metric, Nfa, Transducer, close_verdict, \

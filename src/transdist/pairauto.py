@@ -537,14 +537,6 @@ def _unbalanced_pair_witness(p: PairAutomaton,
     return path
 
 
-def _synchronized(p: PairAutomaton) -> tuple[Nfa, list[int]]:
-    """S = trim(synchronize(p, max_abs_delay(p))) for a length-preserving p,
-    with the transition of p that each transition of S reads."""
-    nfa, reads = synchronize(p, max_abs_delay(p))
-    nfa, _, kept = trim(nfa)
-    return nfa, [reads[t] for t in kept]
-
-
 def letter_mismatches(s: Nfa) -> Iterator[int]:
     """The transitions of a synchronized automaton whose two letters differ,
     in order."""
@@ -565,7 +557,8 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
         return None
     if not is_length_preserving(p):
         return output_pair_of_path(p, _unbalanced_pair_witness(p))
-    nfa, reads = _synchronized(p)
+    nfa, reads = synchronize(p, max_abs_delay(p))
+    nfa, _, kept = trim(nfa)
     bad = next(letter_mismatches(nfa), None)
     if bad is None:
         return None
@@ -575,22 +568,41 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     suffix = shortest_path([dst], step, nfa.finals.__contains__)
     if prefix is None or suffix is None:
         raise IntegrityError("no path found in trimmed automaton")
-    return output_pair_of_path(p, [reads[t] for t in prefix + [bad] + suffix])
+    return output_pair_of_path(
+        p, [reads[kept[t]] for t in prefix + [bad] + suffix])
 
 
 def synchronized_loop(p: PairAutomaton, bad: Callable[[Nfa], Iterable[int]]
                       ) -> tuple[int, list[int]] | None:
-    """(state q of p, transitions of p forming a loop at q) whose run in S
-    crosses a transition that `bad` picks inside a strongly connected
-    component of S, or None when it picks none there.
+    """(state q of p, transitions of p forming a loop at q) whose run in
+    S_L, the synchronization of the loops of a length-preserving p, crosses
+    a transition that `bad(S_L)` picks inside a strongly connected
+    component of S_L (closed by a shortest way back), or None.
 
-    S is the trimmed synchronization of a length-preserving p
-    (`_synchronized`), and `bad(S)` yields transition indices of S.  The
-    first one whose two ends share a component, followed by a shortest way
-    back inside that component, is a cycle of S; the transitions of p that
-    it reads form a closed walk of p, from the state the first one leaves.
+    S_L enters each component of p that has a transition inside it by an
+    edge spelling the output pair of a shortest path of p to the root, then
+    follows only that component's transitions.  So each state of S_L after
+    an entry is reached by a run of p: a state of S, the synchronization of
+    all of p.  Conversely, if a cycle of S at (q, b) spells (α, β) ≠ (ε, ε)
+    with b buffered on the left, say, then b is the last |b| letters of
+    b·α, so of α^k for large k, the buffer that an entry, a walk to q and k
+    turns leave in S_L.  So S and S_L have the same cycles that spell
+    letters, and S_L has at most |Q|·|B|^D states for D the largest delay
+    of a state on a loop of p, however large the delays between loops.
     """
-    nfa, reads = _synchronized(p)
+    pcomp, pcomps = components(p)[:2]
+    inside = [t for t, (s, _, d) in enumerate(p.nfa.transitions)
+              if pcomp[s] == pcomp[d]]
+    roots = sorted({pcomps[pcomp[p.nfa.transitions[t][0]]][0] for t in inside})
+    start = p.nfa.n_states
+    entries = [(start, output_pair_of_path(p, shortest_prefix_path(p, r)), r)
+               for r in roots]
+    loops = PairAutomaton.from_edges(
+        start + 1, [start], [], [p.nfa.transitions[t] for t in inside] + entries,
+        p.left_alphabet, p.right_alphabet, do_trim=False)
+    nfa, reads = synchronize(loops, max_abs_delay(p))
+    # from_edges keeps the unsplit inside transitions first, in order:
+    # S_L's cycles read only those
     comp, _ = scc_decomposition(nfa)
     adj = nfa.adj()
     for t in bad(nfa):
@@ -601,7 +613,7 @@ def synchronized_loop(p: PairAutomaton, bad: Callable[[Nfa], Iterable[int]]
         back = shortest_path(
             [dst], lambda s: ((u, d) for _, d, u in adj[s] if comp[d] == c),
             lambda s: s == src)
-        loop = [reads[u] for u in [t] + back]
+        loop = [inside[reads[u]] for u in [t] + back]
         return p.nfa.transitions[loop[0]][0], loop
     return None
 

@@ -2,14 +2,13 @@
 their exact distances through an acyclic border gadget.
 
 Unequal output lengths on some input make both distances infinite.  On a
-length-preserving pair automaton p both deciders read one automaton: S, the
-trimmed synchronization of p, which spells every accepted pair letter by
-letter (`pairauto.synchronized_loop`).  Each asks for a transition of S of
-its own kind inside a strongly connected component, and one found gives a
-cycle of S whose transitions of p form an input loop to pump.  S can have
-|Q|·|B|^D states for the delay bound D, so the deciders are exponential in
-the delay.  When close, the distance is the maximum over accepting paths of
-an acyclic automaton that keeps only borders and cross-component outputs.
+length-preserving pair automaton p both deciders ask for a transition of
+their own kind inside a strongly connected component of S_L, the
+synchronization of p's loops (`pairauto.synchronized_loop`); one found
+gives an input loop to pump.  S_L is exponential only in the delays of
+states on loops.  When close, the distance is the maximum over accepting
+paths of an acyclic automaton that keeps only borders and cross-component
+outputs.
 """
 
 from __future__ import annotations
@@ -65,36 +64,28 @@ def _build_pipeline(p: PairAutomaton) -> _Pipeline:
 # ---------------------------------------------------------------------------
 
 def _unbalanced_positions(s: Nfa):
-    """The letter-pair transitions of a synchronized automaton S after which
-    the letter counts spelled on the two sides differ, in order.
-
-    The count difference D is propagated breadth-first from the initial
-    states, packed into one int with one balanced base-r digit per letter:
-    a path of fewer than n = |S| transitions moves each digit by less than
-    n, so with r = 2n + 1 the int is 0 only when every count agrees.  D is a
-    function of the state when every accepted pair is a permutation pair.
-    """
-    letters = sorted({c for _, lbl, _ in s.transitions if lbl is not EPSILON
-                      for c in lbl})
-    radix = 2 * s.n_states + 1
-    digit = {c: radix ** i for i, c in enumerate(letters)}
-    diff: list[int | None] = [None] * s.n_states
-    order = list(s.initials)
-    for q in order:
-        diff[q] = 0
+    """The letter-pair transitions of a synchronized automaton after which
+    the letter counts spelled on the two sides differ, in order.  D, a
+    count per letter propagated breadth-first from the initial states, is
+    a function of the state when its states are reached by runs of p and
+    every accepted pair is a permutation pair."""
+    diff = {q: {} for q in s.initials}
+    order = list(diff)
     adj = s.adj()
     for q in order:  # breadth-first: order grows behind q
         for lbl, d, _ in adj[q]:
-            if diff[d] is None:
-                diff[d] = diff[q] + (0 if lbl is EPSILON
-                                     else digit[lbl[0]] - digit[lbl[1]])
+            if d not in diff:
+                diff[d] = counts = dict(diff[q])
+                if lbl is not EPSILON:
+                    counts[lbl[0]] = counts.get(lbl[0], 0) + 1
+                    counts[lbl[1]] = counts.get(lbl[1], 0) - 1
                 order.append(d)
     return (t for t, (_, lbl, d) in enumerate(s.transitions)
-            if lbl is not EPSILON and diff[d])
+            if lbl is not EPSILON and any(diff[d].values()))
 
 
 def _close(t1, t2, p: PairAutomaton, metric: Metric, bad):
-    """Close(bound=None), or NotClose with the loop of p whose cycle of S
+    """Close(bound=None), or NotClose with the loop of p whose cycle of S_L
     crosses a transition that `bad` picks inside a component."""
     hit = synchronized_loop(p, bad)
     if hit is None:
@@ -106,13 +97,15 @@ def _close(t1, t2, p: PairAutomaton, metric: Metric, bad):
 
 def close_hamming(t1, t2, p: PairAutomaton):
     """Hamming closeness on p, the pair automaton of two machines with one
-    domain: equal output lengths, and no transition of S inside a strongly
-    connected component reads two different letters.
+    domain: equal output lengths, and no transition of S_L inside a
+    strongly connected component reads two different letters.
 
-    An accepting path of S, the run of one input, spells its output pair
-    letter by letter, so their Hamming distance is the number of mismatched
-    transitions on it.  One outside every component is crossed at most once
-    per path; one inside lies on a cycle, and each turn adds a mismatch.
+    An accepting path of S, the synchronization of all of p, is the run of
+    one input and spells its output pair letter by letter, so their Hamming
+    distance is the number of mismatched transitions on it.  One outside
+    every component is crossed at most once per path; one inside lies on a
+    cycle, and each turn adds a mismatch.  The cycles of S that spell
+    letters are those of S_L (`pairauto.synchronized_loop`).
     """
     if not is_length_preserving(p):
         return NotClose(unbalanced_word_certificate(p))
@@ -123,7 +116,7 @@ def close_transposition(t1, t2, p: PairAutomaton):
     """Transposition closeness on p, the pair automaton of two machines with
     one domain: equal output lengths, equal letter counts on the two sides
     of every accepted pair (else a shortest path with unequal counts
-    certifies ∞), and no letter-pair transition of S inside a strongly
+    certifies ∞), and no letter-pair transition of S_L inside a strongly
     connected component leads to a state where D, the difference of the
     letter counts spelled so far, is not 0.
 
@@ -139,7 +132,9 @@ def close_transposition(t1, t2, p: PairAutomaton):
     emits up to q are minus those of any suffix from q.  A transition
     outside every component is crossed at most once per path, so without a
     bad one inside the footrule is bounded; a bad one inside lies on a
-    cycle, and each turn adds at least 1.
+    cycle, and each turn adds at least 1.  The cycles of S that spell
+    letters are those of S_L, whose runs start with the output of a real
+    path of p, so D is the same there.
     """
     if not is_length_preserving(p):
         return NotClose(unbalanced_word_certificate(p))

@@ -109,6 +109,37 @@ def test_growing_swaps_not_close_for_both():
     assert distance_subst(Metric.HAMMING, t_a, t_b) == INF
 
 
+def _sorted_prefix_pair(d):
+    """T_a copies its input; T_b writes nothing for the first d letters,
+    counting the a's, then writes them sorted and copies the rest."""
+    t_a = make_transducer(d + 2, [0], [d + 1], [
+        (i, c, c, min(i + 1, d + 1)) for i in range(d + 2) for c in "ab"])
+    ids = {(i, k): n for n, (i, k) in enumerate(
+        (i, k) for i in range(d + 1) for k in range(i + 1))}
+    end = len(ids)
+    triples = [(end, c, c, end) for c in "ab"]
+    for (i, k), s in ids.items():
+        if i < d:
+            triples += [(s, "a", "", ids[i + 1, k + 1]),
+                        (s, "b", "", ids[i + 1, k])]
+        else:
+            triples += [(s, c, "a" * k + "b" * (d - k) + c, end) for c in "ab"]
+    return t_a, make_transducer(end + 1, [0], [end], triples)
+
+
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
+def test_delay_between_loops_stays_cheap(metric):
+    # delays up to 20 on the acyclic part, 0 on the copy loop: the deciders
+    # synchronize the loop only, not the 2^20 buffers of the prefix
+    t_a, t_b = _sorted_prefix_pair(20)
+    assert isinstance(close_verdict(metric, t_a, t_b), Close)
+    t_a, t_b = _sorted_prefix_pair(4)
+    assert isinstance(close_verdict(metric, t_a, t_b), Close)
+    # bbaa against aabb: 4 substitutions, or 4 adjacent swaps
+    assert enum_max_distance(metric, t_a, t_b, 8) == 4
+    assert distance_subst(metric, t_a, t_b) == 4
+
+
 def test_constant_transducers_distances():
     t_x = make_transducer(2, [0], [1], [(0, "a", "1001", 1)],
                           alph_in=Alphabet("a"), alph_out=Alphabet("01"))
