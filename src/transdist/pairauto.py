@@ -11,8 +11,14 @@ potentials and the first edge that contradicts them.  The prefix and suffix
 gap ranges propagate over it in the two directions, and an unbalanced cycle
 is read off its conflicting edge.  Gaps under other additive letter weights
 (`weighted_gap_sup`) reuse its components with potentials of their own.
-Every path certificate comes from one breadth-first search with parent
-pointers (`shortest_path`).
+
+A path whose outputs differ in length is read off the same analysis where
+the gaps are unbounded: its conflicting edge and component tree give it
+(`unbalanced_path`).  Shortest paths between states (`shortest_prefix_path`,
+`shortest_suffix_path`, `component_path`) come from one forward
+breadth-first walk each, with parent pointers over `Nfa.adj`.  Only
+searches over configurations, (state, gap) pairs or positions in a pair of
+words, take the generic `shortest_path`.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ class PairAutomaton:
     Its component analysis, its prefix and suffix gap ranges and its
     weighted gap sups are computed on first use and kept (`components`,
     `delay_range`, `suffix_gap_range`, `weighted_gap_sup`), the way
-    `Nfa.adj()` is.
+    `Nfa.adj()` is.  Built only by `_split_edges`, behind `from_edges`, so
+    the constructor checks nothing: every label is already split into
+    letters, with one input letter (or None) per transition.
     """
 
     __slots__ = ("nfa", "left_alphabet", "right_alphabet", "input_letters",
@@ -45,15 +53,10 @@ class PairAutomaton:
 
     def __init__(self, nfa: Nfa, left_alphabet: Alphabet, right_alphabet: Alphabet,
                  input_letters: tuple[str | None, ...]):
-        for _, (x, y), _ in nfa.transitions:
-            if len(x) > 1 or len(y) > 1:
-                raise InputError(f"pair label ({x!r},{y!r}) is not normalized")
-        if len(input_letters) != len(nfa.transitions):
-            raise InputError("one provenance entry per transition required")
         self.nfa = nfa
         self.left_alphabet = left_alphabet
         self.right_alphabet = right_alphabet
-        self.input_letters = tuple(input_letters)
+        self.input_letters = input_letters
         self._components = None
         self._prefix_gaps = self._suffix_gaps = _UNSET
         self._weighted_gaps: dict[tuple, int | None] = {}
@@ -75,9 +78,14 @@ class PairAutomaton:
                    do_trim: bool = True) -> "PairAutomaton":
         """Build from edges (src, (left word, right word), dst[, input letter]).
 
-        State ids outside 0..n_states - 1 raise InputError.  Multi-letter
-        components are split left-aligned through fresh intermediate
-        states; the input letter stays on the first piece.
+        Validated: an output letter outside its alphabet or a state id
+        outside 0..n_states - 1 raises InputError.  Every build from outside
+        data comes here (`fileio`, the relation constructions, the `pre`
+        and `post` words of `wrap_pair_automaton`); `joint_product`, whose
+        labels the `Transducer` constructor checked and whose states it
+        numbers itself, splits its edges with `_split_edges` unchecked.
+        Multi-letter components are split left-aligned through fresh
+        intermediate states; the input letter stays on the first piece.
         With `do_trim`, the edge graph is trimmed before it is split: a
         split chain is useful exactly when its edge is, so only the kept
         edges are split.  Kept states are renumbered in order, followed by
@@ -102,27 +110,35 @@ class PairAutomaton:
             if not all(live):
                 n_states, initials, finals, edges = _keep_live(
                     live, initials, finals, edges)
-        transitions = []
-        provenance = []
-        next_state = n_states
-        for src, (xw, yw), dst, letter in edges:
-            steps = max(len(xw), len(yw))
-            if steps <= 1:
-                transitions.append((src, (xw, yw), dst))
-                provenance.append(letter)
-                continue
-            cur = src
-            for i in range(steps):
-                nxt = dst if i == steps - 1 else next_state
-                if nxt == next_state:
-                    next_state += 1
-                transitions.append(
-                    (cur, (xw[i:i + 1], yw[i:i + 1]), nxt))
-                provenance.append(letter if i == 0 else None)
-                cur = nxt
-        nfa = Nfa(next_state, initials, finals, transitions)
-        return PairAutomaton(nfa, left_alphabet, right_alphabet,
-                             tuple(provenance))
+        return _split_edges(n_states, initials, finals, edges, left_alphabet,
+                            right_alphabet)
+
+
+def _split_edges(n_states: int, initials: Iterable[int], finals: Iterable[int],
+                 edges: list[tuple], left_alphabet: Alphabet,
+                 right_alphabet: Alphabet) -> PairAutomaton:
+    """The pair automaton of edges (src, label, dst, letter) on states
+    0..n_states - 1, each label split into one-letter pieces: the unchecked
+    end of `PairAutomaton.from_edges`."""
+    transitions = []
+    provenance = []
+    next_state = n_states
+    for src, (xw, yw), dst, letter in edges:
+        steps = max(len(xw), len(yw))
+        if steps <= 1:
+            transitions.append((src, (xw, yw), dst))
+            provenance.append(letter)
+            continue
+        cur = src
+        for i in range(steps):
+            nxt = dst if i == steps - 1 else next_state
+            if nxt == next_state:
+                next_state += 1
+            transitions.append((cur, (xw[i:i + 1], yw[i:i + 1]), nxt))
+            provenance.append(letter if i == 0 else None)
+            cur = nxt
+    nfa = Nfa(next_state, initials, finals, transitions)
+    return PairAutomaton(nfa, left_alphabet, right_alphabet, tuple(provenance))
 
 
 def _reached(n_states: int, starts: Iterable[int], edges: list[tuple],
@@ -517,7 +533,12 @@ def _unbalanced_pair_witness(p: PairAutomaton,
                              ) -> list[int]:
     """Transition indices of a shortest accepting path whose outputs differ
     in length, or with a letter weight f, whose outputs differ in f
-    (`weighted_gap_sup`); requires that one exists."""
+    (`weighted_gap_sup`); requires that one exists.
+
+    A breadth-first search over (state, gap) pairs.  `unbalanced_path`
+    runs it only when the length gaps are bounded or a letter weight is
+    given.
+    """
     gap = edge_gap if weight is None else _weight_gap(weight)
     bound = 4 * (p.nfa.n_states + 2)
     adj = p.nfa.adj()
@@ -537,6 +558,45 @@ def _unbalanced_pair_witness(p: PairAutomaton,
     return path
 
 
+def unbalanced_path(p: PairAutomaton,
+                    weight: dict[str, int] | None = None) -> list[int]:
+    """Transition indices of an accepting path whose outputs differ in
+    length, or with a letter weight f, in f; requires that one exists.
+
+    With unbounded length gaps, read off the conflicting edge s -> d of the
+    component analysis, in the component of root r: the shortest prefix
+    path to r, the tree path from r to d and the shortest suffix path from
+    d, or the same with the tree path to s and the edge in place of the
+    tree path to d.  Their gaps differ by pot(s) + gap(s -> d) - pot(d) != 0,
+    so one of them is nonzero; no cycle and no way back is needed.  With
+    bounded gaps or a weight, a shortest such path
+    (`_unbalanced_pair_witness`).
+    """
+    if weight is not None:
+        return _unbalanced_pair_witness(p, weight)
+    comp, comps, pot, tree, conflict = components(p)
+    if conflict is None:
+        return _unbalanced_pair_witness(p)
+    s, t, d = conflict
+    prefix = shortest_prefix_path(p, comps[comp[s]][0])
+    suffix = shortest_suffix_path(p, d)
+    ends = sum(edge_gap(p.nfa.transitions[u][1]) for u in prefix + suffix)
+    middle = (_tree_path(p, tree, d) if ends + pot[d] != 0
+              else _tree_path(p, tree, s) + [t])
+    return prefix + middle + suffix
+
+
+def _tree_path(p: PairAutomaton, tree: list[int | None], state: int
+               ) -> list[int]:
+    """Transition indices of the tree path (`Components.tree`) from the
+    root of state's component to state."""
+    path = []
+    while tree[state] is not None:
+        path.append(tree[state])
+        state = p.nfa.transitions[tree[state]][0]
+    return path[::-1]
+
+
 def letter_mismatches(s: Nfa) -> Iterator[int]:
     """The transitions of a synchronized automaton whose two letters differ,
     in order."""
@@ -551,21 +611,23 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     preservation first, then resynchronize to letter-to-letter form and
     inspect the labels.  An automaton whose every label is diagonal, (x, x)
     or ('', ''), is an identity without either step: each accepted pair
-    spells the same letters on both sides, so u = v.
+    spells the same letters on both sides, so u = v.  One that is not
+    length-preserving gives the outputs of an unbalanced path
+    (`unbalanced_path`).
     """
     if all(x == y for _, (x, y), _ in p.nfa.transitions):
         return None
     if not is_length_preserving(p):
-        return output_pair_of_path(p, _unbalanced_pair_witness(p))
+        return output_pair_of_path(p, unbalanced_path(p))
     nfa, reads = synchronize(p, max_abs_delay(p))
     nfa, _, kept = trim(nfa)
     bad = next(letter_mismatches(nfa), None)
     if bad is None:
         return None
     src, _, dst = nfa.transitions[bad]
-    step = _steps(nfa.adj())
-    prefix = shortest_path(nfa.initials, step, lambda s: s == src)
-    suffix = shortest_path([dst], step, nfa.finals.__contains__)
+    adj = nfa.adj()
+    prefix = _bfs_path(adj, nfa.initials, (src,))
+    suffix = _bfs_path(adj, (dst,), nfa.finals)
     if prefix is None or suffix is None:
         raise IntegrityError("no path found in trimmed automaton")
     return output_pair_of_path(
@@ -603,16 +665,12 @@ def synchronized_loop(p: PairAutomaton, bad: Callable[[Nfa], Iterable[int]]
     nfa, reads = synchronize(loops, max_abs_delay(p))
     # from_edges keeps the unsplit inside transitions first, in order:
     # S_L's cycles read only those
-    comp, _ = scc_decomposition(nfa)
-    adj = nfa.adj()
+    comp, comps = scc_decomposition(nfa)
     for t in bad(nfa):
         src, _, dst = nfa.transitions[t]
-        c = comp[src]
-        if comp[dst] != c:
+        if comp[dst] != comp[src]:
             continue
-        back = shortest_path(
-            [dst], lambda s: ((u, d) for _, d, u in adj[s] if comp[d] == c),
-            lambda s: s == src)
+        back = _bfs_path(nfa.adj(), (dst,), (src,), set(comps[comp[src]]))
         loop = [inside[reads[u]] for u in [t] + back]
         return p.nfa.transitions[loop[0]][0], loop
     return None
@@ -634,16 +692,9 @@ def unbalanced_cycle(p: PairAutomaton) -> tuple[int, list[int]] | None:
     members = comps[comp[s]]
     root = members[0]
     transitions = p.nfa.transitions
-
-    def tree_path(state):
-        path = []
-        while tree[state] is not None:
-            path.append(tree[state])
-            state = transitions[tree[state]][0]
-        return path[::-1]
-
     back = component_path(p, set(members), d, root)
-    for cycle in (tree_path(s) + [t] + back, tree_path(d) + back):
+    for cycle in (_tree_path(p, tree, s) + [t] + back,
+                  _tree_path(p, tree, d) + back):
         net = sum(edge_gap(transitions[tr][1]) for tr in cycle)
         if net != 0 and cycle:
             return root, cycle
@@ -680,9 +731,33 @@ def shortest_path(sources: Iterable, successors, is_goal) -> list[int] | None:
     return None
 
 
-def _steps(links):
-    """`shortest_path` successors along adjacency lists (`Nfa.adj`/`radj`)."""
-    return lambda s: ((t, d) for _, d, t in links[s])
+def _bfs_path(adj, sources: Iterable[int], goals, inside=None
+              ) -> list[int] | None:
+    """Transition indices of a shortest path along the adjacency lists
+    `adj` (`Nfa.adj`) from a state of `sources` to a state in `goals`,
+    through states in `inside` only when it is given, or None.
+
+    One breadth-first walk with parent pointers that ends at the first goal
+    it reaches; sources are taken in the order given.
+    """
+    parent = dict.fromkeys(sources)
+    for s in parent:
+        if s in goals:
+            return []
+    order = list(parent)
+    for s in order:  # breadth-first: order grows behind s
+        for _, d, t in adj[s]:
+            if d in parent or (inside is not None and d not in inside):
+                continue
+            parent[d] = s, t
+            if d in goals:
+                path = []
+                while parent[d] is not None:
+                    d, t = parent[d]
+                    path.append(t)
+                return path[::-1]
+            order.append(d)
+    return None
 
 
 def find_pair_path(p: PairAutomaton, pair: tuple[str, str]) -> list[int] | None:
@@ -720,10 +795,7 @@ def component_path(p: PairAutomaton, inside: set[int], source: int,
                    target: int) -> list[int]:
     """Transition indices of a shortest path source -> target whose states
     all lie in `inside`, a strongly connected component of p."""
-    adj = p.nfa.adj()
-    path = shortest_path([source],
-                         lambda s: ((t, d) for _, d, t in adj[s] if d in inside),
-                         lambda s: s == target)
+    path = _bfs_path(p.nfa.adj(), (source,), (target,), inside)
     if path is None:
         raise IntegrityError("component not strongly connected")
     return path
@@ -731,22 +803,20 @@ def component_path(p: PairAutomaton, inside: set[int], source: int,
 
 def shortest_prefix_path(p: PairAutomaton, target: int) -> list[int]:
     """Transition indices of a shortest path from the initial states to target."""
-    path = shortest_path(p.nfa.initials, _steps(p.nfa.adj()),
-                         lambda s: s == target)
+    path = _bfs_path(p.nfa.adj(), p.nfa.initials, (target,))
     if path is None:
         raise IntegrityError(f"state {target} unreachable in trimmed automaton")
     return path
 
 
 def shortest_suffix_path(p: PairAutomaton, source: int) -> list[int]:
-    """Transition indices of a shortest path from source to a final state."""
-    # searched backward from the finals, so the path comes out reversed
-    path = shortest_path(p.nfa.finals, _steps(p.nfa.radj()),
-                         lambda s: s == source)
+    """Transition indices of a shortest path from source to a final state,
+    searched forward to the nearest one."""
+    path = _bfs_path(p.nfa.adj(), (source,), p.nfa.finals)
     if path is None:
         raise IntegrityError(
             f"state {source} not coaccessible in trimmed automaton")
-    return path[::-1]
+    return path
 
 
 def wrap_pair_automaton(p: PairAutomaton, pre: tuple[str, str],

@@ -21,8 +21,8 @@ from .automata import (Nfa, equiv_unambiguous, is_unambiguous,
 from .errors import InputError, IntegrityError, PreconditionError
 from .pairauto import (PairAutomaton, input_word_of_path, output_pair_of_path,
                        shortest_prefix_path, shortest_suffix_path,
-                       unbalanced_cycle, _keep_live, _reached,
-                       _unbalanced_pair_witness)
+                       unbalanced_cycle, unbalanced_path, _keep_live,
+                       _reached, _split_edges)
 from .verdicts import (DomainCertificate, InfiniteWordCertificate,
                        LoopCertificate)
 from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
@@ -272,10 +272,14 @@ def unbalanced_word_certificate(p: PairAutomaton,
 
     Needs p, the pair automaton of two machines, not to be length-preserving
     (or to have a nonzero `weighted_gap_sup` for the weight).  Input and
-    outputs are read off the one path of a shortest accepting path search,
-    so no second search maps the outputs back to an input.
+    outputs are read off one accepting path (`unbalanced_path`), so no
+    second search maps the outputs back to an input.  p is the joint run of
+    two unambiguous machines, so that path spells exactly the outputs of
+    its input.  With unbounded gaps it comes off the conflicting edge of
+    the component analysis, with bounded ones or a weight from a (state,
+    gap) search.
     """
-    path = _unbalanced_pair_witness(p, weight)
+    path = unbalanced_path(p, weight)
     return InfiniteWordCertificate(input_word_of_path(p, path),
                                    output_pair_of_path(p, path))
 
@@ -291,8 +295,10 @@ def joint_product(t1: Transducer, t2: Transducer) -> PairAutomaton:
     pair gets a fresh final state behind an edge labelled with it (fresh
     states numbered in order of pair id), so later analyses read edge labels
     only.  Every numbered state is reachable, so one backward pass trims the
-    states that reach no final one; `PairAutomaton.from_edges` splits the
-    labels into letters.  Every metric distance is preserved.
+    states that reach no final one; `pairauto._split_edges` splits the
+    labels into letters, without the checks of `PairAutomaton.from_edges`:
+    the `Transducer` constructor checked every output, and the states are
+    numbered here.  Every metric distance is preserved.
 
     Machines that share one automaton have the same domain.  For two
     sequential machines with as many initial states the walk decides the
@@ -358,9 +364,8 @@ def joint_product(t1: Transducer, t2: Transducer) -> PairAutomaton:
     if not all(live):
         extra, initials, finals, edges = _keep_live(live, initials, finals,
                                                     edges)
-    return PairAutomaton.from_edges(extra, initials, finals, edges,
-                                    t1.output_alphabet, t1.output_alphabet,
-                                    do_trim=False)
+    return _split_edges(extra, initials, finals, edges, t1.output_alphabet,
+                        t1.output_alphabet)
 
 
 def _compare_domains(a: Nfa, b: Nfa) -> None:

@@ -198,14 +198,6 @@ class Alphabet:
         return word
 
 
-def alphabetic_vector(word: str, alphabet: Alphabet) -> tuple[int, ...]:
-    """Occurrence counts of each alphabet letter, in alphabet order."""
-    counts = [0] * len(alphabet)
-    for c in word:
-        counts[alphabet.index[c]] += 1
-    return tuple(counts)
-
-
 # ---------------------------------------------------------------------------
 # distance kernels
 # ---------------------------------------------------------------------------

@@ -159,3 +159,53 @@ def test_the_guided_determinization_check_sees_both_forms():
               "det = determinize(b, within=a)\n"
               "det = automata.determinize(b, 10, within=a)\n")
     assert list(_unguided_determinizations(source)) == [1, 2]
+
+
+def _callers(source: str, callee: str):
+    """(enclosing definition, line) of every call of `callee`, the
+    definition dotted as Class.method, or <module> at the top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name == callee:
+                    found.append((".".join(scope) or "<module>",
+                                  child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_every_pair_automaton_is_built_by_splitting_its_labels():
+    # PairAutomaton.__init__ checks nothing: its one call sits behind the
+    # split of every label into letters, which PairAutomaton.from_edges
+    # reaches after its checks and joint_product unchecked
+    def callers(callee):
+        return sorted((path.name, scope)
+                      for path in sorted(PACKAGE.glob("*.py"))
+                      for scope, _ in _callers(path.read_text(), callee))
+
+    assert callers("PairAutomaton") == [("pairauto.py", "_split_edges")]
+    assert callers("_split_edges") == [
+        ("pairauto.py", "PairAutomaton.from_edges"),
+        ("transducers.py", "joint_product")]
+
+
+def test_the_caller_guard_sees_every_scope():
+    source = ("x = f()\n"
+              "class A:\n"
+              "    def m(self):\n"
+              "        def inner():\n"
+              "            return mod.f(1)\n"
+              "        return [f(y) for y in inner()]\n")
+    assert _callers(source, "f") == [("<module>", 1), ("A.m.inner", 5),
+                                     ("A.m", 6)]

@@ -16,7 +16,7 @@ from transdist.pairauto import (
     max_abs_delay, output_pair_of_path, pair_length_diameter,
     shortest_prefix_path, shortest_suffix_path, suffix_gap_range,
     synchronize, synchronized_loop, unbalanced_cycle, unbalanced_letter,
-    weighted_gap_sup, wrap_pair_automaton,
+    unbalanced_path, weighted_gap_sup, wrap_pair_automaton,
 )
 from transdist.transducers import joint_product
 from transdist.words import INF, Alphabet
@@ -133,6 +133,16 @@ def test_from_edges_rejects_out_of_range_states(initials, finals, edges,
                                                 do_trim):
     with pytest.raises(InputError, match="out of range"):
         PairAutomaton.from_edges(2, initials, finals, edges, AB, AB,
+                                 do_trim=do_trim)
+
+
+@pytest.mark.parametrize("do_trim", [True, False])
+@pytest.mark.parametrize("label, right", [
+    (("ac", "a"), AB), (("a", "ab"), B01), (("", "2"), B01)])
+def test_from_edges_rejects_output_letters_outside_the_alphabets(
+        label, right, do_trim):
+    with pytest.raises(InputError, match="outside alphabet"):
+        PairAutomaton.from_edges(2, [0], [1], [(0, label, 1)], AB, right,
                                  do_trim=do_trim)
 
 
@@ -545,11 +555,11 @@ def test_shortest_paths_chain_and_are_shortest(graph):
             lambda cfg: cfg in {(f, len(u), len(v)) for f in p.nfa.finals})
     rng = delay_range(p)
     if rng is None or any(rng[0][f] or rng[1][f] for f in p.nfa.finals):
-        path = _unbalanced_pair_witness(p)
-        assert any(chains(p, path, s, f)
-                   for s in p.nfa.initials for f in p.nfa.finals)
-        u, v = output_pair_of_path(p, path)
-        assert len(u) != len(v)
+        for path in (_unbalanced_pair_witness(p), unbalanced_path(p)):
+            assert any(chains(p, path, s, f)
+                       for s in p.nfa.initials for f in p.nfa.finals)
+            u, v = output_pair_of_path(p, path)
+            assert len(u) != len(v)
 
 
 def test_length_preserving_examples():

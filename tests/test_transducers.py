@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (certificate_replays, dense_dfa_spec, machine_corpus,
                       make_transducer, random_joint_machine,
                       rotate_first_letter, spec_transducer)
-from transdist import transducers
+from transdist import pairauto, transducers
 from transdist.automata import Nfa, language_difference_witness
 from transdist.errors import InputError, IntegrityError, PreconditionError
 from transdist.kapprox import close_verdict, distance
@@ -18,7 +18,8 @@ from transdist.transducers import (
     DomainMismatchError, Transducer, domain_words, evaluate, joint_product,
     nivat_split, same_domain, unbalanced_loop_certificate,
 )
-from transdist.verdicts import DomainCertificate, LoopCertificate, NotClose
+from transdist.verdicts import (DomainCertificate, InfiniteWordCertificate,
+                                LoopCertificate, NotClose, PairCertificate)
 from transdist.words import INF, Alphabet, Metric, word_distance
 
 AB = Alphabet("ab")
@@ -420,10 +421,15 @@ def test_unbalanced_pumps_clear_the_sum_of_the_lengths_for_lcs():
     assert certificate_replays(Metric.LCS, cert, a, b)
 
 
+def unbounded_gap_pairs(*seeds):
+    """The corpus pairs of 60 per seed whose length gaps are unbounded."""
+    return [pair for seed in seeds for pair in machine_corpus(seed, 60)
+            if delay_range(joint_product(*pair)) is None]
+
+
 @pytest.mark.parametrize("metric", GAP_METRICS)
 def test_unbalanced_loop_certificates_evaluate_nothing(metric, monkeypatch):
-    pairs = [pair for seed in (808, 909) for pair in machine_corpus(seed, 60)
-             if delay_range(joint_product(*pair)) is None]
+    pairs = unbounded_gap_pairs(808, 909)
     assert len(pairs) >= 20
 
     def refuse(*args, **kwargs):
@@ -437,6 +443,71 @@ def test_unbalanced_loop_certificates_evaluate_nothing(metric, monkeypatch):
         assert isinstance(cert, LoopCertificate)
         assert len(cert.pumps) == 2
         assert certificate_replays(metric, cert, a, b)
+
+
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION,
+                                    Metric.CONJUGACY, Metric.DISCRETE])
+def test_unbalanced_cycles_need_no_gap_search(metric, monkeypatch):
+    # the unbalanced pair comes off the conflicting edge of the component
+    # analysis: no search over (state, gap) pairs, nor any other
+    # configuration search, runs
+    pairs = unbounded_gap_pairs(808, 909)
+    assert len(pairs) >= 20
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a configuration search ran")
+
+    monkeypatch.setattr(pairauto, "_unbalanced_pair_witness", refuse)
+    monkeypatch.setattr(pairauto, "shortest_path", refuse)
+    verdicts = [close_verdict(metric, *pair) for pair in pairs]
+    monkeypatch.undo()
+    for pair, verdict in zip(pairs, verdicts):
+        assert isinstance(verdict, NotClose)
+        assert isinstance(verdict.certificate,
+                          (InfiniteWordCertificate, PairCertificate))
+        assert certificate_replays(metric, verdict.certificate, *pair)
+
+
+def test_every_not_close_replays():
+    # the bounded-gap corpora, the deciders' corpus and a pool of unbounded
+    # gaps, under all eight metrics
+    unbounded = unbounded_gap_pairs(707)
+    corpora = (machine_corpus(808, 20, bounded_length_gap=True, max_states=5)
+               + machine_corpus(909, 50, max_states=4, max_out_len=2)
+               + machine_corpus(111, 10, bounded_length_gap=True,
+                                max_states=4)
+               + machine_corpus(404, 5, bounded_length_gap=True,
+                                max_states=3)
+               + unbounded)
+    assert len(unbounded) >= 15
+    not_close = set()
+    for metric in Metric:
+        for pair in corpora:
+            verdict = close_verdict(metric, *pair)
+            if isinstance(verdict, NotClose):
+                not_close.add(metric)
+                assert certificate_replays(metric, verdict.certificate,
+                                           *pair), (metric, pair)
+    assert not_close == set(Metric)
+
+
+def test_joint_product_checks_no_output_again(monkeypatch, t1, t2):
+    # the Transducer constructor checked every output the product splits
+    pairs = machine_corpus(909, 20) + [(t1, t2), (t2, t1)]
+    checked = []
+    validate = Alphabet.validate
+
+    def counting(self, word, what="word"):
+        checked.append(word)
+        return validate(self, word, what)
+
+    monkeypatch.setattr(Alphabet, "validate", counting)
+    for pair in pairs:
+        joint_product(*pair)
+    assert checked == []
+    # a build from outside data still checks its labels
+    PairAutomaton.from_edges(1, [0], [0], [(0, ("ab", "b"), 0)], AB, AB)
+    assert checked == ["ab", "b"]
 
 
 @settings(max_examples=200, deadline=None)

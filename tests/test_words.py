@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from transdist.oracles import (OverBudget, metric_order_check,
                                oracle_distance, oracle_distance_table,
                                oracle_distances_from)
 from transdist.words import (
-    INF, Alphabet, ExtendedNat, Metric, alphabetic_vector, extend_table,
+    INF, Alphabet, ExtendedNat, Metric, extend_table,
     parse_metric, prefix_table, word_distance,
 )
 
@@ -116,9 +117,13 @@ def test_alphabet_mismatch_is_input_error():
 
 
 def test_alphabetic_vector():
-    assert alphabetic_vector("1001", AB01) == (2, 2)
-    assert alphabetic_vector("", AB01) == (0, 0)
-    assert alphabetic_vector("0101", AB01) == alphabetic_vector("1010", AB01)
+    # a word's alphabetic vector is its letter Counter; adjacent swaps keep
+    # it, so the transposition distance is finite exactly where it agrees
+    for u, v in [("1001", "0110"), ("", ""), ("0101", "1010")]:
+        assert Counter(u) == Counter(v)
+        assert word_distance(Metric.TRANSPOSITION, u, v).is_finite
+    assert Counter("0101") != Counter("0111")
+    assert word_distance(Metric.TRANSPOSITION, "0101", "0111") == INF
 
 
 def test_length_and_lcs():
@@ -366,4 +371,4 @@ def test_transposition_finite_iff_same_vector():
     for _ in range(400):
         u, v = rng.choice(words), rng.choice(words)
         finite = word_distance(Metric.TRANSPOSITION, u, v).is_finite
-        assert finite == (alphabetic_vector(u, AB01) == alphabetic_vector(v, AB01))
+        assert finite == (Counter(u) == Counter(v))
