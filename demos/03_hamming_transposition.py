@@ -8,11 +8,12 @@ grows without bound.  The decider exhibits a pumpable loop as certificate.
 Both deciders synchronize the pair automaton's loops, which takes up to
 |Q|·|B|^D states for D the largest delay of a state on a loop: exponential
 in the loops' delays, not polynomial, but not in the delays between loops.
+The exact distance of a close pair is one longest path over the
+synchronization of the whole pair automaton.
 """
 
 from transdist import Alphabet, Metric, Nfa, Transducer, close_verdict, \
-    evaluate, word_distance
-from transdist.substitution import distance_subst
+    distance, evaluate, word_distance
 
 A = Alphabet("a")
 AB = Alphabet("ab")
@@ -31,9 +32,9 @@ for n in (1, 2, 4):
     print(f"  T_a(a^{n}) = {evaluate(t_a, 'a' * n)!r}"
           f"   T_b(a^{n}) = {evaluate(t_b, 'a' * n)!r}")
 
-print("\n== Hamming: close, exact distance via the acyclic border gadget ==")
+print("\n== Hamming: close, exact distance from one longest path ==")
 print("  verdict:", close_verdict(Metric.HAMMING, t_a, t_b))
-print("  distance_subst(hamming) =", distance_subst(Metric.HAMMING, t_a, t_b))
+print("  distance(hamming) =", distance(Metric.HAMMING, t_a, t_b))
 
 print("\n== transposition: not close, with a pumpable certificate ==")
 verdict = close_verdict(Metric.TRANSPOSITION, t_a, t_b)

@@ -5,7 +5,9 @@ that hit the state ceiling), 1 for input errors, usage errors among them.
 The TRANSDIST_STATE_CEILING environment variable overrides the default state
 ceiling; --state-ceiling overrides both.  Either must be an integer of at
 least 1.  The ceiling bounds only the k-approximation built by `kclose` and
-`distance`; `close`, `diameter` and `index` run under their own fixed limits.
+`distance`, and the synchronized pair automaton S that `distance` builds
+under Hamming and transposition; `close`, `diameter` and `index` run under
+their own fixed limits.
 """
 
 from __future__ import annotations

@@ -34,14 +34,18 @@ public closeness entry for two transducers.  It builds the pair automaton
 once and hands it to the one dispatch on the metric, which calls the
 metric's decider on it.  `distance` builds the pair automaton once and
 reads the length and discrete distances off it directly.  For the six edit
-metrics it asks the same dispatch first (NotClose is ∞) and then searches
-k with `kclose`, every probe on that one pair automaton: a distance costs
-one build however many k it probes.  The search starts at a letter-count
+metrics it asks the same dispatch first (NotClose is ∞).  Under Hamming
+and transposition one longest path over the synchronized pair automaton
+then bounds the distance from both sides
+(`substitution.distance_bounds`), and the two bounds meet except for
+transposition over three letters or more.  Otherwise it searches k with
+`kclose`, every probe on that one pair automaton: a distance costs one
+build however many k it probes.  The search starts at a letter-count
 lower bound LB (`_lower_bound`), not at 0: an edit changes the length and,
 under Hamming, Levenshtein, Damerau and LCS, a letter's count by at most 1,
 so every probe below LB would fail; `kclose` answers False there without
-building.  The pair automaton keeps its one component analysis and the gap ranges and
-weighted gap sups propagated over it (`pairauto.components`,
+building.  The pair automaton keeps its one component analysis and the gap
+ranges and weighted gap sups propagated over it (`pairauto.components`,
 `delay_range`, `suffix_gap_range`, `weighted_gap_sup`), so the verdict,
 the lower bound and every probe read one result.  A lone `kclose` call
 builds its own pair automaton.
@@ -50,6 +54,7 @@ builds its own pair automaton.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -62,7 +67,8 @@ from .pairauto import (PairAutomaton, find_pair_path, identity_witness,
                        input_word_of_path, is_length_preserving,
                        max_abs_delay, output_letters, pair_length_diameter,
                        suffix_gap_range, unbalanced_letter, weighted_gap_sup)
-from .substitution import close_hamming, close_transposition
+from .substitution import (close_hamming, close_transposition,
+                           distance_bounds)
 from .transducers import (DomainMismatchError, joint_product,
                           unbalanced_loop_certificate,
                           unbalanced_word_certificate)
@@ -589,6 +595,8 @@ _COUNTING_METRICS = (Metric.HAMMING, Metric.LEVENSHTEIN, Metric.LCS,
                      Metric.DAMERAU_LEVENSHTEIN)
 #: the metrics whose edits change no letter's count
 _PERMUTING_METRICS = (Metric.TRANSPOSITION, Metric.CONJUGACY)
+#: the metrics whose distance a longest path over S bounds from both sides
+_PATH_METRICS = (Metric.HAMMING, Metric.TRANSPOSITION)
 
 
 def _lower_bound(metric: Metric, p: PairAutomaton) -> int | None:
@@ -699,22 +707,28 @@ def distance(metric: Metric, t1, t2,
     """Exact distance between two transducers under the given metric.
 
     The pair automaton is built once with `joint_product` (different
-    domains give ∞) and serves the verdict and every probe.  The length
-    distance is its length diameter, and the discrete one is 0 when it
-    generates no pair of different words and ∞ otherwise; neither needs a
-    verdict or a certificate.  For the six edit metrics the closeness
+    domains give ∞) and serves the verdict, the bounds and every probe.  The
+    length distance is its length diameter, and the discrete one is 0 when
+    it generates no pair of different words and ∞ otherwise; neither needs
+    a verdict or a certificate.  For the six edit metrics the closeness
     verdict comes first (k-closeness alone cannot certify unboundedness):
-    NotClose gives ∞ and Unknown is returned as is.  k-closeness is then
-    probed for k = LB, LB + 1, ... on the same pair automaton (`kclose`'s
-    `pair`), and the first k that holds is the distance.  LB is the
-    letter-count lower bound (`_lower_bound`): an edit changes the length
-    and, under Hamming, Levenshtein, Damerau and LCS, a letter's count by at
-    most 1, so d(T1, T2) >= LB and every probe below it would fail.  A
+    NotClose gives ∞ and Unknown is returned as is.  LB is the letter-count
+    lower bound (`_lower_bound`): an edit changes the length and, under
+    Hamming, Levenshtein, Damerau and LCS, a letter's count by at most 1, so
+    d(T1, T2) >= LB.  The limit is the verdict's bound.  Only the Hamming
+    and transposition verdicts have none, and there the longest path over
+    S, the synchronization of the pair automaton built under `ceiling`,
+    bounds the distance from both sides (`substitution.distance_bounds`):
+    the path's upper bound is the limit.  Under Hamming and binary
+    transposition the two bounds meet, and that is the answer, with no
+    probe.  Otherwise k-closeness is probed for k = LB, LB + 1, ... (from
+    the path's lower bound when it is larger) on the same pair automaton
+    (`kclose`'s `pair`), and the first k that holds is the distance.  A
     probe costs several times the one below it, so the search costs about
     as much as the probe at the answer and never builds a larger
-    k-approximation.  An LB above the verdict's bound (or 2**20 when it has
-    none), or a search that passes that bound, contradicts the closeness
-    verdict.
+    k-approximation.  An LB above the verdict's bound, path bounds that
+    miss [LB, verdict's bound], or a search that passes the limit
+    contradicts the certified bounds.
     """
     try:
         p = joint_product(t1, t2)
@@ -730,16 +744,28 @@ def distance(metric: Metric, t1, t2,
     if isinstance(verdict, NotClose):
         return INF
     bound = verdict.bound
-    limit = bound.value() if bound is not None and bound.is_finite else 2 ** 20
+    finite = bound is not None and bound.is_finite
+    limit = bound.value() if finite else math.inf
     k = _lower_bound(metric, p)
     if k is None or k > limit:
         raise IntegrityError(
             "the letter-count lower bound exceeds the closeness decider's "
             "bound; the two are inconsistent")
+    if metric in _PATH_METRICS:
+        lo, hi = distance_bounds(metric, p, ceiling)
+        if hi < k or lo > limit:
+            raise IntegrityError(
+                "the longest path over the synchronized pair automaton lies "
+                "outside the letter-count lower bound and the closeness "
+                "decider's bound")
+        if lo == hi:
+            return ExtendedNat(lo)
+        k, limit = max(k, lo), min(limit, hi)
     while not kclose(metric, t1, t2, k, ceiling, pair=p):
         k += 1
         if k > limit:
             raise IntegrityError(
-                "k-search escaped the closeness decider's bound; the "
-                "k-approximation is inconsistent with the closeness verdict")
+                "k-search escaped the closeness decider's bound or the "
+                "longest path's; the k-approximation is inconsistent with "
+                "them")
     return ExtendedNat(k)

@@ -80,10 +80,12 @@ class PairAutomaton:
 
         Validated: an output letter outside its alphabet or a state id
         outside 0..n_states - 1 raises InputError.  Every build from outside
-        data comes here (`fileio`, the relation constructions, the `pre`
-        and `post` words of `wrap_pair_automaton`); `joint_product`, whose
-        labels the `Transducer` constructor checked and whose states it
-        numbers itself, splits its edges with `_split_edges` unchecked.
+        data comes here (`fileio`, the spheres and identities of
+        `relations`, the `pre` and `post` words of `wrap_pair_automaton`).
+        `joint_product`, whose labels the `Transducer` constructor checked,
+        and `relations.compose` and `relations.union`, whose labels come
+        from pair automata, number their states themselves and split their
+        edges with `_split_edges` unchecked.
         Multi-letter components are split left-aligned through fresh
         intermediate states; the input letter stays on the first piece.
         With `do_trim`, the edge graph is trimmed before it is split: a

@@ -24,8 +24,8 @@ from typing import Iterator
 from .automata import Nfa, determinize, included
 from .errors import InputError, ResourceLimitError, UnsupportedCaseError
 from .kapprox import close_verdict, distance
-from .pairauto import (PairAutomaton, max_abs_delay, pair_length_diameter,
-                       synchronize)
+from .pairauto import (PairAutomaton, _keep_live, _reached, _split_edges,
+                       max_abs_delay, pair_length_diameter, synchronize)
 from .transducers import nivat_split
 from .verdicts import NotClose, Unknown
 from .words import INF, Alphabet, ExtendedNat, Metric
@@ -152,45 +152,57 @@ def identity_relation(alphabet: Alphabet) -> PairAutomaton:
 
 
 def compose(s1: PairAutomaton, s2: PairAutomaton) -> PairAutomaton:
-    """(s2 ∘ s1): pairs (u, w) such that (u, v) ∈ s1 and (v, w) ∈ s2."""
+    """(s2 ∘ s1): pairs (u, w) such that (u, v) ∈ s1 and (v, w) ∈ s2.
+
+    States are the state pairs reachable from the initial pairs, numbered
+    breadth-first: a pair moves s1 alone on a label (x, ε), s2 alone on a
+    label (ε, y), and both on labels (x, m) and (m, y) that agree on the
+    middle letter m.  One backward pass trims the pairs that reach no final
+    pair.  The labels are the one-letter pieces of s1 and s2, so
+    `pairauto._split_edges` takes the edges unchecked.
+    """
     if s1.right_alphabet != s2.left_alphabet:
         raise InputError("middle alphabets differ; relations do not compose")
-    adj1 = s1.nfa.adj()
-    adj2 = s2.nfa.adj()
-    n1, n2 = s1.nfa.n_states, s2.nfa.n_states
-    if n1 == 0 or n2 == 0:
-        return PairAutomaton.from_edges(1, [0], [], [], s1.left_alphabet,
-                                        s2.right_alphabet)
-
-    def sid(p, q):
-        return p * n2 + q
-
+    adj1, adj2 = s1.nfa.adj(), s2.nfa.adj()
+    order = [(p, q) for p in sorted(s1.nfa.initials)
+             for q in sorted(s2.nfa.initials)]
+    ids = {pq: i for i, pq in enumerate(order)}
+    initials = range(len(order))
     edges = []
-    for p in range(n1):
+
+    def add(sid, label, pq):
+        did = ids.get(pq)
+        if did is None:
+            did = ids[pq] = len(order)
+            order.append(pq)
+        edges.append((sid, label, did, None))
+
+    # order grows while it is walked: pair ids are breadth-first
+    for sid, (p, q) in enumerate(order):
         for (x, m), d1, _ in adj1[p]:
-            if m == "":
-                for q in range(n2):
-                    edges.append((sid(p, q), (x, ""), sid(d1, q)))
-    for q in range(n2):
-        for (m, y), d2, _ in adj2[q]:
-            if m == "":
-                for p in range(n1):
-                    edges.append((sid(p, q), ("", y), sid(p, d2)))
-    for p in range(n1):
-        for (x, m), d1, _ in adj1[p]:
-            if m == "":
+            if not m:
+                add(sid, (x, ""), (d1, q))
                 continue
-            for q in range(n2):
-                for (m2, y), d2, _ in adj2[q]:
-                    if m2 == m:
-                        edges.append((sid(p, q), (x, y), sid(d1, d2)))
-    initials = [sid(p, q) for p in s1.nfa.initials for q in s2.nfa.initials]
-    finals = [sid(p, q) for p in s1.nfa.finals for q in s2.nfa.finals]
-    return PairAutomaton.from_edges(n1 * n2, initials, finals, edges,
-                                    s1.left_alphabet, s2.right_alphabet)
+            for (m2, y), d2, _ in adj2[q]:
+                if m2 == m:
+                    add(sid, (x, y), (d1, d2))
+        for (m, y), d2, _ in adj2[q]:
+            if not m:
+                add(sid, ("", y), (p, d2))
+    n = len(order)
+    finals = [sid for sid, (p, q) in enumerate(order)
+              if p in s1.nfa.finals and q in s2.nfa.finals]
+    live = _reached(n, finals, edges, backward=True)
+    if not all(live):
+        n, initials, finals, edges = _keep_live(live, initials, finals, edges)
+    return _split_edges(n, initials, finals, edges, s1.left_alphabet,
+                        s2.right_alphabet)
 
 
 def union(r1: PairAutomaton, r2: PairAutomaton) -> PairAutomaton:
+    """r1 ∪ r2, side by side.  Both are trimmed, so their disjoint union is,
+    and its labels are already split: `pairauto._split_edges` takes the
+    edges unchecked."""
     if (r1.left_alphabet != r2.left_alphabet
             or r1.right_alphabet != r2.right_alphabet):
         raise InputError("alphabets differ; relations do not union")
@@ -201,8 +213,8 @@ def union(r1: PairAutomaton, r2: PairAutomaton) -> PairAutomaton:
               for t, (s, lbl, d) in enumerate(r2.nfa.transitions)]
     initials = list(r1.nfa.initials) + [n1 + s for s in r2.nfa.initials]
     finals = list(r1.nfa.finals) + [n1 + s for s in r2.nfa.finals]
-    return PairAutomaton.from_edges(n1 + r2.nfa.n_states, initials, finals,
-                                    edges, r1.left_alphabet, r1.right_alphabet)
+    return _split_edges(n1 + r2.nfa.n_states, initials, finals, edges,
+                        r1.left_alphabet, r1.right_alphabet)
 
 
 def power(s: PairAutomaton, n: int) -> PairAutomaton:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from transdist import kapprox
 from transdist.automata import Nfa, scc_decomposition, trim
 from transdist.pairauto import PairAutomaton, delay_range
 from transdist.transducers import Transducer, evaluate, joint_product
@@ -68,6 +69,21 @@ def t4():
 def t5():
     """Each block of 0s becomes one 1, each block of 1s one 0."""
     return _block_compressor("1", "0")
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """The k of every kclose probe that `kapprox.distance` makes."""
+    seen = []
+    real = kapprox.kclose
+
+    def recording(metric, t1, t2, k, ceiling=kapprox.DEFAULT_STATE_CEILING,
+                  **kwargs):
+        seen.append(k)
+        return real(metric, t1, t2, k, ceiling, **kwargs)
+
+    monkeypatch.setattr(kapprox, "kclose", recording)
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -475,21 +475,6 @@ def test_distance_shifted_pair_matches_subst_route():
 # the k-search of distance
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def probes(monkeypatch):
-    """The k of every kclose probe that distance makes."""
-    seen = []
-    real = kapprox.kclose
-
-    def recording(metric, t1, t2, k, ceiling=kapprox.DEFAULT_STATE_CEILING,
-                  **kwargs):
-        seen.append(k)
-        return real(metric, t1, t2, k, ceiling, **kwargs)
-
-    monkeypatch.setattr(kapprox, "kclose", recording)
-    return seen
-
-
 def _swap_pairs():
     """Swaps the letters at positions 0 and 1 and at 2 and 3, copies the
     rest: both outputs have the same letter counts on every input."""
@@ -519,9 +504,10 @@ def test_distance_probes_each_k_up_to_the_answer(metric, want, probes):
                                           (Metric.DAMERAU_LEVENSHTEIN, 3)])
 def test_distance_on_the_flip_pair_probes_only_the_answer(metric, want,
                                                           probes):
-    # the lower bound of the flip pair is its distance: one probe
+    # the lower bound of the flip pair is its distance: one probe, and none
+    # under Hamming, whose distance is the longest path over S
     assert distance(metric, identity_ab(), flip_ab(4, (0, 1, 3))) == want
-    assert probes == [want]
+    assert probes == ([] if metric is Metric.HAMMING else [want])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -611,6 +597,23 @@ def test_lower_bound_past_the_verdict_bound_is_an_integrity_error(
                         lambda *args: Close(bound=ExtendedNat(2)))
     with pytest.raises(IntegrityError):
         distance(metric, t1, t2)
+    assert probes == []
+
+
+@pytest.mark.parametrize("verdict_bound, path", [(None, (2, 2)),
+                                                  (3, (4, 4))])
+def test_path_bounds_outside_the_certified_ones_are_an_integrity_error(
+        verdict_bound, path, monkeypatch, probes):
+    # the flip pair's Hamming lower bound is 3: a longest path that ends
+    # below it, or starts above the verdict's bound, contradicts them
+    t1, t2 = identity_ab(), flip_ab(4, (0, 1, 3))
+    if verdict_bound is not None:
+        monkeypatch.setattr(
+            kapprox, "_verdict_on",
+            lambda *args: Close(bound=ExtendedNat(verdict_bound)))
+    monkeypatch.setattr(kapprox, "distance_bounds", lambda *args: path)
+    with pytest.raises(IntegrityError):
+        distance(Metric.HAMMING, t1, t2)
     assert probes == []
 
 

@@ -188,7 +188,9 @@ def _callers(source: str, callee: str):
 def test_every_pair_automaton_is_built_by_splitting_its_labels():
     # PairAutomaton.__init__ checks nothing: its one call sits behind the
     # split of every label into letters, which PairAutomaton.from_edges
-    # reaches after its checks and joint_product unchecked
+    # reaches after its checks, and joint_product, compose and union
+    # unchecked: their labels come from machines or pair automata already
+    # checked, and they number the states themselves
     def callers(callee):
         return sorted((path.name, scope)
                       for path in sorted(PACKAGE.glob("*.py"))
@@ -197,6 +199,7 @@ def test_every_pair_automaton_is_built_by_splitting_its_labels():
     assert callers("PairAutomaton") == [("pairauto.py", "_split_edges")]
     assert callers("_split_edges") == [
         ("pairauto.py", "PairAutomaton.from_edges"),
+        ("relations.py", "compose"), ("relations.py", "union"),
         ("transducers.py", "joint_product")]
 
 

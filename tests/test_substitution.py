@@ -3,10 +3,11 @@ import pytest
 
 from conftest import (certificate_replays, machine_corpus, make_transducer,
                       multi_letter_pairs)
-from transdist.errors import InputError
-from transdist.kapprox import close_verdict
-from transdist.substitution import distance_subst
-from transdist.transducers import domain_words, evaluate
+from transdist.automata import DEFAULT_STATE_CEILING
+from transdist.errors import InputError, ResourceLimitError
+from transdist.kapprox import close_verdict, distance
+from transdist.substitution import distance_bounds, distance_subst
+from transdist.transducers import domain_words, evaluate, joint_product
 from transdist.verdicts import (Close, InfiniteWordCertificate, LoopCertificate,
                                 NotClose)
 from transdist.words import INF, Alphabet, Metric, word_distance
@@ -138,6 +139,69 @@ def test_delay_between_loops_stays_cheap(metric):
     # bbaa against aabb: 4 substitutions, or 4 adjacent swaps
     assert enum_max_distance(metric, t_a, t_b, 8) == 4
     assert distance_subst(metric, t_a, t_b) == 4
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 10])
+def test_sorted_prefix_distances(d):
+    # the first d letters sorted: bbb..aaa against aaa..bbb at worst
+    t_a, t_b = _sorted_prefix_pair(d)
+    for metric, want in ((Metric.HAMMING, d),
+                         (Metric.TRANSPOSITION, (d // 2) ** 2)):
+        assert distance(metric, t_a, t_b) == want
+        assert distance_subst(metric, t_a, t_b) == want
+
+
+def test_sorted_prefix_distances_need_no_probe(probes):
+    # one longest path over S, 32,738 states here, and no k-search
+    t_a, t_b = _sorted_prefix_pair(12)
+    assert distance(Metric.HAMMING, t_a, t_b) == 12
+    assert distance(Metric.TRANSPOSITION, t_a, t_b) == 36
+    assert probes == []
+
+
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
+def test_distance_past_the_state_ceiling_raises(metric):
+    # the verdict reads S_L, a few states here; the distance needs all of S
+    t_a, t_b = _sorted_prefix_pair(8)
+    assert isinstance(close_verdict(metric, t_a, t_b), Close)
+    with pytest.raises(ResourceLimitError,
+                       match="synchronization exceeded ceiling of 100"):
+        distance(metric, t_a, t_b, ceiling=100)
+
+
+def _close_pairs(metric):
+    """The close pairs of the bounded-gap corpora and the multi-letter
+    pools."""
+    pairs = [pair for seed in (808, 909, 111, 404)
+             for pair in machine_corpus(seed, 150, bounded_length_gap=True)]
+    pairs += [(u1, u2) for seed in range(4)
+              for _, u1, u2 in multi_letter_pairs(seed, 300)]
+    return [(u1, u2) for u1, u2 in pairs
+            if isinstance(close_verdict(metric, u1, u2), Close)]
+
+
+@pytest.mark.parametrize("metric, count", [(Metric.HAMMING, 928),
+                                           (Metric.TRANSPOSITION, 659)])
+def test_distance_is_the_reference_distance_on_close_pairs(metric, count):
+    pairs = _close_pairs(metric)
+    assert len(pairs) == count
+    for u1, u2 in pairs:
+        assert distance(metric, u1, u2) == distance_subst(metric, u1, u2)
+
+
+def test_footrule_brackets_the_transposition_distance(probes):
+    # over three letters or more the longest path gives the footrule F, and
+    # the swap distance lies in [F/2, F]; the k-search stays inside
+    bracketed = 0
+    for u1, u2 in _close_pairs(Metric.TRANSPOSITION):
+        lo, hi = distance_bounds(Metric.TRANSPOSITION, joint_product(u1, u2),
+                                 DEFAULT_STATE_CEILING)
+        probes.clear()
+        assert lo <= distance_subst(Metric.TRANSPOSITION, u1, u2) <= hi
+        distance(Metric.TRANSPOSITION, u1, u2)
+        assert all(lo <= k <= hi for k in probes)
+        bracketed += lo < hi
+    assert bracketed > 0
 
 
 def test_constant_transducers_distances():
