@@ -136,64 +136,67 @@ def trim(nfa: Nfa) -> tuple[Nfa, list[int], list[int]]:
     return trimmed, keep, kept_transitions
 
 
-def scc_decomposition(nfa: Nfa) -> tuple[list[int], list[list[int]]]:
-    """Tarjan with an explicit stack.
+def scc_decomposition(nfa: Nfa
+                      ) -> tuple[list[int], list[list[int]], list[int | None]]:
+    """Tarjan's algorithm with an explicit stack of (state, iterator over its
+    outgoing transitions).
 
-    Returns (component id per state, components listed in topological order:
-    every edge goes from an earlier or equal component to a later or equal
-    one).
+    Returns (component id per state, components, tree link per state).
+    Components are listed in topological order: every edge goes from an
+    earlier or equal component to a later or equal one.  Each lists its
+    root, the state of it that the depth-first walk reached first, and then
+    its other states in the order the walk reached them.  tree[s] is the
+    transition by which the walk reached s, None at the root of a
+    component; it starts at a state of s's component listed before s, so
+    the tree links of a component form a spanning tree of it, rooted at
+    its root.
     """
     n = nfa.n_states
     adj = nfa.adj()
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp = [-1] * n  # -1 while the state is unvisited or on the stack
+    tree: list[int | None] = [None] * n
     stack: list[int] = []
-    comp = [-1] * n
     comps_rev: list[list[int]] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        # per state on the walk: its outgoing transitions not yet followed
+        # and its position on the stack
+        work = [(root, iter(adj[root]), 0)]
         while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                _, w, _ = adj[v][pi]
-                pi += 1
+            v, edges, at = work[-1]
+            for _, w, t in edges:
                 if index[w] == -1:
-                    work.append((v, pi))
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    tree[w] = t
+                    work.append((w, iter(adj[w]), len(stack)))
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = len(comps_rev)
-                    members.append(w)
-                    if w == v:
-                        break
-                comps_rev.append(members)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    # v's component: the stack from v up, in the walk's order
+                    members = stack[at:]
+                    del stack[at:]
+                    c = len(comps_rev)
+                    for w in members:
+                        comp[w] = c
+                    tree[v] = None
+                    comps_rev.append(members)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     # Tarjan emits components in reverse topological order
-    n_comps = len(comps_rev)
-    comps = comps_rev[::-1]
-    comp = [n_comps - 1 - c for c in comp]
-    return comp, comps
+    last = len(comps_rev) - 1
+    return [last - c for c in comp], comps_rev[::-1], tree
 
 
 def is_unambiguous(nfa: Nfa) -> bool:
@@ -490,27 +493,3 @@ def accepts(nfa: Nfa, word: Sequence[Hashable]) -> bool:
         if not cur:
             return False
     return bool(cur & nfa.finals)
-
-
-def enumerate_words(nfa: Nfa, max_len: int) -> set[tuple[Hashable, ...]]:
-    """All accepted words of length at most max_len (epsilon-free labels only)."""
-    frontier: dict[int, set[tuple]] = {}
-    for s in epsilon_closure(nfa, nfa.initials):
-        frontier.setdefault(s, set()).add(())
-    accepted = set()
-    seen_words: dict[int, set[tuple]] = {s: set(ws) for s, ws in frontier.items()}
-    todo = deque((s, w) for s, ws in frontier.items() for w in ws)
-    adj = nfa.adj()
-    while todo:
-        s, w = todo.popleft()
-        if s in nfa.finals:
-            accepted.add(w)
-        for x, d, _ in adj[s]:
-            w2 = w if x is EPSILON else w + (x,)
-            if len(w2) > max_len:
-                continue
-            bucket = seen_words.setdefault(d, set())
-            if w2 not in bucket:
-                bucket.add(w2)
-                todo.append((d, w2))
-    return accepted

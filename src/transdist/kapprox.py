@@ -53,7 +53,6 @@ builds its own pair automaton.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -464,83 +463,6 @@ def build_kapprox(metric: Metric, p: PairAutomaton, k: int,
     # pending across a frontier of width w has its partner at displacement at
     # least w - 1 - delay, which costs at least that many edits
     return _build_subst_family(metric, p, k, delay + k + 2, ceiling)
-
-
-def min_weight_table(da: DistanceAutomaton, letters, max_len: int
-                     ) -> dict[str, ExtendedNat]:
-    """Minimal accepting weights for every input word up to max_len.
-
-    Walks the complete input tree once, carrying per-node cost frontiers;
-    words without accepting runs map to ∞, unreachable words are omitted.
-    """
-    by_src: dict[int, list[tuple[str | None, int, int]]] = {}
-    for s, letter, cost, d in da.edges:
-        by_src.setdefault(s, []).append((letter, cost, d))
-
-    def closed(frontier: dict[int, int]) -> dict[int, int]:
-        heap = [(c, n) for n, c in frontier.items()]
-        heapq.heapify(heap)
-        best = dict(frontier)
-        while heap:
-            c, n = heapq.heappop(heap)
-            if best.get(n, c + 1) < c:
-                continue
-            for letter, cost, d in by_src.get(n, ()):
-                if letter is None and c + cost < best.get(d, c + cost + 1):
-                    best[d] = c + cost
-                    heapq.heappush(heap, (c + cost, d))
-        return best
-
-    def value(frontier: dict[int, int]) -> ExtendedNat:
-        vals = [c + da.accept_cost[n] for n, c in frontier.items()
-                if n in da.accept_cost]
-        return ExtendedNat(min(vals)) if vals else INF
-
-    results: dict[str, ExtendedNat] = {}
-    stack = [("", closed({n: 0 for n in da.initials}))]
-    while stack:
-        word, frontier = stack.pop()
-        results[word] = value(frontier)
-        if len(word) == max_len:
-            continue
-        for a in letters:
-            nxt: dict[int, int] = {}
-            for n, c in frontier.items():
-                for letter, cost, d in by_src.get(n, ()):
-                    if letter == a and c + cost < nxt.get(d, c + cost + 1):
-                        nxt[d] = c + cost
-            if nxt:
-                stack.append((word + a, closed(nxt)))
-    return results
-
-
-def min_weight_on(da: DistanceAutomaton, word: str) -> ExtendedNat:
-    """Minimal accepting-run weight on the input word (∞ when rejected)."""
-    by_src: dict[int, list[tuple[str | None, int, int]]] = {}
-    for s, letter, cost, d in da.edges:
-        by_src.setdefault(s, []).append((letter, cost, d))
-    start = [(0, 0, s) for s in da.initials]
-    heapq.heapify(start)
-    dist: dict[tuple[int, int], int] = {}
-    best = None
-    while start:
-        w, pos, node = heapq.heappop(start)
-        if best is not None and w >= best:
-            break
-        key = (pos, node)
-        if key in dist and dist[key] <= w:
-            continue
-        dist[key] = w
-        if pos == len(word) and node in da.accept_cost:
-            total = w + da.accept_cost[node]
-            if best is None or total < best:
-                best = total
-        for letter, cost, d in by_src.get(node, ()):
-            if letter is None:
-                heapq.heappush(start, (w + cost, pos, d))
-            elif pos < len(word) and word[pos] == letter:
-                heapq.heappush(start, (w + cost, pos + 1, d))
-    return INF if best is None else ExtendedNat(best)
 
 
 # ---------------------------------------------------------------------------

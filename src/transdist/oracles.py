@@ -8,15 +8,22 @@ from many binary words at once, by one shortest-path sweep per batch over
 the edit graph of all binary words up to a length; it needs numpy and
 scipy, which it imports on first use, so `import transdist` needs neither.
 `metric_order_check` checks the inequalities between the metrics on sample
-pairs.
+pairs.  `enumerate_words` lists the words an automaton accepts up to a
+length, and `min_weight_on` and `min_weight_table` read the least run
+weights of a (min,+) distance automaton (`kapprox.build_kapprox`) off its
+runs on given inputs.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+import heapq
+from collections import deque
+from typing import Hashable, Iterable
 
+from .automata import EPSILON, Nfa, epsilon_closure
 from .errors import InputError
+from .kapprox import DistanceAutomaton
 from .words import INF, ZERO, Alphabet, ExtendedNat, Metric, word_distance
 
 
@@ -301,3 +308,108 @@ def metric_order_check(samples: Iterable[tuple[str, str]],
             if not lhs <= rhs:
                 return (name, (u, v), lhs, rhs)
     return None
+
+
+# ---------------------------------------------------------------------------
+# automata by enumeration
+# ---------------------------------------------------------------------------
+
+def enumerate_words(nfa: Nfa, max_len: int) -> set[tuple[Hashable, ...]]:
+    """All accepted words of length at most max_len (epsilon-free labels only)."""
+    frontier: dict[int, set[tuple]] = {}
+    for s in epsilon_closure(nfa, nfa.initials):
+        frontier.setdefault(s, set()).add(())
+    accepted = set()
+    seen_words: dict[int, set[tuple]] = {s: set(ws) for s, ws in frontier.items()}
+    todo = deque((s, w) for s, ws in frontier.items() for w in ws)
+    adj = nfa.adj()
+    while todo:
+        s, w = todo.popleft()
+        if s in nfa.finals:
+            accepted.add(w)
+        for x, d, _ in adj[s]:
+            w2 = w if x is EPSILON else w + (x,)
+            if len(w2) > max_len:
+                continue
+            bucket = seen_words.setdefault(d, set())
+            if w2 not in bucket:
+                bucket.add(w2)
+                todo.append((d, w2))
+    return accepted
+
+
+def min_weight_table(da: DistanceAutomaton, letters, max_len: int
+                     ) -> dict[str, ExtendedNat]:
+    """Minimal accepting weights for every input word up to max_len.
+
+    Walks the complete input tree once, carrying per-node cost frontiers;
+    words without accepting runs map to ∞, unreachable words are omitted.
+    """
+    by_src: dict[int, list[tuple[str | None, int, int]]] = {}
+    for s, letter, cost, d in da.edges:
+        by_src.setdefault(s, []).append((letter, cost, d))
+
+    def closed(frontier: dict[int, int]) -> dict[int, int]:
+        heap = [(c, n) for n, c in frontier.items()]
+        heapq.heapify(heap)
+        best = dict(frontier)
+        while heap:
+            c, n = heapq.heappop(heap)
+            if best.get(n, c + 1) < c:
+                continue
+            for letter, cost, d in by_src.get(n, ()):
+                if letter is None and c + cost < best.get(d, c + cost + 1):
+                    best[d] = c + cost
+                    heapq.heappush(heap, (c + cost, d))
+        return best
+
+    def value(frontier: dict[int, int]) -> ExtendedNat:
+        vals = [c + da.accept_cost[n] for n, c in frontier.items()
+                if n in da.accept_cost]
+        return ExtendedNat(min(vals)) if vals else INF
+
+    results: dict[str, ExtendedNat] = {}
+    stack = [("", closed({n: 0 for n in da.initials}))]
+    while stack:
+        word, frontier = stack.pop()
+        results[word] = value(frontier)
+        if len(word) == max_len:
+            continue
+        for a in letters:
+            nxt: dict[int, int] = {}
+            for n, c in frontier.items():
+                for letter, cost, d in by_src.get(n, ()):
+                    if letter == a and c + cost < nxt.get(d, c + cost + 1):
+                        nxt[d] = c + cost
+            if nxt:
+                stack.append((word + a, closed(nxt)))
+    return results
+
+
+def min_weight_on(da: DistanceAutomaton, word: str) -> ExtendedNat:
+    """Minimal accepting-run weight on the input word (∞ when rejected)."""
+    by_src: dict[int, list[tuple[str | None, int, int]]] = {}
+    for s, letter, cost, d in da.edges:
+        by_src.setdefault(s, []).append((letter, cost, d))
+    start = [(0, 0, s) for s in da.initials]
+    heapq.heapify(start)
+    dist: dict[tuple[int, int], int] = {}
+    best = None
+    while start:
+        w, pos, node = heapq.heappop(start)
+        if best is not None and w >= best:
+            break
+        key = (pos, node)
+        if key in dist and dist[key] <= w:
+            continue
+        dist[key] = w
+        if pos == len(word) and node in da.accept_cost:
+            total = w + da.accept_cost[node]
+            if best is None or total < best:
+                best = total
+        for letter, cost, d in by_src.get(node, ()):
+            if letter is None:
+                heapq.heappush(start, (w + cost, pos, d))
+            elif pos < len(word) and word[pos] == letter:
+                heapq.heappush(start, (w + cost, pos + 1, d))
+    return INF if best is None else ExtendedNat(best)

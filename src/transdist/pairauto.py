@@ -7,10 +7,11 @@ words of the original transducers.
 
 Every question about delays is read off one component analysis per
 automaton (`components`): the strongly connected components with their gap
-potentials and the first edge that contradicts them.  The prefix and suffix
-gap ranges propagate over it in the two directions, and an unbalanced cycle
-is read off its conflicting edge.  Gaps under other additive letter weights
-(`weighted_gap_sup`) reuse its components with potentials of their own.
+potentials, summed along the links of Tarjan's depth-first tree, and the
+first edge that contradicts them.  The prefix and suffix gap ranges
+propagate over it in the two directions, and an unbalanced cycle is read
+off its conflicting edge.  Gaps under other additive letter weights
+(`weighted_gap_sup`) take potentials of their own from the same links.
 
 A path whose outputs differ in length is read off the same analysis where
 the gaps are unbounded: its conflicting edge and component tree give it
@@ -219,13 +220,12 @@ class Components(NamedTuple):
     potentials (`components`).
 
     comp[s] is the component of state s; comps lists each component's
-    states, components in topological order.  Inside a component a
-    breadth-first walk from its first state, the root, gives every state s
-    its potential pot[s], the gap of the walk's tree path from the root to
-    s, and its tree link tree[s], the last transition of that path (None at
-    a root).  conflict is the first edge (src, transition, dst) inside a
-    component whose gap differs from pot[dst] - pot[src], scanning the
-    components in order and each one's states and edges in order, or None.
+    states in the order of Tarjan's depth-first walk, root first, and
+    components in topological order; tree[s] is the transition by which the
+    walk reached s, None at a root (`automata.scc_decomposition`).  pot[s]
+    is the gap of the tree path from the root to s.  conflict is the first
+    transition (src, transition, dst) inside a component whose gap differs
+    from pot[dst] - pot[src], in transition order, or None.
     """
     comp: list[int]
     comps: list[list[int]]
@@ -243,33 +243,42 @@ def components(p: PairAutomaton) -> Components:
     differences to 0.
     """
     if p._components is None:
-        comp, comps = scc_decomposition(p.nfa)
-        adj = p.nfa.adj()
-        pot: list[int | None] = [None] * p.nfa.n_states
-        tree: list[int | None] = [None] * p.nfa.n_states
-        for c, members in enumerate(comps):
-            pot[members[0]] = 0
-            order = [members[0]]
-            for s in order:  # breadth-first: order grows behind s
-                for (x, y), d, t in adj[s]:
-                    if comp[d] == c and pot[d] is None:
-                        pot[d] = pot[s] + len(x) - len(y)
-                        tree[d] = t
-                        order.append(d)
-            if len(order) != len(members):
-                raise IntegrityError("SCC traversal incomplete")
-        p._components = Components(comp, comps, pot, tree,
-                                   _first_conflict(adj, comp, comps, pot))
+        comp, comps, tree = scc_decomposition(p.nfa)
+        pot, conflict = _potentials(p, comp, comps, tree, _transition_gaps(p))
+        p._components = Components(comp, comps, pot, tree, conflict)
     return p._components
 
 
-def _first_conflict(adj, comp, comps, pot):
+def _transition_gaps(p: PairAutomaton, weight: dict[str, int] | None = None
+                     ) -> list[int]:
+    """Per transition of p with label (x, y), the gap |x| - |y|, or with a
+    letter weight f, f(x) - f(y)."""
+    if weight is None:
+        return [len(x) - len(y) for _, (x, y), _ in p.nfa.transitions]
+    return [weight.get(x, 0) - weight.get(y, 0)
+            for _, (x, y), _ in p.nfa.transitions]
+
+
+def _potentials(p: PairAutomaton, comp, comps, tree, gaps
+                ) -> tuple[list[int], tuple[int, int, int] | None]:
+    """Per-state sums of the per-transition weights `gaps` along the tree
+    path from the component's root, and the first transition (src,
+    transition, dst) inside a component that contradicts them, or None.
+    `comps` lists a state's tree parent before it, so one pass suffices."""
+    transitions = p.nfa.transitions
+    pot = [0] * len(comp)
     for members in comps:
         for s in members:
-            for (x, y), d, t in adj[s]:
-                if comp[d] == comp[s] and pot[d] != pot[s] + len(x) - len(y):
-                    return s, t, d
-    return None
+            t = tree[s]
+            if t is not None:
+                src = transitions[t][0]
+                if comp[src] != comp[s]:
+                    raise IntegrityError("SCC traversal incomplete")
+                pot[s] = pot[src] + gaps[t]
+    for t, (s, _, d) in enumerate(transitions):
+        if comp[s] == comp[d] and pot[d] - pot[s] != gaps[t]:
+            return pot, (s, t, d)
+    return pot, None
 
 
 def delay_range(p: PairAutomaton) -> GapRange | None:
@@ -312,13 +321,13 @@ def _gap_range(p: PairAutomaton, reverse: bool) -> GapRange | None:
     comp, comps, pot, _, conflict = components(p)
     if conflict is not None:
         return None  # nonzero-gap cycle
-    lo, hi = _propagate(p, comp, comps, pot, edge_gap, reverse)
+    lo, hi = _propagate(p, comp, comps, pot, _transition_gaps(p), reverse)
     return (tuple(0 if v is None else v for v in lo),
             tuple(0 if v is None else v for v in hi))
 
 
-def _propagate(p: PairAutomaton, comp, comps, pot, gap, reverse: bool):
-    """Per-state (min, max) lists of the summed edge weight `gap(label)`
+def _propagate(p: PairAutomaton, comp, comps, pot, gaps, reverse: bool):
+    """Per-state (min, max) lists of the summed per-transition weight `gaps`
     over the paths from an initial state (or, with `reverse`, to a final
     state), given each component's consistent potentials `pot` for that
     weight; None at a state no path reaches."""
@@ -349,11 +358,10 @@ def _propagate(p: PairAutomaton, comp, comps, pot, gap, reverse: bool):
             lo[s] = base_lo + sign * pot[s]
             hi[s] = base_hi + sign * pot[s]
         for s in members:
-            for lbl, d, _ in links[s]:
+            for _, d, t in links[s]:
                 if comp[d] != comp[s]:
-                    g = gap(lbl)
-                    offer(d, lo[s] + g)
-                    offer(d, hi[s] + g)
+                    offer(d, lo[s] + gaps[t])
+                    offer(d, hi[s] + gaps[t])
     return lo, hi
 
 
@@ -362,35 +370,27 @@ def weighted_gap_sup(p: PairAutomaton, weight: dict[str, int]) -> int | None:
     letter weight f(w) = sum of weight[c] over the letters c of w (letters
     it omits weigh 0), or None when that sup is unbounded.
 
-    Reads the components of the one component analysis: per component one
-    breadth-first walk from its root gives every state its f-potential and
-    checks every edge inside the component against them.  An edge that
-    disagrees closes a cycle of nonzero net f-gap, which pumps the gap
-    without bound; otherwise one forward propagation over the components,
-    as for the prefix gaps, gives the least and greatest f-gap reaching
-    each final state.  Computed once per automaton and weight.
+    Sums the f-gaps along the tree links of the one component analysis, as
+    `components` sums the length gaps, and checks every edge inside a
+    component against those potentials.  An edge that disagrees closes a cycle of nonzero net f-gap, which pumps
+    the gap without bound; otherwise one forward propagation over the
+    components, as for the prefix gaps, gives the least and greatest f-gap
+    reaching each final state.  Computed once per automaton and weight.
     """
     key = tuple(sorted(weight.items()))
     if key in p._weighted_gaps:
         return p._weighted_gaps[key]
-    comp, comps, _, _, _ = components(p)
-    adj = p.nfa.adj()
-
-    gap = _weight_gap(weight)
-    pot = _potentials(adj, comp, comps, gap)
-    if pot is None:
+    comp, comps, _, tree, _ = components(p)
+    gaps = _transition_gaps(p, weight)
+    pot, conflict = _potentials(p, comp, comps, tree, gaps)
+    if conflict is not None:
         sup = None  # a cycle of nonzero net f-gap
     else:
-        lo, hi = _propagate(p, comp, comps, pot, gap, reverse=False)
+        lo, hi = _propagate(p, comp, comps, pot, gaps, reverse=False)
         sup = max((max(abs(lo[f]), abs(hi[f])) for f in p.nfa.finals
                    if lo[f] is not None), default=0)
     p._weighted_gaps[key] = sup
     return sup
-
-
-def _weight_gap(weight: dict[str, int]):
-    """The label gap (x, y) -> f(x) - f(y) of the letter weight f."""
-    return lambda lbl: weight.get(lbl[0], 0) - weight.get(lbl[1], 0)
 
 
 def output_letters(p: PairAutomaton) -> list[str]:
@@ -404,26 +404,6 @@ def unbalanced_letter(p: PairAutomaton) -> str | None:
     when every accepted pair is a permutation pair."""
     return next((c for c in output_letters(p)
                  if weighted_gap_sup(p, {c: 1}) != 0), None)
-
-
-def _potentials(adj, comp, comps, gap) -> list[int] | None:
-    """Per-state potentials of the edge weight `gap(label)`, relative to the
-    root of each component, or None when an edge inside a component
-    contradicts them."""
-    pot: list[int | None] = [None] * len(comp)
-    for c, members in enumerate(comps):
-        pot[members[0]] = 0
-        order = [members[0]]
-        for s in order:  # breadth-first: order grows behind s
-            for lbl, d, _ in adj[s]:
-                if comp[d] == c:
-                    g = pot[s] + gap(lbl)
-                    if pot[d] is None:
-                        pot[d] = g
-                        order.append(d)
-                    elif pot[d] != g:
-                        return None
-    return pot
 
 
 def max_abs_delay(p: PairAutomaton) -> int | None:
@@ -541,15 +521,15 @@ def _unbalanced_pair_witness(p: PairAutomaton,
     runs it only when the length gaps are bounded or a letter weight is
     given.
     """
-    gap = edge_gap if weight is None else _weight_gap(weight)
+    gaps = _transition_gaps(p, weight)
     bound = 4 * (p.nfa.n_states + 2)
     adj = p.nfa.adj()
     finals = p.nfa.finals
 
     def step(cfg):
         s, g = cfg
-        for lbl, d, t in adj[s]:
-            g2 = g + gap(lbl)
+        for _, d, t in adj[s]:
+            g2 = g + gaps[t]
             if abs(g2) <= bound:
                 yield t, (d, g2)
 
@@ -667,7 +647,7 @@ def synchronized_loop(p: PairAutomaton, bad: Callable[[Nfa], Iterable[int]]
     nfa, reads = synchronize(loops, max_abs_delay(p))
     # from_edges keeps the unsplit inside transitions first, in order:
     # S_L's cycles read only those
-    comp, comps = scc_decomposition(nfa)
+    comp, comps, _ = scc_decomposition(nfa)
     for t in bad(nfa):
         src, _, dst = nfa.transitions[t]
         if comp[dst] != comp[src]:

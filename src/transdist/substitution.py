@@ -200,7 +200,7 @@ def _longest_path(s: Nfa, weights: list[int]) -> int:
     positive inside a strongly connected component: the Close verdicts rule
     those out.  One pass over the components in reverse topological order,
     since a path crosses each transition between components at most once."""
-    comp, comps = scc_decomposition(s)
+    comp, comps, _ = scc_decomposition(s)
     adj = s.adj()
     best = [0] * len(comps)  # per component: the heaviest path to a final
     for c in range(len(comps) - 1, -1, -1):
@@ -300,7 +300,7 @@ def _collapse_silent_cycles(nfa: Nfa) -> Nfa:
     """Quotient by strongly connected components of the (ε,ε)-subgraph."""
     silent = Nfa(nfa.n_states, nfa.initials, nfa.finals,
                  [tr for tr in nfa.transitions if tr[1] == ("", "")])
-    comp, comps = scc_decomposition(silent)
+    comp, comps, _ = scc_decomposition(silent)
     transitions = []
     seen = set()
     for s, lbl, d in nfa.transitions:
@@ -316,7 +316,7 @@ def _collapse_silent_cycles(nfa: Nfa) -> Nfa:
 
 
 def _assert_dag(nfa: Nfa):
-    comp, comps = scc_decomposition(nfa)
+    comp, comps, _ = scc_decomposition(nfa)
     if any(len(c) > 1 for c in comps):
         raise IntegrityError("border gadget is not acyclic")
     for s, _, d in nfa.transitions:
@@ -333,7 +333,7 @@ def _max_path_distance(nfa: Nfa, metric: Metric, alphabet: Alphabet,
     at = _collapse_silent_cycles(at)
     at, _, _ = trim(at)
     _assert_dag(at)
-    comp, comps = scc_decomposition(at)
+    comp, comps, _ = scc_decomposition(at)
     topo_states = [c[0] for c in comps]  # singleton components in topo order
     suffix: dict[int, set[tuple[str, str]]] = {s: set() for s in range(at.n_states)}
     adj = at.adj()

@@ -251,7 +251,7 @@ def buffered_spec(spec, step, final):
     output and next buffer, on_cycle telling whether the edge lies on a
     cycle of T1; at a final state, final(buf, o) gives T2's final output."""
     n, finals, triples, final_out = spec
-    comp, _ = scc_decomposition(
+    comp, _, _ = scc_decomposition(
         Nfa(n, [0], finals, [(s, a, d) for s, a, _, d in triples]))
     ids: dict[tuple, int] = {(0, ""): 0}
     order = [(0, "")]

@@ -17,8 +17,9 @@ import time
 
 from conftest import (certificate_replays, delete_first_a,
                       joint_outputs_table, machine_corpus, make_transducer)
-from transdist.kapprox import (build_kapprox, close_verdict, distance, min_weight_table)
-from transdist.oracles import (OverBudget, metric_order_check, oracle_distance,
+from transdist.kapprox import build_kapprox, close_verdict, distance
+from transdist.oracles import (OverBudget, metric_order_check,
+                               min_weight_table, oracle_distance,
                                oracle_distance_table)
 from transdist.pairauto import PairAutomaton
 from transdist.relations import (diameter, identity_relation, index,

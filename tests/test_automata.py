@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transdist.automata import (
-    Nfa, accepts, determinize, enumerate_words, epsilon_closure,
-    equiv_unambiguous, included, is_unambiguous, language_difference_witness,
-    scc_decomposition, trim,
+    Nfa, accepts, determinize, epsilon_closure, equiv_unambiguous, included,
+    is_unambiguous, language_difference_witness, scc_decomposition, trim,
 )
 from transdist.errors import PreconditionError, ResourceLimitError
+from transdist.oracles import enumerate_words
 
 
 def words(alphabet, n):
@@ -75,7 +75,7 @@ def test_scc_two_cycles_in_topological_order():
     # 0<->1 feeds 2<->3
     nfa = Nfa(4, [0], [3], [(0, "a", 1), (1, "a", 0), (1, "b", 2),
                             (2, "a", 3), (3, "a", 2)])
-    comp, comps = scc_decomposition(nfa)
+    comp, comps, _ = scc_decomposition(nfa)
     assert comp[0] == comp[1]
     assert comp[2] == comp[3]
     assert comp[0] < comp[2]
@@ -91,17 +91,40 @@ def test_scc_respects_edge_direction_random():
         trans = [(rng.randrange(n), "a", rng.randrange(n))
                  for _ in range(rng.randrange(0, 2 * n))]
         nfa = Nfa(n, [0], [0], trans)
-        comp, comps = scc_decomposition(nfa)
+        comp, comps, _ = scc_decomposition(nfa)
         assert sorted(s for c in comps for s in c) == list(range(n))
         for s, _, d in nfa.transitions:
             assert comp[s] <= comp[d]
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 7))
+    state = st.integers(0, n - 1)
+    return Nfa(n, [0], [0], draw(st.lists(st.tuples(state, st.just("a"), state),
+                                          max_size=14)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfa=edge_lists())
+def test_scc_tree_links_span_each_component_in_discovery_order(nfa):
+    comp, comps, tree = scc_decomposition(nfa)
+    assert sorted(s for c in comps for s in c) == list(range(nfa.n_states))
+    for c, members in enumerate(comps):
+        assert all(comp[s] == c for s in members)
+        assert tree[members[0]] is None  # the root is listed first
+        for i, s in enumerate(members[1:], 1):
+            src, _, dst = nfa.transitions[tree[s]]
+            assert dst == s and src in members[:i]
+    for s, _, d in nfa.transitions:  # topological order
+        assert comp[s] <= comp[d]
 
 
 def test_scc_deep_chain_no_recursion_limit():
     n = 5000
     trans = [(i, "a", i + 1) for i in range(n - 1)]
     nfa = Nfa(n, [0], [n - 1], trans)
-    comp, comps = scc_decomposition(nfa)
+    comp, comps, _ = scc_decomposition(nfa)
     assert len(comps) == n
 
 

@@ -5,12 +5,13 @@ from itertools import islice
 
 
 from conftest import joint_outputs_table, machine_corpus
-from transdist.automata import (Nfa, enumerate_words, is_unambiguous,
+from transdist.automata import (Nfa, is_unambiguous,
                                 language_difference_witness, determinize)
 from transdist.conjugacy import (Atom, cat, star, sum_,
                                  sumfree_decompose, to_pair_automaton,
                                  verify_witness)
 from transdist.kapprox import build_kapprox, distance, kclose
+from transdist.oracles import enumerate_words
 from transdist.pairauto import PairAutomaton, enumerate_pairs, identity_witness
 from transdist.relations import (make_distance_relation, power_levels,
                                  relation_included)

@@ -14,9 +14,8 @@ from transdist.automata import Nfa, determinize, included
 from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
 from transdist.kapprox import (_lower_bound, build_kapprox, close_verdict,
-                               distance, kclose, min_weight_on,
-                               min_weight_table)
-from transdist.oracles import oracle_distance
+                               distance, kclose)
+from transdist.oracles import min_weight_on, min_weight_table, oracle_distance
 from transdist.pairauto import delay_range, identity_witness
 from transdist.substitution import distance_subst
 from transdist.transducers import (DomainMismatchError, Transducer,
@@ -697,6 +696,16 @@ def test_close_verdict_builds_one_joint_product(metric, pair, request,
     t1, t2 = (request.getfixturevalue(name) for name in pair.split())
     close_verdict(metric, t1, t2)
     assert len(joint_products) == 1
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("pair", ["t1 t2", "t1 t3", "t4 t5"])
+def test_close_verdict_decomposes_its_pair_automaton_once(
+        metric, pair, request, built_pairs, scc_runs):
+    t1, t2 = (request.getfixturevalue(name) for name in pair.split())
+    close_verdict(metric, t1, t2)
+    [p] = built_pairs
+    assert sum(nfa is p.nfa for nfa in scc_runs) == 1
 
 
 @pytest.mark.parametrize("metric", list(Metric))

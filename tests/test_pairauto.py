@@ -10,13 +10,14 @@ from transdist import automata, pairauto
 from transdist.automata import Nfa, scc_decomposition, trim
 from transdist.errors import InputError
 from transdist.pairauto import (
-    PairAutomaton, _unbalanced_pair_witness, component_path, delay_range,
-    edge_gap, enumerate_pairs, find_pair_path, identity_witness,
-    input_word_of_path, is_length_preserving, letter_mismatches,
-    max_abs_delay, output_pair_of_path, pair_length_diameter,
-    shortest_prefix_path, shortest_suffix_path, suffix_gap_range,
-    synchronize, synchronized_loop, unbalanced_cycle, unbalanced_letter,
-    unbalanced_path, weighted_gap_sup, wrap_pair_automaton,
+    PairAutomaton, _unbalanced_pair_witness, component_path, components,
+    delay_range, edge_gap, enumerate_pairs, find_pair_path,
+    identity_witness, input_word_of_path, is_length_preserving,
+    letter_mismatches, max_abs_delay, output_pair_of_path,
+    pair_length_diameter, shortest_prefix_path, shortest_suffix_path,
+    suffix_gap_range, synchronize, synchronized_loop, unbalanced_cycle,
+    unbalanced_letter, unbalanced_path, weighted_gap_sup,
+    wrap_pair_automaton,
 )
 from transdist.transducers import joint_product
 from transdist.words import INF, Alphabet
@@ -274,7 +275,7 @@ def reference_gap_range(nfa, reverse):
     n = nfa.n_states
     if n == 0:
         return (), ()
-    comp, comps = scc_decomposition(nfa)
+    comp, comps, _ = scc_decomposition(nfa)
     adj = nfa.adj()
     pot = [0] * n
     for members in comps:
@@ -318,58 +319,81 @@ def reference_gap_range(nfa, reverse):
             tuple(0 if v is None else v for v in hi))
 
 
-def reference_unbalanced_cycle(p):
-    """The unbalanced cycle as a walk of its own finds it: per component in
-    order, a breadth-first potential tree from its first state, the first
-    conflicting edge, and a breadth-first way back inside the component."""
-    nfa = p.nfa
-    comp, comps = scc_decomposition(nfa)
+def reference_components(nfa):
+    """Tarjan's algorithm written recursively: (components in topological
+    order, each listing its root first and its states in discovery order;
+    per state the transition that discovered it, None at a component's
+    root)."""
     adj = nfa.adj()
-    for members in comps:
-        inside = set(members)
-        root = members[0]
-        pot, tree = {root: 0}, {root: None}
-        order = deque([root])
-        while order:
-            s = order.popleft()
-            for lbl, d, t in adj[s]:
-                if d in inside and d not in pot:
-                    pot[d] = pot[s] + edge_gap(lbl)
-                    tree[d] = (s, t)
-                    order.append(d)
-        bad = next(((s, t, d) for s in members for lbl, d, t in adj[s]
-                    if d in inside and pot[d] != pot[s] + edge_gap(lbl)),
-                   None)
-        if bad is None:
-            continue
-        s, t, d = bad
+    index, low, tree = {}, {}, {}
+    stack, comps = [], []
 
-        def tree_path(state):
-            path = []
-            while tree[state] is not None:
-                state, tr = tree[state]
-                path.append(tr)
-            return path[::-1]
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for _, w, t in adj[v]:
+            if w not in index:
+                tree[w] = t
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            at = stack.index(v)
+            comps.append(stack[at:])
+            del stack[at:]
+            tree[v] = None
 
-        parent = {d: None}
-        todo = deque([d])
-        while root not in parent:
-            x = todo.popleft()
-            for _, y, tr in adj[x]:
-                if y in inside and y not in parent:
-                    parent[y] = (x, tr)
-                    todo.append(y)
-        back, cur = [], root
-        while parent[cur] is not None:
-            cur, tr = parent[cur]
-            back.append(tr)
-        back.reverse()
-        for cycle in (tree_path(s) + [t] + back, tree_path(d) + back):
-            if cycle and sum(edge_gap(nfa.transitions[tr][1])
-                             for tr in cycle) != 0:
-                return root, cycle
-        raise AssertionError("potential conflict without an unbalanced cycle")
-    return None
+    for v in range(nfa.n_states):
+        if v not in index:
+            visit(v)
+    return comps[::-1], tree
+
+
+def reference_unbalanced_cycle(p):
+    """The unbalanced cycle as a walk of its own finds it: a recursive
+    depth-first decomposition, the gap of each state's tree path from its
+    component's root, the first transition inside a component that
+    contradicts them, and a breadth-first way back inside the component."""
+    nfa = p.nfa
+    comps, tree = reference_components(nfa)
+    adj = nfa.adj()
+    inside = {s: set(members) for members in comps for s in members}
+
+    def tree_path(state):
+        path = []
+        while tree[state] is not None:
+            path.append(tree[state])
+            state = nfa.transitions[tree[state]][0]
+        return path[::-1]
+
+    def pot(state):
+        return sum(edge_gap(nfa.transitions[tr][1]) for tr in tree_path(state))
+
+    bad = next(((s, t, d) for t, (s, lbl, d) in enumerate(nfa.transitions)
+                if d in inside[s] and pot(d) != pot(s) + edge_gap(lbl)), None)
+    if bad is None:
+        return None
+    s, t, d = bad
+    root = next(r for r in inside[s] if tree[r] is None)
+    parent = {d: None}
+    todo = deque([d])
+    while root not in parent:
+        x = todo.popleft()
+        for _, y, tr in adj[x]:
+            if y in inside[s] and y not in parent:
+                parent[y] = (x, tr)
+                todo.append(y)
+    back, cur = [], root
+    while parent[cur] is not None:
+        cur, tr = parent[cur]
+        back.append(tr)
+    back.reverse()
+    for cycle in (tree_path(s) + [t] + back, tree_path(d) + back):
+        if cycle and sum(edge_gap(nfa.transitions[tr][1])
+                         for tr in cycle) != 0:
+            return root, cycle
+    raise AssertionError("potential conflict without an unbalanced cycle")
 
 
 def chains(p, path, start, end):
@@ -397,6 +421,10 @@ def test_component_analysis_matches_a_decomposition_per_question(graph,
     n, initials, finals, edges = graph
     p = PairAutomaton.from_edges(n, initials, finals, edges, AB, AB,
                                  do_trim=do_trim)
+    comps, tree = reference_components(p.nfa)
+    analysis = components(p)
+    assert analysis.comps == comps
+    assert analysis.tree == [tree[s] for s in range(p.n_states)]
     assert delay_range(p) == reference_gap_range(p.nfa, False)
     assert suffix_gap_range(p) == reference_gap_range(p.nfa, True)
     cycle = unbalanced_cycle(p)
