@@ -17,7 +17,9 @@ which keeps the skeleton and every minimal weight (see `_crossing_cuts`).
 Their residuals are canonical: a target's residuals lose their longest
 common prefix (d(c·A, c·B) = d(A, B)), and a target with no budget left
 whose residuals are both non-empty is dead, since they then differ at their
-first letters (see `_build_subst_family`).  Under all five metrics an edge
+first letters (see `_build_subst_family`).  Under all five metrics no edge
+cuts its chunk inside the common prefix of the chunk's two sides, since an
+optimal alignment matches that prefix first (the same lemma), and an edge
 into a diagonal tail, a state from which every reachable edge has a label
 (x, x), takes only the full cut of its chunk (d(A·S, B·S) = d(A, B)), so
 the nodes there have empty residuals, at most k + 1 per state.
@@ -130,6 +132,7 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     insertion under f; swapping the first two letters, which only Damerau
     allows, is one substitution under f, which Damerau allows too.  So an
     edit sequence from a·A to a·B maps to one from A to B no longer.
+    Under Hamming it is immediate, since the positions of c match.
     Transposition counts the inversions of the matching of equal letters in
     order, which pairs the two leading a's with no inversion and matches A
     to B as on its own.
@@ -139,6 +142,23 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     no accepting run, like one that fails the gap test.  Both rules shrink
     the target's key only; the dominated-cut argument of `_crossing_cuts`
     reads costs off the chunk's table, which the lemma leaves unchanged.
+
+    No edge cuts its chunk inside the chunk's common prefix.  With c the
+    longest common prefix of the chunk (left, right), an edge keeps only
+    cut points (i, j) with i, j >= |c|: the one-sided frontier points are
+    filtered, and `_crossing_cuts` starts its window there.  Filtering its
+    output instead would lose a point whose explaining predecessor lies
+    below |c|: on ('ab', 'ab') the predecessor test keeps (0, 0) alone.
+    Why nothing that matters is lost: the node must still align lu·x with
+    lv·y for a suffix output (x, y) of q, and both words begin with c.  By
+    the common-prefix lemma an optimal alignment matches c letter by letter
+    first and then aligns the rest optimally, so its monotone path passes
+    through (|c|, |c|), which lies in the chunk's rectangle
+    [0, |left|] × [0, |right|].  A run that follows this alignment cuts the
+    chunk at the path's last point in that rectangle, some (i, j) >=
+    (|c|, |c|).  The cut costs at most the alignment's part up to (i, j),
+    and the rest of the alignment prices the target's residuals, so the
+    run keeps the minimal weight, and the skeleton keeps its language.
 
     Under all five metrics an edge whose target d is a diagonal tail
     (`_diagonal_tails`: every edge reachable from d has a label (x, x))
@@ -234,19 +254,23 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
             best: dict[tuple, int] = {}
             if d in tails:
                 cuts = [(len(left), len(right))]
-            elif crossing:
-                cuts = _crossing_cuts(costs, left, right, b, leftover_cap,
-                                      indel, subst)
             else:
-                cuts = _consumption_points(len(left), len(right), b,
-                                           leftover_cap)
+                # no cut inside the chunk's common prefix
+                low = _common_prefix_length(left, right)
+                if crossing:
+                    cuts = _crossing_cuts(costs, left, right, b, leftover_cap,
+                                          low, indel, subst)
+                else:
+                    cuts = _consumption_points(len(left), len(right), b,
+                                               leftover_cap, low)
             for i, j in cuts:
                 cost = costs[i][j]
                 if cost is None or cost > b:
                     continue
                 ru, rv = left[i:], right[j:]
                 if crossing:
-                    ru, rv = _strip_common_prefix(ru, rv)
+                    n = _common_prefix_length(ru, rv)
+                    ru, rv = ru[n:], rv[n:]
                 key = (d, b - cost, ru, rv)
                 if key not in best or cost < best[key]:
                     best[key] = cost
@@ -275,26 +299,27 @@ def _diagonal_tails(p: PairAutomaton) -> set[int]:
     return set(range(p.nfa.n_states)) - seen
 
 
-def _strip_common_prefix(u: str, v: str) -> tuple[str, str]:
-    """u and v without their longest common prefix."""
+def _common_prefix_length(u: str, v: str) -> int:
+    """The length of the longest common prefix of u and v."""
     n = 0
     top = min(len(u), len(v))
     while n < top and u[n] == v[n]:
         n += 1
-    return u[n:], v[n:]
+    return n
 
 
-def _consumption_points(n: int, m: int, budget: int,
-                        cap: int) -> list[tuple[int, int]]:
+def _consumption_points(n: int, m: int, budget: int, cap: int,
+                        low: int) -> list[tuple[int, int]]:
     """Cut points (i, j) of a chunk alignment of lengths n and m, for the
     metrics without crossing edits.
 
     Such alignments decompose at one-sided frontiers, so the residual stays
-    one-sided.  Only points that leave at most `cap` letters on either side
-    are listed, and only those with |i - j| <= budget: every metric of the
+    one-sided.  Only points with i, j >= `low` (the length of the chunk's
+    common prefix) that leave at most `cap` letters on either side are
+    listed, and only those with |i - j| <= budget: every metric of the
     family charges at least the length difference of the aligned prefixes.
     """
-    low_i, low_j = max(0, n - cap), max(0, m - cap)
+    low_i, low_j = max(low, n - cap), max(low, m - cap)
     return ([(n, j) for j in range(max(low_j, n - budget),
                                    min(m, n + budget) + 1)]
             + [(i, m) for i in range(max(low_i, m - budget),
@@ -302,17 +327,18 @@ def _consumption_points(n: int, m: int, budget: int,
 
 
 def _crossing_cuts(costs: list[list[int | None]], left: str, right: str,
-                   budget: int, cap: int, indel: int,
+                   budget: int, cap: int, low: int, indel: int,
                    subst: int) -> list[tuple[int, int]]:
     """Cut points (i, j) of a chunk alignment under Damerau or transposition,
     read off the chunk's prefix table `costs`.
 
     Adjacent transpositions cross cut points, which forces residuals on both
     sides until a balanced point is reached, so every point of the window
-    (at most `cap` letters left on either side) and of the band
-    |i - j| <= budget may cut.  A point within budget is left out when a
-    predecessor (i-1, j), (i, j-1) or (i-1, j-1) in the window explains its
-    cost exactly: cost(i, j) = cost(i', j') + the step between them
+    (i, j >= `low`, the length of the chunk's common prefix, and at most
+    `cap` letters left on either side) and of the band |i - j| <= budget
+    may cut.  A point within budget is left out when a predecessor
+    (i-1, j), (i, j-1) or (i-1, j-1) in the window explains its cost
+    exactly: cost(i, j) = cost(i', j') + the step between them
     (`indel`, `subst` for two different letters, 0 for equal ones).  Steps
     cost at least 0 and a cost is at least its length gap, so such a
     predecessor is within budget and in the band as well, and the window is
@@ -327,7 +353,7 @@ def _crossing_cuts(costs: list[list[int | None]], left: str, right: str,
     nodes and splits determinized subsets, so they list every point.
     """
     n, m = len(left), len(right)
-    low_i, low_j = max(0, n - cap), max(0, m - cap)
+    low_i, low_j = max(low, n - cap), max(low, m - cap)
     cuts = []
     above = None
     for i in range(low_i, n + 1):
@@ -587,12 +613,13 @@ def kclose(metric: Metric, t1, t2, k: int,
     nodes.  When no initial node is live the skeleton is empty, and rightly
     so: every output pair then differs in length by more than k.  It prices
     each edge's chunk alignments from a prefix-distance table grown from its
-    node's, and for Damerau and transposition it leaves out every cut point
-    whose cost a neighbouring cut explains exactly, strips the common prefix
-    of each target's residuals and drops a target with no budget left and
-    two non-empty residuals.  An edge into a diagonal tail, a state from
-    which both outputs agree letter by letter, aligns its whole chunk, so
-    every node there has empty residuals.  Each rule keeps the skeleton's
+    node's, and cuts no chunk inside the common prefix of its two sides.
+    For Damerau and transposition it leaves out every cut point whose cost
+    a neighbouring cut explains exactly, strips the common prefix of each
+    target's residuals and drops a target with no budget left and two
+    non-empty residuals.  An edge into a diagonal tail, a state from which
+    both outputs agree letter by letter, aligns its whole chunk, so every
+    node there has empty residuals.  Each rule keeps the skeleton's
     language.
     A `ResourceLimitError` past the ceiling, in the build or in the
     determinization, names the layer, the metric and k.

@@ -225,13 +225,15 @@ class Components(NamedTuple):
     walk reached s, None at a root (`automata.scc_decomposition`).  pot[s]
     is the gap of the tree path from the root to s.  conflict is the first
     transition (src, transition, dst) inside a component whose gap differs
-    from pot[dst] - pot[src], in transition order, or None.
+    from pot[dst] - pot[src], in transition order, or None.  gaps[t] is the
+    gap |x| - |y| of transition t with label (x, y).
     """
     comp: list[int]
     comps: list[list[int]]
     pot: list[int]
     tree: list[int | None]
     conflict: tuple[int, int, int] | None
+    gaps: list[int]
 
 
 def components(p: PairAutomaton) -> Components:
@@ -244,8 +246,9 @@ def components(p: PairAutomaton) -> Components:
     """
     if p._components is None:
         comp, comps, tree = scc_decomposition(p.nfa)
-        pot, conflict = _potentials(p, comp, comps, tree, _transition_gaps(p))
-        p._components = Components(comp, comps, pot, tree, conflict)
+        gaps = _transition_gaps(p)
+        pot, conflict = _potentials(p, comp, comps, tree, gaps)
+        p._components = Components(comp, comps, pot, tree, conflict, gaps)
     return p._components
 
 
@@ -318,10 +321,10 @@ def _gap_range(p: PairAutomaton, reverse: bool) -> GapRange | None:
     reversed edges are the negated ones.  The ranges are tuples: the
     automaton keeps them for every later caller.
     """
-    comp, comps, pot, _, conflict = components(p)
+    comp, comps, pot, _, conflict, gaps = components(p)
     if conflict is not None:
         return None  # nonzero-gap cycle
-    lo, hi = _propagate(p, comp, comps, pot, _transition_gaps(p), reverse)
+    lo, hi = _propagate(p, comp, comps, pot, gaps, reverse)
     return (tuple(0 if v is None else v for v in lo),
             tuple(0 if v is None else v for v in hi))
 
@@ -380,7 +383,7 @@ def weighted_gap_sup(p: PairAutomaton, weight: dict[str, int]) -> int | None:
     key = tuple(sorted(weight.items()))
     if key in p._weighted_gaps:
         return p._weighted_gaps[key]
-    comp, comps, _, tree, _ = components(p)
+    comp, comps, _, tree, _, _ = components(p)
     gaps = _transition_gaps(p, weight)
     pot, conflict = _potentials(p, comp, comps, tree, gaps)
     if conflict is not None:
@@ -521,7 +524,8 @@ def _unbalanced_pair_witness(p: PairAutomaton,
     runs it only when the length gaps are bounded or a letter weight is
     given.
     """
-    gaps = _transition_gaps(p, weight)
+    gaps = (components(p).gaps if weight is None
+            else _transition_gaps(p, weight))
     bound = 4 * (p.nfa.n_states + 2)
     adj = p.nfa.adj()
     finals = p.nfa.finals
@@ -556,13 +560,13 @@ def unbalanced_path(p: PairAutomaton,
     """
     if weight is not None:
         return _unbalanced_pair_witness(p, weight)
-    comp, comps, pot, tree, conflict = components(p)
+    comp, comps, pot, tree, conflict, gaps = components(p)
     if conflict is None:
         return _unbalanced_pair_witness(p)
     s, t, d = conflict
     prefix = shortest_prefix_path(p, comps[comp[s]][0])
     suffix = shortest_suffix_path(p, d)
-    ends = sum(edge_gap(p.nfa.transitions[u][1]) for u in prefix + suffix)
+    ends = sum(gaps[u] for u in prefix + suffix)
     middle = (_tree_path(p, tree, d) if ends + pot[d] != 0
               else _tree_path(p, tree, s) + [t])
     return prefix + middle + suffix
@@ -667,17 +671,16 @@ def unbalanced_cycle(p: PairAutomaton) -> tuple[int, list[int]] | None:
     way back from d, and the tree path to d and the same way back.  Their
     net gaps differ, so one of them is nonzero.
     """
-    comp, comps, _, tree, conflict = components(p)
+    comp, comps, _, tree, conflict, gaps = components(p)
     if conflict is None:
         return None
     s, t, d = conflict
     members = comps[comp[s]]
     root = members[0]
-    transitions = p.nfa.transitions
     back = component_path(p, set(members), d, root)
     for cycle in (_tree_path(p, tree, s) + [t] + back,
                   _tree_path(p, tree, d) + back):
-        net = sum(edge_gap(transitions[tr][1]) for tr in cycle)
+        net = sum(gaps[tr] for tr in cycle)
         if net != 0 and cycle:
             return root, cycle
     raise IntegrityError("potential conflict without an unbalanced cycle")

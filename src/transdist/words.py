@@ -8,7 +8,8 @@ The Levenshtein, LCS and Damerau-Levenshtein distances have one recurrence
 each, which appends rows to a prefix-distance table of a word pair
 (d(u[:i], v[:j]) for every i and j, as plain ints).  `prefix_table` fills a
 whole table with it and `word_distance` reads the corner; `extend_table`
-grows the table of (u, v) into that of (u + x, v + y) for letters x and y.
+grows the table of (u, v) into that of (u + x, v + y) for letters x and y,
+appending y's column by the same recurrence read along a column.
 The k-approximation reads the cost of every cut point of an output chunk
 from one such table, grown from the table of its node's residuals.
 """
@@ -341,6 +342,72 @@ def _damerau_rows(t: list, u: str, v: str, i0: int) -> None:
         last_row[a] = i
 
 
+def _levenshtein_column(t: list, u: str, v: str, y: str) -> list:
+    """The table of (u, v + y), grown from t, the table of (u, v), by the
+    recurrence of `_levenshtein_rows`."""
+    prev = t[0] + [len(v) + 1]
+    grown = [prev]
+    for i in range(1, len(t)):
+        row = t[i]
+        cost = prev[-2] + (u[i - 1] != y)
+        if prev[-1] + 1 < cost:
+            cost = prev[-1] + 1
+        if row[-1] + 1 < cost:
+            cost = row[-1] + 1
+        prev = row + [cost]
+        grown.append(prev)
+    return grown
+
+
+def _lcs_column(t: list, u: str, v: str, y: str) -> list:
+    """The table of (u, v + y), grown from t, the table of (u, v), by the
+    recurrence of `_lcs_rows`."""
+    prev = t[0] + [len(v) + 1]
+    grown = [prev]
+    for i in range(1, len(t)):
+        row = t[i]
+        if u[i - 1] == y:
+            cost = prev[-2]
+        else:
+            cost = 1 + (prev[-1] if prev[-1] < row[-1] else row[-1])
+        prev = row + [cost]
+        grown.append(prev)
+    return grown
+
+
+def _damerau_column(t: list, u: str, v: str, y: str) -> list:
+    """The table of (u, v + y), grown from t, the table of (u, v), by the
+    recurrence of `_damerau_rows`.
+
+    Cell (i, m + 1), m = |v|, may pair y with its last occurrence in
+    u[:i-1] (row k) and u[i-1] with its last occurrence in v (column col) by
+    one swap, reading cell (k-1, col-1) of t.
+    """
+    m = len(v)
+    prev = t[0] + [m + 1]
+    grown = [prev]
+    k = 0
+    for i in range(1, len(t)):
+        row = t[i]
+        a = u[i - 1]
+        cost = prev[-2] + (a != y)
+        if prev[-1] + 1 < cost:
+            cost = prev[-1] + 1
+        if row[-1] + 1 < cost:
+            cost = row[-1] + 1
+        if k:
+            col = v.rfind(a) + 1
+            if col:
+                swap = t[k - 1][col - 1] + (i - k) + (m - col)
+                if swap < cost:
+                    cost = swap
+        if a == y:
+            k = i
+        prev = row + [cost]
+        grown.append(prev)
+    return grown
+
+
 def _length(u: str, v: str) -> ExtendedNat:
     return ExtendedNat(abs(len(u) - len(v)))
 
@@ -353,6 +420,11 @@ _ROWS = {
     Metric.LEVENSHTEIN: _levenshtein_rows,
     Metric.LCS: _lcs_rows,
     Metric.DAMERAU_LEVENSHTEIN: _damerau_rows,
+}
+_COLUMNS = {
+    Metric.LEVENSHTEIN: _levenshtein_column,
+    Metric.LCS: _lcs_column,
+    Metric.DAMERAU_LEVENSHTEIN: _damerau_column,
 }
 
 
@@ -397,10 +469,11 @@ def extend_table(metric: Metric, table: list[list[int | None]], u: str,
     """The prefix table of (u + x, v + y), grown from `table`, that of (u, v).
 
     x and y have at most one letter each, and `table` is left as it is.
-    The Levenshtein family appends one row for x by the same recurrence as
-    `prefix_table`, and a column for y as a row of the transpose, the table
-    of (v, u): all three metrics are symmetric.  Hamming and transposition
-    copy the table and fill at most one new diagonal cell from their kernel.
+    The Levenshtein family copies the rows with the cell of y's column
+    appended, by the metric's recurrence read along a column, then appends
+    one row for x by the same recurrence as `prefix_table`.  Hamming and
+    transposition copy the table and fill at most one new diagonal cell
+    from their kernel.
     """
     rows = _ROWS.get(metric)
     if rows is None:
@@ -412,12 +485,7 @@ def extend_table(metric: Metric, table: list[list[int | None]], u: str,
             table[i][i] = _finite_or_none(
                 _KERNELS[metric]((u + x)[:i], (v + y)[:i]))
         return table
-    if y:
-        transpose = list(zip(*table))
-        rows(transpose, v + y, u, len(v))
-        table = [row + [cell] for row, cell in zip(table, transpose[-1])]
-    else:
-        table = table[:]
+    table = _COLUMNS[metric](table, u, v, y) if y else table[:]
     if x:
         rows(table, u + x, v + y, len(u))
     return table

@@ -81,9 +81,10 @@ def test_kapprox_conjugacy_rotation():
 # the window explains, strip the common prefix of a node's residuals and drop
 # a zero-budget node whose residuals are both non-empty, and an edge into a
 # diagonal tail (the last state, where both outputs copy the input) takes
-# only the full cut.  Testing a node's liveness against its source's budget
-# only keeps more nodes (budgets fall along an edge), which these sizes and
-# the flip-7 pin show and no min-weight test can
+# only the full cut.  No chunk is cut inside its common prefix.  Testing a
+# node's liveness against its source's budget only keeps more nodes (budgets
+# fall along an edge), which these sizes and the flip-7 pin show and no
+# min-weight test can
 KAPPROX_SIZES = {
     Metric.LEVENSHTEIN: [(1, 0, 1), (2, 2, 2), (17, 36, 12), (28, 78, 17)],
     Metric.LCS: [(1, 0, 1), (1, 0, 1), (17, 34, 10), (17, 34, 10)],
@@ -186,7 +187,9 @@ def test_kapprox_matches_kernels_small_corpus(metric):
 # They and corpus seed 404 above also catch live-node pruning that drops too
 # much.  Under the Levenshtein family, a dead-node test off by one fails
 # every corpus machine, and prefix gaps in place of suffix gaps fail corpus
-# machines 1, 2 and 4; here the first fails 37 and 1227, the second 60
+# machines 1, 2 and 4; here the first fails 37 and 1227, the second 60.
+# Cuts filtered to i, j >= |c| after the predecessor test, in place of a
+# window that starts at the common prefix c, fail 37 and 60.
 # about six in seven random pairs have unbounded gaps and are filtered out
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
@@ -197,6 +200,24 @@ def test_kapprox_matches_kernels_small_corpus(metric):
 @example(rng=random.Random(60), metric=Metric.DAMERAU_LEVENSHTEIN)
 @example(rng=random.Random(1227), metric=Metric.TRANSPOSITION)
 def test_crossing_kapprox_matches_kernels_on_random_machines(rng, metric):
+    _kapprox_matches_kernels(rng, metric)
+
+
+# no chunk is cut inside its common prefix: a window that starts one point
+# past it fails 37 under all three metrics
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(rng=st.randoms(use_true_random=False),
+       metric=st.sampled_from([Metric.LEVENSHTEIN, Metric.LCS,
+                               Metric.HAMMING]))
+@example(rng=random.Random(37), metric=Metric.LEVENSHTEIN)
+@example(rng=random.Random(37), metric=Metric.LCS)
+@example(rng=random.Random(37), metric=Metric.HAMMING)
+def test_one_sided_kapprox_matches_kernels_on_random_machines(rng, metric):
+    _kapprox_matches_kernels(rng, metric)
+
+
+def _kapprox_matches_kernels(rng, metric):
     pair = random_joint_machine(rng, max_states=4, max_out_len=3)
     assume(pair is not None)
     t1, t2 = pair
@@ -619,13 +640,26 @@ def test_path_bounds_outside_the_certified_ones_are_an_integrity_error(
 def test_distance_levenshtein_flip7_builds_live_nodes_only():
     # dead nodes made this take seconds: 109,488 determinized subsets at k = 7.
     # Edges into the diagonal tail (the last state, copying on both sides)
-    # take the full cut only; cutting them everywhere left 1,571 subsets
+    # take the full cut only; cutting them everywhere left 1,571 subsets.
+    # No chunk is cut inside its common prefix: cutting there too built
+    # (380, 2206, 119).  The smaller skeleton determinizes to 6 more subsets,
+    # because 6 of those 119 each split in two: inputs that met in them
+    # through the dropped nodes now reach different sets of nodes
     t1, t2 = identity_ab(), flip_ab(7, tuple(range(7)))
     assert distance(Metric.LEVENSHTEIN, t1, t2) == 7
     p = joint_product(t1, t2)
     da = build_kapprox(Metric.LEVENSHTEIN, p, 7)
     det = determinize(da.skeleton())
-    assert (len(da.nodes), len(da.edges), det.n_states) == (380, 2206, 119)
+    assert (len(da.nodes), len(da.edges), det.n_states) == (336, 1650, 125)
+
+
+def test_lcs_kapprox_cuts_no_chunk_inside_its_common_prefix():
+    # the LCS flip set of the edit-distance benchmark at its distance 6:
+    # cutting chunks inside their common prefix too built 73 nodes and 286
+    # edges
+    p = joint_product(identity_ab(), flip_ab(4, (0, 1, 3)))
+    da = build_kapprox(Metric.LCS, p, 6)
+    assert (len(da.nodes), len(da.edges)) == (53, 182)
 
 
 def test_distance_without_verdict_bound_searches_upward():
@@ -756,16 +790,15 @@ def test_distance_decomposes_its_pair_automaton_once(probes, built_pairs,
     assert sum(nfa is p.nfa for nfa in scc_runs) == 1
 
 
-def test_unbounded_verdict_decomposes_its_pair_automaton_once(
-        t1, t3, built_pairs, scc_runs):
-    # the unbounded gaps and the cycle that the certificate pumps come from
-    # one component analysis
+def test_unbounded_verdict_certifies_a_loop(t1, t3, built_pairs):
+    # the certificate pumps a cycle of the gaps that the verdict found
+    # unbounded; that one component analysis serves both is counted by
+    # test_close_verdict_decomposes_its_pair_automaton_once[t1 t3-levenshtein]
     verdict = close_verdict(Metric.LEVENSHTEIN, t1, t3)
     assert isinstance(verdict, NotClose)
     assert isinstance(verdict.certificate, LoopCertificate)
     [p] = built_pairs
     assert delay_range(p) is None
-    assert sum(nfa is p.nfa for nfa in scc_runs) == 1
 
 
 @pytest.mark.parametrize("metric, want", [

@@ -520,6 +520,28 @@ def test_weighted_gap_sup_reuses_the_component_analysis(monkeypatch):
     assert len(p._weighted_gaps) == len(WEIGHTS)
 
 
+def test_length_gaps_are_listed_once_per_automaton(monkeypatch):
+    # the component analysis keeps the per-transition length gaps, which the
+    # gap ranges of both directions and the search for an unbalanced pair
+    # then read; a letter weight lists its own
+    listed = []
+    real = pairauto._transition_gaps
+
+    def listing(p, weight=None):
+        listed.append((p, weight))
+        return real(p, weight)
+
+    monkeypatch.setattr(pairauto, "_transition_gaps", listing)
+    # bounded gaps, and a pair whose lengths differ: (ab, b) then (b, b)*
+    p = pa([(0, ("ab", "b"), 1), (1, ("b", "b"), 1)], 2, finals=[1])
+    assert delay_range(p) is not None
+    assert suffix_gap_range(p) is not None
+    assert unbalanced_path(p) == _unbalanced_pair_witness(p)
+    assert listed == [(p, None)]
+    weighted_gap_sup(p, {"a": 1})
+    assert listed == [(p, None), (p, {"a": 1})]
+
+
 def bfs_distance(sources, successors, is_goal):
     """Fewest steps from a source to a goal node, or None."""
     dist = dict.fromkeys(sources, 0)

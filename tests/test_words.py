@@ -215,6 +215,22 @@ def test_extend_table_grows_the_prefix_table(u, v, x, y):
         assert table == prefix_table(metric, u, v), metric
 
 
+@pytest.mark.parametrize("metric", TABLE_METRICS)
+def test_extend_table_grows_every_short_table(metric):
+    # the exhaustive companion of the property above: x and y range over
+    # every letter, so Damerau's column meets a y that already occurs in u
+    # and a letter of u that occurs in v, which its swap reads
+    short = words_upto(Alphabet("abc"), 3)
+    for u in short:
+        for v in short:
+            table = prefix_table(metric, u, v)
+            for x, y in itertools.product(["", "a", "b", "c"], repeat=2):
+                grown = extend_table(metric, table, u, v, x, y)
+                assert grown == prefix_table(metric, u + x, v + y), \
+                    (u, v, x, y)
+            assert table == prefix_table(metric, u, v), (u, v)
+
+
 @pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
 def test_extend_table_makes_at_most_one_kernel_call(metric, monkeypatch):
     # both metrics are ∞ off the diagonal, so one step adds at most the one
