@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 
@@ -479,17 +479,3 @@ def included(a: Nfa, dfa: Nfa) -> tuple[Hashable, ...] | None:
                 parent[nxt] = (key, x)
                 todo.append(nxt)
     return None
-
-
-def accepts(nfa: Nfa, word: Sequence[Hashable]) -> bool:
-    cur = epsilon_closure(nfa, nfa.initials)
-    for x in word:
-        nxt = set()
-        for s in cur:
-            for y, d, _ in nfa.adj()[s]:
-                if y == x:
-                    nxt.add(d)
-        cur = epsilon_closure(nfa, nxt)
-        if not cur:
-            return False
-    return bool(cur & nfa.finals)

@@ -212,20 +212,19 @@ def cmd_oracle(args) -> int:
     metric = parse_metric(args.metric)
     t1 = _load_transducer(args.file1)
     t2 = _load_transducer(args.file2)
-    rows = []
     shared = same_domain(t1, t2)
-    for n in range(args.max_len + 1):
-        best = None
-        count = 0
-        for w in domain_words(t1, n):
-            if len(w) != n:
-                continue
-            count += 1
-            o2 = evaluate(t2, w)
-            d = INF if o2 is None else word_distance(metric, evaluate(t1, w), o2)
-            best = d if best is None else max(best, d)
-        rows.append({"length": n, "inputs": count,
-                     "max_distance": None if best is None else str(best)})
+    lengths = range(args.max_len + 1)
+    counts = [0] * len(lengths)
+    best = [None] * len(lengths)
+    for w in domain_words(t1, args.max_len) if lengths else ():
+        n = len(w)
+        counts[n] += 1
+        o2 = evaluate(t2, w)
+        d = INF if o2 is None else word_distance(metric, evaluate(t1, w), o2)
+        best[n] = d if best[n] is None else max(best[n], d)
+    rows = [{"length": n, "inputs": counts[n],
+             "max_distance": None if best[n] is None else str(best[n])}
+            for n in lengths]
     if not args.json:
         print(f"# oracle {metric} (same domain: {'yes' if shared else 'no'})")
         print("length  inputs  max_distance")

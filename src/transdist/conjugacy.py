@@ -51,10 +51,6 @@ DEFAULT_SUMMAND_LIMIT = 4096
 class PairExpr:
     """Rational expression over pairs of words (pointwise concatenation)."""
 
-    def language_upto(self, max_len: int, left_alphabet=None, right_alphabet=None):
-        p = to_pair_automaton(self, left_alphabet, right_alphabet)
-        return enumerate_pairs(p, max_len)
-
 
 @dataclass(frozen=True)
 class Empty(PairExpr):
@@ -352,13 +348,12 @@ def pair_witnesses(u: str, v: str) -> PairWitnesses | None:
     return PairWitnesses(inner, outer)
 
 
-def verify_witness(target: PairAutomaton | PairExpr, z: str, side: str) -> bool:
-    """Exact check that z is a common witness of every pair of the language.
+def verify_witness(p: PairAutomaton, z: str, side: str) -> bool:
+    """Exact check that z is a common witness of every pair of L(p).
 
     Builds the pair automaton of {(u·z, z·v)} (inner) or {(z·u, v·z)} (outer)
     and decides whether it is an identity relation.
     """
-    p = target if isinstance(target, PairAutomaton) else to_pair_automaton(target)
     if side == "inner":
         wrapped = wrap_pair_automaton(p, ("", z), (z, ""))
     elif side == "outer":

@@ -1,7 +1,7 @@
-"""Brute-force references for the word metrics.
+"""Brute-force and independent references for the library's answers.
 
 No operation of the library calls this module: it is what the tests and
-demos check the kernels of `words` against.  `oracle_distance` searches
+demos check the library against.  `oracle_distance` searches
 the configuration graph of a metric's edit operations breadth-first, from
 one word towards another.  `oracle_distance_table` gives the distances
 from many binary words at once, by one shortest-path sweep per batch over
@@ -9,9 +9,14 @@ the edit graph of all binary words up to a length; it needs numpy and
 scipy, which it imports on first use, so `import transdist` needs neither.
 `metric_order_check` checks the inequalities between the metrics on sample
 pairs.  `enumerate_words` lists the words an automaton accepts up to a
-length, and `min_weight_on` and `min_weight_table` read the least run
-weights of a (min,+) distance automaton (`kapprox.build_kapprox`) off its
-runs on given inputs.
+length and `accepts` runs one word through it; `min_weight_on` and
+`min_weight_table` read the least run weights of a (min,+) distance
+automaton (`kapprox.build_kapprox`) off its runs on given inputs.
+`edge_gap` is the length gap of one pair label, and `relation_included`
+decides R ⊆ S for bounded-delay relations by padded-encoding inclusion, the
+test that `relations.index` makes on each level.  `distance_subst` computes
+the exact Hamming and transposition distances through an acyclic gadget, a
+route independent of `substitution.distance_bounds`.
 """
 
 from __future__ import annotations
@@ -19,12 +24,22 @@ from __future__ import annotations
 import functools
 import heapq
 from collections import deque
-from typing import Hashable, Iterable
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Sequence
 
-from .automata import EPSILON, Nfa, epsilon_closure
-from .errors import InputError
+from .automata import EPSILON, Nfa, epsilon_closure, scc_decomposition, trim
+from .errors import IntegrityError, InputError, ResourceLimitError
 from .kapprox import DistanceAutomaton
+from .pairauto import PairAutomaton, components, delay_range
+from .relations import (DEFAULT_CONTAINMENT_CEILING, _included_padded,
+                        _padded_nfa)
+from .substitution import close_hamming, close_transposition
+from .transducers import DomainMismatchError, joint_product
+from .verdicts import NotClose
 from .words import INF, ZERO, Alphabet, ExtendedNat, Metric, word_distance
+
+DEFAULT_GADGET_CEILING = 20_000
+DEFAULT_PATHSET_CEILING = 200_000
 
 
 class OverBudget:
@@ -338,6 +353,22 @@ def enumerate_words(nfa: Nfa, max_len: int) -> set[tuple[Hashable, ...]]:
     return accepted
 
 
+def accepts(nfa: Nfa, word: Sequence[Hashable]) -> bool:
+    """Does nfa accept word?  One subset step per letter."""
+    adj = nfa.adj()
+    cur = epsilon_closure(nfa, nfa.initials)
+    for x in word:
+        nxt = set()
+        for s in cur:
+            for y, d, _ in adj[s]:
+                if y == x:
+                    nxt.add(d)
+        cur = epsilon_closure(nfa, nxt)
+        if not cur:
+            return False
+    return bool(cur & nfa.finals)
+
+
 def min_weight_table(da: DistanceAutomaton, letters, max_len: int
                      ) -> dict[str, ExtendedNat]:
     """Minimal accepting weights for every input word up to max_len.
@@ -413,3 +444,225 @@ def min_weight_on(da: DistanceAutomaton, word: str) -> ExtendedNat:
             elif pos < len(word) and word[pos] == letter:
                 heapq.heappush(start, (w + cost, pos + 1, d))
     return INF if best is None else ExtendedNat(best)
+
+
+# ---------------------------------------------------------------------------
+# pair automata and relations
+# ---------------------------------------------------------------------------
+
+def edge_gap(label: tuple[str, str]) -> int:
+    """|x| - |y| for the pair label (x, y)."""
+    x, y = label
+    return len(x) - len(y)
+
+
+def relation_included(small: PairAutomaton, big: PairAutomaton,
+                      ceiling: int = DEFAULT_CONTAINMENT_CEILING) -> bool:
+    """small ⊆ big for bounded-delay relations, by padded-encoding inclusion.
+
+    Both relations are synchronized into letter-to-letter encodings padded
+    with ⊥; small ⊆ big iff every padded word of small is a padded word of
+    big, which `automata.included` decides against padded big determinized
+    as far as padded small reads it (`relations._included_padded`).  A
+    letter pair that big never uses is a missing move there, so it rejects.
+    """
+    return _included_padded(_padded_nfa(small, ceiling), big, ceiling)
+
+
+# ---------------------------------------------------------------------------
+# Hamming and transposition distances through the acyclic gadget
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Pipeline:
+    p: PairAutomaton
+    delays: list[int]
+    comp: list[int]
+    comps: list[list[int]]
+    intra: list[list[int]]  # per component: transition indices inside it
+
+
+def _build_pipeline(p: PairAutomaton) -> _Pipeline:
+    """Needs a trimmed, length-preserving p: each state's delay is then the
+    one gap of `delay_range` (lo == hi)."""
+    gaps = delay_range(p)
+    if gaps is None or gaps[0] != gaps[1]:
+        raise IntegrityError("length-preserving automaton with conflicting delays")
+    delays = gaps[0]
+    analysis = components(p)
+    comp, comps = analysis.comp, analysis.comps
+    intra: list[list[int]] = [[] for _ in comps]
+    for t, (s, _, d) in enumerate(p.nfa.transitions):
+        if comp[s] == comp[d]:
+            intra[comp[s]].append(t)
+    return _Pipeline(p, delays, comp, comps, intra)
+
+
+def _acyclic_gadget(pipe: _Pipeline, ceiling: int) -> Nfa:
+    """A_T: borders and cross-component outputs only; interiors dropped.
+
+    Within a letter-emitting component, forward levels emit the leading
+    border, level-0 moves cross the interior silently, and backward levels
+    emit the trailing border.  Pass-through components keep their edges.
+    """
+    p = pipe.p
+    ids: dict[tuple, int] = {}
+    order: list[tuple] = []
+
+    def node(key):
+        if key not in ids:
+            if len(ids) >= ceiling:
+                raise ResourceLimitError(
+                    f"acyclic gadget exceeded ceiling of {ceiling} states")
+            ids[key] = len(order)
+            order.append(key)
+        return ids[key]
+
+    gadgeted = [any(p.nfa.transitions[t][1] != ("", "") for t in intra)
+                for intra in pipe.intra]
+    edges: list[tuple] = []
+    for cid, members in enumerate(pipe.comps):
+        if not gadgeted[cid]:
+            for t in pipe.intra[cid]:
+                s, lbl, d = p.nfa.transitions[t]
+                edges.append((node(("p", s)), lbl, node(("p", d))))
+            continue
+        dmax = max(abs(pipe.delays[s]) for s in members)
+        for t in pipe.intra[cid]:
+            s, (x, y), d = p.nfa.transitions[t]
+            for i in range(-dmax, dmax + 1):
+                if i > 0:  # forward: keep the leading border side
+                    j = i - 1 if y else i
+                    edges.append((_fnode(node, s, i), ("", y), _fnode(node, d, j)))
+                elif i < 0:
+                    j = i + 1 if x else i
+                    edges.append((_fnode(node, s, i), (x, ""), _fnode(node, d, j)))
+                if i > 0:  # backward: keep the trailing border side
+                    j = i - 1 if y else i
+                    edges.append((_bnode(node, s, j), ("", y), _bnode(node, d, i)))
+                elif i < 0:
+                    j = i + 1 if x else i
+                    edges.append((_bnode(node, s, j), (x, ""), _bnode(node, d, i)))
+            # level-0 interior movement emits nothing
+            edges.append((node(("z", s)), ("", ""), node(("z", d))))
+
+    def entry(state):
+        cid = pipe.comp[state]
+        if not gadgeted[cid]:
+            return node(("p", state))
+        return _fnode(node, state, pipe.delays[state])
+
+    def exit_(state):
+        cid = pipe.comp[state]
+        if not gadgeted[cid]:
+            return node(("p", state))
+        return _bnode(node, state, -pipe.delays[state])
+
+    for s, lbl, d in p.nfa.transitions:
+        if pipe.comp[s] != pipe.comp[d]:
+            edges.append((exit_(s), lbl, entry(d)))
+    initials = [entry(s) for s in sorted(p.nfa.initials)]
+    finals = [exit_(f) for f in sorted(p.nfa.finals)]
+    return Nfa(len(order), initials, finals, edges)
+
+
+def _fnode(node, state, level):
+    return node(("z", state)) if level == 0 else node(("f", state, level))
+
+
+def _bnode(node, state, level):
+    return node(("z", state)) if level == 0 else node(("b", state, level))
+
+
+def _collapse_silent_cycles(nfa: Nfa) -> Nfa:
+    """Quotient by strongly connected components of the (ε,ε)-subgraph."""
+    silent = Nfa(nfa.n_states, nfa.initials, nfa.finals,
+                 [tr for tr in nfa.transitions if tr[1] == ("", "")])
+    comp, comps, _ = scc_decomposition(silent)
+    transitions = []
+    seen = set()
+    for s, lbl, d in nfa.transitions:
+        cs, cd = comp[s], comp[d]
+        if cs == cd and lbl == ("", ""):
+            continue
+        key = (cs, lbl, cd)
+        if key not in seen:
+            seen.add(key)
+            transitions.append(key)
+    return Nfa(len(comps), {comp[s] for s in nfa.initials},
+               {comp[f] for f in nfa.finals}, transitions)
+
+
+def _assert_dag(nfa: Nfa):
+    comp, comps, _ = scc_decomposition(nfa)
+    if any(len(c) > 1 for c in comps):
+        raise IntegrityError("border gadget is not acyclic")
+    for s, _, d in nfa.transitions:
+        if s == d:
+            raise IntegrityError("border gadget has a self-loop")
+
+
+def _max_path_distance(nfa: Nfa, metric: Metric, alphabet: Alphabet,
+                       ceiling: int) -> ExtendedNat:
+    """Max over accepting paths of the output-pair distance (exhaustive)."""
+    at, _, _ = trim(nfa)
+    if at.n_states == 0:
+        return ExtendedNat(0)
+    at = _collapse_silent_cycles(at)
+    at, _, _ = trim(at)
+    _assert_dag(at)
+    comp, comps, _ = scc_decomposition(at)
+    topo_states = [c[0] for c in comps]  # singleton components in topo order
+    suffix: dict[int, set[tuple[str, str]]] = {s: set() for s in range(at.n_states)}
+    adj = at.adj()
+    total = 0
+    for s in reversed(topo_states):
+        pairs = set()
+        if s in at.finals:
+            pairs.add(("", ""))
+        for (x, y), d, _ in adj[s]:
+            for u, v in suffix[d]:
+                pairs.add((x + u, y + v))
+        total += len(pairs)
+        if total > ceiling:
+            raise ResourceLimitError(
+                f"path enumeration exceeded {ceiling} suffix pairs")
+        suffix[s] = pairs
+    best = ExtendedNat(0)
+    for s in at.initials:
+        for u, v in suffix[s]:
+            d = word_distance(metric, u, v, alphabet)
+            if d == INF:
+                raise IntegrityError(
+                    "infinite path distance on a machine declared close")
+            best = max(best, d)
+    return best
+
+
+def distance_subst(metric: Metric, t1, t2) -> ExtendedNat:
+    """Exact Hamming/transposition distance through the acyclic gadget: a
+    reference route, independent of `substitution.distance_bounds`, that
+    the tests compare `kapprox.distance` against.
+
+    Builds the pair automaton (checking the domains) once, for the verdict
+    and the gadget alike; the gadget's pipeline reads the delays and
+    components the verdict left on it.  The gadget holds at most
+    `DEFAULT_GADGET_CEILING` states and the path enumeration at most
+    `DEFAULT_PATHSET_CEILING` suffix pairs.
+    """
+    if metric is Metric.HAMMING:
+        decide = close_hamming
+    elif metric is Metric.TRANSPOSITION:
+        decide = close_transposition
+    else:
+        raise InputError(f"distance_subst handles hamming/transposition, "
+                         f"not {metric}")
+    try:
+        p = joint_product(t1, t2)
+    except DomainMismatchError:
+        return INF
+    if isinstance(decide(t1, t2, p), NotClose):
+        return INF
+    gadget = _acyclic_gadget(_build_pipeline(p), DEFAULT_GADGET_CEILING)
+    return _max_path_distance(gadget, metric, p.left_alphabet,
+                              DEFAULT_PATHSET_CEILING)

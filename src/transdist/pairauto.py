@@ -184,11 +184,6 @@ def _keep_live(live: list[bool], initials: Iterable[int], finals: Iterable[int],
              for src, lbl, dst, letter in edges if live[src] and live[dst]])
 
 
-def edge_gap(label: tuple[str, str]) -> int:
-    x, y = label
-    return len(x) - len(y)
-
-
 def enumerate_pairs(p: PairAutomaton, max_len: int) -> set[tuple[str, str]]:
     """All accepted pairs (u, v) with |u| <= max_len and |v| <= max_len."""
     adj = p.nfa.adj()

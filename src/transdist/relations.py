@@ -264,19 +264,6 @@ def _included_padded(padded_small: Nfa, big: PairAutomaton,
     return included(padded_small, det) is None
 
 
-def relation_included(small: PairAutomaton, big: PairAutomaton,
-                      ceiling: int = DEFAULT_CONTAINMENT_CEILING) -> bool:
-    """small ⊆ big for bounded-delay relations, by padded-encoding inclusion.
-
-    Both relations are synchronized into letter-to-letter encodings padded
-    with ⊥; small ⊆ big iff every padded word of small is a padded word of
-    big, which `automata.included` decides against padded big determinized
-    as far as padded small reads it (`_included_padded`).  A letter pair
-    that big never uses is a missing move there, so it rejects.
-    """
-    return _included_padded(_padded_nfa(small, ceiling), big, ceiling)
-
-
 def _start_level(r: PairAutomaton, s: PairAutomaton) -> int:
     """⌈L(R) / g(S)⌉ for the length diameters L(R) and g(S), or 0 when g(S)
     is not finite and positive: no k below it has R ⊆ S^{≤∘k}.  Needs a

@@ -14,57 +14,19 @@ letter-count differences under transposition.  The first is the Hamming
 distance, half the second is the transposition distance over two letters,
 and over more the distance lies between half of it and all of it.  S is
 exponential in every delay of p, so it is built under a state ceiling.
-`distance_subst` computes the exact distances by another route, the maximum
-over accepting paths of an acyclic automaton that keeps only borders and
-cross-component outputs, and serves as a reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .automata import EPSILON, Nfa, scc_decomposition, trim
-from .errors import IntegrityError, InputError, ResourceLimitError
-from .pairauto import (PairAutomaton, components, delay_range,
-                       input_word_of_path, is_length_preserving,
-                       letter_mismatches, max_abs_delay, synchronize,
-                       synchronized_loop, unbalanced_letter)
-from .transducers import (DomainMismatchError, joint_product,
-                          loop_certificate, unbalanced_word_certificate)
+from .automata import EPSILON, Nfa, scc_decomposition
+from .errors import IntegrityError
+from .pairauto import (PairAutomaton, input_word_of_path,
+                       is_length_preserving, letter_mismatches,
+                       max_abs_delay, synchronize, synchronized_loop,
+                       unbalanced_letter)
+from .transducers import loop_certificate, unbalanced_word_certificate
 from .verdicts import Close, NotClose
-from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
-
-DEFAULT_GADGET_CEILING = 20_000
-DEFAULT_PATHSET_CEILING = 200_000
-
-
-# ---------------------------------------------------------------------------
-# shared pipeline state
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Pipeline:
-    p: PairAutomaton
-    delays: list[int]
-    comp: list[int]
-    comps: list[list[int]]
-    intra: list[list[int]]  # per component: transition indices inside it
-
-
-def _build_pipeline(p: PairAutomaton) -> _Pipeline:
-    """Needs a trimmed, length-preserving p: each state's delay is then the
-    one gap of `delay_range` (lo == hi)."""
-    gaps = delay_range(p)
-    if gaps is None or gaps[0] != gaps[1]:
-        raise IntegrityError("length-preserving automaton with conflicting delays")
-    delays = gaps[0]
-    analysis = components(p)
-    comp, comps = analysis.comp, analysis.comps
-    intra: list[list[int]] = [[] for _ in comps]
-    for t, (s, _, d) in enumerate(p.nfa.transitions):
-        if comp[s] == comp[d]:
-            intra[comp[s]].append(t)
-    return _Pipeline(p, delays, comp, comps, intra)
+from .words import Metric
 
 
 # ---------------------------------------------------------------------------
@@ -213,180 +175,3 @@ def _longest_path(s: Nfa, weights: list[int]) -> int:
                         "a weighted transition of S lies on a cycle of a "
                         "pair declared close")
     return max((best[comp[q]] for q in s.initials), default=0)
-
-
-# ---------------------------------------------------------------------------
-# acyclic gadget: exact distance and k-closeness
-# ---------------------------------------------------------------------------
-
-def _acyclic_gadget(pipe: _Pipeline, ceiling: int) -> Nfa:
-    """A_T: borders and cross-component outputs only; interiors dropped.
-
-    Within a letter-emitting component, forward levels emit the leading
-    border, level-0 moves cross the interior silently, and backward levels
-    emit the trailing border.  Pass-through components keep their edges.
-    """
-    p = pipe.p
-    ids: dict[tuple, int] = {}
-    order: list[tuple] = []
-
-    def node(key):
-        if key not in ids:
-            if len(ids) >= ceiling:
-                raise ResourceLimitError(
-                    f"acyclic gadget exceeded ceiling of {ceiling} states")
-            ids[key] = len(order)
-            order.append(key)
-        return ids[key]
-
-    gadgeted = [any(p.nfa.transitions[t][1] != ("", "") for t in intra)
-                for intra in pipe.intra]
-    edges: list[tuple] = []
-    for cid, members in enumerate(pipe.comps):
-        if not gadgeted[cid]:
-            for t in pipe.intra[cid]:
-                s, lbl, d = p.nfa.transitions[t]
-                edges.append((node(("p", s)), lbl, node(("p", d))))
-            continue
-        dmax = max(abs(pipe.delays[s]) for s in members)
-        for t in pipe.intra[cid]:
-            s, (x, y), d = p.nfa.transitions[t]
-            for i in range(-dmax, dmax + 1):
-                if i > 0:  # forward: keep the leading border side
-                    j = i - 1 if y else i
-                    edges.append((_fnode(node, s, i), ("", y), _fnode(node, d, j)))
-                elif i < 0:
-                    j = i + 1 if x else i
-                    edges.append((_fnode(node, s, i), (x, ""), _fnode(node, d, j)))
-                if i > 0:  # backward: keep the trailing border side
-                    j = i - 1 if y else i
-                    edges.append((_bnode(node, s, j), ("", y), _bnode(node, d, i)))
-                elif i < 0:
-                    j = i + 1 if x else i
-                    edges.append((_bnode(node, s, j), (x, ""), _bnode(node, d, i)))
-            # level-0 interior movement emits nothing
-            edges.append((node(("z", s)), ("", ""), node(("z", d))))
-
-    def entry(state):
-        cid = pipe.comp[state]
-        if not gadgeted[cid]:
-            return node(("p", state))
-        return _fnode(node, state, pipe.delays[state])
-
-    def exit_(state):
-        cid = pipe.comp[state]
-        if not gadgeted[cid]:
-            return node(("p", state))
-        return _bnode(node, state, -pipe.delays[state])
-
-    for t, (s, lbl, d) in enumerate(p.nfa.transitions):
-        if pipe.comp[s] != pipe.comp[d]:
-            edges.append((exit_(s), lbl, entry(d)))
-    initials = [entry(s) for s in sorted(p.nfa.initials)]
-    finals = [exit_(f) for f in sorted(p.nfa.finals)]
-    return Nfa(len(order), initials, finals,
-               [(s, lbl, d) for s, lbl, d in edges])
-
-
-def _fnode(node, state, level):
-    return node(("z", state)) if level == 0 else node(("f", state, level))
-
-
-def _bnode(node, state, level):
-    return node(("z", state)) if level == 0 else node(("b", state, level))
-
-
-def _collapse_silent_cycles(nfa: Nfa) -> Nfa:
-    """Quotient by strongly connected components of the (ε,ε)-subgraph."""
-    silent = Nfa(nfa.n_states, nfa.initials, nfa.finals,
-                 [tr for tr in nfa.transitions if tr[1] == ("", "")])
-    comp, comps, _ = scc_decomposition(silent)
-    transitions = []
-    seen = set()
-    for s, lbl, d in nfa.transitions:
-        cs, cd = comp[s], comp[d]
-        if cs == cd and lbl == ("", ""):
-            continue
-        key = (cs, lbl, cd)
-        if key not in seen:
-            seen.add(key)
-            transitions.append(key)
-    return Nfa(len(comps), {comp[s] for s in nfa.initials},
-               {comp[f] for f in nfa.finals}, transitions)
-
-
-def _assert_dag(nfa: Nfa):
-    comp, comps, _ = scc_decomposition(nfa)
-    if any(len(c) > 1 for c in comps):
-        raise IntegrityError("border gadget is not acyclic")
-    for s, _, d in nfa.transitions:
-        if s == d:
-            raise IntegrityError("border gadget has a self-loop")
-
-
-def _max_path_distance(nfa: Nfa, metric: Metric, alphabet: Alphabet,
-                       ceiling: int) -> ExtendedNat:
-    """Max over accepting paths of the output-pair distance (exhaustive)."""
-    at, _, _ = trim(nfa)
-    if at.n_states == 0:
-        return ExtendedNat(0)
-    at = _collapse_silent_cycles(at)
-    at, _, _ = trim(at)
-    _assert_dag(at)
-    comp, comps, _ = scc_decomposition(at)
-    topo_states = [c[0] for c in comps]  # singleton components in topo order
-    suffix: dict[int, set[tuple[str, str]]] = {s: set() for s in range(at.n_states)}
-    adj = at.adj()
-    total = 0
-    for s in reversed(topo_states):
-        pairs = set()
-        if s in at.finals:
-            pairs.add(("", ""))
-        for (x, y), d, _ in adj[s]:
-            for u, v in suffix[d]:
-                pairs.add((x + u, y + v))
-        total += len(pairs)
-        if total > ceiling:
-            raise ResourceLimitError(
-                f"path enumeration exceeded {ceiling} suffix pairs")
-        suffix[s] = pairs
-    best = ExtendedNat(0)
-    found = False
-    for s in at.initials:
-        for u, v in suffix[s]:
-            found = True
-            d = word_distance(metric, u, v, alphabet)
-            if d == INF:
-                raise IntegrityError(
-                    "infinite path distance on a machine declared close")
-            best = max(best, d)
-    return best if found else ExtendedNat(0)
-
-
-def distance_subst(metric: Metric, t1, t2) -> ExtendedNat:
-    """Exact Hamming/transposition distance through the acyclic gadget: a
-    reference route, independent of `distance_bounds`, that the tests
-    compare `kapprox.distance` against.
-
-    Builds the pair automaton (checking the domains) once, for the verdict
-    and the gadget alike; the gadget's pipeline reads the delays and
-    components the verdict left on it.  The gadget holds at most
-    `DEFAULT_GADGET_CEILING` states and the path enumeration at most
-    `DEFAULT_PATHSET_CEILING` suffix pairs.
-    """
-    if metric is Metric.HAMMING:
-        decide = close_hamming
-    elif metric is Metric.TRANSPOSITION:
-        decide = close_transposition
-    else:
-        raise InputError(f"distance_subst handles hamming/transposition, "
-                         f"not {metric}")
-    try:
-        p = joint_product(t1, t2)
-    except DomainMismatchError:
-        return INF
-    if isinstance(decide(t1, t2, p), NotClose):
-        return INF
-    gadget = _acyclic_gadget(_build_pipeline(p), DEFAULT_GADGET_CEILING)
-    return _max_path_distance(gadget, metric, p.left_alphabet,
-                              DEFAULT_PATHSET_CEILING)

@@ -18,13 +18,12 @@ import time
 from conftest import (certificate_replays, delete_first_a,
                       joint_outputs_table, machine_corpus, make_transducer)
 from transdist.kapprox import build_kapprox, close_verdict, distance
-from transdist.oracles import (OverBudget, metric_order_check,
-                               min_weight_table, oracle_distance,
-                               oracle_distance_table)
+from transdist.oracles import (OverBudget, distance_subst,
+                               metric_order_check, min_weight_table,
+                               oracle_distance, oracle_distance_table)
 from transdist.pairauto import PairAutomaton
 from transdist.relations import (diameter, identity_relation, index,
                                  make_distance_relation)
-from transdist.substitution import (distance_subst)
 from transdist.transducers import joint_product
 from transdist.verdicts import LoopCertificate, NotClose, Unknown
 from transdist.words import INF, Alphabet, ExtendedNat, Metric, word_distance

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transdist.automata import (
-    Nfa, accepts, determinize, epsilon_closure, equiv_unambiguous, included,
+    Nfa, determinize, epsilon_closure, equiv_unambiguous, included,
     is_unambiguous, language_difference_witness, scc_decomposition, trim,
 )
 from transdist.errors import PreconditionError, ResourceLimitError
-from transdist.oracles import enumerate_words
+from transdist.oracles import accepts, enumerate_words
 
 
 def words(alphabet, n):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from transdist.fileio import (parse_machine, relation_to_text,
                               transducer_to_text)
 from transdist.pairauto import PairAutomaton, enumerate_pairs
 from transdist.transducers import Transducer, evaluate
+from transdist.words import Metric, word_distance
 
 T4_TEXT = """\
 # T4: block compressor
@@ -243,6 +245,27 @@ def test_cmd_oracle_table(t4_file, t5_file, capsys):
     out = capsys.readouterr().out
     assert "max_distance" in out
     assert out.count("\n") >= 6
+
+
+def test_cmd_oracle_json_rows(t4_file, t5_file, capsys):
+    # each row is the largest distance over the inputs of one length, found
+    # here by trying every word over the input alphabet
+    t4, t5 = parse_machine(T4_TEXT), parse_machine(T5_TEXT)
+    want = []
+    for n in range(5):
+        outputs = [(evaluate(t4, w), evaluate(t5, w))
+                   for w in map("".join, itertools.product("01", repeat=n))
+                   if evaluate(t4, w) is not None]
+        best = max((word_distance(Metric.LEVENSHTEIN, u, v)
+                    for u, v in outputs), default=None)
+        want.append({"length": n, "inputs": len(outputs),
+                     "max_distance": None if best is None else str(best)})
+    for max_len, rows in ((4, want), (0, want[:1]), (-1, [])):
+        assert main(["--json", "oracle", "-m", "levenshtein", t4_file,
+                     t5_file, "--max-len", str(max_len)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rows"] == rows
+        assert payload["same_domain"] is True
 
 
 def test_json_flag(t4_file, t5_file, capsys):

@@ -32,7 +32,7 @@ B01 = Alphabet("01")
 
 
 def lang(e, n, alphabet=AB):
-    return e.language_upto(n, alphabet, alphabet)
+    return enumerate_pairs(to_pair_automaton(e, alphabet, alphabet), n)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +167,18 @@ def test_pair_witnesses_identical_pair():
 
 
 def test_verify_witness_examples():
-    e = star(Atom("ab", "ba"))
-    assert verify_witness(e, "a", "inner")
-    assert not verify_witness(e, "", "inner")
-    assert not verify_witness(star(Atom("a", "b")), "a", "inner")
+    p = to_pair_automaton(star(Atom("ab", "ba")))
+    assert verify_witness(p, "a", "inner")
+    assert not verify_witness(p, "", "inner")
+    assert not verify_witness(to_pair_automaton(star(Atom("a", "b"))), "a",
+                              "inner")
 
 
 def test_verify_witness_epsilon_iff_identity():
-    assert verify_witness(star(Atom("ab", "ab")), "", "inner")
-    assert not verify_witness(cat(Atom("a", "b")), "", "inner")
+    assert verify_witness(to_pair_automaton(star(Atom("ab", "ab"))), "",
+                          "inner")
+    assert not verify_witness(to_pair_automaton(cat(Atom("a", "b"))), "",
+                              "inner")
 
 
 def test_common_witness_examples():
@@ -185,9 +188,10 @@ def test_common_witness_examples():
     assert res == NoWitness(("a", "b"))
     res = common_witness(star(Atom("abb", "bab")))
     assert isinstance(res, Witness)
-    assert verify_witness(star(Atom("abb", "bab")), res.z, res.side)
+    p = to_pair_automaton(star(Atom("abb", "bab")))
+    assert verify_witness(p, res.z, res.side)
     # the split-family witness from abb = (ab)(b), bab = (b)(ab) also verifies
-    assert verify_witness(star(Atom("abb", "bab")), "ab", "inner")
+    assert verify_witness(p, "ab", "inner")
     assert common_witness(star(Atom("a", "a"))) == Witness("", "inner")
 
 
@@ -219,10 +223,11 @@ def test_star_reduction_property():
               Atom("aab", "aba")]
     zs = ["", "a", "b", "ab", "ba", "aab"]
     for body in bodies:
+        p, p_star = to_pair_automaton(body), to_pair_automaton(star(body))
         for z in zs:
             for side in ("inner", "outer"):
-                assert verify_witness(body, z, side) == \
-                    verify_witness(star(body), z, side), (body, z, side)
+                assert verify_witness(p, z, side) == \
+                    verify_witness(p_star, z, side), (body, z, side)
 
 
 # ---------------------------------------------------------------------------

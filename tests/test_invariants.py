@@ -11,10 +11,9 @@ from transdist.conjugacy import (Atom, cat, star, sum_,
                                  sumfree_decompose, to_pair_automaton,
                                  verify_witness)
 from transdist.kapprox import build_kapprox, distance, kclose
-from transdist.oracles import enumerate_words
+from transdist.oracles import enumerate_words, relation_included
 from transdist.pairauto import PairAutomaton, enumerate_pairs, identity_witness
-from transdist.relations import (make_distance_relation, power_levels,
-                                 relation_included)
+from transdist.relations import make_distance_relation, power_levels
 from transdist.transducers import joint_product
 from transdist.verdicts import Close
 from transdist.words import Alphabet, ExtendedNat, Metric, word_distance
@@ -97,8 +96,8 @@ def test_verified_witness_holds_on_enumeration():
     for expr, z, side in cases:
         if z is None:
             continue
-        assert verify_witness(expr, z, side)
         p = to_pair_automaton(expr)
+        assert verify_witness(p, z, side)
         for u, v in enumerate_pairs(p, 10):
             if side == "inner":
                 assert u + z == z + v

@@ -15,9 +15,9 @@ from transdist.errors import (IntegrityError, PreconditionError,
                               ResourceLimitError)
 from transdist.kapprox import (_lower_bound, build_kapprox, close_verdict,
                                distance, kclose)
-from transdist.oracles import min_weight_on, min_weight_table, oracle_distance
+from transdist.oracles import (distance_subst, min_weight_on,
+                               min_weight_table, oracle_distance)
 from transdist.pairauto import delay_range, identity_witness
-from transdist.substitution import distance_subst
 from transdist.transducers import (DomainMismatchError, Transducer,
                                    domain_words, evaluate, joint_product,
                                    same_domain)

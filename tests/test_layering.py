@@ -212,3 +212,72 @@ def test_the_caller_guard_sees_every_scope():
               "        return [f(y) for y in inner()]\n")
     assert _callers(source, "f") == [("<module>", 1), ("A.m.inner", 5),
                                      ("A.m", 6)]
+
+
+#: the modules that decide, compute distances and hold their data types
+DECISION_MODULES = ("automata", "pairauto", "transducers", "kapprox",
+                    "substitution", "conjugacy", "relations", "words",
+                    "verdicts")
+
+
+def _unread_definitions(sources: dict[str, str], guarded) -> list[str]:
+    """`module.name` of each top-level function or class of a guarded module
+    that no library code reads outside its own definition.
+
+    `sources` maps module names to their text.  A definition is read where
+    its own module names it outside the definition, or where another module
+    except `oracles` imports it from there: `__init__` to export it, any
+    other module (the CLI among them) to name it.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    names = {module: {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)}
+             for module, tree in trees.items()}
+    imported = set()
+    for module, tree in trees.items():
+        if module == "oracles":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update(
+                    (node.module, alias.name) for alias in node.names
+                    if module == "__init__"
+                    or (alias.asname or alias.name) in names[module])
+    unread = []
+    for module in guarded:
+        tree = trees[module]
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)) \
+                    or (module, definition.name) in imported:
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(isinstance(node, ast.Name)
+                       and node.id == definition.name
+                       and id(node) not in inside
+                       for node in ast.walk(tree)):
+                unread.append(f"{module}.{definition.name}")
+    return unread
+
+
+def test_every_decision_module_definition_has_a_library_reader():
+    # a route that only the tests take belongs with the references in
+    # oracles, which no library module imports
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _unread_definitions(sources, DECISION_MODULES) == []
+
+
+def test_the_reader_guard_flags_what_only_the_oracles_read():
+    sources = {
+        "__init__": "from .words import exported\n",
+        "cli": "from .words import shown\nshown()\n",
+        "kapprox": "from .words import unread_import\n",
+        "oracles": "from .words import reference\nreference()\n",
+        "words": ("def exported(): pass\n"
+                  "def shown(): return helper()\n"
+                  "class helper: pass\n"
+                  "def unread_import(): pass\n"
+                  "def reference(): pass\n"
+                  "def recursive(n): return recursive(n - 1)\n"),
+    }
+    assert _unread_definitions(sources, ["words"]) == [
+        "words.unread_import", "words.reference", "words.recursive"]

@@ -9,9 +9,10 @@ from conftest import random_joint_machine
 from transdist import automata, pairauto
 from transdist.automata import Nfa, scc_decomposition, trim
 from transdist.errors import InputError
+from transdist.oracles import accepts, edge_gap
 from transdist.pairauto import (
     PairAutomaton, _unbalanced_pair_witness, component_path, components,
-    delay_range, edge_gap, enumerate_pairs, find_pair_path,
+    delay_range, enumerate_pairs, find_pair_path,
     identity_witness, input_word_of_path, is_length_preserving,
     letter_mismatches, max_abs_delay, output_pair_of_path,
     pair_length_diameter, shortest_prefix_path, shortest_suffix_path,
@@ -718,7 +719,6 @@ def test_synchronize_letter_to_letter_labels():
 def test_synchronize_padded_accepts_canonical_encoding():
     p = PairAutomaton.from_edges(2, [0], [1], [(0, ("ab", "b"), 1)], AB, AB)
     sync, _ = synchronize(p, 2, pad="#")
-    from transdist.automata import accepts
     assert accepts(sync, [("a", "b"), ("b", "#")])
     assert not accepts(sync, [("a", "b")])
     assert not accepts(sync, [("a", "#"), ("b", "b")])

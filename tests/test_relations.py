@@ -9,12 +9,12 @@ from conftest import delete_first_a
 from transdist import automata, kapprox, relations
 from transdist.errors import (InputError, ResourceLimitError,
                               UnsupportedCaseError)
+from transdist.oracles import relation_included
 from transdist.pairauto import (PairAutomaton, enumerate_pairs, max_abs_delay,
                                 synchronize)
 from transdist.relations import (
     PAD, compose, diameter, identity_relation, index,
-    make_distance_relation, power, power_levels,
-    relation_included, union)
+    make_distance_relation, power, power_levels, union)
 from transdist.verdicts import Unknown
 from transdist.words import INF, Alphabet, Metric, word_distance
 

@@ -6,7 +6,8 @@ from conftest import (certificate_replays, machine_corpus, make_transducer,
 from transdist.automata import DEFAULT_STATE_CEILING
 from transdist.errors import InputError, ResourceLimitError
 from transdist.kapprox import close_verdict, distance
-from transdist.substitution import distance_bounds, distance_subst
+from transdist.oracles import distance_subst
+from transdist.substitution import distance_bounds
 from transdist.transducers import domain_words, evaluate, joint_product
 from transdist.verdicts import (Close, InfiniteWordCertificate, LoopCertificate,
                                 NotClose)
