@@ -20,8 +20,8 @@ budget surfaces as Unknown, never as Close or NotClose.
   L_e needs a common witness; the distance bound is proven at
   `close_levenshtein_transducers`.
 
-The two transducer-level deciders take the pair automaton that
-`kapprox.close_verdict` (or `distance`) built, and build none themselves.
+The two transducer-level deciders take the pair automaton alone, and build
+none themselves.
 """
 
 from __future__ import annotations
@@ -490,7 +490,7 @@ def close_conjugacy(target: PairAutomaton | PairExpr):
     return Close(bound=bound) if unknown is None else unknown
 
 
-def close_conjugacy_transducers(t1, t2, p: PairAutomaton):
+def close_conjugacy_transducers(p: PairAutomaton):
     """Conjugacy closeness on p, the pair automaton of two machines with one
     domain, with an input-level certificate.  When p is not
     length-preserving, the input and its outputs come off one unbalanced
@@ -512,7 +512,7 @@ def close_conjugacy_transducers(t1, t2, p: PairAutomaton):
 # closeness w.r.t. the Levenshtein family: per-entry loop languages
 # ---------------------------------------------------------------------------
 
-def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
+def close_levenshtein_transducers(p: PairAutomaton, metric: Metric):
     """Levenshtein-family closeness on p, the trim pair automaton of two
     machines with one domain, with certificates.
 
@@ -522,11 +522,12 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
     another component), the loop language L_e (C's internal edges, e the
     only initial and final state) is searched for a common witness z_e,
     with candidates up to 1 + the number of transitions of L_e.  A
-    non-conjugate pair of L_e gives NotClose: its input loop pumped at e,
-    replayed on both machines.  Close needs every z_e; anything else is
-    Unknown.  A component whose internal edges are all diagonal, (x, x) or
-    ('', ''), is settled from its labels with no search: every loop pair
-    is (u, u), and u·ε = ε·u, so z_e = ε for each of its entries.
+    non-conjugate pair of L_e gives NotClose: its path, mapped back to p's
+    transitions, is the loop pumped at e (`loop_certificate`).  Close needs
+    every z_e; anything else is Unknown.  A component whose internal edges
+    are all diagonal, (x, x) or ('', ''), is settled from its labels with
+    no search: every loop pair is (u, u), and u·ε = ε·u, so z_e = ε for
+    each of its entries.
 
     Bound.  An accepting path crosses the DAG of components, entering each
     C at an entry e and leaving it at a state x (the source of the next
@@ -559,6 +560,7 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
         for i, s in enumerate(members):
             local[s] = i
     internal: list[list[tuple]] = [[] for _ in comps]
+    inside: list[list[int]] = [[] for _ in comps]  # p's id per internal edge
     entries: list[set[int]] = [set() for _ in comps]
     into: list[list[tuple[int, int]]] = [[] for _ in comps]
     off_diagonal = [False] * len(comps)  # an internal edge with x != y
@@ -566,8 +568,8 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
         entries[comp[s]].add(s)
     for t, (s, (x, y), d) in enumerate(p.nfa.transitions):
         if comp[s] == comp[d]:
-            internal[comp[s]].append(
-                (local[s], (x, y), local[d], p.input_letters[t]))
+            internal[comp[s]].append((local[s], (x, y), local[d]))
+            inside[comp[s]].append(t)
             off_diagonal[comp[s]] |= x != y
         else:
             entries[comp[d]].add(d)
@@ -584,10 +586,10 @@ def close_levenshtein_transducers(t1, t2, p: PairAutomaton, metric: Metric):
                     p.left_alphabet, p.right_alphabet, do_trim=False)
                 res = _witness_search(loops, 1 + len(loops.nfa.transitions))
                 if isinstance(res, NoWitness):
-                    loop = input_word_of_path(loops,
-                                              find_pair_path(loops, res.pair))
-                    return NotClose(loop_certificate(t1, t2, metric, p, e,
-                                                     loop))
+                    # p's labels are split: one transition per edge
+                    loop = [inside[c][t]
+                            for t in find_pair_path(loops, res.pair)]
+                    return NotClose(loop_certificate(metric, p, e, loop))
                 if isinstance(res, WitnessUnknown):
                     if unknown is None:
                         unknown = Unknown(

@@ -31,10 +31,11 @@ automaton is needed: every edit metric is 0 exactly on equal words.
 Every construction here works on the pair automaton of two transducers,
 which `transducers.joint_product` builds in one walk (which decides the
 domains of two sequential machines, and compares those of other machines
-first); `build_kapprox` takes it as it is.  `close_verdict` is the one
-public closeness entry for two transducers.  It builds the pair automaton
-once and hands it to the one dispatch on the metric, which calls the
-metric's decider on it.  `distance` builds the pair automaton once and
+first); `build_kapprox` takes it as it is, and so does everything past the
+build: only `close_verdict`, `kclose` and `distance` take machines.
+`close_verdict` is the one public closeness entry for two transducers.  It
+builds the pair automaton once and hands it to the one dispatch on the
+metric (`_verdict_on`).  `distance` builds the pair automaton once and
 reads the length and discrete distances off it directly.  For the six edit
 metrics it asks the same dispatch first (NotClose is ∞).  Under Hamming
 and transposition one longest path over the synchronized pair automaton
@@ -506,20 +507,20 @@ def close_verdict(metric: Metric, t1, t2):
         p = joint_product(t1, t2)
     except DomainMismatchError as e:
         return NotClose(e.certificate)
-    return _verdict_on(metric, t1, t2, p)
+    return _verdict_on(metric, p)
 
 
-def _verdict_on(metric: Metric, t1, t2, p: PairAutomaton):
-    """The closeness verdict on p, the pair automaton of t1 and t2: the one
-    place that dispatches on the metric."""
+def _verdict_on(metric: Metric, p: PairAutomaton):
+    """The closeness verdict on p, the pair automaton of two machines: the
+    one place that dispatches on the metric."""
     if metric is Metric.HAMMING:
-        return close_hamming(t1, t2, p)
+        return close_hamming(p)
     if metric is Metric.TRANSPOSITION:
-        return close_transposition(t1, t2, p)
+        return close_transposition(p)
     if metric is Metric.CONJUGACY:
-        return close_conjugacy_transducers(t1, t2, p)
+        return close_conjugacy_transducers(p)
     if metric in LEVENSHTEIN_FAMILY:
-        return close_levenshtein_transducers(t1, t2, p, metric)
+        return close_levenshtein_transducers(p, metric)
     if metric is Metric.LENGTH:
         d = pair_length_diameter(p)
         if d.is_finite:
@@ -586,7 +587,8 @@ def kclose(metric: Metric, t1, t2, k: int,
 
     The pair automaton is built first with `joint_product` (different
     domains are never close), unless a caller passes it as `pair`: the
-    k-search of `distance` builds it once for all its probes.
+    k-search of `distance` builds it once for all its probes.  With `pair`
+    given, t1 and t2 are not read.
 
     With the domains equal, the length metric compares the length diameter
     with k, and the discrete metric asks whether the outputs agree on every
@@ -605,13 +607,15 @@ def kclose(metric: Metric, t1, t2, k: int,
     the one inclusion dom(T1) ⊆ L(skeleton), decided by `automata.included`:
     the skeleton accepts exactly the inputs w with d(T1(w), T2(w)) ≤ k, so
     L(skeleton) ⊆ dom(T1) holds by construction and k-closeness *is* the
-    other direction.  The skeleton is determinized guided by T1's automaton
-    (`determinize(..., within=t1.nfa)`), so only the subsets that a run of
-    the domain reaches are built, and the ceiling counts those.  The
-    k-approximation builds only live nodes, those whose length gap some
-    suffix can still bring within their budget, and the ceiling counts live
-    nodes.  When no initial node is live the skeleton is empty, and rightly
-    so: every output pair then differs in length by more than k.  It prices
+    other direction.  The domain is p's input projection, its transitions
+    labelled with the input letters they read, and the skeleton is
+    determinized guided by it (`determinize(..., within=domain)`), so only
+    the subsets that a run of the domain reaches are built, and the ceiling
+    counts those.  The k-approximation builds only live nodes, those whose
+    length gap some suffix can still bring within their budget, and the
+    ceiling counts live nodes.  When no initial node is live the skeleton is
+    empty, and rightly so: every output pair then differs in length by more
+    than k.  It prices
     each edge's chunk alignments from a prefix-distance table grown from its
     node's, and cuts no chunk inside the common prefix of its two sides.
     For Damerau and transposition it leaves out every cut point whose cost
@@ -642,52 +646,61 @@ def kclose(metric: Metric, t1, t2, k: int,
     if k == 0:
         return identity_witness(p) is None
     da = build_kapprox(metric, p, k, ceiling)
+    domain = Nfa(p.nfa.n_states, p.nfa.initials, p.nfa.finals,
+                 [(s, x, d) for (s, _, d), x in zip(p.nfa.transitions,
+                                                    p.input_letters)])
     try:
-        det = determinize(da.skeleton(), ceiling, within=t1.nfa)
+        det = determinize(da.skeleton(), ceiling, within=domain)
     except ResourceLimitError as e:
         raise ResourceLimitError(
             f"determinized k-approximation ({metric}, k={k}) exceeded "
             f"{ceiling} states") from e
-    return included(t1.nfa, det) is None
+    return included(domain, det) is None
 
 
 def distance(metric: Metric, t1, t2,
              ceiling: int = DEFAULT_STATE_CEILING) -> ExtendedNat | Unknown:
-    """Exact distance between two transducers under the given metric.
-
-    The pair automaton is built once with `joint_product` (different
-    domains give ∞) and serves the verdict, the bounds and every probe.  The
-    length distance is its length diameter, and the discrete one is 0 when
-    it generates no pair of different words and ∞ otherwise; neither needs
-    a verdict or a certificate.  For the six edit metrics the closeness
-    verdict comes first (k-closeness alone cannot certify unboundedness):
-    NotClose gives ∞ and Unknown is returned as is.  LB is the letter-count
-    lower bound (`_lower_bound`): an edit changes the length and, under
-    Hamming, Levenshtein, Damerau and LCS, a letter's count by at most 1, so
-    d(T1, T2) >= LB.  The limit is the verdict's bound.  Only the Hamming
-    and transposition verdicts have none, and there the longest path over
-    S, the synchronization of the pair automaton built under `ceiling`,
-    bounds the distance from both sides (`substitution.distance_bounds`):
-    the path's upper bound is the limit.  Under Hamming and binary
-    transposition the two bounds meet, and that is the answer, with no
-    probe.  Otherwise k-closeness is probed for k = LB, LB + 1, ... (from
-    the path's lower bound when it is larger) on the same pair automaton
-    (`kclose`'s `pair`), and the first k that holds is the distance.  A
-    probe costs several times the one below it, so the search costs about
-    as much as the probe at the answer and never builds a larger
-    k-approximation.  An LB above the verdict's bound, path bounds that
-    miss [LB, verdict's bound], or a search that passes the limit
-    contradicts the certified bounds.
-    """
+    """Exact distance between two transducers under the given metric: ∞ for
+    different domains, else `_distance_on` their pair automaton."""
     try:
         p = joint_product(t1, t2)
     except DomainMismatchError:
         return INF
+    return _distance_on(metric, p, ceiling)
+
+
+def _distance_on(metric: Metric, p: PairAutomaton,
+                 ceiling: int) -> ExtendedNat | Unknown:
+    """sup of d(u, v) over the pairs of p, the pair automaton of two
+    machines: their distance.
+
+    The length distance is p's length diameter, and the discrete one is 0
+    when p generates no pair of different words and ∞ otherwise; neither
+    needs a verdict or a certificate.  For the six edit metrics the
+    closeness verdict comes first (k-closeness alone cannot certify
+    unboundedness): NotClose gives ∞ and Unknown is returned as is.  LB is
+    the letter-count lower bound (`_lower_bound`): an edit changes the
+    length and, under Hamming, Levenshtein, Damerau and LCS, a letter's
+    count by at most 1, so the distance is at least LB.  The limit is the
+    verdict's bound.  Only the Hamming and transposition verdicts have none,
+    and there the longest path over S, the synchronization of p built under
+    `ceiling`, bounds the distance from both sides
+    (`substitution.distance_bounds`): the path's upper bound is the limit.
+    Under Hamming and binary transposition the two bounds meet, and that is
+    the answer, with no probe.  Otherwise k-closeness is probed for k = LB,
+    LB + 1, ... (from the path's lower bound when it is larger) on p
+    (`kclose`'s `pair`, which reads no machine), and the first k that holds
+    is the distance.  A probe costs several times the one below it, so the
+    search costs about as much as the probe at the answer and never builds
+    a larger k-approximation.  An LB above the verdict's bound, path bounds
+    that miss [LB, verdict's bound], or a search that passes the limit
+    contradicts the certified bounds.
+    """
     if metric is Metric.LENGTH:
         return pair_length_diameter(p)
     if metric is Metric.DISCRETE:
         return ExtendedNat(0) if identity_witness(p) is None else INF
-    verdict = _verdict_on(metric, t1, t2, p)
+    verdict = _verdict_on(metric, p)
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, NotClose):
@@ -710,7 +723,7 @@ def distance(metric: Metric, t1, t2,
         if lo == hi:
             return ExtendedNat(lo)
         k, limit = max(k, lo), min(limit, hi)
-    while not kclose(metric, t1, t2, k, ceiling, pair=p):
+    while not kclose(metric, None, None, k, ceiling, pair=p):
         k += 1
         if k > limit:
             raise IntegrityError(

@@ -661,7 +661,7 @@ def distance_subst(metric: Metric, t1, t2) -> ExtendedNat:
         p = joint_product(t1, t2)
     except DomainMismatchError:
         return INF
-    if isinstance(decide(t1, t2, p), NotClose):
+    if isinstance(decide(p), NotClose):
         return INF
     gadget = _acyclic_gadget(_build_pipeline(p), DEFAULT_GADGET_CEILING)
     return _max_path_distance(gadget, metric, p.left_alphabet,

@@ -1,10 +1,10 @@
 """Diameters of rational relations and indices in composition closures.
 
-The diameter of a relation is computed by splitting it into two transducers
-over a fresh alphabet (one input symbol per edge) and taking their distance;
-both halves share one automaton, so their domains need no check.  The index
-of R in the closure of a distance relation S is bounded iff the halves are
-close (the closeness verdict decides it, not the exact diameter); it is the
+The diameter of a relation is the distance of the two machines whose pair
+automaton it is (Nivat), computed on the relation with one input letter per
+edge (`_indexed`): no machine is built and no domain compared.  The index
+of R in the closure of a distance relation S is bounded iff R is close
+(the closeness verdict on R decides it, not the exact diameter); it is the
 least k with R ⊆ S^{≤∘k}, and containment of bounded-delay relations is
 inclusion of padded letter-to-letter encodings.  The search pads R once and
 grows S^{≤∘k} by one composition per step (`power_levels`), testing
@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .automata import Nfa, determinize, included
+from .automata import DEFAULT_STATE_CEILING, Nfa, determinize, included
 from .errors import InputError, ResourceLimitError, UnsupportedCaseError
-from .kapprox import close_verdict, distance
+from .kapprox import _distance_on, _verdict_on
 from .pairauto import (PairAutomaton, _keep_live, _reached, _split_edges,
                        max_abs_delay, pair_length_diameter, synchronize)
-from .transducers import nivat_split
 from .verdicts import NotClose, Unknown
 from .words import INF, Alphabet, ExtendedNat, Metric
 
@@ -37,8 +36,18 @@ DEFAULT_CONTAINMENT_CEILING = 200_000
 
 
 def diameter(r: PairAutomaton, metric: Metric) -> ExtendedNat | Unknown:
-    """sup of d(u, v) over related pairs, via the Nivat split."""
-    return distance(metric, *nivat_split(r))
+    """sup of d(u, v) over related pairs, computed on r (`_indexed`)."""
+    return _distance_on(metric, _indexed(r), DEFAULT_STATE_CEILING)
+
+
+def _indexed(r: PairAutomaton) -> PairAutomaton:
+    """r with its own input letter, chr(0x100 + t), on each transition t:
+    an input names its one accepting path, as in a joint product.  The
+    labels are split already, so `_split_edges` makes no state."""
+    edges = [(s, lbl, d, chr(0x100 + t))
+             for t, (s, lbl, d) in enumerate(r.nfa.transitions)]
+    return _split_edges(r.nfa.n_states, r.nfa.initials, r.nfa.finals, edges,
+                        r.left_alphabet, r.right_alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +294,7 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
           ceiling: int = DEFAULT_INDEX_CEILING) -> ExtendedNat | Unknown:
     """Least k with R ⊆ S^{≤∘k}, for S metrizable w.r.t. the declared metric.
 
-    Boundedness comes from the closeness verdict of R's Nivat halves, not
+    Boundedness comes from the closeness verdict on R (`_indexed`), not
     from the exact diameter: NotClose gives ∞, Unknown is returned as is, and
     on Close the containment search tests R ⊆ S^{≤∘k} for k = k0, k0 + 1,
     ... up to `ceiling`.  k0 = ⌈L(R) / g(S)⌉ for the length diameters of R
@@ -326,7 +335,7 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
                       stacklevel=2)
     if r.nfa.n_states == 0:
         return ExtendedNat(0)
-    verdict = close_verdict(declared_metric, *nivat_split(r))
+    verdict = _verdict_on(declared_metric, _indexed(r))
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, NotClose):

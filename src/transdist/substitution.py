@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from .automata import EPSILON, Nfa, scc_decomposition
 from .errors import IntegrityError
-from .pairauto import (PairAutomaton, input_word_of_path,
-                       is_length_preserving, letter_mismatches,
-                       max_abs_delay, synchronize, synchronized_loop,
-                       unbalanced_letter)
+from .pairauto import (PairAutomaton, is_length_preserving,
+                       letter_mismatches, max_abs_delay, synchronize,
+                       synchronized_loop, unbalanced_letter)
 from .transducers import loop_certificate, unbalanced_word_certificate
 from .verdicts import Close, NotClose
 from .words import Metric
@@ -60,18 +59,16 @@ def _unbalanced_positions(s: Nfa):
     return (t for t, gap in enumerate(_count_gaps(s)) if gap)
 
 
-def _close(t1, t2, p: PairAutomaton, metric: Metric, bad):
+def _close(p: PairAutomaton, metric: Metric, bad):
     """Close(bound=None), or NotClose with the loop of p whose cycle of S_L
     crosses a transition that `bad` picks inside a component."""
     hit = synchronized_loop(p, bad)
     if hit is None:
         return Close(bound=None)
-    q, loop = hit
-    return NotClose(loop_certificate(t1, t2, metric, p, q,
-                                     input_word_of_path(p, loop)))
+    return NotClose(loop_certificate(metric, p, *hit))
 
 
-def close_hamming(t1, t2, p: PairAutomaton):
+def close_hamming(p: PairAutomaton):
     """Hamming closeness on p, the pair automaton of two machines with one
     domain: equal output lengths, and no transition of S_L inside a
     strongly connected component reads two different letters.
@@ -85,10 +82,10 @@ def close_hamming(t1, t2, p: PairAutomaton):
     """
     if not is_length_preserving(p):
         return NotClose(unbalanced_word_certificate(p))
-    return _close(t1, t2, p, Metric.HAMMING, letter_mismatches)
+    return _close(p, Metric.HAMMING, letter_mismatches)
 
 
-def close_transposition(t1, t2, p: PairAutomaton):
+def close_transposition(p: PairAutomaton):
     """Transposition closeness on p, the pair automaton of two machines with
     one domain: equal output lengths, equal letter counts on the two sides
     of every accepted pair (else a shortest path with unequal counts
@@ -117,7 +114,7 @@ def close_transposition(t1, t2, p: PairAutomaton):
     letter = unbalanced_letter(p)
     if letter is not None:
         return NotClose(unbalanced_word_certificate(p, {letter: 1}))
-    return _close(t1, t2, p, Metric.TRANSPOSITION, _unbalanced_positions)
+    return _close(p, Metric.TRANSPOSITION, _unbalanced_positions)
 
 
 # ---------------------------------------------------------------------------

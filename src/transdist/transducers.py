@@ -9,7 +9,7 @@ Two transducers are compared on one automaton: `joint_product` builds, in
 one walk, the trimmed pair automaton of their output pairs, whose edges
 keep the input letters they read.  The walk decides the domains of two
 sequential machines; those of other machines are compared before it.
-Every decider starts from it.
+Every decider starts from it and reads no machine.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from .pairauto import (PairAutomaton, input_word_of_path, output_pair_of_path,
 from .verdicts import (DomainCertificate, InfiniteWordCertificate,
                        LoopCertificate)
 from .words import INF, Alphabet, ExtendedNat, Metric, word_distance
-
-_SYMBOL_PALETTE = ("abcdefghijklmnopqrstuvwxyz"
-                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                   "0123456789")
-
 
 class Transducer:
     """⟨A, λ, ο⟩: an unambiguous automaton with transition and final outputs."""
@@ -148,6 +143,8 @@ def evaluate(t: Transducer, word: str) -> str | None:
 
 def domain_words(t: Transducer, max_len: int) -> list[str]:
     """Accepted input words of length <= max_len, shortest first."""
+    if max_len < 0:
+        raise InputError("max_len must be nonnegative")
     out = set()
     frontier = [("", s) for s in sorted(t.nfa.initials)]
     adj = t.nfa.adj()
@@ -171,8 +168,8 @@ def domain_words(t: Transducer, max_len: int) -> list[str]:
 def same_domain(t1: Transducer, t2: Transducer) -> bool:
     """True iff dom(T1) = dom(T2); polynomial through unambiguity.
 
-    Machines that share one automaton (both halves of a Nivat split) have
-    the same domain, and no check runs.
+    Machines that share one automaton (a machine and itself) have the same
+    domain, and no check runs.
     """
     return t1.nfa is t2.nfa or equiv_unambiguous(t1.nfa, t2.nfa, check=False)
 
@@ -185,33 +182,30 @@ class DomainMismatchError(InputError):
         self.certificate = certificate
 
 
-def loop_certificate(t1: Transducer, t2: Transducer, metric: Metric,
-                     p: PairAutomaton, state: int,
-                     loop: str) -> LoopCertificate:
-    """The balanced input loop at a state of p, the pair automaton of
-    (t1, t2), pumped between the inputs of shortest paths to and from the
-    state.
+def loop_certificate(metric: Metric, p: PairAutomaton, state: int,
+                     loop: list[int]) -> LoopCertificate:
+    """The balanced loop path at a state of p, the pair automaton of two
+    machines, pumped between shortest paths to and from the state.
 
     Serves only loops whose output lengths stay balanced, where the length
     gap says nothing about the distance (unbalanced loops take
     `unbalanced_loop_certificate`).  Picks three pump counts with strictly
-    increasing distances (or fewer, ending at an infinite one), each
-    computed by evaluating both machines on prefix·loop^i·suffix, so the
-    certificate replays by construction; a loop that does not grow the
-    distance within 200 pumps is an IntegrityError.
+    increasing distances (or fewer, ending at an infinite one), each read
+    off the path prefix·loop^m·suffix, which spells exactly the outputs of
+    its input (see `unbalanced_loop_certificate`), so the certificate
+    replays by construction; a loop that does not grow the distance within
+    200 pumps is an IntegrityError.
     """
     needed, scan_limit = 3, 200
-    prefix = input_word_of_path(p, shortest_prefix_path(p, state))
-    suffix = input_word_of_path(p, shortest_suffix_path(p, state))
+    prefix = shortest_prefix_path(p, state)
+    suffix = shortest_suffix_path(p, state)
+    (x1, x2), (c1, c2), (y1, y2) = (output_pair_of_path(p, path)
+                                    for path in (prefix, loop, suffix))
     pumps: list[int] = []
     values: list[ExtendedNat] = []
     m = 1
     while len(pumps) < needed and m <= scan_limit:
-        w = prefix + loop * m + suffix
-        o1, o2 = evaluate(t1, w), evaluate(t2, w)
-        if o1 is None or o2 is None:
-            raise IntegrityError("pumped certificate input fell off the domain")
-        d = word_distance(metric, o1, o2)
+        d = word_distance(metric, x1 + c1 * m + y1, x2 + c2 * m + y2)
         if d == INF or not values or d > values[-1]:
             pumps.append(m)
             values.append(d)
@@ -220,7 +214,9 @@ def loop_certificate(t1: Transducer, t2: Transducer, metric: Metric,
         m += 1
     if len(pumps) < needed and (not values or values[-1] != INF):
         raise IntegrityError("certificate loop failed to grow the distance")
-    return LoopCertificate(prefix, loop, suffix, tuple(pumps))
+    return LoopCertificate(input_word_of_path(p, prefix),
+                           input_word_of_path(p, loop),
+                           input_word_of_path(p, suffix), tuple(pumps))
 
 
 def unbalanced_loop_certificate(p: PairAutomaton) -> LoopCertificate:
@@ -374,33 +370,4 @@ def _compare_domains(a: Nfa, b: Nfa) -> None:
     wit = language_difference_witness(a, b, check=False)
     if wit is not None:
         raise DomainMismatchError(DomainCertificate("".join(wit)))
-
-
-def nivat_split(p: PairAutomaton) -> tuple[Transducer, Transducer]:
-    """Two transducers over a fresh alphabet whose output pairs realize L(p).
-
-    Every metric's distance between the two transducers equals the diameter
-    of the relation.  Both write over the union of p's two output alphabets,
-    as the joint product of two machines needs one output alphabet.
-    """
-    n_tr = len(p.nfa.transitions)
-    if n_tr > len(_SYMBOL_PALETTE):
-        symbols = [chr(0x100 + i) for i in range(n_tr)]
-    else:
-        symbols = list(_SYMBOL_PALETTE[:n_tr])
-    alphabet = Alphabet(symbols) if symbols else Alphabet("c")
-    transitions = []
-    out1, out2 = [], []
-    for t, (s, (x, y), d) in enumerate(p.nfa.transitions):
-        transitions.append((s, symbols[t], d))
-        out1.append(x)
-        out2.append(y)
-    nfa = Nfa(p.nfa.n_states, p.nfa.initials, p.nfa.finals, transitions)
-    fo = {f: "" for f in nfa.finals}
-    left = p.left_alphabet
-    outputs = left if p.right_alphabet == left else Alphabet(
-        left.letters + tuple(c for c in p.right_alphabet if c not in left))
-    t1 = Transducer(nfa, out1, fo, alphabet, outputs, check=False)
-    t2 = Transducer(nfa, out2, fo, alphabet, outputs, check=False)
-    return t1, t2
 

@@ -17,12 +17,12 @@ from transdist.conjugacy import (
     state_elimination, sum_, sumfree_decompose, to_pair_automaton,
     verify_witness, witness_candidates,
 )
-from transdist.kapprox import close_verdict
+from transdist.kapprox import _verdict_on, close_verdict
 from transdist.pairauto import (PairAutomaton, delay_range, enumerate_pairs,
                                 is_length_preserving, max_abs_delay,
                                 synchronize)
-from transdist.transducers import (domain_words, evaluate, joint_product,
-                                   nivat_split)
+from transdist.relations import _indexed
+from transdist.transducers import domain_words, evaluate, joint_product
 from transdist.verdicts import (Close, InfiniteWordCertificate,
                                 LoopCertificate, NotClose, Unknown)
 from transdist.words import INF, Alphabet, Metric, word_distance
@@ -342,7 +342,7 @@ def test_close_levenshtein_relation_with_two_output_alphabets():
     # every letter pair differs, so d = |w| grows along the loop
     p = PairAutomaton.from_edges(1, [0], [0], [(0, ("a", "0"), 0),
                                                (0, ("b", "1"), 0)], AB, B01)
-    verdict = close_verdict(Metric.LEVENSHTEIN, *nivat_split(p))
+    verdict = _verdict_on(Metric.LEVENSHTEIN, _indexed(p))
     assert isinstance(verdict, NotClose)
     assert isinstance(verdict.certificate, LoopCertificate)
 
@@ -351,8 +351,7 @@ def test_close_levenshtein_constants_only():
     # the one pair (aba, ba) runs through the loop-free letter edges (a,b),
     # (b,a) and (a,): each differs, so each weighs 1 in the bound
     e = cat(Atom("ab", "ba"), Atom("a", ""))
-    verdict = close_verdict(Metric.LEVENSHTEIN,
-                            *nivat_split(to_pair_automaton(e)))
+    verdict = _verdict_on(Metric.LEVENSHTEIN, _indexed(to_pair_automaton(e)))
     assert isinstance(verdict, Close)
     assert verdict.bound == 3
     assert verdict.bound >= word_distance(Metric.LEVENSHTEIN, "aba", "ba") == 1
@@ -534,11 +533,11 @@ def test_diagonal_components_are_close_without_a_search(searches, metric,
                                                         scale):
     # the copying tail of a flip pair and every component of delete-first-k
     # loop on (x, x) labels only; the bounds are those the searches gave
-    cases = [((identity_ab(), flip_ab(3, (0, 2))), 2),
-             ((identity_ab(), flip_ab(4, (0, 1, 3))), 3)]
-    cases += [(nivat_split(delete_first_a(k)), k) for k in (1, 2, 3)]
-    for (t1, t2), bound in cases:
-        verdict = close_verdict(metric, t1, t2)
+    cases = [(joint_product(identity_ab(), flip_ab(3, (0, 2))), 2),
+             (joint_product(identity_ab(), flip_ab(4, (0, 1, 3))), 3)]
+    cases += [(_indexed(delete_first_a(k)), k) for k in (1, 2, 3)]
+    for p, bound in cases:
+        verdict = _verdict_on(metric, p)
         assert isinstance(verdict, Close), verdict
         assert verdict.bound == scale * bound, (bound, verdict)
     assert searches == []

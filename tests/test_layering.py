@@ -188,9 +188,9 @@ def _callers(source: str, callee: str):
 def test_every_pair_automaton_is_built_by_splitting_its_labels():
     # PairAutomaton.__init__ checks nothing: its one call sits behind the
     # split of every label into letters, which PairAutomaton.from_edges
-    # reaches after its checks, and joint_product, compose and union
-    # unchecked: their labels come from machines or pair automata already
-    # checked, and they number the states themselves
+    # reaches after its checks, and joint_product, compose, union and
+    # relations._indexed unchecked: their labels come from machines or pair
+    # automata already checked, and they number the states themselves
     def callers(callee):
         return sorted((path.name, scope)
                       for path in sorted(PACKAGE.glob("*.py"))
@@ -199,8 +199,8 @@ def test_every_pair_automaton_is_built_by_splitting_its_labels():
     assert callers("PairAutomaton") == [("pairauto.py", "_split_edges")]
     assert callers("_split_edges") == [
         ("pairauto.py", "PairAutomaton.from_edges"),
-        ("relations.py", "compose"), ("relations.py", "union"),
-        ("transducers.py", "joint_product")]
+        ("relations.py", "_indexed"), ("relations.py", "compose"),
+        ("relations.py", "union"), ("transducers.py", "joint_product")]
 
 
 def test_the_caller_guard_sees_every_scope():
@@ -218,6 +218,58 @@ def test_the_caller_guard_sees_every_scope():
 DECISION_MODULES = ("automata", "pairauto", "transducers", "kapprox",
                     "substitution", "conjugacy", "relations", "words",
                     "verdicts")
+
+
+def _machine_imports(source: str):
+    """(line, name) of each import of `Transducer` or `evaluate`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in ("Transducer", "evaluate"):
+                    yield node.lineno, alias.name
+
+
+def _machine_takers(source: str):
+    """Names of the functions with a parameter named t1 or t2, or one
+    annotated with `Transducer`."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        if any(a.arg in ("t1", "t2") or (
+                a.annotation is not None
+                and "Transducer" in ast.unparse(a.annotation))
+               for a in params):
+            yield node.name
+
+
+def test_past_the_joint_product_no_decision_module_reads_a_machine():
+    # transducers builds the pair automaton; every other decision module
+    # reads it alone, and only kapprox's three public entries take machines,
+    # to build it
+    sources = {module: (PACKAGE / f"{module}.py").read_text()
+               for module in DECISION_MODULES if module != "transducers"}
+    imports = [f"{module}:{line} imports {name}"
+               for module, source in sources.items()
+               for line, name in _machine_imports(source)]
+    takers = sorted(f"{module}.{name}" for module, source in sources.items()
+                    for name in _machine_takers(source))
+    assert imports == []
+    assert takers == ["kapprox.close_verdict", "kapprox.distance",
+                      "kapprox.kclose"]
+
+
+def test_the_machine_guard_sees_imports_parameters_and_annotations():
+    source = ("from .transducers import Transducer, joint_product\n"
+              "from .transducers import evaluate as run\n"
+              "def f(metric, t1, t2): pass\n"
+              "def g(p, *, machine: 'Transducer'): pass\n"
+              "def h(p, k: int, *rest): pass\n")
+    assert list(_machine_imports(source)) == [(1, "Transducer"),
+                                              (2, "evaluate")]
+    assert list(_machine_takers(source)) == ["f", "g"]
 
 
 def _unread_definitions(sources: dict[str, str], guarded) -> list[str]:

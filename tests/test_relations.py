@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from conftest import delete_first_a
-from transdist import automata, kapprox, relations
+from transdist import automata, kapprox, relations, transducers
 from transdist.errors import (InputError, ResourceLimitError,
                               UnsupportedCaseError)
 from transdist.oracles import relation_included
@@ -97,8 +97,10 @@ def test_diameter_single_pair():
 
 
 def test_diameter_checks_no_domain(monkeypatch):
-    # both halves of the Nivat split share one automaton, so the joint
-    # product never runs the language comparison (nor its boolean form)
+    # diameter and index read the relation as a pair automaton as it is:
+    # they build no machines to rebuild it with a joint product, and run no
+    # language comparison (nor its boolean form)
+    products = count_calls(monkeypatch, transducers.joint_product)
     calls = count_calls(monkeypatch, automata.language_difference_witness)
     calls += count_calls(monkeypatch, automata.equiv_unambiguous)
     single = PairAutomaton.from_edges(2, [0], [1], [(0, ("ab", "ba"), 1)],
@@ -113,6 +115,13 @@ def test_diameter_checks_no_domain(monkeypatch):
              (delete_first_a(2), Metric.LEVENSHTEIN, 2)]
     for r, metric, want in cases:
         assert diameter(r, metric) == want, metric
+    for r, metric, alphabet, want in [
+            (single, Metric.HAMMING, AB, 2),
+            (single, Metric.TRANSPOSITION, AB, 1),
+            (loop, Metric.CONJUGACY, B01, 1), (loop, Metric.HAMMING, B01, INF),
+            (delete_first_a(2), Metric.LEVENSHTEIN, AB, 2)]:
+        assert index(r, make_distance_relation(metric, alphabet)) == want
+    assert products == []
     assert calls == []
 
 
@@ -321,7 +330,7 @@ def test_index_containment_overflow_names_index_and_level(monkeypatch, states,
 
 def test_index_returns_the_verdicts_unknown(monkeypatch):
     unknown = Unknown("no verified witness below the candidate cutoff")
-    monkeypatch.setattr(relations, "close_verdict", lambda *args: unknown)
+    monkeypatch.setattr(relations, "_verdict_on", lambda *args: unknown)
     s = delete_first_a()
     got = index(delete_first_a(2), s, Metric.LEVENSHTEIN,
                 metrizable_asserted=True)

@@ -12,11 +12,12 @@ from transdist import pairauto, transducers
 from transdist.automata import Nfa, language_difference_witness
 from transdist.errors import InputError, IntegrityError, PreconditionError
 from transdist.kapprox import close_verdict, distance
+from transdist.relations import diameter
 from transdist.pairauto import (PairAutomaton, delay_range, enumerate_pairs,
                                 find_pair_path)
 from transdist.transducers import (
     DomainMismatchError, Transducer, domain_words, evaluate, joint_product,
-    nivat_split, same_domain, unbalanced_loop_certificate,
+    same_domain, unbalanced_loop_certificate,
 )
 from transdist.verdicts import (DomainCertificate, InfiniteWordCertificate,
                                 LoopCertificate, NotClose, PairCertificate)
@@ -58,6 +59,16 @@ def test_t3_outputs_only_as(t3):
 
 def test_eval_outside_domain_is_none(t4):
     assert evaluate(t4, "") is None
+
+
+def test_domain_words_rejects_a_negative_length():
+    # the cut-off len(w) == max_len never holds below 0: on a loop the walk
+    # would grow without end
+    loop = make_transducer(1, [0], [0], [(0, "a", "a", 0)])
+    with pytest.raises(InputError):
+        domain_words(loop, -1)
+    assert domain_words(loop, 0) == [""]
+    assert domain_words(loop, 2) == ["", "a", "aa"]
 
 
 def test_t4_t5_block_compression(t4, t5):
@@ -318,33 +329,16 @@ def test_joint_product_matches_the_product_after_a_comparison(pair):
 
 
 # ---------------------------------------------------------------------------
-# nivat split
+# the Nivat correspondence
 # ---------------------------------------------------------------------------
 
-def test_nivat_split_single_loop():
-    from transdist.pairauto import PairAutomaton
-    p = PairAutomaton.from_edges(1, [0], [0], [(0, ("a", "b"), 0)], AB, AB)
-    s1, s2 = nivat_split(p)
-    assert same_domain(s1, s2)
-    c = s1.input_alphabet.letters[0]
-    for n in range(4):
-        assert evaluate(s1, c * n) == "a" * n
-        assert evaluate(s2, c * n) == "b" * n
-
-
-def test_nivat_split_empty_relation():
-    from transdist.pairauto import PairAutomaton
-    p = PairAutomaton.from_edges(1, [0], [], [], AB, AB)
-    s1, s2 = nivat_split(p)
-    assert domain_words(s1, 4) == []
-    assert domain_words(s2, 4) == []
-
-
-def test_nivat_round_trip_preserves_pair_language(t4, t5):
-    p = joint_product(t4, t5)
-    s1, s2 = nivat_split(p)
-    q = joint_product(s1, s2)
-    assert enumerate_pairs(q, 4) == enumerate_pairs(p, 4)
+def test_the_diameter_of_the_joint_product_is_the_distance():
+    # the pairs of p are the output pairs of the two machines, so the
+    # diameter of p read as a relation is their distance, under every metric
+    for t1, t2 in machine_corpus(909, 30, bounded_length_gap=True):
+        p = joint_product(t1, t2)
+        for metric in Metric:
+            assert diameter(p, metric) == distance(metric, t1, t2), metric
 
 
 # ---------------------------------------------------------------------------
