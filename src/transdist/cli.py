@@ -4,10 +4,10 @@ Exit codes: 0 for decisive answers, 2 for UNKNOWN (including a construction
 that hit the state ceiling), 1 for input errors, usage errors among them.
 The TRANSDIST_STATE_CEILING environment variable overrides the default state
 ceiling; --state-ceiling overrides both.  Either must be an integer of at
-least 1.  The ceiling bounds only the k-approximation built by `kclose` and
-`distance`, and the synchronized pair automaton S that `distance` builds
-under Hamming and transposition; `close`, `diameter` and `index` run under
-their own fixed limits.
+least 1.  The ceiling bounds only what `kclose` and `distance` build: the
+k-approximation, or under Hamming and transposition the walk whose longest
+path is the distance; `close`, `diameter` and `index` run under their own
+fixed limits.
 """
 
 from __future__ import annotations
@@ -278,8 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="abort the k-approximation of kclose and "
                              "distance beyond this many live nodes or "
                              "determinized subsets that the domain's "
-                             "inclusion visits (close, diameter and index "
-                             "keep fixed limits)")
+                             "inclusion visits, or the hamming and "
+                             "transposition walk beyond this many states "
+                             "(close, diameter and index keep fixed limits)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)

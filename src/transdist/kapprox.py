@@ -1,23 +1,24 @@
 """Generic k-closeness via (min,+) distance automata, and exact distances by
-an upward search over k.
+an upward search over k, or from one longest path under Hamming and
+transposition.
 
-For the substitution/indel metrics the automaton tracks a budget and a
-one-sided unmatched leftover word; per transition it nondeterministically
-aligns a prefix of the two output streams, paying the chunk's exact edit
-cost.  Those costs come from one prefix-distance table per distinct
-(left, right) chunk, kept for the length of one build; nothing is cached
-across calls.  A node's residuals (lu, lv) have a table
+For the Levenshtein family (Levenshtein, LCS and Damerau) the automaton
+tracks a budget and a one-sided unmatched leftover word; per transition it
+nondeterministically aligns a prefix of the two output streams, paying the
+chunk's exact edit cost.  Those costs come from one prefix-distance table
+per distinct (left, right) chunk, kept for the length of one build; nothing
+is cached across calls.  A node's residuals (lu, lv) have a table
 (`words.prefix_table`), and each edge grows it by the edge's letters into
 the table of its chunk (`words.extend_table`).  Only live nodes are built:
 a node whose length gap no suffix of its state can bring within its budget
-has no accepting run and gets no id (see `_build_subst_family`).  For the
-crossing metrics (Damerau and transposition) a cut point is dropped when a
+has no accepting run and gets no id (see `_build_subst_family`).  Under
+Damerau, whose swaps cross cut points, a cut point is dropped when a
 neighbouring cut explains its cost exactly, read off the chunk's table,
 which keeps the skeleton and every minimal weight (see `_crossing_cuts`).
-Their residuals are canonical: a target's residuals lose their longest
+Its residuals are canonical: a target's residuals lose their longest
 common prefix (d(c·A, c·B) = d(A, B)), and a target with no budget left
 whose residuals are both non-empty is dead, since they then differ at their
-first letters (see `_build_subst_family`).  Under all five metrics no edge
+first letters (see `_build_subst_family`).  Under all three metrics no edge
 cuts its chunk inside the common prefix of the chunk's two sides, since an
 optimal alignment matches that prefix first (the same lemma), and an edge
 into a diagonal tail, a state from which every reachable edge has a label
@@ -38,10 +39,10 @@ builds the pair automaton once and hands it to the one dispatch on the
 metric (`_verdict_on`).  `distance` builds the pair automaton once and
 reads the length and discrete distances off it directly.  For the six edit
 metrics it asks the same dispatch first (NotClose is ∞).  Under Hamming
-and transposition one longest path over the synchronized pair automaton
-then bounds the distance from both sides
-(`substitution.distance_bounds`), and the two bounds meet except for
-transposition over three letters or more.  Otherwise it searches k with
+and transposition one longest path over a walk of the pair automaton then
+gives the distance (`substitution.path_distance`), and `kclose` compares
+it with k: neither builds a k-approximation, which serves only the
+Levenshtein family and conjugacy.  For those `distance` searches k with
 `kclose`, every probe on that one pair automaton: a distance costs one
 build however many k it probes.  The search starts at a letter-count
 lower bound LB (`_lower_bound`), not at 0: an edit changes the length and,
@@ -69,8 +70,7 @@ from .pairauto import (PairAutomaton, find_pair_path, identity_witness,
                        input_word_of_path, is_length_preserving,
                        max_abs_delay, output_letters, pair_length_diameter,
                        suffix_gap_range, unbalanced_letter, weighted_gap_sup)
-from .substitution import (close_hamming, close_transposition,
-                           distance_bounds)
+from .substitution import close_hamming, close_transposition, path_distance
 from .transducers import (DomainMismatchError, joint_product,
                           unbalanced_loop_certificate,
                           unbalanced_word_certificate)
@@ -96,12 +96,9 @@ class DistanceAutomaton:
                    sorted(self.accept_cost), transitions)
 
 
-_CROSSING_METRICS = (Metric.TRANSPOSITION, Metric.DAMERAU_LEVENSHTEIN)
-
-
 def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                         leftover_cap: int, ceiling: int) -> DistanceAutomaton:
-    """The k-approximation of a substitution/indel metric, live nodes only.
+    """The k-approximation of a Levenshtein-family metric, live nodes only.
 
     A node (q, b, lu, lv) is a pair-automaton state q, the budget b left and
     the residuals lu, lv not aligned yet.  With Δ = |lu| - |lv| and
@@ -111,32 +108,27 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
 
     Why no accepting run is lost: a run from the node reads some suffix
     output (x, y) of q, aligns lu·x with lv·y in chunks and then flushes.
-    Under all five metrics a chunk costs at least its length difference
-    (Hamming and transposition price only equal-length cuts), so the rest of
-    the run costs at least |Δ + |x| - |y||, which is at least
+    Under all three metrics a chunk costs at least its length difference,
+    so the rest of the run costs at least |Δ + |x| - |y||, which is at least
     min{|Δ + δ| : slo(q) <= δ <= shi(q)} and so above b at a dead node.
     Pruning therefore keeps the skeleton's language and every minimal weight.
     It agrees with `_crossing_cuts`: moving a run of a dropped cut's live
     target to the explaining predecessor's target is no dearer, so that
     target is live as well and never pruned.
 
-    Target residuals are canonical.  First, for the crossing metrics the
-    longest common prefix c of the two residuals is stripped (the others
-    keep one residual empty).  What a node must price for a suffix output
+    Target residuals are canonical.  First, under Damerau the longest
+    common prefix c of the two residuals is stripped (the others keep one
+    residual empty).  What a node must price for a suffix output
     (x, y) is d(lu·x, lv·y) within b, and d(c·A, c·B) = d(A, B), so
     (q, b, c·A, c·B) and (q, b, A, B) have the same completion costs, and
     the shorter residuals fit the cap no worse.  "≤" is matching c to
-    itself; for "≥" induct on |c| with c = a·c'.  Under Damerau (and
-    Levenshtein and LCS) let f drop a word's first letter: an edit at a
-    later position is the same edit under f; a substitution of the first
-    letter leaves f unchanged; deleting or inserting it is one deletion or
-    insertion under f; swapping the first two letters, which only Damerau
-    allows, is one substitution under f, which Damerau allows too.  So an
-    edit sequence from a·A to a·B maps to one from A to B no longer.
-    Under Hamming it is immediate, since the positions of c match.
-    Transposition counts the inversions of the matching of equal letters in
-    order, which pairs the two leading a's with no inversion and matches A
-    to B as on its own.
+    itself; for "≥" induct on |c| with c = a·c'.  Let f drop a word's first
+    letter: an edit at a later position is the same edit under f; a
+    substitution of the first letter leaves f unchanged; deleting or
+    inserting it is one deletion or insertion under f; swapping the first
+    two letters, which only Damerau allows, is one substitution under f,
+    which Damerau allows too.  So under all three metrics an edit sequence
+    from a·A to a·B maps to one from A to B no longer.
     Second, a target with b = 0 whose stripped residuals are both non-empty
     is dead: they differ at their first letters, so lu·x ≠ lv·y for every
     suffix output, every completion costs at least 1 > b, and the node has
@@ -161,7 +153,7 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     and the rest of the alignment prices the target's residuals, so the
     run keeps the minimal weight, and the skeleton keeps its language.
 
-    Under all five metrics an edge whose target d is a diagonal tail
+    Under all three metrics an edge whose target d is a diagonal tail
     (`_diagonal_tails`: every edge reachable from d has a label (x, x))
     takes only the full cut of its chunk (left, right), to (d, b - c, '', '')
     with c = d(left, right); every other edge keeps its cut points.  Each
@@ -172,37 +164,25 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     d(A, B) by the common-suffix lemma, and cost(i, j) + d(A, B) >= c by
     subadditivity again.  So the full cut is within budget whenever the run
     is, and its target accepts (S, S) at cost 0 from there.  The lemma
-    d(A·S, B·S) = d(A, B) mirrors the common-prefix one: under Hamming it
-    is immediate, since the positions of S match; reversing both words
-    keeps the Levenshtein, LCS and Damerau distances (reversal maps each
-    edit to one edit) and turns S into a common prefix; and under
-    transposition the in-order matching of equal letters pairs the letters
-    of the two copies of S with each other after those of A and B, which
-    adds no inversion.
+    d(A·S, B·S) = d(A, B) mirrors the common-prefix one: reversing both
+    words keeps the three distances (reversal maps each edit to one edit)
+    and turns S into a common prefix.
     """
-    crossing = metric in _CROSSING_METRICS
+    crossing = metric is Metric.DAMERAU_LEVENSHTEIN
     # a finite max_abs_delay (checked by build_kapprox) bounds every cycle's
     # gap, so the suffix gaps are bounded too
     slo, shi = suffix_gap_range(p)
     # chunks repeat across nodes: one prefix-distance table per distinct
     # (left, right) chunk holds the cost of every cut point of that chunk,
     # and an edge's table grows from its node's by the edge's letters
-    tables: dict[tuple[str, str], list[list[int | None]]] = {}
+    tables: dict[tuple[str, str], list[list[int]]] = {}
 
-    def table(a: str, b: str) -> list[list[int | None]]:
+    def table(a: str, b: str) -> list[list[int]]:
         try:
             return tables[a, b]
         except KeyError:
             t = tables[a, b] = prefix_table(metric, a, b)
             return t
-
-    if crossing:
-        # what one step between neighbouring cut points costs: a letter
-        # against nothing, or against another letter (an equal letter is
-        # free).  A step the metric cannot take (None) costs k + 1, more
-        # than any cut it could explain
-        indel, subst = (k + 1 if c is None else c
-                        for c in prefix_table(metric, "a", "b")[1])
 
     ids: dict[tuple, int] = {}
     nodes: list[tuple] = []
@@ -240,7 +220,7 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
         q, b, lu, lv = cfg
         if q in p.nfa.finals:
             flush = table(lu, lv)[-1][-1]
-            if flush is not None and flush <= b:
+            if flush <= b:
                 prev = accept_cost.get(sid)
                 if prev is None or flush < prev:
                     accept_cost[sid] = flush
@@ -260,13 +240,13 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                 low = _common_prefix_length(left, right)
                 if crossing:
                     cuts = _crossing_cuts(costs, left, right, b, leftover_cap,
-                                          low, indel, subst)
+                                          low)
                 else:
                     cuts = _consumption_points(len(left), len(right), b,
                                                leftover_cap, low)
             for i, j in cuts:
                 cost = costs[i][j]
-                if cost is None or cost > b:
+                if cost > b:
                     continue
                 ru, rv = left[i:], right[j:]
                 if crossing:
@@ -311,14 +291,14 @@ def _common_prefix_length(u: str, v: str) -> int:
 
 def _consumption_points(n: int, m: int, budget: int, cap: int,
                         low: int) -> list[tuple[int, int]]:
-    """Cut points (i, j) of a chunk alignment of lengths n and m, for the
-    metrics without crossing edits.
+    """Cut points (i, j) of a chunk alignment of lengths n and m, under
+    Levenshtein and LCS, which have no crossing edits.
 
     Such alignments decompose at one-sided frontiers, so the residual stays
     one-sided.  Only points with i, j >= `low` (the length of the chunk's
     common prefix) that leave at most `cap` letters on either side are
-    listed, and only those with |i - j| <= budget: every metric of the
-    family charges at least the length difference of the aligned prefixes.
+    listed, and only those with |i - j| <= budget: both metrics charge at
+    least the length difference of the aligned prefixes.
     """
     low_i, low_j = max(low, n - cap), max(low, m - cap)
     return ([(n, j) for j in range(max(low_j, n - budget),
@@ -327,11 +307,10 @@ def _consumption_points(n: int, m: int, budget: int, cap: int,
                                      min(n, m + budget + 1))])
 
 
-def _crossing_cuts(costs: list[list[int | None]], left: str, right: str,
-                   budget: int, cap: int, low: int, indel: int,
-                   subst: int) -> list[tuple[int, int]]:
-    """Cut points (i, j) of a chunk alignment under Damerau or transposition,
-    read off the chunk's prefix table `costs`.
+def _crossing_cuts(costs: list[list[int]], left: str, right: str,
+                   budget: int, cap: int, low: int) -> list[tuple[int, int]]:
+    """Cut points (i, j) of a chunk alignment under Damerau, read off the
+    chunk's prefix table `costs`.
 
     Adjacent transpositions cross cut points, which forces residuals on both
     sides until a balanced point is reached, so every point of the window
@@ -339,11 +318,11 @@ def _crossing_cuts(costs: list[list[int | None]], left: str, right: str,
     `cap` letters left on either side) and of the band |i - j| <= budget
     may cut.  A point within budget is left out when a predecessor
     (i-1, j), (i, j-1) or (i-1, j-1) in the window explains its cost
-    exactly: cost(i, j) = cost(i', j') + the step between them
-    (`indel`, `subst` for two different letters, 0 for equal ones).  Steps
-    cost at least 0 and a cost is at least its length gap, so such a
-    predecessor is within budget and in the band as well, and the window is
-    the only test it needs.
+    exactly: cost(i, j) = cost(i', j') + the step between them (1, or 0
+    for a diagonal step between equal letters).  Steps cost at least 0 and
+    a cost is at least its length gap, so such a predecessor is within
+    budget and in the band as well, and the window is the only test it
+    needs.
 
     Dropping keeps the skeleton and every minimal weight: the predecessor's
     target keeps the one-letter step in its residual and the step's cost in
@@ -362,13 +341,13 @@ def _crossing_cuts(costs: list[list[int | None]], left: str, right: str,
         a = left[i - 1] if i else ""
         for j in range(max(low_j, i - budget), min(m, i + budget) + 1):
             cost = row[j]
-            if cost is None or cost > budget:
+            if cost > budget:
                 continue
-            if above is not None and above[j] == cost - indel:
+            if above is not None and above[j] == cost - 1:
                 continue
-            if j > low_j and (row[j - 1] == cost - indel or (
-                    above is not None and above[j - 1] == cost - (
-                        0 if a == right[j - 1] else subst))):
+            if j > low_j and (row[j - 1] == cost - 1 or (
+                    above is not None
+                    and above[j - 1] == cost - (a != right[j - 1]))):
                 continue
             cuts.append((i, j))
         above = row
@@ -469,13 +448,13 @@ def build_kapprox(metric: Metric, p: PairAutomaton, k: int,
 
     For every input w in the domain, the minimal accepting-run weight equals
     d(T1(w), T2(w)) when that value is at most k, and no accepting run exists
-    otherwise.  Requires a finite length distance.  For the substitution and
-    indel metrics only live nodes are built, and `ceiling` counts those.
+    otherwise.  Requires a finite length distance.  Built for conjugacy and
+    the Levenshtein family only, and for the latter only live nodes, which
+    `ceiling` counts.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
-    if metric not in (Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
-                      Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN):
+    if metric not in (Metric.CONJUGACY, *LEVENSHTEIN_FAMILY):
         raise InputError(f"no distance automaton for metric {metric}")
     if p.nfa.n_states == 0:
         return DistanceAutomaton(metric, k, [], [], [], {})
@@ -544,8 +523,6 @@ _COUNTING_METRICS = (Metric.HAMMING, Metric.LEVENSHTEIN, Metric.LCS,
                      Metric.DAMERAU_LEVENSHTEIN)
 #: the metrics whose edits change no letter's count
 _PERMUTING_METRICS = (Metric.TRANSPOSITION, Metric.CONJUGACY)
-#: the metrics whose distance a longest path over S bounds from both sides
-_PATH_METRICS = (Metric.HAMMING, Metric.TRANSPOSITION)
 
 
 def _lower_bound(metric: Metric, p: PairAutomaton) -> int | None:
@@ -602,31 +579,23 @@ def kclose(metric: Metric, t1, t2, k: int,
     metric does, whether the outputs agree on every input (every edit metric
     is 0 exactly on equal words).
 
-    Otherwise the k-approximation's accepting skeleton (projected to input
-    letters and determinized) must cover the whole domain.  That coverage is
-    the one inclusion dom(T1) ⊆ L(skeleton), decided by `automata.included`:
-    the skeleton accepts exactly the inputs w with d(T1(w), T2(w)) ≤ k, so
+    Otherwise Hamming and transposition answer from the closeness verdict
+    and the longest path (`_distance_on`), whose walk counts its states
+    against the ceiling: NotClose gives False, and Close compares the path,
+    the distance, with k.  Under the other edit metrics the
+    k-approximation's accepting skeleton (projected to input letters and
+    determinized) must cover the whole domain.  That coverage is the one
+    inclusion dom(T1) ⊆ L(skeleton), decided by `automata.included`: the
+    skeleton accepts exactly the inputs w with d(T1(w), T2(w)) ≤ k, so
     L(skeleton) ⊆ dom(T1) holds by construction and k-closeness *is* the
     other direction.  The domain is p's input projection, its transitions
     labelled with the input letters they read, and the skeleton is
     determinized guided by it (`determinize(..., within=domain)`), so only
     the subsets that a run of the domain reaches are built, and the ceiling
-    counts those.  The k-approximation builds only live nodes, those whose
-    length gap some suffix can still bring within their budget, and the
-    ceiling counts live nodes.  When no initial node is live the skeleton is
-    empty, and rightly so: every output pair then differs in length by more
-    than k.  It prices
-    each edge's chunk alignments from a prefix-distance table grown from its
-    node's, and cuts no chunk inside the common prefix of its two sides.
-    For Damerau and transposition it leaves out every cut point whose cost
-    a neighbouring cut explains exactly, strips the common prefix of each
-    target's residuals and drops a target with no budget left and two
-    non-empty residuals.  An edge into a diagonal tail, a state from which
-    both outputs agree letter by letter, aligns its whole chunk, so every
-    node there has empty residuals.  Each rule keeps the skeleton's
-    language.
-    A `ResourceLimitError` past the ceiling, in the build or in the
-    determinization, names the layer, the metric and k.
+    counts those, as it counts the k-approximation's live nodes (the module
+    docstring lists the build's rules, each of which keeps the skeleton's
+    language).  A `ResourceLimitError` past the ceiling, in the build or in
+    the determinization, names the layer, the metric and k.
     """
     if k < 0:
         raise InputError("k must be nonnegative")
@@ -645,6 +614,8 @@ def kclose(metric: Metric, t1, t2, k: int,
         return False
     if k == 0:
         return identity_witness(p) is None
+    if metric in (Metric.HAMMING, Metric.TRANSPOSITION):
+        return _distance_on(metric, p, ceiling) <= k
     da = build_kapprox(metric, p, k, ceiling)
     domain = Nfa(p.nfa.n_states, p.nfa.initials, p.nfa.finals,
                  [(s, x, d) for (s, _, d), x in zip(p.nfa.transitions,
@@ -682,19 +653,16 @@ def _distance_on(metric: Metric, p: PairAutomaton,
     the letter-count lower bound (`_lower_bound`): an edit changes the
     length and, under Hamming, Levenshtein, Damerau and LCS, a letter's
     count by at most 1, so the distance is at least LB.  The limit is the
-    verdict's bound.  Only the Hamming and transposition verdicts have none,
-    and there the longest path over S, the synchronization of p built under
-    `ceiling`, bounds the distance from both sides
-    (`substitution.distance_bounds`): the path's upper bound is the limit.
-    Under Hamming and binary transposition the two bounds meet, and that is
-    the answer, with no probe.  Otherwise k-closeness is probed for k = LB,
-    LB + 1, ... (from the path's lower bound when it is larger) on p
-    (`kclose`'s `pair`, which reads no machine), and the first k that holds
-    is the distance.  A probe costs several times the one below it, so the
-    search costs about as much as the probe at the answer and never builds
-    a larger k-approximation.  An LB above the verdict's bound, path bounds
-    that miss [LB, verdict's bound], or a search that passes the limit
-    contradicts the certified bounds.
+    verdict's bound.  Under Hamming and transposition, whose verdicts have
+    none, the answer is the longest path over a walk of p built under
+    `ceiling` (`substitution.path_distance`), with no probe.  Otherwise
+    k-closeness is probed for k = LB, LB + 1, ... on p (`kclose`'s `pair`,
+    which reads no machine), and the first k that holds is the distance.  A
+    probe costs several times the one below it, so the search costs about
+    as much as the probe at the answer and never builds a larger
+    k-approximation.  An LB above the verdict's bound, a path value outside
+    [LB, verdict's bound], or a search that passes the limit contradicts the
+    certified bounds.
     """
     if metric is Metric.LENGTH:
         return pair_length_diameter(p)
@@ -713,21 +681,17 @@ def _distance_on(metric: Metric, p: PairAutomaton,
         raise IntegrityError(
             "the letter-count lower bound exceeds the closeness decider's "
             "bound; the two are inconsistent")
-    if metric in _PATH_METRICS:
-        lo, hi = distance_bounds(metric, p, ceiling)
-        if hi < k or lo > limit:
+    if metric in (Metric.HAMMING, Metric.TRANSPOSITION):
+        value = path_distance(metric, p, ceiling)
+        if not k <= value <= limit:
             raise IntegrityError(
-                "the longest path over the synchronized pair automaton lies "
-                "outside the letter-count lower bound and the closeness "
-                "decider's bound")
-        if lo == hi:
-            return ExtendedNat(lo)
-        k, limit = max(k, lo), min(limit, hi)
+                "the longest path lies outside the letter-count lower bound "
+                "and the closeness decider's bound")
+        return ExtendedNat(value)
     while not kclose(metric, None, None, k, ceiling, pair=p):
         k += 1
         if k > limit:
             raise IntegrityError(
-                "k-search escaped the closeness decider's bound or the "
-                "longest path's; the k-approximation is inconsistent with "
-                "them")
+                "k-search escaped the closeness decider's bound; the "
+                "k-approximation is inconsistent with it")
     return ExtendedNat(k)

@@ -16,7 +16,7 @@ automaton (`kapprox.build_kapprox`) off its runs on given inputs.
 decides R ⊆ S for bounded-delay relations by padded-encoding inclusion, the
 test that `relations.index` makes on each level.  `distance_subst` computes
 the exact Hamming and transposition distances through an acyclic gadget, a
-route independent of `substitution.distance_bounds`.
+route independent of `substitution.path_distance`.
 """
 
 from __future__ import annotations
@@ -641,7 +641,7 @@ def _max_path_distance(nfa: Nfa, metric: Metric, alphabet: Alphabet,
 
 def distance_subst(metric: Metric, t1, t2) -> ExtendedNat:
     """Exact Hamming/transposition distance through the acyclic gadget: a
-    reference route, independent of `substitution.distance_bounds`, that
+    reference route, independent of `substitution.path_distance`, that
     the tests compare `kapprox.distance` against.
 
     Builds the pair automaton (checking the domains) once, for the verdict

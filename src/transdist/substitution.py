@@ -6,20 +6,21 @@ length-preserving pair automaton p both deciders ask for a transition of
 their own kind inside a strongly connected component of S_L, the
 synchronization of p's loops (`pairauto.synchronized_loop`); one found
 gives an input loop to pump.  S_L is exponential only in the delays of
-states on loops.  When close, `distance_bounds` synchronizes all of p
-into S, whose accepting paths spell the output pairs letter by letter, and
-takes the longest path over S's component condensation: the number of
-mismatched letter pairs under Hamming, the footrule Σ_i ‖D_i‖₁ of the
-letter-count differences under transposition.  The first is the Hamming
-distance, half the second is the transposition distance over two letters,
-and over more the distance lies between half of it and all of it.  S is
-exponential in every delay of p, so it is built under a state ceiling.
+states on loops.  When close, `path_distance` reads the distance off the
+longest path over a walk of p: S, the synchronization of all of p, under
+Hamming, and under transposition, over any alphabet, the synchronization
+of the outputs' projections onto each pair of letters, whose swap
+distances add up to the distance.  Both walks are exponential in every
+delay of p, so they are built under a state ceiling.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import combinations
+
 from .automata import EPSILON, Nfa, scc_decomposition
-from .errors import IntegrityError
+from .errors import IntegrityError, ResourceLimitError
 from .pairauto import (PairAutomaton, is_length_preserving,
                        letter_mismatches, max_abs_delay, synchronize,
                        synchronized_loop, unbalanced_letter)
@@ -118,39 +119,96 @@ def close_transposition(p: PairAutomaton):
 
 
 # ---------------------------------------------------------------------------
-# distances from one longest path over S
+# distances from one longest path
 # ---------------------------------------------------------------------------
 
-def distance_bounds(metric: Metric, p: PairAutomaton,
-                    ceiling: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= d(T1, T2) <= hi, for p the pair automaton of two
-    machines that the metric's decider found close: lo = hi, the distance,
-    under Hamming and under transposition over at most two letters.
-
-    S, the synchronization of p, is built under `ceiling` (past it, the
-    `ResourceLimitError` of `synchronize`).  It needs no trim: p is trimmed
-    and length-preserving, so a state of S is a state q of p with |delay(q)|
-    letters buffered, and every path of p from q to a final state runs on
-    from it.  Each accepting path of S is the run of one input and spells
-    its output pair letter by letter (see `close_hamming` and
-    `close_transposition`).  A transition weighs 1 when it reads two
-    different letters, under Hamming, or ‖D‖₁ after it, under
-    transposition, and the heaviest accepting path gives the Hamming
-    distance or F, the largest footrule Σ_i ‖D_i‖₁.  Over two letters a and
-    b, D_b = -D_a, and the swap distance Σ_i |D_a,i| is F / 2; over more,
-    Diaconis and Graham put it between ⌈F/2⌉ and F.
+def path_distance(metric: Metric, p: PairAutomaton, ceiling: int) -> int:
+    """d(T1, T2) under Hamming or transposition, for p the pair automaton of
+    two machines that the metric's decider found close: the heaviest
+    accepting path of a walk over p, built under `ceiling`.  Under Hamming
+    the walk is S, the synchronization of p, whose accepting paths spell
+    the output pairs letter by letter (see `close_hamming`), and a
+    transition weighs 1 when its two letters differ; p is trimmed and
+    length-preserving, so S needs no trim.  Under transposition it is
+    `_pairwise_walk`.
     """
-    s = synchronize(p, max_abs_delay(p), ceiling=ceiling)[0]
     if metric is Metric.HAMMING:
+        s = synchronize(p, max_abs_delay(p), ceiling=ceiling)[0]
         weights = [0] * len(s.transitions)
         for t in letter_mismatches(s):
             weights[t] = 1
-        value = _longest_path(s, weights)
-        return value, value
-    footrule = _longest_path(s, _count_gaps(s))
-    letters = {c for _, (x, y), _ in p.nfa.transitions for c in x + y}
-    half = footrule // 2  # ‖D_i‖₁ is even: D_i sums to 0
-    return (half, half) if len(letters) <= 2 else (half, footrule)
+        return _longest_path(s, weights)
+    return _longest_path(*_pairwise_walk(p, ceiling))
+
+
+def _pairwise_walk(p: PairAutomaton, ceiling: int) -> tuple[Nfa, list[int]]:
+    """The walk, with its transition weights, whose heaviest accepting path
+    is the transposition distance of p, whose accepted pairs are all
+    permutation pairs.
+
+    Transposition counts the inversions of the in-order matching of equal
+    letters.  Two equal letters are never inverted, and whether an x and a
+    y are inverted depends only on the order of the x's and y's, so d(u, v)
+    is the sum over letter pairs {x, y} of d(π_xy(u), π_xy(v)), for π_xy
+    the projection onto x and y.  Each term is binary, so it is Σ_i |D_i|,
+    for D_i the count of x in the first i letters of π_xy(u) minus that in
+    π_xy(v): the area between the two counting staircases sums how far the
+    j-th x's stand apart, which is how many y's each must pass.
+
+    A state is a state q of p and, per letter pair, the tails of the two
+    projected outputs not aligned yet (one of them empty) and D.  A
+    transition of p appends its letters to the tails they project onto and
+    weighs the sum of |D| at each position it aligns.  The counts p emits
+    up to q are minus those of any suffix from q, so the tails' lengths
+    are functions of q and D of q and the tails: the walk is about as large
+    as S, reaches every final state of p with its tails aligned, and, like
+    S, needs no trim.  The Close verdict leaves no positive weight on a
+    cycle.
+    """
+    letters = sorted({c for _, (x, y), _ in p.nfa.transitions for c in x + y})
+    pairs = list(combinations(letters, 2))
+    ids: dict[tuple, int] = {}
+    todo: deque[tuple] = deque()
+    transitions: list[tuple[int, int, int]] = []
+    weights: list[int] = []
+
+    def get(cfg):
+        sid = ids.get(cfg)
+        if sid is None:
+            if len(ids) >= ceiling:
+                raise ResourceLimitError(
+                    f"pairwise synchronization exceeded ceiling of {ceiling} "
+                    f"states")
+            sid = ids[cfg] = len(ids)
+            todo.append(cfg)
+        return sid
+
+    aligned = tuple(("", "", 0) for _ in pairs)
+    initials = [get((q, aligned)) for q in sorted(p.nfa.initials)]
+    finals = []
+    adj = p.nfa.adj()
+    while todo:
+        cfg = todo.popleft()
+        sid = ids[cfg]
+        q, tails = cfg
+        if q in p.nfa.finals and tails == aligned:
+            finals.append(sid)
+        for (x, y), d, t in adj[q]:
+            weight = 0
+            nxt = []
+            for (a, b), (lu, lv, diff) in zip(pairs, tails):
+                if x == a or x == b:
+                    lu += x
+                if y == a or y == b:
+                    lv += y
+                if lu and lv:  # one tail was empty and gained a letter
+                    diff += (lu[0] == a) - (lv[0] == a)
+                    weight += abs(diff)
+                    lu, lv = lu[1:], lv[1:]
+                nxt.append((lu, lv, diff))
+            transitions.append((sid, t, get((d, tuple(nxt)))))
+            weights.append(weight)
+    return Nfa(len(ids), initials, finals, transitions), weights
 
 
 def _longest_path(s: Nfa, weights: list[int]) -> int:
@@ -169,6 +227,6 @@ def _longest_path(s: Nfa, weights: list[int]) -> int:
                     best[c] = max(best[c], weights[t] + best[comp[d]])
                 elif weights[t]:
                     raise IntegrityError(
-                        "a weighted transition of S lies on a cycle of a "
-                        "pair declared close")
+                        "a weighted transition of the walk lies on a cycle "
+                        "of a pair declared close")
     return max((best[comp[q]] for q in s.initials), default=0)

@@ -34,8 +34,7 @@ class Transducer:
                  "_deterministic")
 
     def __init__(self, nfa: Nfa, out: Iterable[str], final_out: dict[int, str],
-                 input_alphabet: Alphabet, output_alphabet: Alphabet,
-                 check: bool = True):
+                 input_alphabet: Alphabet, output_alphabet: Alphabet):
         self.nfa = nfa
         self.out = tuple(out)
         self.final_out = {f: final_out.get(f, "") for f in nfa.finals}
@@ -51,7 +50,7 @@ class Transducer:
         for w in self.final_out.values():
             output_alphabet.validate(w, "final output")
         self._deterministic = nfa.is_deterministic()
-        if check and not self._deterministic and not is_unambiguous(nfa):
+        if not self._deterministic and not is_unambiguous(nfa):
             raise PreconditionError(
                 "underlying automaton is ambiguous; only sequential or "
                 "unambiguous transducers define functions")

@@ -444,55 +444,31 @@ _KERNELS = {
 }
 
 
-def prefix_table(metric: Metric, u: str, v: str) -> list[list[int | None]]:
-    """Every prefix distance d(u[:i], v[:j]) as a plain int, None for ∞.
+def prefix_table(metric: Metric, u: str, v: str) -> list[list[int]]:
+    """Every prefix distance d(u[:i], v[:j]) of a Levenshtein-family metric
+    as a plain int.
 
-    Rows run over i, columns over j.  The Levenshtein family appends the
-    rows of u, one recurrence step per row, to the row of the empty prefix.
-    Hamming and transposition are ∞ between words of different lengths, so
-    they fill only the diagonal i = j from their kernel.
+    Rows run over i, columns over j: the rows of u, one recurrence step per
+    row, appended to the row of the empty prefix.
     """
-    rows = _ROWS.get(metric)
-    if rows is not None:
-        table = [list(range(len(v) + 1))]
-        rows(table, u, v, 0)
-        return table
-    kernel = _KERNELS[metric]
-    table = [[None] * (len(v) + 1) for _ in range(len(u) + 1)]
-    for i in range(min(len(u), len(v)) + 1):
-        table[i][i] = _finite_or_none(kernel(u[:i], v[:i]))
+    table = [list(range(len(v) + 1))]
+    _ROWS[metric](table, u, v, 0)
     return table
 
 
-def extend_table(metric: Metric, table: list[list[int | None]], u: str,
-                 v: str, x: str, y: str) -> list[list[int | None]]:
+def extend_table(metric: Metric, table: list[list[int]], u: str, v: str,
+                 x: str, y: str) -> list[list[int]]:
     """The prefix table of (u + x, v + y), grown from `table`, that of (u, v).
 
     x and y have at most one letter each, and `table` is left as it is.
-    The Levenshtein family copies the rows with the cell of y's column
-    appended, by the metric's recurrence read along a column, then appends
-    one row for x by the same recurrence as `prefix_table`.  Hamming and
-    transposition copy the table and fill at most one new diagonal cell
-    from their kernel.
+    The rows are copied with the cell of y's column appended, by the
+    metric's recurrence read along a column, then one row for x is appended
+    by the same recurrence as `prefix_table`.
     """
-    rows = _ROWS.get(metric)
-    if rows is None:
-        i = min(len(u + x), len(v + y))
-        table = [row + [None] for row in table] if y else table[:]
-        if x:
-            table.append([None] * (len(v + y) + 1))
-        if i > min(len(u), len(v)):
-            table[i][i] = _finite_or_none(
-                _KERNELS[metric]((u + x)[:i], (v + y)[:i]))
-        return table
     table = _COLUMNS[metric](table, u, v, y) if y else table[:]
     if x:
-        rows(table, u + x, v + y, len(u))
+        _ROWS[metric](table, u + x, v + y, len(u))
     return table
-
-
-def _finite_or_none(d: ExtendedNat) -> int | None:
-    return d.value() if d.is_finite else None
 
 
 def word_distance(metric: Metric, u: str, v: str,

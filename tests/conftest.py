@@ -86,6 +86,15 @@ def probes(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def no_kapprox(monkeypatch):
+    """Fails any call that builds a k-approximation."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_kapprox ran")
+
+    monkeypatch.setattr(kapprox, "build_kapprox", refuse)
+
+
 # ---------------------------------------------------------------------------
 # certificate replay
 # ---------------------------------------------------------------------------
@@ -151,8 +160,8 @@ def random_joint_machine(rng: random.Random, max_states=5, letters="ab",
     fout1 = {f: rnd_word() for f in trimmed.finals}
     fout2 = {f: rnd_word() for f in trimmed.finals}
     alph_in, alph_out = Alphabet(letters), Alphabet(out_letters)
-    return (Transducer(trimmed, out1, fout1, alph_in, alph_out, check=False),
-            Transducer(trimmed, out2, fout2, alph_in, alph_out, check=False))
+    return (Transducer(trimmed, out1, fout1, alph_in, alph_out),
+            Transducer(trimmed, out2, fout2, alph_in, alph_out))
 
 
 def joint_outputs_table(pair: tuple[Transducer, Transducer],

@@ -34,6 +34,10 @@ AB = Alphabet("ab")
 EDIT_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
                 Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN]
 ALL_DECIDED = EDIT_METRICS + [Metric.LENGTH, Metric.DISCRETE]
+#: the metrics that build a k-approximation: Hamming and transposition read
+#: their distance off one longest path
+KAPPROX_METRICS = [Metric.CONJUGACY, Metric.LEVENSHTEIN, Metric.LCS,
+                   Metric.DAMERAU_LEVENSHTEIN]
 
 
 def _report(criterion: int, ok: bool, detail: str):
@@ -162,7 +166,7 @@ def test_criterion_4_kapprox_soundness():
     for pair in corpus:
         outputs = joint_outputs_table(pair, 8)
         p = joint_product(*pair)
-        for metric in EDIT_METRICS:
+        for metric in KAPPROX_METRICS:
             truth = {w: word_distance(metric, o1, o2)
                      for w, (o1, o2) in outputs.items()}
             for k in (0, 1, 2, 3):

@@ -5,9 +5,10 @@ from conftest import (certificate_replays, machine_corpus, make_transducer,
                       multi_letter_pairs)
 from transdist.automata import DEFAULT_STATE_CEILING
 from transdist.errors import InputError, ResourceLimitError
-from transdist.kapprox import close_verdict, distance
+from transdist.kapprox import close_verdict, distance, kclose
 from transdist.oracles import distance_subst
-from transdist.substitution import distance_bounds
+from transdist.pairauto import max_abs_delay, synchronize
+from transdist.substitution import _count_gaps, _longest_path, _pairwise_walk
 from transdist.transducers import domain_words, evaluate, joint_product
 from transdist.verdicts import (Close, InfiniteWordCertificate, LoopCertificate,
                                 NotClose)
@@ -111,22 +112,30 @@ def test_growing_swaps_not_close_for_both():
     assert distance_subst(Metric.HAMMING, t_a, t_b) == INF
 
 
-def _sorted_prefix_pair(d):
+def _sorted_prefix_pair(d, letters="ab"):
     """T_a copies its input; T_b writes nothing for the first d letters,
-    counting the a's, then writes them sorted and copies the rest."""
+    keeping them sorted in its state, then writes them and copies the
+    rest."""
+    alphabet = Alphabet(letters)
     t_a = make_transducer(d + 2, [0], [d + 1], [
-        (i, c, c, min(i + 1, d + 1)) for i in range(d + 2) for c in "ab"])
-    ids = {(i, k): n for n, (i, k) in enumerate(
-        (i, k) for i in range(d + 1) for k in range(i + 1))}
+        (i, c, c, min(i + 1, d + 1)) for i in range(d + 2) for c in letters],
+        alph_in=alphabet, alph_out=alphabet)
+    held = [""]
+    for word in held:  # breadth-first: held grows behind word
+        if len(word) < d:
+            held += sorted({"".join(sorted(word + c)) for c in letters}
+                           - set(held))
+    ids = {word: n for n, word in enumerate(held)}
     end = len(ids)
-    triples = [(end, c, c, end) for c in "ab"]
-    for (i, k), s in ids.items():
-        if i < d:
-            triples += [(s, "a", "", ids[i + 1, k + 1]),
-                        (s, "b", "", ids[i + 1, k])]
-        else:
-            triples += [(s, c, "a" * k + "b" * (d - k) + c, end) for c in "ab"]
-    return t_a, make_transducer(end + 1, [0], [end], triples)
+    triples = [(end, c, c, end) for c in letters]
+    for word, s in ids.items():
+        for c in letters:
+            if len(word) < d:
+                triples.append((s, c, "", ids["".join(sorted(word + c))]))
+            else:
+                triples.append((s, c, word + c, end))
+    return t_a, make_transducer(end + 1, [0], [end], triples,
+                                alph_in=alphabet, alph_out=alphabet)
 
 
 @pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
@@ -183,26 +192,70 @@ def _close_pairs(metric):
 
 @pytest.mark.parametrize("metric, count", [(Metric.HAMMING, 928),
                                            (Metric.TRANSPOSITION, 659)])
-def test_distance_is_the_reference_distance_on_close_pairs(metric, count):
+def test_distance_is_the_reference_distance_on_close_pairs(metric, count,
+                                                          no_kapprox):
+    # kclose reads the same path: neither builds a k-approximation
     pairs = _close_pairs(metric)
     assert len(pairs) == count
     for u1, u2 in pairs:
-        assert distance(metric, u1, u2) == distance_subst(metric, u1, u2)
+        want = distance_subst(metric, u1, u2)
+        assert distance(metric, u1, u2) == want
+        assert kclose(metric, u1, u2, want.value())
+        assert want == 0 or not kclose(metric, u1, u2, want.value() - 1)
+
+
+def _footrule(p):
+    """F, the largest footrule Σ_i ‖D_i‖₁ over the accepting paths of S,
+    the synchronization of p: by Diaconis and Graham the swap distance lies
+    in [F/2, F], and is F/2 over two letters."""
+    s = synchronize(p, max_abs_delay(p))[0]
+    return _longest_path(s, _count_gaps(s))
 
 
 def test_footrule_brackets_the_transposition_distance(probes):
-    # over three letters or more the longest path gives the footrule F, and
-    # the swap distance lies in [F/2, F]; the k-search stays inside
+    # over three letters or more the footrule leaves the bracket [F/2, F]
+    # open; one longest path gives the exact distance inside it, with no
+    # k-search
     bracketed = 0
     for u1, u2 in _close_pairs(Metric.TRANSPOSITION):
-        lo, hi = distance_bounds(Metric.TRANSPOSITION, joint_product(u1, u2),
-                                 DEFAULT_STATE_CEILING)
-        probes.clear()
-        assert lo <= distance_subst(Metric.TRANSPOSITION, u1, u2) <= hi
-        distance(Metric.TRANSPOSITION, u1, u2)
-        assert all(lo <= k <= hi for k in probes)
-        bracketed += lo < hi
-    assert bracketed > 0
+        p = joint_product(u1, u2)
+        footrule = _footrule(p)
+        letters = {c for _, (x, y), _ in p.nfa.transitions for c in x + y}
+        if len(letters) <= 2 or footrule == 0:
+            continue
+        bracketed += 1
+        want = distance_subst(Metric.TRANSPOSITION, u1, u2)
+        assert distance(Metric.TRANSPOSITION, u1, u2) == want
+        assert footrule / 2 <= want.value() <= footrule
+    assert bracketed == 217
+    assert probes == []
+
+
+@pytest.mark.parametrize("d, want", [(2, 1), (3, 3), (4, 5), (5, 8),
+                                     (6, 12)])
+def test_three_letter_sorted_prefix_distance(d, want, probes):
+    t_a, t_b = _sorted_prefix_pair(d, "abc")
+    assert distance(Metric.TRANSPOSITION, t_a, t_b) == want
+    assert distance_subst(Metric.TRANSPOSITION, t_a, t_b) == want
+    assert probes == []
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
+def test_three_letter_sorted_prefix_kclose(metric, d, no_kapprox):
+    # kclose answers from the verdict and the longest path
+    t_a, t_b = _sorted_prefix_pair(d, "abc")
+    answer = distance(metric, t_a, t_b).value()
+    for k in range(answer - 1, answer + 2):
+        assert kclose(metric, t_a, t_b, k) == (answer <= k)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_pairwise_walk_is_about_as_large_as_s(d):
+    p = joint_product(*_sorted_prefix_pair(d, "abc"))
+    walk = _pairwise_walk(p, DEFAULT_STATE_CEILING)[0]
+    s = synchronize(p, max_abs_delay(p))[0]
+    assert walk.n_states <= 1.1 * s.n_states
 
 
 def test_constant_transducers_distances():
