@@ -89,53 +89,6 @@ class Nfa:
                 f"finals={sorted(self.finals)}, transitions={len(self.transitions)})")
 
 
-def accessible_states(nfa: Nfa) -> set[int]:
-    seen = set(nfa.initials)
-    todo = deque(seen)
-    adj = nfa.adj()
-    while todo:
-        s = todo.popleft()
-        for _, d, _ in adj[s]:
-            if d not in seen:
-                seen.add(d)
-                todo.append(d)
-    return seen
-
-
-def coaccessible_states(nfa: Nfa) -> set[int]:
-    seen = set(nfa.finals)
-    todo = deque(seen)
-    radj = nfa.radj()
-    while todo:
-        s = todo.popleft()
-        for _, p, _ in radj[s]:
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return seen
-
-
-def trim(nfa: Nfa) -> tuple[Nfa, list[int], list[int]]:
-    """Restrict to accessible and coaccessible states.
-
-    Returns (trimmed automaton, old state id per new id, old transition index
-    per new index); the language is unchanged.
-    """
-    keep = sorted(accessible_states(nfa) & coaccessible_states(nfa))
-    new_of_old = {old: new for new, old in enumerate(keep)}
-    kept_transitions = []
-    new_transitions = []
-    for t, (s, a, d) in enumerate(nfa.transitions):
-        if s in new_of_old and d in new_of_old:
-            kept_transitions.append(t)
-            new_transitions.append((new_of_old[s], a, new_of_old[d]))
-    trimmed = Nfa(len(keep),
-                  (new_of_old[s] for s in nfa.initials if s in new_of_old),
-                  (new_of_old[s] for s in nfa.finals if s in new_of_old),
-                  new_transitions)
-    return trimmed, keep, kept_transitions
-
-
 def scc_decomposition(nfa: Nfa
                       ) -> tuple[list[int], list[list[int]], list[int | None]]:
     """Tarjan's algorithm with an explicit stack of (state, iterator over its

@@ -25,7 +25,7 @@ from .pairauto import PairAutomaton
 from .relations import diameter, index, make_distance_relation
 from .transducers import Transducer, domain_words, evaluate, same_domain
 from .verdicts import (Close, DomainCertificate, InfiniteWordCertificate,
-                       LoopCertificate, PairCertificate, Unknown)
+                       LoopCertificate, Unknown)
 from .words import INF, Alphabet, Metric, parse_metric, word_distance
 
 EXIT_OK = 0
@@ -84,12 +84,6 @@ def _certificate_lines(metric: Metric, cert) -> list[str]:
                 f"suffix: {cert.suffix or EMPTY_MARK}",
                 f"pumps: {' '.join(map(str, cert.pumps))}",
                 "# distances on prefix loop^i suffix increase strictly"]
-    if isinstance(cert, PairCertificate):
-        return ["kind: pair",
-                f"metric: {metric}",
-                f"left: {cert.pair[0] or EMPTY_MARK}",
-                f"right: {cert.pair[1] or EMPTY_MARK}",
-                "# a generated pair at infinite distance"]
     return ["kind: none"]
 
 

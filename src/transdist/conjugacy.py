@@ -1,8 +1,9 @@
-"""Rational expressions of pairs, common witnesses, and the closeness
-deciders for the conjugacy and Levenshtein-family distances.
+"""Common witnesses, and the closeness deciders for the conjugacy and
+Levenshtein-family distances.
 
 Both deciders reduce closeness to common witnesses: words z with uz = zv
 for every pair (u, v) of a language (inner), or zu = vz for all (outer).
+Both search loop languages read straight off the pair automaton p.
 Witness candidates come from the split families of a concrete non-identical
 pair, are generated lazily in length order up to one cutoff rule (1 + the
 transitions of the searched automaton), and are verified exactly against
@@ -11,19 +12,19 @@ budget surfaces as Unknown, never as Close or NotClose.
 
 * Conjugacy: conjugate words have equal lengths, so the output lengths are
   checked first, and a pair automaton that is not length-preserving is
-  NotClose, certified by an unbalanced pair.  Otherwise state elimination
-  turns it into a rational expression, distributed into summands
-  (a0,b0)E1*(a1,b1)···Ek*(ak,bk) with the stars kept whole, and every
-  summand needs a common witness.
-* Levenshtein family: no expression is built.  Per entry state e of each
-  strongly connected component of the pair automaton, the loop language
-  L_e needs a common witness; the distance bound is proven at
-  `close_levenshtein_transducers`.
+  NotClose, certified by an unbalanced pair.  Otherwise L(p) splits into
+  sumfree summands, one per simple accepting path q0 e1 q1 ... em qm of p:
+  L0*·e1·L1*·...·em·Lm*, with Li the loops at qi that avoid q0 ... q(i-1),
+  the stars kept whole (`sumfree_decompose`).  Cutting any accepting path
+  after its last visit to each state in turn shows that the summands cover
+  L(p).  Every summand needs a common witness.
+* Levenshtein family: per entry state e of each strongly connected
+  component of p, the loop language L_e needs a common witness; the
+  distance bound is proven at `close_levenshtein_transducers`.
 
 The two transducer-level deciders take the pair automaton alone, and build
 none themselves.
 """
-
 from __future__ import annotations
 
 import heapq
@@ -37,271 +38,98 @@ from .pairauto import (PairAutomaton, components, enumerate_pairs,
                        wrap_pair_automaton)
 from .transducers import (loop_certificate, unbalanced_loop_certificate,
                           unbalanced_word_certificate)
-from .verdicts import (Close, InfiniteWordCertificate, NotClose,
-                       PairCertificate, Unknown)
-from .words import Alphabet, ExtendedNat, Metric
+from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
+from .words import ExtendedNat, Metric
 
 DEFAULT_SUMMAND_LIMIT = 4096
-
-
-# ---------------------------------------------------------------------------
-# expressions
-# ---------------------------------------------------------------------------
-
-class PairExpr:
-    """Rational expression over pairs of words (pointwise concatenation)."""
-
-
-@dataclass(frozen=True)
-class Empty(PairExpr):
-    def __str__(self):
-        return "∅"
-
-
-@dataclass(frozen=True)
-class Atom(PairExpr):
-    x: str
-    y: str
-
-    def __str__(self):
-        if not self.x and not self.y:
-            return "()"
-        return f"({self.x},{self.y})"
-
-
-@dataclass(frozen=True)
-class Cat(PairExpr):
-    parts: tuple[PairExpr, ...]
-
-    def __str__(self):
-        return " ".join(_paren(p, need=isinstance(p, Sum)) for p in self.parts)
-
-
-@dataclass(frozen=True)
-class Sum(PairExpr):
-    parts: tuple[PairExpr, ...]
-
-    def __str__(self):
-        return " + ".join(str(p) for p in self.parts)
-
-
-@dataclass(frozen=True)
-class Star(PairExpr):
-    child: PairExpr
-
-    def __str__(self):
-        return _paren(self.child, need=isinstance(self.child, (Cat, Sum))) + "*"
-
-
-def _paren(e: PairExpr, need: bool) -> str:
-    return f"({e})" if need else str(e)
-
-
-EPS_ATOM = Atom("", "")
-
-
-def cat(*parts: PairExpr) -> PairExpr:
-    flat: list[PairExpr] = []
-    for p in parts:
-        if isinstance(p, Empty):
-            return Empty()
-        if p == EPS_ATOM:
-            continue
-        if isinstance(p, Cat):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if not flat:
-        return EPS_ATOM
-    if len(flat) == 1:
-        return flat[0]
-    return Cat(tuple(flat))
-
-
-def sum_(*parts: PairExpr) -> PairExpr:
-    flat: list[PairExpr] = []
-    seen = set()
-    for p in parts:
-        if isinstance(p, Empty):
-            continue
-        items = p.parts if isinstance(p, Sum) else (p,)
-        for it in items:
-            if it not in seen:
-                seen.add(it)
-                flat.append(it)
-    if not flat:
-        return Empty()
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(tuple(flat))
-
-
-def star(child: PairExpr) -> PairExpr:
-    if isinstance(child, Empty) or child == EPS_ATOM:
-        return EPS_ATOM
-    if isinstance(child, Star):
-        return child
-    return Star(child)
-
-
-# ---------------------------------------------------------------------------
-# expression <-> automaton
-# ---------------------------------------------------------------------------
-
-def to_pair_automaton(e: PairExpr, left_alphabet: Alphabet | None = None,
-                      right_alphabet: Alphabet | None = None) -> PairAutomaton:
-    """Thompson-style construction; labels normalized to single letters."""
-    if left_alphabet is None or right_alphabet is None:
-        letters = sorted(_letters_of(e))
-        inferred = Alphabet(letters if letters else "a")
-        left_alphabet = left_alphabet or inferred
-        right_alphabet = right_alphabet or inferred
-    edges: list[tuple] = []
-    counter = [2]  # 0 = global start, 1 = global end
-
-    def fresh():
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(node, src, dst):
-        if isinstance(node, Empty):
-            return
-        if isinstance(node, Atom):
-            edges.append((src, (node.x, node.y), dst))
-            return
-        if isinstance(node, Cat):
-            cur = src
-            for part in node.parts[:-1]:
-                nxt = fresh()
-                build(part, cur, nxt)
-                cur = nxt
-            build(node.parts[-1], cur, dst)
-            return
-        if isinstance(node, Sum):
-            for part in node.parts:
-                build(part, src, dst)
-            return
-        if isinstance(node, Star):
-            hub = fresh()
-            edges.append((src, ("", ""), hub))
-            build(node.child, hub, hub)
-            edges.append((hub, ("", ""), dst))
-            return
-        raise InputError(f"not a pair expression node: {node!r}")
-
-    build(e, 0, 1)
-    return PairAutomaton.from_edges(counter[0], [0], [1], edges,
-                                    left_alphabet, right_alphabet)
-
-
-def _letters_of(e: PairExpr) -> set[str]:
-    if isinstance(e, Atom):
-        return set(e.x) | set(e.y)
-    if isinstance(e, (Cat, Sum)):
-        out: set[str] = set()
-        for p in e.parts:
-            out |= _letters_of(p)
-        return out
-    if isinstance(e, Star):
-        return _letters_of(e.child)
-    return set()
-
-
-def state_elimination(p: PairAutomaton) -> PairExpr:
-    """Rational expression of pairs with L(expr) = L(p).
-
-    States are eliminated in ascending (in-degree × out-degree) order, ties
-    by state index; the order only affects the expression's size.
-    """
-    n = p.nfa.n_states
-    if n == 0:
-        return Empty()
-    START, END = n, n + 1
-    arrows: dict[tuple[int, int], PairExpr] = {}
-
-    def add(s, d, e):
-        if (s, d) in arrows:
-            arrows[(s, d)] = sum_(arrows[(s, d)], e)
-        else:
-            arrows[(s, d)] = e
-
-    for s in sorted(p.nfa.initials):
-        add(START, s, EPS_ATOM)
-    for f in sorted(p.nfa.finals):
-        add(f, END, EPS_ATOM)
-    for s, (x, y), d in p.nfa.transitions:
-        add(s, d, Atom(x, y))
-
-    remaining = set(range(n))
-    while remaining:
-        def cost(s):
-            indeg = sum(1 for (a, b) in arrows if b == s and a != s)
-            outdeg = sum(1 for (a, b) in arrows if a == s and b != s)
-            return (indeg * outdeg, s)
-
-        s = min(remaining, key=cost)
-        remaining.discard(s)
-        loop = arrows.pop((s, s), None)
-        loop_star = star(loop) if loop is not None else EPS_ATOM
-        ins = [(a, e) for (a, b), e in arrows.items() if b == s]
-        outs = [(b, e) for (a, b), e in arrows.items() if a == s]
-        for (a, _) in ins:
-            arrows.pop((a, s))
-        for (b, _) in outs:
-            arrows.pop((s, b))
-        for a, ein in ins:
-            for b, eout in outs:
-                add(a, b, cat(ein, loop_star, eout))
-    return arrows.get((START, END), Empty())
 
 
 # ---------------------------------------------------------------------------
 # sumfree decomposition
 # ---------------------------------------------------------------------------
 
-def sumfree_decompose(e: PairExpr) -> list[PairExpr]:
-    """Equivalent sum of expressions with no sum outside their stars.
+def sumfree_decompose(p: PairAutomaton) -> list[PairAutomaton]:
+    """Summand automata whose languages are sumfree and together make L(p).
 
-    Concatenation distributes over the sums outside stars; a star is kept
-    whole.  Each summand is (a0,b0)E1*(a1,b1)···Ek*(ak,bk) with the star
-    bodies Ei as they come, which is all a witness search needs: it reads
-    the summand's language, and z witnesses G* iff z witnesses G.  The
-    distribution can blow up exponentially in the sums outside stars, hence
-    the limit of `DEFAULT_SUMMAND_LIMIT` summands.
+    One summand per simple accepting path q0 e1 q1 ... em qm of p (q0
+    initial, qm final, the qi distinct).  Its block i is the strongly
+    connected component of qi once q0 ... q(i-1) are removed from p, so it
+    holds the loops at qi that avoid the earlier states, and the edges ei
+    chain the blocks.  Its language is L0*·e1·L1*·...·em·Lm* for Li the
+    loop language of block i: a star is kept whole, which is all a witness
+    search needs, since z witnesses G* iff z witnesses G.
+
+    Exact.  Each summand spells accepting paths of p, so it lies inside
+    L(p).  Conversely, cut an accepting path of p after its last visit to
+    its first state q0, then after its last visit to the state q1 that
+    follows, and so on: the states cut at are distinct, so they form a
+    simple path, and each piece cut off is a loop at qi that avoids q0 ...
+    q(i-1), so the path lies in that path's summand.
+
+    Every state of a block reaches qi and is reached from it, so each
+    summand is trim as built.  A prefix is kept only while a final state
+    is reachable without its earlier states, so every prefix kept leads to
+    a summand.  Simple paths can be exponentially many, hence the
+    limit of `DEFAULT_SUMMAND_LIMIT` summands.
     """
     limit = DEFAULT_SUMMAND_LIMIT
+    adj, radj = p.nfa.adj(), p.nfa.radj()
+    summands: list[PairAutomaton] = []
+    # simple path prefixes: the blocks so far, the edges between them, and
+    # the state the path has reached; a stack, pushed in reverse so that
+    # the paths come out in the order of p's initials and edges
+    todo = [((), (), q) for q in sorted(p.nfa.initials, reverse=True)]
+    while todo:
+        blocks, bridges, q = todo.pop()
+        barred = {b for b, _ in blocks}
+        ahead = _reach(q, adj, barred)
+        if ahead.isdisjoint(p.nfa.finals):
+            continue
+        blocks += ((q, ahead & _reach(q, radj, barred)),)
+        if q in p.nfa.finals:
+            summands.append(_summand(p, blocks, bridges))
+            if len(summands) > limit:
+                raise ResourceLimitError(
+                    f"sumfree decomposition exceeded {limit} summands")
+        barred.add(q)
+        for _, d, t in reversed(adj[q]):
+            if d not in barred:
+                todo.append((blocks, bridges + (t,), d))
+    return summands
 
-    def go(node: PairExpr) -> list[PairExpr]:
-        if isinstance(node, Empty):
-            return []
-        if isinstance(node, Atom):
-            return [node]
-        if isinstance(node, Sum):
-            out: list[PairExpr] = []
-            seen = set()
-            for part in node.parts:
-                for s in go(part):
-                    if s not in seen:
-                        seen.add(s)
-                        out.append(s)
-                if len(out) > limit:
-                    raise ResourceLimitError(
-                        f"sumfree decomposition exceeded {limit} summands")
-            return out
-        if isinstance(node, Cat):
-            acc: list[PairExpr] = [EPS_ATOM]
-            for part in node.parts:
-                branch = go(part)
-                acc = [cat(a, b) for a in acc for b in branch]
-                if len(acc) > limit:
-                    raise ResourceLimitError(
-                        f"sumfree decomposition exceeded {limit} summands")
-            return acc
-        if isinstance(node, Star):
-            return [node]
-        raise InputError(f"not a pair expression node: {node!r}")
 
-    return go(e)
+def _reach(q: int, links, barred: set[int]) -> set[int]:
+    """The states reached from q along `links` (`Nfa.adj` or `Nfa.radj`)
+    through states outside `barred`."""
+    seen = {q}
+    stack = [q]
+    while stack:
+        for _, d, _ in links[stack.pop()]:
+            if d not in seen and d not in barred:
+                seen.add(d)
+                stack.append(d)
+    return seen
+
+
+def _summand(p: PairAutomaton, blocks: tuple, bridges: tuple) -> PairAutomaton:
+    """The summand automaton of blocks (qi, states of block i) joined by
+    the transitions `bridges` of p, each block's states numbered apart."""
+    transitions = p.nfa.transitions
+    ids: list[dict[int, int]] = []
+    n = 0
+    for _, members in blocks:
+        ids.append({s: n + k for k, s in enumerate(sorted(members))})
+        n += len(members)
+    adj = p.nfa.adj()
+    edges = [(local[s], lbl, local[d])
+             for local in ids for s in local for lbl, d, _ in adj[s]
+             if d in local]
+    for i, t in enumerate(bridges):
+        s, lbl, d = transitions[t]
+        edges.append((ids[i][s], lbl, ids[i + 1][d]))
+    return PairAutomaton.from_edges(
+        n, [ids[0][blocks[0][0]]], [ids[-1][blocks[-1][0]]], edges,
+        p.left_alphabet, p.right_alphabet, do_trim=False)
 
 
 # ---------------------------------------------------------------------------
@@ -437,75 +265,45 @@ def _witness_search(p: PairAutomaton, cutoff: int
     return WitnessUnknown(cutoff, (u, v), shortest)
 
 
-def common_witness(e: PairExpr, cutoff: int | None = None
-                   ) -> Witness | NoWitness | WitnessUnknown:
-    """Search a common inner or outer witness of L(e).
-
-    A verified witness or a non-conjugate pair is definitive; running out of
-    candidates below the repetition cutoff yields WitnessUnknown.  The
-    cutoff defaults to 1 + the number of transitions of the searched
-    automaton `to_pair_automaton(e)`, the rule of the Levenshtein route.
-    Star bodies need no recursion: z witnesses G* iff z witnesses G,
-    because witnesshood is closed under pointwise concatenation and G ⊆ G*.
-    """
-    p = to_pair_automaton(e)
-    if cutoff is None:
-        cutoff = 1 + len(p.nfa.transitions)
-    return _witness_search(p, cutoff)
-
-
 # ---------------------------------------------------------------------------
-# closeness w.r.t. conjugacy: the sumfree route
+# closeness w.r.t. conjugacy: one witness per summand
 # ---------------------------------------------------------------------------
 
-def close_conjugacy(target: PairAutomaton | PairExpr):
-    """Close w.r.t. the conjugacy distance iff every generated pair is
-    conjugate.
+def close_conjugacy_transducers(p: PairAutomaton):
+    """Conjugacy closeness on p, the pair automaton of two machines with one
+    domain, with an input-level certificate.
 
-    Per sumfree summand, a common witness z bounds the distance by |z|; the
-    overall bound is the maximum over summands.  NotClose carries a concrete
-    non-conjugate pair.  Conjugate words have equal lengths, so a pair
-    automaton that is not length-preserving is NotClose at once, certified
-    by an unbalanced pair, before any expression is built.
+    Close iff every accepted pair is conjugate.  Conjugate words have equal
+    lengths, so a p that is not length-preserving is NotClose at once: the
+    input and its outputs come off one unbalanced path.  Otherwise every
+    summand of `sumfree_decompose(p)` is searched for a common witness,
+    with candidates up to 1 + the summand's transitions.  A witness z
+    bounds the distance on the summand by |z|, so the Close bound is the
+    longest witness found.  A non-conjugate pair of a summand gives
+    NotClose, with the input of its path in p; a search that runs out of
+    candidates leaves the verdict Unknown.
     """
-    if isinstance(target, PairAutomaton):
-        if not is_length_preserving(target):
-            return NotClose(PairCertificate(identity_witness(target)))
-        e = state_elimination(target)
-    else:
-        e = target
+    if not is_length_preserving(p):
+        return NotClose(unbalanced_word_certificate(p))
     unknown = None
-    bound = ExtendedNat(0)
-    for summand in sumfree_decompose(e):
-        res = common_witness(summand)
+    bound = 0
+    for summand in sumfree_decompose(p):
+        res = _witness_search(summand, 1 + len(summand.nfa.transitions))
         if isinstance(res, NoWitness):
-            return NotClose(PairCertificate(res.pair))
+            path = find_pair_path(p, res.pair)
+            if path is None:
+                raise IntegrityError(
+                    "non-conjugate pair not generated by automaton")
+            return NotClose(InfiniteWordCertificate(
+                input_word_of_path(p, path), res.pair))
         if isinstance(res, WitnessUnknown):
             if unknown is None:
                 unknown = Unknown(
                     "no verified witness below the candidate cutoff",
                     cutoff=res.cutoff, detail=res)
-            continue
-        bound = max(bound, ExtendedNat(len(res.z)))
-    return Close(bound=bound) if unknown is None else unknown
-
-
-def close_conjugacy_transducers(p: PairAutomaton):
-    """Conjugacy closeness on p, the pair automaton of two machines with one
-    domain, with an input-level certificate.  When p is not
-    length-preserving, the input and its outputs come off one unbalanced
-    path."""
-    if not is_length_preserving(p):
-        return NotClose(unbalanced_word_certificate(p))
-    verdict = close_conjugacy(p)
-    if isinstance(verdict, NotClose):
-        bad_pair = verdict.certificate.pair
-        path = find_pair_path(p, bad_pair)
-        if path is None:
-            raise IntegrityError("non-conjugate pair not generated by automaton")
-        word = input_word_of_path(p, path)
-        return NotClose(InfiniteWordCertificate(word, bad_pair))
-    return verdict
+        else:
+            bound = max(bound, len(res.z))
+    return Close(bound=ExtendedNat(bound)) if unknown is None else unknown
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ the edit graph of all binary words up to a length; it needs numpy and
 scipy, which it imports on first use, so `import transdist` needs neither.
 `metric_order_check` checks the inequalities between the metrics on sample
 pairs.  `enumerate_words` lists the words an automaton accepts up to a
-length and `accepts` runs one word through it; `min_weight_on` and
-`min_weight_table` read the least run weights of a (min,+) distance
-automaton (`kapprox.build_kapprox`) off its runs on given inputs.
+length, `accepts` runs one word through it, and `trim` keeps the states on
+its accepting paths (`accessible_states`, `coaccessible_states`);
+`min_weight_on` and `min_weight_table` read the least run weights of a
+(min,+) distance automaton (`kapprox.build_kapprox`) off its runs on given
+inputs.
 `edge_gap` is the length gap of one pair label, and `relation_included`
 decides R ⊆ S for bounded-delay relations by padded-encoding inclusion, the
 test that `relations.index` makes on each level.  `distance_subst` computes
@@ -27,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .automata import EPSILON, Nfa, epsilon_closure, scc_decomposition, trim
+from .automata import EPSILON, Nfa, epsilon_closure, scc_decomposition
 from .errors import IntegrityError, InputError, ResourceLimitError
 from .kapprox import DistanceAutomaton
 from .pairauto import PairAutomaton, components, delay_range
@@ -351,6 +353,53 @@ def enumerate_words(nfa: Nfa, max_len: int) -> set[tuple[Hashable, ...]]:
                 bucket.add(w2)
                 todo.append((d, w2))
     return accepted
+
+
+def accessible_states(nfa: Nfa) -> set[int]:
+    seen = set(nfa.initials)
+    todo = deque(seen)
+    adj = nfa.adj()
+    while todo:
+        s = todo.popleft()
+        for _, d, _ in adj[s]:
+            if d not in seen:
+                seen.add(d)
+                todo.append(d)
+    return seen
+
+
+def coaccessible_states(nfa: Nfa) -> set[int]:
+    seen = set(nfa.finals)
+    todo = deque(seen)
+    radj = nfa.radj()
+    while todo:
+        s = todo.popleft()
+        for _, p, _ in radj[s]:
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return seen
+
+
+def trim(nfa: Nfa) -> tuple[Nfa, list[int], list[int]]:
+    """Restrict to accessible and coaccessible states.
+
+    Returns (trimmed automaton, old state id per new id, old transition index
+    per new index); the language is unchanged.
+    """
+    keep = sorted(accessible_states(nfa) & coaccessible_states(nfa))
+    new_of_old = {old: new for new, old in enumerate(keep)}
+    kept_transitions = []
+    new_transitions = []
+    for t, (s, a, d) in enumerate(nfa.transitions):
+        if s in new_of_old and d in new_of_old:
+            kept_transitions.append(t)
+            new_transitions.append((new_of_old[s], a, new_of_old[d]))
+    trimmed = Nfa(len(keep),
+                  (new_of_old[s] for s in nfa.initials if s in new_of_old),
+                  (new_of_old[s] for s in nfa.finals if s in new_of_old),
+                  new_transitions)
+    return trimmed, keep, kept_transitions
 
 
 def accepts(nfa: Nfa, word: Sequence[Hashable]) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .automata import EPSILON, Nfa, scc_decomposition, trim
+from .automata import EPSILON, Nfa, scc_decomposition
 from .errors import InputError, IntegrityError, ResourceLimitError
 from .words import INF, Alphabet, ExtendedNat
 
@@ -82,7 +82,11 @@ class PairAutomaton:
         Validated: an output letter outside its alphabet or a state id
         outside 0..n_states - 1 raises InputError.  Every build from outside
         data comes here (`fileio`, the spheres and identities of
-        `relations`, the `pre` and `post` words of `wrap_pair_automaton`).
+        `relations`, the `pre` and `post` words of `wrap_pair_automaton`),
+        and so, with `do_trim` off, do the automata read off the edges of a
+        pair automaton: the summands of `conjugacy.sumfree_decompose` and
+        the loop languages of `conjugacy.close_levenshtein_transducers`,
+        both trim as built, and the loops of `synchronized_loop`.
         `joint_product`, whose labels the `Transducer` constructor checked,
         and `relations.compose` and `relations.union`, whose labels come
         from pair automata, number their states themselves and split their
@@ -586,7 +590,8 @@ def letter_mismatches(s: Nfa) -> Iterator[int]:
 
 
 def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
-    """A concrete accepted pair (u, v) with u != v, or None for identities.
+    """A concrete accepted pair (u, v) with u != v, or None for identities;
+    p must be trimmed.
 
     Follows the decision recipe for identity relations: check length
     preservation first, then resynchronize to letter-to-letter form and
@@ -595,13 +600,17 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     spells the same letters on both sides, so u = v.  One that is not
     length-preserving gives the outputs of an unbalanced path
     (`unbalanced_path`).
+
+    S, the synchronization, is read as it is built.  In a trimmed,
+    length-preserving p every state has one gap, so every state of S is
+    reached and reaches a final state with empty buffers: S is trimmed
+    too, and a mismatched label of S lies on an accepting run.
     """
     if all(x == y for _, (x, y), _ in p.nfa.transitions):
         return None
     if not is_length_preserving(p):
         return output_pair_of_path(p, unbalanced_path(p))
     nfa, reads = synchronize(p, max_abs_delay(p))
-    nfa, _, kept = trim(nfa)
     bad = next(letter_mismatches(nfa), None)
     if bad is None:
         return None
@@ -611,8 +620,7 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     suffix = _bfs_path(adj, (dst,), nfa.finals)
     if prefix is None or suffix is None:
         raise IntegrityError("no path found in trimmed automaton")
-    return output_pair_of_path(
-        p, [reads[kept[t]] for t in prefix + [bad] + suffix])
+    return output_pair_of_path(p, [reads[t] for t in prefix + [bad] + suffix])
 
 
 def synchronized_loop(p: PairAutomaton, bad: Callable[[Nfa], Iterable[int]]

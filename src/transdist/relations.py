@@ -301,10 +301,12 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
     and S (0 unless g(S) is finite and positive): length gaps add along a
     composition chain, so every pair of S^{≤∘k} has a gap of at most k·g(S),
     and R, with a pair of gap L(R), lies in no level below k0.  A k0 above
-    the ceiling raises at once.  R is padded once for the whole search, and
-    each level S^{≤∘k} comes from the one before by one composition
-    (`power_levels`), so finding index d composes d times; the levels from
-    k0 on are padded and determinized once each, those below it not at all.
+    the ceiling raises at once.  The verdict, L(R) and R's padding are read
+    off one indexed copy of R, whose labels and transitions are R's.  R is
+    padded once for the whole search, and each level S^{≤∘k} comes from the
+    one before by one composition (`power_levels`), so finding index d
+    composes d times; the levels from k0 on are padded and determinized
+    once each, those below it not at all.
     A level is determinized only as far as padded R reads it
     (`_included_padded`).  The padding and the determinization each stop at
     `DEFAULT_CONTAINMENT_CEILING` states; past it, the `ResourceLimitError`
@@ -335,17 +337,18 @@ def index(r: PairAutomaton, s: PairAutomaton | DistanceRelation,
                       stacklevel=2)
     if r.nfa.n_states == 0:
         return ExtendedNat(0)
-    verdict = _verdict_on(declared_metric, _indexed(r))
+    indexed = _indexed(r)
+    verdict = _verdict_on(declared_metric, indexed)
     if isinstance(verdict, Unknown):
         return verdict
     if isinstance(verdict, NotClose):
         return INF
-    start = _start_level(r, s_auto)
+    start = _start_level(indexed, s_auto)
     if start <= ceiling:
         states = DEFAULT_CONTAINMENT_CEILING
         k = start
         try:
-            padded_r = _padded_nfa(r, states)
+            padded_r = _padded_nfa(indexed, states)
             levels = islice(power_levels(s_auto), start, ceiling + 1)
             for k, level in enumerate(levels, start):
                 if _included_padded(padded_r, level, states):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from transdist import kapprox
-from transdist.automata import Nfa, scc_decomposition, trim
+from transdist.automata import Nfa, scc_decomposition
+from transdist.oracles import trim
 from transdist.pairauto import PairAutomaton, delay_range
 from transdist.transducers import Transducer, evaluate, joint_product
 from transdist.verdicts import (DomainCertificate, GrowthCertificate,

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from transdist.automata import (
     Nfa, determinize, epsilon_closure, equiv_unambiguous, included,
-    is_unambiguous, language_difference_witness, scc_decomposition, trim,
+    is_unambiguous, language_difference_witness, scc_decomposition,
 )
 from transdist.errors import PreconditionError, ResourceLimitError
-from transdist.oracles import accepts, enumerate_words
+from transdist.oracles import accepts, enumerate_words, trim
 
 
 def words(alphabet, n):

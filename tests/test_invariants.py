@@ -7,18 +7,20 @@ from itertools import islice
 from conftest import joint_outputs_table, machine_corpus
 from transdist.automata import (Nfa, is_unambiguous,
                                 language_difference_witness, determinize)
-from transdist.conjugacy import (Atom, cat, star, sum_,
-                                 sumfree_decompose, to_pair_automaton,
-                                 verify_witness)
+from transdist.conjugacy import sumfree_decompose, verify_witness
 from transdist.kapprox import build_kapprox, distance, kclose
 from transdist.oracles import enumerate_words, relation_included
 from transdist.pairauto import PairAutomaton, enumerate_pairs, identity_witness
-from transdist.relations import make_distance_relation, power_levels
+from transdist.relations import make_distance_relation, power_levels, union
 from transdist.transducers import joint_product
 from transdist.verdicts import Close
 from transdist.words import Alphabet, ExtendedNat, Metric, word_distance
 
 AB = Alphabet("ab")
+
+
+def relation(n, edges, finals=(0,)):
+    return PairAutomaton.from_edges(n, [0], finals, edges, AB, AB)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +91,14 @@ def test_identity_relation_vs_enumeration_random():
 
 def test_verified_witness_holds_on_enumeration():
     cases = [
-        (star(Atom("ab", "ba")), "a", "inner"),
-        (star(Atom("abb", "bab")), "ab", "inner"),
-        (cat(star(Atom("ab", "ba")), Atom("a", "a")), None, None),
+        (relation(1, [(0, ("ab", "ba"), 0)]), "a", "inner"),
+        (relation(1, [(0, ("abb", "bab"), 0)]), "ab", "inner"),
+        (relation(2, [(0, ("ab", "ba"), 0), (0, ("a", "a"), 1)], finals=[1]),
+         None, None),
     ]
-    for expr, z, side in cases:
+    for p, z, side in cases:
         if z is None:
             continue
-        p = to_pair_automaton(expr)
         assert verify_witness(p, z, side)
         for u, v in enumerate_pairs(p, 10):
             if side == "inner":
@@ -107,24 +109,22 @@ def test_verified_witness_holds_on_enumeration():
 
 def test_sum_distance_is_max_over_summands():
     # d(E1 + E2) = max(d(E1), d(E2)) at enumeration scale
-    e1 = star(Atom("ab", "ba"))
-    e2 = cat(Atom("aa", "bb"), star(Atom("b", "b")))
-    e = sum_(e1, e2)
+    e1 = relation(1, [(0, ("ab", "ba"), 0)])
+    e2 = relation(2, [(0, ("aa", "bb"), 1), (1, ("b", "b"), 1)], finals=[1])
+    e = union(e1, e2)
     for m in (Metric.HAMMING, Metric.LEVENSHTEIN, Metric.CONJUGACY):
-        def enum_max(expr):
-            p = to_pair_automaton(expr)
+        def enum_max(p):
             vals = [word_distance(m, u, v) for u, v in enumerate_pairs(p, 6)]
             return max(vals, default=ExtendedNat(0))
         assert enum_max(e) == max(enum_max(e1), enum_max(e2))
 
 
 def test_sumfree_parts_cover_language_of_star_of_sum():
-    e = star(sum_(Atom("a", "a"), Atom("ab", "ba")))
-    parts = sumfree_decompose(e)
-    whole = to_pair_automaton(e)
+    whole = relation(1, [(0, ("a", "a"), 0), (0, ("ab", "ba"), 0)])
+    parts = sumfree_decompose(whole)
     covered = set()
     for s in parts:
-        covered |= enumerate_pairs(to_pair_automaton(s), 5)
+        covered |= enumerate_pairs(s, 5)
     assert covered == enumerate_pairs(whole, 5)
 
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_joint_machine
 from transdist import automata, pairauto
-from transdist.automata import Nfa, scc_decomposition, trim
+from transdist.automata import Nfa, scc_decomposition
 from transdist.errors import InputError
-from transdist.oracles import accepts, edge_gap
+from transdist.oracles import accepts, edge_gap, trim
 from transdist.pairauto import (
     PairAutomaton, _unbalanced_pair_witness, component_path, components,
     delay_range, enumerate_pairs, find_pair_path,
