@@ -15,9 +15,10 @@ budget surfaces as Unknown, never as Close or NotClose.
   NotClose, certified by an unbalanced pair.  Otherwise L(p) splits into
   sumfree summands, one per simple accepting path q0 e1 q1 ... em qm of p:
   L0*·e1·L1*·...·em·Lm*, with Li the loops at qi that avoid q0 ... q(i-1),
-  the stars kept whole (`sumfree_decompose`).  Cutting any accepting path
-  after its last visit to each state in turn shows that the summands cover
-  L(p).  Every summand needs a common witness.
+  the stars kept whole, and paths of one shape make one summand
+  (`sumfree_decompose`).  Cutting any accepting path after its last visit
+  to each state in turn shows that the summands cover L(p).  Every summand
+  needs a common witness.
 * Levenshtein family: per entry state e of each strongly connected
   component of p, the loop language L_e needs a common witness; the
   distance bound is proven at `close_levenshtein_transducers`.
@@ -66,36 +67,50 @@ def sumfree_decompose(p: PairAutomaton) -> list[PairAutomaton]:
     simple path, and each piece cut off is a loop at qi that avoids q0 ...
     q(i-1), so the path lies in that path's summand.
 
-    Every state of a block reaches qi and is reached from it, so each
-    summand is trim as built.  A prefix is kept only while a final state
-    is reachable without its earlier states, so every prefix kept leads to
-    a summand.  Simple paths can be exponentially many, hence the
-    limit of `DEFAULT_SUMMAND_LIMIT` summands.
+    A summand is built from its shape alone: per block, the label of the
+    edge into it and its edges numbered from qi (`_block_shape`).  Paths of
+    one shape give one summand, in the order of their first path, and a
+    path prefix is followed once per shape, current state and removed
+    states that this state can still reach; so parallel edges with one
+    label, or branches that spell the same words, do not multiply the
+    summands.  Every state of a block reaches qi and is reached from it, so
+    each summand is trim as built.  A prefix is kept only while a final
+    state is reachable without its earlier states, so every prefix kept
+    leads to a summand.  Simple paths can be exponentially many, hence the
+    limit of `DEFAULT_SUMMAND_LIMIT` distinct summands.
     """
     limit = DEFAULT_SUMMAND_LIMIT
     adj, radj = p.nfa.adj(), p.nfa.radj()
-    summands: list[PairAutomaton] = []
-    # simple path prefixes: the blocks so far, the edges between them, and
-    # the state the path has reached; a stack, pushed in reverse so that
-    # the paths come out in the order of p's initials and edges
-    todo = [((), (), q) for q in sorted(p.nfa.initials, reverse=True)]
+    reach = [_reach(q, adj, set()) for q in range(p.nfa.n_states)]
+    shapes: dict[tuple, None] = {}
+    followed = set()
+    # path prefixes: the shape of the blocks so far and the label of the
+    # edge on, the state reached and the states removed; a stack, pushed in
+    # reverse so that the paths come out in the order of p's initials and
+    # edges
+    todo = [((), None, q, frozenset())
+            for q in sorted(p.nfa.initials, reverse=True)]
     while todo:
-        blocks, bridges, q = todo.pop()
-        barred = {b for b, _ in blocks}
+        shape, into, q, barred = todo.pop()
+        key = (shape, into, q, barred & reach[q])
+        if key in followed:
+            continue
+        followed.add(key)
         ahead = _reach(q, adj, barred)
         if ahead.isdisjoint(p.nfa.finals):
             continue
-        blocks += ((q, ahead & _reach(q, radj, barred)),)
-        if q in p.nfa.finals:
-            summands.append(_summand(p, blocks, bridges))
-            if len(summands) > limit:
+        block = ahead & _reach(q, radj, barred)
+        shape += ((into, *_block_shape(q, block, adj)),)
+        if q in p.nfa.finals and shape not in shapes:
+            shapes[shape] = None
+            if len(shapes) > limit:
                 raise ResourceLimitError(
                     f"sumfree decomposition exceeded {limit} summands")
-        barred.add(q)
-        for _, d, t in reversed(adj[q]):
+        barred |= {q}
+        for lbl, d, _ in reversed(adj[q]):
             if d not in barred:
-                todo.append((blocks, bridges + (t,), d))
-    return summands
+                todo.append((shape, lbl, d, barred))
+    return [_summand(p, shape) for shape in shapes]
 
 
 def _reach(q: int, links, barred: set[int]) -> set[int]:
@@ -111,25 +126,36 @@ def _reach(q: int, links, barred: set[int]) -> set[int]:
     return seen
 
 
-def _summand(p: PairAutomaton, blocks: tuple, bridges: tuple) -> PairAutomaton:
-    """The summand automaton of blocks (qi, states of block i) joined by
-    the transitions `bridges` of p, each block's states numbered apart."""
-    transitions = p.nfa.transitions
-    ids: list[dict[int, int]] = []
-    n = 0
-    for _, members in blocks:
-        ids.append({s: n + k for k, s in enumerate(sorted(members))})
-        n += len(members)
-    adj = p.nfa.adj()
-    edges = [(local[s], lbl, local[d])
-             for local in ids for s in local for lbl, d, _ in adj[s]
-             if d in local]
-    for i, t in enumerate(bridges):
-        s, lbl, d = transitions[t]
-        edges.append((ids[i][s], lbl, ids[i + 1][d]))
-    return PairAutomaton.from_edges(
-        n, [ids[0][blocks[0][0]]], [ids[-1][blocks[-1][0]]], edges,
-        p.left_alphabet, p.right_alphabet, do_trim=False)
+def _block_shape(q: int, block: set[int], adj) -> tuple[int, tuple]:
+    """The block's size and edges, its states numbered breadth-first from
+    q along edges in label order: blocks of one shape have one loop
+    language at q."""
+    ids = {q: 0}
+    order = [q]
+    edges = []
+    for s in order:
+        for lbl, d, _ in sorted(adj[s], key=lambda e: e[0]):
+            if d in block:
+                if d not in ids:
+                    ids[d] = len(order)
+                    order.append(d)
+                edges.append((ids[s], lbl, ids[d]))
+    return len(order), tuple(edges)
+
+
+def _summand(p: PairAutomaton, shape: tuple) -> PairAutomaton:
+    """The summand automaton of a shape: its blocks numbered apart, each
+    joined to the next by the edge from qi to q(i+1)."""
+    edges = []
+    root = n = 0
+    for into, size, block in shape:
+        if into is not None:
+            edges.append((root, into, n))
+        root = n
+        edges.extend((root + s, lbl, root + d) for s, lbl, d in block)
+        n += size
+    return PairAutomaton.from_edges(n, [0], [root], edges, p.left_alphabet,
+                                    p.right_alphabet, do_trim=False)
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,7 @@ class GrowthCertificate:
 
 @dataclass(frozen=True)
 class PairCertificate:
-    """A generated output pair at infinite distance (relation level).
-
-    No decider returns it any more (a non-conjugate pair comes with its
-    input as an InfiniteWordCertificate); it stays for callers that still
-    check for it.
-    """
+    """A generated output pair at infinite distance (relation level)."""
     pair: tuple[str, str]
 
 
