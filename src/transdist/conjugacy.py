@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import IntegrityError, InputError, ResourceLimitError
-from .pairauto import (PairAutomaton, components, enumerate_pairs,
-                       find_pair_path, delay_range, identity_witness,
-                       input_word_of_path, is_length_preserving,
-                       wrap_pair_automaton)
+from .pairauto import (PairAutomaton, components, delay_conflict,
+                       delay_range, enumerate_pairs, find_pair_path,
+                       identity_witness, input_word_of_path,
+                       is_length_preserving)
 from .transducers import (loop_certificate, unbalanced_loop_certificate,
                           unbalanced_word_certificate)
 from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
@@ -203,18 +203,13 @@ def pair_witnesses(u: str, v: str) -> PairWitnesses | None:
 
 
 def verify_witness(p: PairAutomaton, z: str, side: str) -> bool:
-    """Exact check that z is a common witness of every pair of L(p).
-
-    Builds the pair automaton of {(u·z, z·v)} (inner) or {(z·u, v·z)} (outer)
-    and decides whether it is an identity relation.
-    """
-    if side == "inner":
-        wrapped = wrap_pair_automaton(p, ("", z), (z, ""))
-    elif side == "outer":
-        wrapped = wrap_pair_automaton(p, (z, ""), ("", z))
-    else:
+    """Exact check that z is a common witness of every pair (u, v) of L(p):
+    u·z = z·v (inner) or z·u = v·z (outer), decided by one walk over p
+    from z's delay (`delay_conflict`); p must be trimmed."""
+    starts = {"inner": ("", z), "outer": (z, "")}
+    if side not in starts:
         raise InputError(f"side must be inner or outer, got {side!r}")
-    return identity_witness(wrapped) is None
+    return delay_conflict(p, starts[side]) is None
 
 
 @dataclass(frozen=True)

@@ -100,18 +100,13 @@ def load_machine(path) -> Transducer | PairAutomaton:
         return parse_machine(fh.read())
 
 
-def _parse_state_list(raw: str, lineno: int) -> list[str]:
-    names = raw.split()
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate state name", lineno)
-    return names
-
-
-def _parse_transducer(keys, transition_lines) -> Transducer:
-    alph_in = _alphabet(*_need(keys, "alphabet_in"))
-    alph_out = _alphabet(*_need(keys, "alphabet_out"))
+def _state_table(keys):
+    """(state count, state, initial states, their line) of the declared
+    states: state(token, lineno) is a name's index, or a ParseError."""
     raw_states, states_line = _need(keys, "states")
-    names = _parse_state_list(raw_states, states_line)
+    names = raw_states.split()
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate state name", states_line)
     index = {name: i for i, name in enumerate(names)}
 
     def state(token, lineno):
@@ -121,6 +116,13 @@ def _parse_transducer(keys, transition_lines) -> Transducer:
 
     raw_initial, initial_line = _need(keys, "initial")
     initials = [state(tok, initial_line) for tok in raw_initial.split()]
+    return len(names), state, initials, initial_line
+
+
+def _parse_transducer(keys, transition_lines) -> Transducer:
+    alph_in = _alphabet(*_need(keys, "alphabet_in"))
+    alph_out = _alphabet(*_need(keys, "alphabet_out"))
+    n_states, state, initials, initial_line = _state_table(keys)
     if not initials:
         raise ParseError("at least one initial state required", initial_line)
     finals = {}
@@ -140,7 +142,7 @@ def _parse_transducer(keys, transition_lines) -> Transducer:
             raise ParseError(f"bad input letter {letter!r}", lineno)
         triples.append((state(src, lineno), letter, state(dst, lineno)))
         outputs.append(_word(out, alph_out, lineno))
-    nfa = Nfa(len(names), initials, finals, triples)
+    nfa = Nfa(n_states, initials, finals, triples)
     return Transducer(nfa, outputs, finals, alph_in, alph_out)
 
 
@@ -149,17 +151,7 @@ def _parse_relation(keys, transition_lines) -> PairAutomaton:
     alph_right = _alphabet(*raw_out)
     alph_left = _alphabet(*keys["alphabet_in"]) if "alphabet_in" in keys \
         else alph_right
-    raw_states, states_line = _need(keys, "states")
-    names = _parse_state_list(raw_states, states_line)
-    index = {name: i for i, name in enumerate(names)}
-
-    def state(token, lineno):
-        if token not in index:
-            raise ParseError(f"undeclared state {token!r}", lineno)
-        return index[token]
-
-    raw_initial, initial_line = _need(keys, "initial")
-    initials = [state(tok, initial_line) for tok in raw_initial.split()]
+    n_states, state, initials, _ = _state_table(keys)
     raw_finals, finals_line = _need(keys, "finals")
     finals = []
     for tok in raw_finals.split():
@@ -177,7 +169,7 @@ def _parse_relation(keys, transition_lines) -> PairAutomaton:
                       (_word(left, alph_left, lineno),
                        _word(right, alph_right, lineno)),
                       state(dst, lineno)))
-    return PairAutomaton.from_edges(len(names), initials, finals, edges,
+    return PairAutomaton.from_edges(n_states, initials, finals, edges,
                                     alph_left, alph_right)
 
 

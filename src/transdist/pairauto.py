@@ -82,11 +82,11 @@ class PairAutomaton:
         Validated: an output letter outside its alphabet or a state id
         outside 0..n_states - 1 raises InputError.  Every build from outside
         data comes here (`fileio`, the spheres and identities of
-        `relations`, the `pre` and `post` words of `wrap_pair_automaton`),
-        and so, with `do_trim` off, do the automata read off the edges of a
-        pair automaton: the summands of `conjugacy.sumfree_decompose` and
-        the loop languages of `conjugacy.close_levenshtein_transducers`,
-        both trim as built, and the loops of `synchronized_loop`.
+        `relations`), and so, with `do_trim` off, do the automata read off
+        the edges of a pair automaton: the summands of
+        `conjugacy.sumfree_decompose` and the loop languages of
+        `conjugacy.close_levenshtein_transducers`, both trim as built, and
+        the loops of `synchronized_loop`.
         `joint_product`, whose labels the `Transducer` constructor checked,
         and `relations.compose` and `relations.union`, whose labels come
         from pair automata, number their states themselves and split their
@@ -573,8 +573,8 @@ def unbalanced_path(p: PairAutomaton,
 
 def _tree_path(p: PairAutomaton, tree: list[int | None], state: int
                ) -> list[int]:
-    """Transition indices of the tree path (`Components.tree`) from the
-    root of state's component to state."""
+    """Transition indices of the path to state along `tree`, the transition
+    into each state (None at a root, as in `Components.tree`)."""
     path = []
     while tree[state] is not None:
         path.append(tree[state])
@@ -589,38 +589,66 @@ def letter_mismatches(s: Nfa) -> Iterator[int]:
             if lbl is not EPSILON and lbl[0] != lbl[1])
 
 
+def delay_conflict(p: PairAutomaton, start: tuple[str, str]
+                   ) -> tuple[list[list[int]], int] | None:
+    """None when every accepting path of p, read after the words `start`
+    (left, right), ends with the delay of `start`; else (prefixes, state):
+    paths to `state` of which one does not, however it is completed.  p
+    must be trimmed.  From ('', '') this decides identity, from ('', z)
+    u·z = z·v for all pairs (u, v) of p, and from (z, '') z·u = v·z.
+
+    One breadth-first walk over p's states.  A delay, the free-group word
+    x⁻¹·y of the words read so far, is kept as buffers: the unmatched tail
+    of the side ahead.  An edge (a, b) maps δ to a⁻¹·δ·b, one to one, so if
+    all accepting paths end with one delay, all paths to a state leave one
+    delay, with buffers since the sides agree (Béal, Carton, Prieur and
+    Sakarovitch, "Squaring transducers").  Each state keeps the buffers of
+    the first path to it; a conflict is an edge that spells two letters at
+    one position, which no completion mends, an edge into a state holding
+    other buffers, whose two paths end apart once completed alike, or a
+    final state whose buffers are not `start`.  Without one, every path
+    leaves its state's buffers, by induction on its length.
+    """
+    buffers = dict.fromkeys(p.nfa.initials, start)
+    tree: list[int | None] = [None] * p.nfa.n_states
+    order = list(buffers)
+    for s in order:  # breadth-first: order grows behind s
+        if s in p.nfa.finals and buffers[s] != start:
+            return [_tree_path(p, tree, s)], s
+        lbuf, rbuf = buffers[s]
+        for (x, y), d, t in p.nfa.adj()[s]:
+            left, right = lbuf + x, rbuf + y
+            k = min(len(left), len(right))
+            if left[:k] != right[:k]:
+                return [_tree_path(p, tree, s) + [t]], d
+            held = left[k:], right[k:]
+            if d not in buffers:
+                buffers[d], tree[d] = held, t
+                order.append(d)
+            elif buffers[d] != held:
+                return [_tree_path(p, tree, d),
+                        _tree_path(p, tree, s) + [t]], d
+    return None
+
+
 def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     """A concrete accepted pair (u, v) with u != v, or None for identities;
     p must be trimmed.
 
-    Follows the decision recipe for identity relations: check length
-    preservation first, then resynchronize to letter-to-letter form and
-    inspect the labels.  An automaton whose every label is diagonal, (x, x)
-    or ('', ''), is an identity without either step: each accepted pair
-    spells the same letters on both sides, so u = v.  One that is not
-    length-preserving gives the outputs of an unbalanced path
-    (`unbalanced_path`).
-
-    S, the synchronization, is read as it is built.  In a trimmed,
-    length-preserving p every state has one gap, so every state of S is
-    reached and reaches a final state with empty buffers: S is trimmed
-    too, and a mismatched label of S lies on an accepting run.
+    p is an identity exactly when every accepted path ends with an empty
+    delay (`delay_conflict` from ('', '')); a conflict's paths, each
+    completed by one shortest suffix, spell the pair.
     """
-    if all(x == y for _, (x, y), _ in p.nfa.transitions):
+    conflict = delay_conflict(p, ("", ""))
+    if conflict is None:
         return None
-    if not is_length_preserving(p):
-        return output_pair_of_path(p, unbalanced_path(p))
-    nfa, reads = synchronize(p, max_abs_delay(p))
-    bad = next(letter_mismatches(nfa), None)
-    if bad is None:
-        return None
-    src, _, dst = nfa.transitions[bad]
-    adj = nfa.adj()
-    prefix = _bfs_path(adj, nfa.initials, (src,))
-    suffix = _bfs_path(adj, (dst,), nfa.finals)
-    if prefix is None or suffix is None:
-        raise IntegrityError("no path found in trimmed automaton")
-    return output_pair_of_path(p, [reads[t] for t in prefix + [bad] + suffix])
+    prefixes, state = conflict
+    suffix = shortest_suffix_path(p, state)
+    for prefix in prefixes:
+        u, v = output_pair_of_path(p, prefix + suffix)
+        if u != v:
+            return u, v
+    raise IntegrityError("a delay conflict without a pair of different words")
 
 
 def synchronized_loop(p: PairAutomaton, bad: Callable[[Nfa], Iterable[int]]
@@ -805,19 +833,3 @@ def shortest_suffix_path(p: PairAutomaton, source: int) -> list[int]:
         raise IntegrityError(
             f"state {source} not coaccessible in trimmed automaton")
     return path
-
-
-def wrap_pair_automaton(p: PairAutomaton, pre: tuple[str, str],
-                        post: tuple[str, str]) -> PairAutomaton:
-    """Pair automaton for pre · L(p) · post (pointwise concatenation)."""
-    n = p.nfa.n_states
-    edges = []
-    for t, (s, lbl, d) in enumerate(p.nfa.transitions):
-        edges.append((s + 1, lbl, d + 1, p.input_letters[t]))
-    # fresh start 0 and fresh final n+1
-    for s in p.nfa.initials:
-        edges.append((0, pre, s + 1, None))
-    for f in p.nfa.finals:
-        edges.append((f + 1, post, n + 1, None))
-    return PairAutomaton.from_edges(n + 2, [0], [n + 1], edges,
-                                    p.left_alphabet, p.right_alphabet)

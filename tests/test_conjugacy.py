@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import (certificate_replays, delete_first_a, dense_dfa_spec,
                       flip_ab, identity_ab, joint_outputs_table,
-                      machine_corpus, make_transducer, random_joint_machine,
-                      rotate_first_letter, spec_transducer)
+                      machine_corpus, make_transducer, multi_letter_pairs,
+                      random_joint_machine, rotate_first_letter,
+                      spec_transducer)
 from transdist import conjugacy
 from transdist.automata import EPSILON, scc_decomposition
 from transdist.conjugacy import (
@@ -16,10 +17,11 @@ from transdist.conjugacy import (
     close_conjugacy_transducers, pair_witnesses, sumfree_decompose,
     verify_witness, witness_candidates,
 )
-from transdist.errors import ResourceLimitError
+from transdist.errors import InputError, ResourceLimitError
 from transdist.kapprox import _verdict_on, close_verdict
 from transdist.oracles import relation_included, trim
 from transdist.pairauto import (PairAutomaton, delay_range, enumerate_pairs,
+                                find_pair_path, identity_witness,
                                 is_length_preserving, max_abs_delay,
                                 synchronize)
 from transdist.relations import _indexed
@@ -153,7 +155,7 @@ def test_sumfree_summands_cover_random_joint_products(rng):
 @given(seed=st.integers(0, 2 ** 32))
 def test_every_summand_lies_inside_the_relation(seed):
     # exactly, by padded inclusion, which needs a bounded delay, and trim
-    # as built: identity_witness reads a summand's synchronization untrimmed
+    # as built: the witness checks walk a summand's states as they stand
     (pair,) = machine_corpus(seed, 1, bounded_length_gap=True, max_states=4)
     p = joint_product(*pair)
     for s in sumfree_decompose(p):
@@ -285,6 +287,60 @@ def test_star_reduction_property():
                     verify_witness(p_star, z, side), (body, z, side)
 
 
+WORDS = st.sampled_from(["", "a", "b", "ab", "ba", "aa"])
+
+
+@st.composite
+def trim_relations(draw):
+    """Pair automata on 1-4 states with up to 6 edges of at most two letters
+    a side, from_edges trimming away what is not on an accepting path."""
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(state, st.tuples(WORDS, WORDS), state),
+                          max_size=6))
+    return relation(n, edges, initials=draw(st.sets(state, min_size=1)),
+                    finals=draw(st.sets(state, min_size=1)))
+
+
+def wrapped_is_identity(p, pre, post):
+    """Is pre·L(p)·post, pointwise, an identity?  A reference built apart
+    from the delay walk: the wrapped automaton from edges, synchronized,
+    trimmed and scanned for two different letters on one label."""
+    n = p.n_states
+    edges = [(s + 1, lbl, d + 1) for s, lbl, d in p.nfa.transitions]
+    edges += [(0, pre, s + 1) for s in p.nfa.initials]
+    edges += [(f + 1, post, n + 1) for f in p.nfa.finals]
+    wrapped = PairAutomaton.from_edges(n + 2, [0], [n + 1], edges,
+                                       p.left_alphabet, p.right_alphabet)
+    if not is_length_preserving(wrapped):
+        return False
+    nfa = trim(synchronize(wrapped, max_abs_delay(wrapped))[0])[0]
+    return all(lbl is EPSILON or lbl[0] == lbl[1]
+               for _, lbl, _ in nfa.transitions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=trim_relations())
+@example(p=loop(("ab", "ba")))
+@example(p=loop(("a", ""), ("", "a")))
+def test_witness_checks_match_the_synchronized_reference(p):
+    for z in ("", "a", "b", "aa", "ab", "ba", "bb"):
+        for side, pre, post in (("inner", ("", z), (z, "")),
+                                ("outer", (z, ""), ("", z))):
+            assert verify_witness(p, z, side) == \
+                wrapped_is_identity(p, pre, post), (z, side)
+    witness = identity_witness(p)
+    assert (witness is None) == wrapped_is_identity(p, ("", ""), ("", ""))
+    if witness is not None:
+        u, v = witness
+        assert u != v and find_pair_path(p, witness) is not None
+
+
+def test_a_wrong_side_is_refused():
+    with pytest.raises(InputError, match="inner or outer"):
+        verify_witness(loop(("a", "a")), "a", "left")
+
+
 # ---------------------------------------------------------------------------
 # closeness w.r.t. conjugacy
 # ---------------------------------------------------------------------------
@@ -335,6 +391,26 @@ def test_unbalanced_pair_is_not_close_before_any_summand(monkeypatch):
         out1, out2 = evaluate(t1, cert.word), evaluate(t2, cert.word)
         assert (out1, out2) == cert.outputs
         assert len(out1) != len(out2)
+
+
+def test_a_summand_without_a_witness_below_the_cutoff_keeps_the_verdict(
+        monkeypatch):
+    # a "swap" pair whose 9-state summand has conjugate pairs and no
+    # witness below the cutoff: each candidate is checked by one walk over
+    # the summand, where a synchronization of the wrapped automaton filled
+    # 10^6 states and raised.  Searched first, it leaves the verdict to a
+    # summand with a non-conjugate pair
+    _, t1, t2 = multi_letter_pairs(1, 30)[15]
+    parts = sumfree_decompose(joint_product(t1, t2))
+    unknown = [s for s in parts if s.n_states == 9
+               and isinstance(search(s), WitnessUnknown)]
+    assert len(unknown) == 1
+    decompose = conjugacy.sumfree_decompose
+    monkeypatch.setattr(conjugacy, "sumfree_decompose",
+                        lambda p: decompose(p)[::-1])
+    verdict = close_verdict(Metric.CONJUGACY, t1, t2)
+    assert isinstance(verdict, NotClose)
+    assert certificate_replays(Metric.CONJUGACY, verdict.certificate, t1, t2)
 
 
 def test_conjugacy_verdicts_hold_on_random_and_rotate_pairs():
@@ -637,8 +713,8 @@ def diagonal_components(draw):
 @given(component=diagonal_components())
 def test_diagonal_loop_languages_have_the_empty_witness(component):
     # the loop automaton is built as close_levenshtein_transducers builds
-    # it; the label rule must agree with the search and with the route
-    # identity_witness takes on other automata: synchronize, scan the labels
+    # it; the search finds the empty witness, and so does a check apart
+    # from the delay walk: the synchronized loops spell diagonal labels
     n, edges, entry = component
     loops = PairAutomaton.from_edges(n, [entry], [entry], edges, AB, AB,
                                      do_trim=False)

@@ -214,6 +214,33 @@ def test_the_caller_guard_sees_every_scope():
                                      ("A.m", 6)]
 
 
+def _synchronizers(sources: dict[str, str]) -> list[str]:
+    """`module.scope` of every call of `synchronize` in the given sources."""
+    return sorted(f"{module}.{scope}" for module, source in sources.items()
+                  for scope, _ in _callers(source, "synchronize"))
+
+
+def test_only_three_routes_synchronize():
+    # identities and common witnesses are decided by one walk over the
+    # pair automaton's own states (pairauto.delay_conflict); synchronizing
+    # is left to the loops of the substitution verdicts, the longest path
+    # of their distances and the padded encoding of relations
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _synchronizers(sources) == [
+        "pairauto.synchronized_loop", "relations._padded_nfa",
+        "substitution.path_distance"]
+
+
+def test_the_synchronize_guard_names_module_and_scope():
+    sources = {"pairauto": ("def identity_witness(p):\n"
+                            "    return synchronize(p, 1)\n"),
+               "kapprox": ("def f(p):\n"
+                           "    return pairauto.synchronize(p, 0)[0]\n"),
+               "words": "def synchronize_all(): pass\n"}
+    assert _synchronizers(sources) == ["kapprox.f",
+                                       "pairauto.identity_witness"]
+
+
 #: the modules that decide, compute distances and hold their data types
 DECISION_MODULES = ("automata", "pairauto", "transducers", "kapprox",
                     "substitution", "conjugacy", "relations", "words",

@@ -18,7 +18,6 @@ from transdist.pairauto import (
     pair_length_diameter, shortest_prefix_path, shortest_suffix_path,
     suffix_gap_range, synchronize, synchronized_loop, unbalanced_cycle,
     unbalanced_letter, unbalanced_path, weighted_gap_sup,
-    wrap_pair_automaton,
 )
 from transdist.transducers import joint_product
 from transdist.words import INF, Alphabet
@@ -658,9 +657,9 @@ def test_identity_witness_reads_diagonal_labels_without_synchronizing(
     diagonal = [(0, ("a", "a"), 1), (1, ("", ""), 0), (1, ("b", "b"), 1)]
     assert identity_witness(pa(diagonal, 2, finals=[1])) is None
     assert identity_witness(pa([], 1)) is None
-    # one off-diagonal label takes the full route again
-    with pytest.raises(AssertionError, match="analysed"):
-        identity_witness(pa(diagonal + [(1, ("b", "a"), 1)], 2, finals=[1]))
+    # one off-diagonal label is found by the same walk
+    assert identity_witness(pa(diagonal + [(1, ("b", "a"), 1)], 2,
+                               finals=[1])) == ("ab", "aa")
 
 
 def test_identity_witness_unbalanced():
@@ -728,16 +727,10 @@ def test_synchronize_padded_accepts_canonical_encoding():
 # paths
 # ---------------------------------------------------------------------------
 
-def test_paths_and_wrapping():
+def test_paths_and_their_input_words():
     edges = [(0, ("a", "b"), 1, "x"), (1, ("b", "a"), 0, "y")]
     p = PairAutomaton.from_edges(2, [0], [0], edges, AB, AB)
     path = find_pair_path(p, ("ab", "ba"))
     assert input_word_of_path(p, path) == "xy"
     assert shortest_prefix_path(p, 0) == []
     assert shortest_suffix_path(p, 1) != []
-    from transdist.errors import InputError
-    with pytest.raises(InputError):
-        wrap_pair_automaton(p, ("", "z"), ("z", ""))
-    wrapped = wrap_pair_automaton(p, ("", "a"), ("a", ""))
-    assert ("a", "a") in enumerate_pairs(wrapped, 3)
-    assert ("aba", "aba") in enumerate_pairs(wrapped, 3)

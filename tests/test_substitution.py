@@ -12,7 +12,7 @@ from transdist.substitution import _count_gaps, _longest_path, _pairwise_walk
 from transdist.transducers import domain_words, evaluate, joint_product
 from transdist.verdicts import (Close, InfiniteWordCertificate, LoopCertificate,
                                 NotClose)
-from transdist.words import INF, Alphabet, Metric, word_distance
+from transdist.words import INF, Alphabet, ExtendedNat, Metric, word_distance
 
 
 def enum_max_distance(metric, t1, t2, max_len):
@@ -149,6 +149,18 @@ def test_delay_between_loops_stays_cheap(metric):
     # bbaa against aabb: 4 substitutions, or 4 adjacent swaps
     assert enum_max_distance(metric, t_a, t_b, 8) == 4
     assert distance_subst(metric, t_a, t_b) == 4
+
+
+def test_identity_checks_walk_past_large_delays():
+    # delays up to 20 on the acyclic part: the identity checks walk p's
+    # states once, where a synchronization would hold up to 2^20 buffers
+    t_a, t_b = _sorted_prefix_pair(20)
+    verdict = close_verdict(Metric.DISCRETE, t_a, t_b)
+    assert isinstance(verdict, NotClose)
+    assert certificate_replays(Metric.DISCRETE, verdict.certificate, t_a, t_b)
+    assert kclose(Metric.LEVENSHTEIN, t_a, t_b, 0) is False
+    assert close_verdict(Metric.DISCRETE, t_b, t_b) == Close(
+        bound=ExtendedNat(0))
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
