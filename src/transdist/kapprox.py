@@ -9,12 +9,14 @@ chunk's exact edit cost.  Those costs come from one prefix-distance table
 per distinct (left, right) chunk, kept for the length of one build; nothing
 is cached across calls.  A node's residuals (lu, lv) have a table
 (`words.prefix_table`), and each edge grows it by the edge's letters into
-the table of its chunk (`words.extend_table`).  Only live nodes are built:
-a node whose length gap no suffix of its state can bring within its budget
-has no accepting run and gets no id (see `_build_subst_family`).  Under
-Damerau, whose swaps cross cut points, a cut point is dropped when a
-neighbouring cut explains its cost exactly, read off the chunk's table,
-which keeps the skeleton and every minimal weight (see `_crossing_cuts`).
+the table of its chunk (`words.extend_table`).  A chunk's moves, the
+targets of its cuts, are listed once per build at budget k, and a node
+keeps those its budget pays for.  Only live nodes are built: a node whose
+length gap no suffix of its state can bring within its budget has no
+accepting run and gets no id (see `_build_subst_family`).  Under Damerau,
+whose swaps cross cut points, a cut point is dropped when a neighbouring
+cut explains its cost exactly, read off the chunk's table, which keeps the
+skeleton and every minimal weight (see `_crossing_cuts`).
 Its residuals are canonical: a target's residuals lose their longest
 common prefix (d(c·A, c·B) = d(A, B)), and a target with no budget left
 whose residuals are both non-empty is dead, since they then differ at their
@@ -167,6 +169,15 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     d(A·S, B·S) = d(A, B) mirrors the common-prefix one: reversing both
     words keeps the three distances (reversal maps each edit to one edit)
     and turns S into a common prefix.
+
+    Each chunk's moves are listed once per build: per (lu, lv, edge label,
+    target is a diagonal tail), the cuts of cost at most k as sorted
+    (-cost, ru, rv).  A node with budget b keeps those of cost at most b,
+    which are exactly the cuts listed at budget b: a cut (i, j) costs at
+    least |i - j|, so it lies in the band |i - j| <= b, and the drop test
+    of `_crossing_cuts` reads table cells, never the budget.  The order is
+    that of the targets (d, b - cost, ru, rv), so the nodes, edges, accept
+    costs and the ceiling's count are those of a listing per node and edge.
     """
     crossing = metric is Metric.DAMERAU_LEVENSHTEIN
     # a finite max_abs_delay (checked by build_kapprox) bounds every cycle's
@@ -183,6 +194,35 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
         except KeyError:
             t = tables[a, b] = prefix_table(metric, a, b)
             return t
+
+    # per (lu, lv, x, y, target is a diagonal tail): the chunk's moves
+    moves: dict[tuple, list[tuple[int, str, str]]] = {}
+
+    def chunk_moves(lu, lv, x, y, tail) -> list[tuple[int, str, str]]:
+        left, right = lu + x, lv + y
+        costs = tables.get((left, right))
+        if costs is None:
+            costs = tables[left, right] = extend_table(
+                metric, table(lu, lv), lu, lv, x, y)
+        if tail:
+            cuts = [(len(left), len(right))]
+        else:
+            # no cut inside the chunk's common prefix
+            low = _common_prefix_length(left, right)
+            if crossing:
+                cuts = _crossing_cuts(costs, left, right, k, leftover_cap,
+                                      low)
+            else:
+                cuts = _consumption_points(len(left), len(right), k,
+                                           leftover_cap, low)
+        found = set()
+        for i, j in cuts:
+            cost = costs[i][j]
+            if cost <= k:
+                ru, rv = left[i:], right[j:]
+                n = _common_prefix_length(ru, rv) if crossing else 0
+                found.add((-cost, ru[n:], rv[n:]))
+        return sorted(found)
 
     ids: dict[tuple, int] = {}
     nodes: list[tuple] = []
@@ -225,40 +265,17 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                 if prev is None or flush < prev:
                     accept_cost[sid] = flush
         for (x, y), d, t in adj[q]:
-            left = lu + x
-            right = lv + y
-            costs = tables.get((left, right))
-            if costs is None:
-                costs = tables[left, right] = extend_table(
-                    metric, table(lu, lv), lu, lv, x, y)
+            key = (lu, lv, x, y, d in tails)
+            listed = moves.get(key)
+            if listed is None:
+                listed = moves[key] = chunk_moves(*key)
             letter = p.input_letters[t]
-            best: dict[tuple, int] = {}
-            if d in tails:
-                cuts = [(len(left), len(right))]
-            else:
-                # no cut inside the chunk's common prefix
-                low = _common_prefix_length(left, right)
-                if crossing:
-                    cuts = _crossing_cuts(costs, left, right, b, leftover_cap,
-                                          low)
-                else:
-                    cuts = _consumption_points(len(left), len(right), b,
-                                               leftover_cap, low)
-            for i, j in cuts:
-                cost = costs[i][j]
-                if cost > b:
-                    continue
-                ru, rv = left[i:], right[j:]
-                if crossing:
-                    n = _common_prefix_length(ru, rv)
-                    ru, rv = ru[n:], rv[n:]
-                key = (d, b - cost, ru, rv)
-                if key not in best or cost < best[key]:
-                    best[key] = cost
-            for key, cost in sorted(best.items()):
-                tgt = get(key)
-                if tgt is not None:
-                    edges.append((sid, letter, cost, tgt))
+            for neg, ru, rv in listed:
+                rest = b + neg
+                if rest >= 0:
+                    tgt = get((d, rest, ru, rv))
+                    if tgt is not None:
+                        edges.append((sid, letter, -neg, tgt))
     return DistanceAutomaton(metric, k, nodes, edges, initials, accept_cost)
 
 

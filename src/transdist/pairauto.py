@@ -341,29 +341,32 @@ def _propagate(p: PairAutomaton, comp, comps, pot, gaps, reverse: bool):
     n = p.nfa.n_states
     lo: list[int | None] = [None] * n
     hi: list[int | None] = [None] * n
-
-    def offer(state, g):
-        if lo[state] is None or g < lo[state]:
-            lo[state] = g
-        if hi[state] is None or g > hi[state]:
-            hi[state] = g
-
     for s in starts:
-        offer(s, 0)
+        lo[s] = hi[s] = 0
     for members in order:
-        entries = [s for s in members if lo[s] is not None]
-        if not entries:
+        base_lo = base_hi = None
+        for s in members:
+            if lo[s] is not None:
+                shift = sign * pot[s]
+                if base_lo is None or lo[s] - shift < base_lo:
+                    base_lo = lo[s] - shift
+                if base_hi is None or hi[s] - shift > base_hi:
+                    base_hi = hi[s] - shift
+        if base_lo is None:
             continue  # not reached (untrimmed input)
-        base_lo = min(lo[e] - sign * pot[e] for e in entries)
-        base_hi = max(hi[e] - sign * pot[e] for e in entries)
+        here = comp[members[0]]
         for s in members:
-            lo[s] = base_lo + sign * pot[s]
-            hi[s] = base_hi + sign * pot[s]
-        for s in members:
+            shift = sign * pot[s]
+            low = lo[s] = base_lo + shift
+            high = hi[s] = base_hi + shift
             for _, d, t in links[s]:
-                if comp[d] != comp[s]:
-                    offer(d, lo[s] + gaps[t])
-                    offer(d, hi[s] + gaps[t])
+                if comp[d] != here:
+                    # low <= high: s offers d low + gap and high + gap
+                    gap = gaps[t]
+                    if lo[d] is None or low + gap < lo[d]:
+                        lo[d] = low + gap
+                    if hi[d] is None or high + gap > hi[d]:
+                        hi[d] = high + gap
     return lo, hi
 
 

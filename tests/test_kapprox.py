@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -17,13 +18,14 @@ from transdist.kapprox import (_lower_bound, build_kapprox, close_verdict,
                                distance, kclose)
 from transdist.oracles import (distance_subst, min_weight_on,
                                min_weight_table, oracle_distance)
-from transdist.pairauto import delay_range, identity_witness
+from transdist.pairauto import delay_range, identity_witness, max_abs_delay
 from transdist.transducers import (DomainMismatchError, Transducer,
                                    domain_words, evaluate, joint_product,
                                    same_domain)
 from transdist.verdicts import (Close, DomainCertificate, LoopCertificate,
                                 NotClose)
-from transdist.words import INF, Alphabet, ExtendedNat, Metric, word_distance
+from transdist.words import (INF, Alphabet, ExtendedNat, Metric, prefix_table,
+                             word_distance)
 
 EDIT_METRICS = [Metric.HAMMING, Metric.TRANSPOSITION, Metric.CONJUGACY,
                 Metric.LEVENSHTEIN, Metric.LCS, Metric.DAMERAU_LEVENSHTEIN]
@@ -338,6 +340,92 @@ def test_damerau_flip_6_builds_through_its_diagonal_tail():
     da = build_kapprox(Metric.DAMERAU_LEVENSHTEIN, p, 6)
     det = determinize(da.skeleton())
     assert (len(da.nodes), det.n_states) == (98, 69)
+
+
+# ---------------------------------------------------------------------------
+# one move list per chunk and build, filtered by each node's budget
+# ---------------------------------------------------------------------------
+
+def _reference_out_edges(metric, p, da):
+    """Per node of da, its out-edges and accept cost by the per-edge rule:
+    each chunk's own prefix table, cut at the node's own budget."""
+    ids = {node: i for i, node in enumerate(da.nodes)}
+    tails, cap = kapprox._diagonal_tails(p), max_abs_delay(p) + da.k + 2
+    crossing = metric is Metric.DAMERAU_LEVENSHTEIN
+    for q, b, lu, lv in da.nodes:
+        out = []
+        for (x, y), d, t in p.nfa.adj()[q]:
+            left, right = lu + x, lv + y
+            costs = prefix_table(metric, left, right)
+            low = kapprox._common_prefix_length(left, right)
+            if d in tails:
+                cuts = [(len(left), len(right))]
+            elif crossing:
+                cuts = kapprox._crossing_cuts(costs, left, right, b, cap, low)
+            else:
+                cuts = kapprox._consumption_points(len(left), len(right), b,
+                                                   cap, low)
+            keys = set()
+            for i, j in cuts:
+                ru, rv = left[i:], right[j:]
+                n = kapprox._common_prefix_length(ru, rv) if crossing else 0
+                if costs[i][j] <= b:
+                    keys.add((d, b - costs[i][j], ru[n:], rv[n:]))
+            out += [(p.input_letters[t], b - key[1], ids[key])
+                    for key in sorted(keys) if key in ids]
+        flush = prefix_table(metric, lu, lv)[-1][-1]
+        yield out, flush if q in p.nfa.finals and flush <= b else None
+
+
+@pytest.mark.parametrize("metric", SUBST_METRICS)
+def test_kapprox_edges_match_the_per_budget_cuts_node_by_node(metric):
+    # corpus pairs at k <= 3, and every flip set of c among the first four
+    # letters at k <= 2c, its LCS distance
+    cases = [(pair, 3) for seed in (808, 909, 111, 404)
+             for pair in machine_corpus(seed, 40, bounded_length_gap=True)]
+    cases += [((identity_ab(), flip_ab(4, flips)), 2 * c)
+              for c in range(5) for flips in itertools.combinations(range(4), c)]
+    for (a, b), top in cases:
+        p = joint_product(a, b)
+        for k in range(top + 1):
+            da = build_kapprox(metric, p, k)
+            out = {}
+            for src, letter, cost, dst in da.edges:
+                out.setdefault(src, []).append((letter, cost, dst))
+            for sid, (edges, flush) in enumerate(
+                    _reference_out_edges(metric, p, da)):
+                assert out.get(sid, []) == edges, (metric, k, da.nodes[sid])
+                assert da.accept_cost.get(sid) == flush
+
+
+#: (metric, n, k): (nodes, edges, accepting nodes) of the identity against
+#: flip-n with every position flipped, as the per-edge cut listing built them
+FLIP_BUILD_SIZES = {
+    (Metric.LEVENSHTEIN, 10, 10): (1607, 11050, 1607),
+    (Metric.DAMERAU_LEVENSHTEIN, 10, 10): (1748, 5806, 1748),
+    (Metric.LCS, 8, 16): (793, 4666, 793),
+    (Metric.LEVENSHTEIN, 12, 12): (3930, 32862, 3930),
+}
+
+
+@pytest.mark.parametrize("metric, n, k", list(FLIP_BUILD_SIZES))
+def test_kapprox_lists_each_chunks_cuts_once(metric, n, k, monkeypatch):
+    # the per-edge listing made 2,514 cut enumerations on Levenshtein-10
+    calls = []
+    for name in ("_consumption_points", "_crossing_cuts"):
+        listing = getattr(kapprox, name)
+        monkeypatch.setattr(kapprox, name, lambda *args, listing=listing: (
+            calls.append(args) or listing(*args)))
+    p = joint_product(identity_ab(), flip_ab(n, tuple(range(n))))
+    da = build_kapprox(metric, p, k)
+    assert (len(da.nodes), len(da.edges), len(da.accept_cost)) == \
+        FLIP_BUILD_SIZES[metric, n, k]
+    tails = kapprox._diagonal_tails(p)
+    chunks = {(lu, lv, x, y) for q, _, lu, lv in da.nodes
+              for (x, y), d, _ in p.nfa.adj()[q] if d not in tails}
+    assert len(calls) <= len(chunks)
+    if (metric, n) == (Metric.LEVENSHTEIN, 10):
+        assert len(calls) <= 242
 
 
 # ---------------------------------------------------------------------------
