@@ -5,14 +5,16 @@ transposition.
 For the Levenshtein family (Levenshtein, LCS and Damerau) the automaton
 tracks a budget and a one-sided unmatched leftover word; per transition it
 nondeterministically aligns a prefix of the two output streams, paying the
-chunk's exact edit cost.  Those costs come from one prefix-distance table
-per distinct (left, right) chunk, kept for the length of one build; nothing
-is cached across calls.  A node's residuals (lu, lv) have a table
-(`words.prefix_table`), and each edge grows it by the edge's letters into
-the table of its chunk (`words.extend_table`).  A chunk's moves, the
-targets of its cuts, are listed once per build at budget k, and a node
-keeps those its budget pays for.  Only live nodes are built: a node whose
-length gap no suffix of its state can bring within its budget has no
+chunk's exact edit cost.  Under Levenshtein and LCS one side of every
+chunk has at most one letter, and each cost has a closed form
+(`words.one_letter_distance`).  Under Damerau the costs come from one
+prefix-distance table per distinct (left, right) chunk, kept for the length
+of one build; nothing is cached across calls.  A node's residuals (lu, lv)
+have a table (`words.prefix_table`), and each edge grows it by the edge's
+letters into the table of its chunk (`words.extend_table`).  A chunk's
+moves, the targets of its cuts, are listed once per build at budget k, and
+a node keeps those its budget pays for.  Only live nodes are built: a node
+whose length gap no suffix of its state can bring within its budget has no
 accepting run and gets no id (see `_build_subst_family`).  Under Damerau,
 whose swaps cross cut points, a cut point is dropped when a neighbouring
 cut explains its cost exactly, read off the chunk's table, which keeps the
@@ -78,7 +80,8 @@ from .transducers import (DomainMismatchError, joint_product,
                           unbalanced_word_certificate)
 from .verdicts import Close, InfiniteWordCertificate, NotClose, Unknown
 from .words import (INF, ExtendedNat, LEVENSHTEIN_FAMILY, Metric,
-                    extend_table, prefix_table, word_distance)
+                    extend_table, one_letter_distance, prefix_table,
+                    word_distance)
 
 
 @dataclass
@@ -170,6 +173,23 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     words keeps the three distances (reversal maps each edit to one edit)
     and turns S into a common prefix.
 
+    Under Levenshtein and LCS no chunk needs a table.  Every node has a
+    residual on one side only: the initial nodes have none, and each cut
+    from `_consumption_points` is (n, j) or (i, m) for a chunk of lengths n
+    and m, which leaves the left or the right residual empty.  Every label
+    (x, y) of p has at most one letter per side (`pairauto._split_edges`
+    builds it so).  So a chunk (lu + x, lv + y) has a side of at most one
+    letter, x or y, and each of its cuts aligns a prefix of that side, ''
+    or a letter c, with a word w.  Both metrics give d(w, '') = |w|, one
+    insertion or deletion per letter.  For a non-empty w, the LCS distance
+    is |w| + 1 - 2·lcs(w, c) with lcs(w, c) = [c ∈ w], and the Levenshtein
+    distance is |w| - [c ∈ w]: matching c with one of its occurrences and
+    deleting the rest of w costs |w| - 1, the length gap, and when c ∉ w
+    every column of an alignment costs 1 and there are at least |w| of
+    them, while one substitution and |w| - 1 deletions cost |w|.  So
+    `words.one_letter_distance` gives every cut's cost, and a node's flush
+    costs |lu| + |lv|: these are the cells its prefix tables would hold.
+
     Each chunk's moves are listed once per build: per (lu, lv, edge label,
     target is a diagonal tail), the cuts of cost at most k as sorted
     (-cost, ru, rv).  A node with budget b keeps those of cost at most b,
@@ -180,12 +200,14 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
     costs and the ceiling's count are those of a listing per node and edge.
     """
     crossing = metric is Metric.DAMERAU_LEVENSHTEIN
+    mismatch = 2 if metric is Metric.LCS else 1
     # a finite max_abs_delay (checked by build_kapprox) bounds every cycle's
     # gap, so the suffix gaps are bounded too
     slo, shi = suffix_gap_range(p)
-    # chunks repeat across nodes: one prefix-distance table per distinct
-    # (left, right) chunk holds the cost of every cut point of that chunk,
-    # and an edge's table grows from its node's by the edge's letters
+    # Damerau's chunks repeat across nodes: one prefix-distance table per
+    # distinct (left, right) chunk holds the cost of every cut point of
+    # that chunk, and an edge's table grows from its node's by the edge's
+    # letters
     tables: dict[tuple[str, str], list[list[int]]] = {}
 
     def table(a: str, b: str) -> list[list[int]]:
@@ -200,10 +222,11 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
 
     def chunk_moves(lu, lv, x, y, tail) -> list[tuple[int, str, str]]:
         left, right = lu + x, lv + y
-        costs = tables.get((left, right))
-        if costs is None:
-            costs = tables[left, right] = extend_table(
-                metric, table(lu, lv), lu, lv, x, y)
+        if crossing:
+            costs = tables.get((left, right))
+            if costs is None:
+                costs = tables[left, right] = extend_table(
+                    table(lu, lv), lu, lv, x, y)
         if tail:
             cuts = [(len(left), len(right))]
         else:
@@ -217,7 +240,8 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
                                            leftover_cap, low)
         found = set()
         for i, j in cuts:
-            cost = costs[i][j]
+            cost = (costs[i][j] if crossing
+                    else one_letter_distance(left[:i], right[:j], mismatch))
             if cost <= k:
                 ru, rv = left[i:], right[j:]
                 n = _common_prefix_length(ru, rv) if crossing else 0
@@ -259,7 +283,8 @@ def _build_subst_family(metric: Metric, p: PairAutomaton, k: int,
         sid = ids[cfg]
         q, b, lu, lv = cfg
         if q in p.nfa.finals:
-            flush = table(lu, lv)[-1][-1]
+            flush = (table(lu, lv)[-1][-1] if crossing
+                     else len(lu) + len(lv))
             if flush <= b:
                 prev = accept_cost.get(sid)
                 if prev is None or flush < prev:

@@ -7,11 +7,14 @@ infinity sentinel and saturating addition.
 The Levenshtein, LCS and Damerau-Levenshtein distances have one recurrence
 each, which appends rows to a prefix-distance table of a word pair
 (d(u[:i], v[:j]) for every i and j, as plain ints).  `prefix_table` fills a
-whole table with it and `word_distance` reads the corner; `extend_table`
-grows the table of (u, v) into that of (u + x, v + y) for letters x and y,
-appending y's column by the same recurrence read along a column.
-The k-approximation reads the cost of every cut point of an output chunk
-from one such table, grown from the table of its node's residuals.
+whole table with it and `word_distance` reads the corner.  The
+k-approximation prices the cut points of an output chunk.  Under Damerau
+it reads them from the chunk's table, which `extend_table` grows from the
+table of its node's residuals (u, v) into that of (u + x, v + y) for
+letters x and y, appending y's column by the same recurrence read along a
+column.  Under Levenshtein and LCS one side of every chunk has at most one
+letter, and `one_letter_distance` prices each cut by closed form, with no
+table.
 """
 
 from __future__ import annotations
@@ -342,39 +345,6 @@ def _damerau_rows(t: list, u: str, v: str, i0: int) -> None:
         last_row[a] = i
 
 
-def _levenshtein_column(t: list, u: str, v: str, y: str) -> list:
-    """The table of (u, v + y), grown from t, the table of (u, v), by the
-    recurrence of `_levenshtein_rows`."""
-    prev = t[0] + [len(v) + 1]
-    grown = [prev]
-    for i in range(1, len(t)):
-        row = t[i]
-        cost = prev[-2] + (u[i - 1] != y)
-        if prev[-1] + 1 < cost:
-            cost = prev[-1] + 1
-        if row[-1] + 1 < cost:
-            cost = row[-1] + 1
-        prev = row + [cost]
-        grown.append(prev)
-    return grown
-
-
-def _lcs_column(t: list, u: str, v: str, y: str) -> list:
-    """The table of (u, v + y), grown from t, the table of (u, v), by the
-    recurrence of `_lcs_rows`."""
-    prev = t[0] + [len(v) + 1]
-    grown = [prev]
-    for i in range(1, len(t)):
-        row = t[i]
-        if u[i - 1] == y:
-            cost = prev[-2]
-        else:
-            cost = 1 + (prev[-1] if prev[-1] < row[-1] else row[-1])
-        prev = row + [cost]
-        grown.append(prev)
-    return grown
-
-
 def _damerau_column(t: list, u: str, v: str, y: str) -> list:
     """The table of (u, v + y), grown from t, the table of (u, v), by the
     recurrence of `_damerau_rows`.
@@ -408,6 +378,23 @@ def _damerau_column(t: list, u: str, v: str, y: str) -> list:
     return grown
 
 
+def one_letter_distance(u: str, v: str, mismatch: int) -> int:
+    """d(u, v) as a plain int under Levenshtein (`mismatch` 1) or LCS
+    (`mismatch` 2), for words u and v one of which has at most one letter.
+
+    d(w, '') = |w|.  A letter c and a non-empty word w align best by
+    matching c with one of its occurrences in w, deleting the rest of w,
+    and otherwise by writing c for one letter of w, at the cost `mismatch`
+    (a substitution, or a deletion and an insertion), so
+    d_L(w, c) = |w| - [c ∈ w] and d_LCS(w, c) = |w| + 1 - 2·[c ∈ w].
+    Both distances are symmetric.
+    """
+    if not u or not v:
+        return len(u) + len(v)
+    hit = v in u if len(v) == 1 else u in v
+    return len(u) + len(v) - 2 + (0 if hit else mismatch)
+
+
 def _length(u: str, v: str) -> ExtendedNat:
     return ExtendedNat(abs(len(u) - len(v)))
 
@@ -420,11 +407,6 @@ _ROWS = {
     Metric.LEVENSHTEIN: _levenshtein_rows,
     Metric.LCS: _lcs_rows,
     Metric.DAMERAU_LEVENSHTEIN: _damerau_rows,
-}
-_COLUMNS = {
-    Metric.LEVENSHTEIN: _levenshtein_column,
-    Metric.LCS: _lcs_column,
-    Metric.DAMERAU_LEVENSHTEIN: _damerau_column,
 }
 
 
@@ -456,18 +438,19 @@ def prefix_table(metric: Metric, u: str, v: str) -> list[list[int]]:
     return table
 
 
-def extend_table(metric: Metric, table: list[list[int]], u: str, v: str,
+def extend_table(table: list[list[int]], u: str, v: str,
                  x: str, y: str) -> list[list[int]]:
-    """The prefix table of (u + x, v + y), grown from `table`, that of (u, v).
+    """The Damerau prefix table of (u + x, v + y), grown from `table`, that
+    of (u, v).
 
     x and y have at most one letter each, and `table` is left as it is.
     The rows are copied with the cell of y's column appended, by the
-    metric's recurrence read along a column, then one row for x is appended
-    by the same recurrence as `prefix_table`.
+    recurrence of `_damerau_rows` read along a column, then one row for x
+    is appended by the same recurrence as `prefix_table`.
     """
-    table = _COLUMNS[metric](table, u, v, y) if y else table[:]
+    table = _damerau_column(table, u, v, y) if y else table[:]
     if x:
-        _ROWS[metric](table, u + x, v + y, len(u))
+        _damerau_rows(table, u + x, v + y, len(u))
     return table
 
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from transdist import kapprox
 from transdist.automata import Nfa, scc_decomposition
@@ -16,6 +17,10 @@ from transdist.words import INF, Alphabet, word_distance
 
 AB = Alphabet("ab")
 B01 = Alphabet("01")
+
+# every run explores the same examples and keeps no example database
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def make_transducer(n, initials, finals, triples, fout=None,

@@ -428,6 +428,27 @@ def test_kapprox_lists_each_chunks_cuts_once(metric, n, k, monkeypatch):
         assert len(calls) <= 242
 
 
+@pytest.mark.parametrize("metric", SUBST_METRICS)
+def test_only_damerau_chunks_keep_prefix_tables(metric, monkeypatch):
+    # under Levenshtein and LCS one side of every chunk has at most one
+    # letter, priced by closed form; Damerau's two-sided residuals keep
+    # their tables
+    calls = []
+    for name in ("prefix_table", "extend_table"):
+        real = getattr(kapprox, name)
+        monkeypatch.setattr(kapprox, name, lambda *args, real=real: (
+            calls.append(args) or real(*args)))
+    cases = [((identity_ab(), flip_ab(4, flips)), 2 * c)
+             for c in range(5) for flips in itertools.combinations(range(4), c)]
+    cases += [(pair, 3) for seed in (808, 909, 111, 404)
+              for pair in machine_corpus(seed, 40, bounded_length_gap=True)]
+    for (a, b), top in cases:
+        p = joint_product(a, b)
+        for k in range(top + 1):
+            build_kapprox(metric, p, k)
+    assert bool(calls) is (metric is Metric.DAMERAU_LEVENSHTEIN)
+
+
 # ---------------------------------------------------------------------------
 # kclose / distance
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from transdist.oracles import (OverBudget, metric_order_check,
                                oracle_distance, oracle_distance_table,
                                oracle_distances_from)
 from transdist.words import (
-    INF, Alphabet, ExtendedNat, Metric, extend_table,
+    INF, Alphabet, ExtendedNat, Metric, extend_table, one_letter_distance,
     parse_metric, prefix_table, word_distance,
 )
 
@@ -205,27 +205,38 @@ def test_prefix_table_holds_every_prefix_distance(u, v):
 @given(u=SHORT_WORDS, v=SHORT_WORDS,
        x=st.sampled_from(["", "a", "c"]), y=st.sampled_from(["", "b", "c"]))
 def test_extend_table_grows_the_prefix_table(u, v, x, y):
-    for metric in TABLE_METRICS:
-        table = prefix_table(metric, u, v)
-        grown = extend_table(metric, table, u, v, x, y)
-        assert grown == prefix_table(metric, u + x, v + y), metric
-        assert table == prefix_table(metric, u, v), metric
+    # only Damerau's chunks keep tables; Levenshtein and LCS price theirs
+    # by closed form (`one_letter_distance`)
+    damerau = Metric.DAMERAU_LEVENSHTEIN
+    table = prefix_table(damerau, u, v)
+    assert extend_table(table, u, v, x, y) == prefix_table(damerau, u + x,
+                                                           v + y)
+    assert table == prefix_table(damerau, u, v)
 
 
-@pytest.mark.parametrize("metric", TABLE_METRICS)
-def test_extend_table_grows_every_short_table(metric):
+def test_extend_table_grows_every_short_table():
     # the exhaustive companion of the property above: x and y range over
     # every letter, so Damerau's column meets a y that already occurs in u
     # and a letter of u that occurs in v, which its swap reads
+    damerau = Metric.DAMERAU_LEVENSHTEIN
     short = words_upto(Alphabet("abc"), 3)
     for u in short:
         for v in short:
-            table = prefix_table(metric, u, v)
+            table = prefix_table(damerau, u, v)
             for x, y in itertools.product(["", "a", "b", "c"], repeat=2):
-                grown = extend_table(metric, table, u, v, x, y)
-                assert grown == prefix_table(metric, u + x, v + y), \
+                grown = extend_table(table, u, v, x, y)
+                assert grown == prefix_table(damerau, u + x, v + y), \
                     (u, v, x, y)
-            assert table == prefix_table(metric, u, v), (u, v)
+            assert table == prefix_table(damerau, u, v), (u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=SHORT_WORDS, c=st.sampled_from(["", "a", "b", "c"]))
+def test_one_letter_distance_is_the_word_distance(w, c):
+    for metric, mismatch in ((Metric.LEVENSHTEIN, 1), (Metric.LCS, 2)):
+        for u, v in ((w, c), (c, w)):
+            assert one_letter_distance(u, v, mismatch) == \
+                word_distance(metric, u, v).value(), (metric, u, v)
 
 
 def test_prefix_table_examples():
