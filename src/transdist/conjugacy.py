@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import IntegrityError, InputError, ResourceLimitError
-from .pairauto import (PairAutomaton, components, delay_conflict,
-                       delay_range, enumerate_pairs, find_pair_path,
-                       identity_witness, input_word_of_path,
+from .pairauto import (PairAutomaton, component_loops, components,
+                       delay_conflict, delay_range, enumerate_pairs,
+                       find_pair_path, identity_witness, input_word_of_path,
                        is_length_preserving)
 from .transducers import (loop_certificate, unbalanced_loop_certificate,
                           unbalanced_word_certificate)
@@ -338,8 +338,8 @@ def close_levenshtein_transducers(p: PairAutomaton, metric: Metric):
     Unbounded prefix gaps give NotClose, pumping an unbalanced cycle.
     Otherwise, for every entry e of every nontrivial strongly connected
     component C (an initial state of C, or the target of an edge from
-    another component), the loop language L_e (C's internal edges, e the
-    only initial and final state) is searched for a common witness z_e,
+    another component), the loop language L_e (`pairauto.component_loops`
+    at e) is searched for a common witness z_e,
     with candidates up to 1 + the number of transitions of L_e.  A
     non-conjugate pair of L_e gives NotClose: its path, mapped back to p's
     transitions, is the loop pumped at e (`loop_certificate`).  Close needs
@@ -374,21 +374,13 @@ def close_levenshtein_transducers(p: PairAutomaton, metric: Metric):
     lo = gaps[0]
     analysis = components(p)
     comp, comps = analysis.comp, analysis.comps
-    local = [0] * p.nfa.n_states
-    for members in comps:
-        for i, s in enumerate(members):
-            local[s] = i
-    internal: list[list[tuple]] = [[] for _ in comps]
-    inside: list[list[int]] = [[] for _ in comps]  # p's id per internal edge
     entries: list[set[int]] = [set() for _ in comps]
     into: list[list[tuple[int, int]]] = [[] for _ in comps]
     off_diagonal = [False] * len(comps)  # an internal edge with x != y
     for s in p.nfa.initials:
         entries[comp[s]].add(s)
-    for t, (s, (x, y), d) in enumerate(p.nfa.transitions):
+    for s, (x, y), d in p.nfa.transitions:
         if comp[s] == comp[d]:
-            internal[comp[s]].append((local[s], (x, y), local[d]))
-            inside[comp[s]].append(t)
             off_diagonal[comp[s]] |= x != y
         else:
             entries[comp[d]].add(d)
@@ -400,14 +392,10 @@ def close_levenshtein_transducers(p: PairAutomaton, metric: Metric):
         if off_diagonal[c]:
             longest = 0
             for e in sorted(entries[c]):
-                loops = PairAutomaton.from_edges(
-                    len(members), [local[e]], [local[e]], internal[c],
-                    p.left_alphabet, p.right_alphabet, do_trim=False)
+                loops, inside = component_loops(p, e)
                 res = _witness_search(loops, 1 + len(loops.nfa.transitions))
                 if isinstance(res, NoWitness):
-                    # p's labels are split: one transition per edge
-                    loop = [inside[c][t]
-                            for t in find_pair_path(loops, res.pair)]
+                    loop = [inside[t] for t in find_pair_path(loops, res.pair)]
                     return NotClose(loop_certificate(metric, p, e, loop))
                 if isinstance(res, WitnessUnknown):
                     if unknown is None:

@@ -25,7 +25,7 @@ words, take the generic `shortest_path`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .automata import EPSILON, Nfa, scc_decomposition
 from .errors import InputError, IntegrityError, ResourceLimitError
@@ -84,9 +84,8 @@ class PairAutomaton:
         data comes here (`fileio`, the spheres and identities of
         `relations`), and so, with `do_trim` off, do the automata read off
         the edges of a pair automaton: the summands of
-        `conjugacy.sumfree_decompose` and the loop languages of
-        `conjugacy.close_levenshtein_transducers`, both trim as built, and
-        the loops of `synchronized_loop`.
+        `conjugacy.sumfree_decompose` and the loops of `component_loops`,
+        both trim as built.
         `joint_product`, whose labels the `Transducer` constructor checked,
         and `relations.compose` and `relations.union`, whose labels come
         from pair automata, number their states themselves and split their
@@ -585,13 +584,6 @@ def _tree_path(p: PairAutomaton, tree: list[int | None], state: int
     return path[::-1]
 
 
-def letter_mismatches(s: Nfa) -> Iterator[int]:
-    """The transitions of a synchronized automaton whose two letters differ,
-    in order."""
-    return (t for t, (_, lbl, _) in enumerate(s.transitions)
-            if lbl is not EPSILON and lbl[0] != lbl[1])
-
-
 def delay_conflict(p: PairAutomaton, start: tuple[str, str]
                    ) -> tuple[list[list[int]], int] | None:
     """None when every accepting path of p, read after the words `start`
@@ -654,46 +646,23 @@ def identity_witness(p: PairAutomaton) -> tuple[str, str] | None:
     raise IntegrityError("a delay conflict without a pair of different words")
 
 
-def synchronized_loop(p: PairAutomaton, bad: Callable[[Nfa], Iterable[int]]
-                      ) -> tuple[int, list[int]] | None:
-    """(state q of p, transitions of p forming a loop at q) whose run in
-    S_L, the synchronization of the loops of a length-preserving p, crosses
-    a transition that `bad(S_L)` picks inside a strongly connected
-    component of S_L (closed by a shortest way back), or None.
-
-    S_L enters each component of p that has a transition inside it by an
-    edge spelling the output pair of a shortest path of p to the root, then
-    follows only that component's transitions.  So each state of S_L after
-    an entry is reached by a run of p: a state of S, the synchronization of
-    all of p.  Conversely, if a cycle of S at (q, b) spells (α, β) ≠ (ε, ε)
-    with b buffered on the left, say, then b is the last |b| letters of
-    b·α, so of α^k for large k, the buffer that an entry, a walk to q and k
-    turns leave in S_L.  So S and S_L have the same cycles that spell
-    letters, and S_L has at most |Q|·|B|^D states for D the largest delay
-    of a state on a loop of p, however large the delays between loops.
-    """
-    pcomp, pcomps = components(p)[:2]
-    inside = [t for t, (s, _, d) in enumerate(p.nfa.transitions)
-              if pcomp[s] == pcomp[d]]
-    roots = sorted({pcomps[pcomp[p.nfa.transitions[t][0]]][0] for t in inside})
-    start = p.nfa.n_states
-    entries = [(start, output_pair_of_path(p, shortest_prefix_path(p, r)), r)
-               for r in roots]
+def component_loops(p: PairAutomaton, state: int
+                    ) -> tuple[PairAutomaton, list[int]]:
+    """The loops of p at `state` inside its component: the pair automaton
+    of the component's transitions, in p's order, with the i-th state of
+    the component in `Components.comps` as its state i and `state` its one
+    initial and final state, and per transition the one of p it copies."""
+    comp, comps = components(p)[:2]
+    members = comps[comp[state]]
+    local = {s: i for i, s in enumerate(members)}
+    adj = p.nfa.adj()
+    inside = sorted(t for s in members for _, d, t in adj[s] if d in local)
+    edges = [(local[s], lbl, local[d])
+             for s, lbl, d in (p.nfa.transitions[t] for t in inside)]
     loops = PairAutomaton.from_edges(
-        start + 1, [start], [], [p.nfa.transitions[t] for t in inside] + entries,
-        p.left_alphabet, p.right_alphabet, do_trim=False)
-    nfa, reads = synchronize(loops, max_abs_delay(p))
-    # from_edges keeps the unsplit inside transitions first, in order:
-    # S_L's cycles read only those
-    comp, comps, _ = scc_decomposition(nfa)
-    for t in bad(nfa):
-        src, _, dst = nfa.transitions[t]
-        if comp[dst] != comp[src]:
-            continue
-        back = _bfs_path(nfa.adj(), (dst,), (src,), set(comps[comp[src]]))
-        loop = [inside[reads[u]] for u in [t] + back]
-        return p.nfa.transitions[loop[0]][0], loop
-    return None
+        len(members), [local[state]], [local[state]], edges, p.left_alphabet,
+        p.right_alphabet, do_trim=False)
+    return loops, inside
 
 
 def unbalanced_cycle(p: PairAutomaton) -> tuple[int, list[int]] | None:

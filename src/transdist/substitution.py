@@ -2,10 +2,10 @@
 distances from one longest path.
 
 Unequal output lengths on some input make both distances infinite.  On a
-length-preserving pair automaton p both deciders ask for a transition of
-their own kind inside a strongly connected component of S_L, the
-synchronization of p's loops (`pairauto.synchronized_loop`); one found
-gives an input loop to pump.  S_L is exponential only in the delays of
+length-preserving pair automaton p both deciders walk each strongly
+connected component of p once, from the one buffer its loops can settle
+into (`pairauto.delay_conflict`); a conflict gives an input loop to pump.
+Unlike S below, no verdict walk is exponential in the delays of
 states on loops.  When close, `path_distance` reads the distance off the
 longest path over a walk of p: S, the synchronization of all of p, under
 Hamming, and under transposition, over any alphabet, the synchronization
@@ -16,14 +16,16 @@ delay of p, so they are built under a state ceiling.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 from .automata import EPSILON, Nfa, scc_decomposition
 from .errors import IntegrityError, ResourceLimitError
-from .pairauto import (PairAutomaton, is_length_preserving,
-                       letter_mismatches, max_abs_delay, synchronize,
-                       synchronized_loop, unbalanced_letter)
+from .pairauto import (PairAutomaton, component_loops, component_path,
+                       components, delay_conflict, delay_range,
+                       is_length_preserving, max_abs_delay,
+                       output_pair_of_path, shortest_prefix_path, synchronize,
+                       unbalanced_letter)
 from .transducers import loop_certificate, unbalanced_word_certificate
 from .verdicts import Close, NotClose
 from .words import Metric
@@ -33,66 +35,45 @@ from .words import Metric
 # public deciders
 # ---------------------------------------------------------------------------
 
-def _count_gaps(s: Nfa) -> list[int]:
-    """Per transition of a synchronized automaton, ‖D‖₁ after it for a
-    letter-pair transition and 0 for a silent one.  D, the difference of the
-    letter counts spelled on the two sides, is propagated breadth-first from
-    the initial states; it is a function of the state when the states are
-    reached by runs of p and every accepted pair is a permutation pair."""
-    diff = {q: {} for q in s.initials}
-    order = list(diff)
-    adj = s.adj()
-    for q in order:  # breadth-first: order grows behind q
-        for lbl, d, _ in adj[q]:
-            if d not in diff:
-                diff[d] = counts = dict(diff[q])
-                if lbl is not EPSILON:
-                    counts[lbl[0]] = counts.get(lbl[0], 0) + 1
-                    counts[lbl[1]] = counts.get(lbl[1], 0) - 1
-                order.append(d)
-    norm = {q: sum(map(abs, counts.values())) for q, counts in diff.items()}
-    return [0 if lbl is EPSILON else norm[d] for _, lbl, d in s.transitions]
-
-
-def _unbalanced_positions(s: Nfa):
-    """The letter-pair transitions of a synchronized automaton after which
-    the letter counts spelled on the two sides differ, in order."""
-    return (t for t, gap in enumerate(_count_gaps(s)) if gap)
-
-
-def _close(p: PairAutomaton, metric: Metric, bad):
-    """Close(bound=None), or NotClose with the loop of p whose cycle of S_L
-    crosses a transition that `bad` picks inside a component."""
-    hit = synchronized_loop(p, bad)
-    if hit is None:
-        return Close(bound=None)
-    return NotClose(loop_certificate(metric, p, *hit))
-
-
 def close_hamming(p: PairAutomaton):
     """Hamming closeness on p, the pair automaton of two machines with one
-    domain: equal output lengths, and no transition of S_L inside a
-    strongly connected component reads two different letters.
+    domain: equal output lengths, and for each component C of p with a loop
+    ℓ at its root r spelling (u, v) ≠ (ε, ε), no delay conflict on C's
+    loops at r from z, the first g letters of v^ω, or if g < 0 the first
+    -g letters of u^ω, for g the prefix gap of r (`_loop_verdict`).
 
     An accepting path of S, the synchronization of all of p, is the run of
     one input and spells its output pair letter by letter, so their Hamming
     distance is the number of mismatched transitions on it.  One outside
     every component is crossed at most once per path; one inside lies on a
-    cycle, and each turn adds a mismatch.  The cycles of S that spell
-    letters are those of S_L (`pairauto.synchronized_loop`).
+    cycle, and each turn adds a mismatch.  A cycle of S at (q, b), b the
+    buffer of the side ahead, reads a loop of p at q in a component C,
+    spelling (α, β) with |α| = |β|.  If α ≠ ε, b returns after it, so b is
+    the last |b| letters of α^k for large k (of β^k with the right side
+    ahead).  Close: with no conflict, all paths of C from r to q leave one
+    buffer Z(q), so the loop leaves Z(q) with no mismatch, and Z(q) = b.
+    NotClose: say g >= 0 (else exchange the sides); |u| = |v| >= 1.  From
+    any buffer, N = ⌈g/|u|⌉ turns of ℓ leave y, the last g letters of u^N,
+    and a turn from y with no mismatch means y·u = v·y, so y = z (Lyndon
+    and Schützenberger).  So if z·u ≠ v·z, each later turn of ℓ has a
+    mismatch.  Else y = z, and the conflict's path closed back to r is a
+    loop c that z does not keep (of two paths into a state with other
+    buffers, one is, since an edge maps delays one to one).  Each turn of
+    ℓ^N·c then has a mismatch in c, or c leaves z' ≠ z and ℓ^N has one,
+    since z'·u^N = v^N·z = z·u^N needs z' = z.
     """
     if not is_length_preserving(p):
         return NotClose(unbalanced_word_certificate(p))
-    return _close(p, Metric.HAMMING, letter_mismatches)
+    return _loop_verdict(p, Metric.HAMMING)
 
 
 def close_transposition(p: PairAutomaton):
     """Transposition closeness on p, the pair automaton of two machines with
     one domain: equal output lengths, equal letter counts on the two sides
     of every accepted pair (else a shortest path with unequal counts
-    certifies ∞), and no letter-pair transition of S_L inside a strongly
-    connected component leads to a state where D, the difference of the
-    letter counts spelled so far, is not 0.
+    certifies ∞), Hamming closeness (`close_hamming`), and on each of its
+    components C a count difference D_C = #(L) - #(R) - #(z) of 0, for
+    (L, R) the outputs of a shortest path to r (+ #(z) with z on the right).
 
     Proof.  An accepting path of S spells its output pair (u, v) letter by
     letter; let D_i = #(u[:i]) - #(v[:i]), as letter-count vectors.  For a
@@ -104,18 +85,57 @@ def close_transposition(p: PairAutomaton):
     all of it.  When every pair is a permutation pair, D is a function of
     the state of S, a state q of p with buffered letters: the counts p
     emits up to q are minus those of any suffix from q.  A transition
-    outside every component is crossed at most once per path, so without a
-    bad one inside the footrule is bounded; a bad one inside lies on a
-    cycle, and each turn adds at least 1.  The cycles of S that spell
-    letters are those of S_L, whose runs start with the output of a real
-    path of p, so D is the same there.
+    outside every component is crossed at most once per path.  Close: one
+    inside that spells letters lies on a cycle at (q, Z(q)) (see
+    `close_hamming`), reached from (r, z) with no mismatch, so D = D_C = 0
+    after it.  NotClose: a swap moves two letters, so the Hamming distance
+    is at most twice the swap count.  With Hamming close, N turns of ℓ
+    leave z, and D = D_C ≠ 0 after each letter of each later turn.
     """
     if not is_length_preserving(p):
         return NotClose(unbalanced_word_certificate(p))
     letter = unbalanced_letter(p)
     if letter is not None:
         return NotClose(unbalanced_word_certificate(p, {letter: 1}))
-    return _close(p, Metric.TRANSPOSITION, _unbalanced_positions)
+    return _loop_verdict(p, Metric.TRANSPOSITION)
+
+
+def _loop_verdict(p: PairAutomaton, metric: Metric):
+    """Close(bound=None), or NotClose with a loop of p that pumps the
+    distance, for p length-preserving: one `delay_conflict` walk per
+    component (see `close_hamming` and `close_transposition`)."""
+    comp, comps = components(p)[:2]
+    gap = delay_range(p)[0]
+    spelling: dict[int, int] = {}  # component -> its first letter transition
+    for t, (s, (x, y), d) in enumerate(p.nfa.transitions):
+        if comp[s] == comp[d] and (x or y):
+            spelling.setdefault(comp[s], t)
+    for c, t in spelling.items():
+        members = comps[c]
+        root, inside = members[0], set(members)
+        s, _, d = p.nfa.transitions[t]
+        pump = (component_path(p, inside, root, s) + [t]
+                + component_path(p, inside, d, root))
+        u, v = output_pair_of_path(p, pump)
+        g = gap[root]
+        z = ((v * g)[:g], "") if g >= 0 else ("", (u * -g)[:-g])
+        loops, copied = component_loops(p, root)
+        conflict = delay_conflict(loops, z)
+        if conflict is not None:
+            prefixes, state = conflict
+            back = component_path(p, inside, members[state], root)
+            turns = pump * -(-abs(g) // len(u))
+            for loop in [pump] + [turns + [copied[e] for e in prefix] + back
+                                  for prefix in prefixes]:
+                a, b = output_pair_of_path(p, loop)
+                if z[0] + a + z[1] != z[1] + b + z[0]:  # z does not keep it
+                    return NotClose(loop_certificate(metric, p, root, loop))
+            raise IntegrityError("a delay conflict without a loop to pump")
+        if metric is Metric.TRANSPOSITION:
+            left, right = output_pair_of_path(p, shortest_prefix_path(p, root))
+            if Counter(left + z[1]) != Counter(right + z[0]):
+                return NotClose(loop_certificate(metric, p, root, pump))
+    return Close(bound=None)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +154,8 @@ def path_distance(metric: Metric, p: PairAutomaton, ceiling: int) -> int:
     """
     if metric is Metric.HAMMING:
         s = synchronize(p, max_abs_delay(p), ceiling=ceiling)[0]
-        weights = [0] * len(s.transitions)
-        for t in letter_mismatches(s):
-            weights[t] = 1
-        return _longest_path(s, weights)
+        return _longest_path(s, [int(lbl is not EPSILON and lbl[0] != lbl[1])
+                                 for _, lbl, _ in s.transitions])
     return _longest_path(*_pairwise_walk(p, ceiling))
 
 

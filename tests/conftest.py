@@ -1,9 +1,12 @@
 """Shared fixtures: the worked-example machines and random machine corpora."""
 
 import random
+import shutil
+import tempfile
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from transdist import kapprox
 from transdist.automata import Nfa, scc_decomposition
@@ -21,6 +24,15 @@ B01 = Alphabet("01")
 # every run explores the same examples and keeps no example database
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
+# hypothesis still caches the literals of the code under test in its home
+# directory, `.hypothesis/` in the working directory unless moved: a
+# temporary one, removed when the session ends, keeps the checkout clean
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="transdist-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def make_transducer(n, initials, finals, triples, fout=None,

@@ -220,15 +220,16 @@ def _synchronizers(sources: dict[str, str]) -> list[str]:
                   for scope, _ in _callers(source, "synchronize"))
 
 
-def test_only_three_routes_synchronize():
-    # identities and common witnesses are decided by one walk over the
-    # pair automaton's own states (pairauto.delay_conflict); synchronizing
-    # is left to the loops of the substitution verdicts, the longest path
-    # of their distances and the padded encoding of relations
+def test_only_two_routes_synchronize():
+    # identities, common witnesses and the Hamming and transposition
+    # verdicts are decided by walks over the pair automaton's own states
+    # (pairauto.delay_conflict, once per component for the verdicts, from
+    # the one buffer its loops can settle into); synchronizing is left to
+    # the longest path of the substitution distances and the padded
+    # encoding of relations
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert _synchronizers(sources) == [
-        "pairauto.synchronized_loop", "relations._padded_nfa",
-        "substitution.path_distance"]
+        "relations._padded_nfa", "substitution.path_distance"]
 
 
 def test_the_synchronize_guard_names_module_and_scope():

@@ -11,13 +11,13 @@ from transdist.automata import Nfa, scc_decomposition
 from transdist.errors import InputError
 from transdist.oracles import accepts, edge_gap, trim
 from transdist.pairauto import (
-    PairAutomaton, _unbalanced_pair_witness, component_path, components,
-    delay_range, enumerate_pairs, find_pair_path,
+    PairAutomaton, _unbalanced_pair_witness, component_loops, component_path,
+    components, delay_range, enumerate_pairs, find_pair_path,
     identity_witness, input_word_of_path, is_length_preserving,
-    letter_mismatches, max_abs_delay, output_pair_of_path,
-    pair_length_diameter, shortest_prefix_path, shortest_suffix_path,
-    suffix_gap_range, synchronize, synchronized_loop, unbalanced_cycle,
-    unbalanced_letter, unbalanced_path, weighted_gap_sup,
+    max_abs_delay, output_pair_of_path, pair_length_diameter,
+    shortest_prefix_path, shortest_suffix_path, suffix_gap_range,
+    synchronize, unbalanced_cycle, unbalanced_letter, unbalanced_path,
+    weighted_gap_sup,
 )
 from transdist.transducers import joint_product
 from transdist.words import INF, Alphabet
@@ -688,20 +688,22 @@ def test_unbalanced_letter_and_its_shortest_pair():
     assert chains(p, path, 0, 0)
 
 
-def test_synchronized_loop_closes_a_walk_through_a_picked_transition():
-    # (ab, ba)*: both letters of every turn mismatch, on the loop
-    p = loop_relation("ab", "ba")
-    q, loop = synchronized_loop(p, letter_mismatches)
-    assert loop and chains(p, loop, q, q)
-    # b·a^n against a^n·b: the two mismatches, read one letter late, are
-    # crossed once each, off the loop of a-pairs
-    shifted = pa([(0, ("b", ""), 1), (1, ("a", "a"), 1), (1, ("", "b"), 2)],
-                 3, finals=[2])
-    assert next(letter_mismatches(synchronize(shifted, 1)[0]), None) \
-        is not None
-    assert synchronized_loop(shifted, letter_mismatches) is None
-    # a picker that picks nothing finds no loop
-    assert synchronized_loop(p, lambda s: iter(())) is None
+def test_component_loops_copy_the_loops_at_a_state():
+    # a chain into the component {1, 2}, which an edge leaves for 3
+    edges = [(0, ("a", ""), 1), (1, ("b", "b"), 2), (2, ("a", "a"), 1),
+             (2, ("b", "a"), 2), (1, ("", "a"), 3)]
+    p = pa(edges, 4, finals=[3])
+    loops, copied = component_loops(p, 2)
+    comp, comps = components(p)[:2]
+    members = comps[comp[2]]
+    assert copied == [t for t, (s, _, d) in enumerate(p.nfa.transitions)
+                      if comp[s] == comp[d] == comp[2]]
+    assert list(loops.nfa.transitions) == [
+        (members.index(s), lbl, members.index(d))
+        for s, lbl, d in (p.nfa.transitions[t] for t in copied)]
+    assert loops.nfa.initials == loops.nfa.finals == {members.index(2)}
+    assert enumerate_pairs(loops, 5) == enumerate_pairs(
+        pa(edges, 4, initials=(2,)), 5)
 
 
 # ---------------------------------------------------------------------------

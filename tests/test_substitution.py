@@ -1,18 +1,26 @@
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (certificate_replays, machine_corpus, make_transducer,
                       multi_letter_pairs)
-from transdist.automata import DEFAULT_STATE_CEILING
+from transdist.automata import DEFAULT_STATE_CEILING, EPSILON, scc_decomposition
 from transdist.errors import InputError, ResourceLimitError
 from transdist.kapprox import close_verdict, distance, kclose
 from transdist.oracles import distance_subst
-from transdist.pairauto import max_abs_delay, synchronize
-from transdist.substitution import _count_gaps, _longest_path, _pairwise_walk
+from transdist import pairauto, substitution
+from transdist.pairauto import (PairAutomaton, max_abs_delay, synchronize,
+                                unbalanced_letter)
+from transdist.substitution import (_longest_path, _pairwise_walk,
+                                    close_hamming, close_transposition)
 from transdist.transducers import domain_words, evaluate, joint_product
 from transdist.verdicts import (Close, InfiniteWordCertificate, LoopCertificate,
                                 NotClose)
 from transdist.words import INF, Alphabet, ExtendedNat, Metric, word_distance
+
+AB = Alphabet("ab")
+ABC = Alphabet("abc")
 
 
 def enum_max_distance(metric, t1, t2, max_len):
@@ -112,6 +120,134 @@ def test_growing_swaps_not_close_for_both():
     assert distance_subst(Metric.HAMMING, t_a, t_b) == INF
 
 
+# ---------------------------------------------------------------------------
+# one delay walk per component
+# ---------------------------------------------------------------------------
+
+def _loop_delay_pair(d, letters="ab", erased=""):
+    """T_a(w) = a^d·h(w) and T_b(w) = h(w)·a^d, for h the morphism that
+    copies `letters` and erases `erased`: a delay of d on the loops."""
+    alph_in, alph_out = Alphabet(erased + letters), Alphabet(letters)
+    head = "a" * d
+    t_a = make_transducer(2, [0], [0, 1], [
+        *((0, c, head, 1) for c in erased), *((1, c, "", 1) for c in erased),
+        *((0, c, head + c, 1) for c in letters),
+        *((1, c, c, 1) for c in letters)],
+        fout={0: head}, alph_in=alph_in, alph_out=alph_out)
+    t_b = make_transducer(1, [0], [0], [
+        *((0, c, "", 0) for c in erased), *((0, c, c, 0) for c in letters)],
+        fout={0: head}, alph_in=alph_in, alph_out=alph_out)
+    return t_a, t_b
+
+
+@pytest.fixture
+def no_synchronize(monkeypatch):
+    """Fail any call of `synchronize`: the verdicts walk p's own states."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verdict synchronized")
+    monkeypatch.setattr(pairauto, "synchronize", refuse)
+    monkeypatch.setattr(substitution, "synchronize", refuse)
+
+
+@pytest.mark.parametrize("d", [20, 40])
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
+def test_loop_delays_are_walked_not_synchronized(metric, d, no_synchronize):
+    # S_L, the synchronization of the loops, held up to 2^d buffers here
+    t_a, t_b = _loop_delay_pair(d)
+    verdict = close_verdict(metric, t_a, t_b)
+    assert isinstance(verdict, NotClose)
+    assert isinstance(verdict.certificate, LoopCertificate)
+    assert certificate_replays(metric, verdict.certificate, t_a, t_b)
+    # over one letter the two outputs are equal
+    assert close_verdict(metric, *_loop_delay_pair(d, "a")) == Close(
+        bound=None)
+
+
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
+def test_a_silent_loop_beside_a_letter_loop(metric, no_synchronize):
+    # c writes nothing on both sides: its (ε, ε) loop fixes no buffer, and
+    # the letter loops beside it decide
+    t_a, t_b = _loop_delay_pair(3, "ab", erased="c")
+    p = joint_product(t_a, t_b)
+    assert any(lbl == ("", "") for _, lbl, _ in p.nfa.transitions)
+    verdict = close_verdict(metric, t_a, t_b)
+    assert isinstance(verdict, NotClose)
+    assert certificate_replays(metric, verdict.certificate, t_a, t_b)
+    assert close_verdict(metric, *_loop_delay_pair(3, "a", erased="c")) \
+        == Close(bound=None)
+
+
+def test_a_buffer_misaligned_once_is_hamming_close(no_synchronize):
+    # b·a^n against a^n·c: 'b' does not commute with 'a', but the loop of
+    # a-pairs settles into the buffer 'a', and the two ends mismatch once
+    abc = Alphabet("abc")
+    t_a = make_transducer(2, [0], [1], [(0, "a", "ba", 1), (1, "a", "a", 1)],
+                          alph_in=Alphabet("a"), alph_out=abc)
+    t_b = make_transducer(2, [0], [1], [(0, "a", "a", 1), (1, "a", "a", 1)],
+                          fout={1: "c"}, alph_in=Alphabet("a"), alph_out=abc)
+    assert close_verdict(Metric.HAMMING, t_a, t_b) == Close(bound=None)
+    assert enum_max_distance(Metric.HAMMING, t_a, t_b, 8) == 2
+    assert distance_subst(Metric.HAMMING, t_a, t_b) == 2
+
+
+def test_hamming_walks_a_loop_of_mismatches_and_a_shifted_loop():
+    # (ab, ba)*: both letters of every turn mismatch, on the loop
+    p = PairAutomaton.from_edges(1, [0], [0], [(0, ("ab", "ba"), 0)], AB, AB)
+    verdict = close_hamming(p)
+    assert isinstance(verdict, NotClose)
+    assert isinstance(verdict.certificate, LoopCertificate)
+    # b·a^n against a^n·b: the two mismatches, read one letter late, are
+    # crossed once each, off the loop of a-pairs
+    shifted = PairAutomaton.from_edges(
+        3, [0], [2], [(0, ("b", ""), 1), (1, ("a", "a"), 1),
+                      (1, ("", "b"), 2)], AB, AB)
+    assert close_hamming(shifted) == Close(bound=None)
+
+
+#: balanced labels for the loops of `test_one_walk_per_component_reads_the_cycles_of_s`
+_BALANCED = [("", ""), ("a", "a"), ("b", "b"), ("a", "b"), ("b", "a"),
+             ("ab", "ba"), ("ba", "ab"), ("c", "c"), ("ca", "ac")]
+
+
+def _cycles_of_s_are_clean(p, metric):
+    """The verdict read off S, the synchronization of a length-preserving
+    p: no transition inside a strongly connected component of S that
+    mismatches (Hamming), or after which the letter counts differ
+    (transposition, every pair a permutation pair)."""
+    s = synchronize(p, max_abs_delay(p))[0]
+    comp = scc_decomposition(s)[0]
+    weights = (_count_gaps(s) if metric is Metric.TRANSPOSITION
+               else [lbl is not EPSILON and lbl[0] != lbl[1]
+                     for _, lbl, _ in s.transitions])
+    return not any(w and comp[src] == comp[dst]
+                   for (src, _, dst), w in zip(s.transitions, weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), left=st.booleans(),
+       metric=st.sampled_from([Metric.HAMMING, Metric.TRANSPOSITION]))
+def test_one_walk_per_component_reads_the_cycles_of_s(data, left, metric):
+    # an edge puts one side k letters ahead, balanced edges among states
+    # 1-3 keep the gap, and an edge to the final state 4 closes it
+    k = data.draw(st.integers(0, 3))
+    head, tail = (data.draw(st.text("abc", min_size=k, max_size=k))
+                  for _ in range(2))
+    edges = [(0, (head, "") if left else ("", head), 1),
+             *data.draw(st.lists(st.tuples(st.integers(1, 3),
+                                           st.sampled_from(_BALANCED),
+                                           st.integers(1, 3)),
+                                 min_size=1, max_size=6)),
+             (data.draw(st.integers(1, 3)), ("", tail) if left else (tail, ""),
+              4)]
+    p = PairAutomaton.from_edges(5, [0], [4], edges, ABC, ABC)
+    close = close_hamming if metric is Metric.HAMMING else close_transposition
+    verdict = close(p)
+    if metric is Metric.TRANSPOSITION and unbalanced_letter(p) is not None:
+        assert isinstance(verdict, NotClose)
+    else:
+        assert isinstance(verdict, Close) == _cycles_of_s_are_clean(p, metric)
+
+
 def _sorted_prefix_pair(d, letters="ab"):
     """T_a copies its input; T_b writes nothing for the first d letters,
     keeping them sorted in its state, then writes them and copies the
@@ -141,7 +277,7 @@ def _sorted_prefix_pair(d, letters="ab"):
 @pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
 def test_delay_between_loops_stays_cheap(metric):
     # delays up to 20 on the acyclic part, 0 on the copy loop: the deciders
-    # synchronize the loop only, not the 2^20 buffers of the prefix
+    # walk p's states, not the 2^20 buffers of the prefix
     t_a, t_b = _sorted_prefix_pair(20)
     assert isinstance(close_verdict(metric, t_a, t_b), Close)
     t_a, t_b = _sorted_prefix_pair(4)
@@ -183,7 +319,7 @@ def test_sorted_prefix_distances_need_no_probe(probes):
 
 @pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.TRANSPOSITION])
 def test_distance_past_the_state_ceiling_raises(metric):
-    # the verdict reads S_L, a few states here; the distance needs all of S
+    # the verdict walks p's states; the distance needs all of S
     t_a, t_b = _sorted_prefix_pair(8)
     assert isinstance(close_verdict(metric, t_a, t_b), Close)
     with pytest.raises(ResourceLimitError,
@@ -214,6 +350,27 @@ def test_distance_is_the_reference_distance_on_close_pairs(metric, count,
         assert distance(metric, u1, u2) == want
         assert kclose(metric, u1, u2, want.value())
         assert want == 0 or not kclose(metric, u1, u2, want.value() - 1)
+
+
+def _count_gaps(s):
+    """Per transition of a synchronized automaton, ‖D‖₁ after it for a
+    letter-pair transition and 0 for a silent one.  D, the difference of the
+    letter counts spelled on the two sides, is propagated breadth-first from
+    the initial states; it is a function of the state when the states are
+    reached by runs of p and every accepted pair is a permutation pair."""
+    diff = {q: {} for q in s.initials}
+    order = list(diff)
+    adj = s.adj()
+    for q in order:  # breadth-first: order grows behind q
+        for lbl, d, _ in adj[q]:
+            if d not in diff:
+                diff[d] = counts = dict(diff[q])
+                if lbl is not EPSILON:
+                    counts[lbl[0]] = counts.get(lbl[0], 0) + 1
+                    counts[lbl[1]] = counts.get(lbl[1], 0) - 1
+                order.append(d)
+    norm = {q: sum(map(abs, counts.values())) for q, counts in diff.items()}
+    return [0 if lbl is EPSILON else norm[d] for _, lbl, d in s.transitions]
 
 
 def _footrule(p):
